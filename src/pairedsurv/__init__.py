@@ -10,7 +10,7 @@ simulation engine.
 __version__ = "0.1.0"
 
 from .closed import ClosedTestReport, closed_test, subset_test
-from .data import Pair, PairedSample, Unit, build_sample, load_csv, write_csv
+from .data import PairedSample, build_sample, load_csv, write_csv
 from .design import (
     DesignSensitivityResult,
     MomentEstimates,
@@ -21,7 +21,6 @@ from .design import (
 from .km import SurvivalCurve, event_table, km_at, km_estimate
 from .mvnorm import mvn_cdf, mvn_cdf_with_error
 from .overall import (
-    CorrMatrices,
     DiffMatrix,
     TimeGrid,
     correlations,
@@ -35,7 +34,6 @@ from .scores import (
     logrank_scores,
     pair_differences,
     pseudo_observations,
-    pseudo_observations_naive,
     pw_scores,
 )
 from .sensitivity import (

@@ -27,9 +27,9 @@ from .closed import closed_test
 from .data import load_csv
 from .errors import AccuracyNotReached, PairedSurvError
 from .km import km_estimate
-from .overall import diff_matrix, overall_test
+from .overall import _max_diff, _test_diff, correlations
 from .scores import benefit_tail, pair_differences
-from .sensitivity import sensitivity_value, time_specific_test, _score_test
+from .sensitivity import _score_test, _search, _worst_case_p
 from .simulate import StudyConfig, design_sensitivity_study, power_study
 
 DEFAULT_SEED_ENV = "PAIREDSURV_SEED"
@@ -114,19 +114,13 @@ def cmd_test(args) -> int:
     sample = load_csv(args.data)
     seed = _resolve_seed(args)
     direction = _resolve_direction(args.direction, args.score)
-    if args.score == "pseudo":
-        if args.tau is None:
-            raise ConfigError("--tau is required for pseudo scores")
-        res = time_specific_test(sample, args.tau, gamma=args.gamma,
-                                 method=args.method, direction=direction,
-                                 n_draws=args.draws, seed=seed)
-        scores = pair_differences(sample, "pseudo", args.tau)
-    else:
-        if args.tau is not None:
-            raise ConfigError(f"--tau does not apply to {args.score} scores")
-        scores = pair_differences(sample, args.score)
-        res = _score_test(scores, sample, args.gamma, args.method, direction,
-                          None, n_draws=args.draws, seed=seed)
+    if args.score == "pseudo" and args.tau is None:
+        raise ConfigError("--tau is required for pseudo scores")
+    if args.score != "pseudo" and args.tau is not None:
+        raise ConfigError(f"--tau does not apply to {args.score} scores")
+    scores = pair_differences(sample, args.score, args.tau)
+    res = _score_test(scores, sample, args.gamma, args.method, direction,
+                      args.tau, n_draws=args.draws, seed=seed)
     label = f"tau={args.tau:g}" if args.tau is not None else "whole follow-up"
     print(f"{args.score} score test ({label}), gamma={args.gamma:g}, "
           f"{res.direction} tail, method={res.method}")
@@ -150,19 +144,14 @@ def cmd_overall(args) -> int:
     sample = load_csv(args.data)
     seed = _resolve_seed(args)
     direction = "harm" if args.direction == "harm" else "benefit"
-    res = overall_test(sample, _parse_grid(args.grid), gamma=args.gamma,
-                       include_ppw=args.include_ppw, method=args.method,
-                       direction=direction, tol=args.tol, seed=seed,
-                       n_draws=args.draws)
-    diff = diff_matrix(sample, _parse_grid(args.grid), include_ppw=args.include_ppw)
-    from .overall import correlations
-
+    diff = _max_diff(sample, _parse_grid(args.grid), args.include_ppw)
+    res = _test_diff(diff, sample.assignment, args.gamma, args.method,
+                     direction, args.tol, seed, n_draws=args.draws)
     print(f"max-type overall test, gamma={args.gamma:g}, {direction}, "
           f"method={res.method}")
     print(f"  statistic {res.statistic:.3f}   p-value {res.p_value:.3f}")
     if np.all(diff.sigma > 0):
-        corr = correlations(diff, max(args.gamma, 1.0))
-        mat = corr.rho if args.gamma == 1.0 else corr.rho_plus
+        mat = correlations(diff.D if args.gamma == 1.0 else np.abs(diff.D))
         print(f"  correlation matrix ({mat.shape[0]} columns: "
               f"{', '.join(str(l) for l in diff.labels)}):")
         for row in mat:
@@ -181,30 +170,20 @@ def cmd_sens(args) -> int:
     if (args.tau is None) == (args.grid is None):
         raise ConfigError("give exactly one of --tau or --grid")
     grid = _parse_grid(args.grid) if args.grid else None
-    direction = _resolve_direction(args.direction, "pseudo") if args.tau is not None else None
+    direction = _resolve_direction(args.direction, "pseudo")
+    p_at = _worst_case_p(sample, args.tau, grid, direction, args.include_ppw,
+                         seed, mvn_tol=args.tol)
 
     rows = []
     if args.gamma_grid:
-        for gamma in _parse_grid(args.gamma_grid):
-            if args.tau is not None:
-                p = time_specific_test(sample, args.tau, gamma,
-                                       direction=direction).p_value
-            else:
-                p = overall_test(sample, grid, gamma=gamma,
-                                 include_ppw=args.include_ppw,
-                                 tol=args.tol, seed=seed).p_value
-            rows.append({"gamma": gamma, "p_value": p})
+        rows = [{"gamma": g, "p_value": p_at(g)} for g in _parse_grid(args.gamma_grid)]
         print("gamma   worst-case p")
         for row in rows:
             print(f"{row['gamma']:5.2f}   {row['p_value']:.3f}")
 
     found = None
     if args.search or not args.gamma_grid:
-        sv = sensitivity_value(sample, tau=args.tau, grid=grid,
-                               alpha=args.alpha, tol=args.sens_tol,
-                               gamma_max=args.gamma_max,
-                               direction=direction or "lower",
-                               include_ppw=args.include_ppw, seed=seed)
+        sv = _search(p_at, args.alpha, args.sens_tol, args.gamma_max)
         found = {
             "gamma": sv.value,
             "already_sensitive": sv.already_sensitive,
@@ -356,8 +335,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="write a JSON result document here")
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; results are identical for any value")
 
     p = sub.add_parser("test", help="time-specific or score test of no effect")
     add_common(p)

@@ -51,13 +51,8 @@ def _subset_p(diff: DiffMatrix, idx, assignment, gamma, seed, tol) -> float:
     Single-column subsets fall through to the exact normal tail inside the
     max-test machinery (no QMC noise).
     """
-    D = diff.D[:, idx]
-    sigma = diff.sigma[idx]
-    keep = sigma > 0.0
-    if not np.any(keep):
-        return 1.0
-    _, p = _max_test_from_columns(D[:, keep], sigma[keep], assignment, gamma,
-                                  "normal", orient=-1.0, tol=tol, seed=seed)
+    _, p = _max_test_from_columns(diff.D[:, idx], diff.sigma[idx], assignment,
+                                  gamma, "normal", orient=-1.0, tol=tol, seed=seed)
     return p
 
 

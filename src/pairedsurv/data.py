@@ -10,7 +10,6 @@ and -1 when position 2 is.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,31 +21,6 @@ from .errors import (
     NegativeTime,
     NeitherTreated,
 )
-
-
-@dataclass(frozen=True)
-class Unit:
-    """One observed outcome: time >= 0 and an event indicator."""
-
-    time: float
-    event: bool
-
-    def __post_init__(self):
-        if not np.isfinite(self.time) or self.time < 0:
-            raise NegativeTime(f"unit time must be finite and >= 0, got {self.time!r}")
-
-
-@dataclass(frozen=True)
-class Pair:
-    """Two units plus the treated-side sign (+1: first treated, -1: second)."""
-
-    first: Unit
-    second: Unit
-    assignment: int
-
-    def __post_init__(self):
-        if self.assignment not in (-1, 1):
-            raise ValueError(f"assignment must be +1 or -1, got {self.assignment!r}")
 
 
 class PairedSample:
@@ -104,27 +78,6 @@ class PairedSample:
     @property
     def unit_events(self):
         return self.events.reshape(-1)
-
-    @property
-    def pairs(self) -> list[Pair]:
-        return [
-            Pair(
-                Unit(float(self.times[i, 0]), bool(self.events[i, 0])),
-                Unit(float(self.times[i, 1]), bool(self.events[i, 1])),
-                int(self.assignment[i]),
-            )
-            for i in range(self.n_pairs)
-        ]
-
-    @classmethod
-    def from_pairs(cls, pairs, pair_ids=None) -> "PairedSample":
-        pairs = list(pairs)
-        if not pairs:
-            raise EmptyInput("a sample needs at least one pair")
-        times = [[p.first.time, p.second.time] for p in pairs]
-        events = [[p.first.event, p.second.event] for p in pairs]
-        assignment = [p.assignment for p in pairs]
-        return cls(times, events, assignment, pair_ids)
 
     def __repr__(self):
         return f"PairedSample(n_pairs={self.n_pairs})"

@@ -33,10 +33,6 @@ class EmptyInput(PairedSurvError):
 
 # -- scores and tests ---------------------------------------------------
 
-class DegenerateRiskSet(PairedSurvError):
-    """A leave-one-out factor would require division by an empty risk set."""
-
-
 class LengthMismatch(PairedSurvError):
     """Scores and sample disagree on the number of pairs."""
 

@@ -14,16 +14,8 @@ import numpy as np
 from .errors import EmptyInput
 
 
-def _coerce_units(times, events=None):
-    """Accept (times, events) arrays or an iterable of Unit-likes."""
-    if events is None:
-        items = list(times)
-        if items and hasattr(items[0], "time"):
-            times = [u.time for u in items]
-            events = [u.event for u in items]
-        else:
-            times = [t for t, _ in items]
-            events = [e for _, e in items]
+def _coerce_units(times, events):
+    """Flat float times and boolean event flags of equal length."""
     t = np.asarray(times, dtype=float).reshape(-1)
     e = np.asarray(events, dtype=bool).reshape(-1)
     if t.shape != e.shape:
@@ -31,7 +23,7 @@ def _coerce_units(times, events=None):
     return t, e
 
 
-def event_table(times, events=None):
+def event_table(times, events):
     """Distinct event times with risk-set sizes.
 
     Returns ``(t, m, n)``: sorted distinct times at which at least one
@@ -73,7 +65,7 @@ class SurvivalCurve:
         return km_at(self, t)
 
 
-def km_estimate(times, events=None) -> SurvivalCurve:
+def km_estimate(times, events) -> SurvivalCurve:
     """Kaplan-Meier estimate over the pooled units.
 
     ``K(t) = prod_{t_k <= t} (1 - m_k / n_k)`` across distinct event times.

@@ -10,17 +10,21 @@ column can be appended so the max also covers a whole-period comparison.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateColumn, DegenerateColumnWarning
 from .mvnorm import mvn_cdf
 from .scores import pair_differences
-from .sensitivity import TestResult, _score_test, _tie_tol, check_gamma
+from .sensitivity import (
+    TestResult,
+    _score_test,
+    _sign_tail,
+    check_gamma,
+    null_moments,
+)
 
 PPW_LABEL = "ppw"
 
@@ -101,33 +105,19 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
                       has_ppw=include_ppw)
 
 
-@dataclass(frozen=True)
-class CorrMatrices:
-    """Score correlation matrix and its worst-case (absolute-product) version."""
+def correlations(diff) -> np.ndarray:
+    """Normalized Gram matrix of the columns of a DiffMatrix or raw matrix.
 
-    rho: np.ndarray
-    rho_plus: np.ndarray
-
-
-def correlations(diff, gamma=1.0) -> CorrMatrices:
-    """Both correlation matrices from a DiffMatrix (or raw column matrix).
-
-    ``rho`` is the plain normalized Gram matrix of the columns; ``rho_plus``
-    uses absolute products.  The gamma-dependent scale factor cancels in
-    the normalization, so ``rho_plus`` is the same for every gamma > 1 (the
-    argument is validated but otherwise unused).
+    This is the score correlation matrix; ``correlations(np.abs(D))`` is
+    its worst-case (absolute-product) version, used when gamma > 1.
     """
-    check_gamma(gamma)
     D = diff.D if isinstance(diff, DiffMatrix) else np.asarray(diff, dtype=float)
     sigma2 = np.sum(D ** 2, axis=0)
     if np.any(sigma2 == 0.0):
         raise DegenerateColumn("every column needs positive score dispersion")
-    scale = np.sqrt(np.outer(sigma2, sigma2))
-    rho = (D.T @ D) / scale
-    rho_plus = (np.abs(D).T @ np.abs(D)) / scale
+    rho = (D.T @ D) / np.sqrt(np.outer(sigma2, sigma2))
     np.fill_diagonal(rho, 1.0)
-    np.fill_diagonal(rho_plus, 1.0)
-    return CorrMatrices(rho=rho, rho_plus=rho_plus)
+    return rho
 
 
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
@@ -135,10 +125,15 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     """p-value machinery for the max statistic on already-built columns.
 
     ``orient`` is +1 to test the upper tail of the stored columns and -1
-    for the lower tail (the benefit direction of pseudo columns).  Returns
-    (m, p). Degenerate columns must already be dropped.
+    for the lower tail (the benefit direction of pseudo columns).  Columns
+    with zero dispersion are dropped; with none left the result is
+    (nan, 1).  Returns (m, p).
     """
     gamma = check_gamma(gamma)
+    keep = sigma > 0.0
+    if not np.any(keep):
+        return float("nan"), 1.0
+    D, sigma = D[:, keep], sigma[keep]
     t_cols = D.T @ assignment
     stats = orient * t_cols / sigma
     m = float(stats.max())
@@ -146,36 +141,45 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     if method == "montecarlo":
         # Simulates the bounding max with per-column worst-case signs
         # coupled through shared uniforms (diagnostic for the bound).
-        rng = np.random.default_rng(seed)
-        p_plus = gamma / (1.0 + gamma)
-        mags = np.abs(D)
-        tol_tie = _tie_tol(D)
-        hits = 0
-        chunk = max(1, min(n_draws, 2 ** 22 // max(1, D.shape[0])))
-        remaining = n_draws
-        while remaining > 0:
-            size = min(chunk, remaining)
-            signs = np.where(rng.random((size, D.shape[0])) < p_plus, 1.0, -1.0)
-            sims = (signs @ mags) / sigma
-            hits += int(np.count_nonzero(sims.max(axis=1) >= m - tol_tie))
-            remaining -= size
-        return m, hits / n_draws
-
+        return m, _sign_tail(D, sigma, m, gamma, n_draws, seed)
     if method != "normal":
         raise ValueError(f"method must be normal or montecarlo, got {method!r}")
     if gamma == 1.0:
-        corr = correlations(D).rho
+        # null moments (0, sigma^2) put every limit at m; setting it exactly
+        # keeps the tied limits, hence the MVN integration order, unchanged
         limits = np.full(D.shape[1], m)
+        corr = correlations(D)
     else:
-        corr = correlations(D).rho_plus
-        g = (gamma - 1.0) / (gamma + 1.0)
-        h = 2.0 * math.sqrt(gamma) / (gamma + 1.0)
-        mu_plus = g * np.sum(np.abs(D), axis=0)
-        sd_plus = h * sigma
-        limits = (m * sigma - mu_plus) / sd_plus
-    if D.shape[1] == 1:
-        return m, float(1.0 - ndtr(limits[0]))
+        # the oriented columns have the same |D|, hence the same moments
+        mean, variance = null_moments(D, gamma)
+        limits = (m * sigma - mean) / np.sqrt(variance)
+        corr = correlations(np.abs(D))
     return m, float(1.0 - mvn_cdf(limits, corr, tol=tol, seed=seed))
+
+
+def _max_diff(sample, grid, include_ppw) -> DiffMatrix:
+    """``diff_matrix`` for a max-type test, warning about degenerate columns."""
+    diff = diff_matrix(sample, grid, include_ppw=include_ppw)
+    dropped = [lab for lab, s in zip(diff.labels, diff.sigma) if s == 0.0]
+    if dropped:
+        warnings.warn(
+            f"dropping degenerate grid columns {dropped}",
+            DegenerateColumnWarning,
+            stacklevel=3,
+        )
+    return diff
+
+
+def _test_diff(diff, assignment, gamma, method, direction, tol, seed,
+               n_draws=100_000) -> TestResult:
+    """Max-type test of a built DiffMatrix; see ``overall_test``."""
+    gamma = check_gamma(gamma)
+    orient = -1.0 if direction == "benefit" else 1.0
+    m, p = _max_test_from_columns(diff.D, diff.sigma, assignment, gamma, method,
+                                  orient, tol=tol, seed=seed, n_draws=n_draws)
+    return TestResult(statistic=m, null_mean=0.0, null_sd=1.0, p_value=p,
+                      gamma=gamma, method=method, direction=direction,
+                      tau="overall")
 
 
 def overall_test(sample, grid, gamma=1.0, include_ppw=False, method="normal",
@@ -189,27 +193,8 @@ def overall_test(sample, grid, gamma=1.0, include_ppw=False, method="normal",
     """
     if direction not in ("benefit", "harm"):
         raise ValueError("direction must be 'benefit' or 'harm'")
-    gamma = check_gamma(gamma)
-    diff = diff_matrix(sample, grid, include_ppw=include_ppw)
-    keep = diff.sigma > 0.0
-    if not np.all(keep):
-        dropped = [lab for lab, k in zip(diff.labels, keep) if not k]
-        warnings.warn(
-            f"dropping degenerate grid columns {dropped}",
-            DegenerateColumnWarning,
-            stacklevel=2,
-        )
-    if not np.any(keep):
-        return TestResult(statistic=float("nan"), null_mean=0.0, null_sd=1.0,
-                          p_value=1.0, gamma=gamma, method=method,
-                          direction=direction, tau="overall")
-    orient = -1.0 if direction == "benefit" else 1.0
-    m, p = _max_test_from_columns(diff.D[:, keep], diff.sigma[keep],
-                                  sample.assignment, gamma, method, orient,
-                                  tol=tol, seed=seed, n_draws=n_draws)
-    return TestResult(statistic=m, null_mean=0.0, null_sd=1.0, p_value=p,
-                      gamma=gamma, method=method, direction=direction,
-                      tau="overall")
+    return _test_diff(_max_diff(sample, grid, include_ppw), sample.assignment,
+                      gamma, method, direction, tol, seed, n_draws)
 
 
 def ppw_test(sample, gamma=1.0, direction="upper", method="normal",

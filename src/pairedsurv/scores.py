@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput
-from .km import _coerce_units, event_table, km_at, km_estimate
+from .km import _coerce_units, event_table
 
 
-def pseudo_observations(times, events=None, tau=None):
+def pseudo_observations(times, events, tau):
     """Leave-one-out pseudo-values of the Kaplan-Meier estimate at ``tau``.
 
     For unit u out of n pooled units, ``q_u = n K(tau) - (n-1) K_{-u}(tau)``
@@ -41,16 +41,13 @@ def pseudo_observations(times, events=None, tau=None):
 
     Parameters
     ----------
-    times, events : pooled observed times and event flags (2I units), or a
-        single iterable of unit-likes.
+    times, events : pooled observed times and event flags (2I units).
     tau : evaluation time, >= 0.
 
     Returns
     -------
     (n,) array of pseudo-values, aligned with the input order.
     """
-    if tau is None:
-        raise TypeError("tau is required")
     t, e = _coerce_units(times, events)
     n = t.size
     if n < 2:
@@ -108,27 +105,7 @@ def pseudo_observations(times, events=None, tau=None):
     return n * km_tau - (n - 1) * km_loo
 
 
-def pseudo_observations_naive(times, events=None, tau=None):
-    """Reference pseudo-values by literal leave-one-out recomputation, O(n^2)."""
-    if tau is None:
-        raise TypeError("tau is required")
-    t, e = _coerce_units(times, events)
-    n = t.size
-    if n < 2:
-        raise EmptyInput("pseudo-observations need at least two units")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    km_tau = km_at(km_estimate(t, e), tau)
-    keep = np.ones(n, dtype=bool)
-    out = np.empty(n)
-    for u in range(n):
-        keep[u] = False
-        out[u] = n * km_tau - (n - 1) * km_at(km_estimate(t[keep], e[keep]), tau)
-        keep[u] = True
-    return out
-
-
-def logrank_scores(times, events=None):
+def logrank_scores(times, events):
     """Log-rank scores ``H(Y_u) - event_u`` from the pooled Nelson-Aalen hazard."""
     t, e = _coerce_units(times, events)
     if t.size == 0:
@@ -139,7 +116,7 @@ def logrank_scores(times, events=None):
     return h_at - e.astype(float)
 
 
-def pw_scores(times, events=None):
+def pw_scores(times, events):
     """Prentice-Wilcoxon scores ``1 - (1 + event_u) J(Y_u)``.
 
     ``J(a) = prod_{t_k <= a} (n_k - m_k + 1) / (n_k + 1)`` over pooled

@@ -84,30 +84,37 @@ def null_moments(scores, gamma=1.0):
     """Worst-case mean and variance of the upper-tail bounding statistic.
 
     ``mean = [(gamma-1)/(1+gamma)] sum |d_i|`` and
-    ``variance = [4 gamma/(1+gamma)^2] sum d_i^2``.
+    ``variance = [4 gamma/(1+gamma)^2] sum d_i^2``, as floats for one
+    score vector and column by column for an (I, L) matrix.
     """
     gamma = check_gamma(gamma)
-    d = _as_d(scores)
-    mean = (gamma - 1.0) / (gamma + 1.0) * float(np.sum(np.abs(d)))
-    variance = 4.0 * gamma / (gamma + 1.0) ** 2 * float(np.sum(d * d))
+    d = np.asarray(scores, dtype=float) if np.ndim(scores) == 2 else _as_d(scores)
+    mean = (gamma - 1.0) / (gamma + 1.0) * np.sum(np.abs(d), axis=0)
+    variance = 4.0 * gamma / (gamma + 1.0) ** 2 * np.sum(d * d, axis=0)
+    if d.ndim == 1:
+        return float(mean), float(variance)
     return mean, variance
 
 
-def pvalue_normal(t, mean, variance, direction="upper") -> float:
+def pvalue_normal(t, mean, variance, direction="upper"):
     """Normal tail probability with the degenerate-variance convention.
 
     Zero variance returns 1 when the statistic does not exceed the mean in
-    the test direction, else 0 (no dispersion means no evidence).
+    the test direction, else 0 (no dispersion means no evidence).  Array
+    arguments give one p-value per element; scalars give a float.
     """
     _check_direction(direction)
-    if variance < 0:
+    t, mean, variance = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (t, mean, variance)))
+    if np.any(variance < 0):
         raise ValueError("variance must be >= 0")
-    if variance == 0.0:
-        if direction == "upper":
-            return 1.0 if t <= mean else 0.0
-        return 1.0 if t >= mean else 0.0
-    z = (t - mean) / math.sqrt(variance)
-    return float(1.0 - ndtr(z)) if direction == "upper" else float(ndtr(z))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (t - mean) / np.sqrt(variance)
+    if direction == "upper":
+        p = np.where(variance == 0.0, t <= mean, 1.0 - ndtr(z))
+    else:
+        p = np.where(variance == 0.0, t >= mean, ndtr(z))
+    return float(p) if p.ndim == 0 else p
 
 
 def pvalue_exact(scores, t, gamma=1.0, direction="upper", max_pairs=EXACT_PAIR_CAP) -> float:
@@ -142,24 +149,36 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0,
     """Worst-case tail probability by simulation; deterministic given seed."""
     gamma = check_gamma(gamma)
     _check_direction(direction)
+    d = _as_d(scores)
+    # the lower tail of T is the upper tail of -T, which has the same |d_i|
+    threshold = t if direction == "upper" else -t
+    return _sign_tail(d[:, None], 1.0, threshold, gamma, n_draws, seed)
+
+
+def _sign_tail(D, scale, threshold, gamma, n_draws, seed) -> float:
+    """Simulated ``Pr(max_l (signs @ |D|)_l / scale_l >= threshold)``.
+
+    Each pair draws one sign, positive with probability gamma/(1+gamma),
+    shared by all columns.  All-zero rows contribute nothing and draw no
+    sign; ties at the threshold count.
+    """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    d = _as_d(scores)
-    if direction == "lower":
-        return pvalue_montecarlo(-d, -t, gamma, n_draws, seed, "upper")
-    mags = np.abs(d[d != 0.0])
-    tol = _tie_tol(d)
-    if mags.size == 0:
-        return 1.0 if 0.0 >= t - tol else 0.0
+    tol = _tie_tol(D)
+    mags = np.abs(D[np.any(D != 0.0, axis=1)])
+    rows = mags.shape[0]
+    if rows == 0:
+        return 1.0 if 0.0 >= threshold - tol else 0.0
     p_plus = gamma / (1.0 + gamma)
     rng = np.random.default_rng(seed)
     hits = 0
-    chunk = max(1, min(n_draws, 2 ** 22 // mags.size))
+    chunk = max(1, min(n_draws, 2 ** 22 // rows))
     remaining = n_draws
     while remaining > 0:
         size = min(chunk, remaining)
-        signs = np.where(rng.random((size, mags.size)) < p_plus, 1.0, -1.0)
-        hits += int(np.count_nonzero(signs @ mags >= t - tol))
+        signs = np.where(rng.random((size, rows)) < p_plus, 1.0, -1.0)
+        sims = (signs @ mags) / scale
+        hits += int(np.count_nonzero(sims.max(axis=1) >= threshold - tol))
         remaining -= size
     return hits / n_draws
 
@@ -224,30 +243,41 @@ def sensitivity_value(sample, tau=None, grid=None, alpha=0.05, tol=1e-3,
                       seed=0) -> SensitivityValue:
     """Bisect for the gamma where the worst-case p-value crosses ``alpha``.
 
-    Exactly one of ``tau`` (time-specific test, in ``direction``) or
-    ``grid`` (overall max-type test, always benefit-oriented) must be
-    given.  Returns gamma = 1 flagged ``already_sensitive`` when even the
+    Exactly one of ``tau`` (time-specific test) or ``grid`` (overall
+    max-type test) must be given.  ``direction`` is the tail of the stored
+    pseudo scores: ``"lower"`` tests for benefit, ``"upper"`` for harm.
+    Returns gamma = 1 flagged ``already_sensitive`` when even the
     randomization p-value exceeds alpha, and ``gamma_max`` flagged
     ``exceeded_max`` when the worst-case p-value stays below alpha on the
     whole range.
     """
+    if (tau is None) == (grid is None):
+        raise ValueError("give exactly one of tau or grid")
+    p_at = _worst_case_p(sample, tau, grid, direction, include_ppw, seed)
+    return _search(p_at, alpha, tol, gamma_max)
+
+
+def _worst_case_p(sample, tau, grid, direction, include_ppw, seed, mvn_tol=1e-4):
+    """gamma -> worst-case normal p-value, with the scores built once."""
+    _check_direction(direction)
+    if tau is not None:
+        scores = pair_differences(sample, "pseudo", tau)
+        return lambda g: _score_test(scores, sample, g, "normal", direction,
+                                     tau).p_value
+    from .overall import _max_diff, _test_diff
+
+    diff = _max_diff(sample, grid, include_ppw)
+    side = "benefit" if direction == "lower" else "harm"
+    return lambda g: _test_diff(diff, sample.assignment, g, "normal", side,
+                                mvn_tol, seed).p_value
+
+
+def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
+    """Bisection behind ``sensitivity_value``; assumes p_at rises with gamma."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if (tau is None) == (grid is None):
-        raise ValueError("give exactly one of tau or grid")
-
-    if tau is not None:
-        def p_at(g):
-            return time_specific_test(sample, tau, g, "normal", direction).p_value
-    else:
-        from .overall import overall_test
-
-        def p_at(g):
-            return overall_test(sample, grid, gamma=g, include_ppw=include_ppw,
-                                method="normal", seed=seed).p_value
-
     if p_at(1.0) > alpha:
         return SensitivityValue(1.0, True, False, alpha)
     if p_at(gamma_max) <= alpha:

@@ -15,9 +15,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-
 import numpy as np
-from scipy.special import ndtr
 
 from .data import PairedSample
 from .design import (
@@ -28,8 +26,7 @@ from .design import (
 )
 from .errors import TargetUnreachable
 from .overall import as_grid, diff_matrix, _max_test_from_columns
-from .scores import pair_differences
-from .sensitivity import check_gamma
+from .sensitivity import check_gamma, null_moments, pvalue_normal
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 
@@ -92,13 +89,6 @@ def scenario_spec(scenario_id, b=None, censoring_form="covariate_dependent",
                         intercept_z=intercept_z, slope_common=slope_common,
                         b=b, admin_cutoff=admin_cutoff,
                         censoring_form=censoring_form)
-
-
-def hazard(spec: ScenarioSpec, t, x, z):
-    """Instantaneous event hazard at time t for arm z."""
-    t = np.asarray(t, dtype=float)
-    eta = (spec.slope_z * t + spec.intercept_z) * z + spec.slope_common * t
-    return spec.lam * np.exp(np.asarray(x, dtype=float) + eta)
 
 
 def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
@@ -295,17 +285,6 @@ class PowerStudyResult:
         raise KeyError((scenario, test, gamma))
 
 
-def _worst_case_lower_p(t_cols, abs_sums, sq_sums, gamma):
-    """Vector of lower-tail worst-case normal p-values per column."""
-    g = (gamma - 1.0) / (gamma + 1.0)
-    var = 4.0 * gamma / (gamma + 1.0) ** 2 * sq_sums
-    mean = -g * abs_sums
-    sd = np.sqrt(var)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = ndtr((t_cols - mean) / sd)
-    return np.where(var == 0.0, (t_cols >= mean).astype(float), p)
-
-
 def power_study(config: StudyConfig) -> PowerStudyResult:
     """Empirical rejection rates of the time-specific, max, and PPW tests.
 
@@ -314,38 +293,25 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     depend on evaluation order or worker count.
     """
     grid = as_grid(config.grid)
-    taus = grid.taus
+    n_taus = len(grid)
+    names = [f"t_tau={tau:g}" for tau in grid.taus] + ["ppw", "max"]
     counts = {}
     for spec in config.scenarios:
         for rep in range(config.replications):
             sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, rep))
-            diff = diff_matrix(sample, grid)
-            keep = diff.sigma > 0.0
+            diff = diff_matrix(sample, grid, include_ppw=True)
             t_cols = diff.D.T @ sample.assignment
-            abs_sums = np.abs(diff.D).sum(axis=0)
-            sq_sums = diff.sigma ** 2
-            pw = pair_differences(sample, "pw")
-            t_pw = float(pw.d @ sample.assignment)
-            pw_abs = float(np.sum(np.abs(pw.d)))
-            pw_sq = float(pw.d @ pw.d)
             mvn_seed = int(_rep_seed(config.seed, spec.id, rep, salt=7).generate_state(1)[0])
             for gamma in config.gammas:
-                p_taus = _worst_case_lower_p(t_cols, abs_sums, sq_sums, gamma)
-                if np.any(keep):
-                    _, p_max = _max_test_from_columns(
-                        diff.D[:, keep], diff.sigma[keep], sample.assignment,
-                        gamma, "normal", orient=-1.0, tol=config.mvn_tol,
-                        seed=mvn_seed)
-                else:
-                    p_max = 1.0
-                # PPW benefit sits in the upper tail: mirror to the lower machinery
-                p_pw = float(_worst_case_lower_p(
-                    np.array([-t_pw]), np.array([pw_abs]), np.array([pw_sq]), gamma)[0])
-                for l, tau in enumerate(taus):
-                    name = f"t_tau={tau:g}"
-                    key = (spec.id, gamma, name)
-                    counts[key] = counts.get(key, 0) + (p_taus[l] <= config.alpha)
-                for name, p in (("max", p_max), ("ppw", p_pw)):
+                # every column, the negated PW one included, shows benefit
+                # in its lower tail
+                mean, variance = null_moments(diff.D, gamma)
+                p_cols = pvalue_normal(t_cols, -mean, variance, "lower")
+                _, p_max = _max_test_from_columns(
+                    diff.D[:, :n_taus], diff.sigma[:n_taus], sample.assignment,
+                    gamma, "normal", orient=-1.0, tol=config.mvn_tol,
+                    seed=mvn_seed)
+                for name, p in zip(names, [*p_cols, p_max]):
                     key = (spec.id, gamma, name)
                     counts[key] = counts.get(key, 0) + (p <= config.alpha)
     rows = tuple(

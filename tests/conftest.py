@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from pairedsurv import build_sample, generate_pairs, scenario_spec
+from pairedsurv import build_sample, generate_pairs, km_at, km_estimate, scenario_spec
+from pairedsurv.errors import EmptyInput
 
 # Worked five-pair dataset: observed times / event flags in (i1, i2) order,
 # all first positions treated.
@@ -35,3 +37,22 @@ def random_units(rng, n=None, event_prob=0.7, round_digits=None):
 
 def simulated_sample(n_pairs=100, scenario="ph", seed=0, censoring_form="covariate_dependent"):
     return generate_pairs(n_pairs, scenario_spec(scenario, censoring_form=censoring_form), seed)
+
+
+def pseudo_observations_naive(times, events, tau):
+    """Reference pseudo-values by literal leave-one-out recomputation, O(n^2)."""
+    t = np.asarray(times, dtype=float).reshape(-1)
+    e = np.asarray(events, dtype=bool).reshape(-1)
+    n = t.size
+    if n < 2:
+        raise EmptyInput("pseudo-observations need at least two units")
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    km_tau = km_at(km_estimate(t, e), tau)
+    keep = np.ones(n, dtype=bool)
+    out = np.empty(n)
+    for u in range(n):
+        keep[u] = False
+        out[u] = n * km_tau - (n - 1) * km_at(km_estimate(t[keep], e[keep]), tau)
+        keep[u] = True
+    return out

@@ -26,7 +26,6 @@ from pairedsurv import (
     pair_differences,
     power_study,
     pseudo_observations,
-    pseudo_observations_naive,
     pvalue_exact,
     pvalue_montecarlo,
     scenario_spec,
@@ -34,7 +33,7 @@ from pairedsurv import (
     time_specific_test,
 )
 
-from conftest import five_pair_records
+from conftest import five_pair_records, pseudo_observations_naive
 
 SEED = 20260808
 

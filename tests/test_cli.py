@@ -131,6 +131,30 @@ def test_cmd_sens_already_sensitive(tmp_path, capsys):
     assert json.loads(out_path.read_text())["result"]["sensitivity_value"]["already_sensitive"]
 
 
+def test_cmd_sens_grid_direction_honoured(sim_csv, tmp_path, capsys):
+    results = {}
+    for direction in ("benefit", "harm"):
+        out_path = tmp_path / f"{direction}.json"
+        code, _, _ = run(["sens", sim_csv, "--grid", "1,2,3", "--gamma-grid",
+                          "1,1.2", "--search", "--direction", direction,
+                          "--out", str(out_path)], capsys)
+        assert code == 0
+        results[direction] = json.loads(out_path.read_text())["result"]
+    benefit, harm = results["benefit"], results["harm"]
+    assert benefit["table"] != harm["table"]
+    # the ph sample favours treatment: harm is not supported even at gamma = 1
+    assert harm["table"][0]["p_value"] > 0.5
+    assert harm["sensitivity_value"]["already_sensitive"]
+    assert not benefit["sensitivity_value"]["already_sensitive"]
+
+
+def test_cmd_sens_degenerate_warning_once(sim_csv, capsys):
+    code, _, err = run(["sens", sim_csv, "--grid", "0.0001,1,2,3", "--search"],
+                       capsys)
+    assert code == 0
+    assert err.count("degenerate grid columns") == 1
+
+
 def test_cmd_sens_requires_one_target(sim_csv, capsys):
     code, _, _ = run(["sens", sim_csv], capsys)
     assert code == 4
@@ -179,6 +203,24 @@ def test_cmd_simulate_byte_identical(tmp_path, capsys):
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--tau", "3", "--method", "montecarlo", "--draws", "5000"],
+    ["overall", "--grid", "2,4", "--gamma", "1.2"],
+    ["sens", "--grid", "2,4", "--gamma-grid", "1,1.1", "--search"],
+    ["closed", "--grid", "2,3,4", "--gamma", "1.1"],
+])
+def test_result_block_byte_identical(argv, sim_csv, tmp_path, capsys):
+    blocks = []
+    for name in ("a.json", "b.json"):
+        out_path = tmp_path / name
+        code, _, _ = run([argv[0], sim_csv, *argv[1:], "--seed", "5",
+                          "--out", str(out_path)], capsys)
+        assert code == 0
+        doc = json.loads(out_path.read_text())
+        blocks.append(json.dumps(doc["result"], sort_keys=True).encode())
+    assert blocks[0] == blocks[1]
 
 
 def test_cmd_simulate_override_replications(tmp_path, capsys):

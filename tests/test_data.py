@@ -19,8 +19,6 @@ def test_build_single_pair():
     assert sample.n_pairs == 1
     assert sample.assignment[0] == 1
     assert sample.times[0, 0] == 8.3
-    assert sample.pairs[0].first.time == 8.3
-    assert sample.pairs[0].assignment == 1
 
 
 def test_assignment_follows_treated_position():

@@ -64,31 +64,22 @@ def test_ppw_column_concordant_on_uncensored_pairs():
 
 def test_correlations_single_column():
     d = np.random.default_rng(0).normal(size=(20, 1))
-    corr = correlations(d)
-    assert corr.rho.tolist() == [[1.0]]
-    assert corr.rho_plus.tolist() == [[1.0]]
+    assert correlations(d).tolist() == [[1.0]]
+    assert correlations(np.abs(d)).tolist() == [[1.0]]
 
 
 def test_correlations_identical_columns():
     d = np.random.default_rng(1).normal(size=(30, 1))
-    corr = correlations(np.column_stack([d, d]))
-    np.testing.assert_allclose(corr.rho, 1.0)
-    np.testing.assert_allclose(corr.rho_plus, 1.0)
+    both = np.column_stack([d, d])
+    np.testing.assert_allclose(correlations(both), 1.0)
+    np.testing.assert_allclose(correlations(np.abs(both)), 1.0)
 
 
 def test_rho_equals_rho_plus_when_concordant():
     rng = np.random.default_rng(2)
     base = rng.exponential(size=25)
     d = np.column_stack([base * 0.5, base * 1.7])  # same signs everywhere
-    corr = correlations(d)
-    np.testing.assert_allclose(corr.rho, corr.rho_plus, atol=1e-12)
-
-
-def test_rho_plus_gamma_invariant():
-    d = np.random.default_rng(3).normal(size=(40, 3))
-    a = correlations(d, gamma=1.0).rho_plus
-    b = correlations(d, gamma=5.0).rho_plus
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_allclose(correlations(d), correlations(np.abs(d)), atol=1e-12)
 
 
 def test_correlations_reject_degenerate_column():
@@ -100,15 +91,16 @@ def test_correlations_reject_degenerate_column():
 
 def test_correlation_matrices_well_formed():
     sample = simulated_sample(200, "early_div", seed=4)
-    corr = correlations(diff_matrix(sample, (1.0, 2.0, 3.0, 4.0)))
-    for mat in (corr.rho, corr.rho_plus):
+    D = diff_matrix(sample, (1.0, 2.0, 3.0, 4.0)).D
+    rho, rho_plus = correlations(D), correlations(np.abs(D))
+    for mat in (rho, rho_plus):
         np.testing.assert_allclose(mat, mat.T)
         np.testing.assert_allclose(np.diag(mat), 1.0)
         assert np.all(np.abs(mat) <= 1 + 1e-12)
-    assert np.all(corr.rho_plus >= 0)
+    assert np.all(rho_plus >= 0)
     # both are normalized Gram matrices, hence PSD
-    assert np.linalg.eigvalsh(corr.rho).min() >= -1e-10
-    assert np.linalg.eigvalsh(corr.rho_plus).min() >= -1e-10
+    assert np.linalg.eigvalsh(rho).min() >= -1e-10
+    assert np.linalg.eigvalsh(rho_plus).min() >= -1e-10
 
 
 def test_single_column_reduces_to_time_specific():
@@ -117,6 +109,18 @@ def test_single_column_reduces_to_time_specific():
         ov = overall_test(sample, (3.0,), gamma=gamma)
         ts = time_specific_test(sample, 3.0, gamma, "normal", "lower")
         assert ov.p_value == pytest.approx(ts.p_value, abs=1e-12)
+
+
+def test_single_column_montecarlo_equals_time_specific():
+    # zero-difference pairs draw no sign in either test, so the draws match
+    sample = simulated_sample(80, "ph", seed=3)
+    assert np.any(pair_differences(sample, "pseudo", 0.3).d == 0.0)
+    for gamma in (1.0, 1.5):
+        ov = overall_test(sample, (0.3,), gamma=gamma, method="montecarlo",
+                          n_draws=20_000, seed=4)
+        ts = time_specific_test(sample, 0.3, gamma, "montecarlo", "lower",
+                                n_draws=20_000, seed=4)
+        assert ov.p_value == ts.p_value
 
 
 def test_degenerate_columns_dropped_with_warning():
@@ -165,6 +169,12 @@ def test_montecarlo_vs_normal_overall():
     # the shared-sign coupling is exact at gamma=1 only up to sign concordance;
     # they agree closely on strongly concordant samples
     assert mc == pytest.approx(normal, abs=0.02)
+
+
+def test_montecarlo_needs_draws():
+    sample = simulated_sample(50, "ph", seed=1)
+    with pytest.raises(ValueError):
+        overall_test(sample, (1.0, 2.0), method="montecarlo", n_draws=0)
 
 
 def test_uncensored_bound_attained_by_enumeration():

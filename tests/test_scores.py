@@ -8,12 +8,11 @@ from pairedsurv import (
     logrank_scores,
     pair_differences,
     pseudo_observations,
-    pseudo_observations_naive,
     pw_scores,
 )
 from pairedsurv.errors import EmptyInput
 
-from conftest import random_units
+from conftest import pseudo_observations_naive, random_units
 
 
 # -- pseudo-observations --------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,13 +11,23 @@ from pairedsurv import (
     design_sensitivity_study,
     generate_pairs,
     nonadmin_censoring_rate,
+    overall_test,
     power_study,
+    ppw_test,
     sample_censoring_time,
     sample_survival_time,
     scenario_spec,
+    time_specific_test,
 )
-from pairedsurv.errors import TargetUnreachable
-from pairedsurv.simulate import ETA, hazard
+from pairedsurv.errors import DegenerateColumnWarning, TargetUnreachable
+from pairedsurv.simulate import ETA, _rep_seed
+
+
+def hazard(spec, t, x, z):
+    """Instantaneous event hazard at time t for arm z."""
+    t = np.asarray(t, dtype=float)
+    eta = (spec.slope_z * t + spec.intercept_z) * z + spec.slope_common * t
+    return spec.lam * np.exp(np.asarray(x, dtype=float) + eta)
 
 
 def test_all_scenarios_defined():
@@ -195,6 +207,32 @@ def test_power_study_deterministic_and_shaped():
     for row in a.rows:
         assert 0.0 <= row.rate <= 1.0
         assert row.replications == 30
+
+
+def test_power_study_matches_public_tests():
+    config = StudyConfig(scenarios=tuple(scenario_spec(sid) for sid in ETA),
+                         pairs=60, replications=3, gammas=(1.0, 1.25), seed=4)
+    counts = {}
+    for spec in config.scenarios:
+        for rep in range(config.replications):
+            sample = generate_pairs(config.pairs, spec,
+                                    _rep_seed(config.seed, spec.id, rep))
+            mvn_seed = int(_rep_seed(config.seed, spec.id, rep, salt=7)
+                           .generate_state(1)[0])
+            for gamma in config.gammas:
+                p = {f"t_tau={tau:g}": time_specific_test(sample, tau, gamma).p_value
+                     for tau in config.grid}
+                p["ppw"] = ppw_test(sample, gamma, direction="upper").p_value
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DegenerateColumnWarning)
+                    p["max"] = overall_test(sample, config.grid, gamma=gamma,
+                                            tol=config.mvn_tol, seed=mvn_seed).p_value
+                for name, value in p.items():
+                    key = (spec.id, gamma, name)
+                    counts[key] = counts.get(key, 0) + int(value <= config.alpha)
+    rows = power_study(config).rows
+    assert {(r.scenario, r.gamma, r.test): r.rejections for r in rows} == counts
+    assert sum(counts.values()) > 0
 
 
 def test_power_rows_monotone_in_gamma():
