@@ -9,7 +9,7 @@ simulation engine.
 
 __version__ = "0.1.0"
 
-from .closed import ClosedTestReport, closed_test, subset_test
+from .closed import ClosedTestReport, closed_test
 from .data import PairedSample, build_sample, load_csv, write_csv
 from .design import (
     DesignSensitivityResult,

@@ -169,6 +169,8 @@ def cmd_sens(args) -> int:
     seed = _resolve_seed(args)
     if (args.tau is None) == (args.grid is None):
         raise ConfigError("give exactly one of --tau or --grid")
+    if args.tau is not None and args.include_ppw:
+        raise ConfigError("--include-ppw applies only to --grid")
     grid = _parse_grid(args.grid) if args.grid else None
     direction = _resolve_direction(args.direction, "pseudo")
     p_at = _worst_case_p(sample, args.tau, grid, direction, args.include_ppw,

@@ -1,31 +1,42 @@
 """Closed testing over the analysis-time grid.
 
 An elementary hypothesis at tau is rejected only when every intersected
-max-type test whose subset contains tau rejects.  The adjusted p-value per
-tau is therefore the maximum p over its 2^(L-1) supersets; family-wise
-error is controlled at alpha without any shortcut assumption.  All
-2^L - 1 subsets are evaluated once each, with mvn seeds derived from the
-subset bitmask so evaluation order cannot change the report.
+max-type test whose subset contains tau rejects, so the adjusted p-value
+of tau is the maximum p over those subsets; family-wise error is
+controlled at alpha.
+
+The maximum is found by the Westfall-Young step-down, exactly and with at
+most L multivariate normal integrations instead of 2^L - 1.  A subset S has
+p = P(max_{l in S} Z_l >= m_S) under one joint law, and each column's limit
+depends on S only through its observed max m_S.  Adding columns whose
+statistic is at most m_S keeps every limit and can only raise p, so among
+the subsets containing tau with max m the largest p is that of
+S_m = {l : stat_l <= m}.  The adjusted p of tau is the running maximum of
+p(S_m) over m >= stat_tau.  A degenerate column is in no S_m; its tau gets
+p = 1, the p-value of a test with no columns.
+
+Each S_m is integrated with a QMC seed derived from its bitmask over the
+grid, so its p-value is the one a full enumeration computes for that
+subset, whichever other subsets are visited.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-
-from .errors import DegenerateColumnWarning, GridTooLarge
-from .overall import DiffMatrix, _max_test_from_columns, as_grid, diff_matrix
+from .overall import DiffMatrix, _max_diff, _max_test_from_columns, as_grid
 from .sensitivity import check_gamma
-
-MAX_GRID = 14
 
 
 @dataclass(frozen=True)
 class ClosedTestReport:
-    """Adjusted p-values and rejection decisions per analysis time."""
+    """Adjusted p-values and rejection decisions per analysis time.
+
+    ``subset_p`` maps each step-down subset evaluated (tuple of taus) to
+    its p-value, at most one subset per grid time.
+    """
 
     taus: tuple
     adjusted_p: dict
@@ -56,55 +67,39 @@ def _subset_p(diff: DiffMatrix, idx, assignment, gamma, seed, tol) -> float:
     return p
 
 
-def subset_test(sample, subset, gamma=1.0, seed=0, tol=1e-4) -> float:
-    """Max-type p-value for the intersection hypothesis over ``subset``."""
-    gamma = check_gamma(gamma)
-    grid = as_grid(np.sort(np.asarray(list(subset), dtype=float)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateColumnWarning)
-        diff = diff_matrix(sample, grid)
-    return _subset_p(diff, np.arange(len(grid)), sample.assignment, gamma, seed, tol)
-
-
 def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestReport:
-    """Closed testing procedure over the full grid.
+    """Closed testing procedure over the full grid, by the exact step-down.
 
-    Evaluates every nonempty subset of the grid once (memoized by bitmask)
-    and adjusts each tau's p-value to the maximum over its supersets.
+    Visits the distinct benefit statistics from the largest down, tests
+    the set of columns at or below each, and adjusts each tau's p-value to
+    the running maximum of those p-values.  Degenerate columns are dropped
+    with a warning and their taus get adjusted p = 1.
     """
     gamma = check_gamma(gamma)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     grid = as_grid(grid)
-    L = len(grid)
-    if L > MAX_GRID:
-        raise GridTooLarge(f"grid of {L} exceeds the closed-testing cap of {MAX_GRID}")
-    diff = diff_matrix(sample, grid)
-    if np.any(diff.sigma == 0.0):
-        dropped = [float(t) for t, s in zip(grid.taus, diff.sigma) if s == 0.0]
-        warnings.warn(
-            f"degenerate grid columns {dropped} contribute nothing to subsets",
-            DegenerateColumnWarning,
-            stacklevel=2,
-        )
+    taus = tuple(float(t) for t in grid.taus)
+    diff = _max_diff(sample, grid, False)
+    live = np.flatnonzero(diff.sigma > 0.0)
+    stats = -(diff.D[:, live].T @ sample.assignment) / diff.sigma[live]
 
+    adjusted = dict.fromkeys(taus, 1.0)
     subset_p = {}
-    for mask in range(1, 2 ** L):
-        idx = np.flatnonzero([(mask >> l) & 1 for l in range(L)])
+    running = 0.0
+    for m in np.unique(stats)[::-1]:
+        idx = live[stats <= m]
+        mask = sum(1 << int(l) for l in idx)
         p = _subset_p(diff, idx, sample.assignment, gamma,
                       _subset_seed(seed, mask), tol)
-        subset_p[tuple(float(grid.taus[i]) for i in idx)] = p
-
-    adjusted, rejected = {}, {}
-    for l, tau in enumerate(grid.taus):
-        tau = float(tau)
-        sup = [p for key, p in subset_p.items() if tau in key]
-        adjusted[tau] = max(sup)
-        rejected[tau] = adjusted[tau] <= alpha
+        subset_p[tuple(taus[l] for l in idx)] = p
+        running = max(running, p)
+        for l in live[stats == m]:
+            adjusted[taus[l]] = running
     return ClosedTestReport(
-        taus=tuple(float(t) for t in grid.taus),
+        taus=taus,
         adjusted_p=adjusted,
-        rejected=rejected,
+        rejected={tau: p <= alpha for tau, p in adjusted.items()},
         alpha=alpha,
         gamma=gamma,
         subset_p=subset_p,

@@ -45,10 +45,6 @@ class DegenerateColumn(PairedSurvError):
     """A grid column has zero score dispersion."""
 
 
-class GridTooLarge(PairedSurvError):
-    """Closed testing requested on a grid above the subset-enumeration cap."""
-
-
 class NoInformation(PairedSurvError):
     """All pair differences vanish; no design sensitivity is defined."""
 

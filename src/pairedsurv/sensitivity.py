@@ -261,6 +261,8 @@ def _worst_case_p(sample, tau, grid, direction, include_ppw, seed, mvn_tol=1e-4)
     """gamma -> worst-case normal p-value, with the scores built once."""
     _check_direction(direction)
     if tau is not None:
+        if include_ppw:
+            raise ValueError("include_ppw applies only to a grid")
         scores = pair_differences(sample, "pseudo", tau)
         return lambda g: _score_test(scores, sample, g, "normal", direction,
                                      tau).p_value

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from pairedsurv import build_sample, generate_pairs, km_at, km_estimate, scenario_spec
+from pairedsurv import (
+    build_sample,
+    diff_matrix,
+    generate_pairs,
+    km_at,
+    km_estimate,
+    scenario_spec,
+)
+from pairedsurv.closed import _subset_p, _subset_seed
 from pairedsurv.errors import EmptyInput
+from pairedsurv.overall import as_grid
+from pairedsurv.sensitivity import check_gamma
 
 # Worked five-pair dataset: observed times / event flags in (i1, i2) order,
 # all first positions treated.
@@ -56,3 +66,33 @@ def pseudo_observations_naive(times, events, tau):
         out[u] = n * km_tau - (n - 1) * km_at(km_estimate(t[keep], e[keep]), tau)
         keep[u] = True
     return out
+
+
+def subset_test(sample, subset, gamma=1.0, seed=0, tol=1e-4) -> float:
+    """Max-type p-value for the intersection hypothesis over ``subset``."""
+    gamma = check_gamma(gamma)
+    grid = as_grid(np.sort(np.asarray(list(subset), dtype=float)))
+    diff = diff_matrix(sample, grid)
+    return _subset_p(diff, np.arange(len(grid)), sample.assignment, gamma, seed, tol)
+
+
+def closed_test_brute_force(sample, grid, gamma=1.0, seed=0, tol=1e-4):
+    """Reference closed testing: all 2^L - 1 subsets, each tau's adjusted p
+    the maximum over the subsets containing it.
+
+    Every subset is integrated with the seed derived from its bitmask, as
+    the step-down does.  Returns (adjusted_p, subset_p) keyed like
+    ``ClosedTestReport``.
+    """
+    gamma = check_gamma(gamma)
+    grid = as_grid(grid)
+    taus = [float(t) for t in grid.taus]
+    diff = diff_matrix(sample, grid)
+    subset_p = {}
+    for mask in range(1, 2 ** len(taus)):
+        idx = np.flatnonzero([(mask >> l) & 1 for l in range(len(taus))])
+        subset_p[tuple(taus[i] for i in idx)] = _subset_p(
+            diff, idx, sample.assignment, gamma, _subset_seed(seed, mask), tol)
+    adjusted = {tau: max(p for key, p in subset_p.items() if tau in key)
+                for tau in taus}
+    return adjusted, subset_p

@@ -160,6 +160,13 @@ def test_cmd_sens_requires_one_target(sim_csv, capsys):
     assert code == 4
 
 
+def test_cmd_sens_ppw_needs_grid(sim_csv, capsys):
+    code, _, err = run(["sens", sim_csv, "--tau", "3", "--search",
+                        "--include-ppw"], capsys)
+    assert code == 4
+    assert "--include-ppw applies only to --grid" in err
+
+
 def test_cmd_closed_adjusted_ge_unadjusted(sim_csv, tmp_path, capsys):
     closed_path = tmp_path / "c.json"
     code, _, _ = run(["closed", sim_csv, "--grid", "2,3,4", "--out",
@@ -173,10 +180,18 @@ def test_cmd_closed_adjusted_ge_unadjusted(sim_csv, tmp_path, capsys):
         assert closed_doc["adjusted_p"][tau] >= single - 1e-12
 
 
-def test_cmd_closed_grid_cap(sim_csv, capsys):
+def test_cmd_closed_long_grid(sim_csv, capsys):
     grid = ",".join(str(v) for v in np.linspace(0.5, 5.0, 15))
-    code, _, _ = run(["closed", sim_csv, "--grid", grid], capsys)
+    code, _, _ = run(["closed", sim_csv, "--grid", grid, "--tol", "1e-3"], capsys)
+    assert code == 0
+
+
+def test_cmd_closed_grid_cap(sim_csv, capsys):
+    # beyond the 25-column MVN dimension
+    grid = ",".join(str(v) for v in np.linspace(0.5, 5.0, 26))
+    code, _, err = run(["closed", sim_csv, "--grid", grid], capsys)
     assert code == 2
+    assert "exceeds the supported 25" in err
 
 
 def test_cmd_km_output(five_csv, tmp_path, capsys):

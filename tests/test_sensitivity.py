@@ -255,6 +255,12 @@ def test_sensitivity_value_needs_exactly_one_target():
         sensitivity_value(sample, tau=1.0, grid=(1.0, 2.0))
 
 
+def test_sensitivity_value_ppw_needs_grid():
+    sample = simulated_sample(30, "ph", seed=1)
+    with pytest.raises(ValueError, match="include_ppw applies only to a grid"):
+        sensitivity_value(sample, tau=1.0, include_ppw=True)
+
+
 def test_sensitivity_value_overall_grid_target():
     sample = simulated_sample(400, "early_div", seed=4)
     sv = sensitivity_value(sample, grid=(1.0, 2.0, 3.0), alpha=0.05, tol=1e-3)
