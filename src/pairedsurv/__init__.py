@@ -19,7 +19,7 @@ from .design import (
     estimate_moments,
 )
 from .km import SurvivalCurve, event_table, km_at, km_estimate
-from .mvnorm import mvn_cdf, mvn_cdf_with_error
+from .mvnorm import mvn_cdf
 from .overall import (
     DiffMatrix,
     TimeGrid,

@@ -4,9 +4,10 @@ Subcommands: ``test`` (time-specific), ``overall`` (max-type), ``sens``
 (sensitivity tables / sensitivity value), ``closed`` (closed testing),
 ``simulate`` / ``design-sens`` (study drivers from a JSON config), and
 ``km`` (plot-ready survival-curve export).  Every command prints a human
-table and can write a machine-readable JSON document embedding its run
-manifest.  Exit codes: 0 success, 2 input error, 3 numeric failure,
-4 configuration error.
+table.  With ``--out``, ``km`` writes its curves as CSV and every other
+command a machine-readable JSON document embedding its run manifest; that
+document is written only after a successful run, never on exit 3.  Exit
+codes: 0 success, 2 input error, 3 numeric failure, 4 configuration error.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _parse_grid(text):
 
 # -- subcommand implementations -----------------------------------------
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> tuple:
     sample = load_csv(args.data)
     seed = _resolve_seed(args)
     direction = _resolve_direction(args.direction, args.score)
@@ -132,15 +133,13 @@ def cmd_test(args) -> int:
         print("  pair differences:")
         for pid, d in zip(ids, scores.d):
             print(f"    {pid}: d = {d:.3f}")
-    if args.out:
-        doc = _result_doc(res)
-        if args.verbose:
-            doc["pair_differences"] = [float(v) for v in scores.d]
-        _write_out(args.out, _manifest("test", args, seed), doc)
-    return 0
+    doc = _result_doc(res)
+    if args.verbose:
+        doc["pair_differences"] = [float(v) for v in scores.d]
+    return seed, doc
 
 
-def cmd_overall(args) -> int:
+def cmd_overall(args) -> tuple:
     sample = load_csv(args.data)
     seed = _resolve_seed(args)
     direction = "harm" if args.direction == "harm" else "benefit"
@@ -156,15 +155,13 @@ def cmd_overall(args) -> int:
               f"{', '.join(str(l) for l in diff.labels)}):")
         for row in mat:
             print("    " + " ".join(f"{v:6.3f}" for v in row))
-    if args.out:
-        doc = _result_doc(res)
-        doc["grid"] = list(_parse_grid(args.grid))
-        doc["include_ppw"] = args.include_ppw
-        _write_out(args.out, _manifest("overall", args, seed), doc)
-    return 0
+    doc = _result_doc(res)
+    doc["grid"] = list(_parse_grid(args.grid))
+    doc["include_ppw"] = args.include_ppw
+    return seed, doc
 
 
-def cmd_sens(args) -> int:
+def cmd_sens(args) -> tuple:
     sample = load_csv(args.data)
     seed = _resolve_seed(args)
     if (args.tau is None) == (args.grid is None):
@@ -198,13 +195,10 @@ def cmd_sens(args) -> int:
             print(f"insensitive up to gamma_max = {args.gamma_max:g}")
         else:
             print(f"sensitivity value: gamma = {sv.value:.3f} (alpha = {args.alpha:g})")
-    if args.out:
-        _write_out(args.out, _manifest("sens", args, seed),
-                   {"table": rows, "sensitivity_value": found})
-    return 0
+    return seed, {"table": rows, "sensitivity_value": found}
 
 
-def cmd_closed(args) -> int:
+def cmd_closed(args) -> tuple:
     sample = load_csv(args.data)
     seed = _resolve_seed(args)
     report = closed_test(sample, _parse_grid(args.grid), alpha=args.alpha,
@@ -214,18 +208,16 @@ def cmd_closed(args) -> int:
     for tau in report.taus:
         print(f"  {tau:5g}  {report.adjusted_p[tau]:10.3f}   "
               f"{'yes' if report.rejected[tau] else 'no'}")
-    if args.out:
-        _write_out(args.out, _manifest("closed", args, seed), {
-            "taus": list(report.taus),
-            "adjusted_p": {str(k): v for k, v in report.adjusted_p.items()},
-            "rejected": {str(k): bool(v) for k, v in report.rejected.items()},
-            "alpha": report.alpha,
-            "gamma": report.gamma,
-        })
-    return 0
+    return seed, {
+        "taus": list(report.taus),
+        "adjusted_p": {str(k): v for k, v in report.adjusted_p.items()},
+        "rejected": {str(k): bool(v) for k, v in report.rejected.items()},
+        "alpha": report.alpha,
+        "gamma": report.gamma,
+    }
 
 
-def cmd_km(args) -> int:
+def cmd_km(args) -> None:
     sample = load_csv(args.data)
     treated_mask = np.repeat(sample.assignment == 1, 2)
     treated_mask[1::2] = ~treated_mask[1::2]
@@ -242,10 +234,9 @@ def cmd_km(args) -> int:
     else:
         for row in rows:
             print(",".join(row))
-    return 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     config = _load_config(args)
     result = power_study(config)
     print(f"scenario    gamma  test       rate    mc_se   ({config.replications} reps)")
@@ -261,20 +252,18 @@ def cmd_simulate(args) -> int:
                 writer.writerow([row.scenario, repr(row.gamma), row.test,
                                  repr(row.rate), repr(row.mc_se),
                                  row.rejections, row.replications])
-    if args.out:
-        _write_out(args.out, _manifest("simulate", args, config.seed), {
-            "config": config.to_dict(),
-            "rows": [
-                {"scenario": r.scenario, "gamma": r.gamma, "test": r.test,
-                 "rate": r.rate, "mc_se": r.mc_se,
-                 "rejections": r.rejections, "replications": r.replications}
-                for r in result.rows
-            ],
-        })
-    return 0
+    return config.seed, {
+        "config": config.to_dict(),
+        "rows": [
+            {"scenario": r.scenario, "gamma": r.gamma, "test": r.test,
+             "rate": r.rate, "mc_se": r.mc_se,
+             "rejections": r.rejections, "replications": r.replications}
+            for r in result.rows
+        ],
+    }
 
 
-def cmd_design_sens(args) -> int:
+def cmd_design_sens(args) -> tuple:
     config = _load_config(args)
     results = design_sensitivity_study(config)
     taus = list(config.grid)
@@ -291,17 +280,15 @@ def cmd_design_sens(args) -> int:
                 writer.writerow([res.scenario.id]
                                 + [repr(res.per_tau[float(t)]) for t in taus]
                                 + [repr(res.overall)])
-    if args.out:
-        _write_out(args.out, _manifest("design-sens", args, config.seed), {
-            "config": config.to_dict(),
-            "results": [
-                {"scenario": r.scenario.id, "overall": r.overall,
-                 "per_tau": {str(k): v for k, v in r.per_tau.items()},
-                 "sample_size": r.sample_size}
-                for r in results
-            ],
-        })
-    return 0
+    return config.seed, {
+        "config": config.to_dict(),
+        "results": [
+            {"scenario": r.scenario.id, "overall": r.overall,
+             "per_tau": {str(k): v for k, v in r.per_tau.items()},
+             "sample_size": r.sample_size}
+            for r in results
+        ],
+    }
 
 
 def _load_config(args) -> StudyConfig:
@@ -417,7 +404,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = args.func(args)
+            outcome = args.func(args)
         unresolved = [w for w in caught if issubclass(w.category, AccuracyNotReached)]
         for w in caught:
             if not issubclass(w.category, AccuracyNotReached):
@@ -425,7 +412,10 @@ def main(argv=None) -> int:
         if unresolved:
             print(f"error: {unresolved[0].message}", file=sys.stderr)
             return 3
-        return code
+        if outcome is not None and args.out:
+            seed, result = outcome
+            _write_out(args.out, _manifest(args.command, args, seed), result)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,11 +1,20 @@
 """Multivariate normal orthant probabilities by quasi-Monte Carlo.
 
-Separation-of-variables scheme: after a Cholesky factorization (variables
-statically reordered so the most restrictive limit comes first) the CDF
-becomes an integral over the unit cube of dimension L-1.  The cube is
-sampled with a Richtmyer lattice passed through the tent transform, under
-independent random shifts; the spread of the per-shift means gives the
-error estimate.  Results are deterministic for a given seed.
+Separation-of-variables scheme (Genz): a lower Cholesky factor turns the
+CDF into an integral over the unit cube of dimension L-1.  The factor is
+built with the priority reordering of Gibson, Glasbey & Elston (1994; Genz
+& Bretz 2009, sec. 4.1.3): each step takes the remaining variable with the
+smallest conditional probability given the expected values of the
+variables already placed, which lowers the integrand's variance even when
+every limit is the same.  A pivot at or below ``_PIVOT_FLOOR`` gets a zero
+column, so semidefinite input (duplicated columns) needs no separate path:
+that variable is an indicator of its precursors.  The cube is sampled with
+a Richtmyer lattice passed through the tent transform, under
+``_N_SHIFTS`` independent random shifts; the spread of the per-shift means
+gives the error estimate.  The estimate is clamped into the Frechet bounds
+``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
+``1 - cdf`` always lies between the largest one-column tail and the
+Bonferroni sum.  Results are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ from scipy.special import ndtr, ndtri
 from .errors import AccuracyNotReached, NotACorrelationMatrix
 
 MAX_DIM = 25
+_N_SHIFTS = 8
+_PIVOT_FLOOR = 1e-10
 _TINY = 1e-15
 
 
@@ -36,29 +47,33 @@ def _check_corr(corr):
     return 0.5 * (c + c.T)
 
 
-def _cholesky_psd(corr, jitter=1e-10):
-    """Lower Cholesky, tolerating semidefinite input via jitter + pivot floor."""
-    try:
-        return np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.cholesky(corr + jitter * np.eye(corr.shape[0]))
-    except np.linalg.LinAlgError:
-        pass
-    # Pivot-floored factorization: non-positive pivots give a zeroed column,
-    # i.e. that coordinate is treated as deterministic given its precursors.
-    n = corr.shape[0]
+def _priority_cholesky(corr, limits):
+    """Lower factor of ``corr`` and ``limits``, both in priority order.
+
+    Variables whose conditional variance is at or below ``_PIVOT_FLOOR``
+    are placed only when nothing else is left, and get a zero column.
+    """
+    c, b = corr.copy(), limits.copy()
+    n = b.shape[0]
     low = np.zeros((n, n))
-    for j in range(n):
-        pivot = corr[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= 0.0:
-            low[j, j] = 0.0
-            continue
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1:, j] = (corr[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
+    y = np.zeros(n)  # expected value of each placed standardized variable
+    for k in range(n):
+        variance = np.diag(c)[k:] - np.sum(low[k:, :k] ** 2, axis=1)
+        cond = (b[k:] - low[k:, :k] @ y[:k]) / np.sqrt(np.maximum(variance, _PIVOT_FLOOR))
+        prob = np.where(variance > _PIVOT_FLOOR, ndtr(cond), np.inf)
+        i = k + int(np.argmin(prob))
+        swap = [i, k]
+        c[[k, i]], b[[k, i]], low[[k, i]] = c[swap], b[swap], low[swap]
+        c[:, [k, i]] = c[:, swap]
+        if variance[i - k] <= _PIVOT_FLOOR:
+            continue  # column k stays zero
+        low[k, k] = np.sqrt(variance[i - k])
+        low[k + 1:, k] = (c[k + 1:, k] - low[k + 1:, :k] @ low[k, :k]) / low[k, k]
+        # mean of a standard normal truncated above at z; it tends to z
+        # as the probability vanishes
+        z, p = cond[i - k], prob[i - k]
+        y[k] = -np.exp(-0.5 * z * z) / (np.sqrt(2 * np.pi) * p) if p > _TINY else z
+    return low, b
 
 
 def _first_primes(count):
@@ -83,8 +98,7 @@ def _integrand_means(low, limits, k_values, shifts, lattice):
     w = np.abs(2.0 * w - 1.0)                                # tent transform
     w = w.reshape(n_k * n_shift, dim_m1)
 
-    e_first = ndtr(limits[0] / low[0, 0]) if low[0, 0] > 0 else float(limits[0] >= 0)
-    f = np.full(w.shape[0], e_first)
+    f = np.full(w.shape[0], ndtr(limits[0] / low[0, 0]))
     e_prev = f.copy()
     y = np.empty((w.shape[0], dim_m1))
     for l in range(1, dim_m1 + 1):
@@ -98,30 +112,28 @@ def _integrand_means(low, limits, k_values, shifts, lattice):
     return f.reshape(n_k, n_shift).sum(axis=0)
 
 
-def mvn_cdf_with_error(upper, corr, tol=1e-4, seed=0, max_points=2 ** 16, n_shifts=8):
-    """CDF value plus its estimated absolute error (no warning emitted)."""
+def mvn_cdf(upper, corr, tol=1e-4, seed=0, max_points=2 ** 16):
+    """``Pr(X_1 <= a_1, ..., X_L <= a_L)`` for X ~ N(0, corr).
+
+    Lattice points double until the error estimate (three standard errors
+    of the mean over the random shifts) is at most ``tol`` or ``max_points``
+    is reached; in the latter case an AccuracyNotReached warning is emitted.
+    """
     upper = np.asarray(upper, dtype=float).reshape(-1)
     corr = _check_corr(corr)
     if upper.shape[0] != corr.shape[0]:
         raise ValueError("limits and correlation matrix disagree on dimension")
     if upper.shape[0] == 1:
-        return float(ndtr(upper[0])), 0.0
+        return float(ndtr(upper[0]))
     if np.any(np.isneginf(upper)):
-        return 0.0, 0.0
-    if np.allclose(corr, np.eye(corr.shape[0])):
-        return float(np.prod(ndtr(upper))), 0.0
+        return 0.0
 
-    # Most restrictive variable first reduces the integrand's variance.
-    order = np.argsort(upper)
-    limits = upper[order]
-    low = _cholesky_psd(corr[np.ix_(order, order)])
-
+    low, limits = _priority_cholesky(corr, upper)
     dim = limits.shape[0]
     lattice = np.sqrt(_first_primes(dim - 1))
-    rng = np.random.default_rng(seed)
-    shifts = rng.random((n_shifts, dim - 1))
+    shifts = np.random.default_rng(seed).random((_N_SHIFTS, dim - 1))
 
-    sums = np.zeros(n_shifts)
+    sums = np.zeros(_N_SHIFTS)
     n_done = 0
     block = 128
     while True:
@@ -129,25 +141,15 @@ def mvn_cdf_with_error(upper, corr, tol=1e-4, seed=0, max_points=2 ** 16, n_shif
         sums += _integrand_means(low, limits, k_values, shifts, lattice)
         n_done += block
         means = sums / n_done
-        err = 3.0 * means.std(ddof=1) / np.sqrt(n_shifts)
+        err = 3.0 * means.std(ddof=1) / np.sqrt(_N_SHIFTS)
         if err <= tol or n_done >= max_points:
             break
         block = n_done  # double the total each round
-    return float(np.clip(means.mean(), 0.0, 1.0)), float(err)
-
-
-def mvn_cdf(upper, corr, tol=1e-4, seed=0, max_points=2 ** 16, n_shifts=8):
-    """``Pr(X_1 <= a_1, ..., X_L <= a_L)`` for X ~ N(0, corr).
-
-    Emits an AccuracyNotReached warning when the internal error estimate is
-    still above ``tol`` at ``max_points`` lattice points.
-    """
-    value, err = mvn_cdf_with_error(upper, corr, tol=tol, seed=seed,
-                                    max_points=max_points, n_shifts=n_shifts)
     if err > tol:
         warnings.warn(
             f"MVN CDF error estimate {err:.2e} above tolerance {tol:.2e}",
             AccuracyNotReached,
             stacklevel=2,
         )
-    return value
+    frechet_low = max(0.0, 1.0 - float(np.sum(ndtr(-upper))))
+    return float(np.clip(means.mean(), frechet_low, float(np.min(ndtr(upper)))))

@@ -144,16 +144,10 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
         return m, _sign_tail(D, sigma, m, gamma, n_draws, seed)
     if method != "normal":
         raise ValueError(f"method must be normal or montecarlo, got {method!r}")
-    if gamma == 1.0:
-        # null moments (0, sigma^2) put every limit at m; setting it exactly
-        # keeps the tied limits, hence the MVN integration order, unchanged
-        limits = np.full(D.shape[1], m)
-        corr = correlations(D)
-    else:
-        # the oriented columns have the same |D|, hence the same moments
-        mean, variance = null_moments(D, gamma)
-        limits = (m * sigma - mean) / np.sqrt(variance)
-        corr = correlations(np.abs(D))
+    # the oriented columns have the same |D|, hence the same moments
+    mean, variance = null_moments(D, gamma)
+    limits = (m * sigma - mean) / np.sqrt(variance)
+    corr = correlations(D if gamma == 1.0 else np.abs(D))
     return m, float(1.0 - mvn_cdf(limits, corr, tol=tol, seed=seed))
 
 

@@ -186,6 +186,21 @@ def test_cmd_closed_long_grid(sim_csv, capsys):
     assert code == 0
 
 
+def test_cmd_closed_long_grid_default_tol(sim_csv, capsys):
+    grid = ",".join(str(v) for v in np.linspace(0.5, 5.0, 15))
+    code, _, _ = run(["closed", sim_csv, "--grid", grid], capsys)
+    assert code == 0
+
+
+def test_accuracy_miss_writes_no_out(sim_csv, tmp_path, capsys):
+    out_path = tmp_path / "f.json"
+    code, _, err = run(["overall", sim_csv, "--grid", "1,2,3,4,5", "--tol", "1e-9",
+                        "--out", str(out_path)], capsys)
+    assert code == 3
+    assert "above tolerance" in err
+    assert not out_path.exists()
+
+
 def test_cmd_closed_grid_cap(sim_csv, capsys):
     # beyond the 25-column MVN dimension
     grid = ",".join(str(v) for v in np.linspace(0.5, 5.0, 26))

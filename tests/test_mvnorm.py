@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from pairedsurv import mvn_cdf, mvn_cdf_with_error
+from pairedsurv import mvn_cdf
 from pairedsurv.errors import AccuracyNotReached, NotACorrelationMatrix
 
 
@@ -44,8 +46,9 @@ def test_equicorrelated_orthant_quarter():
     # rho = 1/2 trivariate orthant probability is exactly 1/4
     corr = np.full((3, 3), 0.5)
     np.fill_diagonal(corr, 1.0)
-    value, err = mvn_cdf_with_error([0.0, 0.0, 0.0], corr, tol=1e-5)
-    assert err <= 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyNotReached)
+        value = mvn_cdf([0.0, 0.0, 0.0], corr, tol=1e-5)
     assert value == pytest.approx(0.25, abs=3e-5)
 
 
@@ -87,6 +90,47 @@ def test_duplicate_columns_handled():
     # reduces to the bivariate problem with rho = 0.3
     two = mvn_cdf([0.5, 0.2], [[1.0, 0.3], [0.3, 1.0]], tol=1e-5)
     assert value == pytest.approx(two, abs=5e-4)
+
+
+def test_duplicated_column_pairs_reduce():
+    # a grid with no events between two times repeats a column; two such
+    # pairs make a rank-4 6x6 matrix
+    rng = np.random.default_rng(5)
+    corr = random_corr(rng, 4)
+    limits = rng.uniform(-0.5, 1.5, size=4)
+    idx = [0, 0, 1, 2, 3, 3]
+    value = mvn_cdf(limits[idx], corr[np.ix_(idx, idx)], tol=1e-4)
+    four = mvn_cdf(limits, corr, tol=1e-5)
+    assert value == pytest.approx(four, abs=5e-4)
+
+
+# A five-column max test (gamma = 1, so every limit is m) from a power-study
+# sweep (I = 500, grid 1..5, mvn_tol 5e-4): an unclamped integration with a
+# static variable order put its tail at 1.73e-4, above the Bonferroni sum
+# 1.18e-4.
+POWER_STUDY_LIMITS = np.full(5, 4.06881324399)
+POWER_STUDY_CORR = np.array([
+    [1.0, 0.670571176998, 0.52412762151, 0.426415567965, 0.35443115396],
+    [0.670571176998, 1.0, 0.782639173437, 0.642211594055, 0.533173322303],
+    [0.52412762151, 0.782639173437, 1.0, 0.843287612633, 0.710366540853],
+    [0.426415567965, 0.642211594055, 0.843287612633, 1.0, 0.848803323874],
+    [0.35443115396, 0.533173322303, 0.710366540853, 0.848803323874, 1.0],
+])
+
+
+def test_within_frechet_bounds():
+    rng = np.random.default_rng(11)
+    cases = [(POWER_STUDY_LIMITS, POWER_STUDY_CORR, 2904642844)]
+    for _ in range(60):
+        dim = int(rng.integers(2, 9))
+        cases.append((rng.uniform(-1.0, 4.5, size=dim), random_corr(rng, dim),
+                      int(rng.integers(2 ** 32))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyNotReached)
+        for limits, corr, seed in cases:
+            value = mvn_cdf(limits, corr, tol=5e-4, seed=seed)
+            lower = max(0.0, 1.0 - float(np.sum(ndtr(-limits))))
+            assert lower <= value <= float(np.min(ndtr(limits)))
 
 
 def test_neg_infinite_limit_zero():
