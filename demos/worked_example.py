@@ -22,9 +22,9 @@ sample = build_sample(records)
 print(f"{sample.n_pairs} pairs, first position treated in every pair\n")
 
 for tau in (1.3, 5.9):
-    scores = pair_differences(sample, "pseudo", tau)
+    d = pair_differences(sample, "pseudo", tau)
     print(f"analysis time tau = {tau}")
-    print("  pair differences d_i:", np.round(scores.d, 3))
+    print("  pair differences d_i:", np.round(d, 3))
     res = time_specific_test(sample, tau, gamma=1.0)
     print(f"  statistic {res.statistic:+.3f}, p-value {res.p_value:.3f} "
           f"(benefit = {res.direction} tail)\n")

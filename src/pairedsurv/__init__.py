@@ -22,14 +22,12 @@ from .km import SurvivalCurve, event_table, km_at, km_estimate
 from .mvnorm import mvn_cdf
 from .overall import (
     DiffMatrix,
-    TimeGrid,
     correlations,
     diff_matrix,
     overall_test,
     ppw_test,
 )
 from .scores import (
-    ScoreSet,
     benefit_tail,
     logrank_scores,
     pair_differences,

@@ -5,8 +5,9 @@ Subcommands: ``test`` (time-specific), ``overall`` (max-type), ``sens``
 ``simulate`` / ``design-sens`` (study drivers from a JSON config), and
 ``km`` (plot-ready survival-curve export).  Every command prints a human
 table.  With ``--out``, ``km`` writes its curves as CSV and every other
-command a machine-readable JSON document embedding its run manifest; that
-document is written only after a successful run, never on exit 3.  Exit
+command a machine-readable JSON document embedding its run manifest.
+These files and the ``--csv`` tables of ``simulate``/``design-sens`` are
+written only after a successful run, never on exit 3.  Exit
 codes: 0 success, 2 input error, 3 numeric failure, 4 configuration error.
 """
 
@@ -79,6 +80,12 @@ def _write_out(path, manifest, result) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    print(f"wrote {len(rows) - 1} rows to {path}")
+
+
 def _resolve_direction(direction, kind) -> str:
     """Map benefit/harm onto the score kind's tail; pass upper/lower through."""
     if direction in ("upper", "lower"):
@@ -87,19 +94,6 @@ def _resolve_direction(direction, kind) -> str:
     if direction == "benefit":
         return tail
     return "upper" if tail == "lower" else "lower"
-
-
-def _result_doc(res) -> dict:
-    return {
-        "statistic": res.statistic,
-        "null_mean": res.null_mean,
-        "null_sd": res.null_sd,
-        "p_value": res.p_value,
-        "gamma": res.gamma,
-        "method": res.method,
-        "direction": res.direction,
-        "tau": res.tau,
-    }
 
 
 def _parse_grid(text):
@@ -131,12 +125,12 @@ def cmd_test(args) -> tuple:
     if args.verbose:
         ids = sample.pair_ids or [str(i + 1) for i in range(sample.n_pairs)]
         print("  pair differences:")
-        for pid, d in zip(ids, scores.d):
+        for pid, d in zip(ids, scores):
             print(f"    {pid}: d = {d:.3f}")
-    doc = _result_doc(res)
+    doc = asdict(res)
     if args.verbose:
-        doc["pair_differences"] = [float(v) for v in scores.d]
-    return seed, doc
+        doc["pair_differences"] = [float(v) for v in scores]
+    return seed, doc, None
 
 
 def cmd_overall(args) -> tuple:
@@ -155,10 +149,10 @@ def cmd_overall(args) -> tuple:
               f"{', '.join(str(l) for l in diff.labels)}):")
         for row in mat:
             print("    " + " ".join(f"{v:6.3f}" for v in row))
-    doc = _result_doc(res)
+    doc = asdict(res)
     doc["grid"] = list(_parse_grid(args.grid))
     doc["include_ppw"] = args.include_ppw
-    return seed, doc
+    return seed, doc, None
 
 
 def cmd_sens(args) -> tuple:
@@ -195,7 +189,7 @@ def cmd_sens(args) -> tuple:
             print(f"insensitive up to gamma_max = {args.gamma_max:g}")
         else:
             print(f"sensitivity value: gamma = {sv.value:.3f} (alpha = {args.alpha:g})")
-    return seed, {"table": rows, "sensitivity_value": found}
+    return seed, {"table": rows, "sensitivity_value": found}, None
 
 
 def cmd_closed(args) -> tuple:
@@ -214,10 +208,10 @@ def cmd_closed(args) -> tuple:
         "rejected": {str(k): bool(v) for k, v in report.rejected.items()},
         "alpha": report.alpha,
         "gamma": report.gamma,
-    }
+    }, None
 
 
-def cmd_km(args) -> None:
+def cmd_km(args) -> tuple:
     sample = load_csv(args.data)
     treated_mask = np.repeat(sample.assignment == 1, 2)
     treated_mask[1::2] = ~treated_mask[1::2]
@@ -227,13 +221,10 @@ def cmd_km(args) -> None:
         rows.append((label, "0", "1"))
         for t, v in zip(curve.knots, curve.values):
             rows.append((label, repr(float(t)), repr(float(v))))
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-        print(f"wrote {len(rows) - 1} curve points to {args.out}")
-    else:
+    if not args.out:
         for row in rows:
             print(",".join(row))
+    return None, None, rows
 
 
 def cmd_simulate(args) -> tuple:
@@ -243,15 +234,10 @@ def cmd_simulate(args) -> tuple:
     for row in result.rows:
         print(f"{row.scenario:11s} {row.gamma:5.2f}  {row.test:9s} "
               f"{row.rate:6.3f}  {row.mc_se:6.3f}")
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario", "gamma", "test", "rate", "mc_se",
-                             "rejections", "replications"])
-            for row in result.rows:
-                writer.writerow([row.scenario, repr(row.gamma), row.test,
-                                 repr(row.rate), repr(row.mc_se),
-                                 row.rejections, row.replications])
+    table = [["scenario", "gamma", "test", "rate", "mc_se", "rejections",
+              "replications"]]
+    table += [[r.scenario, repr(r.gamma), r.test, repr(r.rate), repr(r.mc_se),
+               r.rejections, r.replications] for r in result.rows]
     return config.seed, {
         "config": config.to_dict(),
         "rows": [
@@ -260,7 +246,7 @@ def cmd_simulate(args) -> tuple:
              "rejections": r.rejections, "replications": r.replications}
             for r in result.rows
         ],
-    }
+    }, table
 
 
 def cmd_design_sens(args) -> tuple:
@@ -272,14 +258,9 @@ def cmd_design_sens(args) -> tuple:
     for res in results:
         cells = "".join(f"{res.per_tau[float(t)]:<10.3f}" for t in taus)
         print(f"{res.scenario.id:11s} {cells}{res.overall:.3f}")
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scenario"] + [f"tau={t:g}" for t in taus] + ["overall"])
-            for res in results:
-                writer.writerow([res.scenario.id]
-                                + [repr(res.per_tau[float(t)]) for t in taus]
-                                + [repr(res.overall)])
+    table = [["scenario"] + [f"tau={t:g}" for t in taus] + ["overall"]]
+    table += [[r.scenario.id] + [repr(r.per_tau[float(t)]) for t in taus]
+              + [repr(r.overall)] for r in results]
     return config.seed, {
         "config": config.to_dict(),
         "results": [
@@ -288,7 +269,7 @@ def cmd_design_sens(args) -> tuple:
              "sample_size": r.sample_size}
             for r in results
         ],
-    }
+    }, table
 
 
 def _load_config(args) -> StudyConfig:
@@ -404,7 +385,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            outcome = args.func(args)
+            seed, result, table = args.func(args)
         unresolved = [w for w in caught if issubclass(w.category, AccuracyNotReached)]
         for w in caught:
             if not issubclass(w.category, AccuracyNotReached):
@@ -412,8 +393,12 @@ def main(argv=None) -> int:
         if unresolved:
             print(f"error: {unresolved[0].message}", file=sys.stderr)
             return 3
-        if outcome is not None and args.out:
-            seed, result = outcome
+        # every file is written here, only after a run without exit 3;
+        # km's CSV goes to --out, the study tables to --csv
+        csv_path = args.out if args.command == "km" else getattr(args, "csv", None)
+        if table is not None and csv_path:
+            _write_csv(csv_path, table)
+        if result is not None and args.out:
             _write_out(args.out, _manifest(args.command, args, seed), result)
         return 0
     except ConfigError as exc:

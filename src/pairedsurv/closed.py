@@ -79,7 +79,7 @@ def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> Closed
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     grid = as_grid(grid)
-    taus = tuple(float(t) for t in grid.taus)
+    taus = tuple(float(t) for t in grid)
     diff = _max_diff(sample, grid, False)
     live = np.flatnonzero(diff.sigma > 0.0)
     stats = -(diff.D[:, live].T @ sample.assignment) / diff.sigma[live]

@@ -67,10 +67,6 @@ class PairedSample:
         return self.times.shape[0]
 
     @property
-    def n_units(self) -> int:
-        return 2 * self.n_pairs
-
-    @property
     def unit_times(self):
         """All 2I observed times, pair-major order (i1, i2, ...)."""
         return self.times.reshape(-1)

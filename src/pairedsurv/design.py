@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoInformation
-from .overall import DiffMatrix
 
 
 @dataclass(frozen=True)
@@ -35,24 +34,13 @@ class MomentEstimates:
         if np.any(self.e_abs + 1e-12 < np.abs(self.e_dv)) or np.any(self.e_sq < 0):
             raise ValueError("moments must satisfy e_abs >= |e_dv| and e_sq >= 0")
 
-    @property
-    def n_columns(self) -> int:
-        return self.e_abs.shape[0]
 
+def estimate_moments(D, assignment) -> MomentEstimates:
+    """Columnwise means of |d|, d*V and d^2 of an (I, L) matrix.
 
-def estimate_moments(diff, sample=None, assignment=None) -> MomentEstimates:
-    """Columnwise means of |d|, d*V and d^2.
-
-    ``diff`` is a DiffMatrix or raw (I, L) array; the treated-side signs
-    come from ``sample`` or are passed directly as ``assignment``.
+    ``assignment`` holds the treated-side signs V, one per pair.
     """
-    D = diff.D if isinstance(diff, DiffMatrix) else np.asarray(diff, dtype=float)
-    if D.ndim == 1:
-        D = D[:, None]
-    if assignment is None:
-        if sample is None:
-            raise TypeError("need a sample or an assignment vector")
-        assignment = sample.assignment
+    D = np.asarray(D, dtype=float)
     v = np.asarray(assignment, dtype=float).reshape(-1)
     if v.shape[0] != D.shape[0]:
         raise ValueError("assignment length must match the number of pairs")

@@ -61,9 +61,6 @@ class SurvivalCurve:
         if v.size and (np.any(np.diff(v) > 1e-15) or v[0] > 1 + 1e-15 or v[-1] < -1e-15):
             raise ValueError("survival values must be non-increasing within [0, 1]")
 
-    def __call__(self, t):
-        return km_at(self, t)
-
 
 def km_estimate(times, events) -> SurvivalCurve:
     """Kaplan-Meier estimate over the pooled units.

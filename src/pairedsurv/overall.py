@@ -6,12 +6,14 @@ CDF with the empirical score correlation matrix; for gamma > 1 the
 worst-case bound uses per-column worst-case moments and the
 absolute-product correlation matrix.  A standardized Prentice-Wilcoxon
 column can be appended so the max also covers a whole-period comparison.
+Columns are the plain (I,) arrays of ``pair_differences``; ``as_grid``
+returns the grid as a validated float array.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,31 +31,14 @@ from .sensitivity import (
 PPW_LABEL = "ppw"
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing positive analysis times."""
-
-    taus: np.ndarray
-
-    def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float).reshape(-1)
-        if taus.size < 1:
-            raise ValueError("a time grid needs at least one tau")
-        if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
-            raise ValueError("grid times must be positive and strictly increasing")
-        object.__setattr__(self, "taus", taus)
-
-    def __len__(self):
-        return self.taus.size
-
-    def __iter__(self):
-        return iter(self.taus)
-
-
-def as_grid(grid) -> TimeGrid:
-    if isinstance(grid, TimeGrid):
-        return grid
-    return TimeGrid(np.asarray(grid, dtype=float))
+def as_grid(grid) -> np.ndarray:
+    """Validated grid: strictly increasing positive analysis times."""
+    taus = np.asarray(grid, dtype=float).reshape(-1)
+    if taus.size < 1:
+        raise ValueError("a time grid needs at least one tau")
+    if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
+        raise ValueError("grid times must be positive and strictly increasing")
+    return taus
 
 
 @dataclass(frozen=True)
@@ -63,28 +48,17 @@ class DiffMatrix:
     Columns hold event-probability pseudo-differences; when present, the
     trailing PPW column is the Prentice-Wilcoxon difference negated to the
     same orientation, so every column signals a treated survival advantage
-    with negative values.  ``sigma[l] = sqrt(sum_i D[i, l]^2)``.
+    with negative values.  ``sigma[l] = sqrt(sum_i D[i, l]^2)`` is computed
+    from ``D`` when the matrix is built.
     """
 
     taus: np.ndarray
     D: np.ndarray
-    sigma: np.ndarray
     has_ppw: bool = False
+    sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.D.shape[1] != self.n_columns:
-            raise ValueError("column count must equal len(taus) + has_ppw")
-        expected = np.sqrt(np.sum(self.D ** 2, axis=0))
-        if not np.allclose(self.sigma, expected, rtol=0, atol=1e-12 * (1 + expected.max(initial=0.0))):
-            raise ValueError("sigma must equal the column root-sum-of-squares")
-
-    @property
-    def n_columns(self) -> int:
-        return self.taus.size + int(self.has_ppw)
-
-    @property
-    def n_pairs(self) -> int:
-        return self.D.shape[0]
+        object.__setattr__(self, "sigma", np.sqrt(np.sum(self.D ** 2, axis=0)))
 
     @property
     def labels(self) -> list:
@@ -96,22 +70,20 @@ class DiffMatrix:
 
 def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     """Score-difference columns for every grid time (plus optional PPW)."""
-    grid = as_grid(grid)
-    cols = [pair_differences(sample, "pseudo", tau).d for tau in grid.taus]
+    taus = as_grid(grid)
+    cols = [pair_differences(sample, "pseudo", tau) for tau in taus]
     if include_ppw:
-        cols.append(-pair_differences(sample, "pw").d)
-    D = np.column_stack(cols)
-    return DiffMatrix(taus=grid.taus, D=D, sigma=np.sqrt(np.sum(D ** 2, axis=0)),
-                      has_ppw=include_ppw)
+        cols.append(-pair_differences(sample, "pw"))
+    return DiffMatrix(taus=taus, D=np.column_stack(cols), has_ppw=include_ppw)
 
 
-def correlations(diff) -> np.ndarray:
-    """Normalized Gram matrix of the columns of a DiffMatrix or raw matrix.
+def correlations(D) -> np.ndarray:
+    """Normalized Gram matrix of the columns of an (I, L) matrix.
 
     This is the score correlation matrix; ``correlations(np.abs(D))`` is
     its worst-case (absolute-product) version, used when gamma > 1.
     """
-    D = diff.D if isinstance(diff, DiffMatrix) else np.asarray(diff, dtype=float)
+    D = np.asarray(D, dtype=float)
     sigma2 = np.sum(D ** 2, axis=0)
     if np.any(sigma2 == 0.0):
         raise DegenerateColumn("every column needs positive score dispersion")

@@ -1,7 +1,8 @@
 """Censored-data scores: pseudo-observations, log-rank, Prentice-Wilcoxon.
 
 All scores are computed on the pooled 2I units and then differenced within
-pairs.  Orientation conventions:
+pairs: ``pair_differences`` returns the plain (I,) array of differences.
+Orientation conventions:
 
 * ``pseudo_observations`` returns jackknife pseudo-values of the pooled
   Kaplan-Meier survival probability at ``tau`` (a unit surviving past tau
@@ -20,8 +21,6 @@ pairs.  Orientation conventions:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,31 +133,6 @@ def pw_scores(times, events):
 SCORE_KINDS = ("pseudo", "logrank", "pw")
 
 
-@dataclass(frozen=True)
-class ScoreSet:
-    """Per-unit scores and within-pair differences at one analysis time.
-
-    ``q`` has shape (I, 2); ``d[i] = q[i, 0] - q[i, 1]`` always.  ``tau``
-    is None for the time-agnostic kinds.  For ``kind="pseudo"`` the stored
-    scores are event-probability pseudo-values (see module docstring).
-    """
-
-    tau: float | None
-    q: np.ndarray
-    d: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in SCORE_KINDS:
-            raise ValueError(f"kind must be one of {SCORE_KINDS}")
-        if not np.array_equal(self.d, self.q[:, 0] - self.q[:, 1]):
-            raise ValueError("d must equal q[:, 0] - q[:, 1]")
-
-    @property
-    def n_pairs(self) -> int:
-        return self.d.shape[0]
-
-
 def benefit_tail(kind: str) -> str:
     """Tail of ``sum d_i V_i`` where a treated survival advantage shows up."""
     if kind == "pseudo":
@@ -168,8 +142,11 @@ def benefit_tail(kind: str) -> str:
     raise ValueError(f"unknown score kind {kind!r}")
 
 
-def pair_differences(sample, kind: str = "pseudo", tau=None) -> ScoreSet:
-    """Pooled scores of the requested kind, differenced within pairs."""
+def pair_differences(sample, kind: str = "pseudo", tau=None) -> np.ndarray:
+    """Pooled scores of the requested kind, differenced within pairs.
+
+    Returns the (I,) array of first-unit minus second-unit scores.
+    """
     if kind not in SCORE_KINDS:
         raise ValueError(f"kind must be one of {SCORE_KINDS}")
     t = sample.unit_times
@@ -183,4 +160,4 @@ def pair_differences(sample, kind: str = "pseudo", tau=None) -> ScoreSet:
     else:
         q = pw_scores(t, e)
     q = q.reshape(-1, 2)
-    return ScoreSet(tau=tau if kind == "pseudo" else None, q=q, d=q[:, 0] - q[:, 1], kind=kind)
+    return q[:, 0] - q[:, 1]

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import LengthMismatch, TooManyPairs
-from .scores import ScoreSet, pair_differences
+from .scores import pair_differences
 
 DIRECTIONS = ("upper", "lower")
 EXACT_PAIR_CAP = 20
@@ -35,12 +35,6 @@ def _check_direction(direction) -> str:
     if direction not in DIRECTIONS:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     return direction
-
-
-def _as_d(scores) -> np.ndarray:
-    if isinstance(scores, ScoreSet):
-        return scores.d
-    return np.asarray(scores, dtype=float).reshape(-1)
 
 
 def _tie_tol(d) -> float:
@@ -71,7 +65,7 @@ class TestResult:
 
 def t_statistic(scores, sample) -> float:
     """Observed ``sum_i d_i V_i``."""
-    d = _as_d(scores)
+    d = np.asarray(scores, dtype=float)
     v = sample.assignment
     if d.shape[0] != v.shape[0]:
         raise LengthMismatch(
@@ -88,7 +82,7 @@ def null_moments(scores, gamma=1.0):
     score vector and column by column for an (I, L) matrix.
     """
     gamma = check_gamma(gamma)
-    d = np.asarray(scores, dtype=float) if np.ndim(scores) == 2 else _as_d(scores)
+    d = np.asarray(scores, dtype=float)
     mean = (gamma - 1.0) / (gamma + 1.0) * np.sum(np.abs(d), axis=0)
     variance = 4.0 * gamma / (gamma + 1.0) ** 2 * np.sum(d * d, axis=0)
     if d.ndim == 1:
@@ -111,7 +105,8 @@ def pvalue_normal(t, mean, variance, direction="upper"):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (t - mean) / np.sqrt(variance)
     if direction == "upper":
-        p = np.where(variance == 0.0, t <= mean, 1.0 - ndtr(z))
+        # ndtr(-z), not 1 - ndtr(z), which rounds to 0 from z = 9 on
+        p = np.where(variance == 0.0, t <= mean, ndtr(-z))
     else:
         p = np.where(variance == 0.0, t >= mean, ndtr(z))
     return float(p) if p.ndim == 0 else p
@@ -126,7 +121,7 @@ def pvalue_exact(scores, t, gamma=1.0, direction="upper", max_pairs=EXACT_PAIR_C
     """
     gamma = check_gamma(gamma)
     _check_direction(direction)
-    d = _as_d(scores)
+    d = np.asarray(scores, dtype=float)
     if direction == "lower":
         # Pr(T- <= t) = Pr(T+ >= -t): mirror worst case
         return pvalue_exact(-d, -t, gamma, "upper", max_pairs)
@@ -149,7 +144,7 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0,
     """Worst-case tail probability by simulation; deterministic given seed."""
     gamma = check_gamma(gamma)
     _check_direction(direction)
-    d = _as_d(scores)
+    d = np.asarray(scores, dtype=float)
     # the lower tail of T is the upper tail of -T, which has the same |d_i|
     threshold = t if direction == "upper" else -t
     return _sign_tail(d[:, None], 1.0, threshold, gamma, n_draws, seed)
@@ -185,7 +180,7 @@ def _sign_tail(D, scale, threshold, gamma, n_draws, seed) -> float:
 
 def _score_test(scores, sample, gamma, method, direction, tau_label,
                 n_draws=100_000, seed=0, max_pairs=EXACT_PAIR_CAP) -> TestResult:
-    """Shared p-value dispatch for any ScoreSet."""
+    """Shared p-value dispatch for any vector of pair differences."""
     gamma = check_gamma(gamma)
     _check_direction(direction)
     t = t_statistic(scores, sample)

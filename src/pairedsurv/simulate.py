@@ -294,7 +294,7 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     """
     grid = as_grid(config.grid)
     n_taus = len(grid)
-    names = [f"t_tau={tau:g}" for tau in grid.taus] + ["ppw", "max"]
+    names = [f"t_tau={tau:g}" for tau in grid] + ["ppw", "max"]
     counts = {}
     for spec in config.scenarios:
         for rep in range(config.replications):
@@ -347,10 +347,10 @@ def design_sensitivity_study(config: StudyConfig, direction="benefit"):
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
         diff = diff_matrix(sample, grid)
         oriented = -diff.D if direction == "benefit" else diff.D
-        moments = estimate_moments(oriented, assignment=sample.assignment)
+        moments = estimate_moments(oriented, sample.assignment)
         per_tau = {
             float(tau): design_sensitivity_time(moments, l)
-            for l, tau in enumerate(grid.taus)
+            for l, tau in enumerate(grid)
         }
         results.append(
             DesignSensitivityResult(

@@ -86,7 +86,7 @@ def closed_test_brute_force(sample, grid, gamma=1.0, seed=0, tol=1e-4):
     """
     gamma = check_gamma(gamma)
     grid = as_grid(grid)
-    taus = [float(t) for t in grid.taus]
+    taus = [float(t) for t in grid]
     diff = diff_matrix(sample, grid)
     subset_p = {}
     for mask in range(1, 2 ** len(taus)):

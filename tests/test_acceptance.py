@@ -55,8 +55,8 @@ def test_criterion_1_worked_examples():
     exact_pair = q.tolist() == [1.0, 0.0]
 
     sample = build_sample(five_pair_records())
-    d13 = pair_differences(sample, "pseudo", 1.3).d[4]
-    d59 = pair_differences(sample, "pseudo", 5.9).d[4]
+    d13 = pair_differences(sample, "pseudo", 1.3)[4]
+    d59 = pair_differences(sample, "pseudo", 5.9)[4]
     five_ok = abs(d13 - (-1.0)) <= 1e-12 and abs(d59 - 0.2) <= 1e-12
     ok = report(1, "worked-example exactness", exact_pair and five_ok,
                 f"two-unit q={q.tolist()}, d5(1.3)={d13:.15f}, d5(5.9)={d59:.15f}")

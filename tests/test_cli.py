@@ -201,6 +201,19 @@ def test_accuracy_miss_writes_no_out(sim_csv, tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_accuracy_miss_writes_no_csv(tmp_path, capsys):
+    config = {"scenarios": ["ph"], "pairs": 100, "replications": 2,
+              "grid": [1, 2, 3], "mvn_tol": 1e-9}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    csv_path, out_path = tmp_path / "r.csv", tmp_path / "r.json"
+    code, _, err = run(["simulate", str(cfg), "--csv", str(csv_path),
+                        "--out", str(out_path)], capsys)
+    assert code == 3
+    assert "above tolerance" in err
+    assert not csv_path.exists() and not out_path.exists()
+
+
 def test_cmd_closed_grid_cap(sim_csv, capsys):
     # beyond the 25-column MVN dimension
     grid = ",".join(str(v) for v in np.linspace(0.5, 5.0, 26))

@@ -13,18 +13,18 @@ from pairedsurv import (
     time_specific_test,
 )
 from pairedsurv.errors import DegenerateColumn, DegenerateColumnWarning
-from pairedsurv.overall import TimeGrid
+from pairedsurv.overall import as_grid
 
 from conftest import simulated_sample
 
 
 def test_time_grid_validation():
     with pytest.raises(ValueError):
-        TimeGrid(np.array([2.0, 1.0]))
+        as_grid(np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
-        TimeGrid(np.array([0.0, 1.0]))
+        as_grid(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
-        TimeGrid(np.array([]))
+        as_grid(np.array([]))
 
 
 def test_diff_matrix_worked_example(five_pairs):
@@ -35,11 +35,12 @@ def test_diff_matrix_worked_example(five_pairs):
 
 
 def test_diff_matrix_column_consistency(five_pairs):
-    diff = diff_matrix(five_pairs, (2.0, 4.0, 6.0))
+    diff = diff_matrix(five_pairs, (2.0, 4.0, 6.0), include_ppw=True)
     for l, tau in enumerate((2.0, 4.0, 6.0)):
-        np.testing.assert_allclose(
-            diff.D[:, l], pair_differences(five_pairs, "pseudo", tau).d, atol=1e-14
-        )
+        np.testing.assert_array_equal(
+            diff.D[:, l], pair_differences(five_pairs, "pseudo", tau))
+    np.testing.assert_array_equal(diff.D[:, 3], -pair_differences(five_pairs, "pw"))
+    np.testing.assert_array_equal(diff.sigma, np.sqrt(np.sum(diff.D ** 2, axis=0)))
 
 
 def test_ppw_column_concordant_on_uncensored_pairs():
@@ -114,7 +115,7 @@ def test_single_column_reduces_to_time_specific():
 def test_single_column_montecarlo_equals_time_specific():
     # zero-difference pairs draw no sign in either test, so the draws match
     sample = simulated_sample(80, "ph", seed=3)
-    assert np.any(pair_differences(sample, "pseudo", 0.3).d == 0.0)
+    assert np.any(pair_differences(sample, "pseudo", 0.3) == 0.0)
     for gamma in (1.0, 1.5):
         ov = overall_test(sample, (0.3,), gamma=gamma, method="montecarlo",
                           n_draws=20_000, seed=4)
@@ -221,8 +222,7 @@ def test_ppw_all_tied_p_one():
 def test_ppw_matches_score_machinery():
     sample = simulated_sample(100, "ph", seed=12)
     res = ppw_test(sample, gamma=1.0, direction="upper")
-    scores = pair_differences(sample, "pw")
-    t = float(scores.d @ sample.assignment)
+    t = float(pair_differences(sample, "pw") @ sample.assignment)
     assert res.statistic == pytest.approx(t)
     assert res.tau == "overall"
 

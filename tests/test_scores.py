@@ -148,17 +148,17 @@ def test_scores_grow_with_survival_time():
 # -- pair differences ------------------------------------------------------
 
 def test_five_pair_worked_example(five_pairs):
-    d13 = pair_differences(five_pairs, "pseudo", 1.3).d
-    d59 = pair_differences(five_pairs, "pseudo", 5.9).d
+    d13 = pair_differences(five_pairs, "pseudo", 1.3)
+    d59 = pair_differences(five_pairs, "pseudo", 5.9)
     assert d13[4] == pytest.approx(-1.0, abs=1e-12)
     assert d59[4] == pytest.approx(0.2, abs=1e-12)
 
 
 def test_pseudo_differences_oriented_to_event_probability(five_pairs):
     # a pair whose first unit fails earlier gets a positive difference
-    scores = pair_differences(five_pairs, "pseudo", 5.0)
+    d = pair_differences(five_pairs, "pseudo", 5.0)
     # pair p2: first unit failed at 4.8 < 5.0, second alive at 9.8
-    assert scores.d[1] > 0
+    assert d[1] > 0
 
 
 def test_identical_pair_difference_zero():
@@ -169,13 +169,16 @@ def test_identical_pair_difference_zero():
         ("b", 1, True, 5.0, False), ("b", 2, False, 1.0, True),
     ])
     for kind, tau in (("pseudo", 3.0), ("logrank", None), ("pw", None)):
-        assert pair_differences(sample, kind, tau).d[0] == 0.0
+        assert pair_differences(sample, kind, tau)[0] == 0.0
 
 
-def test_scoreset_invariant_holds(five_pairs):
-    for kind, tau in (("pseudo", 2.0), ("logrank", None), ("pw", None)):
-        ss = pair_differences(five_pairs, kind, tau)
-        np.testing.assert_array_equal(ss.d, ss.q[:, 0] - ss.q[:, 1])
+def test_pair_differences_are_unit_score_differences(five_pairs):
+    t, e = five_pairs.unit_times, five_pairs.unit_events
+    for kind, tau, q in (("pseudo", 2.0, 1.0 - pseudo_observations(t, e, 2.0)),
+                         ("logrank", None, logrank_scores(t, e)),
+                         ("pw", None, pw_scores(t, e))):
+        np.testing.assert_array_equal(pair_differences(five_pairs, kind, tau),
+                                      q[0::2] - q[1::2])
 
 
 def test_pseudo_requires_tau(five_pairs):

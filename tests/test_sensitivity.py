@@ -89,6 +89,16 @@ def test_pvalue_normal_quantile():
     assert p == pytest.approx(0.05, abs=1e-4)
 
 
+def test_pvalue_normal_upper_tail_mirrors_lower():
+    # far-tail p-values keep their relative accuracy instead of rounding
+    # to 1 - ndtr(z) = 0 (from z = 9 on); Phi(-37) = 5.7e-300 is still a
+    # normal double, Phi(-40) underflows to 0 in any formula
+    for z in (0.5, 6.0, 9.0, 37.0):
+        upper = pvalue_normal(2.0 * z + 1.0, 1.0, 4.0, "upper")
+        assert upper == pvalue_normal(-2.0 * z - 1.0, -1.0, 4.0, "lower")
+        assert upper > 0.0
+
+
 def test_pvalue_normal_degenerate_convention():
     assert pvalue_normal(-1.0, 0.0, 0.0, "upper") == 1.0
     assert pvalue_normal(1.0, 0.0, 0.0, "upper") == 0.0
