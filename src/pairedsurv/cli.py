@@ -5,8 +5,8 @@ Subcommands: ``test`` (time-specific), ``overall`` (max-type), ``sens``
 ``simulate`` / ``design-sens`` (study drivers from a JSON config), and
 ``km`` (plot-ready survival-curve export).  Every command prints a human
 table.  With ``--out``, ``km`` writes its curves as CSV and every other
-command a machine-readable JSON document embedding its run manifest.
-These files and the ``--csv`` tables of ``simulate``/``design-sens`` are
+command a strict JSON document (non-finite numbers become null)
+embedding its run manifest.  These files and the ``--csv`` tables of ``simulate``/``design-sens`` are
 written only after a successful run, never on exit 3.  Exit
 codes: 0 success, 2 input error, 3 numeric failure, 4 configuration error.
 """
@@ -16,10 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,7 +30,7 @@ from .closed import closed_test
 from .data import load_csv
 from .errors import AccuracyNotReached, PairedSurvError
 from .km import km_estimate
-from .overall import _max_diff, _test_diff, correlations
+from .overall import _max_corr, _max_diff, _test_diff
 from .scores import benefit_tail, pair_differences
 from .sensitivity import _score_test, _search, _worst_case_p
 from .simulate import StudyConfig, design_sensitivity_study, power_study
@@ -46,37 +47,38 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-@dataclass
-class RunManifest:
-    command: str
-    options: dict
-    seed: int
-    version: str
-    created: str
-
-
-def _manifest(command, args, seed) -> RunManifest:
-    options = {k: v for k, v in sorted(vars(args).items()) if k not in ("func",)}
-    return RunManifest(
-        command=command,
-        options=options,
-        seed=seed,
-        version=__version__,
-        created=datetime.now(timezone.utc).isoformat(),
-    )
+def _manifest(command, args, seed) -> dict:
+    return {
+        "command": command,
+        "options": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": seed,
+        "version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(),
+    }
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get(DEFAULT_SEED_ENV)
     return int(env) if env else 0
 
 
+def _json_ready(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    return value
+
+
 def _write_out(path, manifest, result) -> None:
-    doc = {"manifest": asdict(manifest), "result": result}
+    doc = _json_ready({"manifest": manifest, "result": result})
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -87,9 +89,7 @@ def _write_csv(path, rows) -> None:
 
 
 def _resolve_direction(direction, kind) -> str:
-    """Map benefit/harm onto the score kind's tail; pass upper/lower through."""
-    if direction in ("upper", "lower"):
-        return direction
+    """Map benefit/harm onto the tail of the score kind's statistic."""
     tail = benefit_tail(kind)
     if direction == "benefit":
         return tail
@@ -136,21 +136,21 @@ def cmd_test(args) -> tuple:
 def cmd_overall(args) -> tuple:
     sample = load_csv(args.data)
     seed = _resolve_seed(args)
-    direction = "harm" if args.direction == "harm" else "benefit"
-    diff = _max_diff(sample, _parse_grid(args.grid), args.include_ppw)
+    grid = _parse_grid(args.grid)
+    diff = _max_diff(sample, grid, args.include_ppw)
     res = _test_diff(diff, sample.assignment, args.gamma, args.method,
-                     direction, args.tol, seed, n_draws=args.draws)
-    print(f"max-type overall test, gamma={args.gamma:g}, {direction}, "
+                     args.direction, args.tol, seed, n_draws=args.draws)
+    print(f"max-type overall test, gamma={args.gamma:g}, {args.direction}, "
           f"method={res.method}")
     print(f"  statistic {res.statistic:.3f}   p-value {res.p_value:.3f}")
     if np.all(diff.sigma > 0):
-        mat = correlations(diff.D if args.gamma == 1.0 else np.abs(diff.D))
+        mat = _max_corr(diff.D, res.gamma)
         print(f"  correlation matrix ({mat.shape[0]} columns: "
               f"{', '.join(str(l) for l in diff.labels)}):")
         for row in mat:
             print("    " + " ".join(f"{v:6.3f}" for v in row))
     doc = asdict(res)
-    doc["grid"] = list(_parse_grid(args.grid))
+    doc["grid"] = list(grid)
     doc["include_ppw"] = args.include_ppw
     return seed, doc, None
 
@@ -177,12 +177,8 @@ def cmd_sens(args) -> tuple:
     found = None
     if args.search or not args.gamma_grid:
         sv = _search(p_at, args.alpha, args.sens_tol, args.gamma_max)
-        found = {
-            "gamma": sv.value,
-            "already_sensitive": sv.already_sensitive,
-            "exceeded_max": sv.exceeded_max,
-            "alpha": sv.alpha,
-        }
+        found = asdict(sv)
+        found["gamma"] = found.pop("value")
         if sv.already_sensitive:
             print(f"already sensitive: worst-case p exceeds {args.alpha:g} at gamma = 1")
         elif sv.exceeded_max:
@@ -234,19 +230,13 @@ def cmd_simulate(args) -> tuple:
     for row in result.rows:
         print(f"{row.scenario:11s} {row.gamma:5.2f}  {row.test:9s} "
               f"{row.rate:6.3f}  {row.mc_se:6.3f}")
-    table = [["scenario", "gamma", "test", "rate", "mc_se", "rejections",
-              "replications"]]
-    table += [[r.scenario, repr(r.gamma), r.test, repr(r.rate), repr(r.mc_se),
-               r.rejections, r.replications] for r in result.rows]
+    columns = ("scenario", "gamma", "test", "rate", "mc_se", "rejections",
+               "replications")
+    rows = [[getattr(r, c) for c in columns] for r in result.rows]
     return config.seed, {
         "config": config.to_dict(),
-        "rows": [
-            {"scenario": r.scenario, "gamma": r.gamma, "test": r.test,
-             "rate": r.rate, "mc_se": r.mc_se,
-             "rejections": r.rejections, "replications": r.replications}
-            for r in result.rows
-        ],
-    }, table
+        "rows": [dict(zip(columns, row)) for row in rows],
+    }, [list(columns), *rows]
 
 
 def cmd_design_sens(args) -> tuple:
@@ -280,12 +270,9 @@ def _load_config(args) -> StudyConfig:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config {args.config}: {exc}") from exc
-    if args.replications is not None:
-        doc["replications"] = args.replications
-    if args.pairs is not None:
-        doc["pairs"] = args.pairs
-    if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
+    for key in ("replications", "pairs", "seed"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
     try:
         return StudyConfig.from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
@@ -312,8 +299,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--method", choices=("normal", "exact", "montecarlo"),
                    default="normal")
-    p.add_argument("--direction", choices=("benefit", "harm", "upper", "lower"),
-                   default="benefit")
+    p.add_argument("--direction", choices=("benefit", "harm"), default="benefit")
     p.add_argument("--score", choices=("pseudo", "logrank", "pw"), default="pseudo")
     p.add_argument("--draws", type=int, default=100_000)
     p.add_argument("--verbose", action="store_true", help="dump per-pair differences")
@@ -339,8 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("--search", action="store_true", help="bisect for the sensitivity value")
     p.add_argument("--sens-tol", type=float, default=1e-3)
     p.add_argument("--gamma-max", type=float, default=10.0)
-    p.add_argument("--direction", choices=("benefit", "harm", "upper", "lower"),
-                   default="benefit")
+    p.add_argument("--direction", choices=("benefit", "harm"), default="benefit")
     p.add_argument("--include-ppw", action="store_true")
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_sens)

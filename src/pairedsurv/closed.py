@@ -17,7 +17,8 @@ p = 1, the p-value of a test with no columns.
 
 Each S_m is integrated with a QMC seed derived from its bitmask over the
 grid, so its p-value is the one a full enumeration computes for that
-subset, whichever other subsets are visited.
+subset, whichever other subsets are visited.  A one-column subset gets
+the exact normal tail of its time-specific test.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .overall import DiffMatrix, _max_diff, _max_test_from_columns, as_grid
+from .overall import _max_diff, _max_test_from_columns
 from .sensitivity import check_gamma
 
 
@@ -55,18 +56,6 @@ def _subset_seed(seed, mask) -> int:
     return int(np.random.SeedSequence((int(seed), int(mask))).generate_state(1)[0])
 
 
-def _subset_p(diff: DiffMatrix, idx, assignment, gamma, seed, tol) -> float:
-    """Max-test p-value restricted to the given column indices.
-
-    Degenerate columns are dropped; a subset left empty gets p = 1.
-    Single-column subsets fall through to the exact normal tail inside the
-    max-test machinery (no QMC noise).
-    """
-    _, p = _max_test_from_columns(diff.D[:, idx], diff.sigma[idx], assignment,
-                                  gamma, "normal", orient=-1.0, tol=tol, seed=seed)
-    return p
-
-
 def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestReport:
     """Closed testing procedure over the full grid, by the exact step-down.
 
@@ -78,9 +67,8 @@ def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> Closed
     gamma = check_gamma(gamma)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    grid = as_grid(grid)
-    taus = tuple(float(t) for t in grid)
     diff = _max_diff(sample, grid, False)
+    taus = tuple(float(t) for t in diff.taus)
     live = np.flatnonzero(diff.sigma > 0.0)
     stats = -(diff.D[:, live].T @ sample.assignment) / diff.sigma[live]
 
@@ -90,8 +78,9 @@ def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> Closed
     for m in np.unique(stats)[::-1]:
         idx = live[stats <= m]
         mask = sum(1 << int(l) for l in idx)
-        p = _subset_p(diff, idx, sample.assignment, gamma,
-                      _subset_seed(seed, mask), tol)
+        _, p = _max_test_from_columns(
+            diff.D[:, idx], diff.sigma[idx], sample.assignment, gamma,
+            "normal", orient=-1.0, tol=tol, seed=_subset_seed(seed, mask))
         subset_p[tuple(taus[l] for l in idx)] = p
         running = max(running, p)
         for l in live[stats == m]:

@@ -7,7 +7,7 @@ and simultaneous events are pooled into a single risk-set step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ def event_table(times, events):
     order = np.argsort(t, kind="mergesort")
     ts, es = t[order], e[order]
     uniq, first = np.unique(ts, return_index=True)
-    m = np.add.reduceat(es.astype(np.int64), first) if ts.size else np.array([], int)
+    m = np.add.reduceat(es.astype(np.int64), first)
     n_at_risk = ts.size - first
     keep = m > 0
     return uniq[keep], m[keep], n_at_risk[keep]
@@ -53,8 +53,8 @@ class SurvivalCurve:
 
     knots: np.ndarray
     values: np.ndarray
-    n_at_risk: np.ndarray = field(default=None)
-    n_events: np.ndarray = field(default=None)
+    n_at_risk: np.ndarray
+    n_events: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -67,10 +67,7 @@ def km_estimate(times, events) -> SurvivalCurve:
 
     ``K(t) = prod_{t_k <= t} (1 - m_k / n_k)`` across distinct event times.
     """
-    t, e = _coerce_units(times, events)
-    if t.size == 0:
-        raise EmptyInput("no units supplied")
-    tk, mk, nk = event_table(t, e)
+    tk, mk, nk = event_table(times, events)
     values = np.cumprod(1.0 - mk / nk)
     return SurvivalCurve(knots=tk, values=values, n_at_risk=nk, n_events=mk)
 

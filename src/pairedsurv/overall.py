@@ -6,8 +6,9 @@ CDF with the empirical score correlation matrix; for gamma > 1 the
 worst-case bound uses per-column worst-case moments and the
 absolute-product correlation matrix.  A standardized Prentice-Wilcoxon
 column can be appended so the max also covers a whole-period comparison.
-Columns are the plain (I,) arrays of ``pair_differences``; ``as_grid``
-returns the grid as a validated float array.
+The p-value is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the
+column tails ``p_l``, so a tiny p keeps its digits and one column gives
+its exact normal tail.  ``_max_corr`` holds the gamma -> correlation rule.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import DegenerateColumn, DegenerateColumnWarning
 from .mvnorm import mvn_cdf
@@ -27,8 +29,6 @@ from .sensitivity import (
     check_gamma,
     null_moments,
 )
-
-PPW_LABEL = "ppw"
 
 
 def as_grid(grid) -> np.ndarray:
@@ -64,7 +64,7 @@ class DiffMatrix:
     def labels(self) -> list:
         out = [float(t) for t in self.taus]
         if self.has_ppw:
-            out.append(PPW_LABEL)
+            out.append("ppw")
         return out
 
 
@@ -92,6 +92,12 @@ def correlations(D) -> np.ndarray:
     return rho
 
 
+def _max_corr(D, gamma) -> np.ndarray:
+    """Correlation of the max statistic's columns: that of ``D`` at gamma = 1,
+    its worst-case (absolute-product) version above."""
+    return correlations(D if gamma == 1.0 else np.abs(D))
+
+
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
                            tol=1e-4, seed=0, n_draws=100_000):
     """p-value machinery for the max statistic on already-built columns.
@@ -99,9 +105,8 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     ``orient`` is +1 to test the upper tail of the stored columns and -1
     for the lower tail (the benefit direction of pseudo columns).  Columns
     with zero dispersion are dropped; with none left the result is
-    (nan, 1).  Returns (m, p).
+    (nan, 1).  ``gamma`` must already be checked.  Returns (m, p).
     """
-    gamma = check_gamma(gamma)
     keep = sigma > 0.0
     if not np.any(keep):
         return float("nan"), 1.0
@@ -119,8 +124,11 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     # the oriented columns have the same |D|, hence the same moments
     mean, variance = null_moments(D, gamma)
     limits = (m * sigma - mean) / np.sqrt(variance)
-    corr = correlations(D if gamma == 1.0 else np.abs(D))
-    return m, float(1.0 - mvn_cdf(limits, corr, tol=tol, seed=seed))
+    # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
+    # the max's tail lies between the largest column tail and their sum
+    tails = ndtr(-limits)
+    p = 1.0 - mvn_cdf(limits, _max_corr(D, gamma), tol=tol, seed=seed)
+    return m, float(np.clip(p, tails.max(), min(1.0, tails.sum())))
 
 
 def _max_diff(sample, grid, include_ppw) -> DiffMatrix:

@@ -179,17 +179,16 @@ def _sign_tail(D, scale, threshold, gamma, n_draws, seed) -> float:
 
 
 def _score_test(scores, sample, gamma, method, direction, tau_label,
-                n_draws=100_000, seed=0, max_pairs=EXACT_PAIR_CAP) -> TestResult:
+                n_draws=100_000, seed=0) -> TestResult:
     """Shared p-value dispatch for any vector of pair differences."""
     gamma = check_gamma(gamma)
-    _check_direction(direction)
     t = t_statistic(scores, sample)
     mu_plus, variance = null_moments(scores, gamma)
     mean = mu_plus if direction == "upper" else -mu_plus
     if method == "normal":
         p = pvalue_normal(t, mean, variance, direction)
     elif method == "exact":
-        p = pvalue_exact(scores, t, gamma, direction, max_pairs)
+        p = pvalue_exact(scores, t, gamma, direction)
     elif method == "montecarlo":
         p = pvalue_montecarlo(scores, t, gamma, n_draws, seed, direction)
     else:
@@ -207,8 +206,7 @@ def _score_test(scores, sample, gamma, method, direction, tau_label,
 
 
 def time_specific_test(sample, tau, gamma=1.0, method="normal",
-                       direction="lower", n_draws=100_000, seed=0,
-                       max_pairs=EXACT_PAIR_CAP) -> TestResult:
+                       direction="lower", n_draws=100_000, seed=0) -> TestResult:
     """Test of no effect up to ``tau`` using pseudo-observation scores.
 
     With the stored event-probability orientation, a treated survival
@@ -216,11 +214,9 @@ def time_specific_test(sample, tau, gamma=1.0, method="normal",
     default) tests for benefit and ``"upper"`` for harm.  gamma = 1 gives
     the randomization p-value, gamma > 1 the worst-case bound.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
     scores = pair_differences(sample, "pseudo", tau)
     return _score_test(scores, sample, gamma, method, direction, tau,
-                       n_draws=n_draws, seed=seed, max_pairs=max_pairs)
+                       n_draws=n_draws, seed=seed)
 
 
 @dataclass(frozen=True)

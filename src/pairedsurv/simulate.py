@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,17 +78,15 @@ class ScenarioSpec:
             raise ValueError(f"censoring_form must be one of {CENSORING_FORMS}")
 
 
-def scenario_spec(scenario_id, b=None, censoring_form="covariate_dependent",
-                  lam=0.2, admin_cutoff=5.0) -> ScenarioSpec:
+def scenario_spec(scenario_id, b=None, censoring_form="covariate_dependent") -> ScenarioSpec:
     """Named scenario with its calibrated default censoring divisor."""
     if scenario_id not in ETA:
         raise ValueError(f"unknown scenario {scenario_id!r}; know {SCENARIO_IDS}")
     slope_z, intercept_z, slope_common = ETA[scenario_id]
     if b is None:
         b = DEFAULT_B[(scenario_id, censoring_form)]
-    return ScenarioSpec(id=scenario_id, lam=lam, slope_z=slope_z,
-                        intercept_z=intercept_z, slope_common=slope_common,
-                        b=b, admin_cutoff=admin_cutoff,
+    return ScenarioSpec(id=scenario_id, slope_z=slope_z, intercept_z=intercept_z,
+                        slope_common=slope_common, b=b,
                         censoring_form=censoring_form)
 
 
@@ -322,7 +321,7 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     return PowerStudyResult(config=config, rows=rows)
 
 
-def design_sensitivity_study(config: StudyConfig, direction="benefit"):
+def design_sensitivity_study(config: StudyConfig):
     """Design sensitivities from one large sample per scenario.
 
     Moments are taken on benefit-oriented differences so a beneficial
@@ -330,14 +329,10 @@ def design_sensitivity_study(config: StudyConfig, direction="benefit"):
     specs, covariate-free censoring should be used here; the threshold
     formulas assume censoring independent of survival.
     """
-    if direction not in ("benefit", "harm"):
-        raise ValueError("direction must be 'benefit' or 'harm'")
     grid = as_grid(config.grid)
     results = []
     for spec in config.scenarios:
         if spec.censoring_form != "covariate_free":
-            import warnings
-
             warnings.warn(
                 f"scenario {spec.id}: covariate-dependent censoring violates the "
                 "random-censoring assumption behind design sensitivities",
@@ -346,8 +341,7 @@ def design_sensitivity_study(config: StudyConfig, direction="benefit"):
             )
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
         diff = diff_matrix(sample, grid)
-        oriented = -diff.D if direction == "benefit" else diff.D
-        moments = estimate_moments(oriented, sample.assignment)
+        moments = estimate_moments(-diff.D, sample.assignment)
         per_tau = {
             float(tau): design_sensitivity_time(moments, l)
             for l, tau in enumerate(grid)

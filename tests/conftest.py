@@ -9,9 +9,9 @@ from pairedsurv import (
     km_estimate,
     scenario_spec,
 )
-from pairedsurv.closed import _subset_p, _subset_seed
+from pairedsurv.closed import _subset_seed
 from pairedsurv.errors import EmptyInput
-from pairedsurv.overall import as_grid
+from pairedsurv.overall import _max_test_from_columns, as_grid
 from pairedsurv.sensitivity import check_gamma
 
 # Worked five-pair dataset: observed times / event flags in (i1, i2) order,
@@ -73,7 +73,9 @@ def subset_test(sample, subset, gamma=1.0, seed=0, tol=1e-4) -> float:
     gamma = check_gamma(gamma)
     grid = as_grid(np.sort(np.asarray(list(subset), dtype=float)))
     diff = diff_matrix(sample, grid)
-    return _subset_p(diff, np.arange(len(grid)), sample.assignment, gamma, seed, tol)
+    _, p = _max_test_from_columns(diff.D, diff.sigma, sample.assignment, gamma,
+                                  "normal", orient=-1.0, tol=tol, seed=seed)
+    return p
 
 
 def closed_test_brute_force(sample, grid, gamma=1.0, seed=0, tol=1e-4):
@@ -91,8 +93,10 @@ def closed_test_brute_force(sample, grid, gamma=1.0, seed=0, tol=1e-4):
     subset_p = {}
     for mask in range(1, 2 ** len(taus)):
         idx = np.flatnonzero([(mask >> l) & 1 for l in range(len(taus))])
-        subset_p[tuple(taus[i] for i in idx)] = _subset_p(
-            diff, idx, sample.assignment, gamma, _subset_seed(seed, mask), tol)
+        _, p = _max_test_from_columns(
+            diff.D[:, idx], diff.sigma[idx], sample.assignment, gamma, "normal",
+            orient=-1.0, tol=tol, seed=_subset_seed(seed, mask))
+        subset_p[tuple(taus[i] for i in idx)] = p
     adjusted = {tau: max(p for key, p in subset_p.items() if tau in key)
                 for tau in taus}
     return adjusted, subset_p

@@ -94,6 +94,20 @@ def test_cmd_overall_single_grid_matches_test(five_csv, tmp_path, capsys):
     assert pa == pytest.approx(pb, abs=1e-12)
 
 
+def test_out_writes_non_finite_as_null(sim_csv, tmp_path, capsys):
+    out_path = tmp_path / "nan.json"
+    code, out, _ = run(["overall", sim_csv, "--grid", "0.00001", "--out",
+                        str(out_path)], capsys)
+    assert code == 0 and "statistic nan" in out
+
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON token")
+
+    doc = json.loads(out_path.read_text(), parse_constant=reject)
+    assert doc["result"]["statistic"] is None
+    assert doc["result"]["p_value"] == 1.0
+
+
 def test_cmd_overall_include_ppw_adds_column(sim_csv, capsys):
     code, out, _ = run(["overall", sim_csv, "--grid", "2,4"], capsys)
     assert code == 0 and "2 columns" in out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairedsurv import km_at, km_estimate
+from pairedsurv import event_table, km_at, km_estimate, logrank_scores, pw_scores
 from pairedsurv.errors import EmptyInput
 
 from conftest import random_units
@@ -46,9 +46,14 @@ def test_pooled_tied_events_single_step():
     assert curve.values[0] == pytest.approx(1 / 3)
 
 
-def test_empty_raises():
+@pytest.mark.parametrize("fn", [km_estimate, event_table, logrank_scores, pw_scores],
+                         ids=lambda fn: fn.__name__)
+def test_empty_raises(fn):
+    # event_table makes both checks for every function built on it
     with pytest.raises(EmptyInput):
-        km_estimate([], [])
+        fn([], [])
+    with pytest.raises(ValueError):
+        fn([1.0, 2.0], [True])
 
 
 def test_monotone_and_bounded_on_random_samples():

@@ -2,14 +2,19 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from pairedsurv import (
     build_sample,
+    closed_test,
     correlations,
     diff_matrix,
+    generate_pairs,
+    null_moments,
     overall_test,
     pair_differences,
     ppw_test,
+    scenario_spec,
     time_specific_test,
 )
 from pairedsurv.errors import DegenerateColumn, DegenerateColumnWarning
@@ -159,6 +164,21 @@ def test_bonferroni_sandwich():
         overall = overall_test(sample, grid, gamma=1.0, tol=1e-5).p_value
         assert overall >= min(single) - 2e-4
         assert overall <= len(grid) * min(single) + 2e-4
+
+
+def test_tiny_max_tail_stays_inside_its_bound():
+    # every column tail is near 1e-46, far below what 1 - cdf can resolve
+    sample = generate_pairs(8000, scenario_spec("ph"), 1)
+    grid = (1.0, 2.0, 3.0, 4.0, 5.0)
+    res = overall_test(sample, grid)
+    diff = diff_matrix(sample, grid)
+    mean, variance = null_moments(diff.D, 1.0)
+    tails = ndtr(-(res.statistic * diff.sigma - mean) / np.sqrt(variance))
+    assert 0.0 < tails.max() <= res.p_value <= tails.sum()
+    one = overall_test(sample, (3.0,)).p_value
+    assert one > 0.0
+    assert one == pytest.approx(time_specific_test(sample, 3.0).p_value, rel=1e-12)
+    assert all(p > 0.0 for p in closed_test(sample, grid).adjusted_p.values())
 
 
 def test_montecarlo_vs_normal_overall():
