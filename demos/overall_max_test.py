@@ -13,7 +13,7 @@ GRID = (1.0, 2.0, 3.0, 4.0, 5.0)
 sample = generate_pairs(500, scenario_spec("crossing"), seed=7)
 
 overall = overall_test(sample, GRID, gamma=1.0)
-ppw = ppw_test(sample, gamma=1.0, direction="upper")
+ppw = ppw_test(sample, gamma=1.0, direction="benefit")
 
 print("crossing-curves sample, I = 500 pairs")
 print(f"  max-type statistic {overall.statistic:.3f}  p = {overall.p_value:.4f}")

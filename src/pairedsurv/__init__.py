@@ -28,7 +28,6 @@ from .overall import (
     ppw_test,
 )
 from .scores import (
-    benefit_tail,
     logrank_scores,
     pair_differences,
     pseudo_observations,

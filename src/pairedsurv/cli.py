@@ -31,7 +31,7 @@ from .data import load_csv
 from .errors import AccuracyNotReached, PairedSurvError
 from .km import km_estimate
 from .overall import _max_corr, _max_diff, _test_diff
-from .scores import benefit_tail, pair_differences
+from .scores import _sign, pair_differences
 from .sensitivity import _score_test, _search, _worst_case_p
 from .simulate import StudyConfig, design_sensitivity_study, power_study
 
@@ -57,11 +57,29 @@ def _manifest(command, args, seed) -> dict:
     }
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(DEFAULT_SEED_ENV)
-    return int(env) if env else 0
+def _checked(convert, ok, what):
+    """argparse type: ``convert`` the flag's text, then require ``ok``."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_GAMMA = _checked(float, lambda g: 1.0 <= g < math.inf, "a finite gamma >= 1")
+_ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "an alpha in (0, 1)")
+_TOL = _checked(float, lambda t: t > 0.0, "a tolerance > 0")
+_DRAWS = _checked(int, lambda n: n >= 1, "a draw count >= 1")
+_SEED = _checked(int, lambda n: n >= 0,
+                 f"a non-negative integer seed (from --seed or ${DEFAULT_SEED_ENV})")
+
+
+def _gammas(text):
+    return tuple(map(_GAMMA, text.split(",")))
 
 
 def _json_ready(value):
@@ -88,14 +106,6 @@ def _write_csv(path, rows) -> None:
     print(f"wrote {len(rows) - 1} rows to {path}")
 
 
-def _resolve_direction(direction, kind) -> str:
-    """Map benefit/harm onto the tail of the score kind's statistic."""
-    tail = benefit_tail(kind)
-    if direction == "benefit":
-        return tail
-    return "upper" if tail == "lower" else "lower"
-
-
 def _parse_grid(text):
     try:
         return tuple(float(v) for v in text.split(","))
@@ -107,15 +117,14 @@ def _parse_grid(text):
 
 def cmd_test(args) -> tuple:
     sample = load_csv(args.data)
-    seed = _resolve_seed(args)
-    direction = _resolve_direction(args.direction, args.score)
     if args.score == "pseudo" and args.tau is None:
         raise ConfigError("--tau is required for pseudo scores")
     if args.score != "pseudo" and args.tau is not None:
         raise ConfigError(f"--tau does not apply to {args.score} scores")
     scores = pair_differences(sample, args.score, args.tau)
-    res = _score_test(scores, sample, args.gamma, args.method, direction,
-                      args.tau, n_draws=args.draws, seed=seed)
+    res = _score_test(scores, sample, args.gamma, args.method,
+                      _sign(args.score, args.direction), args.tau,
+                      n_draws=args.draws, seed=args.seed)
     label = f"tau={args.tau:g}" if args.tau is not None else "whole follow-up"
     print(f"{args.score} score test ({label}), gamma={args.gamma:g}, "
           f"{res.direction} tail, method={res.method}")
@@ -130,16 +139,15 @@ def cmd_test(args) -> tuple:
     doc = asdict(res)
     if args.verbose:
         doc["pair_differences"] = [float(v) for v in scores]
-    return seed, doc, None
+    return args.seed, doc, None
 
 
 def cmd_overall(args) -> tuple:
     sample = load_csv(args.data)
-    seed = _resolve_seed(args)
     grid = _parse_grid(args.grid)
     diff = _max_diff(sample, grid, args.include_ppw)
     res = _test_diff(diff, sample.assignment, args.gamma, args.method,
-                     args.direction, args.tol, seed, n_draws=args.draws)
+                     args.direction, args.tol, args.seed, n_draws=args.draws)
     print(f"max-type overall test, gamma={args.gamma:g}, {args.direction}, "
           f"method={res.method}")
     print(f"  statistic {res.statistic:.3f}   p-value {res.p_value:.3f}")
@@ -152,24 +160,22 @@ def cmd_overall(args) -> tuple:
     doc = asdict(res)
     doc["grid"] = list(grid)
     doc["include_ppw"] = args.include_ppw
-    return seed, doc, None
+    return args.seed, doc, None
 
 
 def cmd_sens(args) -> tuple:
     sample = load_csv(args.data)
-    seed = _resolve_seed(args)
     if (args.tau is None) == (args.grid is None):
         raise ConfigError("give exactly one of --tau or --grid")
     if args.tau is not None and args.include_ppw:
         raise ConfigError("--include-ppw applies only to --grid")
     grid = _parse_grid(args.grid) if args.grid else None
-    direction = _resolve_direction(args.direction, "pseudo")
-    p_at = _worst_case_p(sample, args.tau, grid, direction, args.include_ppw,
-                         seed, mvn_tol=args.tol)
+    p_at = _worst_case_p(sample, args.tau, grid, args.direction,
+                         args.include_ppw, args.seed, mvn_tol=args.tol)
 
     rows = []
     if args.gamma_grid:
-        rows = [{"gamma": g, "p_value": p_at(g)} for g in _parse_grid(args.gamma_grid)]
+        rows = [{"gamma": g, "p_value": p_at(g)} for g in args.gamma_grid]
         print("gamma   worst-case p")
         for row in rows:
             print(f"{row['gamma']:5.2f}   {row['p_value']:.3f}")
@@ -185,20 +191,19 @@ def cmd_sens(args) -> tuple:
             print(f"insensitive up to gamma_max = {args.gamma_max:g}")
         else:
             print(f"sensitivity value: gamma = {sv.value:.3f} (alpha = {args.alpha:g})")
-    return seed, {"table": rows, "sensitivity_value": found}, None
+    return args.seed, {"table": rows, "sensitivity_value": found}, None
 
 
 def cmd_closed(args) -> tuple:
     sample = load_csv(args.data)
-    seed = _resolve_seed(args)
     report = closed_test(sample, _parse_grid(args.grid), alpha=args.alpha,
-                         gamma=args.gamma, seed=seed, tol=args.tol)
+                         gamma=args.gamma, seed=args.seed, tol=args.tol)
     print(f"closed testing, gamma={args.gamma:g}, alpha={args.alpha:g}")
     print("  tau    adjusted p   rejected")
     for tau in report.taus:
         print(f"  {tau:5g}  {report.adjusted_p[tau]:10.3f}   "
               f"{'yes' if report.rejected[tau] else 'no'}")
-    return seed, {
+    return args.seed, {
         "taus": list(report.taus),
         "adjusted_p": {str(k): v for k, v in report.adjusted_p.items()},
         "rejected": {str(k): bool(v) for k, v in report.rejected.items()},
@@ -286,60 +291,63 @@ def build_parser() -> _Parser:
                      description="Randomization tests for matched-pair censored outcomes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True):
+    def add_common(p, data=True, seed=True):
         if data:
             p.add_argument("data", help="CSV with pair_id,position,treated,time,event")
         p.add_argument("--out", help="write a JSON result document here")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)")
+        if seed:  # a string default is parsed like the flag
+            p.add_argument("--seed", type=_SEED,
+                           default=(os.environ.get(DEFAULT_SEED_ENV) or "0") if data else None,
+                           help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)")
 
     p = sub.add_parser("test", help="time-specific or score test of no effect")
     add_common(p)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_GAMMA, default=1.0)
     p.add_argument("--method", choices=("normal", "exact", "montecarlo"),
                    default="normal")
     p.add_argument("--direction", choices=("benefit", "harm"), default="benefit")
     p.add_argument("--score", choices=("pseudo", "logrank", "pw"), default="pseudo")
-    p.add_argument("--draws", type=int, default=100_000)
+    p.add_argument("--draws", type=_DRAWS, default=100_000)
     p.add_argument("--verbose", action="store_true", help="dump per-pair differences")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("overall", help="max-type overall test across a grid")
     add_common(p)
     p.add_argument("--grid", required=True, help="comma-separated times")
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--gamma", type=_GAMMA, default=1.0)
     p.add_argument("--include-ppw", action="store_true")
     p.add_argument("--method", choices=("normal", "montecarlo"), default="normal")
     p.add_argument("--direction", choices=("benefit", "harm"), default="benefit")
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--draws", type=int, default=100_000)
+    p.add_argument("--tol", type=_TOL, default=1e-4)
+    p.add_argument("--draws", type=_DRAWS, default=100_000)
     p.set_defaults(func=cmd_overall)
 
     p = sub.add_parser("sens", help="sensitivity table or sensitivity value")
     add_common(p)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--grid", default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--gamma-grid", default=None, help="comma-separated gammas")
+    p.add_argument("--alpha", type=_ALPHA, default=0.05)
+    p.add_argument("--gamma-grid", type=_gammas, default=None,
+                   help="comma-separated gammas")
     p.add_argument("--search", action="store_true", help="bisect for the sensitivity value")
-    p.add_argument("--sens-tol", type=float, default=1e-3)
-    p.add_argument("--gamma-max", type=float, default=10.0)
+    p.add_argument("--sens-tol", type=_TOL, default=1e-3)
+    p.add_argument("--gamma-max", type=_GAMMA, default=10.0)
     p.add_argument("--direction", choices=("benefit", "harm"), default="benefit")
     p.add_argument("--include-ppw", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_TOL, default=1e-4)
     p.set_defaults(func=cmd_sens)
 
     p = sub.add_parser("closed", help="closed testing for effect duration")
     add_common(p)
     p.add_argument("--grid", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--alpha", type=_ALPHA, default=0.05)
+    p.add_argument("--gamma", type=_GAMMA, default=1.0)
+    p.add_argument("--tol", type=_TOL, default=1e-4)
     p.set_defaults(func=cmd_closed)
 
     p = sub.add_parser("km", help="export treated/control survival curves as CSV")
-    add_common(p)
+    add_common(p, seed=False)
     p.set_defaults(func=cmd_km)
 
     p = sub.add_parser("simulate", help="power study from a JSON config")

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .overall import _max_diff, _max_test_from_columns
+from .scores import _sign
 from .sensitivity import check_gamma
 
 
@@ -70,7 +71,8 @@ def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> Closed
     diff = _max_diff(sample, grid, False)
     taus = tuple(float(t) for t in diff.taus)
     live = np.flatnonzero(diff.sigma > 0.0)
-    stats = -(diff.D[:, live].T @ sample.assignment) / diff.sigma[live]
+    orient = _sign("pseudo", "benefit")
+    stats = orient * (diff.D[:, live].T @ sample.assignment) / diff.sigma[live]
 
     adjusted = dict.fromkeys(taus, 1.0)
     subset_p = {}
@@ -80,7 +82,7 @@ def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> Closed
         mask = sum(1 << int(l) for l in idx)
         _, p = _max_test_from_columns(
             diff.D[:, idx], diff.sigma[idx], sample.assignment, gamma,
-            "normal", orient=-1.0, tol=tol, seed=_subset_seed(seed, mask))
+            "normal", orient=orient, tol=tol, seed=_subset_seed(seed, mask))
         subset_p[tuple(taus[l] for l in idx)] = p
         running = max(running, p)
         for l in live[stats == m]:

@@ -119,6 +119,8 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, max_points=2 ** 16):
     of the mean over the random shifts) is at most ``tol`` or ``max_points``
     is reached; in the latter case an AccuracyNotReached warning is emitted.
     """
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
     upper = np.asarray(upper, dtype=float).reshape(-1)
     corr = _check_corr(corr)
     if upper.shape[0] != corr.shape[0]:

@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from .errors import DegenerateColumn, DegenerateColumnWarning
 from .mvnorm import mvn_cdf
-from .scores import pair_differences
+from .scores import _sign, pair_differences
 from .sensitivity import (
     TestResult,
     _score_test,
@@ -148,7 +148,7 @@ def _test_diff(diff, assignment, gamma, method, direction, tol, seed,
                n_draws=100_000) -> TestResult:
     """Max-type test of a built DiffMatrix; see ``overall_test``."""
     gamma = check_gamma(gamma)
-    orient = -1.0 if direction == "benefit" else 1.0
+    orient = _sign("pseudo", direction)
     m, p = _max_test_from_columns(diff.D, diff.sigma, assignment, gamma, method,
                                   orient, tol=tol, seed=seed, n_draws=n_draws)
     return TestResult(statistic=m, null_mean=0.0, null_sd=1.0, p_value=p,
@@ -165,19 +165,18 @@ def overall_test(sample, grid, gamma=1.0, include_ppw=False, method="normal",
     Columns with zero dispersion are dropped with a warning; when all
     columns are degenerate the p-value is 1.
     """
-    if direction not in ("benefit", "harm"):
-        raise ValueError("direction must be 'benefit' or 'harm'")
     return _test_diff(_max_diff(sample, grid, include_ppw), sample.assignment,
                       gamma, method, direction, tol, seed, n_draws)
 
 
-def ppw_test(sample, gamma=1.0, direction="upper", method="normal",
+def ppw_test(sample, gamma=1.0, direction="benefit", method="normal",
              n_draws=100_000, seed=0) -> TestResult:
     """Paired Prentice-Wilcoxon test of no effect at all.
 
-    PW scores grow with survival time, so ``direction="upper"`` tests for
-    a treated survival advantage.
+    ``direction="benefit"`` (the default) tests for a treated survival
+    advantage, ``"harm"`` for the reverse.
     """
+    sign = _sign("pw", direction)
     scores = pair_differences(sample, "pw")
-    return _score_test(scores, sample, gamma, method, direction, "overall",
+    return _score_test(scores, sample, gamma, method, sign, "overall",
                        n_draws=n_draws, seed=seed)

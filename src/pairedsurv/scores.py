@@ -17,7 +17,8 @@ Orientation conventions:
   where longer survival scores higher, so a treated advantage sits in the
   UPPER tail.
 
-``benefit_tail(kind)`` records that mapping for callers.
+Tests take ``direction="benefit"|"harm"``; ``_sign(kind, direction)`` maps
+that onto the sign that puts the evidence in the upper tail.
 """
 
 from __future__ import annotations
@@ -129,13 +130,13 @@ def pw_scores(times, events):
 SCORE_KINDS = ("pseudo", "logrank", "pw")
 
 
-def benefit_tail(kind: str) -> str:
-    """Tail of ``sum d_i V_i`` where a treated survival advantage shows up."""
-    if kind == "pseudo":
-        return "lower"
-    if kind in ("logrank", "pw"):
-        return "upper"
-    raise ValueError(f"unknown score kind {kind!r}")
+def _sign(kind: str, direction: str) -> float:
+    """+1 or -1: the factor that puts ``direction``'s evidence for scores of
+    ``kind`` in the upper tail of ``sum d_i V_i``."""
+    if direction not in ("benefit", "harm") or kind not in SCORE_KINDS:
+        raise ValueError(f"need direction 'benefit' or 'harm' and a kind in "
+                         f"{SCORE_KINDS}, got {direction!r}, {kind!r}")
+    return (-1.0 if kind == "pseudo" else 1.0) * (1.0 if direction == "benefit" else -1.0)
 
 
 def pair_differences(sample, kind: str = "pseudo", tau=None) -> np.ndarray:

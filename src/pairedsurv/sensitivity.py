@@ -4,9 +4,9 @@ The paired statistic is ``T = sum_i d_i V_i``.  Under the bounded
 odds-ratio assignment model with parameter ``gamma >= 1``, the worst case
 for the upper tail replaces each term by ``|d_i|`` times an independent
 sign that is positive with probability ``gamma / (1 + gamma)``; gamma = 1
-recovers the plain randomization distribution.  Lower-tail tests use the
-mirror-image worst case, which equals the upper-tail analysis applied to
-the negated differences.
+recovers the plain randomization distribution.  The p-value primitives
+compute only that upper tail; the other tail is the upper tail of the
+negated differences, with the sign from ``scores._sign``.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import LengthMismatch, TooManyPairs
-from .scores import pair_differences
+from .scores import _sign, pair_differences
 
-DIRECTIONS = ("upper", "lower")
 EXACT_PAIR_CAP = 20
 
 
@@ -31,12 +30,6 @@ def check_gamma(gamma) -> float:
     return gamma
 
 
-def _check_direction(direction) -> str:
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return direction
-
-
 def _tie_tol(d) -> float:
     # ties at the observed value must count; resummation order shifts sums
     # by O(eps * scale)
@@ -45,7 +38,9 @@ def _tie_tol(d) -> float:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of a one-sided test: statistic, null moments, p-value."""
+    """Outcome of a one-sided test: statistic, null moments, p-value, and as
+    ``direction`` the tested tail of ``sum d_i V_i`` (``"lower"``/``"upper"``)
+    for a score test or ``"benefit"``/``"harm"`` for an overall test."""
 
     statistic: float
     null_mean: float
@@ -90,41 +85,33 @@ def null_moments(scores, gamma=1.0):
     return mean, variance
 
 
-def pvalue_normal(t, mean, variance, direction="upper"):
-    """Normal tail probability with the degenerate-variance convention.
+def pvalue_normal(t, mean, variance):
+    """Normal upper tail ``Pr(T >= t)`` with the degenerate-variance convention.
 
-    Zero variance returns 1 when the statistic does not exceed the mean in
-    the test direction, else 0 (no dispersion means no evidence).  Array
-    arguments give one p-value per element; scalars give a float.
+    Zero variance returns 1 when the statistic does not exceed the mean,
+    else 0 (no dispersion means no evidence).  Array arguments give one
+    p-value per element; scalars give a float.
     """
-    _check_direction(direction)
     t, mean, variance = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (t, mean, variance)))
     if np.any(variance < 0):
         raise ValueError("variance must be >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (t - mean) / np.sqrt(variance)
-    if direction == "upper":
-        # ndtr(-z), not 1 - ndtr(z), which rounds to 0 from z = 9 on
-        p = np.where(variance == 0.0, t <= mean, ndtr(-z))
-    else:
-        p = np.where(variance == 0.0, t >= mean, ndtr(z))
+    # ndtr(-z), not 1 - ndtr(z), which rounds to 0 from z = 9 on
+    p = np.where(variance == 0.0, t <= mean, ndtr(-z))
     return float(p) if p.ndim == 0 else p
 
 
-def pvalue_exact(scores, t, gamma=1.0, direction="upper", max_pairs=EXACT_PAIR_CAP) -> float:
-    """Worst-case tail probability by exact enumeration.
+def pvalue_exact(scores, t, gamma=1.0, max_pairs=EXACT_PAIR_CAP) -> float:
+    """Worst-case upper tail ``Pr(T >= t)`` by exact enumeration.
 
     Enumerates the 2^k sign patterns over the k pairs with nonzero
     differences (tied pairs contribute exactly zero).  Ties at the observed
     value are included in the tail.
     """
     gamma = check_gamma(gamma)
-    _check_direction(direction)
     d = np.asarray(scores, dtype=float)
-    if direction == "lower":
-        # Pr(T- <= t) = Pr(T+ >= -t): mirror worst case
-        return pvalue_exact(-d, -t, gamma, "upper", max_pairs)
     mags = np.abs(d[d != 0.0])
     if mags.size > max_pairs:
         raise TooManyPairs(
@@ -139,15 +126,11 @@ def pvalue_exact(scores, t, gamma=1.0, direction="upper", max_pairs=EXACT_PAIR_C
     return float(probs[values >= t - _tie_tol(d)].sum())
 
 
-def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0,
-                      direction="upper") -> float:
-    """Worst-case tail probability by simulation; deterministic given seed."""
+def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
+    """Worst-case upper tail by simulation; deterministic given seed."""
     gamma = check_gamma(gamma)
-    _check_direction(direction)
     d = np.asarray(scores, dtype=float)
-    # the lower tail of T is the upper tail of -T, which has the same |d_i|
-    threshold = t if direction == "upper" else -t
-    return _sign_tail(d[:, None], 1.0, threshold, gamma, n_draws, seed)
+    return _sign_tail(d[:, None], 1.0, t, gamma, n_draws, seed)
 
 
 def _sign_tail(D, scale, threshold, gamma, n_draws, seed) -> float:
@@ -178,44 +161,44 @@ def _sign_tail(D, scale, threshold, gamma, n_draws, seed) -> float:
     return hits / n_draws
 
 
-def _score_test(scores, sample, gamma, method, direction, tau_label,
+def _score_test(scores, sample, gamma, method, sign, tau_label,
                 n_draws=100_000, seed=0) -> TestResult:
-    """Shared p-value dispatch for any vector of pair differences."""
+    """Shared p-value dispatch; ``sign = -1`` tests T's lower tail as -T's upper."""
     gamma = check_gamma(gamma)
     t = t_statistic(scores, sample)
     mu_plus, variance = null_moments(scores, gamma)
-    mean = mu_plus if direction == "upper" else -mu_plus
     if method == "normal":
-        p = pvalue_normal(t, mean, variance, direction)
+        p = pvalue_normal(sign * t, mu_plus, variance)
     elif method == "exact":
-        p = pvalue_exact(scores, t, gamma, direction)
+        p = pvalue_exact(sign * np.asarray(scores, dtype=float), sign * t, gamma)
     elif method == "montecarlo":
-        p = pvalue_montecarlo(scores, t, gamma, n_draws, seed, direction)
+        p = pvalue_montecarlo(scores, sign * t, gamma, n_draws, seed)
     else:
         raise ValueError(f"method must be normal, exact or montecarlo, got {method!r}")
     return TestResult(
         statistic=t,
-        null_mean=mean,
+        null_mean=sign * mu_plus,
         null_sd=math.sqrt(variance),
         p_value=p,
         gamma=gamma,
         method=method,
-        direction=direction,
+        direction="upper" if sign > 0 else "lower",
         tau=tau_label,
     )
 
 
 def time_specific_test(sample, tau, gamma=1.0, method="normal",
-                       direction="lower", n_draws=100_000, seed=0) -> TestResult:
+                       direction="benefit", n_draws=100_000, seed=0) -> TestResult:
     """Test of no effect up to ``tau`` using pseudo-observation scores.
 
-    With the stored event-probability orientation, a treated survival
-    advantage pushes the statistic down, so ``direction="lower"`` (the
-    default) tests for benefit and ``"upper"`` for harm.  gamma = 1 gives
-    the randomization p-value, gamma > 1 the worst-case bound.
+    ``direction="benefit"`` (the default) tests for a treated survival
+    advantage, which the stored event-probability orientation puts in the
+    lower tail of the statistic, and ``"harm"`` for the reverse.  gamma = 1
+    gives the randomization p-value, gamma > 1 the worst-case bound.
     """
+    sign = _sign("pseudo", direction)
     scores = pair_differences(sample, "pseudo", tau)
-    return _score_test(scores, sample, gamma, method, direction, tau,
+    return _score_test(scores, sample, gamma, method, sign, tau,
                        n_draws=n_draws, seed=seed)
 
 
@@ -230,13 +213,13 @@ class SensitivityValue:
 
 
 def sensitivity_value(sample, tau=None, grid=None, alpha=0.05, tol=1e-3,
-                      gamma_max=10.0, direction="lower", include_ppw=False,
+                      gamma_max=10.0, direction="benefit", include_ppw=False,
                       seed=0) -> SensitivityValue:
     """Bisect for the gamma where the worst-case p-value crosses ``alpha``.
 
     Exactly one of ``tau`` (time-specific test) or ``grid`` (overall
-    max-type test) must be given.  ``direction`` is the tail of the stored
-    pseudo scores: ``"lower"`` tests for benefit, ``"upper"`` for harm.
+    max-type test) must be given.  ``direction`` is ``"benefit"`` (a treated
+    survival advantage) or ``"harm"``.
     Returns gamma = 1 flagged ``already_sensitive`` when even the
     randomization p-value exceeds alpha, and ``gamma_max`` flagged
     ``exceeded_max`` when the worst-case p-value stays below alpha on the
@@ -250,18 +233,17 @@ def sensitivity_value(sample, tau=None, grid=None, alpha=0.05, tol=1e-3,
 
 def _worst_case_p(sample, tau, grid, direction, include_ppw, seed, mvn_tol=1e-4):
     """gamma -> worst-case normal p-value, with the scores built once."""
-    _check_direction(direction)
+    sign = _sign("pseudo", direction)
     if tau is not None:
         if include_ppw:
             raise ValueError("include_ppw applies only to a grid")
         scores = pair_differences(sample, "pseudo", tau)
-        return lambda g: _score_test(scores, sample, g, "normal", direction,
+        return lambda g: _score_test(scores, sample, g, "normal", sign,
                                      tau).p_value
     from .overall import _max_diff, _test_diff
 
     diff = _max_diff(sample, grid, include_ppw)
-    side = "benefit" if direction == "lower" else "harm"
-    return lambda g: _test_diff(diff, sample.assignment, g, "normal", side,
+    return lambda g: _test_diff(diff, sample.assignment, g, "normal", direction,
                                 mvn_tol, seed).p_value
 
 

@@ -27,6 +27,7 @@ from .design import (
 )
 from .errors import TargetUnreachable
 from .overall import as_grid, diff_matrix, _max_test_from_columns
+from .scores import _sign
 from .sensitivity import check_gamma, null_moments, pvalue_normal
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
@@ -294,21 +295,21 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     grid = as_grid(config.grid)
     n_taus = len(grid)
     names = [f"t_tau={tau:g}" for tau in grid] + ["ppw", "max"]
+    benefit = _sign("pseudo", "benefit")
     counts = {}
     for spec in config.scenarios:
         for rep in range(config.replications):
             sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, rep))
             diff = diff_matrix(sample, grid, include_ppw=True)
-            t_cols = diff.D.T @ sample.assignment
+            # every column, the negated PW one included, is pseudo-oriented
+            t_cols = benefit * (diff.D.T @ sample.assignment)
             mvn_seed = int(_rep_seed(config.seed, spec.id, rep, salt=7).generate_state(1)[0])
             for gamma in config.gammas:
-                # every column, the negated PW one included, shows benefit
-                # in its lower tail
                 mean, variance = null_moments(diff.D, gamma)
-                p_cols = pvalue_normal(t_cols, -mean, variance, "lower")
+                p_cols = pvalue_normal(t_cols, mean, variance)
                 _, p_max = _max_test_from_columns(
                     diff.D[:, :n_taus], diff.sigma[:n_taus], sample.assignment,
-                    gamma, "normal", orient=-1.0, tol=config.mvn_tol,
+                    gamma, "normal", orient=benefit, tol=config.mvn_tol,
                     seed=mvn_seed)
                 for name, p in zip(names, [*p_cols, p_max]):
                     key = (spec.id, gamma, name)
@@ -341,7 +342,7 @@ def design_sensitivity_study(config: StudyConfig):
             )
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
         diff = diff_matrix(sample, grid)
-        moments = estimate_moments(-diff.D, sample.assignment)
+        moments = estimate_moments(_sign("pseudo", "benefit") * diff.D, sample.assignment)
         per_tau = {
             float(tau): design_sensitivity_time(moments, l)
             for l, tau in enumerate(grid)

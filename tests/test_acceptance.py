@@ -169,9 +169,9 @@ def test_criterion_5_exact_vs_montecarlo():
             size = int(rng.integers(6, 13))
             d = rng.normal(size=size)
             t = float(rng.uniform(0.0, 0.6) * np.abs(d).sum())
-            exact = pvalue_exact(d, t, gamma, "upper")
+            exact = pvalue_exact(d, t, gamma)
             mc = pvalue_montecarlo(d, t, gamma, n_draws=n_draws,
-                                   seed=SEED + trial, direction="upper")
+                                   seed=SEED + trial)
             se = math.sqrt(max(exact * (1 - exact), 1e-12) / n_draws)
             dev = abs(mc - exact)
             worst = max(worst, dev / max(se, 1e-12))

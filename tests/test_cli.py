@@ -67,17 +67,18 @@ def test_cmd_test_tau_zero_p_one(sim_csv, tmp_path, capsys):
 
 
 def test_cmd_test_score_direction_mapping(sim_csv, tmp_path, capsys):
-    # benefit maps to opposite tails for pseudo vs pw scores
-    p = {}
-    for score, extra in (("pseudo", ["--tau", "3.0"]), ("pw", [])):
-        out_path = tmp_path / f"{score}.json"
-        code, _, _ = run(["test", sim_csv, "--score", score, "--direction",
-                          "benefit", "--out", str(out_path)] + extra, capsys)
+    # benefit is the lower tail of pseudo differences, the upper of the rest
+    tails = {("pseudo", "benefit"): "lower", ("pseudo", "harm"): "upper",
+             ("logrank", "benefit"): "upper", ("logrank", "harm"): "lower",
+             ("pw", "benefit"): "upper", ("pw", "harm"): "lower"}
+    for (score, direction), tail in tails.items():
+        out_path = tmp_path / f"{score}_{direction}.json"
+        extra = ["--tau", "3.0"] if score == "pseudo" else []
+        code, out, _ = run(["test", sim_csv, "--score", score, "--direction",
+                            direction, "--out", str(out_path)] + extra, capsys)
         assert code == 0
-        doc = json.loads(out_path.read_text())["result"]
-        p[score] = doc
-    assert p["pseudo"]["direction"] == "lower"
-    assert p["pw"]["direction"] == "upper"
+        assert f"{tail} tail" in out
+        assert json.loads(out_path.read_text())["result"]["direction"] == tail
 
 
 def test_cmd_test_logrank_rejects_tau(sim_csv, capsys):
@@ -309,6 +310,37 @@ def test_bad_config_exit_4(tmp_path, capsys):
     cfg.write_text("{not json")
     code, _, _ = run(["simulate", str(cfg)], capsys)
     assert code == 4
+
+
+BAD_FLAGS = [
+    (["closed", "--grid", "1,2,3", "--alpha", "1.5"], None),
+    (["sens", "--tau", "3", "--sens-tol", "0"], None),
+    (["sens", "--tau", "3", "--gamma-grid", "0.5,1"], None),
+    (["sens", "--tau", "3", "--gamma-max", "inf"], None),
+    (["test", "--tau", "3", "--method", "montecarlo", "--draws", "0"], None),
+    (["test", "--tau", "3", "--gamma", "0.5"], None),
+    (["test", "--tau", "3", "--gamma", "nan"], None),
+    (["test", "--tau", "3", "--seed", "-1"], None),
+    (["test", "--tau", "3"], "abc"),
+    (["overall", "--grid", "1,2,3", "--seed", "-1"], None),
+    (["overall", "--grid", "1,2,3", "--tol", "0"], None),
+    (["overall", "--grid", "1,2,3", "--tol", "nan"], None),
+    (["km", "--seed", "5"], None),
+]
+
+
+@pytest.mark.parametrize("argv, env", BAD_FLAGS, ids=[
+    " ".join(argv) + (f" PAIREDSURV_SEED={env}" if env else "") for argv, env in BAD_FLAGS])
+def test_bad_flag_exit_4(argv, env, sim_csv, tmp_path, capsys, monkeypatch):
+    # rejected when parsed: no result is printed and no file is written
+    if env is not None:
+        monkeypatch.setenv("PAIREDSURV_SEED", env)
+    out_path = tmp_path / "res.out"
+    code, out, err = run([argv[0], sim_csv, *argv[1:], "--out", str(out_path)],
+                         capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ")
+    assert not out_path.exists()
 
 
 def test_missing_data_exit_2(capsys):

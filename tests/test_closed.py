@@ -13,7 +13,7 @@ def test_singleton_subset_equals_time_specific():
     sample = simulated_sample(150, "ph", seed=1)
     for gamma in (1.0, 1.3):
         p = subset_test(sample, (3.0,), gamma=gamma)
-        ts = time_specific_test(sample, 3.0, gamma, "normal", "lower")
+        ts = time_specific_test(sample, 3.0, gamma, "normal", "benefit")
         assert p == pytest.approx(ts.p_value, abs=1e-12)
 
 
@@ -28,7 +28,7 @@ def test_single_tau_grid_adjusted_equals_unadjusted():
     sample = simulated_sample(100, "ph", seed=3)
     report = closed_test(sample, (3.0,))
     assert report.adjusted_p[3.0] == pytest.approx(
-        time_specific_test(sample, 3.0, 1.0, "normal", "lower").p_value, abs=1e-12
+        time_specific_test(sample, 3.0, 1.0, "normal", "benefit").p_value, abs=1e-12
     )
 
 

@@ -147,6 +147,12 @@ def test_invalid_correlation_rejected(bad):
         mvn_cdf([0.0, 0.0], bad)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_tolerance_must_be_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        mvn_cdf([0.5, 0.5], [[1.0, 0.3], [0.3, 1.0]], tol=tol)
+
+
 def test_dimension_cap():
     with pytest.raises(ValueError):
         mvn_cdf(np.zeros(26), np.eye(26))

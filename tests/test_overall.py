@@ -113,7 +113,7 @@ def test_single_column_reduces_to_time_specific():
     sample = simulated_sample(150, "ph", seed=5)
     for gamma in (1.0, 1.5):
         ov = overall_test(sample, (3.0,), gamma=gamma)
-        ts = time_specific_test(sample, 3.0, gamma, "normal", "lower")
+        ts = time_specific_test(sample, 3.0, gamma, "normal", "benefit")
         assert ov.p_value == pytest.approx(ts.p_value, abs=1e-12)
 
 
@@ -124,7 +124,7 @@ def test_single_column_montecarlo_equals_time_specific():
     for gamma in (1.0, 1.5):
         ov = overall_test(sample, (0.3,), gamma=gamma, method="montecarlo",
                           n_draws=20_000, seed=4)
-        ts = time_specific_test(sample, 0.3, gamma, "montecarlo", "lower",
+        ts = time_specific_test(sample, 0.3, gamma, "montecarlo", "benefit",
                                 n_draws=20_000, seed=4)
         assert ov.p_value == ts.p_value
 
@@ -159,7 +159,7 @@ def test_bonferroni_sandwich():
     for seed in range(4):
         sample = simulated_sample(150, "late_div", seed=seed)
         grid = (1.0, 2.0, 3.0, 4.0)
-        single = [time_specific_test(sample, t, 1.0, "normal", "lower").p_value
+        single = [time_specific_test(sample, t, 1.0, "normal", "benefit").p_value
                   for t in grid]
         overall = overall_test(sample, grid, gamma=1.0, tol=1e-5).p_value
         assert overall >= min(single) - 2e-4
@@ -241,7 +241,7 @@ def test_ppw_all_tied_p_one():
 
 def test_ppw_matches_score_machinery():
     sample = simulated_sample(100, "ph", seed=12)
-    res = ppw_test(sample, gamma=1.0, direction="upper")
+    res = ppw_test(sample, gamma=1.0, direction="benefit")
     t = float(pair_differences(sample, "pw") @ sample.assignment)
     assert res.statistic == pytest.approx(t)
     assert res.tau == "overall"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pairedsurv import (
-    benefit_tail,
     km_at,
     km_estimate,
     logrank_scores,
@@ -11,6 +10,7 @@ from pairedsurv import (
     pw_scores,
 )
 from pairedsurv.errors import EmptyInput
+from pairedsurv.scores import SCORE_KINDS, _sign
 
 from conftest import pseudo_observations_naive, random_units
 
@@ -186,7 +186,10 @@ def test_pseudo_requires_tau(five_pairs):
         pair_differences(five_pairs, "pseudo")
 
 
-def test_benefit_tail_mapping():
-    assert benefit_tail("pseudo") == "lower"
-    assert benefit_tail("logrank") == "upper"
-    assert benefit_tail("pw") == "upper"
+def test_sign_mapping():
+    # benefit is the lower tail of pseudo differences, the upper of the rest
+    assert [_sign(k, "benefit") for k in SCORE_KINDS] == [-1.0, 1.0, 1.0]
+    assert [_sign(k, "harm") for k in SCORE_KINDS] == [1.0, -1.0, -1.0]
+    for kind, direction in (("pseudo", "lower"), ("pw", "upper"), ("km", "benefit")):
+        with pytest.raises(ValueError):
+            _sign(kind, direction)

@@ -1,20 +1,26 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from pairedsurv import (
     build_sample,
     null_moments,
+    overall_test,
     pair_differences,
+    ppw_test,
     pvalue_exact,
     pvalue_montecarlo,
     pvalue_normal,
     sensitivity_value,
     t_statistic,
     time_specific_test,
+    write_csv,
 )
+from pairedsurv.cli import main
 from pairedsurv.errors import LengthMismatch, TooManyPairs
 
 from conftest import simulated_sample
@@ -80,12 +86,12 @@ def test_gamma_below_one_rejected():
 # -- normal tail -----------------------------------------------------------
 
 def test_pvalue_normal_center():
-    assert pvalue_normal(2.0, 2.0, 4.0, "upper") == pytest.approx(0.5)
-    assert pvalue_normal(2.0, 2.0, 4.0, "lower") == pytest.approx(0.5)
+    assert pvalue_normal(2.0, 2.0, 4.0) == pytest.approx(0.5)
+    assert pvalue_normal(-2.0, -2.0, 4.0) == pytest.approx(0.5)
 
 
 def test_pvalue_normal_quantile():
-    p = pvalue_normal(1.645, 0.0, 1.0, "upper")
+    p = pvalue_normal(1.645, 0.0, 1.0)
     assert p == pytest.approx(0.05, abs=1e-4)
 
 
@@ -94,25 +100,24 @@ def test_pvalue_normal_upper_tail_mirrors_lower():
     # to 1 - ndtr(z) = 0 (from z = 9 on); Phi(-37) = 5.7e-300 is still a
     # normal double, Phi(-40) underflows to 0 in any formula
     for z in (0.5, 6.0, 9.0, 37.0):
-        upper = pvalue_normal(2.0 * z + 1.0, 1.0, 4.0, "upper")
-        assert upper == pvalue_normal(-2.0 * z - 1.0, -1.0, 4.0, "lower")
-        assert upper > 0.0
+        upper = pvalue_normal(2.0 * z + 1.0, 1.0, 4.0)
+        assert upper == ndtr(-z) > 0.0
 
 
 def test_pvalue_normal_degenerate_convention():
-    assert pvalue_normal(-1.0, 0.0, 0.0, "upper") == 1.0
-    assert pvalue_normal(1.0, 0.0, 0.0, "upper") == 0.0
-    assert pvalue_normal(1.0, 0.0, 0.0, "lower") == 1.0
+    assert pvalue_normal(-1.0, 0.0, 0.0) == 1.0
+    assert pvalue_normal(1.0, 0.0, 0.0) == 0.0
+    assert pvalue_normal(0.0, 0.0, 0.0) == 1.0
 
 
 # -- exact enumeration -------------------------------------------------------
 
 def test_exact_single_pair():
-    assert pvalue_exact(np.array([1.0]), 1.0, 1.0, "upper") == 0.5
+    assert pvalue_exact(np.array([1.0]), 1.0, 1.0) == 0.5
 
 
 def test_exact_two_pairs():
-    assert pvalue_exact(np.array([1.0, 1.0]), 2.0, 1.0, "upper") == 0.25
+    assert pvalue_exact(np.array([1.0, 1.0]), 2.0, 1.0) == 0.25
 
 
 def test_exact_matches_full_enumeration_at_gamma_one():
@@ -121,16 +126,16 @@ def test_exact_matches_full_enumeration_at_gamma_one():
         d = rng.normal(size=8)
         d[rng.random(8) < 0.3] = 0.0
         t = float(rng.normal())
-        assert pvalue_exact(d, t, 1.0, "upper") == pytest.approx(
+        assert pvalue_exact(d, t, 1.0) == pytest.approx(
             enumerate_randomization_p(d, t), abs=1e-12
         )
 
 
 def test_exact_cap():
     with pytest.raises(TooManyPairs):
-        pvalue_exact(np.ones(21), 0.0, 1.0, "upper")
+        pvalue_exact(np.ones(21), 0.0, 1.0)
     # overridable
-    assert pvalue_exact(np.ones(21), 22.0, 1.0, "upper", max_pairs=21) == 0.0
+    assert pvalue_exact(np.ones(21), 22.0, 1.0, max_pairs=21) == 0.0
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
@@ -138,9 +143,9 @@ def test_exact_vs_montecarlo(gamma):
     rng = np.random.default_rng(2)
     d = rng.normal(size=12)
     t = float(np.abs(d).sum() * 0.25)
-    exact = pvalue_exact(d, t, gamma, "upper")
+    exact = pvalue_exact(d, t, gamma)
     n = 10 ** 6
-    mc = pvalue_montecarlo(d, t, gamma, n_draws=n, seed=5, direction="upper")
+    mc = pvalue_montecarlo(d, t, gamma, n_draws=n, seed=5)
     se = math.sqrt(exact * (1 - exact) / n)
     assert abs(mc - exact) <= 3 * se + 1e-12
 
@@ -154,7 +159,7 @@ def test_montecarlo_deterministic():
 
 def test_montecarlo_symmetric_center():
     d = np.array([1.0, -1.0, 2.0, -2.0])
-    exact = pvalue_exact(d, 0.0, 1.0, "upper")
+    exact = pvalue_exact(d, 0.0, 1.0)
     mc = pvalue_montecarlo(d, 0.0, 1.0, n_draws=200_000, seed=4)
     assert exact > 0.5  # tie mass included
     assert mc == pytest.approx(exact, abs=0.01)
@@ -162,25 +167,70 @@ def test_montecarlo_symmetric_center():
 
 # -- direction handling ------------------------------------------------------
 
-def test_sign_flip_antisymmetry():
-    rng = np.random.default_rng(8)
-    sample = simulated_sample(60, "ph", seed=3)
-    for gamma in (1.0, 1.7):
-        for tau in (2.0, 4.0):
-            up = time_specific_test(sample, tau, gamma, "normal", "upper")
-            # negating every difference is the same sample with swapped roles;
-            # emulate by flipping assignment signs
-            flipped = type(sample)(sample.times, sample.events, -sample.assignment)
-            down = time_specific_test(flipped, tau, gamma, "normal", "lower")
-            assert up.p_value == pytest.approx(down.p_value, abs=1e-12)
+GRID = (1.0, 2.0, 3.0)
+GAMMAS = (1.0, 1.7)
 
 
-def test_exact_lower_equals_mirror_upper():
-    d = np.random.default_rng(12).normal(size=9)
-    t = 0.4
-    assert pvalue_exact(d, t, 2.0, "lower") == pytest.approx(
-        pvalue_exact(-d, -t, 2.0, "upper"), abs=1e-12
-    )
+def _overall(method, include_ppw):
+    return lambda s, d, _: [
+        overall_test(s, GRID, g, include_ppw=include_ppw, method=method,
+                     direction=d, n_draws=20_000).p_value for g in GAMMAS]
+
+
+def _cli(score):
+    def run(sample, direction, tmp_path):
+        data, out = tmp_path / f"{direction}.csv", tmp_path / f"{direction}.json"
+        write_csv(data, sample)
+        tau = ["--tau", "3"] if score == "pseudo" else []
+        assert main(["test", str(data), "--score", score, "--direction", direction,
+                     "--gamma", "1.3", "--out", str(out), *tau]) == 0
+        return json.loads(out.read_text())["result"]["p_value"]
+    return run
+
+
+# name -> (pairs, run(sample, direction, tmp_path)); exact needs <= 20 pairs
+ORIENTED = {
+    "time_specific_normal": (60, lambda s, d, _: [
+        time_specific_test(s, 3.0, g, "normal", d).p_value for g in GAMMAS]),
+    "time_specific_exact": (20, lambda s, d, _: [
+        time_specific_test(s, 3.0, g, "exact", d).p_value for g in GAMMAS]),
+    "time_specific_montecarlo": (60, lambda s, d, _: [
+        time_specific_test(s, 3.0, g, "montecarlo", d, n_draws=20_000,
+                           seed=4).p_value for g in GAMMAS]),
+    "ppw": (60, lambda s, d, _: [ppw_test(s, g, d).p_value for g in GAMMAS]),
+    "overall_normal": (60, _overall("normal", False)),
+    "overall_normal_ppw": (60, _overall("normal", True)),
+    "overall_montecarlo": (60, _overall("montecarlo", False)),
+    "overall_montecarlo_ppw": (60, _overall("montecarlo", True)),
+    # alpha = 0.4 lets both searches bisect on this small sample
+    "sensitivity_tau": (60, lambda s, d, _: sensitivity_value(
+        s, tau=3.0, alpha=0.4, direction=d)),
+    "sensitivity_grid": (60, lambda s, d, _: sensitivity_value(
+        s, grid=GRID, alpha=0.4, direction=d)),
+    "cli_pseudo": (60, _cli("pseudo")),
+    "cli_logrank": (60, _cli("logrank")),
+    "cli_pw": (60, _cli("pw")),
+}
+
+
+@pytest.mark.parametrize("n_pairs, run", ORIENTED.values(), ids=list(ORIENTED))
+def test_sign_flip_antisymmetry(n_pairs, run, tmp_path):
+    # harm on a sample whose treated units fare worse is benefit on the
+    # sample with every assignment flipped: the same sums, negated, so the
+    # p-values agree bit for bit
+    base = simulated_sample(n_pairs, "ph", seed=3)
+    worse = type(base)(base.times, base.events, -base.assignment)
+    assert run(worse, "harm", tmp_path) == run(base, "benefit", tmp_path)
+
+
+def test_tail_names_rejected():
+    sample = simulated_sample(30, "ph", seed=3)
+    for call in (lambda: time_specific_test(sample, 3.0, direction="lower"),
+                 lambda: ppw_test(sample, direction="upper"),
+                 lambda: overall_test(sample, GRID, direction="lower"),
+                 lambda: sensitivity_value(sample, tau=3.0, direction="lower")):
+        with pytest.raises(ValueError, match="benefit"):
+            call()
 
 
 # -- time-specific test -------------------------------------------------------
@@ -225,9 +275,9 @@ def test_normal_close_to_exact_in_clt_regime():
     checked = 0
     for seed, gamma in ((3, 1.2), (3, 1.3), (4, 1.3), (6, 1.1), (7, 1.3), (8, 1.2)):
         sample = simulated_sample(500, "ph", seed=seed)
-        normal = time_specific_test(sample, 3.0, gamma, "normal", "lower")
+        normal = time_specific_test(sample, 3.0, gamma, "normal", "benefit")
         assert 0.01 <= normal.p_value <= 0.2
-        mc = time_specific_test(sample, 3.0, gamma, "montecarlo", "lower",
+        mc = time_specific_test(sample, 3.0, gamma, "montecarlo", "benefit",
                                 n_draws=400_000, seed=11)
         assert abs(normal.p_value - mc.p_value) <= 0.01
         checked += 1

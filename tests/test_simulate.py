@@ -222,7 +222,7 @@ def test_power_study_matches_public_tests():
             for gamma in config.gammas:
                 p = {f"t_tau={tau:g}": time_specific_test(sample, tau, gamma).p_value
                      for tau in config.grid}
-                p["ppw"] = ppw_test(sample, gamma, direction="upper").p_value
+                p["ppw"] = ppw_test(sample, gamma, direction="benefit").p_value
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DegenerateColumnWarning)
                     p["max"] = overall_test(sample, config.grid, gamma=gamma,
