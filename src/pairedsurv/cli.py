@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .closed import closed_test
 from .data import load_csv
-from .errors import AccuracyNotReached, PairedSurvError
+from .errors import AccuracyNotReached
 from .km import km_estimate
 from .overall import _max_corr, _max_diff, _test_diff
 from .scores import _sign, pair_differences
@@ -276,7 +276,7 @@ def _load_config(args) -> StudyConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config {args.config}: {exc}") from exc
     for key in ("replications", "pairs", "seed"):
-        if getattr(args, key) is not None:
+        if getattr(args, key, None) is not None:
             doc[key] = getattr(args, key)
     try:
         return StudyConfig.from_dict(doc)
@@ -298,7 +298,8 @@ def build_parser() -> _Parser:
         if seed:  # a string default is parsed like the flag
             p.add_argument("--seed", type=_SEED,
                            default=(os.environ.get(DEFAULT_SEED_ENV) or "0") if data else None,
-                           help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)")
+                           help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)" if data
+                           else "RNG seed (default: the config's seed)")
 
     p = sub.add_parser("test", help="time-specific or score test of no effect")
     add_common(p)
@@ -362,7 +363,6 @@ def build_parser() -> _Parser:
     add_common(p, data=False)
     p.add_argument("config")
     p.add_argument("--csv")
-    p.add_argument("--replications", type=int, default=None)
     p.add_argument("--pairs", type=int, default=None)
     p.set_defaults(func=cmd_design_sens)
 
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (PairedSurvError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

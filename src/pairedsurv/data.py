@@ -13,15 +13,6 @@ import csv
 
 import numpy as np
 
-from .errors import (
-    BothTreated,
-    DuplicateUnit,
-    EmptyInput,
-    IncompletePair,
-    NegativeTime,
-    NeitherTreated,
-)
-
 
 class PairedSample:
     """Array-backed container for ``I`` matched pairs.
@@ -45,9 +36,9 @@ class PairedSample:
         if assignment.shape != (times.shape[0],):
             raise ValueError("assignment must have shape (I,)")
         if times.shape[0] < 1:
-            raise EmptyInput("a sample needs at least one pair")
+            raise ValueError("a sample needs at least one pair")
         if not np.all(np.isfinite(times)) or np.any(times < 0):
-            raise NegativeTime("all observed times must be finite and >= 0")
+            raise ValueError("all observed times must be finite and >= 0")
         if not np.all(np.abs(assignment) == 1):
             raise ValueError("assignment entries must be +1 or -1")
         if pair_ids is not None:
@@ -89,7 +80,7 @@ def build_sample(records) -> PairedSample:
     """
     records = list(records)
     if not records:
-        raise EmptyInput("no unit records supplied")
+        raise ValueError("no unit records supplied")
     slots: dict = {}
     order: list = []
     for rec in records:
@@ -100,7 +91,7 @@ def build_sample(records) -> PairedSample:
             slots[pair_id] = {}
             order.append(pair_id)
         if position in slots[pair_id]:
-            raise DuplicateUnit(f"pair {pair_id!r} position {position} supplied twice")
+            raise ValueError(f"pair {pair_id!r} position {position} supplied twice")
         slots[pair_id][position] = (bool(treated), float(time), bool(event))
 
     times, events, assignment = [], [], []
@@ -108,12 +99,12 @@ def build_sample(records) -> PairedSample:
         got = slots[pair_id]
         if set(got) != {1, 2}:
             missing = ({1, 2} - set(got)).pop()
-            raise IncompletePair(f"pair {pair_id!r} is missing position {missing}")
+            raise ValueError(f"pair {pair_id!r} is missing position {missing}")
         (t1, y1, e1), (t2, y2, e2) = got[1], got[2]
         if t1 and t2:
-            raise BothTreated(f"both units of pair {pair_id!r} are treated")
+            raise ValueError(f"both units of pair {pair_id!r} are treated")
         if not t1 and not t2:
-            raise NeitherTreated(f"neither unit of pair {pair_id!r} is treated")
+            raise ValueError(f"neither unit of pair {pair_id!r} is treated")
         times.append([y1, y2])
         events.append([e1, e2])
         assignment.append(1 if t1 else -1)
@@ -147,10 +138,12 @@ def load_csv(path) -> PairedSample:
                         _parse_binary(row["event"], "event"),
                     )
                 )
+            except ValueError as exc:
+                raise ValueError(f"malformed row at line {lineno}: {exc}") from exc
             except (TypeError, KeyError) as exc:
                 raise ValueError(f"malformed row at line {lineno}: {row!r}") from exc
     if not records:
-        raise EmptyInput(f"no data rows in {path}")
+        raise ValueError(f"no data rows in {path}")
     return build_sample(records)
 
 

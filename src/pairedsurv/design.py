@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoInformation
-
 
 @dataclass(frozen=True)
 class MomentEstimates:
@@ -60,7 +58,7 @@ def design_sensitivity_time(moments: MomentEstimates, column: int = 0) -> float:
     e_abs = float(moments.e_abs[column])
     e_dv = float(moments.e_dv[column])
     if e_abs == 0.0:
-        raise NoInformation("all pair differences vanish at this column")
+        raise ValueError("all pair differences vanish at this column")
     denom = e_abs - e_dv
     if denom <= 0.0:
         return math.inf
@@ -74,7 +72,7 @@ def design_sensitivity_overall(moments: MomentEstimates) -> float:
     independently.
     """
     if np.any(moments.e_sq == 0.0):
-        raise NoInformation("every column needs positive mean-square difference")
+        raise ValueError("every column needs positive mean-square difference")
     root = np.sqrt(moments.e_sq)
     a_max = float((moments.e_abs / root).max())
     b_max = float((moments.e_dv / root).max())

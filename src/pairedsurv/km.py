@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput
-
 
 def _coerce_units(times, events):
     """Flat float times and boolean event flags of equal length."""
@@ -32,7 +30,7 @@ def event_table(times, events):
     """
     t, e = _coerce_units(times, events)
     if t.size == 0:
-        raise EmptyInput("no units supplied")
+        raise ValueError("no units supplied")
     order = np.argsort(t, kind="mergesort")
     ts, es = t[order], e[order]
     uniq, first = np.unique(ts, return_index=True)

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import AccuracyNotReached, NotACorrelationMatrix
+from .errors import AccuracyNotReached
 
 MAX_DIM = 25
 _N_SHIFTS = 8
@@ -35,15 +35,15 @@ _TINY = 1e-15
 def _check_corr(corr):
     c = np.asarray(corr, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise NotACorrelationMatrix("correlation matrix must be square")
+        raise ValueError("correlation matrix must be square")
     if c.shape[0] > MAX_DIM:
         raise ValueError(f"dimension {c.shape[0]} exceeds the supported {MAX_DIM}")
     if not np.allclose(c, c.T, atol=1e-10):
-        raise NotACorrelationMatrix("correlation matrix must be symmetric")
+        raise ValueError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(c), 1.0, atol=1e-10):
-        raise NotACorrelationMatrix("correlation matrix must have unit diagonal")
+        raise ValueError("correlation matrix must have unit diagonal")
     if np.any(np.abs(c) > 1 + 1e-10):
-        raise NotACorrelationMatrix("correlation entries must lie in [-1, 1]")
+        raise ValueError("correlation entries must lie in [-1, 1]")
     return 0.5 * (c + c.T)
 
 

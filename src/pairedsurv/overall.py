@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DegenerateColumn, DegenerateColumnWarning
+from .errors import DegenerateColumnWarning
 from .mvnorm import mvn_cdf
 from .scores import _sign, pair_differences
 from .sensitivity import (
@@ -36,7 +36,7 @@ def as_grid(grid) -> np.ndarray:
     taus = np.asarray(grid, dtype=float).reshape(-1)
     if taus.size < 1:
         raise ValueError("a time grid needs at least one tau")
-    if np.any(taus <= 0) or np.any(np.diff(taus) <= 0):
+    if not np.all(taus > 0) or np.any(np.diff(taus) <= 0):
         raise ValueError("grid times must be positive and strictly increasing")
     return taus
 
@@ -86,7 +86,7 @@ def correlations(D) -> np.ndarray:
     D = np.asarray(D, dtype=float)
     sigma2 = np.sum(D ** 2, axis=0)
     if np.any(sigma2 == 0.0):
-        raise DegenerateColumn("every column needs positive score dispersion")
+        raise ValueError("every column needs positive score dispersion")
     rho = (D.T @ D) / np.sqrt(np.outer(sigma2, sigma2))
     np.fill_diagonal(rho, 1.0)
     return rho

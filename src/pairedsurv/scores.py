@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInput
 from .km import _coerce_units, event_table
 
 
@@ -51,8 +50,8 @@ def pseudo_observations(times, events, tau):
     t, e = _coerce_units(times, events)
     n = t.size
     if n < 2:
-        raise EmptyInput("pseudo-observations need at least two units")
-    if tau < 0:
+        raise ValueError("pseudo-observations need at least two units")
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
 
     tk, mk, nk = event_table(t, e)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import LengthMismatch, TooManyPairs
 from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
@@ -63,7 +62,7 @@ def t_statistic(scores, sample) -> float:
     d = np.asarray(scores, dtype=float)
     v = sample.assignment
     if d.shape[0] != v.shape[0]:
-        raise LengthMismatch(
+        raise ValueError(
             f"scores have {d.shape[0]} pairs but sample has {v.shape[0]}"
         )
     return float(d @ v)
@@ -114,7 +113,7 @@ def pvalue_exact(scores, t, gamma=1.0, max_pairs=EXACT_PAIR_CAP) -> float:
     d = np.asarray(scores, dtype=float)
     mags = np.abs(d[d != 0.0])
     if mags.size > max_pairs:
-        raise TooManyPairs(
+        raise ValueError(
             f"{mags.size} informative pairs exceed the exact cap of {max_pairs}"
         )
     p_plus = gamma / (1.0 + gamma)

@@ -1,10 +1,10 @@
 """Simulation engine: paired censored outcomes under five effect shapes.
 
-Survival hazards are ``lam * exp(x + eta(t, z))`` with a pair-level
+Survival hazards are ``LAM * exp(x + eta(t, z))`` with a pair-level
 standard normal frailty ``x`` shared by both units; ``eta`` is linear in
 time so cumulative hazards invert in closed form (Gompertz-type draws).
-Censoring is exponential with rate ``lam / b``, optionally multiplied by
-``exp(x)``; everything is administratively truncated at ``admin_cutoff``.
+Censoring is exponential with rate ``LAM / b``, optionally multiplied by
+``exp(x)``; everything is administratively truncated at ``ADMIN_CUTOFF``.
 ``b`` is calibrated per scenario so that about 25% of units are censored
 before the cutoff.
 """
@@ -25,12 +25,13 @@ from .design import (
     design_sensitivity_time,
     estimate_moments,
 )
-from .errors import TargetUnreachable
 from .overall import as_grid, diff_matrix, _max_test_from_columns
 from .scores import _sign
 from .sensitivity import check_gamma, null_moments, pvalue_normal
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
+LAM = 0.2  # baseline hazard rate
+ADMIN_CUTOFF = 5.0  # administrative end of follow-up
 
 # eta(t, z) = (slope_z * t + intercept_z) * z + slope_common * t
 ETA = {
@@ -64,17 +65,15 @@ class ScenarioSpec:
     """One data-generating process: hazard shape plus censoring model."""
 
     id: str
-    lam: float = 0.2
     slope_z: float = 0.0
     intercept_z: float = 0.0
     slope_common: float = 0.0
     b: float = 2.0
-    admin_cutoff: float = 5.0
     censoring_form: str = "covariate_dependent"
 
     def __post_init__(self):
-        if self.lam <= 0 or self.b <= 1 or self.admin_cutoff <= 0:
-            raise ValueError("need lam > 0, b > 1, admin_cutoff > 0")
+        if self.b <= 1:
+            raise ValueError("need b > 1")
         if self.censoring_form not in CENSORING_FORMS:
             raise ValueError(f"censoring_form must be one of {CENSORING_FORMS}")
 
@@ -94,7 +93,7 @@ def scenario_spec(scenario_id, b=None, censoring_form="covariate_dependent") -> 
 def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
     """Invert the cumulative hazard at ``-log(u)``.
 
-    With time slope k and base rate r = lam * exp(x + intercept) the
+    With time slope k and base rate r = LAM * exp(x + intercept) the
     cumulative hazard is r (e^{kt} - 1)/k (or r t when k = 0); draws whose
     cumulative hazard never reaches -log(u) come back as +inf (they are
     administratively censored downstream).
@@ -103,7 +102,7 @@ def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
     u = np.asarray(uniform_draw, dtype=float)
     target = -np.log(u)
     k = spec.slope_z * z + spec.slope_common
-    r = spec.lam * np.exp(x + spec.intercept_z * z)
+    r = LAM * np.exp(x + spec.intercept_z * z)
     if k == 0.0:
         out = target / r
     else:
@@ -114,10 +113,10 @@ def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
 
 
 def sample_censoring_time(x, spec: ScenarioSpec, uniform_draw):
-    """Exponential censoring draw at rate lam/b (times exp(x) if covariate-dependent)."""
+    """Exponential censoring draw at rate LAM/b (times exp(x) if covariate-dependent)."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(uniform_draw, dtype=float)
-    rate = spec.lam / spec.b
+    rate = LAM / spec.b
     if spec.censoring_form == "covariate_dependent":
         rate = rate * np.exp(x)
     out = -np.log(u) / rate
@@ -146,16 +145,16 @@ def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
 
     treated = np.column_stack((treat_first, ~treat_first))
     surv = np.where(treated, s1, s0)
-    cap = np.minimum(cens, spec.admin_cutoff)
+    cap = np.minimum(cens, ADMIN_CUTOFF)
     times = np.minimum(surv, cap)
     events = surv <= cap
     assignment = np.where(treat_first, 1, -1)
     return PairedSample(times, events, assignment)
 
 
-def nonadmin_censoring_rate(sample: PairedSample, admin_cutoff=5.0) -> float:
+def nonadmin_censoring_rate(sample: PairedSample) -> float:
     """Fraction of units censored strictly before the administrative cutoff."""
-    return float(np.mean(~sample.unit_events & (sample.unit_times < admin_cutoff)))
+    return float(np.mean(~sample.unit_events & (sample.unit_times < ADMIN_CUTOFF)))
 
 
 def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
@@ -167,16 +166,16 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
     Returns ``(b, achieved_rate)``.
     """
     if not 0.0 < target_rate < 1.0:
-        raise TargetUnreachable("target rate must lie strictly between 0 and 1")
+        raise ValueError("target rate must lie strictly between 0 and 1")
 
     def rate(b):
         probe = generate_pairs(probe_i, replace(spec, b=b), seed)
-        return nonadmin_censoring_rate(probe, spec.admin_cutoff)
+        return nonadmin_censoring_rate(probe)
 
     lo, hi = 1.01, 1e4
     r_lo, r_hi = rate(lo), rate(hi)
     if not (r_lo >= target_rate >= r_hi):
-        raise TargetUnreachable(
+        raise ValueError(
             f"target {target_rate} outside achievable range [{r_hi:.4f}, {r_lo:.4f}]"
         )
     for _ in range(80):

@@ -10,7 +10,6 @@ from pairedsurv import (
     scenario_spec,
 )
 from pairedsurv.closed import _subset_seed
-from pairedsurv.errors import EmptyInput
 from pairedsurv.overall import _max_test_from_columns, as_grid
 from pairedsurv.sensitivity import check_gamma
 
@@ -55,7 +54,7 @@ def pseudo_observations_naive(times, events, tau):
     e = np.asarray(events, dtype=bool).reshape(-1)
     n = t.size
     if n < 2:
-        raise EmptyInput("pseudo-observations need at least two units")
+        raise ValueError("pseudo-observations need at least two units")
     if tau < 0:
         raise ValueError("tau must be >= 0")
     km_tau = km_at(km_estimate(t, e), tau)

@@ -326,6 +326,7 @@ BAD_FLAGS = [
     (["overall", "--grid", "1,2,3", "--tol", "0"], None),
     (["overall", "--grid", "1,2,3", "--tol", "nan"], None),
     (["km", "--seed", "5"], None),
+    (["design-sens", "--pairs", "300", "--replications", "7"], None),
 ]
 
 
@@ -335,8 +336,13 @@ def test_bad_flag_exit_4(argv, env, sim_csv, tmp_path, capsys, monkeypatch):
     # rejected when parsed: no result is printed and no file is written
     if env is not None:
         monkeypatch.setenv("PAIREDSURV_SEED", env)
+    source = sim_csv
+    if argv[0] == "design-sens":  # a config that runs, so only the flag can fail
+        source = tmp_path / "cfg.json"
+        source.write_text(json.dumps({"scenarios": ["ph"], "grid": [2],
+                                      "censoring_form": "covariate_free"}))
     out_path = tmp_path / "res.out"
-    code, out, err = run([argv[0], sim_csv, *argv[1:], "--out", str(out_path)],
+    code, out, err = run([argv[0], str(source), *argv[1:], "--out", str(out_path)],
                          capsys)
     assert (code, out) == (4, "")
     assert err.startswith("error: ")
@@ -346,6 +352,29 @@ def test_bad_flag_exit_4(argv, env, sim_csv, tmp_path, capsys, monkeypatch):
 def test_missing_data_exit_2(capsys):
     code, _, _ = run(["test", "/nonexistent.csv", "--tau", "1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--tau", "nan"],
+    ["sens", "--tau", "nan", "--search"],
+    ["overall", "--grid", "nan,1,2"],
+    ["closed", "--grid", "1,nan"],
+])
+def test_nan_time_exit_2(argv, sim_csv, tmp_path, capsys):
+    out_path = tmp_path / "res.json"
+    code, out, err = run([argv[0], sim_csv, *argv[1:], "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "design-sens"])
+def test_study_seed_help(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "RNG seed (default: the config's seed)" in help_text
+    assert "PAIREDSURV_SEED" not in help_text
 
 
 def test_env_seed_used(five_csv, tmp_path, capsys, monkeypatch):

@@ -2,14 +2,6 @@ import numpy as np
 import pytest
 
 from pairedsurv import PairedSample, build_sample, load_csv, write_csv
-from pairedsurv.errors import (
-    BothTreated,
-    DuplicateUnit,
-    EmptyInput,
-    IncompletePair,
-    NegativeTime,
-    NeitherTreated,
-)
 
 from conftest import five_pair_records
 
@@ -27,35 +19,35 @@ def test_assignment_follows_treated_position():
 
 
 def test_missing_position_raises():
-    with pytest.raises(IncompletePair):
+    with pytest.raises(ValueError, match="is missing position 2"):
         build_sample([("a", 1, True, 1.0, True),
                       ("a", 2, False, 2.0, True),
                       ("b", 1, True, 3.0, True)])
 
 
 def test_both_treated_raises():
-    with pytest.raises(BothTreated):
+    with pytest.raises(ValueError, match="both units of pair"):
         build_sample([("a", 1, True, 1.0, True), ("a", 2, True, 2.0, True)])
 
 
 def test_neither_treated_raises():
-    with pytest.raises(NeitherTreated):
+    with pytest.raises(ValueError, match="neither unit of pair"):
         build_sample([("a", 1, False, 1.0, True), ("a", 2, False, 2.0, True)])
 
 
 def test_duplicate_unit_raises():
-    with pytest.raises(DuplicateUnit):
+    with pytest.raises(ValueError, match="supplied twice"):
         build_sample([("a", 1, True, 1.0, True), ("a", 1, False, 2.0, True)])
 
 
 @pytest.mark.parametrize("bad_time", [-0.5, float("nan"), float("inf")])
 def test_bad_times_raise(bad_time):
-    with pytest.raises(NegativeTime):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
         build_sample([("a", 1, True, bad_time, True), ("a", 2, False, 2.0, True)])
 
 
 def test_empty_raises():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="no unit records supplied"):
         build_sample([])
 
 
@@ -87,6 +79,16 @@ def test_csv_rejects_nonbinary_flag(tmp_path):
         "pair_id,position,treated,time,event\na,1,2,1.0,1\na,2,0,2.0,1\n"
     )
     with pytest.raises(ValueError):
+        load_csv(path)
+
+
+def test_csv_unparseable_number_names_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "pair_id,position,treated,time,event\n"
+        "a,1,1,1.0,1\na,2,0,2.0,1\nb,1,1,abc,1\nb,2,0,2.0,1\n"
+    )
+    with pytest.raises(ValueError, match="malformed row at line 4: .*'abc'"):
         load_csv(path)
 
 

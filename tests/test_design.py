@@ -12,7 +12,6 @@ from pairedsurv import (
     scenario_spec,
 )
 from pairedsurv.design import MomentEstimates
-from pairedsurv.errors import NoInformation
 
 
 def moments(e_abs, e_dv, e_sq):
@@ -54,9 +53,9 @@ def test_adverse_effect_below_one():
 
 
 def test_no_information_raises():
-    with pytest.raises(NoInformation):
+    with pytest.raises(ValueError, match="all pair differences vanish"):
         design_sensitivity_time(moments([0.0], [0.0], [0.0]))
-    with pytest.raises(NoInformation):
+    with pytest.raises(ValueError, match="positive mean-square difference"):
         design_sensitivity_overall(moments([0.0], [0.0], [0.0]))
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtr
 
 from pairedsurv import mvn_cdf
-from pairedsurv.errors import AccuracyNotReached, NotACorrelationMatrix
+from pairedsurv.errors import AccuracyNotReached
 
 
 def random_corr(rng, dim):
@@ -143,7 +143,7 @@ def test_neg_infinite_limit_zero():
     np.array([[1.0, 1.5], [1.5, 1.0]]),      # entry out of range
 ])
 def test_invalid_correlation_rejected(bad):
-    with pytest.raises(NotACorrelationMatrix):
+    with pytest.raises(ValueError, match="^correlation (matrix|entries) must"):
         mvn_cdf([0.0, 0.0], bad)
 
 

@@ -17,7 +17,7 @@ from pairedsurv import (
     scenario_spec,
     time_specific_test,
 )
-from pairedsurv.errors import DegenerateColumn, DegenerateColumnWarning
+from pairedsurv.errors import DegenerateColumnWarning
 from pairedsurv.overall import as_grid
 
 from conftest import simulated_sample
@@ -30,6 +30,9 @@ def test_time_grid_validation():
         as_grid(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         as_grid(np.array([]))
+    for grid in ([np.nan, 1.0, 2.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            as_grid(grid)
 
 
 def test_diff_matrix_worked_example(five_pairs):
@@ -91,7 +94,7 @@ def test_rho_equals_rho_plus_when_concordant():
 def test_correlations_reject_degenerate_column():
     d = np.zeros((10, 2))
     d[:, 0] = 1.0
-    with pytest.raises(DegenerateColumn):
+    with pytest.raises(ValueError, match="positive score dispersion"):
         correlations(d)
 
 

@@ -9,7 +9,6 @@ from pairedsurv import (
     pseudo_observations,
     pw_scores,
 )
-from pairedsurv.errors import EmptyInput
 from pairedsurv.scores import SCORE_KINDS, _sign
 
 from conftest import pseudo_observations_naive, random_units
@@ -97,8 +96,14 @@ def test_permutation_invariance():
 
 
 def test_single_unit_rejected():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="at least two units"):
         pseudo_observations([1.0], [True], 0.5)
+
+
+@pytest.mark.parametrize("tau", [-1.0, np.nan])
+def test_bad_tau_rejected(tau):
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        pseudo_observations([1.0, 2.0], [True, False], tau)
 
 
 # -- log-rank and Prentice-Wilcoxon scores --------------------------------

@@ -19,15 +19,15 @@ from pairedsurv import (
     scenario_spec,
     time_specific_test,
 )
-from pairedsurv.errors import DegenerateColumnWarning, TargetUnreachable
-from pairedsurv.simulate import ETA, _rep_seed
+from pairedsurv.errors import DegenerateColumnWarning
+from pairedsurv.simulate import ETA, LAM, _rep_seed
 
 
 def hazard(spec, t, x, z):
     """Instantaneous event hazard at time t for arm z."""
     t = np.asarray(t, dtype=float)
     eta = (spec.slope_z * t + spec.intercept_z) * z + spec.slope_common * t
-    return spec.lam * np.exp(np.asarray(x, dtype=float) + eta)
+    return LAM * np.exp(np.asarray(x, dtype=float) + eta)
 
 
 def test_all_scenarios_defined():
@@ -85,7 +85,7 @@ def test_inversion_matches_simpson_at_scale():
         grid = np.linspace(0.0, 1.0, 2 * nodes + 1)[None, :] * ss[:, None]
         eta = (spec.slope_z * grid + spec.intercept_z) * zs[:, None] \
             + spec.slope_common * grid
-        haz = spec.lam * np.exp(xs[:, None] + eta)
+        haz = LAM * np.exp(xs[:, None] + eta)
         h = ss / (2 * nodes)
         weights = np.ones(2 * nodes + 1)
         weights[1:-1:2] = 4.0
@@ -162,7 +162,7 @@ def test_calibrate_b_reprobe():
     b, rate = calibrate_b(spec, target_rate=0.25, tol=0.005, seed=10, probe_i=40_000)
     assert abs(rate - 0.25) <= 0.005
     fresh = nonadmin_censoring_rate(
-        generate_pairs(40_000, scenario_spec("crossing", b=b), 999), 5.0
+        generate_pairs(40_000, scenario_spec("crossing", b=b), 999)
     )
     se = np.sqrt(0.25 * 0.75 / 80_000)
     assert abs(fresh - 0.25) <= 0.005 + 2 * se
@@ -171,16 +171,16 @@ def test_calibrate_b_reprobe():
 def test_calibration_rate_monotone_in_b():
     spec = scenario_spec("ph")
     rates = [
-        nonadmin_censoring_rate(generate_pairs(30_000, scenario_spec("ph", b=b), 7), 5.0)
+        nonadmin_censoring_rate(generate_pairs(30_000, scenario_spec("ph", b=b), 7))
         for b in (1.2, 2.0, 4.0, 8.0)
     ]
     assert all(b < a for a, b in zip(rates, rates[1:]))
 
 
 def test_calibrate_unreachable_target():
-    with pytest.raises(TargetUnreachable):
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
         calibrate_b(scenario_spec("ph"), target_rate=0.0)
-    with pytest.raises(TargetUnreachable):
+    with pytest.raises(ValueError, match="outside achievable range"):
         calibrate_b(scenario_spec("ph"), target_rate=0.9, probe_i=5_000)
 
 
@@ -189,7 +189,7 @@ def test_frozen_default_b_reproduce_quarter():
     for sid in ETA:
         for form in ("covariate_dependent", "covariate_free"):
             spec = scenario_spec(sid, censoring_form=form)
-            rate = nonadmin_censoring_rate(generate_pairs(60_000, spec, 17), 5.0)
+            rate = nonadmin_censoring_rate(generate_pairs(60_000, spec, 17))
             assert rate == pytest.approx(0.25, abs=0.012)
 
 
