@@ -3,12 +3,15 @@
 Subcommands: ``test`` (time-specific), ``overall`` (max-type), ``sens``
 (sensitivity tables / sensitivity value), ``closed`` (closed testing),
 ``simulate`` / ``design-sens`` (study drivers from a JSON config), and
-``km`` (plot-ready survival-curve export).  Every command prints a human
-table.  With ``--out``, ``km`` writes its curves as CSV and every other
-command a strict JSON document (non-finite numbers become null)
-embedding its run manifest.  These files and the ``--csv`` tables of ``simulate``/``design-sens`` are
-written only after a successful run, never on exit 3.  Exit
-codes: 0 success, 2 input error, 3 numeric failure, 4 configuration error.
+``km`` (plot-ready survival-curve export).  Flags, ``--grid`` included,
+are checked when parsed; ``main`` then reads the one input (``load_csv``
+or ``StudyConfig.from_json``) and passes it to the command, which prints
+a human table.  With ``--out``, ``km`` writes its curves as CSV and every
+other command a strict JSON document (null for non-finite numbers) with
+its run manifest.  These files and the ``--csv`` tables of ``simulate``/
+``design-sens`` are written only after a successful run, never on exit
+3.  Exit codes: 0 success, 2 input error, 3 numeric failure, 4
+configuration error.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -76,6 +79,9 @@ _TOL = _checked(float, lambda t: t > 0.0, "a tolerance > 0")
 _DRAWS = _checked(int, lambda n: n >= 1, "a draw count >= 1")
 _SEED = _checked(int, lambda n: n >= 0,
                  f"a non-negative integer seed (from --seed or ${DEFAULT_SEED_ENV})")
+_STUDY_SEED = _checked(int, lambda n: n >= 0, "a non-negative integer seed")
+_GRID = _checked(lambda text: tuple(float(v) for v in text.split(",")),
+                 lambda grid: True, "a comma-separated number list")
 
 
 def _gammas(text):
@@ -106,17 +112,9 @@ def _write_csv(path, rows) -> None:
     print(f"wrote {len(rows) - 1} rows to {path}")
 
 
-def _parse_grid(text):
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad comma-separated number list {text!r}") from exc
-
-
 # -- subcommand implementations -----------------------------------------
 
-def cmd_test(args) -> tuple:
-    sample = load_csv(args.data)
+def cmd_test(sample, args) -> tuple:
     if args.score == "pseudo" and args.tau is None:
         raise ConfigError("--tau is required for pseudo scores")
     if args.score != "pseudo" and args.tau is not None:
@@ -142,10 +140,8 @@ def cmd_test(args) -> tuple:
     return args.seed, doc, None
 
 
-def cmd_overall(args) -> tuple:
-    sample = load_csv(args.data)
-    grid = _parse_grid(args.grid)
-    diff = _max_diff(sample, grid, args.include_ppw)
+def cmd_overall(sample, args) -> tuple:
+    diff = _max_diff(sample, args.grid, args.include_ppw)
     res = _test_diff(diff, sample.assignment, args.gamma, args.method,
                      args.direction, args.tol, args.seed, n_draws=args.draws)
     print(f"max-type overall test, gamma={args.gamma:g}, {args.direction}, "
@@ -158,19 +154,15 @@ def cmd_overall(args) -> tuple:
         for row in mat:
             print("    " + " ".join(f"{v:6.3f}" for v in row))
     doc = asdict(res)
-    doc["grid"] = list(grid)
+    doc["grid"] = list(args.grid)
     doc["include_ppw"] = args.include_ppw
     return args.seed, doc, None
 
 
-def cmd_sens(args) -> tuple:
-    sample = load_csv(args.data)
-    if (args.tau is None) == (args.grid is None):
-        raise ConfigError("give exactly one of --tau or --grid")
+def cmd_sens(sample, args) -> tuple:
     if args.tau is not None and args.include_ppw:
         raise ConfigError("--include-ppw applies only to --grid")
-    grid = _parse_grid(args.grid) if args.grid else None
-    p_at = _worst_case_p(sample, args.tau, grid, args.direction,
+    p_at = _worst_case_p(sample, args.tau, args.grid, args.direction,
                          args.include_ppw, args.seed, mvn_tol=args.tol)
 
     rows = []
@@ -194,9 +186,8 @@ def cmd_sens(args) -> tuple:
     return args.seed, {"table": rows, "sensitivity_value": found}, None
 
 
-def cmd_closed(args) -> tuple:
-    sample = load_csv(args.data)
-    report = closed_test(sample, _parse_grid(args.grid), alpha=args.alpha,
+def cmd_closed(sample, args) -> tuple:
+    report = closed_test(sample, args.grid, alpha=args.alpha,
                          gamma=args.gamma, seed=args.seed, tol=args.tol)
     print(f"closed testing, gamma={args.gamma:g}, alpha={args.alpha:g}")
     print("  tau    adjusted p   rejected")
@@ -212,8 +203,7 @@ def cmd_closed(args) -> tuple:
     }, None
 
 
-def cmd_km(args) -> tuple:
-    sample = load_csv(args.data)
+def cmd_km(sample, args) -> tuple:
     treated_mask = np.repeat(sample.assignment == 1, 2)
     treated_mask[1::2] = ~treated_mask[1::2]
     rows = [("group", "time", "survival")]
@@ -228,8 +218,7 @@ def cmd_km(args) -> tuple:
     return None, None, rows
 
 
-def cmd_simulate(args) -> tuple:
-    config = _load_config(args)
+def cmd_simulate(config, args) -> tuple:
     result = power_study(config)
     print(f"scenario    gamma  test       rate    mc_se   ({config.replications} reps)")
     for row in result.rows:
@@ -244,8 +233,7 @@ def cmd_simulate(args) -> tuple:
     }, [list(columns), *rows]
 
 
-def cmd_design_sens(args) -> tuple:
-    config = _load_config(args)
+def cmd_design_sens(config, args) -> tuple:
     results = design_sensitivity_study(config)
     taus = list(config.grid)
     header = "scenario    " + "".join(f"tau={t:<6g}" for t in taus) + "overall"
@@ -268,19 +256,11 @@ def cmd_design_sens(args) -> tuple:
 
 
 def _load_config(args) -> StudyConfig:
+    overrides = {key: getattr(args, key) for key in ("replications", "pairs", "seed")
+                 if getattr(args, key, None) is not None}
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config {args.config}: {exc}") from exc
-    for key in ("replications", "pairs", "seed"):
-        if getattr(args, key, None) is not None:
-            doc[key] = getattr(args, key)
-    try:
-        return StudyConfig.from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+        return replace(StudyConfig.from_json(args.config), **overrides)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config {args.config}: {exc}") from exc
 
 
@@ -296,7 +276,7 @@ def build_parser() -> _Parser:
             p.add_argument("data", help="CSV with pair_id,position,treated,time,event")
         p.add_argument("--out", help="write a JSON result document here")
         if seed:  # a string default is parsed like the flag
-            p.add_argument("--seed", type=_SEED,
+            p.add_argument("--seed", type=_SEED if data else _STUDY_SEED,
                            default=(os.environ.get(DEFAULT_SEED_ENV) or "0") if data else None,
                            help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)" if data
                            else "RNG seed (default: the config's seed)")
@@ -315,7 +295,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("overall", help="max-type overall test across a grid")
     add_common(p)
-    p.add_argument("--grid", required=True, help="comma-separated times")
+    p.add_argument("--grid", type=_GRID, required=True, help="comma-separated times")
     p.add_argument("--gamma", type=_GAMMA, default=1.0)
     p.add_argument("--include-ppw", action="store_true")
     p.add_argument("--method", choices=("normal", "montecarlo"), default="normal")
@@ -326,8 +306,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sens", help="sensitivity table or sensitivity value")
     add_common(p)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--grid", default=None)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--tau", type=float, default=None)
+    target.add_argument("--grid", type=_GRID, default=None)
     p.add_argument("--alpha", type=_ALPHA, default=0.05)
     p.add_argument("--gamma-grid", type=_gammas, default=None,
                    help="comma-separated gammas")
@@ -341,7 +322,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("closed", help="closed testing for effect duration")
     add_common(p)
-    p.add_argument("--grid", required=True)
+    p.add_argument("--grid", type=_GRID, required=True)
     p.add_argument("--alpha", type=_ALPHA, default=0.05)
     p.add_argument("--gamma", type=_GAMMA, default=1.0)
     p.add_argument("--tol", type=_TOL, default=1e-4)
@@ -376,9 +357,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     try:
+        source = load_csv(args.data) if "data" in args else _load_config(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            seed, result, table = args.func(args)
+            seed, result, table = args.func(source, args)
         unresolved = [w for w in caught if issubclass(w.category, AccuracyNotReached)]
         for w in caught:
             if not issubclass(w.category, AccuracyNotReached):

@@ -117,31 +117,24 @@ CSV_HEADER = ["pair_id", "position", "treated", "time", "event"]
 def load_csv(path) -> PairedSample:
     """Read a sample from CSV with header pair_id,position,treated,time,event.
 
+    Every row has exactly these five fields; blank lines are skipped.
     ``position`` is 1 or 2; ``treated`` and ``event`` are 0/1; times use a
-    ``.`` decimal point.
+    ``.`` decimal point.  Errors name the physical line, so a quoted field
+    spanning lines does not shift the count.
     """
     records = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != CSV_HEADER:
-            raise ValueError(
-                f"expected CSV header {','.join(CSV_HEADER)}, got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != CSV_HEADER:
+            raise ValueError(f"expected CSV header {','.join(CSV_HEADER)}, got {header}")
+        for row in filter(None, reader):
             try:
-                records.append(
-                    (
-                        row["pair_id"],
-                        int(row["position"]),
-                        _parse_binary(row["treated"], "treated"),
-                        float(row["time"]),
-                        _parse_binary(row["event"], "event"),
-                    )
-                )
+                pair_id, position, treated, time, event = row
+                records.append((pair_id, int(position), _parse_binary(treated, "treated"),
+                                float(time), _parse_binary(event, "event")))
             except ValueError as exc:
-                raise ValueError(f"malformed row at line {lineno}: {exc}") from exc
-            except (TypeError, KeyError) as exc:
-                raise ValueError(f"malformed row at line {lineno}: {row!r}") from exc
+                raise ValueError(f"malformed row at line {reader.line_num}: {exc}") from exc
     if not records:
         raise ValueError(f"no data rows in {path}")
     return build_sample(records)

@@ -45,14 +45,11 @@ class SurvivalCurve:
     """Right-continuous step estimate of a survival function.
 
     ``values[k]`` is the estimate at and after ``knots[k]``; before the
-    first knot the curve is 1.  ``n_at_risk``/``n_events`` record the
-    risk-set bookkeeping behind each step.
+    first knot the curve is 1.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    n_at_risk: np.ndarray
-    n_events: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -67,7 +64,7 @@ def km_estimate(times, events) -> SurvivalCurve:
     """
     tk, mk, nk = event_table(times, events)
     values = np.cumprod(1.0 - mk / nk)
-    return SurvivalCurve(knots=tk, values=values, n_at_risk=nk, n_events=mk)
+    return SurvivalCurve(knots=tk, values=values)
 
 
 def km_at(curve: SurvivalCurve, t):

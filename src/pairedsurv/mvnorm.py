@@ -27,6 +27,7 @@ from scipy.special import ndtr, ndtri
 from .errors import AccuracyNotReached
 
 MAX_DIM = 25
+_MAX_POINTS = 2 ** 16  # lattice points per shift before AccuracyNotReached
 _N_SHIFTS = 8
 _PIVOT_FLOOR = 1e-10
 _TINY = 1e-15
@@ -112,11 +113,11 @@ def _integrand_means(low, limits, k_values, shifts, lattice):
     return f.reshape(n_k, n_shift).sum(axis=0)
 
 
-def mvn_cdf(upper, corr, tol=1e-4, seed=0, max_points=2 ** 16):
+def mvn_cdf(upper, corr, tol=1e-4, seed=0):
     """``Pr(X_1 <= a_1, ..., X_L <= a_L)`` for X ~ N(0, corr).
 
     Lattice points double until the error estimate (three standard errors
-    of the mean over the random shifts) is at most ``tol`` or ``max_points``
+    of the mean over the random shifts) is at most ``tol`` or ``_MAX_POINTS``
     is reached; in the latter case an AccuracyNotReached warning is emitted.
     """
     if not tol > 0:
@@ -144,7 +145,7 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, max_points=2 ** 16):
         n_done += block
         means = sums / n_done
         err = 3.0 * means.std(ddof=1) / np.sqrt(_N_SHIFTS)
-        if err <= tol or n_done >= max_points:
+        if err <= tol or n_done >= _MAX_POINTS:
             break
         block = n_done  # double the total each round
     if err > tol:

@@ -102,7 +102,7 @@ def pvalue_normal(t, mean, variance):
     return float(p) if p.ndim == 0 else p
 
 
-def pvalue_exact(scores, t, gamma=1.0, max_pairs=EXACT_PAIR_CAP) -> float:
+def pvalue_exact(scores, t, gamma=1.0) -> float:
     """Worst-case upper tail ``Pr(T >= t)`` by exact enumeration.
 
     Enumerates the 2^k sign patterns over the k pairs with nonzero
@@ -112,9 +112,9 @@ def pvalue_exact(scores, t, gamma=1.0, max_pairs=EXACT_PAIR_CAP) -> float:
     gamma = check_gamma(gamma)
     d = np.asarray(scores, dtype=float)
     mags = np.abs(d[d != 0.0])
-    if mags.size > max_pairs:
+    if mags.size > EXACT_PAIR_CAP:
         raise ValueError(
-            f"{mags.size} informative pairs exceed the exact cap of {max_pairs}"
+            f"{mags.size} informative pairs exceed the exact cap of {EXACT_PAIR_CAP}"
         )
     p_plus = gamma / (1.0 + gamma)
     values = np.zeros(1)

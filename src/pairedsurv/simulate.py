@@ -190,6 +190,14 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
     return mid, r_mid
 
 
+def _floats(values):
+    return tuple(float(v) for v in values)
+
+
+_FIELD_TYPES = {"pairs": int, "replications": int, "alpha": float, "grid": _floats,
+                "seed": int, "gammas": _floats, "mvn_tol": float}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Dimensions of a simulation study."""
@@ -213,22 +221,19 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
+        """Config from a document; a field it leaves out keeps its default."""
+        unknown = set(doc) - {"scenarios", "b", "censoring_form", *_FIELD_TYPES}
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
         censoring_form = doc.get("censoring_form", "covariate_dependent")
         b_over = doc.get("b", {})
         scenarios = tuple(
             scenario_spec(sid, b=b_over.get(sid), censoring_form=censoring_form)
             for sid in doc["scenarios"]
         )
-        return cls(
-            scenarios=scenarios,
-            pairs=int(doc.get("pairs", 500)),
-            replications=int(doc.get("replications", 2000)),
-            alpha=float(doc.get("alpha", 0.05)),
-            grid=tuple(float(t) for t in doc.get("grid", (1, 2, 3, 4, 5))),
-            seed=int(doc.get("seed", 0)),
-            gammas=tuple(float(g) for g in doc.get("gammas", (1.0,))),
-            mvn_tol=float(doc.get("mvn_tol", 5e-4)),
-        )
+        fields = {key: convert(doc[key]) for key, convert in _FIELD_TYPES.items()
+                  if key in doc}
+        return cls(scenarios=scenarios, **fields)
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":

@@ -23,6 +23,7 @@ from pairedsurv import (
     design_sensitivity_study,
     generate_pairs,
     mvn_cdf,
+    mvnorm,
     pair_differences,
     power_study,
     pseudo_observations,
@@ -184,7 +185,7 @@ def test_criterion_5_exact_vs_montecarlo():
 
 # -- criterion 6: MVN integration --------------------------------------------
 
-def test_criterion_6_mvn_integration():
+def test_criterion_6_mvn_integration(monkeypatch):
     # independence factorization at 1e-6
     rng = np.random.default_rng(SEED + 6)
     limits = rng.normal(size=5)
@@ -210,6 +211,7 @@ def test_criterion_6_mvn_integration():
     equi_ok = abs(value - mc) <= 3 * se + 1e-5
 
     # monotonicity on 100 random instances
+    monkeypatch.setattr(mvnorm, "_MAX_POINTS", 2 ** 19)
     mono_ok = True
     for _ in range(100):
         dim = int(rng.integers(2, 7))
@@ -221,8 +223,7 @@ def test_criterion_6_mvn_integration():
         b = rng.normal(size=dim)
         b2 = b.copy()
         b2[int(rng.integers(dim))] += 0.5
-        if (mvn_cdf(b2, c, tol=2e-5, seed=3, max_points=2 ** 19)
-                < mvn_cdf(b, c, tol=2e-5, seed=3, max_points=2 ** 19) - 4e-5):
+        if mvn_cdf(b2, c, tol=2e-5, seed=3) < mvn_cdf(b, c, tol=2e-5, seed=3) - 4e-5:
             mono_ok = False
     ok = report(
         6, "MVN integration", indep_dev <= 1e-6 and equi_ok and mono_ok,

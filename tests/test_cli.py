@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pairedsurv import write_csv
-from pairedsurv.cli import main
+from pairedsurv import StudyConfig, write_csv
+from pairedsurv.cli import build_parser, main
 
 from conftest import simulated_sample
 
@@ -171,8 +172,10 @@ def test_cmd_sens_degenerate_warning_once(sim_csv, capsys):
 
 
 def test_cmd_sens_requires_one_target(sim_csv, capsys):
-    code, _, _ = run(["sens", sim_csv], capsys)
-    assert code == 4
+    for targets in ([], ["--tau", "3", "--grid", "1,2"]):
+        code, _, err = run(["sens", sim_csv, *targets], capsys)
+        assert code == 4
+        assert "--tau" in err and "--grid" in err
 
 
 def test_cmd_sens_ppw_needs_grid(sim_csv, capsys):
@@ -312,6 +315,27 @@ def test_bad_config_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("config, flags", [
+    ({"scenarios": ["ph"], "replication": 2}, []),
+    ({"scenarios": ["ph"], "pairs": 40, "replications": 0}, ["--replications", "2"]),
+])
+def test_config_invalid_on_its_own_exit_4(config, flags, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(["simulate", str(cfg), *flags], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: bad config {cfg}: ")
+
+
+def test_csv_row_with_extra_field_exit_2(tmp_path, capsys):
+    path = tmp_path / "extra.csv"
+    path.write_text("pair_id,position,treated,time,event\n"
+                    "a,1,1,2.0,1,EXTRA\na,2,0,3.0,1\n")
+    code, out, err = run(["test", str(path), "--tau", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "malformed row at line 2" in err
+
+
 BAD_FLAGS = [
     (["closed", "--grid", "1,2,3", "--alpha", "1.5"], None),
     (["sens", "--tau", "3", "--sens-tol", "0"], None),
@@ -325,6 +349,9 @@ BAD_FLAGS = [
     (["overall", "--grid", "1,2,3", "--seed", "-1"], None),
     (["overall", "--grid", "1,2,3", "--tol", "0"], None),
     (["overall", "--grid", "1,2,3", "--tol", "nan"], None),
+    (["overall", "--grid", "1,x"], None),
+    (["sens", "--grid", "2,,4"], None),
+    (["closed", "--grid", "abc"], None),
     (["km", "--seed", "5"], None),
     (["design-sens", "--pairs", "300", "--replications", "7"], None),
 ]
@@ -347,6 +374,29 @@ def test_bad_flag_exit_4(argv, env, sim_csv, tmp_path, capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err.startswith("error: ")
     assert not out_path.exists()
+
+
+def test_bad_grid_rejected_before_data_read(capsys):
+    code, _, err = run(["closed", "/nonexistent.csv", "--grid", "1,x"], capsys)
+    assert code == 4
+    assert "'1,x' is not a comma-separated number list" in err
+
+
+def test_manifest_records_parsed_grid(sim_csv, tmp_path, capsys):
+    out_path = tmp_path / "g.json"
+    code, _, _ = run(["overall", sim_csv, "--grid", "2,4", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert json.loads(out_path.read_text())["manifest"]["options"]["grid"] == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("command, names_env", [
+    ("test", True), ("simulate", False), ("design-sens", False)])
+def test_seed_error_names_env_only_where_read(command, names_env, tmp_path, capsys):
+    # the flag is rejected when parsed, so the input is never opened
+    code, out, err = run([command, str(tmp_path / "input"), "--seed", "-1"], capsys)
+    assert (code, out) == (4, "")
+    assert "'-1' is not a non-negative integer seed" in err
+    assert ("PAIREDSURV_SEED" in err) == names_env
 
 
 def test_missing_data_exit_2(capsys):
@@ -385,10 +435,20 @@ def test_env_seed_used(five_csv, tmp_path, capsys, monkeypatch):
     assert json.loads(out_path.read_text())["manifest"]["seed"] == 321
 
 
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#")[0].split() for line in block.splitlines()
+                if line.startswith("pairedsurv ")]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
+
 def test_bundled_configs_load():
     from importlib import resources
 
     for name in ("table1.cfg", "table2.cfg"):
-        text = resources.files("pairedsurv.configs").joinpath(name).read_text()
-        doc = json.loads(text)
-        assert doc["grid"] == [1, 2, 3, 4, 5]
+        path = resources.files("pairedsurv.configs").joinpath(name)
+        assert json.loads(path.read_text())["grid"] == [1, 2, 3, 4, 5]
+        assert StudyConfig.from_json(path).grid == (1.0, 2.0, 3.0, 4.0, 5.0)

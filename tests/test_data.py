@@ -92,6 +92,28 @@ def test_csv_unparseable_number_names_line(tmp_path):
         load_csv(path)
 
 
+def test_csv_error_names_physical_line(tmp_path):
+    # the quoted pair_id of the first row spans lines 2-3
+    path = tmp_path / "bad.csv"
+    path.write_text('pair_id,position,treated,time,event\n"a\nb",1,1,1.0,1\nc,1,1,x,1\n')
+    with pytest.raises(ValueError, match="malformed row at line 4: .*'x'"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("row", ["a,1,1,2.0,1,EXTRA", "a,1,1,2.0"])
+def test_csv_rejects_wrong_field_count(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"pair_id,position,treated,time,event\n{row}\na,2,0,3.0,1\n")
+    with pytest.raises(ValueError, match="malformed row at line 2: .*values to unpack"):
+        load_csv(path)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("pair_id,position,treated,time,event\na,1,1,2.0,1\n\na,2,0,3.0,1\n\n")
+    assert load_csv(path).times.tolist() == [[2.0, 3.0]]
+
+
 def test_sample_arrays_read_only():
     sample = build_sample(five_pair_records())
     with pytest.raises(ValueError):

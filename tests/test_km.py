@@ -74,7 +74,8 @@ def test_permutation_invariance():
     np.testing.assert_array_equal(curve.values, shuffled.values)
 
 
-def test_risk_set_bookkeeping_exposed():
-    curve = km_estimate([1.0, 2.0, 3.0, 3.0], [True, False, True, True])
-    assert curve.n_at_risk.tolist() == [4, 2]
-    assert curve.n_events.tolist() == [1, 2]
+def test_event_table_risk_sets():
+    t, m, n = event_table([1.0, 2.0, 3.0, 3.0], [True, False, True, True])
+    assert t.tolist() == [1.0, 3.0]
+    assert n.tolist() == [4, 2]
+    assert m.tolist() == [1, 2]

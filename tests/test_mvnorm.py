@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from pairedsurv import mvn_cdf
+from pairedsurv import mvn_cdf, mvnorm
 from pairedsurv.errors import AccuracyNotReached
 
 
@@ -70,7 +70,8 @@ def test_deterministic_given_seed():
     assert mvn_cdf(limits, corr, seed=42) == mvn_cdf(limits, corr, seed=42)
 
 
-def test_monotone_in_limits():
+def test_monotone_in_limits(monkeypatch):
+    monkeypatch.setattr(mvnorm, "_MAX_POINTS", 2 ** 19)
     rng = np.random.default_rng(1)
     for _ in range(40):
         dim = int(rng.integers(2, 6))
@@ -78,8 +79,8 @@ def test_monotone_in_limits():
         limits = rng.normal(size=dim)
         bumped = limits.copy()
         bumped[int(rng.integers(dim))] += 0.4
-        p0 = mvn_cdf(limits, corr, tol=1e-5, seed=7, max_points=2 ** 19)
-        p1 = mvn_cdf(bumped, corr, tol=1e-5, seed=7, max_points=2 ** 19)
+        p0 = mvn_cdf(limits, corr, tol=1e-5, seed=7)
+        p1 = mvn_cdf(bumped, corr, tol=1e-5, seed=7)
         assert p1 >= p0 - 2e-5
 
 
@@ -158,8 +159,9 @@ def test_dimension_cap():
         mvn_cdf(np.zeros(26), np.eye(26))
 
 
-def test_accuracy_flag_warns():
+def test_accuracy_flag_warns(monkeypatch):
+    monkeypatch.setattr(mvnorm, "_MAX_POINTS", 256)
     rng = np.random.default_rng(3)
     corr = random_corr(rng, 6)
     with pytest.warns(AccuracyNotReached):
-        mvn_cdf(rng.normal(size=6), corr, tol=1e-9, max_points=256)
+        mvn_cdf(rng.normal(size=6), corr, tol=1e-9)

@@ -133,8 +133,6 @@ def test_exact_matches_full_enumeration_at_gamma_one():
 def test_exact_cap():
     with pytest.raises(ValueError, match="exceed the exact cap of 20"):
         pvalue_exact(np.ones(21), 0.0, 1.0)
-    # overridable
-    assert pvalue_exact(np.ones(21), 22.0, 1.0, max_pairs=21) == 0.0
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])

@@ -258,6 +258,16 @@ def test_design_study_no_effect_near_one():
         assert value == pytest.approx(1.0, abs=0.05)
 
 
+def test_study_config_defaults_from_dataclass():
+    assert StudyConfig.from_dict({"scenarios": ["ph"]}) == StudyConfig(
+        scenarios=(scenario_spec("ph"),))
+
+
+def test_study_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown config keys \['gamma', 'pair'\]"):
+        StudyConfig.from_dict({"scenarios": ["ph"], "pair": 10, "gamma": [1.5]})
+
+
 def test_study_config_round_trip(tmp_path):
     doc = {
         "scenarios": ["ph", "crossing"],
