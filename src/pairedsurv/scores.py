@@ -32,11 +32,13 @@ def pseudo_observations(times, events, tau):
     """Leave-one-out pseudo-values of the Kaplan-Meier estimate at ``tau``.
 
     For unit u out of n pooled units, ``q_u = n K(tau) - (n-1) K_{-u}(tau)``
-    with ``K_{-u}`` the Kaplan-Meier estimate recomputed without u.  The
-    leave-one-out estimates are obtained from prefix products over the full
-    sample's risk sets (remove u from every risk set at event times up to
-    min(Y_u, tau), and remove its own event if it has one), so the whole
-    vector costs O(n log n).
+    with ``K_{-u}`` the Kaplan-Meier estimate recomputed without u.  Over the
+    event times up to tau, ``K_{-u}(tau)`` is a prefix product times a suffix
+    product: the factors with u removed from the risk set, up to min(Y_u,
+    tau), then the full-sample factors from Y_u to tau.  If u has its own
+    event in that prefix, its factor becomes (n0 - m0) / (n0 - 1): one fewer
+    at risk and one fewer event.  No division by a product is needed, so a zero
+    factor needs no special case, and the whole vector costs O(n log n).
 
     Parameters
     ----------
@@ -55,53 +57,19 @@ def pseudo_observations(times, events, tau):
         raise ValueError("tau must be >= 0")
 
     tk, mk, nk = event_table(t, e)
-    k = tk.size
-    if k == 0:
-        return np.ones(n)
-
-    fact_b = (nk - mk) / nk
-    # Factor with the removed unit taken out of the risk set.  Positions
-    # with nk == 1 get a placeholder: they are only ever reached as a
-    # unit's own event time, where the correction below swaps them out.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fact_a = np.where(nk > 1, (nk - 1.0 - mk) / np.maximum(nk - 1, 1), 1.0)
-
-    zero_a = fact_a == 0.0
-    zero_b = fact_b == 0.0
-    # Zero-aware prefixes: (# zero factors, product of nonzero factors).
-    zca = np.concatenate(([0], np.cumsum(zero_a)))
-    zcb = np.concatenate(([0], np.cumsum(zero_b)))
-    pa = np.concatenate(([1.0], np.cumprod(np.where(zero_a, 1.0, fact_a))))
-    pb = np.concatenate(([1.0], np.cumprod(np.where(zero_b, 1.0, fact_b))))
-
     k_tau = int(np.searchsorted(tk, tau, side="right"))
-    km_tau = 0.0 if zcb[k_tau] > 0 else pb[k_tau]
+    tk, m, r = tk[:k_tau], mk[:k_tau], nk[:k_tau]
+    # r == 1 is reached only as a unit's own event, whose factor is f_own
+    removed = np.where(r > 1, r - 1 - m, 1.0) / np.maximum(r - 1, 1.0)
+    prefix = np.concatenate(([1.0], np.cumprod(removed)))
+    suffix = np.concatenate((np.cumprod(((r - m) / r)[::-1])[::-1], [1.0]))
+    # indexed like prefix: f_own[j] belongs to the j-th event time
+    f_own = np.concatenate(([1.0], np.where(r > 1, r - m, 1.0) / np.maximum(r - 1, 1.0)))
 
-    # Zone A: event times <= min(Y_u, tau), where u was at risk.
-    cut = np.searchsorted(tk, np.minimum(t, tau), side="right")
-    zeros = zca[cut].astype(np.int64)
-    prod = pa[cut].copy()
-
-    # Own-event correction: at u's own event time the reduced sample loses
-    # both one at-risk unit and one event, factor (n0 - m0) / (n0 - 1).
-    own = e & (t <= tau)
-    if np.any(own):
-        k0 = np.searchsorted(tk, t[own])
-        fa0 = fact_a[k0]
-        n0 = nk[k0].astype(float)
-        m0 = mk[k0].astype(float)
-        zeros[own] -= (fa0 == 0.0).astype(np.int64)
-        prod[own] /= np.where(fa0 == 0.0, 1.0, fa0)
-        f_own = np.where(n0 > 1, (n0 - m0) / np.maximum(n0 - 1.0, 1.0), 1.0)
-        zeros[own] += (f_own == 0.0).astype(np.int64)
-        prod[own] *= np.where(f_own == 0.0, 1.0, f_own)
-
-    # Zone B: event times in (Y_u, tau], factors unchanged by the removal.
-    zeros += zcb[k_tau] - zcb[cut]
-    prod *= pb[k_tau] / pb[cut]
-
-    km_loo = np.where(zeros > 0, 0.0, prod)
-    return n * km_tau - (n - 1) * km_loo
+    cut = np.searchsorted(tk, t, side="right")
+    own = e & (t <= tau)  # u's own event is then the cut-th event time
+    km_loo = prefix[cut - own] * np.where(own, f_own[cut], 1.0) * suffix[cut]
+    return n * suffix[0] - (n - 1) * km_loo
 
 
 def logrank_scores(times, events):

@@ -250,7 +250,7 @@ def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
     """Bisection behind ``sensitivity_value``; assumes p_at rises with gamma."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be > 0")
     if p_at(1.0) > alpha:
         return SensitivityValue(1.0, True, False, alpha)

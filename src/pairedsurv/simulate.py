@@ -82,6 +82,8 @@ def scenario_spec(scenario_id, b=None, censoring_form="covariate_dependent") -> 
     """Named scenario with its calibrated default censoring divisor."""
     if scenario_id not in ETA:
         raise ValueError(f"unknown scenario {scenario_id!r}; know {SCENARIO_IDS}")
+    if censoring_form not in CENSORING_FORMS:
+        raise ValueError(f"censoring_form must be one of {CENSORING_FORMS}")
     slope_z, intercept_z, slope_common = ETA[scenario_id]
     if b is None:
         b = DEFAULT_B[(scenario_id, censoring_form)]
@@ -218,15 +220,23 @@ class StudyConfig:
             raise ValueError("alpha must lie in (0, 1)")
         for g in self.gammas:
             check_gamma(g)
+        as_grid(self.grid)
+        if not self.mvn_tol > 0:
+            raise ValueError("mvn_tol must be > 0")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":
         """Config from a document; a field it leaves out keeps its default."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be an object, got {type(doc).__name__}")
         unknown = set(doc) - {"scenarios", "b", "censoring_form", *_FIELD_TYPES}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         censoring_form = doc.get("censoring_form", "covariate_dependent")
         b_over = doc.get("b", {})
+        if not isinstance(b_over, dict):
+            raise ValueError(f"'b' must be an object of scenario: divisor, "
+                             f"got {type(b_over).__name__}")
         scenarios = tuple(
             scenario_spec(sid, b=b_over.get(sid), censoring_form=censoring_form)
             for sid in doc["scenarios"]

@@ -327,6 +327,27 @@ def test_config_invalid_on_its_own_exit_4(config, flags, tmp_path, capsys):
     assert err.startswith(f"error: bad config {cfg}: ")
 
 
+@pytest.mark.parametrize("command", ["simulate", "design-sens"])
+@pytest.mark.parametrize("config, field", [
+    (["scenarios"], "a config must be an object"),
+    ([], "a config must be an object"),
+    ({"scenarios": ["ph"], "b": [3.0], "pairs": 20, "replications": 1}, "'b' must be an object"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "grid": [3, 2, 1]}, "grid"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "grid": [0, 1]}, "grid"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "grid": [1, "nan"]}, "grid"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "mvn_tol": 0}, "mvn_tol"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "mvn_tol": "nan"}, "mvn_tol"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "censoring_form": "x"},
+     "censoring_form"),
+])
+def test_config_shape_and_values_checked_at_load(command, config, field, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run([command, str(cfg)], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"error: bad config {cfg}: ") and field in err
+
+
 def test_csv_row_with_extra_field_exit_2(tmp_path, capsys):
     path = tmp_path / "extra.csv"
     path.write_text("pair_id,position,treated,time,event\n"

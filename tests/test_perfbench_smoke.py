@@ -2,9 +2,10 @@
 
 Imports the benchmark modules from ``perfbench/`` and checks one
 ``power_i500`` op, the ten ``cli_analysis`` commands of the first scenario
-and one ``design_i1e5`` op against ``perfbench/reference/``.  The reference
-recorder's replay of the power study's max test must also agree with
-``power_study``, as ``record_power`` requires.
+and the four ``design_i1e5`` ops (one per scenario) against
+``perfbench/reference/``.  The reference recorder's replay of the power
+study's max test must also agree with ``power_study``, as ``record_power``
+requires.
 """
 
 import sys
@@ -53,4 +54,5 @@ def test_cli_ops_match_reference(tmp_path):
 
 def test_design_op_matches_reference(tmp_path):
     ops = workloads.build("design_i1e5", 0, 1, tmp_path)
-    assert_ops_match_reference("design_i1e5", ops[:1])
+    assert len(ops) == 4
+    assert_ops_match_reference("design_i1e5", ops)

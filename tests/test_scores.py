@@ -55,6 +55,22 @@ def test_fast_equals_naive_on_random_censored_samples():
         np.testing.assert_allclose(fast, naive, atol=1e-10)
 
 
+@pytest.mark.parametrize("times, events, tau", [
+    ([1, 2, 3, 4], [0, 0, 0, 0], 2.5),           # no events
+    ([1, 2, 3, 3], [1, 0, 1, 1], 5.0),           # all at risk fail at the last time <= tau
+    ([1, 2, 3, 4], [0, 1, 0, 1], 4.0),           # the last unit fails alone
+    ([1, 2, 2, 2, 5], [1, 1, 1, 1, 0], 3.0),     # all but one fail at a tied time
+    ([1, 2, 2, 2], [1, 1, 1, 0], 2.0),           # ... the survivor censored there
+    ([1, 2, 3], [1, 1, 0], 0.5),                 # tau before the first event
+    ([1, 2, 2, 3, 4], [1, 1, 0, 1, 1], 2.0),     # tau at a tied event time
+    ([2, 2], [1, 1], 3.0),                       # two units failing together
+    ([1, 1, 1], [1, 0, 0], 1.0),                 # censored ties at an event time = tau
+])
+def test_fast_equals_naive_on_zero_factors_and_edges(times, events, tau):
+    np.testing.assert_allclose(pseudo_observations(times, events, tau),
+                               pseudo_observations_naive(times, events, tau), atol=1e-12)
+
+
 def test_naive_two_units():
     # removing one unit leaves the single-unit estimate
     q = pseudo_observations_naive([1.0, 2.0], [True, True], 1.5)

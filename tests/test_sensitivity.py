@@ -304,6 +304,13 @@ def test_sensitivity_value_exceeds_max():
     assert sv.exceeded_max and sv.value == 1.0001
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+def test_sensitivity_value_rejects_bad_tol(tol):
+    sample = simulated_sample(200, "ph", seed=3)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        sensitivity_value(sample, tau=3.0, tol=tol)
+
+
 def test_sensitivity_value_needs_exactly_one_target():
     sample = simulated_sample(30, "ph", seed=1)
     with pytest.raises(ValueError):

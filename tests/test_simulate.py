@@ -268,6 +268,11 @@ def test_study_config_rejects_unknown_keys():
         StudyConfig.from_dict({"scenarios": ["ph"], "pair": 10, "gamma": [1.5]})
 
 
+def test_scenario_spec_rejects_unknown_censoring_form():
+    with pytest.raises(ValueError, match="censoring_form must be one of"):
+        scenario_spec("ph", censoring_form="x")
+
+
 def test_study_config_round_trip(tmp_path):
     doc = {
         "scenarios": ["ph", "crossing"],
