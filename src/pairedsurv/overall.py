@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from .errors import DegenerateColumnWarning
 from .mvnorm import mvn_cdf
-from .scores import _sign, pair_differences
+from .scores import _sign, pair_difference_matrix, pair_differences
 from .sensitivity import (
     TestResult,
     _score_test,
@@ -69,12 +69,20 @@ class DiffMatrix:
 
 
 def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
-    """Score-difference columns for every grid time (plus optional PPW)."""
+    """Score-difference columns for every grid time (plus optional PPW).
+
+    One call to ``scores.pair_difference_matrix``, so one event table per
+    grid: the pooled units are sorted once and each unit's position among
+    the event times is looked up once, for every column.  Per tau only the
+    cap on that position, the suffix product up to tau and the own-event
+    mask are recomputed; the PPW column reads the same table and positions.
+    Units are processed in blocks of whole pairs, so the arrays made per
+    column are one block long.  Column l equals
+    ``pair_differences(sample, "pseudo", grid[l])`` bit for bit.
+    """
     taus = as_grid(grid)
-    cols = [pair_differences(sample, "pseudo", tau) for tau in taus]
-    if include_ppw:
-        cols.append(-pair_differences(sample, "pw"))
-    return DiffMatrix(taus=taus, D=np.column_stack(cols), has_ppw=include_ppw)
+    D = pair_difference_matrix(sample, taus, include_pw=include_ppw)
+    return DiffMatrix(taus=taus, D=D, has_ppw=include_ppw)
 
 
 def correlations(D) -> np.ndarray:

@@ -28,6 +28,52 @@ import numpy as np
 from .km import _coerce_units, event_table
 
 
+_BLOCK = 1 << 15  # units per block; even, so every block holds whole pairs
+
+
+def _unit_blocks(t, e, taus, with_pw=False):
+    """Unit scores at every tau (then PW scores), one block of units at a time.
+
+    Yields ``(l, units, q)``: ``q`` holds the pseudo-values at ``taus[l]`` of
+    the units in the slice ``units``; with ``with_pw``, ``l == len(taus)``
+    carries their Prentice-Wilcoxon scores.  One event table and one
+    ``cut = searchsorted(tk, t)`` serve every column; see
+    ``pseudo_observations`` for how tau enters.
+    """
+    tk, mk, nk = event_table(t, e)
+    cut = np.searchsorted(tk, t, side="right")
+    k_taus = np.searchsorted(tk, taus, side="right")
+    n = t.size
+    # factors with one unit removed from the risk set; n_k == 1 is reached
+    # only as a unit's own event, whose factor is f_own
+    removed = np.where(nk > 1, nk - 1 - mk, 1.0) / np.maximum(nk - 1, 1.0)
+    prefix = np.concatenate(([1.0], np.cumprod(removed)))
+    # indexed like prefix: f_own[j] belongs to the j-th event time
+    f_own = np.concatenate(([1.0], np.where(nk > 1, nk - mk, 1.0) / np.maximum(nk - 1, 1.0)))
+    full = (nk - mk) / nk
+    blocks = [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
+    for l, (tau, k) in enumerate(zip(taus, k_taus)):
+        suffix = np.concatenate((np.cumprod(full[:k][::-1])[::-1], [1.0]))
+        for units in blocks:
+            c = np.minimum(cut[units], k)
+            own = e[units] & (t[units] <= tau)  # u's own event is then the c-th
+            km_loo = prefix[c - own] * np.where(own, f_own[c], 1.0) * suffix[c]
+            yield l, units, n * suffix[0] - (n - 1) * km_loo
+    if with_pw:
+        # J(Y_u) = j[cut_u]: J after each event time, 1 before the first
+        j = np.concatenate(([1.0], np.cumprod((nk - mk + 1.0) / (nk + 1.0))))
+        for units in blocks:
+            yield len(taus), units, 1.0 - (1.0 + e[units]) * j[cut[units]]
+
+
+def _column(blocks, n):
+    """The (n,) unit scores of a one-column ``_unit_blocks`` run."""
+    out = np.empty(n)
+    for _, units, q in blocks:
+        out[units] = q
+    return out
+
+
 def pseudo_observations(times, events, tau):
     """Leave-one-out pseudo-values of the Kaplan-Meier estimate at ``tau``.
 
@@ -40,6 +86,15 @@ def pseudo_observations(times, events, tau):
     at risk and one fewer event.  No division by a product is needed, so a zero
     factor needs no special case, and the whole vector costs O(n log n).
 
+    This is the one-tau case of the grid kernel behind
+    ``pair_difference_matrix``.  The event table, the removed-unit prefix
+    products, the own-event factors and each unit's position ``cut_u`` among
+    the event times do not depend on tau; tau enters only through the number
+    ``k_tau`` of event times up to it (positions are capped at ``k_tau``),
+    the suffix product of full-sample factors over those times, and the
+    own-event mask ``event_u and Y_u <= tau``.  Units are processed in
+    blocks of ``_BLOCK`` to bound transient memory.
+
     Parameters
     ----------
     times, events : pooled observed times and event flags (2I units).
@@ -50,26 +105,11 @@ def pseudo_observations(times, events, tau):
     (n,) array of pseudo-values, aligned with the input order.
     """
     t, e = _coerce_units(times, events)
-    n = t.size
-    if n < 2:
+    if t.size < 2:
         raise ValueError("pseudo-observations need at least two units")
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
-
-    tk, mk, nk = event_table(t, e)
-    k_tau = int(np.searchsorted(tk, tau, side="right"))
-    tk, m, r = tk[:k_tau], mk[:k_tau], nk[:k_tau]
-    # r == 1 is reached only as a unit's own event, whose factor is f_own
-    removed = np.where(r > 1, r - 1 - m, 1.0) / np.maximum(r - 1, 1.0)
-    prefix = np.concatenate(([1.0], np.cumprod(removed)))
-    suffix = np.concatenate((np.cumprod(((r - m) / r)[::-1])[::-1], [1.0]))
-    # indexed like prefix: f_own[j] belongs to the j-th event time
-    f_own = np.concatenate(([1.0], np.where(r > 1, r - m, 1.0) / np.maximum(r - 1, 1.0)))
-
-    cut = np.searchsorted(tk, t, side="right")
-    own = e & (t <= tau)  # u's own event is then the cut-th event time
-    km_loo = prefix[cut - own] * np.where(own, f_own[cut], 1.0) * suffix[cut]
-    return n * suffix[0] - (n - 1) * km_loo
+    return _column(_unit_blocks(t, e, [tau]), t.size)
 
 
 def logrank_scores(times, events):
@@ -88,10 +128,27 @@ def pw_scores(times, events):
     distinct event times; scores lie in [-1, 1].
     """
     t, e = _coerce_units(times, events)
-    tk, mk, nk = event_table(t, e)
-    j = np.concatenate(([1.0], np.cumprod((nk - mk + 1.0) / (nk + 1.0))))
-    j_at = j[np.searchsorted(tk, t, side="right")]
-    return 1.0 - (1.0 + e.astype(float)) * j_at
+    return _column(_unit_blocks(t, e, [], with_pw=True), t.size)
+
+
+def pair_difference_matrix(sample, taus, include_pw=False) -> np.ndarray:
+    """Pair differences at every tau from one event table, as an (I, L) array.
+
+    Column l equals ``pair_differences(sample, "pseudo", taus[l])`` bit for
+    bit; with ``include_pw`` a trailing column holds
+    ``-pair_differences(sample, "pw")``.  ``taus`` must be >= 0.
+    """
+    t, e = _coerce_units(sample.unit_times, sample.unit_events)
+    n_taus = len(taus)
+    D = np.empty((t.size // 2, n_taus + include_pw))
+    for l, units, q in _unit_blocks(t, e, taus, include_pw):
+        rows = slice(units.start // 2, units.stop // 2)
+        if l < n_taus:
+            q = 1.0 - q
+            D[rows, l] = q[0::2] - q[1::2]
+        else:
+            D[rows, l] = -(q[0::2] - q[1::2])
+    return D
 
 
 SCORE_KINDS = ("pseudo", "logrank", "pw")

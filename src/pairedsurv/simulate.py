@@ -192,12 +192,23 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
     return mid, r_mid
 
 
+def _whole(value):
+    """A JSON number with no fractional part, as int; booleans are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"must be a whole number, got {value!r}")
+
+
 def _floats(values):
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"must be a list of numbers, got {values!r}")
     return tuple(float(v) for v in values)
 
 
-_FIELD_TYPES = {"pairs": int, "replications": int, "alpha": float, "grid": _floats,
-                "seed": int, "gammas": _floats, "mvn_tol": float}
+_FIELD_TYPES = {"pairs": _whole, "replications": _whole, "alpha": float, "grid": _floats,
+                "seed": _whole, "gammas": _floats, "mvn_tol": float}
 
 
 @dataclass(frozen=True)
@@ -237,12 +248,23 @@ class StudyConfig:
         if not isinstance(b_over, dict):
             raise ValueError(f"'b' must be an object of scenario: divisor, "
                              f"got {type(b_over).__name__}")
+        for sid, b in b_over.items():
+            if isinstance(b, bool) or not isinstance(b, (int, float)):
+                raise ValueError(f"'b' of {sid!r} must be a number, got {b!r}")
+        names = doc.get("scenarios")
+        if not (isinstance(names, list) and all(isinstance(sid, str) for sid in names)):
+            raise ValueError(f"'scenarios' must be a list of scenario names, got {names!r}")
         scenarios = tuple(
             scenario_spec(sid, b=b_over.get(sid), censoring_form=censoring_form)
-            for sid in doc["scenarios"]
+            for sid in names
         )
-        fields = {key: convert(doc[key]) for key, convert in _FIELD_TYPES.items()
-                  if key in doc}
+        fields = {}
+        for key, convert in _FIELD_TYPES.items():
+            if key in doc:
+                try:
+                    fields[key] = convert(doc[key])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{key!r} {exc}") from None
         return cls(scenarios=scenarios, **fields)
 
     @classmethod

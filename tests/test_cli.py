@@ -339,6 +339,16 @@ def test_config_invalid_on_its_own_exit_4(config, flags, tmp_path, capsys):
     ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "mvn_tol": "nan"}, "mvn_tol"),
     ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "censoring_form": "x"},
      "censoring_form"),
+    ({"scenarios": ["ph"], "pairs": 20.7, "replications": 1}, "'pairs' must be a whole"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "seed": 1.9},
+     "'seed' must be a whole"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": True}, "'replications' must be a whole"),
+    ({"pairs": 20, "replications": 1}, "'scenarios' must be a list"),
+    ({"scenarios": "ph", "pairs": 20, "replications": 1}, "'scenarios' must be a list"),
+    ({"scenarios": ["ph"], "b": {"ph": "x"}, "pairs": 20, "replications": 1},
+     "'b' of 'ph' must be a number"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "gammas": 1.5},
+     "'gammas' must be a list"),
 ])
 def test_config_shape_and_values_checked_at_load(command, config, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -1,14 +1,19 @@
+import tracemalloc
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from pairedsurv import (
+    PairedSample,
+    StudyConfig,
     build_sample,
     closed_test,
     correlations,
     diff_matrix,
+    event_table,
     generate_pairs,
     null_moments,
     overall_test,
@@ -49,6 +54,38 @@ def test_diff_matrix_column_consistency(five_pairs):
             diff.D[:, l], pair_differences(five_pairs, "pseudo", tau))
     np.testing.assert_array_equal(diff.D[:, 3], -pair_differences(five_pairs, "pw"))
     np.testing.assert_array_equal(diff.sigma, np.sqrt(np.sum(diff.D ** 2, axis=0)))
+
+
+def test_diff_matrix_equals_per_tau_columns_across_blocks():
+    # 40,000 units span a block boundary and end in a partial block; times
+    # rounded up to 0.01 tie, so the grid can hit a tied event time
+    sample = simulated_sample(n_pairs=20_000, seed=4)
+    times = np.ceil(sample.times * 100) / 100
+    sample = PairedSample(times, sample.events, sample.assignment)
+    tk, mk, _ = event_table(sample.unit_times, sample.unit_events)
+    tied = tk[np.flatnonzero(mk > 1)[len(tk) // 4]]
+    grid = (tk[0] / 2, 1.0, tied, sample.unit_times.max() + 3.0)
+    assert len(grid) == len(set(grid)) and 0 < grid[0] < tk[0] < grid[1] < tied
+    expected = np.column_stack(
+        [pair_differences(sample, "pseudo", tau) for tau in grid]
+        + [-pair_differences(sample, "pw")])
+    D = diff_matrix(sample, grid, include_ppw=True).D
+    np.testing.assert_array_equal(D.view(np.int64), expected.view(np.int64))
+
+
+def test_diff_matrix_transient_memory():
+    # the grid kernel works over blocks of pairs: its traced peak stays
+    # within about 1.25x that of building each column on its own (14.5 MiB)
+    table2 = StudyConfig.from_json(resources.files("pairedsurv.configs") / "table2.cfg")
+    sample = generate_pairs(table2.pairs, table2.scenarios[0], seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        diff_matrix(sample, (1.0, 2.0, 3.0, 4.0, 5.0), include_ppw=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 18 * 2 ** 20
 
 
 def test_ppw_column_concordant_on_uncensored_pairs():

@@ -9,7 +9,7 @@ from pairedsurv import (
     pseudo_observations,
     pw_scores,
 )
-from pairedsurv.scores import SCORE_KINDS, _sign
+from pairedsurv.scores import SCORE_KINDS, _sign, _unit_blocks
 
 from conftest import pseudo_observations_naive, random_units
 
@@ -55,7 +55,7 @@ def test_fast_equals_naive_on_random_censored_samples():
         np.testing.assert_allclose(fast, naive, atol=1e-10)
 
 
-@pytest.mark.parametrize("times, events, tau", [
+EDGE_CASES = [
     ([1, 2, 3, 4], [0, 0, 0, 0], 2.5),           # no events
     ([1, 2, 3, 3], [1, 0, 1, 1], 5.0),           # all at risk fail at the last time <= tau
     ([1, 2, 3, 4], [0, 1, 0, 1], 4.0),           # the last unit fails alone
@@ -65,10 +65,26 @@ def test_fast_equals_naive_on_random_censored_samples():
     ([1, 2, 2, 3, 4], [1, 1, 0, 1, 1], 2.0),     # tau at a tied event time
     ([2, 2], [1, 1], 3.0),                       # two units failing together
     ([1, 1, 1], [1, 0, 0], 1.0),                 # censored ties at an event time = tau
-])
+]
+
+
+@pytest.mark.parametrize("times, events, tau", EDGE_CASES)
 def test_fast_equals_naive_on_zero_factors_and_edges(times, events, tau):
     np.testing.assert_allclose(pseudo_observations(times, events, tau),
                                pseudo_observations_naive(times, events, tau), atol=1e-12)
+
+
+def test_multi_tau_build_equals_naive_on_edges():
+    # one build per case over a grid through, between and past every time
+    for times, events, tau in EDGE_CASES:
+        t = np.asarray(times, dtype=float)
+        taus = np.unique(np.concatenate(([0.0, 0.5, tau, t.max() + 3.0], t, t + 0.5)))
+        built = 0
+        for l, _, q in _unit_blocks(t, np.asarray(events, dtype=bool), taus):
+            np.testing.assert_allclose(q, pseudo_observations_naive(t, events, taus[l]),
+                                       atol=1e-12)
+            built += 1
+        assert built == taus.size
 
 
 def test_naive_two_units():

@@ -263,6 +263,12 @@ def test_study_config_defaults_from_dataclass():
         scenarios=(scenario_spec("ph"),))
 
 
+def test_study_config_accepts_integral_floats():
+    config = StudyConfig.from_dict({"scenarios": ["ph"], "pairs": 20.0, "seed": 3.0})
+    assert (config.pairs, config.seed) == (20, 3)
+    assert type(config.pairs) is int and type(config.seed) is int
+
+
 def test_study_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown config keys \['gamma', 'pair'\]"):
         StudyConfig.from_dict({"scenarios": ["ph"], "pair": 10, "gamma": [1.5]})
