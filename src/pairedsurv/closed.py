@@ -37,20 +37,19 @@ class ClosedTestReport:
     """Adjusted p-values and rejection decisions per analysis time.
 
     ``subset_p`` maps each step-down subset evaluated (tuple of taus) to
-    its p-value, at most one subset per grid time.
+    its p-value, at most one subset per grid time.  ``rejected[tau]`` is
+    ``adjusted_p[tau] <= alpha``.
     """
 
     taus: tuple
     adjusted_p: dict
-    rejected: dict
     alpha: float
     gamma: float
     subset_p: dict
 
-    def __post_init__(self):
-        for tau in self.taus:
-            if self.rejected[tau] != (self.adjusted_p[tau] <= self.alpha):
-                raise ValueError("rejection flags must match adjusted p vs alpha")
+    @property
+    def rejected(self) -> dict:
+        return {tau: p <= self.alpha for tau, p in self.adjusted_p.items()}
 
 
 def _subset_seed(seed, mask) -> int:
@@ -90,7 +89,6 @@ def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> Closed
     return ClosedTestReport(
         taus=taus,
         adjusted_p=adjusted,
-        rejected={tau: p <= alpha for tau, p in adjusted.items()},
         alpha=alpha,
         gamma=gamma,
         subset_p=subset_p,

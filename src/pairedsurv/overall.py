@@ -54,11 +54,14 @@ class DiffMatrix:
 
     taus: np.ndarray
     D: np.ndarray
-    has_ppw: bool = False
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", np.sqrt(np.sum(self.D ** 2, axis=0)))
+
+    @property
+    def has_ppw(self) -> bool:
+        return self.D.shape[1] > len(self.taus)
 
     @property
     def labels(self) -> list:
@@ -82,7 +85,7 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     """
     taus = as_grid(grid)
     D = pair_difference_matrix(sample, taus, include_pw=include_ppw)
-    return DiffMatrix(taus=taus, D=D, has_ppw=include_ppw)
+    return DiffMatrix(taus=taus, D=D)
 
 
 def correlations(D) -> np.ndarray:

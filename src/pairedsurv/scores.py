@@ -166,15 +166,16 @@ def _sign(kind: str, direction: str) -> float:
 def pair_differences(sample, kind: str = "pseudo", tau=None) -> np.ndarray:
     """Pooled scores of the requested kind, differenced within pairs.
 
-    Returns the (I,) array of first-unit minus second-unit scores.
+    Returns the (I,) array of first-unit minus second-unit scores.  Only
+    pseudo scores take ``tau``, and they require it.
     """
     if kind not in SCORE_KINDS:
         raise ValueError(f"kind must be one of {SCORE_KINDS}")
+    if (tau is None) == (kind == "pseudo"):
+        raise ValueError(f"{kind} scores {'require' if tau is None else 'take no'} tau")
     t = sample.unit_times
     e = sample.unit_events
     if kind == "pseudo":
-        if tau is None:
-            raise TypeError("pseudo scores require tau")
         q = 1.0 - pseudo_observations(t, e, tau)
     elif kind == "logrank":
         q = logrank_scores(t, e)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -62,34 +63,27 @@ DEFAULT_B = {
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One data-generating process: hazard shape plus censoring model."""
+    """One data-generating process: hazard ``ETA[id]`` plus censoring model.
+
+    Every check on a scenario lives here; ``b`` defaults to ``DEFAULT_B``.
+    """
 
     id: str
-    slope_z: float = 0.0
-    intercept_z: float = 0.0
-    slope_common: float = 0.0
-    b: float = 2.0
+    b: float | None = None
     censoring_form: str = "covariate_dependent"
 
     def __post_init__(self):
-        if self.b <= 1:
-            raise ValueError("need b > 1")
+        if self.id not in ETA:
+            raise ValueError(f"unknown scenario {self.id!r}; know {SCENARIO_IDS}")
         if self.censoring_form not in CENSORING_FORMS:
             raise ValueError(f"censoring_form must be one of {CENSORING_FORMS}")
+        if self.b is None:
+            object.__setattr__(self, "b", DEFAULT_B[(self.id, self.censoring_form)])
+        if not (_is_real(self.b) and self.b > 1):
+            raise ValueError(f"'b' of {self.id!r} must be a number > 1, got {self.b!r}")
 
 
-def scenario_spec(scenario_id, b=None, censoring_form="covariate_dependent") -> ScenarioSpec:
-    """Named scenario with its calibrated default censoring divisor."""
-    if scenario_id not in ETA:
-        raise ValueError(f"unknown scenario {scenario_id!r}; know {SCENARIO_IDS}")
-    if censoring_form not in CENSORING_FORMS:
-        raise ValueError(f"censoring_form must be one of {CENSORING_FORMS}")
-    slope_z, intercept_z, slope_common = ETA[scenario_id]
-    if b is None:
-        b = DEFAULT_B[(scenario_id, censoring_form)]
-    return ScenarioSpec(id=scenario_id, slope_z=slope_z, intercept_z=intercept_z,
-                        slope_common=slope_common, b=b,
-                        censoring_form=censoring_form)
+scenario_spec = ScenarioSpec
 
 
 def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
@@ -103,8 +97,9 @@ def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
     x = np.asarray(x, dtype=float)
     u = np.asarray(uniform_draw, dtype=float)
     target = -np.log(u)
-    k = spec.slope_z * z + spec.slope_common
-    r = LAM * np.exp(x + spec.intercept_z * z)
+    slope_z, intercept_z, slope_common = ETA[spec.id]
+    k = slope_z * z + slope_common
+    r = LAM * np.exp(x + intercept_z * z)
     if k == 0.0:
         out = target / r
     else:
@@ -192,28 +187,41 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
     return mid, r_mid
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value):
+    if not _is_real(value):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _whole(value):
-    """A JSON number with no fractional part, as int; booleans are refused."""
-    if isinstance(value, float) and value.is_integer():
+    """A number with no fractional part, as int; booleans are refused."""
+    if _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     raise ValueError(f"must be a whole number, got {value!r}")
 
 
 def _floats(values):
-    if not isinstance(values, (list, tuple)):
+    if not (isinstance(values, (list, tuple)) and all(map(_is_real, values))):
         raise ValueError(f"must be a list of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
+    return tuple(map(float, values))
 
 
-_FIELD_TYPES = {"pairs": _whole, "replications": _whole, "alpha": float, "grid": _floats,
-                "seed": _whole, "gammas": _floats, "mvn_tol": float}
+_FIELD_TYPES = {"pairs": _whole, "replications": _whole, "alpha": _real, "grid": _floats,
+                "seed": _whole, "gammas": _floats, "mvn_tol": _real}
 
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Dimensions of a simulation study."""
+    """Dimensions of a simulation study.
+
+    Every check on a study value lives here, so a config read from JSON,
+    built directly or changed by ``dataclasses.replace`` passes the same
+    ones; ``from_dict`` only maps a document onto this class and ScenarioSpec.
+    """
 
     scenarios: tuple
     pairs: int = 500
@@ -225,8 +233,15 @@ class StudyConfig:
     mvn_tol: float = 5e-4
 
     def __post_init__(self):
-        if self.replications < 1 or self.pairs < 2:
-            raise ValueError("need replications >= 1 and pairs >= 2")
+        for key, convert in _FIELD_TYPES.items():
+            try:
+                object.__setattr__(self, key, convert(getattr(self, key)))
+            except (OverflowError, ValueError) as exc:
+                raise ValueError(f"{key!r} {exc}") from None
+        if not self.scenarios:
+            raise ValueError("'scenarios' must list at least one scenario")
+        if self.replications < 1 or self.pairs < 2 or self.seed < 0:
+            raise ValueError("need replications >= 1, pairs >= 2 and seed >= 0")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         for g in self.gammas:
@@ -243,29 +258,18 @@ class StudyConfig:
         unknown = set(doc) - {"scenarios", "b", "censoring_form", *_FIELD_TYPES}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        censoring_form = doc.get("censoring_form", "covariate_dependent")
-        b_over = doc.get("b", {})
-        if not isinstance(b_over, dict):
-            raise ValueError(f"'b' must be an object of scenario: divisor, "
-                             f"got {type(b_over).__name__}")
-        for sid, b in b_over.items():
-            if isinstance(b, bool) or not isinstance(b, (int, float)):
-                raise ValueError(f"'b' of {sid!r} must be a number, got {b!r}")
+        b = doc.get("b", {})
+        if not isinstance(b, dict):
+            raise ValueError(f"'b' must be an object of scenario: divisor, got {type(b).__name__}")
         names = doc.get("scenarios")
         if not (isinstance(names, list) and all(isinstance(sid, str) for sid in names)):
             raise ValueError(f"'scenarios' must be a list of scenario names, got {names!r}")
-        scenarios = tuple(
-            scenario_spec(sid, b=b_over.get(sid), censoring_form=censoring_form)
-            for sid in names
-        )
-        fields = {}
-        for key, convert in _FIELD_TYPES.items():
-            if key in doc:
-                try:
-                    fields[key] = convert(doc[key])
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"{key!r} {exc}") from None
-        return cls(scenarios=scenarios, **fields)
+        unlisted = set(b) - set(names)
+        if unlisted:
+            raise ValueError(f"'b' names scenarios the config does not list: {sorted(unlisted)}")
+        form = doc.get("censoring_form", "covariate_dependent")
+        return cls(scenarios=tuple(ScenarioSpec(sid, b.get(sid), form) for sid in names),
+                   **{k: doc[k] for k in _FIELD_TYPES if k in doc})
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
@@ -273,18 +277,11 @@ class StudyConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "scenarios": [s.id for s in self.scenarios],
-            "b": {s.id: s.b for s in self.scenarios},
-            "censoring_form": self.scenarios[0].censoring_form if self.scenarios else None,
-            "pairs": self.pairs,
-            "replications": self.replications,
-            "alpha": self.alpha,
-            "grid": list(self.grid),
-            "seed": self.seed,
-            "gammas": list(self.gammas),
-            "mvn_tol": self.mvn_tol,
-        }
+        return {"scenarios": [s.id for s in self.scenarios],
+                "b": {s.id: s.b for s in self.scenarios},
+                "censoring_form": self.scenarios[0].censoring_form,
+                **{k: getattr(self, k) for k in _FIELD_TYPES},
+                "grid": list(self.grid), "gammas": list(self.gammas)}
 
 
 def _rep_seed(master, scenario_id, rep, salt=0):

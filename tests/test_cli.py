@@ -349,6 +349,17 @@ def test_config_invalid_on_its_own_exit_4(config, flags, tmp_path, capsys):
      "'b' of 'ph' must be a number"),
     ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "gammas": 1.5},
      "'gammas' must be a list"),
+    # json.dumps writes the float NaN as the JSON text NaN, which json.load reads back
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "b": {"ph": float("nan")}},
+     "'b' of 'ph'"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "seed": -1}, "seed"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "b": {"crossing": 3}}, "crossing"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "grid": [True, 2]}, "'grid'"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "grid": ["1", 2]}, "'grid'"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "gammas": ["1.5"]}, "'gammas'"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "mvn_tol": "0.001"}, "'mvn_tol'"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "alpha": "0.05"}, "'alpha'"),
+    ({"scenarios": [], "pairs": 20, "replications": 1}, "'scenarios'"),
 ])
 def test_config_shape_and_values_checked_at_load(command, config, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from pairedsurv import (
     pair_differences,
     pseudo_observations,
     pw_scores,
+    time_specific_test,
 )
 from pairedsurv.scores import SCORE_KINDS, _sign, _unit_blocks
 
@@ -219,8 +220,16 @@ def test_pair_differences_are_unit_score_differences(five_pairs):
 
 
 def test_pseudo_requires_tau(five_pairs):
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="pseudo scores require tau"):
         pair_differences(five_pairs, "pseudo")
+    with pytest.raises(ValueError, match="pseudo scores require tau"):
+        time_specific_test(five_pairs, None)
+
+
+@pytest.mark.parametrize("kind, tau", [("pw", 3.0), ("logrank", -5), ("logrank", 0.0)])
+def test_tau_refused_by_tau_free_scores(five_pairs, kind, tau):
+    with pytest.raises(ValueError, match=f"{kind} scores take no tau"):
+        pair_differences(five_pairs, kind, tau)
 
 
 def test_sign_mapping():

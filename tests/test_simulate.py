@@ -1,11 +1,15 @@
+import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import pairedsurv
 from pairedsurv import (
+    ScenarioSpec,
     StudyConfig,
     calibrate_b,
     design_sensitivity_study,
@@ -20,13 +24,14 @@ from pairedsurv import (
     time_specific_test,
 )
 from pairedsurv.errors import DegenerateColumnWarning
-from pairedsurv.simulate import ETA, LAM, _rep_seed
+from pairedsurv.simulate import DEFAULT_B, ETA, LAM, _rep_seed
 
 
 def hazard(spec, t, x, z):
     """Instantaneous event hazard at time t for arm z."""
     t = np.asarray(t, dtype=float)
-    eta = (spec.slope_z * t + spec.intercept_z) * z + spec.slope_common * t
+    slope_z, intercept_z, slope_common = ETA[spec.id]
+    eta = (slope_z * t + intercept_z) * z + slope_common * t
     return LAM * np.exp(np.asarray(x, dtype=float) + eta)
 
 
@@ -83,9 +88,7 @@ def test_inversion_matches_simpson_at_scale():
         ok = np.isfinite(s) & (s <= 10.0)
         xs, zs, ss = x[ok], z[ok], s[ok]
         grid = np.linspace(0.0, 1.0, 2 * nodes + 1)[None, :] * ss[:, None]
-        eta = (spec.slope_z * grid + spec.intercept_z) * zs[:, None] \
-            + spec.slope_common * grid
-        haz = LAM * np.exp(xs[:, None] + eta)
+        haz = hazard(spec, grid, xs[:, None], zs[:, None])
         h = ss / (2 * nodes)
         weights = np.ones(2 * nodes + 1)
         weights[1:-1:2] = 4.0
@@ -279,6 +282,42 @@ def test_scenario_spec_rejects_unknown_censoring_form():
         scenario_spec("ph", censoring_form="x")
 
 
+def test_scenario_spec_is_its_name():
+    assert pairedsurv.scenario_spec is pairedsurv.ScenarioSpec
+    assert [f.name for f in dataclasses.fields(ScenarioSpec)] == ["id", "b", "censoring_form"]
+    spec = scenario_spec("late_div", censoring_form="covariate_free")
+    assert spec.b == DEFAULT_B[("late_div", "covariate_free")]
+
+
+@pytest.mark.parametrize("sid, b, match", [
+    ("ph", float("nan"), "'b' of 'ph' must be a number > 1"),
+    ("ph", True, "'b' of 'ph' must be a number > 1"),
+    ("ph", "3", "'b' of 'ph' must be a number > 1"),
+    ("ph", 1.0, "'b' of 'ph' must be a number > 1"),
+    ("nope", None, "unknown scenario 'nope'"),
+])
+def test_scenario_spec_rejects_bad_values(sid, b, match):
+    with pytest.raises(ValueError, match=match):
+        scenario_spec(sid, b=b)
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"seed": -1}, "seed"),
+    ({"pairs": 20.5}, "'pairs' must be a whole"),
+    ({"alpha": "0.05"}, "'alpha' must be a number"),
+    ({"mvn_tol": True}, "'mvn_tol' must be a number"),
+    ({"grid": (True, 2.0)}, "'grid' must be a list of numbers"),
+    ({"gammas": ("1.5",)}, "'gammas' must be a list of numbers"),
+    ({"scenarios": ()}, "'scenarios' must list at least one scenario"),
+])
+def test_study_config_checks_built_and_replaced_alike(change, field):
+    base = StudyConfig(scenarios=(scenario_spec("ph"),), pairs=20, replications=1)
+    with pytest.raises(ValueError, match=field):
+        StudyConfig(**{"scenarios": base.scenarios, **change})
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(base, **change)
+
+
 def test_study_config_round_trip(tmp_path):
     doc = {
         "scenarios": ["ph", "crossing"],
@@ -297,3 +336,8 @@ def test_study_config_round_trip(tmp_path):
     assert config.scenarios[0].censoring_form == "covariate_free"
     back = config.to_dict()
     assert back["pairs"] == 100 and back["grid"] == [1.0, 2.0, 3.0]
+    assert StudyConfig.from_dict(back) == config
+    configs = Path(pairedsurv.__file__).parent / "configs"
+    for name in ("table1.cfg", "table2.cfg"):
+        bundled = StudyConfig.from_json(configs / name)
+        assert StudyConfig.from_dict(bundled.to_dict()) == bundled
