@@ -8,7 +8,11 @@ absolute-product correlation matrix.  A standardized Prentice-Wilcoxon
 column can be appended so the max also covers a whole-period comparison.
 The p-value is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the
 column tails ``p_l``, so a tiny p keeps its digits and one column gives
-its exact normal tail.  ``_max_corr`` holds the gamma -> correlation rule.
+its exact normal tail.  A caller that only compares p with alpha (the
+power study, the sensitivity search) takes the decision from those bounds
+when one of them decides, and integrates only when they straddle alpha;
+its decisions are the same as with the integrated p.  ``_max_corr`` holds
+the gamma -> correlation rule.
 """
 
 from __future__ import annotations
@@ -110,13 +114,20 @@ def _max_corr(D, gamma) -> np.ndarray:
 
 
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
-                           tol=1e-4, seed=0, n_draws=100_000):
+                           tol=1e-4, seed=0, n_draws=100_000, alpha=None):
     """p-value machinery for the max statistic on already-built columns.
 
     ``orient`` is +1 to test the upper tail of the stored columns and -1
     for the lower tail (the benefit direction of pseudo columns).  Columns
     with zero dispersion are dropped; with none left the result is
     (nan, 1).  ``gamma`` must already be checked.  Returns (m, p).
+
+    With ``alpha`` (normal method only) the returned p is a deciding bound,
+    not the p-value: when the largest column tail exceeds alpha, or the
+    capped sum of the column tails is at most alpha, that bound is returned
+    without integrating.  The integrated p is clipped into the same bounds,
+    so ``p <= alpha`` has the same answer either way; only when the bounds
+    straddle alpha is the MVN integrated.
     """
     keep = sigma > 0.0
     if not np.any(keep):
@@ -138,8 +149,11 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
     # the max's tail lies between the largest column tail and their sum
     tails = ndtr(-limits)
+    low, high = float(tails.max()), min(1.0, float(tails.sum()))
+    if alpha is not None and not low <= alpha < high:
+        return m, low if low > alpha else high
     p = 1.0 - mvn_cdf(limits, _max_corr(D, gamma), tol=tol, seed=seed)
-    return m, float(np.clip(p, tails.max(), min(1.0, tails.sum())))
+    return m, float(np.clip(p, low, high))
 
 
 def _max_diff(sample, grid, include_ppw) -> DiffMatrix:

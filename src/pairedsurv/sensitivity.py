@@ -222,7 +222,9 @@ def sensitivity_value(sample, tau=None, grid=None, alpha=0.05, tol=1e-3,
     Returns gamma = 1 flagged ``already_sensitive`` when even the
     randomization p-value exceeds alpha, and ``gamma_max`` flagged
     ``exceeded_max`` when the worst-case p-value stays below alpha on the
-    whole range.
+    whole range.  With ``grid``, each step is decided from the column-tail
+    bounds of the max test when one of them settles ``p <= alpha``, and the
+    MVN is integrated only otherwise; the result is unchanged.
     """
     if (tau is None) == (grid is None):
         raise ValueError("give exactly one of tau or grid")
@@ -231,35 +233,43 @@ def sensitivity_value(sample, tau=None, grid=None, alpha=0.05, tol=1e-3,
 
 
 def _worst_case_p(sample, tau, grid, direction, include_ppw, seed, mvn_tol=1e-4):
-    """gamma -> worst-case normal p-value, with the scores built once."""
+    """``(gamma, alpha=None) -> worst-case normal p``, with the scores built once.
+
+    Given ``alpha``, a grid's max test may return a bound on the same side
+    of alpha as its p instead (see ``overall._max_test_from_columns``).
+    """
     sign = _sign("pseudo", direction)
     if tau is not None:
         if include_ppw:
             raise ValueError("include_ppw applies only to a grid")
         scores = pair_differences(sample, "pseudo", tau)
-        return lambda g: _score_test(scores, sample, g, "normal", sign,
-                                     tau).p_value
-    from .overall import _max_diff, _test_diff
+        return lambda g, alpha=None: _score_test(scores, sample, g, "normal",
+                                                 sign, tau).p_value
+    from .overall import _max_diff, _max_test_from_columns
 
     diff = _max_diff(sample, grid, include_ppw)
-    return lambda g: _test_diff(diff, sample.assignment, g, "normal", direction,
-                                mvn_tol, seed).p_value
+    return lambda g, alpha=None: _max_test_from_columns(
+        diff.D, diff.sigma, sample.assignment, check_gamma(g), "normal", sign,
+        tol=mvn_tol, seed=seed, alpha=alpha)[1]
 
 
 def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
-    """Bisection behind ``sensitivity_value``; assumes p_at rises with gamma."""
+    """Bisection behind ``sensitivity_value``; assumes p_at rises with gamma.
+
+    ``p_at(gamma, alpha)`` need only fall on the same side of alpha as p.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    if p_at(1.0) > alpha:
+    if p_at(1.0, alpha) > alpha:
         return SensitivityValue(1.0, True, False, alpha)
-    if p_at(gamma_max) <= alpha:
+    if p_at(gamma_max, alpha) <= alpha:
         return SensitivityValue(gamma_max, False, True, alpha)
     lo, hi = 1.0, gamma_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if p_at(mid) <= alpha:
+        if p_at(mid, alpha) <= alpha:
             lo = mid
         else:
             hi = mid

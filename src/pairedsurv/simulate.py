@@ -79,8 +79,13 @@ class ScenarioSpec:
             raise ValueError(f"censoring_form must be one of {CENSORING_FORMS}")
         if self.b is None:
             object.__setattr__(self, "b", DEFAULT_B[(self.id, self.censoring_form)])
-        if not (_is_real(self.b) and self.b > 1):
-            raise ValueError(f"'b' of {self.id!r} must be a number > 1, got {self.b!r}")
+        try:
+            ok = _is_real(self.b) and 1.0 < float(self.b) < math.inf
+        except OverflowError:  # an int too large for a float
+            ok = False
+        if not ok:
+            raise ValueError(f"'b' of {self.id!r} must be a number > 1 and finite, "
+                             f"got {self.b!r}")
 
 
 scenario_spec = ScenarioSpec
@@ -240,6 +245,8 @@ class StudyConfig:
                 raise ValueError(f"{key!r} {exc}") from None
         if not self.scenarios:
             raise ValueError("'scenarios' must list at least one scenario")
+        if not self.gammas:
+            raise ValueError("'gammas' must list at least one gamma")
         if self.replications < 1 or self.pairs < 2 or self.seed < 0:
             raise ValueError("need replications >= 1, pairs >= 2 and seed >= 0")
         if not 0.0 < self.alpha < 1.0:
@@ -323,7 +330,9 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
 
     Every test is run in the benefit direction.  Replications use derived
     seeds keyed by (master seed, scenario, replication), so results do not
-    depend on evaluation order or worker count.
+    depend on evaluation order or worker count.  A max test is decided from
+    its column-tail bounds when one of them settles ``p <= alpha``, and
+    integrated only otherwise; the counts equal those of the integrated p.
     """
     grid = as_grid(config.grid)
     n_taus = len(grid)
@@ -343,7 +352,7 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
                 _, p_max = _max_test_from_columns(
                     diff.D[:, :n_taus], diff.sigma[:n_taus], sample.assignment,
                     gamma, "normal", orient=benefit, tol=config.mvn_tol,
-                    seed=mvn_seed)
+                    seed=mvn_seed, alpha=config.alpha)
                 for name, p in zip(names, [*p_cols, p_max]):
                     key = (spec.id, gamma, name)
                     counts[key] = counts.get(key, 0) + (p <= config.alpha)

@@ -9,6 +9,7 @@ from pairedsurv import (
     km_estimate,
     scenario_spec,
 )
+from pairedsurv import overall
 from pairedsurv.closed import _subset_seed
 from pairedsurv.overall import _max_test_from_columns, as_grid
 from pairedsurv.sensitivity import check_gamma
@@ -99,3 +100,17 @@ def closed_test_brute_force(sample, grid, gamma=1.0, seed=0, tol=1e-4):
     adjusted = {tau: max(p for key, p in subset_p.items() if tau in key)
                 for tau in taus}
     return adjusted, subset_p
+
+
+def count_mvn_calls(monkeypatch) -> list:
+    """Record every ``mvn_cdf`` call the max-type tests make; returns the
+    list that grows by one entry (the dimension) per call."""
+    calls = []
+    real = overall.mvn_cdf
+
+    def counted(upper, *args, **kwargs):
+        calls.append(len(upper))
+        return real(upper, *args, **kwargs)
+
+    monkeypatch.setattr(overall, "mvn_cdf", counted)
+    return calls

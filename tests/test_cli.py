@@ -360,6 +360,13 @@ def test_config_invalid_on_its_own_exit_4(config, flags, tmp_path, capsys):
     ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "mvn_tol": "0.001"}, "'mvn_tol'"),
     ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "alpha": "0.05"}, "'alpha'"),
     ({"scenarios": [], "pairs": 20, "replications": 1}, "'scenarios'"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "gammas": []}, "'gammas'"),
+    # an integer too large for a float, and the JSON text Infinity, which
+    # json.load reads as inf (as it reads 1e400)
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "b": {"ph": 10 ** 400}},
+     "'b' of 'ph'"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "b": {"ph": float("inf")}},
+     "'b' of 'ph'"),
 ])
 def test_config_shape_and_values_checked_at_load(command, config, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

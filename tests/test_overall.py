@@ -23,9 +23,10 @@ from pairedsurv import (
     time_specific_test,
 )
 from pairedsurv.errors import DegenerateColumnWarning
-from pairedsurv.overall import as_grid
+from pairedsurv.overall import _max_test_from_columns, as_grid
+from pairedsurv.simulate import SCENARIO_IDS
 
-from conftest import simulated_sample
+from conftest import count_mvn_calls, simulated_sample
 
 
 def test_time_grid_validation():
@@ -230,6 +231,63 @@ def test_montecarlo_vs_normal_overall():
     # the shared-sign coupling is exact at gamma=1 only up to sign concordance;
     # they agree closely on strongly concordant samples
     assert mc == pytest.approx(normal, abs=0.02)
+
+
+def _column_tail_bounds(args):
+    """[max_l p_l, min(1, sum_l p_l)] of a max test: the values it returns at
+    alpha = 0 and alpha = 1, checked against the column tails recomputed."""
+    D, sigma, assignment, gamma = args[:4]
+    low = _max_test_from_columns(*args, alpha=0.0)[1]
+    high = _max_test_from_columns(*args, alpha=1.0)[1]
+    mean, variance = null_moments(D, gamma)
+    m = np.max(args[5] * (D.T @ assignment) / sigma)
+    tails = ndtr(-(m * sigma - mean) / np.sqrt(variance))
+    assert low == pytest.approx(tails.max(), rel=1e-12)
+    assert high == pytest.approx(min(1.0, tails.sum()), rel=1e-12)
+    return low, high
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_IDS)
+def test_alpha_bound_decides_as_integrated_p(scenario, monkeypatch):
+    calls = count_mvn_calls(monkeypatch)
+    grid = (1.0, 2.0, 3.0, 4.0, 5.0)
+    outcomes = set()
+    for seed in range(3):
+        sample = simulated_sample(200, scenario, seed=seed)
+        diff = diff_matrix(sample, grid, include_ppw=True)
+        for gamma in (1.0, 1.25, 1.5):
+            args = (diff.D, diff.sigma, sample.assignment, gamma, "normal", -1.0)
+            _, p = _max_test_from_columns(*args, seed=seed)
+            low, high = _column_tail_bounds(args)
+            for alpha in (0.01, 0.05, 0.1):
+                before = len(calls)
+                _, q = _max_test_from_columns(*args, seed=seed, alpha=alpha)
+                assert (q <= alpha) == (p <= alpha)
+                if low > alpha or high <= alpha:
+                    assert len(calls) == before
+                    assert q == (low if low > alpha else high)
+                    outcomes.add("bound")
+                else:
+                    assert len(calls) == before + 1
+                    assert q == p
+                    outcomes.add("integrated")
+    assert "bound" in outcomes
+
+
+def test_alpha_at_the_bounds(monkeypatch):
+    sample = simulated_sample(200, "ph", seed=1)
+    diff = diff_matrix(sample, (1.0, 2.0, 3.0))
+    args = (diff.D, diff.sigma, sample.assignment, 1.0, "normal", -1.0)
+    low, high = _column_tail_bounds(args)
+    assert low < high < 1.0
+    calls = count_mvn_calls(monkeypatch)
+    # alpha at the capped sum: rejected, without integrating
+    assert _max_test_from_columns(*args, alpha=high)[1] == high
+    assert calls == []
+    # alpha at the largest column tail decides nothing: integrated
+    _, q = _max_test_from_columns(*args, alpha=low)
+    assert calls == [3]
+    assert q == _max_test_from_columns(*args)[1]
 
 
 def test_montecarlo_needs_draws():

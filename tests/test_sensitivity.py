@@ -21,6 +21,7 @@ from pairedsurv import (
     write_csv,
 )
 from pairedsurv.cli import main
+from pairedsurv.sensitivity import _search
 
 from conftest import simulated_sample
 
@@ -336,3 +337,25 @@ def test_sensitivity_value_overall_grid_target():
         assert p_lo <= 0.05 <= p_hi
     else:
         assert sv.value in (1.0, 10.0)
+
+
+@pytest.mark.parametrize("scenario, seed, gamma_max", [
+    ("ph", 0, 10.0),
+    ("crossing", 2, 10.0),
+    ("late_div", 2, 10.0),
+    ("no_effect", 0, 10.0),
+    # gamma_max below ph seed 0's value 1.3771..., exactly on it, and at 1
+    ("ph", 0, 1.2),
+    ("ph", 0, 1.377105712890625),
+    ("ph", 0, 1.0),
+])
+def test_grid_sensitivity_value_equals_always_integrating_search(scenario, seed,
+                                                                gamma_max):
+    sample = simulated_sample(300, scenario, seed=seed)
+    grid = (1.0, 2.0, 3.0, 4.0, 5.0)
+
+    def p_at(gamma, alpha=None):  # the integrated p, whatever alpha is
+        return overall_test(sample, grid, gamma=gamma, include_ppw=True).p_value
+
+    assert (sensitivity_value(sample, grid=grid, include_ppw=True, gamma_max=gamma_max)
+            == _search(p_at, 0.05, 1e-3, gamma_max))

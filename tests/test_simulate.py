@@ -26,6 +26,8 @@ from pairedsurv import (
 from pairedsurv.errors import DegenerateColumnWarning
 from pairedsurv.simulate import DEFAULT_B, ETA, LAM, _rep_seed
 
+from conftest import count_mvn_calls
+
 
 def hazard(spec, t, x, z):
     """Instantaneous event hazard at time t for arm z."""
@@ -214,7 +216,7 @@ def test_power_study_deterministic_and_shaped():
 
 def test_power_study_matches_public_tests():
     config = StudyConfig(scenarios=tuple(scenario_spec(sid) for sid in ETA),
-                         pairs=60, replications=3, gammas=(1.0, 1.25), seed=4)
+                         pairs=60, replications=3, gammas=(1.0, 1.25, 1.5), seed=4)
     counts = {}
     for spec in config.scenarios:
         for rep in range(config.replications):
@@ -236,6 +238,16 @@ def test_power_study_matches_public_tests():
     rows = power_study(config).rows
     assert {(r.scenario, r.gamma, r.test): r.rejections for r in rows} == counts
     assert sum(counts.values()) > 0
+
+
+def test_power_study_integrates_at_most_half_its_max_tests(monkeypatch):
+    # 5 scenarios x 4 replications x 2 gammas = 40 max tests; an always-
+    # integrating study makes one mvn_cdf call for each
+    calls = count_mvn_calls(monkeypatch)
+    config = StudyConfig(scenarios=tuple(scenario_spec(sid) for sid in ETA),
+                         pairs=200, replications=4, gammas=(1.0, 1.25))
+    power_study(config)
+    assert len(calls) <= 20
 
 
 def test_power_rows_monotone_in_gamma():
@@ -294,6 +306,8 @@ def test_scenario_spec_is_its_name():
     ("ph", True, "'b' of 'ph' must be a number > 1"),
     ("ph", "3", "'b' of 'ph' must be a number > 1"),
     ("ph", 1.0, "'b' of 'ph' must be a number > 1"),
+    ("ph", float("inf"), "'b' of 'ph' must be a number > 1 and finite"),
+    ("ph", 10 ** 400, "'b' of 'ph' must be a number > 1 and finite"),
     ("nope", None, "unknown scenario 'nope'"),
 ])
 def test_scenario_spec_rejects_bad_values(sid, b, match):
@@ -309,6 +323,7 @@ def test_scenario_spec_rejects_bad_values(sid, b, match):
     ({"grid": (True, 2.0)}, "'grid' must be a list of numbers"),
     ({"gammas": ("1.5",)}, "'gammas' must be a list of numbers"),
     ({"scenarios": ()}, "'scenarios' must list at least one scenario"),
+    ({"gammas": ()}, "'gammas' must list at least one gamma"),
 ])
 def test_study_config_checks_built_and_replaced_alike(change, field):
     base = StudyConfig(scenarios=(scenario_spec("ph"),), pairs=20, replications=1)
