@@ -142,15 +142,16 @@ def cmd_test(sample, args) -> tuple:
 
 def cmd_overall(sample, args) -> tuple:
     diff = _max_diff(sample, args.grid, args.include_ppw)
-    res = _test_diff(diff, sample.assignment, args.gamma, args.method,
-                     args.direction, args.tol, args.seed, n_draws=args.draws)
+    res = _test_diff(diff, sample.assignment, args.gamma, args.direction,
+                     args.tol, args.seed)
     print(f"max-type overall test, gamma={args.gamma:g}, {args.direction}, "
           f"method={res.method}")
     print(f"  statistic {res.statistic:.3f}   p-value {res.p_value:.3f}")
-    if np.all(diff.sigma > 0):
-        mat = _max_corr(diff.D, res.gamma)
-        print(f"  correlation matrix ({mat.shape[0]} columns: "
-              f"{', '.join(str(l) for l in diff.labels)}):")
+    live = diff.sigma > 0
+    if np.any(live):
+        mat = _max_corr(diff.D[:, live], res.gamma)
+        labels = [str(l) for l, ok in zip(diff.labels, live) if ok]
+        print(f"  correlation matrix ({mat.shape[0]} columns: {', '.join(labels)}):")
         for row in mat:
             print("    " + " ".join(f"{v:6.3f}" for v in row))
     doc = asdict(res)
@@ -298,10 +299,8 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", type=_GRID, required=True, help="comma-separated times")
     p.add_argument("--gamma", type=_GAMMA, default=1.0)
     p.add_argument("--include-ppw", action="store_true")
-    p.add_argument("--method", choices=("normal", "montecarlo"), default="normal")
     p.add_argument("--direction", choices=("benefit", "harm"), default="benefit")
     p.add_argument("--tol", type=_TOL, default=1e-4)
-    p.add_argument("--draws", type=_DRAWS, default=100_000)
     p.set_defaults(func=cmd_overall)
 
     p = sub.add_parser("sens", help="sensitivity table or sensitivity value")

@@ -2,7 +2,8 @@
 
 The statistic is the maximum of the per-time standardized paired
 statistics.  Its randomization p-value comes from the multivariate normal
-CDF with the empirical score correlation matrix; for gamma > 1 the
+CDF with the empirical score correlation matrix, the only method the max
+test has (Monte Carlo serves one-column tests only); for gamma > 1 the
 worst-case bound uses per-column worst-case moments and the
 absolute-product correlation matrix.  A standardized Prentice-Wilcoxon
 column can be appended so the max also covers a whole-period comparison.
@@ -26,13 +27,7 @@ from scipy.special import ndtr
 from .errors import DegenerateColumnWarning
 from .mvnorm import mvn_cdf
 from .scores import _sign, pair_difference_matrix, pair_differences
-from .sensitivity import (
-    TestResult,
-    _score_test,
-    _sign_tail,
-    check_gamma,
-    null_moments,
-)
+from .sensitivity import TestResult, _score_test, check_gamma, null_moments
 
 
 def as_grid(grid) -> np.ndarray:
@@ -114,35 +109,31 @@ def _max_corr(D, gamma) -> np.ndarray:
 
 
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
-                           tol=1e-4, seed=0, n_draws=100_000, alpha=None):
+                           tol=1e-4, seed=0, alpha=None):
     """p-value machinery for the max statistic on already-built columns.
 
     ``orient`` is +1 to test the upper tail of the stored columns and -1
     for the lower tail (the benefit direction of pseudo columns).  Columns
     with zero dispersion are dropped; with none left the result is
     (nan, 1).  ``gamma`` must already be checked.  Returns (m, p).
+    ``method`` accepts only ``"normal"``, the one method of the max test;
+    it stays a parameter because the benchmark's reference recorder passes
+    it.
 
-    With ``alpha`` (normal method only) the returned p is a deciding bound,
+    With ``alpha`` the returned p is a deciding bound,
     not the p-value: when the largest column tail exceeds alpha, or the
     capped sum of the column tails is at most alpha, that bound is returned
     without integrating.  The integrated p is clipped into the same bounds,
     so ``p <= alpha`` has the same answer either way; only when the bounds
     straddle alpha is the MVN integrated.
     """
+    if method != "normal":
+        raise ValueError(f"the max-type test has only the normal method, got {method!r}")
     keep = sigma > 0.0
     if not np.any(keep):
         return float("nan"), 1.0
     D, sigma = D[:, keep], sigma[keep]
-    t_cols = D.T @ assignment
-    stats = orient * t_cols / sigma
-    m = float(stats.max())
-
-    if method == "montecarlo":
-        # Simulates the bounding max with per-column worst-case signs
-        # coupled through shared uniforms (diagnostic for the bound).
-        return m, _sign_tail(D, sigma, m, gamma, n_draws, seed)
-    if method != "normal":
-        raise ValueError(f"method must be normal or montecarlo, got {method!r}")
+    m = float((orient * (D.T @ assignment) / sigma).max())
     # the oriented columns have the same |D|, hence the same moments
     mean, variance = null_moments(D, gamma)
     limits = (m * sigma - mean) / np.sqrt(variance)
@@ -169,29 +160,31 @@ def _max_diff(sample, grid, include_ppw) -> DiffMatrix:
     return diff
 
 
-def _test_diff(diff, assignment, gamma, method, direction, tol, seed,
-               n_draws=100_000) -> TestResult:
+def _test_diff(diff, assignment, gamma, direction, tol, seed,
+               method="normal") -> TestResult:
     """Max-type test of a built DiffMatrix; see ``overall_test``."""
     gamma = check_gamma(gamma)
     orient = _sign("pseudo", direction)
     m, p = _max_test_from_columns(diff.D, diff.sigma, assignment, gamma, method,
-                                  orient, tol=tol, seed=seed, n_draws=n_draws)
+                                  orient, tol=tol, seed=seed)
     return TestResult(statistic=m, null_mean=0.0, null_sd=1.0, p_value=p,
                       gamma=gamma, method=method, direction=direction,
                       tau="overall")
 
 
 def overall_test(sample, grid, gamma=1.0, include_ppw=False, method="normal",
-                 direction="benefit", tol=1e-4, seed=0, n_draws=100_000) -> TestResult:
+                 direction="benefit", tol=1e-4, seed=0) -> TestResult:
     """Max-type test of no effect over the whole grid.
 
     ``direction="benefit"`` orients every column so a treated survival
     advantage increases the max statistic; ``"harm"`` tests the reverse.
-    Columns with zero dispersion are dropped with a warning; when all
-    columns are degenerate the p-value is 1.
+    The p-value is the normal one; ``method`` accepts only ``"normal"``
+    (see ``_max_test_from_columns``), and ``seed`` and ``tol`` drive the
+    QMC integration.  Columns with zero dispersion are dropped with a
+    warning; when all columns are degenerate the p-value is 1.
     """
     return _test_diff(_max_diff(sample, grid, include_ppw), sample.assignment,
-                      gamma, method, direction, tol, seed, n_draws)
+                      gamma, direction, tol, seed, method)
 
 
 def ppw_test(sample, gamma=1.0, direction="benefit", method="normal",

@@ -126,26 +126,23 @@ def pvalue_exact(scores, t, gamma=1.0) -> float:
 
 
 def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
-    """Worst-case upper tail by simulation; deterministic given seed."""
-    gamma = check_gamma(gamma)
-    d = np.asarray(scores, dtype=float)
-    return _sign_tail(d[:, None], 1.0, t, gamma, n_draws, seed)
+    """Worst-case upper tail ``Pr(T >= t)`` by simulation; deterministic given seed.
 
-
-def _sign_tail(D, scale, threshold, gamma, n_draws, seed) -> float:
-    """Simulated ``Pr(max_l (signs @ |D|)_l / scale_l >= threshold)``.
-
-    Each pair draws one sign, positive with probability gamma/(1+gamma),
-    shared by all columns.  All-zero rows contribute nothing and draw no
-    sign; ties at the threshold count.
+    Each pair with a nonzero difference draws one sign, positive with
+    probability gamma/(1+gamma), times ``|d_i|``; zero pairs contribute
+    nothing and draw no sign.  Ties at ``t`` count.  This is the one
+    simulator: it serves one-column tests only, and the max-type test has
+    only its normal method.
     """
+    gamma = check_gamma(gamma)
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    tol = _tie_tol(D)
-    mags = np.abs(D[np.any(D != 0.0, axis=1)])
+    d = np.asarray(scores, dtype=float)
+    tol = _tie_tol(d)
+    mags = np.abs(d[d != 0.0]).reshape(-1, 1)
     rows = mags.shape[0]
     if rows == 0:
-        return 1.0 if 0.0 >= threshold - tol else 0.0
+        return 1.0 if 0.0 >= t - tol else 0.0
     p_plus = gamma / (1.0 + gamma)
     rng = np.random.default_rng(seed)
     hits = 0
@@ -154,8 +151,7 @@ def _sign_tail(D, scale, threshold, gamma, n_draws, seed) -> float:
     while remaining > 0:
         size = min(chunk, remaining)
         signs = np.where(rng.random((size, rows)) < p_plus, 1.0, -1.0)
-        sims = (signs @ mags) / scale
-        hits += int(np.count_nonzero(sims.max(axis=1) >= threshold - tol))
+        hits += int(np.count_nonzero(signs @ mags >= t - tol))
         remaining -= size
     return hits / n_draws
 

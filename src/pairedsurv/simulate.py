@@ -22,11 +22,12 @@ import numpy as np
 from .data import PairedSample
 from .design import (
     DesignSensitivityResult,
+    MomentEstimates,
     design_sensitivity_overall,
     design_sensitivity_time,
     estimate_moments,
 )
-from .overall import as_grid, diff_matrix, _max_test_from_columns
+from .overall import _max_diff, _max_test_from_columns, as_grid, diff_matrix
 from .scores import _sign
 from .sensitivity import check_gamma, null_moments, pvalue_normal
 
@@ -370,7 +371,9 @@ def design_sensitivity_study(config: StudyConfig):
     Moments are taken on benefit-oriented differences so a beneficial
     effect yields thresholds above 1.  Unless overridden in the scenario
     specs, covariate-free censoring should be used here; the threshold
-    formulas assume censoring independent of survival.
+    formulas assume censoring independent of survival.  A grid time whose
+    differences all vanish (before any event) is reported as nan with a
+    ``DegenerateColumnWarning``, and the overall value uses the other times.
     """
     grid = as_grid(config.grid)
     results = []
@@ -383,16 +386,21 @@ def design_sensitivity_study(config: StudyConfig):
                 stacklevel=2,
             )
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
-        diff = diff_matrix(sample, grid)
+        diff = _max_diff(sample, grid, False)
         moments = estimate_moments(_sign("pseudo", "benefit") * diff.D, sample.assignment)
+        live = diff.sigma > 0.0
         per_tau = {
-            float(tau): design_sensitivity_time(moments, l)
+            float(tau): design_sensitivity_time(moments, l) if live[l] else math.nan
             for l, tau in enumerate(grid)
         }
+        overall = math.nan
+        if np.any(live):
+            overall = design_sensitivity_overall(MomentEstimates(
+                moments.e_abs[live], moments.e_dv[live], moments.e_sq[live]))
         results.append(
             DesignSensitivityResult(
                 per_tau=per_tau,
-                overall=design_sensitivity_overall(moments),
+                overall=overall,
                 sample_size=config.pairs,
                 scenario=spec,
             )

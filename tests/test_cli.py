@@ -108,6 +108,14 @@ def test_out_writes_non_finite_as_null(sim_csv, tmp_path, capsys):
     doc = json.loads(out_path.read_text(), parse_constant=reject)
     assert doc["result"]["statistic"] is None
     assert doc["result"]["p_value"] == 1.0
+    assert "correlation matrix" not in out
+
+    # with live columns left, their correlations are printed, labelled
+    code, out, err = run(["overall", sim_csv, "--grid", "0.00001,1,2"], capsys)
+    assert code == 0 and err.count("degenerate grid columns") == 1
+    assert "correlation matrix (2 columns: 1.0, 2.0):" in out
+    _, clean, _ = run(["overall", sim_csv, "--grid", "1,2"], capsys)
+    assert out.splitlines()[2:] == clean.splitlines()[2:]
 
 
 def test_cmd_overall_include_ppw_adds_column(sim_csv, capsys):
@@ -308,6 +316,21 @@ def test_cmd_design_sens_runs(tmp_path, capsys):
     assert csv_path.read_text().startswith("scenario,tau=2,tau=4,overall")
 
 
+def test_cmd_design_sens_degenerate_tau_is_null(tmp_path, capsys):
+    # a grid time before any event has no information: nan, not an error
+    docs = {}
+    for grid in ([0.000001, 1, 2], [1, 2]):
+        cfg, out_path = tmp_path / "cfg.json", tmp_path / f"{len(grid)}.json"
+        cfg.write_text(json.dumps({"scenarios": ["ph"], "pairs": 2000, "grid": grid,
+                                   "censoring_form": "covariate_free"}))
+        code, _, err = run(["design-sens", str(cfg), "--out", str(out_path)], capsys)
+        assert code == 0
+        assert err.count("degenerate grid columns") == (len(grid) == 3)
+        docs[len(grid)] = json.loads(out_path.read_text())["result"]["results"][0]
+    assert docs[3]["per_tau"] == {"1e-06": None, **docs[2]["per_tau"]}
+    assert docs[3]["overall"] == docs[2]["overall"] > 1.0
+
+
 def test_bad_config_exit_4(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -399,6 +422,8 @@ BAD_FLAGS = [
     (["overall", "--grid", "1,2,3", "--tol", "0"], None),
     (["overall", "--grid", "1,2,3", "--tol", "nan"], None),
     (["overall", "--grid", "1,x"], None),
+    (["overall", "--grid", "1,2,3", "--method", "montecarlo"], None),
+    (["overall", "--grid", "1,2,3", "--draws", "10"], None),
     (["sens", "--grid", "2,,4"], None),
     (["closed", "--grid", "abc"], None),
     (["km", "--seed", "5"], None),

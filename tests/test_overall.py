@@ -158,18 +158,6 @@ def test_single_column_reduces_to_time_specific():
         assert ov.p_value == pytest.approx(ts.p_value, abs=1e-12)
 
 
-def test_single_column_montecarlo_equals_time_specific():
-    # zero-difference pairs draw no sign in either test, so the draws match
-    sample = simulated_sample(80, "ph", seed=3)
-    assert np.any(pair_differences(sample, "pseudo", 0.3) == 0.0)
-    for gamma in (1.0, 1.5):
-        ov = overall_test(sample, (0.3,), gamma=gamma, method="montecarlo",
-                          n_draws=20_000, seed=4)
-        ts = time_specific_test(sample, 0.3, gamma, "montecarlo", "benefit",
-                                n_draws=20_000, seed=4)
-        assert ov.p_value == ts.p_value
-
-
 def test_degenerate_columns_dropped_with_warning():
     sample = simulated_sample(100, "ph", seed=7)
     tiny = 1e-6  # before any event: zero-dispersion column
@@ -220,17 +208,6 @@ def test_tiny_max_tail_stays_inside_its_bound():
     assert one > 0.0
     assert one == pytest.approx(time_specific_test(sample, 3.0).p_value, rel=1e-12)
     assert all(p > 0.0 for p in closed_test(sample, grid).adjusted_p.values())
-
-
-def test_montecarlo_vs_normal_overall():
-    sample = simulated_sample(300, "ph", seed=10)
-    grid = (2.0, 4.0)
-    normal = overall_test(sample, grid, gamma=1.0, method="normal").p_value
-    mc = overall_test(sample, grid, gamma=1.0, method="montecarlo",
-                      n_draws=200_000, seed=3).p_value
-    # the shared-sign coupling is exact at gamma=1 only up to sign concordance;
-    # they agree closely on strongly concordant samples
-    assert mc == pytest.approx(normal, abs=0.02)
 
 
 def _column_tail_bounds(args):
@@ -292,40 +269,17 @@ def test_alpha_at_the_bounds(monkeypatch):
 
 def test_montecarlo_needs_draws():
     sample = simulated_sample(50, "ph", seed=1)
-    with pytest.raises(ValueError):
-        overall_test(sample, (1.0, 2.0), method="montecarlo", n_draws=0)
+    with pytest.raises(ValueError, match="n_draws"):
+        time_specific_test(sample, 1.0, method="montecarlo", n_draws=0)
 
 
-def test_uncensored_bound_attained_by_enumeration():
-    # no censoring: per-time worst-case sign vectors coincide, so the
-    # simulated bounding max equals the true randomization law of the max
-    import itertools
-
-    rng = np.random.default_rng(14)
-    for trial in range(4):
-        n_pairs = 8
-        times = rng.exponential(4.0, (n_pairs, 2)) + 0.05
-        sample = build_sample(
-            [(f"p{i}", j + 1, j == 0, times[i, j], True)
-             for i in range(n_pairs) for j in (0, 1)]
-        )
-        grid = np.sort(np.quantile(times, [0.35, 0.7])) + 0.017
-        diff = diff_matrix(sample, grid)
-        keep = diff.sigma > 0
-        D, sigma = diff.D[:, keep], diff.sigma[keep]
-        stats_obs = (-(D.T @ sample.assignment)) / sigma
-        m_obs = stats_obs.max()
-        hits = total = 0
-        for signs in itertools.product((1, -1), repeat=n_pairs):
-            v = np.array(signs)
-            m = ((-(D.T @ v)) / sigma).max()
-            total += 1
-            hits += m >= m_obs - 1e-12
-        truth = hits / total
-        mc = overall_test(sample, grid, gamma=1.0, method="montecarlo",
-                          n_draws=300_000, seed=trial).p_value
-        se = np.sqrt(truth * (1 - truth) / 300_000)
-        assert abs(mc - truth) <= 4 * se + 1e-6
+def test_max_test_has_only_the_normal_method():
+    sample = simulated_sample(50, "ph", seed=1)
+    with pytest.raises(ValueError, match="only the normal method"):
+        overall_test(sample, (1.0, 2.0), method="montecarlo")
+    res = overall_test(sample, (1.0, 2.0), method="normal")
+    assert res.method == "normal"
+    assert res.p_value == overall_test(sample, (1.0, 2.0)).p_value
 
 
 def test_ppw_all_tied_p_one():

@@ -169,10 +169,10 @@ GRID = (1.0, 2.0, 3.0)
 GAMMAS = (1.0, 1.7)
 
 
-def _overall(method, include_ppw):
+def _overall(include_ppw):
     return lambda s, d, _: [
-        overall_test(s, GRID, g, include_ppw=include_ppw, method=method,
-                     direction=d, n_draws=20_000).p_value for g in GAMMAS]
+        overall_test(s, GRID, g, include_ppw=include_ppw,
+                     direction=d).p_value for g in GAMMAS]
 
 
 def _cli(score):
@@ -196,10 +196,8 @@ ORIENTED = {
         time_specific_test(s, 3.0, g, "montecarlo", d, n_draws=20_000,
                            seed=4).p_value for g in GAMMAS]),
     "ppw": (60, lambda s, d, _: [ppw_test(s, g, d).p_value for g in GAMMAS]),
-    "overall_normal": (60, _overall("normal", False)),
-    "overall_normal_ppw": (60, _overall("normal", True)),
-    "overall_montecarlo": (60, _overall("montecarlo", False)),
-    "overall_montecarlo_ppw": (60, _overall("montecarlo", True)),
+    "overall_normal": (60, _overall(False)),
+    "overall_normal_ppw": (60, _overall(True)),
     # alpha = 0.4 lets both searches bisect on this small sample
     "sensitivity_tau": (60, lambda s, d, _: sensitivity_value(
         s, tau=3.0, alpha=0.4, direction=d)),

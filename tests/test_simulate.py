@@ -173,6 +173,18 @@ def test_calibrate_b_reprobe():
     assert abs(fresh - 0.25) <= 0.005 + 2 * se
 
 
+@pytest.mark.parametrize("key", [("ph", "covariate_dependent"),
+                                 ("late_div", "covariate_free")],
+                         ids="-".join)
+def test_calibrate_b_reproduces_default_b(key):
+    # the recorded settings behind DEFAULT_B pin the censoring protocol
+    spec = scenario_spec(key[0], censoring_form=key[1])
+    b, rate = calibrate_b(spec, target_rate=0.25, tol=0.005, seed=20260808,
+                          probe_i=200_000)
+    assert round(b, 6) == DEFAULT_B[key]
+    assert abs(rate - 0.25) <= 0.005
+
+
 def test_calibration_rate_monotone_in_b():
     spec = scenario_spec("ph")
     rates = [
