@@ -11,13 +11,7 @@ __version__ = "0.1.0"
 
 from .closed import ClosedTestReport, closed_test
 from .data import PairedSample, build_sample, load_csv, write_csv
-from .design import (
-    DesignSensitivityResult,
-    MomentEstimates,
-    design_sensitivity_overall,
-    design_sensitivity_time,
-    estimate_moments,
-)
+from .design import DesignSensitivityResult, design_sensitivities
 from .km import SurvivalCurve, event_table, km_at, km_estimate
 from .mvnorm import mvn_cdf
 from .overall import (

@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -37,8 +36,6 @@ from .overall import _max_corr, _max_diff, _test_diff
 from .scores import _sign, pair_differences
 from .sensitivity import _score_test, _search, _worst_case_p
 from .simulate import StudyConfig, design_sensitivity_study, power_study
-
-DEFAULT_SEED_ENV = "PAIREDSURV_SEED"
 
 
 class ConfigError(Exception):
@@ -77,9 +74,7 @@ _GAMMA = _checked(float, lambda g: 1.0 <= g < math.inf, "a finite gamma >= 1")
 _ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "an alpha in (0, 1)")
 _TOL = _checked(float, lambda t: t > 0.0, "a tolerance > 0")
 _DRAWS = _checked(int, lambda n: n >= 1, "a draw count >= 1")
-_SEED = _checked(int, lambda n: n >= 0,
-                 f"a non-negative integer seed (from --seed or ${DEFAULT_SEED_ENV})")
-_STUDY_SEED = _checked(int, lambda n: n >= 0, "a non-negative integer seed")
+_SEED = _checked(int, lambda n: n >= 0, "a non-negative integer seed")
 _GRID = _checked(lambda text: tuple(float(v) for v in text.split(",")),
                  lambda grid: True, "a comma-separated number list")
 
@@ -276,10 +271,9 @@ def build_parser() -> _Parser:
         if data:
             p.add_argument("data", help="CSV with pair_id,position,treated,time,event")
         p.add_argument("--out", help="write a JSON result document here")
-        if seed:  # a string default is parsed like the flag
-            p.add_argument("--seed", type=_SEED if data else _STUDY_SEED,
-                           default=(os.environ.get(DEFAULT_SEED_ENV) or "0") if data else None,
-                           help=f"RNG seed (default: ${DEFAULT_SEED_ENV} or 0)" if data
+        if seed:
+            p.add_argument("--seed", type=_SEED, default=0 if data else None,
+                           help="RNG seed (default: 0)" if data
                            else "RNG seed (default: the config's seed)")
 
     p = sub.add_parser("test", help="time-specific or score test of no effect")

@@ -20,66 +20,36 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class MomentEstimates:
-    """Per-column sample moments of the pair differences."""
-
-    e_abs: np.ndarray
-    e_dv: np.ndarray
-    e_sq: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.e_abs + 1e-12 < np.abs(self.e_dv)) or np.any(self.e_sq < 0):
-            raise ValueError("moments must satisfy e_abs >= |e_dv| and e_sq >= 0")
+def _threshold(a, b):
+    """(a + b) / (a - b), and +inf where a <= b."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a - b > 0.0, (a + b) / (a - b), np.inf)
 
 
-def estimate_moments(D, assignment) -> MomentEstimates:
-    """Columnwise means of |d|, d*V and d^2 of an (I, L) matrix.
+def design_sensitivities(D, assignment):
+    """Per-column and max-type design sensitivities of an (I, L) matrix.
 
-    ``assignment`` holds the treated-side signs V, one per pair.
+    ``D`` holds benefit-oriented pair differences and ``assignment`` the
+    treated-side signs V, one per pair.  Returns ``(per_column, overall)``:
+    an array with +inf where every informative pair favors treatment,
+    values below 1 where the effect is adverse, and nan for a column whose
+    mean-square difference is 0; ``overall`` uses the other columns and is
+    nan when none is left.
     """
     D = np.asarray(D, dtype=float)
     v = np.asarray(assignment, dtype=float).reshape(-1)
     if v.shape[0] != D.shape[0]:
         raise ValueError("assignment length must match the number of pairs")
-    return MomentEstimates(
-        e_abs=np.abs(D).mean(axis=0),
-        e_dv=(D * v[:, None]).mean(axis=0),
-        e_sq=(D ** 2).mean(axis=0),
-    )
-
-
-def design_sensitivity_time(moments: MomentEstimates, column: int = 0) -> float:
-    """Robustness threshold of the time-specific test at one column.
-
-    Returns +inf when every informative pair favors treatment, and values
-    below 1 when the effect at that time is adverse.
-    """
-    e_abs = float(moments.e_abs[column])
-    e_dv = float(moments.e_dv[column])
-    if e_abs == 0.0:
-        raise ValueError("all pair differences vanish at this column")
-    denom = e_abs - e_dv
-    if denom <= 0.0:
-        return math.inf
-    return (e_abs + e_dv) / denom
-
-
-def design_sensitivity_overall(moments: MomentEstimates) -> float:
-    """Robustness threshold of the max-type overall test.
-
-    Uses the two per-column maxima of the normalized moments, taken
-    independently.
-    """
-    if np.any(moments.e_sq == 0.0):
-        raise ValueError("every column needs positive mean-square difference")
-    root = np.sqrt(moments.e_sq)
-    a_max = float((moments.e_abs / root).max())
-    b_max = float((moments.e_dv / root).max())
-    denom = a_max - b_max
-    if denom <= 0.0:
-        return math.inf
-    return (a_max + b_max) / denom
+    e_abs = np.abs(D).mean(axis=0)
+    e_dv = (D * v[:, None]).mean(axis=0)
+    e_sq = (D ** 2).mean(axis=0)
+    live = e_sq > 0.0
+    per_column = np.where(live, _threshold(e_abs, e_dv), np.nan)
+    if not np.any(live):
+        return per_column, math.nan
+    root = np.sqrt(e_sq[live])
+    overall = _threshold((e_abs[live] / root).max(), (e_dv[live] / root).max())
+    return per_column, float(overall)
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,16 @@ _PIVOT_FLOOR = 1e-10
 _TINY = 1e-15
 
 
+def _check_dim(n):
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds the supported {MAX_DIM}")
+
+
 def _check_corr(corr):
     c = np.asarray(corr, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("correlation matrix must be square")
-    if c.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {c.shape[0]} exceeds the supported {MAX_DIM}")
+    _check_dim(c.shape[0])
     if not np.allclose(c, c.T, atol=1e-10):
         raise ValueError("correlation matrix must be symmetric")
     if not np.allclose(np.diag(c), 1.0, atol=1e-10):

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateColumnWarning
-from .mvnorm import mvn_cdf
+from .mvnorm import _check_dim, mvn_cdf
 from .scores import _sign, pair_difference_matrix, pair_differences
 from .sensitivity import TestResult, _score_test, check_gamma, null_moments
 
@@ -115,7 +115,8 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     ``orient`` is +1 to test the upper tail of the stored columns and -1
     for the lower tail (the benefit direction of pseudo columns).  Columns
     with zero dispersion are dropped; with none left the result is
-    (nan, 1).  ``gamma`` must already be checked.  Returns (m, p).
+    (nan, 1), and more than ``mvnorm.MAX_DIM`` left is refused before any
+    bound decides.  ``gamma`` must already be checked.  Returns (m, p).
     ``method`` accepts only ``"normal"``, the one method of the max test;
     it stays a parameter because the benchmark's reference recorder passes
     it.
@@ -133,6 +134,7 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     if not np.any(keep):
         return float("nan"), 1.0
     D, sigma = D[:, keep], sigma[keep]
+    _check_dim(D.shape[1])
     m = float((orient * (D.T @ assignment) / sigma).max())
     # the oriented columns have the same |D|, hence the same moments
     mean, variance = null_moments(D, gamma)

@@ -20,13 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import PairedSample
-from .design import (
-    DesignSensitivityResult,
-    MomentEstimates,
-    design_sensitivity_overall,
-    design_sensitivity_time,
-    estimate_moments,
-)
+from .design import DesignSensitivityResult, design_sensitivities
 from .overall import _max_diff, _max_test_from_columns, as_grid, diff_matrix
 from .scores import _sign
 from .sensitivity import check_gamma, null_moments, pvalue_normal
@@ -254,6 +248,10 @@ class StudyConfig:
             raise ValueError("alpha must lie in (0, 1)")
         for g in self.gammas:
             check_gamma(g)
+        for key, values in (("scenarios", [s.id for s in self.scenarios]),
+                            ("gammas", self.gammas)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key!r} lists an entry more than once: {list(values)}")
         as_grid(self.grid)
         if not self.mvn_tol > 0:
             raise ValueError("mvn_tol must be > 0")
@@ -331,9 +329,11 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
 
     Every test is run in the benefit direction.  Replications use derived
     seeds keyed by (master seed, scenario, replication), so results do not
-    depend on evaluation order or worker count.  A max test is decided from
-    its column-tail bounds when one of them settles ``p <= alpha``, and
-    integrated only otherwise; the counts equal those of the integrated p.
+    depend on evaluation order or worker count.  Rows follow the config:
+    scenario, then gamma, then the grid's tests, ppw and max.  A max test is
+    decided from its column-tail bounds when one of them settles
+    ``p <= alpha``, and integrated only otherwise; the counts equal those of
+    the integrated p.
     """
     grid = as_grid(config.grid)
     n_taus = len(grid)
@@ -360,7 +360,7 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     rows = tuple(
         PowerRow(scenario=sid, gamma=g, test=name, rejections=int(c),
                  replications=config.replications)
-        for (sid, g, name), c in sorted(counts.items(), key=lambda kv: str(kv[0]))
+        for (sid, g, name), c in counts.items()
     )
     return PowerStudyResult(config=config, rows=rows)
 
@@ -387,19 +387,11 @@ def design_sensitivity_study(config: StudyConfig):
             )
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
         diff = _max_diff(sample, grid, False)
-        moments = estimate_moments(_sign("pseudo", "benefit") * diff.D, sample.assignment)
-        live = diff.sigma > 0.0
-        per_tau = {
-            float(tau): design_sensitivity_time(moments, l) if live[l] else math.nan
-            for l, tau in enumerate(grid)
-        }
-        overall = math.nan
-        if np.any(live):
-            overall = design_sensitivity_overall(MomentEstimates(
-                moments.e_abs[live], moments.e_dv[live], moments.e_sq[live]))
+        per_column, overall = design_sensitivities(
+            _sign("pseudo", "benefit") * diff.D, sample.assignment)
         results.append(
             DesignSensitivityResult(
-                per_tau=per_tau,
+                per_tau=dict(zip(grid.tolist(), per_column.tolist())),
                 overall=overall,
                 sample_size=config.pairs,
                 scenario=spec,

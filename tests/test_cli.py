@@ -390,6 +390,11 @@ def test_config_invalid_on_its_own_exit_4(config, flags, tmp_path, capsys):
      "'b' of 'ph'"),
     ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "b": {"ph": float("inf")}},
      "'b' of 'ph'"),
+    # a repeated entry would count its rejections twice
+    ({"scenarios": ["ph", "ph"], "pairs": 20, "replications": 1},
+     "'scenarios' lists an entry more than once"),
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "gammas": [1.0, 1.5, 1.0]},
+     "'gammas' lists an entry more than once"),
 ])
 def test_config_shape_and_values_checked_at_load(command, config, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -409,34 +414,30 @@ def test_csv_row_with_extra_field_exit_2(tmp_path, capsys):
 
 
 BAD_FLAGS = [
-    (["closed", "--grid", "1,2,3", "--alpha", "1.5"], None),
-    (["sens", "--tau", "3", "--sens-tol", "0"], None),
-    (["sens", "--tau", "3", "--gamma-grid", "0.5,1"], None),
-    (["sens", "--tau", "3", "--gamma-max", "inf"], None),
-    (["test", "--tau", "3", "--method", "montecarlo", "--draws", "0"], None),
-    (["test", "--tau", "3", "--gamma", "0.5"], None),
-    (["test", "--tau", "3", "--gamma", "nan"], None),
-    (["test", "--tau", "3", "--seed", "-1"], None),
-    (["test", "--tau", "3"], "abc"),
-    (["overall", "--grid", "1,2,3", "--seed", "-1"], None),
-    (["overall", "--grid", "1,2,3", "--tol", "0"], None),
-    (["overall", "--grid", "1,2,3", "--tol", "nan"], None),
-    (["overall", "--grid", "1,x"], None),
-    (["overall", "--grid", "1,2,3", "--method", "montecarlo"], None),
-    (["overall", "--grid", "1,2,3", "--draws", "10"], None),
-    (["sens", "--grid", "2,,4"], None),
-    (["closed", "--grid", "abc"], None),
-    (["km", "--seed", "5"], None),
-    (["design-sens", "--pairs", "300", "--replications", "7"], None),
+    ["closed", "--grid", "1,2,3", "--alpha", "1.5"],
+    ["sens", "--tau", "3", "--sens-tol", "0"],
+    ["sens", "--tau", "3", "--gamma-grid", "0.5,1"],
+    ["sens", "--tau", "3", "--gamma-max", "inf"],
+    ["test", "--tau", "3", "--method", "montecarlo", "--draws", "0"],
+    ["test", "--tau", "3", "--gamma", "0.5"],
+    ["test", "--tau", "3", "--gamma", "nan"],
+    ["test", "--tau", "3", "--seed", "-1"],
+    ["overall", "--grid", "1,2,3", "--seed", "-1"],
+    ["overall", "--grid", "1,2,3", "--tol", "0"],
+    ["overall", "--grid", "1,2,3", "--tol", "nan"],
+    ["overall", "--grid", "1,x"],
+    ["overall", "--grid", "1,2,3", "--method", "montecarlo"],
+    ["overall", "--grid", "1,2,3", "--draws", "10"],
+    ["sens", "--grid", "2,,4"],
+    ["closed", "--grid", "abc"],
+    ["km", "--seed", "5"],
+    ["design-sens", "--pairs", "300", "--replications", "7"],
 ]
 
 
-@pytest.mark.parametrize("argv, env", BAD_FLAGS, ids=[
-    " ".join(argv) + (f" PAIREDSURV_SEED={env}" if env else "") for argv, env in BAD_FLAGS])
-def test_bad_flag_exit_4(argv, env, sim_csv, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", BAD_FLAGS, ids=[" ".join(argv) for argv in BAD_FLAGS])
+def test_bad_flag_exit_4(argv, sim_csv, tmp_path, capsys):
     # rejected when parsed: no result is printed and no file is written
-    if env is not None:
-        monkeypatch.setenv("PAIREDSURV_SEED", env)
     source = sim_csv
     if argv[0] == "design-sens":  # a config that runs, so only the flag can fail
         source = tmp_path / "cfg.json"
@@ -463,14 +464,13 @@ def test_manifest_records_parsed_grid(sim_csv, tmp_path, capsys):
     assert json.loads(out_path.read_text())["manifest"]["options"]["grid"] == [2.0, 4.0]
 
 
-@pytest.mark.parametrize("command, names_env", [
-    ("test", True), ("simulate", False), ("design-sens", False)])
-def test_seed_error_names_env_only_where_read(command, names_env, tmp_path, capsys):
-    # the flag is rejected when parsed, so the input is never opened
+@pytest.mark.parametrize("command", ["test", "simulate", "design-sens"])
+def test_seed_error_names_only_the_flag(command, tmp_path, capsys):
+    # the flag is rejected when parsed, so the input is never opened; the
+    # seed has no second source, such as an environment variable
     code, out, err = run([command, str(tmp_path / "input"), "--seed", "-1"], capsys)
     assert (code, out) == (4, "")
-    assert "'-1' is not a non-negative integer seed" in err
-    assert ("PAIREDSURV_SEED" in err) == names_env
+    assert err == "error: argument --seed: '-1' is not a non-negative integer seed\n"
 
 
 def test_missing_data_exit_2(capsys):
@@ -498,15 +498,6 @@ def test_study_seed_help(command, capsys):
         main([command, "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "RNG seed (default: the config's seed)" in help_text
-    assert "PAIREDSURV_SEED" not in help_text
-
-
-def test_env_seed_used(five_csv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PAIREDSURV_SEED", "321")
-    out_path = tmp_path / "env.json"
-    code, _, _ = run(["test", five_csv, "--tau", "2.0", "--out", str(out_path)], capsys)
-    assert code == 0
-    assert json.loads(out_path.read_text())["manifest"]["seed"] == 321
 
 
 def test_readme_commands_parse():

@@ -21,6 +21,7 @@ from pairedsurv import (
     sample_censoring_time,
     sample_survival_time,
     scenario_spec,
+    sensitivity_value,
     time_specific_test,
 )
 from pairedsurv.errors import DegenerateColumnWarning
@@ -262,6 +263,28 @@ def test_power_study_integrates_at_most_half_its_max_tests(monkeypatch):
     assert len(calls) <= 20
 
 
+def test_power_rows_follow_config_order():
+    config = StudyConfig(scenarios=(scenario_spec("ph"), scenario_spec("crossing")),
+                         pairs=40, replications=1, grid=(2.0, 4.5, 10.0),
+                         gammas=(1.0, 2.0, 10.0))
+    order = [(r.scenario, r.gamma, r.test) for r in power_study(config).rows]
+    assert order == [(sid, g, test) for sid in ("ph", "crossing") for g in (1.0, 2.0, 10.0)
+                     for test in ("t_tau=2", "t_tau=4.5", "t_tau=10", "ppw", "max")]
+
+
+def test_max_test_over_too_many_columns_refused_on_every_sample():
+    # on these no_effect samples the column-tail bounds alone would decide
+    # the 26-column max test, and an integration would be refused
+    grid = tuple(np.linspace(0.5, 5.0, 26))
+    config = StudyConfig(scenarios=(scenario_spec("no_effect"),), pairs=200,
+                         replications=1, grid=grid)
+    with pytest.raises(ValueError, match="dimension 26 exceeds the supported 25"):
+        power_study(config)
+    sample = generate_pairs(200, scenario_spec("no_effect"), 0)
+    with pytest.raises(ValueError, match="dimension 26 exceeds the supported 25"):
+        sensitivity_value(sample, grid=grid)
+
+
 def test_power_rows_monotone_in_gamma():
     config = StudyConfig(scenarios=(scenario_spec("ph"),), pairs=200,
                          replications=40, grid=(3.0,), seed=6, gammas=(1.0, 1.5))
@@ -336,6 +359,9 @@ def test_scenario_spec_rejects_bad_values(sid, b, match):
     ({"gammas": ("1.5",)}, "'gammas' must be a list of numbers"),
     ({"scenarios": ()}, "'scenarios' must list at least one scenario"),
     ({"gammas": ()}, "'gammas' must list at least one gamma"),
+    ({"scenarios": (scenario_spec("ph"), scenario_spec("ph"))},
+     "'scenarios' lists an entry more than once"),
+    ({"gammas": (1.0, 1.5, 1.0)}, "'gammas' lists an entry more than once"),
 ])
 def test_study_config_checks_built_and_replaced_alike(change, field):
     base = StudyConfig(scenarios=(scenario_spec("ph"),), pairs=20, replications=1)
