@@ -32,10 +32,13 @@ def test_adverse_effect_below_one():
     assert per_column((0.3, -0.5))[0] < 1.0
 
 
-def test_no_information_gives_nan():
+def test_zero_column_gives_nan():
     values, overall = design_sensitivities(np.array([[0.5, 0.0], [-0.3, 0.0]]), V)
     assert math.isnan(values[1])
     assert overall == pytest.approx(values[0])
+
+
+def test_all_zero_d_gives_nan():
     values, overall = design_sensitivities(np.zeros((5, 2)), np.ones(5))
     assert np.all(np.isnan(values)) and math.isnan(overall)
 
