@@ -11,7 +11,11 @@ negated differences, with the sign from ``scores._sign``.
 
 from __future__ import annotations
 
+import copy
 import math
+import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,9 @@ from scipy.special import ndtr
 from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
+_SIGN_BUFFER = 1 << 18  # doubles in each Monte Carlo worker's reused sign buffer
+# bit generators whose advance(n) skips exactly n 64-bit outputs, one per double
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 def check_gamma(gamma) -> float:
@@ -27,6 +34,32 @@ def check_gamma(gamma) -> float:
     if not math.isfinite(gamma) or gamma < 1.0:
         raise ValueError(f"gamma must be a finite real >= 1, got {gamma!r}")
     return gamma
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _whole(value):
+    """A number with no fractional part, as int; booleans are refused."""
+    if _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"must be a whole number, got {value!r}")
+
+
+def _tail_args(scores, t):
+    """Scores as a float array and ``t`` as a float, both finite.
+
+    A NaN compares false with everything, so it would read as the most
+    significant tail.
+    """
+    d = np.asarray(scores, dtype=float)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    if not np.isfinite(d).all():
+        raise ValueError("scores must be finite")
+    return d, t
 
 
 def _tie_tol(d) -> float:
@@ -110,7 +143,7 @@ def pvalue_exact(scores, t, gamma=1.0) -> float:
     value are included in the tail.
     """
     gamma = check_gamma(gamma)
-    d = np.asarray(scores, dtype=float)
+    d, t = _tail_args(scores, t)
     mags = np.abs(d[d != 0.0])
     if mags.size > EXACT_PAIR_CAP:
         raise ValueError(
@@ -133,11 +166,21 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     nothing and draw no sign.  Ties at ``t`` count.  This is the one
     simulator: it serves one-column tests only, and the max-type test has
     only its normal method.
+
+    Draw ``j`` uses row ``j`` of ``default_rng(seed).random((n_draws, k))``
+    over the k nonzero pairs.  With a PCG64 stream, ``[0, n_draws)`` is cut
+    into one contiguous range per available CPU (fewer when a range would
+    not fill one buffer), and each range runs in a thread on a copy of the
+    stream advanced to its first draw.  The p-value is therefore the same
+    whatever the core count, and a ``Generator`` passed as ``seed`` ends
+    ``n_draws * k`` doubles further on, as one call to ``random`` would leave
+    it.  Other bit generators run on one thread.  Each thread reuses one
+    buffer of at most ``max(2**18, k)`` doubles and as many bools (2.3 MiB
+    for k <= 2**18), whatever ``n_draws``.
     """
     gamma = check_gamma(gamma)
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    d = np.asarray(scores, dtype=float)
+    n_draws = _draw_count(n_draws)
+    d, t = _tail_args(scores, t)
     tol = _tie_tol(d)
     mags = np.abs(d[d != 0.0]).reshape(-1, 1)
     rows = mags.shape[0]
@@ -145,15 +188,65 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
         return 1.0 if 0.0 >= t - tol else 0.0
     p_plus = gamma / (1.0 + gamma)
     rng = np.random.default_rng(seed)
-    hits = 0
-    chunk = max(1, min(n_draws, 2 ** 22 // rows))
-    remaining = n_draws
-    while remaining > 0:
-        size = min(chunk, remaining)
-        signs = np.where(rng.random((size, rows)) < p_plus, 1.0, -1.0)
-        hits += int(np.count_nonzero(signs @ mags >= t - tol))
-        remaining -= size
+    bits = rng.bit_generator
+    per_fill = max(1, _SIGN_BUFFER // rows)
+    workers = _worker_count(n_draws, per_fill) if isinstance(bits, _JUMPABLE) else 1
+    if workers == 1:
+        return _count_hits(rng, n_draws, mags, p_plus, t - tol) / n_draws
+    cuts = [n_draws * w // workers for w in range(workers + 1)]
+    jobs = [(np.random.Generator(copy.deepcopy(bits).advance(lo * rows)), hi - lo)
+            for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        hits = sum(pool.map(lambda job: _count_hits(*job, mags, p_plus, t - tol), jobs))
+    # advance() also drops a buffered 32-bit half-word, which drawing doubles keeps
+    state = bits.state
+    bits.advance(n_draws * rows)
+    bits.state = {**bits.state, "has_uint32": state["has_uint32"],
+                  "uinteger": state["uinteger"]}
     return hits / n_draws
+
+
+def _draw_count(n_draws) -> int:
+    try:
+        n = _whole(n_draws)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"n_draws must be a whole number >= 1, got {n_draws!r}")
+    return n
+
+
+def _worker_count(n_draws, per_fill) -> int:
+    """Threads for ``n_draws`` draws: the CPUs this process may run on,
+    capped so that each thread fills its buffer of ``per_fill`` draws once."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_draws // per_fill))
+
+
+def _count_hits(rng, n, mags, p_plus, bound) -> int:
+    """How many of the next ``n`` draws of ``rng`` give ``signs @ mags >= bound``.
+
+    The signs of up to ``_SIGN_BUFFER // len(mags)`` draws at a time are
+    made in one reused buffer: uniforms, then ``u < p_plus``, then exact
+    ``+1.0``/``-1.0`` written back over the uniforms.
+    """
+    rows = mags.shape[0]
+    per_fill = min(n, max(1, _SIGN_BUFFER // rows))
+    u = np.empty(per_fill * rows)
+    plus = np.empty(u.size, dtype=bool)
+    hits = 0
+    for lo in range(0, n, per_fill):
+        size = min(per_fill, n - lo) * rows
+        signs = u[:size]
+        rng.random(out=signs)
+        np.less(signs, p_plus, out=plus[:size])
+        np.multiply(plus[:size], 2.0, out=signs)
+        signs -= 1.0
+        hits += int(np.count_nonzero(signs.reshape(-1, rows) @ mags >= bound))
+    return hits
 
 
 def _score_test(scores, sample, gamma, method, sign, tau_label,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -23,7 +22,7 @@ from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
 from .overall import _max_diff, _max_test_from_columns, as_grid, diff_matrix
 from .scores import _sign
-from .sensitivity import check_gamma, null_moments, pvalue_normal
+from .sensitivity import _is_real, _whole, check_gamma, null_moments, pvalue_normal
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate
@@ -187,21 +186,10 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
     return mid, r_mid
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _real(value):
     if not _is_real(value):
         raise ValueError(f"must be a number, got {value!r}")
     return float(value)
-
-
-def _whole(value):
-    """A number with no fractional part, as int; booleans are refused."""
-    if _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        return int(value)
-    raise ValueError(f"must be a whole number, got {value!r}")
 
 
 def _floats(values):

@@ -12,7 +12,7 @@ from pairedsurv import (
 from pairedsurv import overall
 from pairedsurv.closed import _subset_seed
 from pairedsurv.overall import _max_test_from_columns, as_grid
-from pairedsurv.sensitivity import check_gamma
+from pairedsurv.sensitivity import _tie_tol, check_gamma
 
 # Worked five-pair dataset: observed times / event flags in (i1, i2) order,
 # all first positions treated.
@@ -66,6 +66,18 @@ def pseudo_observations_naive(times, events, tau):
         out[u] = n * km_tau - (n - 1) * km_at(km_estimate(t[keep], e[keep]), tau)
         keep[u] = True
     return out
+
+
+def montecarlo_one_shot(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
+    """Reference Monte Carlo tail: every sign of every draw in one array."""
+    d = np.asarray(scores, dtype=float)
+    mags = np.abs(d[d != 0.0]).reshape(-1, 1)
+    if mags.size == 0:
+        return 1.0 if 0.0 >= t - _tie_tol(d) else 0.0
+    p_plus = gamma / (1.0 + gamma)
+    signs = np.where(np.random.default_rng(seed).random((n_draws, mags.size)) < p_plus,
+                     1.0, -1.0)
+    return int(np.count_nonzero(signs @ mags >= t - _tie_tol(d))) / n_draws
 
 
 def subset_test(sample, subset, gamma=1.0, seed=0, tol=1e-4) -> float:

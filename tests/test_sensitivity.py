@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from pairedsurv import (
     time_specific_test,
     write_csv,
 )
+from pairedsurv import sensitivity
 from pairedsurv.cli import main
 from pairedsurv.sensitivity import _search
 
-from conftest import simulated_sample
+from conftest import montecarlo_one_shot, simulated_sample
 
 
 def enumerate_randomization_p(d, t):
@@ -161,6 +163,102 @@ def test_montecarlo_symmetric_center():
     mc = pvalue_montecarlo(d, 0.0, 1.0, n_draws=200_000, seed=4)
     assert exact > 0.5  # tie mass included
     assert mc == pytest.approx(exact, abs=0.01)
+
+
+def _fix_workers(monkeypatch, workers):
+    monkeypatch.setattr(sensitivity, "_worker_count", lambda n_draws, per_fill: workers)
+
+
+def _oracle_cases():
+    # ties (rounded scores and t), zero pairs, t within two null sd of the
+    # mean, draw counts that are no multiple of a buffer's draws, and counts
+    # below the worker count
+    rng = np.random.default_rng(19)
+    for case in range(12):
+        size, digits = int(rng.integers(1, 120)), int(rng.integers(0, 3))
+        d = rng.normal(size=size).round(digits)
+        d[rng.random(size) < 0.2] = 0.0
+        gamma = float(rng.choice([1.0, 1.25, 3.0]))
+        mean, variance = null_moments(d, gamma)
+        t = round(mean + rng.uniform(-2.0, 2.0) * math.sqrt(variance), digits)
+        n_draws = int(rng.choice([1, 2, int(rng.integers(3, 20_000))]))
+        yield d, t, gamma, n_draws, case
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_montecarlo_matches_one_shot_simulator(monkeypatch, workers):
+    # the threaded simulator reads the same stream as one rng.random call,
+    # so the p-values agree bit for bit whatever the worker count
+    _fix_workers(monkeypatch, workers)
+    for d, t, gamma, n_draws, seed in _oracle_cases():
+        assert pvalue_montecarlo(d, t, gamma, n_draws, seed) == montecarlo_one_shot(
+            d, t, gamma, n_draws, seed)
+    d = np.random.default_rng(4).normal(size=300)
+    assert pvalue_montecarlo(d, 5.0, 1.25, 3_001, 8) == montecarlo_one_shot(
+        d, 5.0, 1.25, 3_001, 8)
+    # a buffer smaller than one draw still holds that draw
+    monkeypatch.setattr(sensitivity, "_SIGN_BUFFER", 64)
+    for size in (20, 100):
+        assert pvalue_montecarlo(d[:size], 1.0, 1.25, 501, 3) == montecarlo_one_shot(
+            d[:size], 1.0, 1.25, 501, 3)
+
+
+@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
+def test_montecarlo_leaves_generator_as_one_draw_would(monkeypatch, bit_generator):
+    # a passed Generator ends n_draws * k doubles on, its buffered 32-bit
+    # half-word kept; generators without an exact jump run on one worker
+    _fix_workers(monkeypatch, 2)
+    d = np.random.default_rng(6).normal(size=40)
+    ours, ref = (np.random.Generator(getattr(np.random, bit_generator)(12))
+                 for _ in range(2))
+    ours.random(dtype=np.float32)
+    ref.random(dtype=np.float32)
+    p = pvalue_montecarlo(d, 2.0, 1.5, 7_777, seed=ours)
+    assert p == montecarlo_one_shot(d, 2.0, 1.5, 7_777, seed=ref)
+    assert ours.random(3, dtype=np.float32).tolist() == ref.random(3, dtype=np.float32).tolist()
+    assert ours.random(3).tolist() == ref.random(3).tolist()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_montecarlo_transient_memory(monkeypatch, workers):
+    # each worker reuses one 2**18-double sign buffer; the one-shot chunks
+    # held 68 MiB at I=300
+    _fix_workers(monkeypatch, workers)
+    d = np.random.default_rng(7).normal(size=300)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pvalue_montecarlo(d, 5.0, 1.25, n_draws=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pvalue_montecarlo([0.3, -0.2, 0.5, 0.1], math.nan),
+    lambda: pvalue_montecarlo([0.3, -0.2, 0.5, 0.1], math.inf),
+    lambda: pvalue_montecarlo([0.3, math.nan], 0.1),
+    lambda: pvalue_exact([0.3, math.nan], 0.1),
+    lambda: pvalue_exact([0.3, -0.2], math.nan),
+    lambda: pvalue_exact([0.3, -math.inf], 0.1),
+])
+def test_tails_reject_non_finite_input(call):
+    # a NaN compares false everywhere and used to read as p = 0
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
+@pytest.mark.parametrize("n_draws", [2.5, True, math.inf, math.nan, "100"])
+def test_montecarlo_draws_must_be_whole(n_draws):
+    with pytest.raises(ValueError, match="n_draws"):
+        pvalue_montecarlo([0.3, -0.2, 0.5], 0.1, n_draws=n_draws)
+
+
+def test_montecarlo_accepts_whole_float_draws():
+    d = [0.3, -0.2, 0.5, 0.1]
+    assert pvalue_montecarlo(d, 0.1, n_draws=1e4) == pvalue_montecarlo(
+        d, 0.1, n_draws=10_000)
 
 
 # -- direction handling ------------------------------------------------------
