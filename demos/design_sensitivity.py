@@ -7,12 +7,12 @@ threshold is estimated from one large simulated sample per scenario.
 Values below 1 mean the effect at that time runs against treatment.
 """
 
-from pairedsurv import StudyConfig, design_sensitivity_study, scenario_spec
+from pairedsurv import ScenarioSpec, StudyConfig, design_sensitivity_study
 
 GRID = (1.0, 2.0, 3.0, 4.0, 5.0)
 config = StudyConfig(
     scenarios=tuple(
-        scenario_spec(sid, censoring_form="covariate_free")
+        ScenarioSpec(sid, censoring_form="covariate_free")
         for sid in ("ph", "early_div", "crossing", "late_div")
     ),
     pairs=100_000,

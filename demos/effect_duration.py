@@ -6,10 +6,10 @@ the maximum over every intersection hypothesis containing it, so the set
 of rejected times controls the family-wise error rate.
 """
 
-from pairedsurv import closed_test, generate_pairs, scenario_spec, time_specific_test
+from pairedsurv import ScenarioSpec, closed_test, generate_pairs, time_specific_test
 
 GRID = (1.0, 2.0, 3.0, 4.0, 5.0)
-sample = generate_pairs(700, scenario_spec("early_div"), seed=23)
+sample = generate_pairs(700, ScenarioSpec("early_div"), seed=23)
 
 print("early-divergence sample, I = 700\n")
 for gamma in (1.0, 1.2):

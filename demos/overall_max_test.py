@@ -6,11 +6,11 @@ late harm cancel; the max over time-specific statistics keeps the early
 signal.
 """
 
-from pairedsurv import generate_pairs, overall_test, ppw_test, scenario_spec
+from pairedsurv import ScenarioSpec, generate_pairs, overall_test, ppw_test
 
 GRID = (1.0, 2.0, 3.0, 4.0, 5.0)
 
-sample = generate_pairs(500, scenario_spec("crossing"), seed=7)
+sample = generate_pairs(500, ScenarioSpec("crossing"), seed=7)
 
 overall = overall_test(sample, GRID, gamma=1.0)
 ppw = ppw_test(sample, gamma=1.0, direction="benefit")

@@ -7,11 +7,11 @@ stays strong across shapes, and the whole-period rank test collapses when
 curves cross or diverge late.
 """
 
-from pairedsurv import StudyConfig, power_study, scenario_spec
+from pairedsurv import ScenarioSpec, StudyConfig, power_study
 
 SCENARIOS = ("no_effect", "ph", "early_div", "crossing", "late_div")
 config = StudyConfig(
-    scenarios=tuple(scenario_spec(sid) for sid in SCENARIOS),
+    scenarios=tuple(ScenarioSpec(sid) for sid in SCENARIOS),
     pairs=500,
     replications=100,
     alpha=0.05,

@@ -8,9 +8,9 @@ sensitivity value is the gamma where it first clears alpha.
 
 import numpy as np
 
-from pairedsurv import generate_pairs, scenario_spec, sensitivity_value, time_specific_test
+from pairedsurv import ScenarioSpec, generate_pairs, sensitivity_value, time_specific_test
 
-sample = generate_pairs(500, scenario_spec("ph"), seed=11)
+sample = generate_pairs(500, ScenarioSpec("ph"), seed=11)
 TAU = 4.0
 
 print(f"proportional-hazards benefit sample, I = 500, tau = {TAU}\n")

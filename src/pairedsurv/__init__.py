@@ -48,7 +48,6 @@ from .simulate import (
     power_study,
     sample_censoring_time,
     sample_survival_time,
-    scenario_spec,
 )
 
 from types import ModuleType as _ModuleType

@@ -119,11 +119,12 @@ def load_csv(path) -> PairedSample:
 
     Every row has exactly these five fields; blank lines are skipped.
     ``position`` is 1 or 2; ``treated`` and ``event`` are 0/1; times use a
-    ``.`` decimal point.  Errors name the physical line, so a quoted field
-    spanning lines does not shift the count.
+    ``.`` decimal point.  A UTF-8 byte-order mark is accepted.  Errors name
+    the physical line, so a quoted field spanning lines does not shift the
+    count.
     """
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [f.strip() for f in header] != CSV_HEADER:

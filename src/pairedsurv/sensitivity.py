@@ -25,8 +25,6 @@ from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
 _SIGN_BUFFER = 1 << 18  # doubles in each Monte Carlo worker's reused sign buffer
-# bit generators whose advance(n) skips exactly n 64-bit outputs, one per double
-_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 def check_gamma(gamma) -> float:
@@ -122,10 +120,13 @@ def pvalue_normal(t, mean, variance):
 
     Zero variance returns 1 when the statistic does not exceed the mean,
     else 0 (no dispersion means no evidence).  Array arguments give one
-    p-value per element; scalars give a float.
+    p-value per element; scalars give a float.  Every argument must be
+    finite, as in the other tails.
     """
     t, mean, variance = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (t, mean, variance)))
+    if not all(np.isfinite(x).all() for x in (t, mean, variance)):
+        raise ValueError("t, mean and variance must be finite")
     if np.any(variance < 0):
         raise ValueError("variance must be >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -167,16 +168,16 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     simulator: it serves one-column tests only, and the max-type test has
     only its normal method.
 
-    Draw ``j`` uses row ``j`` of ``default_rng(seed).random((n_draws, k))``
-    over the k nonzero pairs.  With a PCG64 stream, ``[0, n_draws)`` is cut
-    into one contiguous range per available CPU (fewer when a range would
-    not fill one buffer), and each range runs in a thread on a copy of the
-    stream advanced to its first draw.  The p-value is therefore the same
-    whatever the core count, and a ``Generator`` passed as ``seed`` ends
-    ``n_draws * k`` doubles further on, as one call to ``random`` would leave
-    it.  Other bit generators run on one thread.  Each thread reuses one
-    buffer of at most ``max(2**18, k)`` doubles and as many bools (2.3 MiB
-    for k <= 2**18), whatever ``n_draws``.
+    ``seed`` is SeedSequence entropy (an int, a sequence of ints, a
+    ``SeedSequence`` or ``None``); a ``Generator`` or ``BitGenerator`` is
+    refused with numpy's ``TypeError``.  Draw ``j`` uses row ``j`` of
+    ``default_rng(seed).random((n_draws, k))`` over the k nonzero pairs:
+    ``[0, n_draws)`` is cut into one contiguous range per available CPU
+    (fewer when a range would not fill one buffer), and each range runs in a
+    thread on a copy of the one ``PCG64(seed)`` stream advanced to its first
+    draw, so the p-value is the same whatever the core count.  Each thread
+    reuses one buffer of at most ``max(2**18, k)`` doubles and as many bools
+    (2.3 MiB for k <= 2**18), whatever ``n_draws``.
     """
     gamma = check_gamma(gamma)
     n_draws = _draw_count(n_draws)
@@ -187,22 +188,13 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     if rows == 0:
         return 1.0 if 0.0 >= t - tol else 0.0
     p_plus = gamma / (1.0 + gamma)
-    rng = np.random.default_rng(seed)
-    bits = rng.bit_generator
-    per_fill = max(1, _SIGN_BUFFER // rows)
-    workers = _worker_count(n_draws, per_fill) if isinstance(bits, _JUMPABLE) else 1
-    if workers == 1:
-        return _count_hits(rng, n_draws, mags, p_plus, t - tol) / n_draws
+    bits = np.random.PCG64(seed)
+    workers = _worker_count(n_draws, max(1, _SIGN_BUFFER // rows))
     cuts = [n_draws * w // workers for w in range(workers + 1)]
     jobs = [(np.random.Generator(copy.deepcopy(bits).advance(lo * rows)), hi - lo)
             for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     with ThreadPoolExecutor(len(jobs)) as pool:
         hits = sum(pool.map(lambda job: _count_hits(*job, mags, p_plus, t - tol), jobs))
-    # advance() also drops a buffered 32-bit half-word, which drawing doubles keeps
-    state = bits.state
-    bits.advance(n_draws * rows)
-    bits.state = {**bits.state, "has_uint32": state["has_uint32"],
-                  "uinteger": state["uinteger"]}
     return hits / n_draws
 
 
@@ -265,7 +257,7 @@ def _score_test(scores, sample, gamma, method, sign, tau_label,
         raise ValueError(f"method must be normal, exact or montecarlo, got {method!r}")
     return TestResult(
         statistic=t,
-        null_mean=sign * mu_plus,
+        null_mean=sign * mu_plus + 0.0,  # + 0.0 turns -0.0 into 0.0
         null_sd=math.sqrt(variance),
         p_value=p,
         gamma=gamma,

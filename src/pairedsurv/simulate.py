@@ -82,9 +82,6 @@ class ScenarioSpec:
                              f"got {self.b!r}")
 
 
-scenario_spec = ScenarioSpec
-
-
 def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
     """Invert the cumulative hazard at ``-log(u)``.
 

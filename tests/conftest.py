@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pairedsurv import (
+    ScenarioSpec,
     build_sample,
     diff_matrix,
     generate_pairs,
     km_at,
     km_estimate,
-    scenario_spec,
 )
 from pairedsurv import overall
 from pairedsurv.closed import _subset_seed
@@ -46,7 +46,7 @@ def random_units(rng, n=None, event_prob=0.7, round_digits=None):
 
 
 def simulated_sample(n_pairs=100, scenario="ph", seed=0, censoring_form="covariate_dependent"):
-    return generate_pairs(n_pairs, scenario_spec(scenario, censoring_form=censoring_form), seed)
+    return generate_pairs(n_pairs, ScenarioSpec(scenario, censoring_form=censoring_form), seed)
 
 
 def pseudo_observations_naive(times, events, tau):

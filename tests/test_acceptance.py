@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from pairedsurv import (
+    ScenarioSpec,
     StudyConfig,
     build_sample,
     closed_test,
@@ -29,7 +30,6 @@ from pairedsurv import (
     pseudo_observations,
     pvalue_exact,
     pvalue_montecarlo,
-    scenario_spec,
     sensitivity_value,
     time_specific_test,
 )
@@ -235,7 +235,7 @@ def test_criterion_6_mvn_integration(monkeypatch):
 # -- criterion 7: family-wise error of closed testing -------------------------
 
 def test_criterion_7_closed_testing_fwer():
-    spec = scenario_spec("no_effect")
+    spec = ScenarioSpec("no_effect")
     grid = (1.0, 2.0, 3.0, 4.0, 5.0)
     reps = 1000
     any_rejection = 0
@@ -257,14 +257,14 @@ def test_criterion_8_sensitivity_monotonicity():
     mono_ok = True
     for rep in range(50):
         scenario = ("ph", "early_div", "late_div", "crossing", "no_effect")[rep % 5]
-        sample = generate_pairs(100, scenario_spec(scenario),
+        sample = generate_pairs(100, ScenarioSpec(scenario),
                                 np.random.SeedSequence((SEED, 80, rep)))
         tau = (2.0, 3.0, 4.0)[rep % 3]
         pvals = [time_specific_test(sample, tau, g).p_value for g in gammas]
         if not all(b >= a - 1e-12 for a, b in zip(pvals, pvals[1:])):
             mono_ok = False
 
-    sample = generate_pairs(400, scenario_spec("ph"), SEED)
+    sample = generate_pairs(400, ScenarioSpec("ph"), SEED)
     sv = sensitivity_value(sample, tau=4.0, alpha=0.05, tol=1e-3)
     bracket_ok = (not sv.already_sensitive and not sv.exceeded_max)
     if bracket_ok:
@@ -281,7 +281,7 @@ def test_criterion_8_sensitivity_monotonicity():
 # -- criterion 9: qualitative sensitivity patterns (restricted-data stand-in) --
 
 def test_criterion_9_qualitative_patterns():
-    sample = generate_pairs(1500, scenario_spec("early_div"), SEED + 9)
+    sample = generate_pairs(1500, ScenarioSpec("early_div"), SEED + 9)
     grid = (1.0, 2.0, 3.0, 4.0, 5.0)
 
     rpt = closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=1)

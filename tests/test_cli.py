@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,17 @@ def test_cmd_test_gamma_continuity(sim_csv, tmp_path, capsys):
         assert code == 0
         pvals.append(json.loads(out_path.read_text())["result"]["p_value"])
     assert abs(pvals[0] - pvals[1]) < 1e-5
+
+
+def test_cmd_test_null_mean_zero_has_plus_sign(sim_csv, tmp_path, capsys):
+    # at gamma 1 the worst-case mean is 0, and the benefit tail's sign -1
+    # used to make it -0.0
+    out_path = tmp_path / "g1.json"
+    code, out, _ = run(["test", sim_csv, "--tau", "3", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert "null mean 0.000" in out
+    null_mean = json.loads(out_path.read_text())["result"]["null_mean"]
+    assert null_mean == 0.0 and math.copysign(1.0, null_mean) == 1.0
 
 
 def test_cmd_test_tau_zero_p_one(sim_csv, tmp_path, capsys):

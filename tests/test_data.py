@@ -66,6 +66,20 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.assignment, sample.assignment)
 
 
+def test_csv_accepts_byte_order_mark(tmp_path):
+    # spreadsheets save "CSV UTF-8" with a leading BOM
+    sample = build_sample(five_pair_records())
+    path = tmp_path / "pairs.csv"
+    write_csv(path, sample)
+    bom_path = tmp_path / "bom.csv"
+    bom_path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    a, b = load_csv(path), load_csv(bom_path)
+    assert a.pair_ids == b.pair_ids
+    np.testing.assert_array_equal(a.times, b.times)
+    np.testing.assert_array_equal(a.events, b.events)
+    np.testing.assert_array_equal(a.assignment, b.assignment)
+
+
 def test_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,pos,treat,time,event\na,1,1,1.0,1\n")

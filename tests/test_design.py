@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pairedsurv import design_sensitivities, diff_matrix, generate_pairs, scenario_spec
+from pairedsurv import ScenarioSpec, design_sensitivities, diff_matrix, generate_pairs
 
 # With both pairs treated first (V = 1), a column (d1, d2) has
 # E|d| = (|d1| + |d2|)/2, E(dV) = (d1 + d2)/2 and E d^2 = (d1^2 + d2^2)/2.
@@ -70,7 +70,7 @@ def test_positive_iff_some_favorable_column():
 
 
 def test_split_half_consistency():
-    spec = scenario_spec("ph", censoring_form="covariate_free")
+    spec = ScenarioSpec("ph", censoring_form="covariate_free")
     sample = generate_pairs(40_000, spec, 123)
     oriented = -diff_matrix(sample, (3.0,)).D
     half = 20_000

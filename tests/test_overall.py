@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from pairedsurv import (
+    ScenarioSpec,
     PairedSample,
     StudyConfig,
     build_sample,
@@ -19,7 +20,6 @@ from pairedsurv import (
     overall_test,
     pair_differences,
     ppw_test,
-    scenario_spec,
     time_specific_test,
 )
 from pairedsurv.errors import DegenerateColumnWarning
@@ -197,7 +197,7 @@ def test_bonferroni_sandwich():
 
 def test_tiny_max_tail_stays_inside_its_bound():
     # every column tail is near 1e-46, far below what 1 - cdf can resolve
-    sample = generate_pairs(8000, scenario_spec("ph"), 1)
+    sample = generate_pairs(8000, ScenarioSpec("ph"), 1)
     grid = (1.0, 2.0, 3.0, 4.0, 5.0)
     res = overall_test(sample, grid)
     diff = diff_matrix(sample, grid)

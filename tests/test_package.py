@@ -10,3 +10,8 @@ def test_star_import_binds_no_module():
     exec("from pairedsurv import *", namespace)
     assert set(pairedsurv.__all__) <= set(namespace)
     assert "data" not in namespace
+    # and no object under two names
+    names_of = {}
+    for name in pairedsurv.__all__:
+        names_of.setdefault(id(getattr(pairedsurv, name)), []).append(name)
+    assert [names for names in names_of.values() if len(names) > 1] == []

@@ -11,7 +11,7 @@ requires.
 import sys
 from pathlib import Path
 
-from pairedsurv import StudyConfig, power_study, scenario_spec
+from pairedsurv import ScenarioSpec, StudyConfig, power_study
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -29,7 +29,7 @@ def assert_ops_match_reference(workload, ops):
 
 
 def test_recorder_replays_power_study_max_test():
-    config = StudyConfig(scenarios=(scenario_spec("ph"), scenario_spec("late_div")),
+    config = StudyConfig(scenarios=(ScenarioSpec("ph"), ScenarioSpec("late_div")),
                          pairs=200, replications=4, grid=(1.0, 2.0, 3.0),
                          gammas=(1.0, 1.25))
     replay = record_reference._max_p_values(config)

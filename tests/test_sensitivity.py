@@ -154,7 +154,9 @@ def test_montecarlo_deterministic():
     d = np.random.default_rng(3).normal(size=10)
     a = pvalue_montecarlo(d, 0.5, 1.5, n_draws=20_000, seed=9)
     b = pvalue_montecarlo(d, 0.5, 1.5, n_draws=20_000, seed=9)
-    assert a == b
+    # the seed is SeedSequence entropy, so SeedSequence(9) is the stream of 9
+    c = pvalue_montecarlo(d, 0.5, 1.5, n_draws=20_000, seed=np.random.SeedSequence(9))
+    assert a == b == c
 
 
 def test_montecarlo_symmetric_center():
@@ -203,20 +205,13 @@ def test_montecarlo_matches_one_shot_simulator(monkeypatch, workers):
             d[:size], 1.0, 1.25, 501, 3)
 
 
-@pytest.mark.parametrize("bit_generator", ["PCG64", "PCG64DXSM", "MT19937", "Philox"])
-def test_montecarlo_leaves_generator_as_one_draw_would(monkeypatch, bit_generator):
-    # a passed Generator ends n_draws * k doubles on, its buffered 32-bit
-    # half-word kept; generators without an exact jump run on one worker
-    _fix_workers(monkeypatch, 2)
-    d = np.random.default_rng(6).normal(size=40)
-    ours, ref = (np.random.Generator(getattr(np.random, bit_generator)(12))
-                 for _ in range(2))
-    ours.random(dtype=np.float32)
-    ref.random(dtype=np.float32)
-    p = pvalue_montecarlo(d, 2.0, 1.5, 7_777, seed=ours)
-    assert p == montecarlo_one_shot(d, 2.0, 1.5, 7_777, seed=ref)
-    assert ours.random(3, dtype=np.float32).tolist() == ref.random(3, dtype=np.float32).tolist()
-    assert ours.random(3).tolist() == ref.random(3).tolist()
+@pytest.mark.parametrize("make_seed", [
+    lambda: np.random.default_rng(12), lambda: np.random.PCG64(12),
+], ids=["Generator", "BitGenerator"])
+def test_montecarlo_refuses_generator_seed(make_seed):
+    # the seed is SeedSequence entropy, never a stream to draw on
+    with pytest.raises(TypeError):
+        pvalue_montecarlo([0.3, -0.2, 0.5], 0.1, n_draws=100, seed=make_seed())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -242,9 +237,13 @@ def test_montecarlo_transient_memory(monkeypatch, workers):
     lambda: pvalue_exact([0.3, math.nan], 0.1),
     lambda: pvalue_exact([0.3, -0.2], math.nan),
     lambda: pvalue_exact([0.3, -math.inf], 0.1),
+    lambda: pvalue_normal(math.nan, 0.0, 1.0),
+    lambda: pvalue_normal(1.0, math.nan, 1.0),
+    lambda: pvalue_normal(1.0, 0.0, math.nan),
 ])
 def test_tails_reject_non_finite_input(call):
-    # a NaN compares false everywhere and used to read as p = 0
+    # a NaN compares false everywhere and used to read as p = 0 (p = nan in
+    # the normal tail)
     with pytest.raises(ValueError, match="must be finite"):
         call()
 

@@ -20,7 +20,6 @@ from pairedsurv import (
     ppw_test,
     sample_censoring_time,
     sample_survival_time,
-    scenario_spec,
     sensitivity_value,
     time_specific_test,
 )
@@ -44,18 +43,18 @@ def test_all_scenarios_defined():
 
 def test_eta_forms():
     # crossing hazard ratio passes 1 at tau = 2
-    spec = scenario_spec("crossing")
+    spec = ScenarioSpec("crossing")
     ratio = lambda t: hazard(spec, t, 0.0, 1) / hazard(spec, t, 0.0, 0)
     assert ratio(2.0) == pytest.approx(1.0)
     assert ratio(1.0) < 1.0 < ratio(3.0)
     # late divergence: both arms time-varying
-    late = scenario_spec("late_div")
+    late = ScenarioSpec("late_div")
     assert hazard(late, 2.0, 0.0, 0) == pytest.approx(0.2 * np.exp(0.30))
     assert hazard(late, 2.0, 0.0, 1) == pytest.approx(0.2 * np.exp(0.02))
 
 
 def test_exponential_mean_no_effect():
-    spec = scenario_spec("no_effect")
+    spec = ScenarioSpec("no_effect")
     rng = np.random.default_rng(0)
     u = 1.0 - rng.random(1_000_000)
     s = sample_survival_time(0.0, 0, spec, u)
@@ -65,7 +64,7 @@ def test_exponential_mean_no_effect():
 def test_inversion_matches_adaptive_quadrature():
     rng = np.random.default_rng(1)
     for sid in ETA:
-        spec = scenario_spec(sid)
+        spec = ScenarioSpec(sid)
         for _ in range(60):
             x = float(rng.normal())
             z = int(rng.integers(2))
@@ -81,7 +80,7 @@ def test_inversion_matches_simpson_at_scale():
     n = 10_000
     nodes = 800  # Simpson intervals; error way below 1e-8 for s <= 10
     for sid in ETA:
-        spec = scenario_spec(sid)
+        spec = ScenarioSpec(sid)
         x = rng.standard_normal(n)
         z = rng.integers(2, size=n).astype(float)
         u = rng.uniform(0.02, 0.98, n)
@@ -102,7 +101,7 @@ def test_inversion_matches_simpson_at_scale():
 
 
 def test_censoring_exponential_mean():
-    spec = scenario_spec("no_effect", b=2.0, censoring_form="covariate_free")
+    spec = ScenarioSpec("no_effect", b=2.0, censoring_form="covariate_free")
     rng = np.random.default_rng(2)
     u = 1.0 - rng.random(1_000_000)
     c = sample_censoring_time(0.0, spec, u)
@@ -110,23 +109,23 @@ def test_censoring_exponential_mean():
 
 
 def test_censoring_forms_coincide_at_x_zero():
-    dep = scenario_spec("ph", b=3.0)
-    free = scenario_spec("ph", b=3.0, censoring_form="covariate_free")
+    dep = ScenarioSpec("ph", b=3.0)
+    free = ScenarioSpec("ph", b=3.0, censoring_form="covariate_free")
     u = np.linspace(0.05, 0.95, 11)
     np.testing.assert_allclose(sample_censoring_time(0.0, dep, u),
                                sample_censoring_time(0.0, free, u))
 
 
 def test_censoring_stochastically_larger_with_b():
-    spec_small = scenario_spec("ph", b=1.5)
-    spec_big = scenario_spec("ph", b=5.0)
+    spec_small = ScenarioSpec("ph", b=1.5)
+    spec_big = ScenarioSpec("ph", b=5.0)
     u = np.linspace(0.05, 0.95, 19)
     assert np.all(sample_censoring_time(0.3, spec_big, u)
                   > sample_censoring_time(0.3, spec_small, u))
 
 
 def test_generate_deterministic():
-    spec = scenario_spec("ph")
+    spec = ScenarioSpec("ph")
     a = generate_pairs(500, spec, 42)
     b = generate_pairs(500, spec, 42)
     np.testing.assert_array_equal(a.times, b.times)
@@ -137,14 +136,14 @@ def test_generate_deterministic():
 
 
 def test_administrative_cutoff():
-    sample = generate_pairs(20_000, scenario_spec("late_div"), 3)
+    sample = generate_pairs(20_000, ScenarioSpec("late_div"), 3)
     assert sample.times.max() <= 5.0
     at_cut = (sample.times == 5.0)
     assert np.all(~sample.events[at_cut])
 
 
 def test_no_effect_arms_identically_distributed():
-    sample = generate_pairs(100_000, scenario_spec("no_effect"), 4)
+    sample = generate_pairs(100_000, ScenarioSpec("no_effect"), 4)
     treated = np.repeat(sample.assignment == 1, 2)
     treated[1::2] = ~treated[1::2]
     t_flat = sample.unit_times
@@ -153,7 +152,7 @@ def test_no_effect_arms_identically_distributed():
 
 
 def test_covariate_free_censoring_independent_of_survival():
-    spec = scenario_spec("ph", censoring_form="covariate_free")
+    spec = ScenarioSpec("ph", censoring_form="covariate_free")
     rng = np.random.default_rng(5)
     n = 100_000
     x = rng.standard_normal(n)
@@ -164,11 +163,11 @@ def test_covariate_free_censoring_independent_of_survival():
 
 
 def test_calibrate_b_reprobe():
-    spec = scenario_spec("crossing")
+    spec = ScenarioSpec("crossing")
     b, rate = calibrate_b(spec, target_rate=0.25, tol=0.005, seed=10, probe_i=40_000)
     assert abs(rate - 0.25) <= 0.005
     fresh = nonadmin_censoring_rate(
-        generate_pairs(40_000, scenario_spec("crossing", b=b), 999)
+        generate_pairs(40_000, ScenarioSpec("crossing", b=b), 999)
     )
     se = np.sqrt(0.25 * 0.75 / 80_000)
     assert abs(fresh - 0.25) <= 0.005 + 2 * se
@@ -179,7 +178,7 @@ def test_calibrate_b_reprobe():
                          ids="-".join)
 def test_calibrate_b_reproduces_default_b(key):
     # the recorded settings behind DEFAULT_B pin the censoring protocol
-    spec = scenario_spec(key[0], censoring_form=key[1])
+    spec = ScenarioSpec(key[0], censoring_form=key[1])
     b, rate = calibrate_b(spec, target_rate=0.25, tol=0.005, seed=20260808,
                           probe_i=200_000)
     assert round(b, 6) == DEFAULT_B[key]
@@ -187,9 +186,9 @@ def test_calibrate_b_reproduces_default_b(key):
 
 
 def test_calibration_rate_monotone_in_b():
-    spec = scenario_spec("ph")
+    spec = ScenarioSpec("ph")
     rates = [
-        nonadmin_censoring_rate(generate_pairs(30_000, scenario_spec("ph", b=b), 7))
+        nonadmin_censoring_rate(generate_pairs(30_000, ScenarioSpec("ph", b=b), 7))
         for b in (1.2, 2.0, 4.0, 8.0)
     ]
     assert all(b < a for a, b in zip(rates, rates[1:]))
@@ -197,22 +196,22 @@ def test_calibration_rate_monotone_in_b():
 
 def test_calibrate_unreachable_target():
     with pytest.raises(ValueError, match="strictly between 0 and 1"):
-        calibrate_b(scenario_spec("ph"), target_rate=0.0)
+        calibrate_b(ScenarioSpec("ph"), target_rate=0.0)
     with pytest.raises(ValueError, match="outside achievable range"):
-        calibrate_b(scenario_spec("ph"), target_rate=0.9, probe_i=5_000)
+        calibrate_b(ScenarioSpec("ph"), target_rate=0.9, probe_i=5_000)
 
 
 def test_frozen_default_b_reproduce_quarter():
     # the packaged constants hit ~25% non-administrative censoring
     for sid in ETA:
         for form in ("covariate_dependent", "covariate_free"):
-            spec = scenario_spec(sid, censoring_form=form)
+            spec = ScenarioSpec(sid, censoring_form=form)
             rate = nonadmin_censoring_rate(generate_pairs(60_000, spec, 17))
             assert rate == pytest.approx(0.25, abs=0.012)
 
 
 def test_power_study_deterministic_and_shaped():
-    config = StudyConfig(scenarios=(scenario_spec("ph"),), pairs=60,
+    config = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=60,
                          replications=30, grid=(2.0, 4.0), seed=5,
                          gammas=(1.0, 1.3))
     a = power_study(config)
@@ -228,7 +227,7 @@ def test_power_study_deterministic_and_shaped():
 
 
 def test_power_study_matches_public_tests():
-    config = StudyConfig(scenarios=tuple(scenario_spec(sid) for sid in ETA),
+    config = StudyConfig(scenarios=tuple(ScenarioSpec(sid) for sid in ETA),
                          pairs=60, replications=3, gammas=(1.0, 1.25, 1.5), seed=4)
     counts = {}
     for spec in config.scenarios:
@@ -257,14 +256,14 @@ def test_power_study_integrates_at_most_half_its_max_tests(monkeypatch):
     # 5 scenarios x 4 replications x 2 gammas = 40 max tests; an always-
     # integrating study makes one mvn_cdf call for each
     calls = count_mvn_calls(monkeypatch)
-    config = StudyConfig(scenarios=tuple(scenario_spec(sid) for sid in ETA),
+    config = StudyConfig(scenarios=tuple(ScenarioSpec(sid) for sid in ETA),
                          pairs=200, replications=4, gammas=(1.0, 1.25))
     power_study(config)
     assert len(calls) <= 20
 
 
 def test_power_rows_follow_config_order():
-    config = StudyConfig(scenarios=(scenario_spec("ph"), scenario_spec("crossing")),
+    config = StudyConfig(scenarios=(ScenarioSpec("ph"), ScenarioSpec("crossing")),
                          pairs=40, replications=1, grid=(2.0, 4.5, 10.0),
                          gammas=(1.0, 2.0, 10.0))
     order = [(r.scenario, r.gamma, r.test) for r in power_study(config).rows]
@@ -276,24 +275,24 @@ def test_max_test_over_too_many_columns_refused_on_every_sample():
     # on these no_effect samples the column-tail bounds alone would decide
     # the 26-column max test, and an integration would be refused
     grid = tuple(np.linspace(0.5, 5.0, 26))
-    config = StudyConfig(scenarios=(scenario_spec("no_effect"),), pairs=200,
+    config = StudyConfig(scenarios=(ScenarioSpec("no_effect"),), pairs=200,
                          replications=1, grid=grid)
     with pytest.raises(ValueError, match="dimension 26 exceeds the supported 25"):
         power_study(config)
-    sample = generate_pairs(200, scenario_spec("no_effect"), 0)
+    sample = generate_pairs(200, ScenarioSpec("no_effect"), 0)
     with pytest.raises(ValueError, match="dimension 26 exceeds the supported 25"):
         sensitivity_value(sample, grid=grid)
 
 
 def test_power_rows_monotone_in_gamma():
-    config = StudyConfig(scenarios=(scenario_spec("ph"),), pairs=200,
+    config = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=200,
                          replications=40, grid=(3.0,), seed=6, gammas=(1.0, 1.5))
     res = power_study(config)
     assert res.rate("ph", "t_tau=3", 1.5) <= res.rate("ph", "t_tau=3", 1.0)
 
 
 def test_design_study_warns_on_dependent_censoring():
-    config = StudyConfig(scenarios=(scenario_spec("ph"),), pairs=2_000,
+    config = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=2_000,
                          replications=1, grid=(3.0,), seed=7)
     with pytest.warns(UserWarning):
         design_sensitivity_study(config)
@@ -301,7 +300,7 @@ def test_design_study_warns_on_dependent_censoring():
 
 def test_design_study_no_effect_near_one():
     config = StudyConfig(
-        scenarios=(scenario_spec("no_effect", censoring_form="covariate_free"),),
+        scenarios=(ScenarioSpec("no_effect", censoring_form="covariate_free"),),
         pairs=50_000, replications=1, grid=(1.0, 3.0, 5.0), seed=8)
     res = design_sensitivity_study(config)[0]
     for value in res.per_tau.values():
@@ -310,7 +309,7 @@ def test_design_study_no_effect_near_one():
 
 def test_study_config_defaults_from_dataclass():
     assert StudyConfig.from_dict({"scenarios": ["ph"]}) == StudyConfig(
-        scenarios=(scenario_spec("ph"),))
+        scenarios=(ScenarioSpec("ph"),))
 
 
 def test_study_config_accepts_integral_floats():
@@ -326,13 +325,13 @@ def test_study_config_rejects_unknown_keys():
 
 def test_scenario_spec_rejects_unknown_censoring_form():
     with pytest.raises(ValueError, match="censoring_form must be one of"):
-        scenario_spec("ph", censoring_form="x")
+        ScenarioSpec("ph", censoring_form="x")
 
 
 def test_scenario_spec_is_its_name():
-    assert pairedsurv.scenario_spec is pairedsurv.ScenarioSpec
+    assert not hasattr(pairedsurv, "scenario_spec")
     assert [f.name for f in dataclasses.fields(ScenarioSpec)] == ["id", "b", "censoring_form"]
-    spec = scenario_spec("late_div", censoring_form="covariate_free")
+    spec = ScenarioSpec("late_div", censoring_form="covariate_free")
     assert spec.b == DEFAULT_B[("late_div", "covariate_free")]
 
 
@@ -347,7 +346,7 @@ def test_scenario_spec_is_its_name():
 ])
 def test_scenario_spec_rejects_bad_values(sid, b, match):
     with pytest.raises(ValueError, match=match):
-        scenario_spec(sid, b=b)
+        ScenarioSpec(sid, b=b)
 
 
 @pytest.mark.parametrize("change, field", [
@@ -359,12 +358,12 @@ def test_scenario_spec_rejects_bad_values(sid, b, match):
     ({"gammas": ("1.5",)}, "'gammas' must be a list of numbers"),
     ({"scenarios": ()}, "'scenarios' must list at least one scenario"),
     ({"gammas": ()}, "'gammas' must list at least one gamma"),
-    ({"scenarios": (scenario_spec("ph"), scenario_spec("ph"))},
+    ({"scenarios": (ScenarioSpec("ph"), ScenarioSpec("ph"))},
      "'scenarios' lists an entry more than once"),
     ({"gammas": (1.0, 1.5, 1.0)}, "'gammas' lists an entry more than once"),
 ])
 def test_study_config_checks_built_and_replaced_alike(change, field):
-    base = StudyConfig(scenarios=(scenario_spec("ph"),), pairs=20, replications=1)
+    base = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=20, replications=1)
     with pytest.raises(ValueError, match=field):
         StudyConfig(**{"scenarios": base.scenarios, **change})
     with pytest.raises(ValueError, match=field):
