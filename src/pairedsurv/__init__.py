@@ -35,7 +35,6 @@ from .sensitivity import (
     pvalue_montecarlo,
     pvalue_normal,
     sensitivity_value,
-    t_statistic,
     time_specific_test,
 )
 from .simulate import (

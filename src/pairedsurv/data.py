@@ -118,10 +118,10 @@ def load_csv(path) -> PairedSample:
     """Read a sample from CSV with header pair_id,position,treated,time,event.
 
     Every row has exactly these five fields; blank lines are skipped.
-    ``position`` is 1 or 2; ``treated`` and ``event`` are 0/1; times use a
-    ``.`` decimal point.  A UTF-8 byte-order mark is accepted.  Errors name
-    the physical line, so a quoted field spanning lines does not shift the
-    count.
+    ``position`` is 1 or 2; ``treated`` and ``event`` are 0/1; times are
+    finite and >= 0 with a ``.`` decimal point.  A UTF-8 byte-order mark is
+    accepted.  Errors name the physical line, so a quoted field spanning
+    lines does not shift the count.
     """
     records = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -132,6 +132,8 @@ def load_csv(path) -> PairedSample:
         for row in filter(None, reader):
             try:
                 pair_id, position, treated, time, event = row
+                if not 0.0 <= float(time) < np.inf:  # NaN fails too
+                    raise ValueError(f"time must be finite and >= 0, got {time!r}")
                 records.append((pair_id, int(position), _parse_binary(treated, "treated"),
                                 float(time), _parse_binary(event, "event")))
             except ValueError as exc:

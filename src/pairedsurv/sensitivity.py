@@ -5,8 +5,9 @@ odds-ratio assignment model with parameter ``gamma >= 1``, the worst case
 for the upper tail replaces each term by ``|d_i|`` times an independent
 sign that is positive with probability ``gamma / (1 + gamma)``; gamma = 1
 recovers the plain randomization distribution.  The p-value primitives
-compute only that upper tail; the other tail is the upper tail of the
-negated differences, with the sign from ``scores._sign``.
+compute only that upper tail; the other tail is the upper tail of ``-T``,
+with the sign from ``scores._sign``, and ``_column_tests`` gives the normal
+test of every column of a difference matrix in one call.
 """
 
 from __future__ import annotations
@@ -88,17 +89,6 @@ class TestResult:
             raise ValueError("null_sd must be >= 0")
 
 
-def t_statistic(scores, sample) -> float:
-    """Observed ``sum_i d_i V_i``."""
-    d = np.asarray(scores, dtype=float)
-    v = sample.assignment
-    if d.shape[0] != v.shape[0]:
-        raise ValueError(
-            f"scores have {d.shape[0]} pairs but sample has {v.shape[0]}"
-        )
-    return float(d @ v)
-
-
 def null_moments(scores, gamma=1.0):
     """Worst-case mean and variance of the upper-tail bounding statistic.
 
@@ -136,12 +126,22 @@ def pvalue_normal(t, mean, variance):
     return float(p) if p.ndim == 0 else p
 
 
+def _column_tests(D, assignment, gamma, orient):
+    """Worst-case normal test of each column of an (I, L) ``D``, or of one (I,)
+    score vector, in the upper tail (``orient`` +1) or the lower (-1):
+    ``(t, mean, variance, p)`` with ``t = orient * (D.T @ assignment)``."""
+    t = orient * (D.T @ assignment)
+    mean, variance = null_moments(D, gamma)
+    return t, mean, variance, pvalue_normal(t, mean, variance)
+
+
 def pvalue_exact(scores, t, gamma=1.0) -> float:
     """Worst-case upper tail ``Pr(T >= t)`` by exact enumeration.
 
     Enumerates the 2^k sign patterns over the k pairs with nonzero
     differences (tied pairs contribute exactly zero).  Ties at the observed
-    value are included in the tail.
+    value are included in the tail.  Only ``|d_i|`` is read, so ``-d`` gives
+    the same p; the lower tail of ``T`` is this tail at ``-t``.
     """
     gamma = check_gamma(gamma)
     d, t = _tail_args(scores, t)
@@ -164,9 +164,10 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
 
     Each pair with a nonzero difference draws one sign, positive with
     probability gamma/(1+gamma), times ``|d_i|``; zero pairs contribute
-    nothing and draw no sign.  Ties at ``t`` count.  This is the one
-    simulator: it serves one-column tests only, and the max-type test has
-    only its normal method.
+    nothing and draw no sign.  Ties at ``t`` count.  Only ``|d_i|`` is
+    read, so ``-d`` gives the same p; the lower tail is this tail at
+    ``-t``.  This is the one simulator: it serves one-column tests only,
+    and the max-type test has only its normal method.
 
     ``seed`` is SeedSequence entropy (an int, a sequence of ints, a
     ``SeedSequence`` or ``None``); a ``Generator`` or ``BitGenerator`` is
@@ -243,20 +244,19 @@ def _count_hits(rng, n, mags, p_plus, bound) -> int:
 
 def _score_test(scores, sample, gamma, method, sign, tau_label,
                 n_draws=100_000, seed=0) -> TestResult:
-    """Shared p-value dispatch; ``sign = -1`` tests T's lower tail as -T's upper."""
+    """Shared p-value dispatch; ``sign = -1`` tests T's lower tail as -T's upper.
+    The exact and Monte Carlo tails read only ``|d_i|``, so they take the
+    unsigned scores in either tail."""
     gamma = check_gamma(gamma)
-    t = t_statistic(scores, sample)
-    mu_plus, variance = null_moments(scores, gamma)
-    if method == "normal":
-        p = pvalue_normal(sign * t, mu_plus, variance)
-    elif method == "exact":
-        p = pvalue_exact(sign * np.asarray(scores, dtype=float), sign * t, gamma)
+    t, mu_plus, variance, p = _column_tests(scores, sample.assignment, gamma, sign)
+    if method == "exact":
+        p = pvalue_exact(scores, t, gamma)
     elif method == "montecarlo":
-        p = pvalue_montecarlo(scores, sign * t, gamma, n_draws, seed)
-    else:
+        p = pvalue_montecarlo(scores, t, gamma, n_draws, seed)
+    elif method != "normal":
         raise ValueError(f"method must be normal, exact or montecarlo, got {method!r}")
     return TestResult(
-        statistic=t,
+        statistic=float(sign * t),
         null_mean=sign * mu_plus + 0.0,  # + 0.0 turns -0.0 into 0.0
         null_sd=math.sqrt(variance),
         p_value=p,
@@ -324,8 +324,7 @@ def _worst_case_p(sample, tau, grid, direction, include_ppw, seed, mvn_tol=1e-4)
         if include_ppw:
             raise ValueError("include_ppw applies only to a grid")
         scores = pair_differences(sample, "pseudo", tau)
-        return lambda g, alpha=None: _score_test(scores, sample, g, "normal",
-                                                 sign, tau).p_value
+        return lambda g, alpha=None: _column_tests(scores, sample.assignment, g, sign)[3]
     from .overall import _max_diff, _max_test_from_columns
 
     diff = _max_diff(sample, grid, include_ppw)

@@ -22,7 +22,7 @@ from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
 from .overall import _max_diff, _max_test_from_columns, as_grid, diff_matrix
 from .scores import _sign
-from .sensitivity import _is_real, _whole, check_gamma, null_moments, pvalue_normal
+from .sensitivity import _column_tests, _is_real, _whole, check_gamma
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate
@@ -264,7 +264,7 @@ class StudyConfig:
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
@@ -328,13 +328,11 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     for spec in config.scenarios:
         for rep in range(config.replications):
             sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, rep))
-            diff = diff_matrix(sample, grid, include_ppw=True)
             # every column, the negated PW one included, is pseudo-oriented
-            t_cols = benefit * (diff.D.T @ sample.assignment)
+            diff = diff_matrix(sample, grid, include_ppw=True)
             mvn_seed = int(_rep_seed(config.seed, spec.id, rep, salt=7).generate_state(1)[0])
             for gamma in config.gammas:
-                mean, variance = null_moments(diff.D, gamma)
-                p_cols = pvalue_normal(t_cols, mean, variance)
+                p_cols = _column_tests(diff.D, sample.assignment, gamma, benefit)[3]
                 _, p_max = _max_test_from_columns(
                     diff.D[:, :n_taus], diff.sigma[:n_taus], sample.assignment,
                     gamma, "normal", orient=benefit, tol=config.mvn_tol,

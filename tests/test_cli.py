@@ -99,6 +99,12 @@ def test_cmd_test_logrank_rejects_tau(sim_csv, capsys):
     assert code == 4
 
 
+def test_cmd_test_pseudo_needs_tau(sim_csv, capsys):
+    code, out, err = run(["test", sim_csv], capsys)
+    assert (code, out) == (4, "")
+    assert "--tau is required for pseudo scores" in err
+
+
 def test_cmd_overall_single_grid_matches_test(five_csv, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["overall", five_csv, "--grid", "5.9", "--out", str(a)], capsys)
@@ -154,6 +160,17 @@ def test_cmd_sens_search_brackets(sim_csv, tmp_path, capsys):
     assert code == 0
     found = json.loads(out_path.read_text())["result"]["sensitivity_value"]
     assert found["gamma"] >= 1.0
+
+
+def test_cmd_sens_insensitive_up_to_gamma_max(sim_csv, tmp_path, capsys):
+    # this sample's sensitivity value at tau 4 is about 1.09
+    out_path = tmp_path / "sv.json"
+    code, out, _ = run(["sens", sim_csv, "--tau", "4.0", "--search", "--gamma-max", "1.05",
+                        "--out", str(out_path)], capsys)
+    assert code == 0
+    assert "insensitive up to gamma_max = 1.05" in out
+    found = json.loads(out_path.read_text())["result"]["sensitivity_value"]
+    assert (found["gamma"], found["exceeded_max"]) == (1.05, True)
 
 
 def test_cmd_sens_already_sensitive(tmp_path, capsys):
@@ -270,6 +287,14 @@ def test_cmd_km_output(five_csv, tmp_path, capsys):
     assert any(line.startswith("control,") for line in lines)
 
 
+def test_cmd_km_without_out_prints_csv(five_csv, tmp_path, capsys):
+    out_path = tmp_path / "km.csv"
+    assert run(["km", five_csv, "--out", str(out_path)], capsys)[0] == 0
+    code, out, _ = run(["km", five_csv], capsys)
+    assert code == 0
+    assert out.splitlines() == out_path.read_text().splitlines()
+
+
 def test_cmd_simulate_byte_identical(tmp_path, capsys):
     config = {
         "scenarios": ["ph"], "pairs": 40, "replications": 8,
@@ -301,6 +326,20 @@ def test_result_block_byte_identical(argv, sim_csv, tmp_path, capsys):
         assert code == 0
         doc = json.loads(out_path.read_text())
         blocks.append(json.dumps(doc["result"], sort_keys=True).encode())
+    assert blocks[0] == blocks[1]
+
+
+def test_config_with_byte_order_mark_loads(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": ["ph"], "pairs": 20, "replications": 1}))
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    blocks = []
+    for path in (cfg, bom):
+        out_path = tmp_path / f"{path.stem}_out.json"
+        code, _, _ = run(["simulate", str(path), "--out", str(out_path)], capsys)
+        assert code == 0
+        blocks.append(json.loads(out_path.read_text())["result"])
     assert blocks[0] == blocks[1]
 
 

@@ -9,6 +9,13 @@ from conftest import closed_test_brute_force, simulated_sample, subset_test
 GRID = (1.0, 2.0, 3.0, 4.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan")])
+def test_alpha_outside_unit_interval_refused(alpha):
+    sample = simulated_sample(30, "ph", seed=1)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        closed_test(sample, GRID, alpha=alpha)
+
+
 def test_singleton_subset_equals_time_specific():
     sample = simulated_sample(150, "ph", seed=1)
     for gamma in (1.0, 1.3):

@@ -106,6 +106,19 @@ def test_csv_unparseable_number_names_line(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("time", ["nan", "inf", "-1"])
+def test_csv_bad_time_names_line(tmp_path, time):
+    # PairedSample would refuse these too, but without the line number
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "pair_id,position,treated,time,event\n"
+        f"a,1,1,1.0,1\na,2,0,2.0,1\nb,1,1,{time},1\nb,2,0,2.0,1\n"
+    )
+    with pytest.raises(ValueError, match=f"malformed row at line 4: time must be finite "
+                                         f"and >= 0, got '{time}'"):
+        load_csv(path)
+
+
 def test_csv_error_names_physical_line(tmp_path):
     # the quoted pair_id of the first row spans lines 2-3
     path = tmp_path / "bad.csv"

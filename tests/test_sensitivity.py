@@ -17,13 +17,12 @@ from pairedsurv import (
     pvalue_montecarlo,
     pvalue_normal,
     sensitivity_value,
-    t_statistic,
     time_specific_test,
     write_csv,
 )
 from pairedsurv import sensitivity
 from pairedsurv.cli import main
-from pairedsurv.sensitivity import _search
+from pairedsurv.sensitivity import _column_tests, _search
 
 from conftest import montecarlo_one_shot, simulated_sample
 
@@ -44,8 +43,10 @@ def enumerate_randomization_p(d, t):
 # -- statistic and moments -------------------------------------------------
 
 def test_t_statistic(five_pairs):
-    scores = pair_differences(five_pairs, "pseudo", 1.3)
-    assert t_statistic(scores, five_pairs) == pytest.approx(-1.0, abs=1e-12)
+    # the result reports sum_i d_i V_i itself, whichever tail it tests
+    for direction in ("benefit", "harm"):
+        res = time_specific_test(five_pairs, 1.3, direction=direction)
+        assert res.statistic == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_t_statistic_arithmetic():
@@ -53,12 +54,16 @@ def test_t_statistic_arithmetic():
         ("a", 1, True, 1.0, True), ("a", 2, False, 2.0, True),
         ("b", 1, False, 3.0, True), ("b", 2, True, 4.0, True),
     ])
-    assert t_statistic(np.array([1.0, -2.0]), sample) == 3.0
-
-
-def test_t_statistic_length_mismatch(five_pairs):
-    with pytest.raises(ValueError, match="scores have 2 pairs but sample has 5"):
-        t_statistic(np.array([1.0, 2.0]), five_pairs)
+    d = np.array([1.0, -2.0])
+    assert _column_tests(d, sample.assignment, 1.0, 1.0)[0] == 3.0
+    assert _column_tests(d, sample.assignment, 1.0, -1.0)[0] == -3.0
+    # columns of a matrix are tested one by one
+    D = np.array([[1.0, 0.5], [-2.0, 0.5]])
+    t, mean, variance, p = _column_tests(D, sample.assignment, 2.0, 1.0)
+    assert t.tolist() == [3.0, 0.0]
+    for col in range(2):
+        one = _column_tests(D[:, col], sample.assignment, 2.0, 1.0)
+        assert [one[1], one[2], one[3]] == [mean[col], variance[col], p[col]]
 
 
 def test_null_moments_randomization_case():
@@ -334,6 +339,28 @@ def test_tau_zero_p_one():
     assert res.p_value == 1.0
 
 
+def test_tau_zero_p_one_montecarlo():
+    # every difference is zero, so no pair draws a sign
+    sample = simulated_sample(50, "ph", seed=1)
+    assert time_specific_test(sample, 0.0, method="montecarlo").p_value == 1.0
+
+
+@pytest.mark.parametrize("t, p", [(0.0, 1.0), (1.0, 0.0)])
+def test_montecarlo_all_zero_scores(t, p):
+    assert pvalue_montecarlo(np.zeros(4), t) == p
+
+
+def test_tails_ignore_the_sign_of_the_scores():
+    rng = np.random.default_rng(4)
+    d = rng.normal(size=9)
+    d[[2, 5]] = 0.0
+    for t in (-1.0, 0.3, 2.0):
+        for g in (1.0, 1.7):
+            assert pvalue_exact(-d, t, g) == pvalue_exact(d, t, g)
+            assert (pvalue_montecarlo(-d, t, g, n_draws=5_000, seed=3)
+                    == pvalue_montecarlo(d, t, g, n_draws=5_000, seed=3))
+
+
 def test_tied_pairs_inert():
     # appending zero-difference pairs to the scores changes nothing
     rng = np.random.default_rng(2)
@@ -378,6 +405,14 @@ def test_normal_close_to_exact_in_clt_regime():
 
 
 # -- sensitivity value ---------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+def test_sensitivity_value_alpha_outside_unit_interval_refused(alpha):
+    sample = simulated_sample(30, "ph", seed=1)
+    for target in ({"tau": 3.0}, {"grid": (2.0, 3.0)}):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            sensitivity_value(sample, alpha=alpha, **target)
+
 
 def test_sensitivity_value_brackets_alpha():
     sample = simulated_sample(400, "ph", seed=9)

@@ -361,6 +361,8 @@ def test_scenario_spec_rejects_bad_values(sid, b, match):
     ({"scenarios": (ScenarioSpec("ph"), ScenarioSpec("ph"))},
      "'scenarios' lists an entry more than once"),
     ({"gammas": (1.0, 1.5, 1.0)}, "'gammas' lists an entry more than once"),
+    ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
+    ({"alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
 ])
 def test_study_config_checks_built_and_replaced_alike(change, field):
     base = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=20, replications=1)
