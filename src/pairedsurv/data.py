@@ -134,6 +134,8 @@ def load_csv(path) -> PairedSample:
                 pair_id, position, treated, time, event = row
                 if not 0.0 <= float(time) < np.inf:  # NaN fails too
                     raise ValueError(f"time must be finite and >= 0, got {time!r}")
+                if int(position) not in (1, 2):
+                    raise ValueError(f"position must be 1 or 2, got {position!r}")
                 records.append((pair_id, int(position), _parse_binary(treated, "treated"),
                                 float(time), _parse_binary(event, "event")))
             except ValueError as exc:

@@ -13,12 +13,31 @@ import numpy as np
 
 
 def _coerce_units(times, events):
-    """Flat float times and boolean event flags of equal length."""
+    """Flat float times (finite, >= 0) and boolean event flags of equal length."""
     t = np.asarray(times, dtype=float).reshape(-1)
     e = np.asarray(events, dtype=bool).reshape(-1)
     if t.shape != e.shape:
         raise ValueError("times and events must have equal length")
+    if t.size and not (t.min() >= 0.0 and t.max() < np.inf):  # NaN fails too
+        raise ValueError("times must be finite and >= 0")
     return t, e
+
+
+def _event_index(t, e):
+    """``event_table``'s ``(tk, mk, nk)`` and each unit's ``cut``, the number
+    of event times <= its time, from one sort.  It need not be stable: ``m``
+    sums a tie group and its risk set starts at the group's first index.
+    """
+    if t.size == 0:
+        raise ValueError("no units supplied")
+    order = np.argsort(t)
+    ts = t[order]
+    first = np.flatnonzero(np.concatenate(([True], ts[1:] != ts[:-1])))  # tie groups
+    m = np.add.reduceat(e[order], first, dtype=np.int64)
+    keep = m > 0
+    cut = np.empty(ts.size, dtype=np.intp)
+    cut[order] = np.repeat(np.cumsum(keep), np.diff(first, append=ts.size))
+    return ts[first[keep]], m[keep], ts.size - first[keep], cut
 
 
 def event_table(times, events):
@@ -28,16 +47,7 @@ def event_table(times, events):
     event occurred, the pooled event count at each, and the number at risk
     (units with observed time >= t, censored-at-t units included).
     """
-    t, e = _coerce_units(times, events)
-    if t.size == 0:
-        raise ValueError("no units supplied")
-    order = np.argsort(t, kind="mergesort")
-    ts, es = t[order], e[order]
-    uniq, first = np.unique(ts, return_index=True)
-    m = np.add.reduceat(es.astype(np.int64), first)
-    n_at_risk = ts.size - first
-    keep = m > 0
-    return uniq[keep], m[keep], n_at_risk[keep]
+    return _event_index(*_coerce_units(times, events))[:3]
 
 
 @dataclass(frozen=True)

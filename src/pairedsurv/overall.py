@@ -74,12 +74,12 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     """Score-difference columns for every grid time (plus optional PPW).
 
     One call to ``scores.pair_difference_matrix``, so one event table per
-    grid: the pooled units are sorted once and each unit's position among
-    the event times is looked up once, for every column.  Per tau only the
-    cap on that position, the suffix product up to tau and the own-event
-    mask are recomputed; the PPW column reads the same table and positions.
-    Units are processed in blocks of whole pairs, so the arrays made per
-    column are one block long.  Column l equals
+    grid: the pooled units are sorted once, and that sort gives the event
+    table and each unit's position among the event times for every column.
+    Per tau only the cap on that position, the suffix product up to tau and
+    the own-event mask are recomputed; the PPW column reads the same table
+    and positions.  Units are processed in blocks of whole pairs, so the
+    arrays made per column are one block long.  Column l equals
     ``pair_differences(sample, "pseudo", grid[l])`` bit for bit.
     """
     taus = as_grid(grid)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .km import _coerce_units, event_table
+from .km import _coerce_units, _event_index
 
 
 _BLOCK = 1 << 15  # units per block; even, so every block holds whole pairs
@@ -36,20 +36,21 @@ def _unit_blocks(t, e, taus, with_pw=False):
 
     Yields ``(l, units, q)``: ``q`` holds the pseudo-values at ``taus[l]`` of
     the units in the slice ``units``; with ``with_pw``, ``l == len(taus)``
-    carries their Prentice-Wilcoxon scores.  One event table and one
-    ``cut = searchsorted(tk, t)`` serve every column; see
-    ``pseudo_observations`` for how tau enters.
+    carries their Prentice-Wilcoxon scores.  One sort gives the event table
+    and each unit's position ``cut`` among the event times for every column;
+    see ``pseudo_observations`` for how tau enters.
     """
-    tk, mk, nk = event_table(t, e)
-    cut = np.searchsorted(tk, t, side="right")
-    k_taus = np.searchsorted(tk, taus, side="right")
+    tk, mk, nk, cut = _event_index(t, e)
+    k_taus = tk.searchsorted(taus, side="right")
     n = t.size
     # factors with one unit removed from the risk set; n_k == 1 is reached
     # only as a unit's own event, whose factor is f_own
     removed = np.where(nk > 1, nk - 1 - mk, 1.0) / np.maximum(nk - 1, 1.0)
     prefix = np.concatenate(([1.0], np.cumprod(removed)))
-    # indexed like prefix: f_own[j] belongs to the j-th event time
-    f_own = np.concatenate(([1.0], np.where(nk > 1, nk - mk, 1.0) / np.maximum(nk - 1, 1.0)))
+    f_own = np.where(nk > 1, nk - mk, 1.0) / np.maximum(nk - 1, 1.0)
+    # head[j] = prefix[j]; head[prefix.size + j] = prefix[j - 1] * f_own of the
+    # j-th event time, for a unit whose own event that is
+    head = np.concatenate((prefix, [1.0], prefix[:-1] * f_own))
     full = (nk - mk) / nk
     blocks = [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
     for l, (tau, k) in enumerate(zip(taus, k_taus)):
@@ -57,7 +58,7 @@ def _unit_blocks(t, e, taus, with_pw=False):
         for units in blocks:
             c = np.minimum(cut[units], k)
             own = e[units] & (t[units] <= tau)  # u's own event is then the c-th
-            km_loo = prefix[c - own] * np.where(own, f_own[c], 1.0) * suffix[c]
+            km_loo = head[c + prefix.size * own] * suffix[c]
             yield l, units, n * suffix[0] - (n - 1) * km_loo
     if with_pw:
         # J(Y_u) = j[cut_u]: J after each event time, 1 before the first
@@ -87,13 +88,14 @@ def pseudo_observations(times, events, tau):
     factor needs no special case, and the whole vector costs O(n log n).
 
     This is the one-tau case of the grid kernel behind
-    ``pair_difference_matrix``.  The event table, the removed-unit prefix
-    products, the own-event factors and each unit's position ``cut_u`` among
-    the event times do not depend on tau; tau enters only through the number
-    ``k_tau`` of event times up to it (positions are capped at ``k_tau``),
-    the suffix product of full-sample factors over those times, and the
-    own-event mask ``event_u and Y_u <= tau``.  Units are processed in
-    blocks of ``_BLOCK`` to bound transient memory.
+    ``pair_difference_matrix``.  The event table and each unit's position
+    ``cut_u`` among the event times (both from one sort), the removed-unit
+    prefix products and the own-event products, held in one table so each
+    leave-one-out value takes one gather, do not depend on tau; tau enters
+    only through the number ``k_tau`` of event times up to it (positions are
+    capped at ``k_tau``), the suffix product of full-sample factors over
+    those times, and the own-event mask ``event_u and Y_u <= tau``.  Units
+    are processed in blocks of ``_BLOCK`` to bound transient memory.
 
     Parameters
     ----------
@@ -115,10 +117,9 @@ def pseudo_observations(times, events, tau):
 def logrank_scores(times, events):
     """Log-rank scores ``H(Y_u) - event_u`` from the pooled Nelson-Aalen hazard."""
     t, e = _coerce_units(times, events)
-    tk, mk, nk = event_table(t, e)
+    _, mk, nk, cut = _event_index(t, e)
     cumhaz = np.concatenate(([0.0], np.cumsum(mk / nk)))
-    h_at = cumhaz[np.searchsorted(tk, t, side="right")]
-    return h_at - e.astype(float)
+    return cumhaz[cut] - e.astype(float)
 
 
 def pw_scores(times, events):

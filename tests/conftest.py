@@ -45,6 +45,17 @@ def random_units(rng, n=None, event_prob=0.7, round_digits=None):
     return t, e
 
 
+def event_index_oracle(t, e):
+    """Reference ``km._event_index``: a stable sort, ``np.unique`` for the tie
+    groups and a binary search for each unit's position among the event times."""
+    order = np.argsort(t, kind="mergesort")
+    uniq, first = np.unique(t[order], return_index=True)
+    m = np.add.reduceat(e[order].astype(np.int64), first)
+    keep = m > 0
+    tk = uniq[keep]
+    return tk, m[keep], (t.size - first)[keep], np.searchsorted(tk, t, side="right")
+
+
 def simulated_sample(n_pairs=100, scenario="ph", seed=0, censoring_form="covariate_dependent"):
     return generate_pairs(n_pairs, ScenarioSpec(scenario, censoring_form=censoring_form), seed)
 

@@ -119,6 +119,19 @@ def test_csv_bad_time_names_line(tmp_path, time):
         load_csv(path)
 
 
+@pytest.mark.parametrize("position", ["3", "0"])
+def test_csv_bad_position_names_line(tmp_path, position):
+    # build_sample refuses it too, but without the line number
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "pair_id,position,treated,time,event\n"
+        f"a,1,1,1.0,1\na,{position},0,2.0,1\n"
+    )
+    with pytest.raises(ValueError, match=f"malformed row at line 3: position must be 1 "
+                                         f"or 2, got '{position}'"):
+        load_csv(path)
+
+
 def test_csv_error_names_physical_line(tmp_path):
     # the quoted pair_id of the first row spans lines 2-3
     path = tmp_path / "bad.csv"

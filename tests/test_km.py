@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from pairedsurv import event_table, km_at, km_estimate, logrank_scores, pw_scores
+from pairedsurv import (
+    event_table,
+    km_at,
+    km_estimate,
+    logrank_scores,
+    pseudo_observations,
+    pw_scores,
+)
+from pairedsurv.km import _event_index
+from pairedsurv.simulate import ADMIN_CUTOFF
 
-from conftest import random_units
+from conftest import event_index_oracle, random_units, simulated_sample
 
 
 def test_two_events_half():
@@ -53,6 +62,43 @@ def test_empty_raises(fn):
         fn([], [])
     with pytest.raises(ValueError, match="must have equal length"):
         fn([1.0, 2.0], [True])
+
+
+@pytest.mark.parametrize("fn", [km_estimate, event_table, logrank_scores, pw_scores,
+                                lambda t, e: pseudo_observations(t, e, 1.0)],
+                         ids=["km_estimate", "event_table", "logrank_scores", "pw_scores",
+                              "pseudo_observations"])
+@pytest.mark.parametrize("times", [[np.nan, np.nan, 1.0], [np.inf, 1.0, 2.0],
+                                   [-1.0, 1.0, 2.0], [1.0, -np.inf, 2.0]])
+def test_bad_times_raise(fn, times):
+    with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        fn(times, [True] * len(times))
+
+
+def _event_index_cases():
+    rng = np.random.default_rng(23)
+    t = rng.exponential(2.0, 400).round(1)  # heavy ties
+    yield "rounded", t, rng.random(400) < 0.6
+    yield "events_and_censorings_tied", np.array([2.0, 1.0, 2.0, 2.0, 3.0, 1.0]), \
+        np.array([False, True, True, False, True, False])
+    yield "all_censored", t, np.zeros(400, dtype=bool)
+    yield "one_unit", np.array([4.2]), np.array([True])
+    yield "zero_times", np.array([0.0, 0.0, 1.5, 0.0]), np.array([True, False, True, True])
+    sample = simulated_sample(300, "ph", seed=4)
+    assert np.any(sample.unit_times == ADMIN_CUTOFF)
+    yield "admin_cutoff", sample.unit_times, sample.unit_events
+    shuffle = rng.permutation(sample.unit_times.size)
+    yield "admin_cutoff_shuffled", sample.unit_times[shuffle], sample.unit_events[shuffle]
+
+
+@pytest.mark.parametrize("case", list(_event_index_cases()), ids=lambda case: case[0])
+def test_event_index_matches_oracle(case):
+    _, t, e = case
+    got, want = _event_index(t, e), event_index_oracle(t, e)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if not e.any():
+        assert got[0].size == 0 and not got[3].any()
 
 
 def test_monotone_and_bounded_on_random_samples():
