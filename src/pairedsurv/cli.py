@@ -72,7 +72,7 @@ def _checked(convert, ok, what):
 
 _GAMMA = _checked(float, lambda g: 1.0 <= g < math.inf, "a finite gamma >= 1")
 _ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "an alpha in (0, 1)")
-_TOL = _checked(float, lambda t: t > 0.0, "a tolerance > 0")
+_TOL = _checked(float, lambda t: 0.0 < t < math.inf, "a finite tolerance > 0")
 _DRAWS = _checked(int, lambda n: n >= 1, "a draw count >= 1")
 _SEED = _checked(int, lambda n: n >= 0, "a non-negative integer seed")
 _GRID = _checked(lambda text: tuple(float(v) for v in text.split(",")),

@@ -124,9 +124,11 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0):
     of the mean over the random shifts) is at most ``tol`` or ``_MAX_POINTS``
     is reached; in the latter case an AccuracyNotReached warning is emitted.
     """
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be > 0 and finite")
     upper = np.asarray(upper, dtype=float).reshape(-1)
+    if np.isnan(upper).any():
+        raise ValueError("limits must not be NaN")
     corr = _check_corr(corr)
     if upper.shape[0] != corr.shape[0]:
         raise ValueError("limits and correlation matrix disagree on dimension")

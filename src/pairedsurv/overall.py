@@ -73,14 +73,10 @@ class DiffMatrix:
 def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     """Score-difference columns for every grid time (plus optional PPW).
 
-    One call to ``scores.pair_difference_matrix``, so one event table per
-    grid: the pooled units are sorted once, and that sort gives the event
-    table and each unit's position among the event times for every column.
-    Per tau only the cap on that position, the suffix product up to tau and
-    the own-event mask are recomputed; the PPW column reads the same table
-    and positions.  Units are processed in blocks of whole pairs, so the
-    arrays made per column are one block long.  Column l equals
-    ``pair_differences(sample, "pseudo", grid[l])`` bit for bit.
+    One call to ``scores.pair_difference_matrix``, which sorts the pooled
+    units once per grid.  Column l equals
+    ``pair_differences(sample, "pseudo", grid[l])`` bit for bit, and the PPW
+    column ``-pair_differences(sample, "pw")``.
     """
     taus = as_grid(grid)
     D = pair_difference_matrix(sample, taus, include_pw=include_ppw)

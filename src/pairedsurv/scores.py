@@ -31,16 +31,15 @@ from .km import _coerce_units, _event_index
 _BLOCK = 1 << 15  # units per block; even, so every block holds whole pairs
 
 
-def _unit_blocks(t, e, taus, with_pw=False):
-    """Unit scores at every tau (then PW scores), one block of units at a time.
+def _pseudo_blocks(t, e, index, taus):
+    """Pseudo-values at every tau, one block of units at a time.
 
-    Yields ``(l, units, q)``: ``q`` holds the pseudo-values at ``taus[l]`` of
-    the units in the slice ``units``; with ``with_pw``, ``l == len(taus)``
-    carries their Prentice-Wilcoxon scores.  One sort gives the event table
-    and each unit's position ``cut`` among the event times for every column;
-    see ``pseudo_observations`` for how tau enters.
+    ``index`` is ``_event_index(t, e)``: the event table and each unit's
+    position ``cut`` among the event times, from one sort.  Yields ``(l,
+    units, q)``: ``q`` holds the pseudo-values at ``taus[l]`` of the units in
+    the slice ``units``.  See ``pseudo_observations`` for how tau enters.
     """
-    tk, mk, nk, cut = _event_index(t, e)
+    tk, mk, nk, cut = index
     k_taus = tk.searchsorted(taus, side="right")
     n = t.size
     # factors with one unit removed from the risk set; n_k == 1 is reached
@@ -52,27 +51,14 @@ def _unit_blocks(t, e, taus, with_pw=False):
     # j-th event time, for a unit whose own event that is
     head = np.concatenate((prefix, [1.0], prefix[:-1] * f_own))
     full = (nk - mk) / nk
-    blocks = [slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)]
     for l, (tau, k) in enumerate(zip(taus, k_taus)):
         suffix = np.concatenate((np.cumprod(full[:k][::-1])[::-1], [1.0]))
-        for units in blocks:
+        for lo in range(0, n, _BLOCK):
+            units = slice(lo, lo + _BLOCK)
             c = np.minimum(cut[units], k)
             own = e[units] & (t[units] <= tau)  # u's own event is then the c-th
             km_loo = head[c + prefix.size * own] * suffix[c]
             yield l, units, n * suffix[0] - (n - 1) * km_loo
-    if with_pw:
-        # J(Y_u) = j[cut_u]: J after each event time, 1 before the first
-        j = np.concatenate(([1.0], np.cumprod((nk - mk + 1.0) / (nk + 1.0))))
-        for units in blocks:
-            yield len(taus), units, 1.0 - (1.0 + e[units]) * j[cut[units]]
-
-
-def _column(blocks, n):
-    """The (n,) unit scores of a one-column ``_unit_blocks`` run."""
-    out = np.empty(n)
-    for _, units, q in blocks:
-        out[units] = q
-    return out
 
 
 def pseudo_observations(times, events, tau):
@@ -87,15 +73,15 @@ def pseudo_observations(times, events, tau):
     at risk and one fewer event.  No division by a product is needed, so a zero
     factor needs no special case, and the whole vector costs O(n log n).
 
-    This is the one-tau case of the grid kernel behind
-    ``pair_difference_matrix``.  The event table and each unit's position
-    ``cut_u`` among the event times (both from one sort), the removed-unit
-    prefix products and the own-event products, held in one table so each
-    leave-one-out value takes one gather, do not depend on tau; tau enters
-    only through the number ``k_tau`` of event times up to it (positions are
-    capped at ``k_tau``), the suffix product of full-sample factors over
-    those times, and the own-event mask ``event_u and Y_u <= tau``.  Units
-    are processed in blocks of ``_BLOCK`` to bound transient memory.
+    The kernel ``_pseudo_blocks`` serves this and ``pair_difference_matrix``.
+    The event table and each unit's position ``cut_u`` among the event times
+    (both from one sort), the removed-unit prefix products and the own-event
+    products, held in one table so each leave-one-out value takes one gather,
+    do not depend on tau; tau enters only through the number ``k_tau`` of
+    event times up to it (positions are capped at ``k_tau``), the suffix
+    product of full-sample factors over those times, and the own-event mask
+    ``event_u and Y_u <= tau``.  Units are processed in blocks of ``_BLOCK``
+    to bound transient memory.
 
     Parameters
     ----------
@@ -111,7 +97,10 @@ def pseudo_observations(times, events, tau):
         raise ValueError("pseudo-observations need at least two units")
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
-    return _column(_unit_blocks(t, e, [tau]), t.size)
+    out = np.empty(t.size)
+    for _, units, q in _pseudo_blocks(t, e, _event_index(t, e), [tau]):
+        out[units] = q
+    return out
 
 
 def logrank_scores(times, events):
@@ -122,14 +111,24 @@ def logrank_scores(times, events):
     return cumhaz[cut] - e.astype(float)
 
 
+def _pw(e, index):
+    """Prentice-Wilcoxon scores of every unit from ``_event_index(t, e)``."""
+    _, mk, nk, cut = index
+    # J(Y_u) = j[cut_u]: J after each event time, 1 before the first
+    j = np.concatenate(([1.0], np.cumprod((nk - mk + 1.0) / (nk + 1.0))))
+    return 1.0 - (1.0 + e) * j[cut]
+
+
 def pw_scores(times, events):
     """Prentice-Wilcoxon scores ``1 - (1 + event_u) J(Y_u)``.
 
     ``J(a) = prod_{t_k <= a} (n_k - m_k + 1) / (n_k + 1)`` over pooled
-    distinct event times; scores lie in [-1, 1].
+    distinct event times; scores lie in [-1, 1].  Like log-rank scores, they
+    are one per-event-time product read at each unit's position among the
+    event times, so the whole vector takes one gather.
     """
     t, e = _coerce_units(times, events)
-    return _column(_unit_blocks(t, e, [], with_pw=True), t.size)
+    return _pw(e, _event_index(t, e))
 
 
 def pair_difference_matrix(sample, taus, include_pw=False) -> np.ndarray:
@@ -140,15 +139,14 @@ def pair_difference_matrix(sample, taus, include_pw=False) -> np.ndarray:
     ``-pair_differences(sample, "pw")``.  ``taus`` must be >= 0.
     """
     t, e = _coerce_units(sample.unit_times, sample.unit_events)
-    n_taus = len(taus)
-    D = np.empty((t.size // 2, n_taus + include_pw))
-    for l, units, q in _unit_blocks(t, e, taus, include_pw):
-        rows = slice(units.start // 2, units.stop // 2)
-        if l < n_taus:
-            q = 1.0 - q
-            D[rows, l] = q[0::2] - q[1::2]
-        else:
-            D[rows, l] = -(q[0::2] - q[1::2])
+    index = _event_index(t, e)
+    D = np.empty((t.size // 2, len(taus) + include_pw))
+    for l, units, q in _pseudo_blocks(t, e, index, taus):
+        q = 1.0 - q
+        D[units.start // 2:units.stop // 2, l] = q[0::2] - q[1::2]
+    if include_pw:
+        q = _pw(e, index)
+        D[:, -1] = -(q[0::2] - q[1::2])
     return D
 
 
@@ -182,5 +180,4 @@ def pair_differences(sample, kind: str = "pseudo", tau=None) -> np.ndarray:
         q = logrank_scores(t, e)
     else:
         q = pw_scores(t, e)
-    q = q.reshape(-1, 2)
-    return q[:, 0] - q[:, 1]
+    return q[0::2] - q[1::2]

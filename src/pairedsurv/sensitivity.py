@@ -340,8 +340,8 @@ def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be > 0 and finite")
     if p_at(1.0, alpha) > alpha:
         return SensitivityValue(1.0, True, False, alpha)
     if p_at(gamma_max, alpha) <= alpha:
@@ -349,6 +349,8 @@ def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
     lo, hi = 1.0, gamma_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         if p_at(mid, alpha) <= alpha:
             lo = mid
         else:

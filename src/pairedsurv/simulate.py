@@ -124,6 +124,10 @@ def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
     uniform shared across arms; observed times are truncated at the
     administrative cutoff.
     """
+    try:
+        n_pairs = _whole(n_pairs)
+    except ValueError as exc:
+        raise ValueError(f"n_pairs {exc}") from None
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     rng = np.random.default_rng(seed)
@@ -238,8 +242,8 @@ class StudyConfig:
             if len(set(values)) < len(values):
                 raise ValueError(f"{key!r} lists an entry more than once: {list(values)}")
         as_grid(self.grid)
-        if not self.mvn_tol > 0:
-            raise ValueError("mvn_tol must be > 0")
+        if not 0.0 < self.mvn_tol < math.inf:
+            raise ValueError("mvn_tol must be > 0 and finite")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":

@@ -79,6 +79,26 @@ def pseudo_observations_naive(times, events, tau):
     return out
 
 
+def pw_scores_naive(times, events):
+    """Reference Prentice-Wilcoxon scores by direct loops over the units:
+    ``1 - (1 + event_u) J(Y_u)`` with ``J(Y_u)`` the product of
+    ``(n_k - m_k + 1) / (n_k + 1)`` over the distinct event times ``t_k <= Y_u``,
+    each risk set and event count counted afresh, without a sort."""
+    t = np.asarray(times, dtype=float).reshape(-1).tolist()
+    e = np.asarray(events, dtype=bool).reshape(-1).tolist()
+    event_times = {tu for tu, eu in zip(t, e) if eu}
+    out = np.empty(len(t))
+    for u in range(len(t)):
+        j = 1.0
+        for tk in event_times:
+            if tk <= t[u]:
+                n_k = sum(tv >= tk for tv in t)
+                m_k = sum(tv == tk and ev for tv, ev in zip(t, e))
+                j *= (n_k - m_k + 1) / (n_k + 1)
+        out[u] = 1.0 - (1.0 + e[u]) * j
+    return out
+
+
 def montecarlo_one_shot(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     """Reference Monte Carlo tail: every sign of every draw in one array."""
     d = np.asarray(scores, dtype=float)

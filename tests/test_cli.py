@@ -446,6 +446,8 @@ def test_config_invalid_on_its_own_exit_4(config, flags, tmp_path, capsys):
      "'scenarios' lists an entry more than once"),
     ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "gammas": [1.0, 1.5, 1.0]},
      "'gammas' lists an entry more than once"),
+    # the JSON text Infinity
+    ({"scenarios": ["ph"], "pairs": 20, "replications": 1, "mvn_tol": float("inf")}, "mvn_tol"),
 ])
 def test_config_shape_and_values_checked_at_load(command, config, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -467,6 +469,7 @@ def test_csv_row_with_extra_field_exit_2(tmp_path, capsys):
 BAD_FLAGS = [
     ["closed", "--grid", "1,2,3", "--alpha", "1.5"],
     ["sens", "--tau", "3", "--sens-tol", "0"],
+    ["sens", "--tau", "3", "--sens-tol", "inf"],
     ["sens", "--tau", "3", "--gamma-grid", "0.5,1"],
     ["sens", "--tau", "3", "--gamma-max", "inf"],
     ["test", "--tau", "3", "--method", "montecarlo", "--draws", "0"],
@@ -476,6 +479,7 @@ BAD_FLAGS = [
     ["overall", "--grid", "1,2,3", "--seed", "-1"],
     ["overall", "--grid", "1,2,3", "--tol", "0"],
     ["overall", "--grid", "1,2,3", "--tol", "nan"],
+    ["overall", "--grid", "1,2,3", "--tol", "inf"],
     ["overall", "--grid", "1,x"],
     ["overall", "--grid", "1,2,3", "--method", "montecarlo"],
     ["overall", "--grid", "1,2,3", "--draws", "10"],

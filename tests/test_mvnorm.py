@@ -138,6 +138,12 @@ def test_neg_infinite_limit_zero():
     assert mvn_cdf([-np.inf, 0.0], np.eye(2)) == 0.0
 
 
+@pytest.mark.parametrize("limits, corr", [([np.nan, 0.0], np.eye(2)), ([np.nan], [[1.0]])])
+def test_nan_limit_refused(limits, corr):
+    with pytest.raises(ValueError, match="limits must not be NaN"):
+        mvn_cdf(limits, corr)
+
+
 @pytest.mark.parametrize("bad", [
     np.array([[1.0, 0.2], [0.4, 1.0]]),      # asymmetric
     np.array([[2.0, 0.0], [0.0, 1.0]]),      # diagonal not 1
@@ -148,7 +154,7 @@ def test_invalid_correlation_rejected(bad):
         mvn_cdf([0.0, 0.0], bad)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_tolerance_must_be_positive(tol):
     with pytest.raises(ValueError, match="tol"):
         mvn_cdf([0.5, 0.5], [[1.0, 0.3], [0.3, 1.0]], tol=tol)

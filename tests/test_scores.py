@@ -10,9 +10,10 @@ from pairedsurv import (
     pw_scores,
     time_specific_test,
 )
-from pairedsurv.scores import SCORE_KINDS, _sign, _unit_blocks
+from pairedsurv.km import _event_index
+from pairedsurv.scores import SCORE_KINDS, _pseudo_blocks, _sign
 
-from conftest import pseudo_observations_naive, random_units
+from conftest import pseudo_observations_naive, pw_scores_naive, random_units
 
 
 # -- pseudo-observations --------------------------------------------------
@@ -81,7 +82,8 @@ def test_multi_tau_build_equals_naive_on_edges():
         t = np.asarray(times, dtype=float)
         taus = np.unique(np.concatenate(([0.0, 0.5, tau, t.max() + 3.0], t, t + 0.5)))
         built = 0
-        for l, _, q in _unit_blocks(t, np.asarray(events, dtype=bool), taus):
+        e = np.asarray(events, dtype=bool)
+        for l, _, q in _pseudo_blocks(t, e, _event_index(t, e), taus):
             np.testing.assert_allclose(q, pseudo_observations_naive(t, events, taus[l]),
                                        atol=1e-12)
             built += 1
@@ -165,6 +167,22 @@ def test_pw_single_uncensored_zero():
 def test_pw_hand_example():
     q = pw_scores([1.0, 2.0], [True, True])
     np.testing.assert_allclose(q, [-1 / 3, 1 / 3])
+
+
+_RNG = np.random.default_rng(23)
+PW_CASES = {
+    "times rounded to 0.1": (_RNG.exponential(1.0, 90).round(1), _RNG.random(90) < 0.6),
+    "events and censorings tied at one time": ([1, 2, 2, 2, 2, 3, 3], [1, 1, 0, 1, 0, 0, 1]),
+    "all censored": ([1, 2, 2, 4], [0, 0, 0, 0]),
+    "one unit, an event": ([3.0], [1]),
+    "one unit, censored": ([3.0], [0]),
+}
+
+
+@pytest.mark.parametrize("times, events", PW_CASES.values(), ids=PW_CASES.keys())
+def test_pw_scores_match_naive(times, events):
+    np.testing.assert_allclose(pw_scores(times, events), pw_scores_naive(times, events),
+                               rtol=0, atol=1e-12)
 
 
 def test_pw_scores_bounded():

@@ -8,7 +8,9 @@ import pytest
 from scipy.special import ndtr
 
 from pairedsurv import (
+    ScenarioSpec,
     build_sample,
+    generate_pairs,
     null_moments,
     overall_test,
     pair_differences,
@@ -22,7 +24,7 @@ from pairedsurv import (
 )
 from pairedsurv import sensitivity
 from pairedsurv.cli import main
-from pairedsurv.sensitivity import _column_tests, _search
+from pairedsurv.sensitivity import _column_tests, _search, _worst_case_p
 
 from conftest import montecarlo_one_shot, simulated_sample
 
@@ -435,11 +437,31 @@ def test_sensitivity_value_exceeds_max():
     assert sv.exceeded_max and sv.value == 1.0001
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
 def test_sensitivity_value_rejects_bad_tol(tol):
     sample = simulated_sample(200, "ph", seed=3)
     with pytest.raises(ValueError, match="tol must be > 0"):
         sensitivity_value(sample, tau=3.0, tol=tol)
+
+
+def test_search_ends_at_adjacent_floats():
+    # a tolerance below one ulp of gamma: once lo and hi are adjacent floats
+    # the midpoint is an endpoint, and the search must stop there
+    sample = generate_pairs(300, ScenarioSpec("ph"), 1)
+    p_tau = _worst_case_p(sample, 3.0, None, "benefit", False, 0)
+    calls = []
+
+    def p_at(gamma, alpha=None):
+        calls.append(gamma)
+        if len(calls) > 200:
+            raise AssertionError("the search did not end")
+        return p_tau(gamma, alpha)
+
+    tight = _search(p_at, 0.05, 1e-20, 10.0)
+    coarse = sensitivity_value(sample, tau=3.0)
+    assert round(coarse.value, 4) == 1.1733
+    assert not (tight.already_sensitive or tight.exceeded_max)
+    assert coarse.value - 0.5e-3 <= tight.value <= coarse.value + 0.5e-3
 
 
 def test_sensitivity_value_needs_exactly_one_target():

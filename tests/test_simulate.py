@@ -135,6 +135,17 @@ def test_generate_deterministic():
     assert not np.array_equal(a.times, c.times)
 
 
+@pytest.mark.parametrize("n_pairs, match", [
+    (2.5, "n_pairs must be a whole number"),
+    (True, "n_pairs must be a whole number"),
+    ("3", "n_pairs must be a whole number"),
+    (0, "n_pairs must be >= 1"),
+])
+def test_generate_pairs_checks_n_pairs(n_pairs, match):
+    with pytest.raises(ValueError, match=match):
+        generate_pairs(n_pairs, ScenarioSpec("ph"), 1)
+
+
 def test_administrative_cutoff():
     sample = generate_pairs(20_000, ScenarioSpec("late_div"), 3)
     assert sample.times.max() <= 5.0
@@ -363,6 +374,7 @@ def test_scenario_spec_rejects_bad_values(sid, b, match):
     ({"gammas": (1.0, 1.5, 1.0)}, "'gammas' lists an entry more than once"),
     ({"alpha": 0.0}, r"alpha must lie in \(0, 1\)"),
     ({"alpha": 1.0}, r"alpha must lie in \(0, 1\)"),
+    ({"mvn_tol": float("inf")}, "mvn_tol must be > 0 and finite"),
 ])
 def test_study_config_checks_built_and_replaced_alike(change, field):
     base = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=20, replications=1)
