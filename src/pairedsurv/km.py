@@ -80,6 +80,8 @@ def km_estimate(times, events) -> SurvivalCurve:
 def km_at(curve: SurvivalCurve, t):
     """Evaluate the step function at ``t`` (scalar or array), right-continuous."""
     t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise ValueError("t must not be NaN")
     idx = np.searchsorted(curve.knots, t, side="right")
     padded = np.concatenate(([1.0], curve.values))
     out = padded[idx]

@@ -47,8 +47,9 @@ class DiffMatrix:
     Columns hold event-probability pseudo-differences; when present, the
     trailing PPW column is the Prentice-Wilcoxon difference negated to the
     same orientation, so every column signals a treated survival advantage
-    with negative values.  ``sigma[l] = sqrt(sum_i D[i, l]^2)`` is computed
-    from ``D`` when the matrix is built.
+    with negative values.  ``D`` is column-major, so every column
+    reduction reads contiguous memory.  ``sigma[l] = sqrt(sum_i D[i, l]^2)``
+    is computed from ``D`` when the matrix is built.
     """
 
     taus: np.ndarray
@@ -129,7 +130,8 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     keep = sigma > 0.0
     if not np.any(keep):
         return float("nan"), 1.0
-    D, sigma = D[:, keep], sigma[keep]
+    if not keep.all():
+        D, sigma = D[:, keep], sigma[keep]
     _check_dim(D.shape[1])
     m = float((orient * (D.T @ assignment) / sigma).max())
     # the oriented columns have the same |D|, hence the same moments

@@ -28,37 +28,32 @@ import numpy as np
 from .km import _coerce_units, _event_index
 
 
-_BLOCK = 1 << 15  # units per block; even, so every block holds whole pairs
-
-
-def _pseudo_blocks(t, e, index, taus):
-    """Pseudo-values at every tau, one block of units at a time.
-
-    ``index`` is ``_event_index(t, e)``: the event table and each unit's
-    position ``cut`` among the event times, from one sort.  Yields ``(l,
-    units, q)``: ``q`` holds the pseudo-values at ``taus[l]`` of the units in
-    the slice ``units``.  See ``pseudo_observations`` for how tau enters.
+def _pseudo_tables(e, index, taus):
+    """``(code, tables)`` from ``index = _event_index(t, e)``: ``tables``
+    yields one array ``Q`` per tau, and unit u's pseudo-value at that tau is
+    ``Q[code[u]]``.  See ``pseudo_observations``.
     """
     tk, mk, nk, cut = index
-    k_taus = tk.searchsorted(taus, side="right")
-    n = t.size
+    n = e.size
     # factors with one unit removed from the risk set; n_k == 1 is reached
     # only as a unit's own event, whose factor is f_own
     removed = np.where(nk > 1, nk - 1 - mk, 1.0) / np.maximum(nk - 1, 1.0)
     prefix = np.concatenate(([1.0], np.cumprod(removed)))
     f_own = np.where(nk > 1, nk - mk, 1.0) / np.maximum(nk - 1, 1.0)
-    # head[j] = prefix[j]; head[prefix.size + j] = prefix[j - 1] * f_own of the
-    # j-th event time, for a unit whose own event that is
-    head = np.concatenate((prefix, [1.0], prefix[:-1] * f_own))
+    # head[0, j] = prefix[j]; head[1, j] = prefix[j - 1] * f_own of the j-th
+    # event time, for a unit whose own event that is
+    head = np.concatenate((prefix, [1.0], prefix[:-1] * f_own)).reshape(2, -1)
     full = (nk - mk) / nk
-    for l, (tau, k) in enumerate(zip(taus, k_taus)):
+
+    def table(k):
         suffix = np.concatenate((np.cumprod(full[:k][::-1])[::-1], [1.0]))
-        for lo in range(0, n, _BLOCK):
-            units = slice(lo, lo + _BLOCK)
-            c = np.minimum(cut[units], k)
-            own = e[units] & (t[units] <= tau)  # u's own event is then the c-th
-            km_loo = head[c + prefix.size * own] * suffix[c]
-            yield l, units, n * suffix[0] - (n - 1) * km_loo
+        q = np.empty_like(head)  # leave-one-out estimates, then pseudo-values
+        np.multiply(head[:, :k + 1], suffix, out=q[:, :k + 1])
+        q[:, k + 1:] = q[0, k]  # prefix stopped at tau, no own event in it
+        q *= n - 1
+        return np.subtract(n * suffix[0], q, out=q).reshape(-1)
+
+    return cut + prefix.size * e, map(table, tk.searchsorted(taus, side="right"))
 
 
 def pseudo_observations(times, events, tau):
@@ -73,15 +68,14 @@ def pseudo_observations(times, events, tau):
     at risk and one fewer event.  No division by a product is needed, so a zero
     factor needs no special case, and the whole vector costs O(n log n).
 
-    The kernel ``_pseudo_blocks`` serves this and ``pair_difference_matrix``.
-    The event table and each unit's position ``cut_u`` among the event times
-    (both from one sort), the removed-unit prefix products and the own-event
-    products, held in one table so each leave-one-out value takes one gather,
-    do not depend on tau; tau enters only through the number ``k_tau`` of
-    event times up to it (positions are capped at ``k_tau``), the suffix
-    product of full-sample factors over those times, and the own-event mask
-    ``event_u and Y_u <= tau``.  Units are processed in blocks of ``_BLOCK``
-    to bound transient memory.
+    The kernel ``_pseudo_tables`` serves this and ``pair_difference_matrix``.
+    The event table, each unit's position ``cut_u`` among the event times
+    (both from one sort) and the prefix products do not depend on tau; tau
+    enters through the number k of event times up to it and the suffix
+    product over them.  A unit's value depends only on ``min(cut_u, k)`` and,
+    if it has an event, on whether ``cut_u <= k`` (its own event is then in
+    the prefix).  So each tau gives one table of 2P values, P the number of
+    event times plus 1, read with one gather at ``cut_u + P event_u``.
 
     Parameters
     ----------
@@ -97,10 +91,8 @@ def pseudo_observations(times, events, tau):
         raise ValueError("pseudo-observations need at least two units")
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
-    out = np.empty(t.size)
-    for _, units, q in _pseudo_blocks(t, e, _event_index(t, e), [tau]):
-        out[units] = q
-    return out
+    code, tables = _pseudo_tables(e, _event_index(t, e), [tau])
+    return next(tables)[code]
 
 
 def logrank_scores(times, events):
@@ -136,17 +128,19 @@ def pair_difference_matrix(sample, taus, include_pw=False) -> np.ndarray:
 
     Column l equals ``pair_differences(sample, "pseudo", taus[l])`` bit for
     bit; with ``include_pw`` a trailing column holds
-    ``-pair_differences(sample, "pw")``.  ``taus`` must be >= 0.
+    ``-pair_differences(sample, "pw")``.  ``taus`` must be >= 0.  ``D`` is
+    column-major, so every column is written and read contiguously.
     """
     t, e = _coerce_units(sample.unit_times, sample.unit_events)
     index = _event_index(t, e)
-    D = np.empty((t.size // 2, len(taus) + include_pw))
-    for l, units, q in _pseudo_blocks(t, e, index, taus):
-        q = 1.0 - q
-        D[units.start // 2:units.stop // 2, l] = q[0::2] - q[1::2]
-    if include_pw:
+    D = np.empty((t.size // 2, len(taus) + include_pw), order="F")
+    if include_pw:  # first, so its temporaries are freed before the tables exist
         q = _pw(e, index)
         D[:, -1] = -(q[0::2] - q[1::2])
+    code, tables = _pseudo_tables(e, index, taus)
+    for l, q in enumerate(tables):
+        np.subtract(1.0, q, out=q)
+        np.subtract(q[code[0::2]], q[code[1::2]], out=D[:, l])
     return D
 
 

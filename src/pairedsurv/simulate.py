@@ -322,7 +322,8 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     scenario, then gamma, then the grid's tests, ppw and max.  A max test is
     decided from its column-tail bounds when one of them settles
     ``p <= alpha``, and integrated only otherwise; the counts equal those of
-    the integrated p.
+    the integrated p.  Each sample's column-major difference matrix is built
+    once, and the max test reads its grid columns in place.
     """
     grid = as_grid(config.grid)
     n_taus = len(grid)

@@ -56,6 +56,32 @@ def event_index_oracle(t, e):
     return tk, m[keep], (t.size - first)[keep], np.searchsorted(tk, t, side="right")
 
 
+def pseudo_blocks_oracle(t, e, index, taus, block=1 << 15):
+    """Reference pseudo-value kernel: every unit, every tau, a block of units
+    at a time.  Yields ``(l, units, q)``, the pseudo-values at ``taus[l]`` of
+    the units in the slice ``units``; ``index`` is ``km._event_index(t, e)``.
+
+    Each unit's position is capped at the tau's event count k, and its own
+    event counts when ``event_u and Y_u <= tau``, tested on the times.
+    """
+    tk, mk, nk, cut = index
+    k_taus = tk.searchsorted(taus, side="right")
+    n = t.size
+    removed = np.where(nk > 1, nk - 1 - mk, 1.0) / np.maximum(nk - 1, 1.0)
+    prefix = np.concatenate(([1.0], np.cumprod(removed)))
+    f_own = np.where(nk > 1, nk - mk, 1.0) / np.maximum(nk - 1, 1.0)
+    head = np.concatenate((prefix, [1.0], prefix[:-1] * f_own))
+    full = (nk - mk) / nk
+    for l, (tau, k) in enumerate(zip(taus, k_taus)):
+        suffix = np.concatenate((np.cumprod(full[:k][::-1])[::-1], [1.0]))
+        for lo in range(0, n, block):
+            units = slice(lo, lo + block)
+            c = np.minimum(cut[units], k)
+            own = e[units] & (t[units] <= tau)
+            km_loo = head[c + prefix.size * own] * suffix[c]
+            yield l, units, n * suffix[0] - (n - 1) * km_loo
+
+
 def simulated_sample(n_pairs=100, scenario="ph", seed=0, censoring_form="covariate_dependent"):
     return generate_pairs(n_pairs, ScenarioSpec(scenario, censoring_form=censoring_form), seed)
 

@@ -75,6 +75,15 @@ def test_bad_times_raise(fn, times):
         fn(times, [True] * len(times))
 
 
+@pytest.mark.parametrize("t", [np.nan, [np.nan], [1.0, np.nan, 2.0]])
+def test_km_at_nan_time_raises(t):
+    # searchsorted puts NaN past every knot, which read the last value
+    sample = simulated_sample(50, "ph", seed=1)
+    curve = km_estimate(sample.unit_times, sample.unit_events)
+    with pytest.raises(ValueError, match="t must not be NaN"):
+        km_at(curve, t)
+
+
 def _event_index_cases():
     rng = np.random.default_rng(23)
     t = rng.exponential(2.0, 400).round(1)  # heavy ties

@@ -58,8 +58,8 @@ def test_diff_matrix_column_consistency(five_pairs):
 
 
 def test_diff_matrix_equals_per_tau_columns_across_blocks():
-    # 40,000 units span a block boundary and end in a partial block; times
-    # rounded up to 0.01 tie, so the grid can hit a tied event time
+    # 20,000 pairs rounded up to 0.01 give tied event and censoring times,
+    # so the grid can hit a tied event time; every column is column-major
     sample = simulated_sample(n_pairs=20_000, seed=4)
     times = np.ceil(sample.times * 100) / 100
     sample = PairedSample(times, sample.events, sample.assignment)
@@ -71,12 +71,14 @@ def test_diff_matrix_equals_per_tau_columns_across_blocks():
         [pair_differences(sample, "pseudo", tau) for tau in grid]
         + [-pair_differences(sample, "pw")])
     D = diff_matrix(sample, grid, include_ppw=True).D
+    assert D.flags.f_contiguous
     np.testing.assert_array_equal(D.view(np.int64), expected.view(np.int64))
 
 
 def test_diff_matrix_transient_memory():
-    # the grid kernel works over blocks of pairs: its traced peak stays
-    # within about 1.25x that of building each column on its own (14.5 MiB)
+    # the grid kernel holds one pseudo-value table per tau and the unit
+    # codes besides D: its traced peak stays within about 1.25x that of
+    # building each column on its own (14.5 MiB)
     table2 = StudyConfig.from_json(resources.files("pairedsurv.configs") / "table2.cfg")
     sample = generate_pairs(table2.pairs, table2.scenarios[0], seed=1)
     tracemalloc.start()

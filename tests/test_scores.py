@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pairedsurv import (
+    PairedSample,
     km_at,
     km_estimate,
     logrank_scores,
@@ -11,9 +12,14 @@ from pairedsurv import (
     time_specific_test,
 )
 from pairedsurv.km import _event_index
-from pairedsurv.scores import SCORE_KINDS, _pseudo_blocks, _sign
+from pairedsurv.scores import SCORE_KINDS, _pseudo_tables, _sign, pair_difference_matrix
 
-from conftest import pseudo_observations_naive, pw_scores_naive, random_units
+from conftest import (
+    pseudo_blocks_oracle,
+    pseudo_observations_naive,
+    pw_scores_naive,
+    random_units,
+)
 
 
 # -- pseudo-observations --------------------------------------------------
@@ -83,11 +89,47 @@ def test_multi_tau_build_equals_naive_on_edges():
         taus = np.unique(np.concatenate(([0.0, 0.5, tau, t.max() + 3.0], t, t + 0.5)))
         built = 0
         e = np.asarray(events, dtype=bool)
-        for l, _, q in _pseudo_blocks(t, e, _event_index(t, e), taus):
-            np.testing.assert_allclose(q, pseudo_observations_naive(t, events, taus[l]),
+        code, tables = _pseudo_tables(e, _event_index(t, e), taus)
+        for l, q in enumerate(tables):
+            np.testing.assert_allclose(q[code], pseudo_observations_naive(t, events, taus[l]),
                                        atol=1e-12)
             built += 1
         assert built == taus.size
+
+
+_RNG_ORACLE = np.random.default_rng(29)
+ORACLE_CASES = {
+    "times rounded to 0.1": (_RNG_ORACLE.exponential(1.0, 300).round(1),
+                             _RNG_ORACLE.random(300) < 0.6),
+    "events and censorings tied at one time": ([1, 2, 2, 2, 2, 3, 3, 4],
+                                               [1, 1, 0, 1, 0, 0, 1, 0]),
+    "one pair": ([1.5, 2.5], [1, 0]),
+    "all censored": ([1, 2, 2, 4], [0, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("times, events", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+def test_tables_equal_block_oracle_bytes(times, events):
+    # tau = 0, at every (tied) observed time, between times and past the last
+    t = np.asarray(times, dtype=float)
+    e = np.asarray(events, dtype=bool)
+    taus = np.unique(np.concatenate(([0.0], t, t + 0.05, [t.max() + 1.0])))
+    expected = np.empty((t.size // 2, taus.size + 1))
+    pseudo = {}
+    for l, units, q in pseudo_blocks_oracle(t, e, _event_index(t, e), taus, block=4):
+        pseudo.setdefault(l, []).append(q)
+        q = 1.0 - q
+        expected[units.start // 2:units.stop // 2, l] = q[0::2] - q[1::2]
+    q = pw_scores(t, e)
+    expected[:, -1] = -(q[0::2] - q[1::2])
+    sample = PairedSample(t.reshape(-1, 2), e.reshape(-1, 2), np.ones(t.size // 2))
+    for include_pw, want in ((False, expected[:, :-1]), (True, expected)):
+        D = pair_difference_matrix(sample, taus, include_pw=include_pw)
+        assert D.dtype == want.dtype and D.shape == want.shape
+        assert D.tobytes(order="F") == want.tobytes(order="F")
+    for l, tau in enumerate(taus):
+        q = pseudo_observations(t, e, tau)
+        assert q.tobytes() == np.concatenate(pseudo[l]).tobytes()
 
 
 def test_naive_two_units():
