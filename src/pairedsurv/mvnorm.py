@@ -14,7 +14,9 @@ a Richtmyer lattice passed through the tent transform, under
 gives the error estimate.  The estimate is clamped into the Frechet bounds
 ``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
 ``1 - cdf`` always lies between the largest one-column tail and the
-Bonferroni sum.  Results are deterministic for a given seed.
+Bonferroni sum.  A caller that only compares the CDF with a level may
+stop the doubling once the error bar puts the estimate on one side of it
+(``_mvn_cdf``).  Results are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -124,6 +126,19 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0):
     of the mean over the random shifts) is at most ``tol`` or ``_MAX_POINTS``
     is reached; in the latter case an AccuracyNotReached warning is emitted.
     """
+    return _mvn_cdf(upper, corr, tol, seed, stacklevel=3)
+
+
+def _mvn_cdf(upper, corr, tol, seed, level=None, stacklevel=2):
+    """``mvn_cdf``, which may also stop once the estimate settles a decision.
+
+    With ``level``, the doubling also ends as soon as the estimate lies
+    more than two error estimates from ``level``: the returned value is
+    then on the same side of ``level`` as the CDF, which is all a caller
+    comparing the two needs, and no AccuracyNotReached is emitted however
+    large the error estimate.  ``stacklevel`` is that of the warning,
+    counted from this function.
+    """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be > 0 and finite")
     upper = np.asarray(upper, dtype=float).reshape(-1)
@@ -151,14 +166,15 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0):
         n_done += block
         means = sums / n_done
         err = 3.0 * means.std(ddof=1) / np.sqrt(_N_SHIFTS)
-        if err <= tol or n_done >= _MAX_POINTS:
+        settled = level is not None and abs(means.mean() - level) > 2.0 * err
+        if err <= tol or settled or n_done >= _MAX_POINTS:
             break
         block = n_done  # double the total each round
-    if err > tol:
+    if err > tol and not settled:
         warnings.warn(
             f"MVN CDF error estimate {err:.2e} above tolerance {tol:.2e}",
             AccuracyNotReached,
-            stacklevel=2,
+            stacklevel=stacklevel,
         )
     frechet_low = max(0.0, 1.0 - float(np.sum(ndtr(-upper))))
     return float(np.clip(means.mean(), frechet_low, float(np.min(ndtr(upper)))))

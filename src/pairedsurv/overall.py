@@ -10,10 +10,12 @@ column can be appended so the max also covers a whole-period comparison.
 The p-value is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the
 column tails ``p_l``, so a tiny p keeps its digits and one column gives
 its exact normal tail.  A caller that only compares p with alpha (the
-power study, the sensitivity search) takes the decision from those bounds
-when one of them decides, and integrates only when they straddle alpha;
-its decisions are the same as with the integrated p.  ``_max_corr`` holds
-the gamma -> correlation rule.
+power study, the grid sensitivity search) takes the decision from those
+bounds when one of them decides; when they straddle alpha it integrates
+only until the QMC error bar puts the estimate on one side of alpha, so
+its decision can differ from the fully integrated p's only when p lies
+within a few error estimates of alpha.  ``_max_corr`` holds the gamma ->
+correlation rule.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateColumnWarning
-from .mvnorm import _check_dim, mvn_cdf
+from .mvnorm import _check_dim, _mvn_cdf, mvn_cdf
 from .scores import _sign, pair_difference_matrix, pair_differences
 from .sensitivity import TestResult, _score_test, check_gamma, null_moments
 
@@ -118,12 +120,14 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     it stays a parameter because the benchmark's reference recorder passes
     it.
 
-    With ``alpha`` the returned p is a deciding bound,
-    not the p-value: when the largest column tail exceeds alpha, or the
-    capped sum of the column tails is at most alpha, that bound is returned
-    without integrating.  The integrated p is clipped into the same bounds,
-    so ``p <= alpha`` has the same answer either way; only when the bounds
-    straddle alpha is the MVN integrated.
+    With ``alpha`` the returned p only decides ``p <= alpha``: when the
+    largest column tail exceeds alpha, or the capped sum of the column
+    tails is at most alpha, that bound is returned without integrating.
+    Only when the bounds straddle alpha is the MVN integrated, and then
+    only until its estimate lies more than two error estimates from alpha
+    (``mvnorm._mvn_cdf`` with ``level = 1 - alpha``); the estimate is
+    clipped into the same bounds, which keeps its side of alpha.  Without
+    ``alpha`` the MVN is integrated to ``tol``.
     """
     if method != "normal":
         raise ValueError(f"the max-type test has only the normal method, got {method!r}")
@@ -143,8 +147,12 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     low, high = float(tails.max()), min(1.0, float(tails.sum()))
     if alpha is not None and not low <= alpha < high:
         return m, low if low > alpha else high
-    p = 1.0 - mvn_cdf(limits, _max_corr(D, gamma), tol=tol, seed=seed)
-    return m, float(np.clip(p, low, high))
+    corr = _max_corr(D, gamma)
+    if alpha is None:  # a p-value shown to a user: the public, traced entry
+        cdf = mvn_cdf(limits, corr, tol=tol, seed=seed)
+    else:
+        cdf = _mvn_cdf(limits, corr, tol, seed, level=1.0 - alpha)
+    return m, float(np.clip(1.0 - cdf, low, high))
 
 
 def _max_diff(sample, grid, include_ppw) -> DiffMatrix:

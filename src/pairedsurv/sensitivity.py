@@ -304,8 +304,10 @@ def sensitivity_value(sample, tau=None, grid=None, alpha=0.05, tol=1e-3,
     randomization p-value exceeds alpha, and ``gamma_max`` flagged
     ``exceeded_max`` when the worst-case p-value stays below alpha on the
     whole range.  With ``grid``, each step is decided from the column-tail
-    bounds of the max test when one of them settles ``p <= alpha``, and the
-    MVN is integrated only otherwise; the result is unchanged.
+    bounds of the max test when one of them settles ``p <= alpha``, and
+    otherwise from an MVN integration stopped once its error bar settles
+    it; a step can go the other way than with the fully integrated p only
+    when that p lies within a few error estimates of alpha.
     """
     if (tau is None) == (grid is None):
         raise ValueError("give exactly one of tau or grid")

@@ -321,9 +321,12 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     depend on evaluation order or worker count.  Rows follow the config:
     scenario, then gamma, then the grid's tests, ppw and max.  A max test is
     decided from its column-tail bounds when one of them settles
-    ``p <= alpha``, and integrated only otherwise; the counts equal those of
-    the integrated p.  Each sample's column-major difference matrix is built
-    once, and the max test reads its grid columns in place.
+    ``p <= alpha``, and otherwise integrated only until its error bar
+    settles it (``mvn_tol`` bounds the integrations the bar leaves open);
+    a count can differ from that of the fully integrated p only through a
+    p within a few error estimates of alpha.  Each sample's column-major
+    difference matrix is built once, and the max test reads its grid
+    columns in place.
     """
     grid = as_grid(config.grid)
     n_taus = len(grid)

@@ -172,14 +172,31 @@ def closed_test_brute_force(sample, grid, gamma=1.0, seed=0, tol=1e-4):
 
 
 def count_mvn_calls(monkeypatch) -> list:
-    """Record every ``mvn_cdf`` call the max-type tests make; returns the
-    list that grows by one entry (the dimension) per call."""
+    """Record every MVN integration the max-type tests make, through
+    ``mvn_cdf`` or the private ``_mvn_cdf`` that a test given alpha calls;
+    returns the list that grows by one entry (the dimension) per call."""
     calls = []
-    real = overall.mvn_cdf
 
-    def counted(upper, *args, **kwargs):
-        calls.append(len(upper))
-        return real(upper, *args, **kwargs)
+    def counting(real):
+        def counted(upper, *args, **kwargs):
+            calls.append(len(upper))
+            return real(upper, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(overall, "mvn_cdf", counted)
+    for name in ("mvn_cdf", "_mvn_cdf"):
+        monkeypatch.setattr(overall, name, counting(getattr(overall, name)))
+    return calls
+
+
+def record_decision_integrations(monkeypatch) -> list:
+    """Record ``(upper, corr, seed, level)`` of every integration that a max
+    test given alpha makes through the private ``_mvn_cdf``."""
+    calls = []
+    real = overall._mvn_cdf
+
+    def recorded(upper, corr, tol, seed, level=None):
+        calls.append((upper, corr, seed, level))
+        return real(upper, corr, tol, seed, level=level)
+
+    monkeypatch.setattr(overall, "_mvn_cdf", recorded)
     return calls

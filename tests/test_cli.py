@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairedsurv import StudyConfig, write_csv
+from pairedsurv import ScenarioSpec, StudyConfig, mvn_cdf, mvnorm, power_study, write_csv
 from pairedsurv.cli import build_parser, main
 
-from conftest import simulated_sample
+from conftest import record_decision_integrations, simulated_sample
 
 
 @pytest.fixture
@@ -256,9 +256,20 @@ def test_accuracy_miss_writes_no_out(sim_csv, tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_accuracy_miss_writes_no_csv(tmp_path, capsys):
+def test_accuracy_miss_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # a study integrates a max test only until its error bar settles p <= alpha,
+    # so alpha is put at the p of one test that straddles 0.05, and the
+    # lattice is capped at 256 points, short of a 1e-9 tolerance
+    study = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=100, replications=2,
+                        grid=(1.0, 2.0, 3.0))
+    calls = record_decision_integrations(monkeypatch)
+    power_study(study)
+    upper, corr, seed, _ = calls[0]
+    monkeypatch.undo()
     config = {"scenarios": ["ph"], "pairs": 100, "replications": 2,
-              "grid": [1, 2, 3], "mvn_tol": 1e-9}
+              "grid": [1, 2, 3], "alpha": 1.0 - mvn_cdf(upper, corr, seed=seed),
+              "mvn_tol": 1e-9}
+    monkeypatch.setattr(mvnorm, "_MAX_POINTS", 256)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     csv_path, out_path = tmp_path / "r.csv", tmp_path / "r.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 from importlib import resources
@@ -16,17 +17,19 @@ from pairedsurv import (
     diff_matrix,
     event_table,
     generate_pairs,
+    mvnorm,
     null_moments,
     overall_test,
     pair_differences,
+    power_study,
     ppw_test,
     time_specific_test,
 )
-from pairedsurv.errors import DegenerateColumnWarning
+from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning
 from pairedsurv.overall import _max_test_from_columns, as_grid
 from pairedsurv.simulate import SCENARIO_IDS
 
-from conftest import count_mvn_calls, simulated_sample
+from conftest import count_mvn_calls, record_decision_integrations, simulated_sample
 
 
 def test_time_grid_validation():
@@ -247,8 +250,10 @@ def test_alpha_bound_decides_as_integrated_p(scenario, monkeypatch):
                     assert q == (low if low > alpha else high)
                     outcomes.add("bound")
                 else:
+                    # integrated until its error bar settles the side of
+                    # alpha, which the first assertion compares with p's
                     assert len(calls) == before + 1
-                    assert q == p
+                    assert low <= q <= high
                     outcomes.add("integrated")
     assert "bound" in outcomes
 
@@ -266,7 +271,46 @@ def test_alpha_at_the_bounds(monkeypatch):
     # alpha at the largest column tail decides nothing: integrated
     _, q = _max_test_from_columns(*args, alpha=low)
     assert calls == [3]
-    assert q == _max_test_from_columns(*args)[1]
+    p = _max_test_from_columns(*args)[1]
+    assert low <= q <= high
+    assert (q <= low) == (p <= low)
+
+
+def test_error_bar_stop_decides_as_full_integration(monkeypatch):
+    # the max tests that straddle alpha in the power_i500 benchmark's
+    # studies: table1 scenarios, 500 pairs, 4 replications, gamma 1 and 1.25
+    table1 = StudyConfig.from_json(resources.files("pairedsurv.configs") / "table1.cfg")
+    calls = record_decision_integrations(monkeypatch)
+    for master in range(8):
+        power_study(dataclasses.replace(table1, pairs=500, replications=4,
+                                        seed=master, gammas=(1.0, 1.25)))
+    monkeypatch.undo()
+    assert len(calls) >= 40
+    points = []
+    real = mvnorm._integrand_means
+
+    def counted(low, limits, k_values, *args):
+        points.append(k_values.shape[0])
+        return real(low, limits, k_values, *args)
+
+    monkeypatch.setattr(mvnorm, "_integrand_means", counted)
+    alpha = table1.alpha
+    assert all(level == 1.0 - alpha for *_, level in calls)
+    runs = []
+    for early in (False, True):
+        points.clear()
+        decisions = [1.0 - mvnorm._mvn_cdf(upper, corr, 1e-4, seed,
+                                           level=level if early else None) <= alpha
+                     for upper, corr, seed, level in calls]
+        runs.append((decisions, sum(points)))
+    (full, full_points), (decided, early_points) = runs
+    assert decided == full
+    assert early_points < full_points
+    # a call settled by its error bar ends without the tolerance's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyNotReached)
+        for upper, corr, seed, level in calls:
+            mvnorm._mvn_cdf(upper, corr, 1e-9, seed, level=level)
 
 
 def test_montecarlo_needs_draws():
