@@ -11,8 +11,11 @@ column, so semidefinite input (duplicated columns) needs no separate path:
 that variable is an indicator of its precursors.  The cube is sampled with
 a Richtmyer lattice passed through the tent transform, under
 ``_N_SHIFTS`` independent random shifts; the spread of the per-shift means
-gives the error estimate.  The estimate is clamped into the Frechet bounds
-``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
+gives the error estimate.  The integrand is evaluated ``_PIECE`` lattice
+indices at a time in reused buffers, and a large block is cut into one
+range per available CPU, each in a thread; the sums are the same bit for
+bit whatever the core count.  The estimate is clamped into the Frechet
+bounds ``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
 ``1 - cdf`` always lies between the largest one-column tail and the
 Bonferroni sum.  A caller that only compares the CDF with a level may
 stop the doubling once the error bar puts the estimate on one side of it
@@ -26,6 +29,7 @@ import warnings
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from ._parallel import map_ranges
 from .errors import AccuracyNotReached
 
 MAX_DIM = 25
@@ -33,6 +37,8 @@ _MAX_POINTS = 2 ** 16  # lattice points per shift before AccuracyNotReached
 _N_SHIFTS = 8
 _PIVOT_FLOOR = 1e-10
 _TINY = 1e-15
+_PIECE = 1024  # lattice indices per piece of the integrand's reused buffers
+_SPLIT = 2048  # fewest lattice indices per thread in a split block
 
 
 def _check_dim(n):
@@ -96,27 +102,58 @@ def _integrand_means(low, limits, k_values, shifts, lattice):
     """Per-shift sums of the sequential-conditioning integrand.
 
     ``k_values`` are lattice indices, ``shifts`` has shape (R, dim-1).
-    Returns an (R,) array of integrand sums over the given indices.
+    Returns an (R,) array of integrand sums over the given indices.  The
+    block is cut into one contiguous range per available CPU, none shorter
+    than ``_SPLIT`` indices, each filled in a thread (``map_ranges``).
+    Each value is computed alike wherever it falls and the sums come from
+    one array, so they are the same bit for bit whatever the core count.
+    """
+    n_shift = shifts.shape[0]
+    f = np.empty(k_values.shape[0] * n_shift)
+    map_ranges(lambda lo, hi: _fill_integrand(
+        f[lo * n_shift:hi * n_shift], low, limits, k_values[lo:hi], shifts, lattice),
+        k_values.shape[0], _SPLIT)
+    return f.reshape(-1, n_shift).sum(axis=0)
+
+
+def _fill_integrand(f, low, limits, k_values, shifts, lattice):
+    """Write the integrand at every (index, shift) into ``f``, index-major.
+
+    ``_PIECE`` indices at a time, in buffers reused from piece to piece:
+    the transformed lattice points ``w`` (one row per coordinate), the
+    conditional quantiles ``y`` (one row per point), the last conditional
+    probability ``e`` and a scratch vector ``s``.
     """
     n_shift, dim_m1 = shifts.shape
-    n_k = k_values.shape[0]
-    base = np.multiply.outer(k_values, lattice)              # (n_k, dim-1)
-    w = np.mod(base[:, None, :] + shifts[None, :, :], 1.0)   # (n_k, R, dim-1)
-    w = np.abs(2.0 * w - 1.0)                                # tent transform
-    w = w.reshape(n_k * n_shift, dim_m1)
-
-    f = np.full(w.shape[0], ndtr(limits[0] / low[0, 0]))
-    e_prev = f.copy()
-    y = np.empty((w.shape[0], dim_m1))
-    for l in range(1, dim_m1 + 1):
-        y[:, l - 1] = ndtri(np.clip(w[:, l - 1] * e_prev, _TINY, 1 - _TINY))
-        num = limits[l] - y[:, :l] @ low[l, :l]
-        if low[l, l] > 0:
-            e_prev = ndtr(num / low[l, l])
-        else:
-            e_prev = (num >= 0).astype(float)
-        f *= e_prev
-    return f.reshape(n_k, n_shift).sum(axis=0)
+    rows = min(_PIECE, k_values.shape[0]) * n_shift
+    w, y = np.empty((dim_m1, rows)), np.empty((rows, dim_m1))
+    e, s = np.empty(rows), np.empty(rows)
+    first = ndtr(limits[0] / low[0, 0])
+    for start in range(0, k_values.shape[0], _PIECE):
+        k = k_values[start:start + _PIECE]
+        n = k.shape[0] * n_shift
+        wn, out, en, sn = w[:, :n], f[start * n_shift:][:n], e[:n], s[:n]
+        np.add(np.multiply.outer(lattice, k)[:, :, None], shifts.T[:, None, :],
+               out=wn.reshape(dim_m1, -1, n_shift))
+        floor = y.reshape(-1)[:wn.size].reshape(wn.shape)  # y is not read yet
+        wn -= np.floor(wn, out=floor)  # the fraction: w >= 0
+        wn *= 2.0
+        wn -= 1.0
+        np.abs(wn, out=wn)  # tent transform
+        out.fill(first)
+        en.fill(first)
+        for l in range(1, dim_m1 + 1):
+            np.multiply(wn[l - 1], en, out=sn)
+            np.clip(sn, _TINY, 1 - _TINY, out=sn)
+            ndtri(sn, out=y[:n, l - 1])
+            np.matmul(y[:n, :l], low[l, :l], out=sn)
+            np.subtract(limits[l], sn, out=sn)
+            if low[l, l] > 0:
+                sn /= low[l, l]
+                ndtr(sn, out=en)
+            else:
+                np.greater_equal(sn, 0.0, out=en)
+            out *= en
 
 
 def mvn_cdf(upper, corr, tol=1e-4, seed=0):

@@ -15,13 +15,12 @@ from __future__ import annotations
 import copy
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
+from ._parallel import map_ranges
 from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
@@ -174,11 +173,11 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     refused with numpy's ``TypeError``.  Draw ``j`` uses row ``j`` of
     ``default_rng(seed).random((n_draws, k))`` over the k nonzero pairs:
     ``[0, n_draws)`` is cut into one contiguous range per available CPU
-    (fewer when a range would not fill one buffer), and each range runs in a
-    thread on a copy of the one ``PCG64(seed)`` stream advanced to its first
-    draw, so the p-value is the same whatever the core count.  Each thread
-    reuses one buffer of at most ``max(2**18, k)`` doubles and as many bools
-    (2.3 MiB for k <= 2**18), whatever ``n_draws``.
+    (fewer when a range would not fill one buffer; ``map_ranges``), and
+    each range runs on a copy of the one ``PCG64(seed)`` stream advanced to
+    its first draw, so the p-value is the same whatever the core count.
+    Each thread reuses one buffer of at most ``max(2**18, k)`` doubles and
+    as many bools (2.3 MiB for k <= 2**18), whatever ``n_draws``.
     """
     gamma = check_gamma(gamma)
     n_draws = _draw_count(n_draws)
@@ -190,12 +189,9 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
         return 1.0 if 0.0 >= t - tol else 0.0
     p_plus = gamma / (1.0 + gamma)
     bits = np.random.PCG64(seed)
-    workers = _worker_count(n_draws, max(1, _SIGN_BUFFER // rows))
-    cuts = [n_draws * w // workers for w in range(workers + 1)]
-    jobs = [(np.random.Generator(copy.deepcopy(bits).advance(lo * rows)), hi - lo)
-            for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    with ThreadPoolExecutor(len(jobs)) as pool:
-        hits = sum(pool.map(lambda job: _count_hits(*job, mags, p_plus, t - tol), jobs))
+    hits = sum(map_ranges(lambda lo, hi: _count_hits(
+        np.random.Generator(copy.deepcopy(bits).advance(lo * rows)), hi - lo,
+        mags, p_plus, t - tol), n_draws, max(1, _SIGN_BUFFER // rows)))
     return hits / n_draws
 
 
@@ -207,16 +203,6 @@ def _draw_count(n_draws) -> int:
     if n < 1:
         raise ValueError(f"n_draws must be a whole number >= 1, got {n_draws!r}")
     return n
-
-
-def _worker_count(n_draws, per_fill) -> int:
-    """Threads for ``n_draws`` draws: the CPUs this process may run on,
-    capped so that each thread fills its buffer of ``per_fill`` draws once."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_draws // per_fill))
 
 
 def _count_hits(rng, n, mags, p_plus, bound) -> int:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from pairedsurv import (
     ScenarioSpec,
@@ -9,8 +10,9 @@ from pairedsurv import (
     km_at,
     km_estimate,
 )
-from pairedsurv import overall
+from pairedsurv import _parallel, overall
 from pairedsurv.closed import _subset_seed
+from pairedsurv.mvnorm import _TINY
 from pairedsurv.overall import _max_test_from_columns, as_grid
 from pairedsurv.sensitivity import _tie_tol, check_gamma
 
@@ -135,6 +137,35 @@ def montecarlo_one_shot(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     signs = np.where(np.random.default_rng(seed).random((n_draws, mags.size)) < p_plus,
                      1.0, -1.0)
     return int(np.count_nonzero(signs @ mags >= t - _tie_tol(d))) / n_draws
+
+
+def fix_workers(monkeypatch, workers):
+    """Make every threaded kernel cut its work into ``workers`` ranges."""
+    monkeypatch.setattr(_parallel, "_worker_count", lambda n, per_worker: workers)
+
+
+def integrand_one_shot(low, limits, k_values, shifts, lattice):
+    """Reference ``mvnorm._integrand_means``: every lattice point of the block
+    in one array, on one thread."""
+    n_shift, dim_m1 = shifts.shape
+    n_k = k_values.shape[0]
+    base = np.multiply.outer(k_values, lattice)              # (n_k, dim-1)
+    w = np.mod(base[:, None, :] + shifts[None, :, :], 1.0)   # (n_k, R, dim-1)
+    w = np.abs(2.0 * w - 1.0)                                # tent transform
+    w = w.reshape(n_k * n_shift, dim_m1)
+
+    f = np.full(w.shape[0], ndtr(limits[0] / low[0, 0]))
+    e_prev = f.copy()
+    y = np.empty((w.shape[0], dim_m1))
+    for l in range(1, dim_m1 + 1):
+        y[:, l - 1] = ndtri(np.clip(w[:, l - 1] * e_prev, _TINY, 1 - _TINY))
+        num = limits[l] - y[:, :l] @ low[l, :l]
+        if low[l, l] > 0:
+            e_prev = ndtr(num / low[l, l])
+        else:
+            e_prev = (num >= 0).astype(float)
+        f *= e_prev
+    return f.reshape(n_k, n_shift).sum(axis=0)
 
 
 def subset_test(sample, subset, gamma=1.0, seed=0, tol=1e-4) -> float:

@@ -1,3 +1,5 @@
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +8,8 @@ from scipy.special import ndtr
 
 from pairedsurv import mvn_cdf, mvnorm
 from pairedsurv.errors import AccuracyNotReached
+
+from conftest import fix_workers, integrand_one_shot
 
 
 def random_corr(rng, dim):
@@ -173,3 +177,128 @@ def test_accuracy_flag_warns(monkeypatch):
         mvn_cdf(rng.normal(size=6), corr, tol=1e-9)
     # the warning names the caller of mvn_cdf, not mvnorm.py
     assert [w.filename for w in caught] == [__file__]
+
+
+def _integrand_args(limits, corr, seed=0):
+    low, limits = mvnorm._priority_cholesky(corr, np.asarray(limits, dtype=float))
+    dim = limits.shape[0]
+    shifts = np.random.default_rng(seed).random((mvnorm._N_SHIFTS, dim - 1))
+    return low, limits, shifts, np.sqrt(mvnorm._first_primes(dim - 1))
+
+
+def _integrand_cases():
+    # every dimension; index counts of one point, below one piece, on either
+    # side of the piece size and of the split threshold, and the largest
+    # doubling block; blocks that start past 1, as a doubling block does
+    rng = np.random.default_rng(23)
+    piece, split = mvnorm._PIECE, mvnorm._SPLIT
+    counts = [1, 127, piece - 1, piece + 1, 2 * split - 1, 2 * split + 1]
+    for dim in range(2, mvnorm.MAX_DIM + 1):
+        n = counts[dim % len(counts)]
+        start = int(rng.choice([0, n, int(rng.integers(1, 5000))]))
+        yield random_corr(rng, dim), rng.normal(size=dim) + 1.0, start, n
+    yield random_corr(rng, 3), rng.normal(size=3) + 1.0, 2 ** 15, 2 ** 15
+    # semidefinite: a repeated column gets a zero pivot, an indicator factor
+    corr = random_corr(rng, 4)[np.ix_([0, 1, 1, 2, 3], [0, 1, 1, 2, 3])]
+    yield corr, rng.normal(size=5) + 1.0, 0, piece + 1
+
+
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+def test_integrand_matches_one_shot(monkeypatch, workers):
+    # pieces and threads compute every value alike and sum one array, so
+    # the sums equal the one-array integrand bit for bit at any core count
+    if workers is not None:
+        fix_workers(monkeypatch, workers)
+    indicator = False
+    for corr, limits, start, n in _integrand_cases():
+        low, limits, shifts, lattice = _integrand_args(limits, corr, seed=n)
+        indicator |= bool(np.any(np.diag(low) == 0.0))
+        k_values = np.arange(start + 1, start + n + 1, dtype=float)
+        got = mvnorm._integrand_means(low, limits, k_values, shifts, lattice)
+        assert got.tobytes() == integrand_one_shot(
+            low, limits, k_values, shifts, lattice).tobytes()
+    assert indicator
+
+
+def _mvn_problems(dims=(2, 5, 12)):
+    rng = np.random.default_rng(29)
+    for dim in dims:
+        yield rng.normal(size=dim) + 1.5, random_corr(rng, dim), int(rng.integers(100))
+
+
+def test_mvn_cdf_same_bits_at_any_worker_count(monkeypatch):
+    # run to _MAX_POINTS, so every block size up to 2**15 indices is summed
+    def values():
+        return [mvn_cdf(u, c, tol=1e-9, seed=s).hex() for u, c, s in _mvn_problems()]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyNotReached)
+        fix_workers(monkeypatch, 1)
+        one = values()
+        fix_workers(monkeypatch, 3)
+        three = values()
+        monkeypatch.setattr(mvnorm, "_integrand_means", integrand_one_shot)
+        assert one == three == values()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mvn_cdf_transient_memory(monkeypatch, workers):
+    # every thread fills reused buffers of _PIECE indices; the one-array
+    # integrand held 150 MiB at dimension 25 and 2**15 indices
+    fix_workers(monkeypatch, workers)
+    [(limits, corr, seed)] = _mvn_problems([mvnorm.MAX_DIM])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with pytest.warns(AccuracyNotReached):
+            mvn_cdf(limits, corr, tol=1e-9, seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 20 * 2 ** 20
+
+
+def _threads_used(monkeypatch):
+    used = set()
+    fill = mvnorm._fill_integrand
+
+    def recorded(*args):
+        used.add(threading.get_ident())
+        return fill(*args)
+
+    monkeypatch.setattr(mvnorm, "_fill_integrand", recorded)
+    return used
+
+
+def test_integrand_threads_end_with_the_call(monkeypatch):
+    fix_workers(monkeypatch, 3)
+    used = _threads_used(monkeypatch)
+    limits, corr, seed = list(_mvn_problems())[1]
+    before = threading.active_count()
+    with pytest.warns(AccuracyNotReached):
+        mvn_cdf(limits, corr, tol=1e-9, seed=seed)
+    assert used - {threading.get_ident()}
+    assert threading.active_count() == before
+
+
+def test_integrand_worker_error_reaches_caller(monkeypatch):
+    # a warning turned into an error in a worker thread is raised by mvn_cdf
+    fix_workers(monkeypatch, 3)
+    used = _threads_used(monkeypatch)
+    main = threading.get_ident()
+    ndtri = mvnorm.ndtri
+
+    def warning_off_main(*args, **kwargs):
+        if threading.get_ident() != main:
+            warnings.warn("raised in a worker", RuntimeWarning)
+        return ndtri(*args, **kwargs)
+
+    monkeypatch.setattr(mvnorm, "ndtri", warning_off_main)
+    limits, corr, seed = list(_mvn_problems())[1]
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="raised in a worker"):
+            mvn_cdf(limits, corr, tol=1e-9, seed=seed)
+    assert used - {main}
+    assert threading.active_count() == before

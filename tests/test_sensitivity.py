@@ -26,7 +26,7 @@ from pairedsurv import sensitivity
 from pairedsurv.cli import main
 from pairedsurv.sensitivity import _column_tests, _search, _worst_case_p
 
-from conftest import montecarlo_one_shot, simulated_sample
+from conftest import fix_workers, montecarlo_one_shot, simulated_sample
 
 
 def enumerate_randomization_p(d, t):
@@ -174,10 +174,6 @@ def test_montecarlo_symmetric_center():
     assert mc == pytest.approx(exact, abs=0.01)
 
 
-def _fix_workers(monkeypatch, workers):
-    monkeypatch.setattr(sensitivity, "_worker_count", lambda n_draws, per_fill: workers)
-
-
 def _oracle_cases():
     # ties (rounded scores and t), zero pairs, t within two null sd of the
     # mean, draw counts that are no multiple of a buffer's draws, and counts
@@ -198,7 +194,7 @@ def _oracle_cases():
 def test_montecarlo_matches_one_shot_simulator(monkeypatch, workers):
     # the threaded simulator reads the same stream as one rng.random call,
     # so the p-values agree bit for bit whatever the worker count
-    _fix_workers(monkeypatch, workers)
+    fix_workers(monkeypatch, workers)
     for d, t, gamma, n_draws, seed in _oracle_cases():
         assert pvalue_montecarlo(d, t, gamma, n_draws, seed) == montecarlo_one_shot(
             d, t, gamma, n_draws, seed)
@@ -225,7 +221,7 @@ def test_montecarlo_refuses_generator_seed(make_seed):
 def test_montecarlo_transient_memory(monkeypatch, workers):
     # each worker reuses one 2**18-double sign buffer; the one-shot chunks
     # held 68 MiB at I=300
-    _fix_workers(monkeypatch, workers)
+    fix_workers(monkeypatch, workers)
     d = np.random.default_rng(7).normal(size=300)
     tracemalloc.start()
     try:
