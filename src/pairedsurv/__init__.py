@@ -18,8 +18,8 @@ from .overall import (
     DiffMatrix,
     correlations,
     diff_matrix,
+    max_test,
     overall_test,
-    ppw_test,
 )
 from .scores import (
     logrank_scores,
@@ -34,6 +34,7 @@ from .sensitivity import (
     pvalue_exact,
     pvalue_montecarlo,
     pvalue_normal,
+    score_test,
     sensitivity_value,
     time_specific_test,
 )

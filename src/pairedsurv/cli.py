@@ -32,9 +32,9 @@ from .closed import closed_test
 from .data import load_csv
 from .errors import AccuracyNotReached
 from .km import km_estimate
-from .overall import _max_corr, _max_diff, _test_diff
-from .scores import _sign, pair_differences
-from .sensitivity import _score_test, _search, _worst_case_p
+from .overall import as_grid, correlations, diff_matrix, max_test
+from .scores import pair_differences
+from .sensitivity import score_test, sensitivity_value, time_specific_test
 from .simulate import StudyConfig, design_sensitivity_study, power_study
 
 
@@ -75,8 +75,19 @@ _ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "an alpha in (0, 1)")
 _TOL = _checked(float, lambda t: 0.0 < t < math.inf, "a finite tolerance > 0")
 _DRAWS = _checked(int, lambda n: n >= 1, "a draw count >= 1")
 _SEED = _checked(int, lambda n: n >= 0, "a non-negative integer seed")
-_GRID = _checked(lambda text: tuple(float(v) for v in text.split(",")),
-                 lambda grid: True, "a comma-separated number list")
+_TAU = _checked(float, lambda t: t >= 0, "a time >= 0")
+_NUMBERS = _checked(lambda text: tuple(float(v) for v in text.split(",")),
+                    lambda values: True, "a comma-separated number list")
+
+
+def _grid(text):
+    """argparse type: a comma-separated number list that ``as_grid`` accepts."""
+    grid = _NUMBERS(text)
+    try:
+        as_grid(grid)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return grid
 
 
 def _gammas(text):
@@ -114,37 +125,35 @@ def cmd_test(sample, args) -> tuple:
         raise ConfigError("--tau is required for pseudo scores")
     if args.score != "pseudo" and args.tau is not None:
         raise ConfigError(f"--tau does not apply to {args.score} scores")
-    scores = pair_differences(sample, args.score, args.tau)
-    res = _score_test(scores, sample, args.gamma, args.method,
-                      _sign(args.score, args.direction), args.tau,
-                      n_draws=args.draws, seed=args.seed)
+    res = score_test(sample, args.score, args.tau, args.gamma, args.method,
+                     args.direction, args.draws, args.seed)
     label = f"tau={args.tau:g}" if args.tau is not None else "whole follow-up"
     print(f"{args.score} score test ({label}), gamma={args.gamma:g}, "
           f"{res.direction} tail, method={res.method}")
     print(f"  statistic {res.statistic:.3f}   null mean {res.null_mean:.3f}   "
           f"null sd {res.null_sd:.3f}")
     print(f"  p-value   {res.p_value:.3f}")
+    doc = asdict(res)
     if args.verbose:
+        scores = pair_differences(sample, args.score, args.tau)
         ids = sample.pair_ids or [str(i + 1) for i in range(sample.n_pairs)]
         print("  pair differences:")
         for pid, d in zip(ids, scores):
             print(f"    {pid}: d = {d:.3f}")
-    doc = asdict(res)
-    if args.verbose:
         doc["pair_differences"] = [float(v) for v in scores]
     return args.seed, doc, None
 
 
 def cmd_overall(sample, args) -> tuple:
-    diff = _max_diff(sample, args.grid, args.include_ppw)
-    res = _test_diff(diff, sample.assignment, args.gamma, args.direction,
-                     args.tol, args.seed)
+    diff = diff_matrix(sample, args.grid, args.include_ppw)
+    res = max_test(diff, sample.assignment, args.gamma, args.direction,
+                   args.tol, args.seed)
     print(f"max-type overall test, gamma={args.gamma:g}, {args.direction}, "
           f"method={res.method}")
     print(f"  statistic {res.statistic:.3f}   p-value {res.p_value:.3f}")
     live = diff.sigma > 0
     if np.any(live):
-        mat = _max_corr(diff.D[:, live], res.gamma)
+        mat = correlations(diff.D[:, live], res.gamma)
         labels = [str(l) for l, ok in zip(diff.labels, live) if ok]
         print(f"  correlation matrix ({mat.shape[0]} columns: {', '.join(labels)}):")
         for row in mat:
@@ -158,19 +167,25 @@ def cmd_overall(sample, args) -> tuple:
 def cmd_sens(sample, args) -> tuple:
     if args.tau is not None and args.include_ppw:
         raise ConfigError("--include-ppw applies only to --grid")
-    p_at = _worst_case_p(sample, args.tau, args.grid, args.direction,
-                         args.include_ppw, args.seed, mvn_tol=args.tol)
-
     rows = []
     if args.gamma_grid:
-        rows = [{"gamma": g, "p_value": p_at(g)} for g in args.gamma_grid]
+        if args.tau is not None:
+            results = [time_specific_test(sample, args.tau, g, direction=args.direction)
+                       for g in args.gamma_grid]
+        else:
+            diff = diff_matrix(sample, args.grid, args.include_ppw)
+            results = [max_test(diff, sample.assignment, g, args.direction, args.tol,
+                                args.seed) for g in args.gamma_grid]
+        rows = [{"gamma": r.gamma, "p_value": r.p_value} for r in results]
         print("gamma   worst-case p")
         for row in rows:
             print(f"{row['gamma']:5.2f}   {row['p_value']:.3f}")
 
     found = None
     if args.search or not args.gamma_grid:
-        sv = _search(p_at, args.alpha, args.sens_tol, args.gamma_max)
+        sv = sensitivity_value(sample, args.tau, args.grid, args.alpha,
+                               args.sens_tol, args.gamma_max, args.direction,
+                               args.include_ppw, args.seed, mvn_tol=args.tol)
         found = asdict(sv)
         found["gamma"] = found.pop("value")
         if sv.already_sensitive:
@@ -278,7 +293,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("test", help="time-specific or score test of no effect")
     add_common(p)
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=_TAU, default=None)
     p.add_argument("--gamma", type=_GAMMA, default=1.0)
     p.add_argument("--method", choices=("normal", "exact", "montecarlo"),
                    default="normal")
@@ -290,7 +305,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("overall", help="max-type overall test across a grid")
     add_common(p)
-    p.add_argument("--grid", type=_GRID, required=True, help="comma-separated times")
+    p.add_argument("--grid", type=_grid, required=True, help="comma-separated times")
     p.add_argument("--gamma", type=_GAMMA, default=1.0)
     p.add_argument("--include-ppw", action="store_true")
     p.add_argument("--direction", choices=("benefit", "harm"), default="benefit")
@@ -300,8 +315,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sens", help="sensitivity table or sensitivity value")
     add_common(p)
     target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--tau", type=float, default=None)
-    target.add_argument("--grid", type=_GRID, default=None)
+    target.add_argument("--tau", type=_TAU, default=None)
+    target.add_argument("--grid", type=_grid, default=None)
     p.add_argument("--alpha", type=_ALPHA, default=0.05)
     p.add_argument("--gamma-grid", type=_gammas, default=None,
                    help="comma-separated gammas")
@@ -315,7 +330,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("closed", help="closed testing for effect duration")
     add_common(p)
-    p.add_argument("--grid", type=_GRID, required=True)
+    p.add_argument("--grid", type=_grid, required=True)
     p.add_argument("--alpha", type=_ALPHA, default=0.05)
     p.add_argument("--gamma", type=_GAMMA, default=1.0)
     p.add_argument("--tol", type=_TOL, default=1e-4)
@@ -355,9 +370,10 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             seed, result, table = args.func(source, args)
         unresolved = [w for w in caught if issubclass(w.category, AccuracyNotReached)]
-        for w in caught:
-            if not issubclass(w.category, AccuracyNotReached):
-                print(f"warning: {w.message}", file=sys.stderr)
+        # a matrix built twice (sens with a table and a search) warns twice
+        for message in dict.fromkeys(str(w.message) for w in caught
+                                     if not issubclass(w.category, AccuracyNotReached)):
+            print(f"warning: {message}", file=sys.stderr)
         if unresolved:
             print(f"error: {unresolved[0].message}", file=sys.stderr)
             return 3

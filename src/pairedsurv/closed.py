@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .overall import _max_diff, _max_test_from_columns
+from .overall import _max_test_from_columns, diff_matrix
 from .scores import _sign
 from .sensitivity import check_gamma
 
@@ -67,7 +67,7 @@ def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> Closed
     gamma = check_gamma(gamma)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    diff = _max_diff(sample, grid, False)
+    diff = diff_matrix(sample, grid)
     taus = tuple(float(t) for t in diff.taus)
     live = np.flatnonzero(diff.sigma > 0.0)
     orient = _sign("pseudo", "benefit")

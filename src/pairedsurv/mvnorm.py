@@ -19,7 +19,7 @@ bounds ``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
 ``1 - cdf`` always lies between the largest one-column tail and the
 Bonferroni sum.  A caller that only compares the CDF with a level may
 stop the doubling once the error bar puts the estimate on one side of it
-(``_mvn_cdf``).  Results are deterministic for a given seed.
+(``mvn_cdf``'s ``level``).  Results are deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -156,25 +156,17 @@ def _fill_integrand(f, low, limits, k_values, shifts, lattice):
             out *= en
 
 
-def mvn_cdf(upper, corr, tol=1e-4, seed=0):
+def mvn_cdf(upper, corr, tol=1e-4, seed=0, level=None):
     """``Pr(X_1 <= a_1, ..., X_L <= a_L)`` for X ~ N(0, corr).
 
     Lattice points double until the error estimate (three standard errors
     of the mean over the random shifts) is at most ``tol`` or ``_MAX_POINTS``
     is reached; in the latter case an AccuracyNotReached warning is emitted.
-    """
-    return _mvn_cdf(upper, corr, tol, seed, stacklevel=3)
-
-
-def _mvn_cdf(upper, corr, tol, seed, level=None, stacklevel=2):
-    """``mvn_cdf``, which may also stop once the estimate settles a decision.
-
     With ``level``, the doubling also ends as soon as the estimate lies
     more than two error estimates from ``level``: the returned value is
     then on the same side of ``level`` as the CDF, which is all a caller
     comparing the two needs, and no AccuracyNotReached is emitted however
-    large the error estimate.  ``stacklevel`` is that of the warning,
-    counted from this function.
+    large the error estimate.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be > 0 and finite")
@@ -211,7 +203,7 @@ def _mvn_cdf(upper, corr, tol, seed, level=None, stacklevel=2):
         warnings.warn(
             f"MVN CDF error estimate {err:.2e} above tolerance {tol:.2e}",
             AccuracyNotReached,
-            stacklevel=stacklevel,
+            stacklevel=2,
         )
     frechet_low = max(0.0, 1.0 - float(np.sum(ndtr(-upper))))
     return float(np.clip(means.mean(), frechet_low, float(np.min(ndtr(upper)))))

@@ -14,8 +14,10 @@ power study, the grid sensitivity search) takes the decision from those
 bounds when one of them decides; when they straddle alpha it integrates
 only until the QMC error bar puts the estimate on one side of alpha, so
 its decision can differ from the fully integrated p's only when p lies
-within a few error estimates of alpha.  ``_max_corr`` holds the gamma ->
-correlation rule.
+within a few error estimates of alpha.  ``diff_matrix`` builds the
+columns once and warns about the degenerate ones; ``max_test`` tests a
+built matrix, ``overall_test`` builds one and tests it, and
+``correlations`` holds the gamma -> correlation rule.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DegenerateColumnWarning
-from .mvnorm import _check_dim, _mvn_cdf, mvn_cdf
-from .scores import _sign, pair_difference_matrix, pair_differences
-from .sensitivity import TestResult, _score_test, check_gamma, null_moments
+from .mvnorm import _check_dim, mvn_cdf
+from .scores import _sign, pair_difference_matrix
+from .sensitivity import TestResult, check_gamma, null_moments
 
 
 def as_grid(grid) -> np.ndarray:
@@ -79,20 +81,29 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     One call to ``scores.pair_difference_matrix``, which sorts the pooled
     units once per grid.  Column l equals
     ``pair_differences(sample, "pseudo", grid[l])`` bit for bit, and the PPW
-    column ``-pair_differences(sample, "pw")``.
+    column ``-pair_differences(sample, "pw")``.  A column with zero
+    dispersion (a grid time before any event) carries no information; the
+    max-type tests drop it, and a ``DegenerateColumnWarning`` names it here.
     """
     taus = as_grid(grid)
-    D = pair_difference_matrix(sample, taus, include_pw=include_ppw)
-    return DiffMatrix(taus=taus, D=D)
+    diff = DiffMatrix(taus, pair_difference_matrix(sample, taus, include_pw=include_ppw))
+    dropped = [lab for lab, s in zip(diff.labels, diff.sigma) if s == 0.0]
+    if dropped:
+        warnings.warn(f"dropping degenerate grid columns {dropped}",
+                      DegenerateColumnWarning, stacklevel=2)
+    return diff
 
 
-def correlations(D) -> np.ndarray:
-    """Normalized Gram matrix of the columns of an (I, L) matrix.
+def correlations(D, gamma=1.0) -> np.ndarray:
+    """Correlation matrix of the max statistic's columns of an (I, L) ``D``.
 
-    This is the score correlation matrix; ``correlations(np.abs(D))`` is
-    its worst-case (absolute-product) version, used when gamma > 1.
+    At gamma = 1 the normalized Gram matrix of the columns, the score
+    correlation matrix; above 1 that of ``np.abs(D)``, its worst-case
+    (absolute-product) version.
     """
     D = np.asarray(D, dtype=float)
+    if check_gamma(gamma) != 1.0:
+        D = np.abs(D)
     sigma2 = np.sum(D ** 2, axis=0)
     if np.any(sigma2 == 0.0):
         raise ValueError("every column needs positive score dispersion")
@@ -101,10 +112,9 @@ def correlations(D) -> np.ndarray:
     return rho
 
 
-def _max_corr(D, gamma) -> np.ndarray:
-    """Correlation of the max statistic's columns: that of ``D`` at gamma = 1,
-    its worst-case (absolute-product) version above."""
-    return correlations(D if gamma == 1.0 else np.abs(D))
+def _normal_only(method):
+    if method != "normal":
+        raise ValueError(f"the max-type test has only the normal method, got {method!r}")
 
 
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
@@ -125,12 +135,11 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     tails is at most alpha, that bound is returned without integrating.
     Only when the bounds straddle alpha is the MVN integrated, and then
     only until its estimate lies more than two error estimates from alpha
-    (``mvnorm._mvn_cdf`` with ``level = 1 - alpha``); the estimate is
+    (``mvn_cdf`` with ``level = 1 - alpha``); the estimate is
     clipped into the same bounds, which keeps its side of alpha.  Without
     ``alpha`` the MVN is integrated to ``tol``.
     """
-    if method != "normal":
-        raise ValueError(f"the max-type test has only the normal method, got {method!r}")
+    _normal_only(method)
     keep = sigma > 0.0
     if not np.any(keep):
         return float("nan"), 1.0
@@ -147,62 +156,36 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     low, high = float(tails.max()), min(1.0, float(tails.sum()))
     if alpha is not None and not low <= alpha < high:
         return m, low if low > alpha else high
-    corr = _max_corr(D, gamma)
-    if alpha is None:  # a p-value shown to a user: the public, traced entry
-        cdf = mvn_cdf(limits, corr, tol=tol, seed=seed)
-    else:
-        cdf = _mvn_cdf(limits, corr, tol, seed, level=1.0 - alpha)
+    cdf = mvn_cdf(limits, correlations(D, gamma), tol=tol, seed=seed,
+                  level=None if alpha is None else 1.0 - alpha)
     return m, float(np.clip(1.0 - cdf, low, high))
 
 
-def _max_diff(sample, grid, include_ppw) -> DiffMatrix:
-    """``diff_matrix`` for a max-type test, warning about degenerate columns."""
-    diff = diff_matrix(sample, grid, include_ppw=include_ppw)
-    dropped = [lab for lab, s in zip(diff.labels, diff.sigma) if s == 0.0]
-    if dropped:
-        warnings.warn(
-            f"dropping degenerate grid columns {dropped}",
-            DegenerateColumnWarning,
-            stacklevel=3,
-        )
-    return diff
+def max_test(diff, assignment, gamma=1.0, direction="benefit", tol=1e-4,
+             seed=0) -> TestResult:
+    """Max-type test of no effect over the columns of a built ``DiffMatrix``.
 
-
-def _test_diff(diff, assignment, gamma, direction, tol, seed,
-               method="normal") -> TestResult:
-    """Max-type test of a built DiffMatrix; see ``overall_test``."""
+    ``direction="benefit"`` orients every column so a treated survival
+    advantage increases the max statistic; ``"harm"`` tests the reverse.
+    The p-value is the normal one, and ``seed`` and ``tol`` drive the QMC
+    integration.  Columns with zero dispersion are dropped; when all
+    columns are degenerate the p-value is 1.
+    """
     gamma = check_gamma(gamma)
     orient = _sign("pseudo", direction)
-    m, p = _max_test_from_columns(diff.D, diff.sigma, assignment, gamma, method,
+    m, p = _max_test_from_columns(diff.D, diff.sigma, assignment, gamma, "normal",
                                   orient, tol=tol, seed=seed)
     return TestResult(statistic=m, null_mean=0.0, null_sd=1.0, p_value=p,
-                      gamma=gamma, method=method, direction=direction,
+                      gamma=gamma, method="normal", direction=direction,
                       tau="overall")
 
 
 def overall_test(sample, grid, gamma=1.0, include_ppw=False, method="normal",
                  direction="benefit", tol=1e-4, seed=0) -> TestResult:
-    """Max-type test of no effect over the whole grid.
+    """``max_test`` of ``diff_matrix(sample, grid, include_ppw)``.
 
-    ``direction="benefit"`` orients every column so a treated survival
-    advantage increases the max statistic; ``"harm"`` tests the reverse.
-    The p-value is the normal one; ``method`` accepts only ``"normal"``
-    (see ``_max_test_from_columns``), and ``seed`` and ``tol`` drive the
-    QMC integration.  Columns with zero dispersion are dropped with a
-    warning; when all columns are degenerate the p-value is 1.
+    ``method`` accepts only ``"normal"`` (see ``_max_test_from_columns``).
     """
-    return _test_diff(_max_diff(sample, grid, include_ppw), sample.assignment,
-                      gamma, direction, tol, seed, method)
-
-
-def ppw_test(sample, gamma=1.0, direction="benefit", method="normal",
-             n_draws=100_000, seed=0) -> TestResult:
-    """Paired Prentice-Wilcoxon test of no effect at all.
-
-    ``direction="benefit"`` (the default) tests for a treated survival
-    advantage, ``"harm"`` for the reverse.
-    """
-    sign = _sign("pw", direction)
-    scores = pair_differences(sample, "pw")
-    return _score_test(scores, sample, gamma, method, sign, "overall",
-                       n_draws=n_draws, seed=seed)
+    _normal_only(method)
+    return max_test(diff_matrix(sample, grid, include_ppw), sample.assignment,
+                    gamma, direction, tol, seed)

@@ -7,7 +7,9 @@ sign that is positive with probability ``gamma / (1 + gamma)``; gamma = 1
 recovers the plain randomization distribution.  The p-value primitives
 compute only that upper tail; the other tail is the upper tail of ``-T``,
 with the sign from ``scores._sign``, and ``_column_tests`` gives the normal
-test of every column of a difference matrix in one call.
+test of every column of a difference matrix in one call.  ``score_test``
+is the one test of a score vector (pseudo at tau, log-rank or PW), and
+``sensitivity_value`` bisects the worst-case p of a tau or a grid.
 """
 
 from __future__ import annotations
@@ -228,11 +230,22 @@ def _count_hits(rng, n, mags, p_plus, bound) -> int:
     return hits
 
 
-def _score_test(scores, sample, gamma, method, sign, tau_label,
-                n_draws=100_000, seed=0) -> TestResult:
-    """Shared p-value dispatch; ``sign = -1`` tests T's lower tail as -T's upper.
-    The exact and Monte Carlo tails read only ``|d_i|``, so they take the
-    unsigned scores in either tail."""
+def score_test(sample, score="pseudo", tau=None, gamma=1.0, method="normal",
+               direction="benefit", n_draws=100_000, seed=0) -> TestResult:
+    """Test of no effect with pair differences of one score kind.
+
+    ``score`` is ``"pseudo"`` (pseudo-observations at ``tau``, which only
+    they take and require), ``"logrank"`` or ``"pw"`` (whole follow-up).
+    ``direction="benefit"`` (the default) tests for a treated survival
+    advantage, ``"harm"`` for the reverse; the result records the tested
+    tail of ``sum d_i V_i``.  gamma = 1 gives the
+    randomization p-value, gamma > 1 the worst-case bound.  ``method`` is
+    ``"normal"``, ``"exact"`` or ``"montecarlo"`` (``n_draws`` and
+    ``seed``); the exact and Monte Carlo tails read only ``|d_i|``, so
+    they take the unsigned scores in either tail.
+    """
+    sign = _sign(score, direction)
+    scores = pair_differences(sample, score, tau)
     gamma = check_gamma(gamma)
     t, mu_plus, variance, p = _column_tests(scores, sample.assignment, gamma, sign)
     if method == "exact":
@@ -249,23 +262,15 @@ def _score_test(scores, sample, gamma, method, sign, tau_label,
         gamma=gamma,
         method=method,
         direction="upper" if sign > 0 else "lower",
-        tau=tau_label,
+        tau=tau,
     )
 
 
 def time_specific_test(sample, tau, gamma=1.0, method="normal",
                        direction="benefit", n_draws=100_000, seed=0) -> TestResult:
-    """Test of no effect up to ``tau`` using pseudo-observation scores.
-
-    ``direction="benefit"`` (the default) tests for a treated survival
-    advantage, which the stored event-probability orientation puts in the
-    lower tail of the statistic, and ``"harm"`` for the reverse.  gamma = 1
-    gives the randomization p-value, gamma > 1 the worst-case bound.
-    """
-    sign = _sign("pseudo", direction)
-    scores = pair_differences(sample, "pseudo", tau)
-    return _score_test(scores, sample, gamma, method, sign, tau,
-                       n_draws=n_draws, seed=seed)
+    """Test of no effect up to ``tau`` using pseudo-observation scores:
+    ``score_test`` with ``score="pseudo"``."""
+    return score_test(sample, "pseudo", tau, gamma, method, direction, n_draws, seed)
 
 
 @dataclass(frozen=True)
@@ -280,51 +285,45 @@ class SensitivityValue:
 
 def sensitivity_value(sample, tau=None, grid=None, alpha=0.05, tol=1e-3,
                       gamma_max=10.0, direction="benefit", include_ppw=False,
-                      seed=0) -> SensitivityValue:
+                      seed=0, mvn_tol=1e-4) -> SensitivityValue:
     """Bisect for the gamma where the worst-case p-value crosses ``alpha``.
 
     Exactly one of ``tau`` (time-specific test) or ``grid`` (overall
-    max-type test) must be given.  ``direction`` is ``"benefit"`` (a treated
-    survival advantage) or ``"harm"``.
+    max-type test) must be given; the scores or the difference matrix are
+    built once.  ``direction`` is ``"benefit"`` (a treated survival
+    advantage) or ``"harm"``.
     Returns gamma = 1 flagged ``already_sensitive`` when even the
     randomization p-value exceeds alpha, and ``gamma_max`` flagged
     ``exceeded_max`` when the worst-case p-value stays below alpha on the
     whole range.  With ``grid``, each step is decided from the column-tail
     bounds of the max test when one of them settles ``p <= alpha``, and
-    otherwise from an MVN integration stopped once its error bar settles
-    it; a step can go the other way than with the fully integrated p only
-    when that p lies within a few error estimates of alpha.
+    otherwise from an MVN integration (error tolerance ``mvn_tol``, QMC
+    seed ``seed``) stopped once its error bar settles it; a step can go
+    the other way than with the fully integrated p only when that p lies
+    within a few error estimates of alpha.
     """
     if (tau is None) == (grid is None):
         raise ValueError("give exactly one of tau or grid")
-    p_at = _worst_case_p(sample, tau, grid, direction, include_ppw, seed)
-    return _search(p_at, alpha, tol, gamma_max)
-
-
-def _worst_case_p(sample, tau, grid, direction, include_ppw, seed, mvn_tol=1e-4):
-    """``(gamma, alpha=None) -> worst-case normal p``, with the scores built once.
-
-    Given ``alpha``, a grid's max test may return a bound on the same side
-    of alpha as its p instead (see ``overall._max_test_from_columns``).
-    """
     sign = _sign("pseudo", direction)
     if tau is not None:
         if include_ppw:
             raise ValueError("include_ppw applies only to a grid")
         scores = pair_differences(sample, "pseudo", tau)
-        return lambda g, alpha=None: _column_tests(scores, sample.assignment, g, sign)[3]
-    from .overall import _max_diff, _max_test_from_columns
+        return _search(lambda g, alpha: _column_tests(
+            scores, sample.assignment, g, sign)[3], alpha, tol, gamma_max)
+    from .overall import _max_test_from_columns, diff_matrix
 
-    diff = _max_diff(sample, grid, include_ppw)
-    return lambda g, alpha=None: _max_test_from_columns(
+    diff = diff_matrix(sample, grid, include_ppw)
+    return _search(lambda g, alpha: _max_test_from_columns(
         diff.D, diff.sigma, sample.assignment, check_gamma(g), "normal", sign,
-        tol=mvn_tol, seed=seed, alpha=alpha)[1]
+        tol=mvn_tol, seed=seed, alpha=alpha)[1], alpha, tol, gamma_max)
 
 
 def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
     """Bisection behind ``sensitivity_value``; assumes p_at rises with gamma.
 
-    ``p_at(gamma, alpha)`` need only fall on the same side of alpha as p.
+    ``p_at(gamma, alpha)`` need only fall on the same side of alpha as p
+    (see ``overall._max_test_from_columns``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
-from .overall import _max_diff, _max_test_from_columns, as_grid, diff_matrix
+from .overall import _max_test_from_columns, as_grid, diff_matrix
 from .scores import _sign
 from .sensitivity import _column_tests, _is_real, _whole, check_gamma
 
@@ -326,7 +326,8 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     a count can differ from that of the fully integrated p only through a
     p within a few error estimates of alpha.  Each sample's column-major
     difference matrix is built once, and the max test reads its grid
-    columns in place.
+    columns in place; a degenerate column (a grid time before any event)
+    warns as in ``diff_matrix``.
     """
     grid = as_grid(config.grid)
     n_taus = len(grid)
@@ -377,7 +378,7 @@ def design_sensitivity_study(config: StudyConfig):
                 stacklevel=2,
             )
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
-        diff = _max_diff(sample, grid, False)
+        diff = diff_matrix(sample, grid)
         per_column, overall = design_sensitivities(
             _sign("pseudo", "benefit") * diff.D, sample.assignment)
         results.append(

@@ -203,31 +203,30 @@ def closed_test_brute_force(sample, grid, gamma=1.0, seed=0, tol=1e-4):
 
 
 def count_mvn_calls(monkeypatch) -> list:
-    """Record every MVN integration the max-type tests make, through
-    ``mvn_cdf`` or the private ``_mvn_cdf`` that a test given alpha calls;
-    returns the list that grows by one entry (the dimension) per call."""
+    """Record every MVN integration the max-type tests make through
+    ``mvn_cdf``, with or without a decision level; returns the list that
+    grows by one entry (the dimension) per call."""
     calls = []
+    real = overall.mvn_cdf
 
-    def counting(real):
-        def counted(upper, *args, **kwargs):
-            calls.append(len(upper))
-            return real(upper, *args, **kwargs)
-        return counted
+    def counted(upper, *args, **kwargs):
+        calls.append(len(upper))
+        return real(upper, *args, **kwargs)
 
-    for name in ("mvn_cdf", "_mvn_cdf"):
-        monkeypatch.setattr(overall, name, counting(getattr(overall, name)))
+    monkeypatch.setattr(overall, "mvn_cdf", counted)
     return calls
 
 
 def record_decision_integrations(monkeypatch) -> list:
     """Record ``(upper, corr, seed, level)`` of every integration that a max
-    test given alpha makes through the private ``_mvn_cdf``."""
+    test makes through ``mvn_cdf``; ``level`` is ``1 - alpha`` for a test
+    given alpha and None otherwise."""
     calls = []
-    real = overall._mvn_cdf
+    real = overall.mvn_cdf
 
-    def recorded(upper, corr, tol, seed, level=None):
+    def recorded(upper, corr, tol=1e-4, seed=0, level=None):
         calls.append((upper, corr, seed, level))
-        return real(upper, corr, tol, seed, level=level)
+        return real(upper, corr, tol=tol, seed=seed, level=level)
 
-    monkeypatch.setattr(overall, "_mvn_cdf", recorded)
+    monkeypatch.setattr(overall, "mvn_cdf", recorded)
     return calls

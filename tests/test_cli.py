@@ -1,11 +1,29 @@
+import ast
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pairedsurv import ScenarioSpec, StudyConfig, mvn_cdf, mvnorm, power_study, write_csv
+from pairedsurv import (
+    ScenarioSpec,
+    StudyConfig,
+    closed_test,
+    diff_matrix,
+    load_csv,
+    max_test,
+    mvn_cdf,
+    mvnorm,
+    overall_test,
+    power_study,
+    score_test,
+    sensitivity_value,
+    time_specific_test,
+    write_csv,
+)
+from pairedsurv import cli
 from pairedsurv.cli import build_parser, main
 
 from conftest import record_decision_integrations, simulated_sample
@@ -206,6 +224,24 @@ def test_cmd_sens_degenerate_warning_once(sim_csv, capsys):
                        capsys)
     assert code == 0
     assert err.count("degenerate grid columns") == 1
+
+
+def test_cmd_sens_table_and_search_warn_once(sim_csv, capsys):
+    # the table and the search each build the matrix, and each build warns
+    code, _, err = run(["sens", sim_csv, "--grid", "0.0001,1,2,3",
+                        "--gamma-grid", "1,1.2", "--search"], capsys)
+    assert code == 0
+    assert err == "warning: dropping degenerate grid columns [0.0001]\n"
+
+
+def test_cmd_simulate_degenerate_warning_once(tmp_path, capsys):
+    # every replication's matrix has the column before any event
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": ["ph", "crossing"], "pairs": 40,
+                               "replications": 3, "grid": [1e-6, 1, 2]}))
+    code, _, err = run(["simulate", str(cfg)], capsys)
+    assert code == 0
+    assert err == "warning: dropping degenerate grid columns [1e-06]\n"
 
 
 def test_cmd_sens_requires_one_target(sim_csv, capsys):
@@ -496,6 +532,11 @@ BAD_FLAGS = [
     ["overall", "--grid", "1,2,3", "--draws", "10"],
     ["sens", "--grid", "2,,4"],
     ["closed", "--grid", "abc"],
+    ["overall", "--grid", "3,2"],
+    ["closed", "--grid", "0,1"],
+    ["sens", "--grid", "1,2,2"],
+    ["test", "--tau", "-1"],
+    ["sens", "--tau", "-0.5", "--search"],
     ["km", "--seed", "5"],
     ["design-sens", "--pairs", "300", "--replications", "7"],
 ]
@@ -521,6 +562,18 @@ def test_bad_grid_rejected_before_data_read(capsys):
     code, _, err = run(["closed", "/nonexistent.csv", "--grid", "1,x"], capsys)
     assert code == 4
     assert "'1,x' is not a comma-separated number list" in err
+    # a grid that as_grid refuses and a negative or NaN tau: the error names
+    # the flag, not the missing file
+    for flag, value, why in (("--grid", "3,2", "strictly increasing"),
+                             ("--grid", "0,1", "positive"),
+                             ("--grid", "nan,1", "positive"),
+                             ("--tau", "-1", "a time >= 0"),
+                             ("--tau", "nan", "a time >= 0")):
+        command = "closed" if flag == "--grid" else "test"
+        code, out, err = run([command, "/nonexistent.csv", flag, value], capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: argument {flag}: {value!r}")
+        assert why in err and "nonexistent" not in err
 
 
 def test_manifest_records_parsed_grid(sim_csv, tmp_path, capsys):
@@ -551,9 +604,10 @@ def test_missing_data_exit_2(capsys):
     ["closed", "--grid", "1,nan"],
 ])
 def test_nan_time_exit_2(argv, sim_csv, tmp_path, capsys):
+    # a NaN analysis time is a bad flag, refused when parsed (exit 4)
     out_path = tmp_path / "res.json"
     code, out, err = run([argv[0], sim_csv, *argv[1:], "--out", str(out_path)], capsys)
-    assert (code, out) == (2, "")
+    assert (code, out) == (4, "")
     assert err.startswith("error: ")
     assert not out_path.exists()
 
@@ -583,3 +637,91 @@ def test_bundled_configs_load():
         path = resources.files("pairedsurv.configs").joinpath(name)
         assert json.loads(path.read_text())["grid"] == [1, 2, 3, 4, 5]
         assert StudyConfig.from_json(path).grid == (1.0, 2.0, 3.0, 4.0, 5.0)
+
+
+def test_cli_imports_no_private_name():
+    # the command line is a thin layer over the public API; a dunder such as
+    # __version__ is public metadata
+    def private(name):
+        return any(part.startswith("_") and not part.endswith("__")
+                   for part in name.split("."))
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or node.module.split(".")[0] == "pairedsurv"):
+            names += [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.split(".")[0] == "pairedsurv"]
+    assert len(names) >= 8
+    assert [name for name in names if private(name)] == []
+
+
+def _sens_doc(sv=None, table=()):
+    found = None
+    if sv is not None:
+        found = asdict(sv)
+        found["gamma"] = found.pop("value")
+    return {"table": [{"gamma": r.gamma, "p_value": r.p_value} for r in table],
+            "sensitivity_value": found}
+
+
+def _closed_doc(report):
+    return {"taus": list(report.taus), "alpha": report.alpha, "gamma": report.gamma,
+            "adjusted_p": {str(k): v for k, v in report.adjusted_p.items()},
+            "rejected": {str(k): v for k, v in report.rejected.items()}}
+
+
+def _max_rows(s, grid, gammas, **kwargs):
+    diff = diff_matrix(s, grid)
+    return [max_test(diff, s.assignment, g, **kwargs) for g in gammas]
+
+
+# name -> (argv after the data file, the result from public calls on the sample)
+PUBLIC_CALLS = {
+    "test_pseudo": (["test", "--tau", "3", "--gamma", "1.2", "--direction", "harm"],
+                    lambda s: asdict(score_test(s, "pseudo", 3.0, 1.2, direction="harm"))),
+    "test_logrank": (["test", "--score", "logrank", "--method", "montecarlo",
+                      "--draws", "5000", "--seed", "4"],
+                     lambda s: asdict(score_test(s, "logrank", method="montecarlo",
+                                                 n_draws=5000, seed=4))),
+    "test_pw": (["test", "--score", "pw", "--gamma", "1.1"],
+                lambda s: asdict(score_test(s, "pw", gamma=1.1))),
+    "overall": (["overall", "--grid", "1,2,3", "--include-ppw", "--gamma", "1.2",
+                 "--seed", "3", "--tol", "1e-3"],
+                lambda s: {**asdict(overall_test(s, (1, 2, 3), 1.2, include_ppw=True,
+                                                 tol=1e-3, seed=3)),
+                           "grid": [1.0, 2.0, 3.0], "include_ppw": True}),
+    "overall_max_test": (["overall", "--grid", "1,2,3", "--direction", "harm"],
+                         lambda s: {**asdict(max_test(diff_matrix(s, (1, 2, 3)),
+                                                      s.assignment, direction="harm")),
+                                    "grid": [1.0, 2.0, 3.0], "include_ppw": False}),
+    "sens_tau": (["sens", "--tau", "3", "--search", "--tol", "1e-3", "--sens-tol", "1e-4"],
+                 lambda s: _sens_doc(sensitivity_value(s, tau=3.0, tol=1e-4, mvn_tol=1e-3))),
+    "sens_grid": (["sens", "--grid", "1,2,3", "--include-ppw", "--search", "--tol", "1e-3",
+                   "--seed", "2"],
+                  lambda s: _sens_doc(sensitivity_value(s, grid=(1, 2, 3), include_ppw=True,
+                                                        seed=2, mvn_tol=1e-3))),
+    "sens_table_tau": (["sens", "--tau", "3", "--gamma-grid", "1,1.2,1.5"],
+                       lambda s: _sens_doc(table=[time_specific_test(s, 3.0, g)
+                                                  for g in (1.0, 1.2, 1.5)])),
+    "sens_table_grid": (["sens", "--grid", "1,2,3", "--gamma-grid", "1,1.2", "--tol", "1e-3",
+                         "--seed", "6", "--search"],
+                        lambda s: _sens_doc(
+                            sensitivity_value(s, grid=(1, 2, 3), seed=6, mvn_tol=1e-3),
+                            _max_rows(s, (1, 2, 3), (1.0, 1.2), tol=1e-3, seed=6))),
+    "closed": (["closed", "--grid", "1,2,3", "--gamma", "1.1", "--seed", "4"],
+               lambda s: _closed_doc(closed_test(s, (1, 2, 3), gamma=1.1, seed=4))),
+}
+
+
+@pytest.mark.parametrize("argv, public", PUBLIC_CALLS.values(), ids=list(PUBLIC_CALLS))
+def test_out_result_equals_public_call(argv, public, sim_csv, tmp_path, capsys):
+    out_path = tmp_path / "res.json"
+    code, _, _ = run([argv[0], sim_csv, *argv[1:], "--out", str(out_path)], capsys)
+    assert code == 0
+    result = json.loads(out_path.read_text())["result"]
+    expected = public(load_csv(sim_csv))
+    # repr of every float, so equal text means equal bits
+    assert json.dumps(result, sort_keys=True) == json.dumps(expected, sort_keys=True)

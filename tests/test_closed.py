@@ -101,7 +101,8 @@ def test_grid_cap():
 def test_degenerate_subset_gets_p_one():
     sample = simulated_sample(60, "ph", seed=9)
     # both columns before the first event: dropped, empty subset -> p = 1
-    assert subset_test(sample, (1e-8,), gamma=1.0) == 1.0
+    with pytest.warns(DegenerateColumnWarning, match=r"\[1e-08\]"):
+        assert subset_test(sample, (1e-8,), gamma=1.0) == 1.0
 
 
 ORACLE_CASES = [
@@ -118,15 +119,20 @@ ORACLE_CASES = [
 def test_stepdown_matches_brute_force(scenario, seed, grid, gamma):
     sample = simulated_sample(150, scenario, seed=seed)
     tol = 1e-4
-    brute_adj, brute_subsets = closed_test_brute_force(sample, grid, gamma,
-                                                       seed=5, tol=tol)
     if grid[0] == 1e-8:
-        # tau = 1e-8 precedes every event: one warning, adjusted p = 1
+        # tau = 1e-8 precedes every event: the oracle's matrix and the
+        # step-down's each warn once, and its adjusted p is 1
+        with pytest.warns(DegenerateColumnWarning) as caught:
+            brute_adj, brute_subsets = closed_test_brute_force(sample, grid, gamma,
+                                                               seed=5, tol=tol)
+        assert len(caught) == 1
         with pytest.warns(DegenerateColumnWarning) as caught:
             report = closed_test(sample, grid, gamma=gamma, seed=5, tol=tol)
         assert len(caught) == 1
         assert report.adjusted_p[1e-8] == brute_adj[1e-8] == 1.0
     else:
+        brute_adj, brute_subsets = closed_test_brute_force(sample, grid, gamma,
+                                                           seed=5, tol=tol)
         report = closed_test(sample, grid, gamma=gamma, seed=5, tol=tol)
     assert 1 <= len(report.subset_p) <= len(grid)
     for key, p in report.subset_p.items():

@@ -14,17 +14,17 @@ from pairedsurv import (
     null_moments,
     overall_test,
     pair_differences,
-    ppw_test,
     pvalue_exact,
     pvalue_montecarlo,
     pvalue_normal,
+    score_test,
     sensitivity_value,
     time_specific_test,
     write_csv,
 )
 from pairedsurv import sensitivity
 from pairedsurv.cli import main
-from pairedsurv.sensitivity import _column_tests, _search, _worst_case_p
+from pairedsurv.sensitivity import _column_tests, _search
 
 from conftest import fix_workers, montecarlo_one_shot, simulated_sample
 
@@ -295,7 +295,8 @@ ORIENTED = {
     "time_specific_montecarlo": (60, lambda s, d, _: [
         time_specific_test(s, 3.0, g, "montecarlo", d, n_draws=20_000,
                            seed=4).p_value for g in GAMMAS]),
-    "ppw": (60, lambda s, d, _: [ppw_test(s, g, d).p_value for g in GAMMAS]),
+    "ppw": (60, lambda s, d, _: [score_test(s, "pw", gamma=g, direction=d).p_value
+                                  for g in GAMMAS]),
     "overall_normal": (60, _overall(False)),
     "overall_normal_ppw": (60, _overall(True)),
     # alpha = 0.4 lets both searches bisect on this small sample
@@ -322,7 +323,7 @@ def test_sign_flip_antisymmetry(n_pairs, run, tmp_path):
 def test_tail_names_rejected():
     sample = simulated_sample(30, "ph", seed=3)
     for call in (lambda: time_specific_test(sample, 3.0, direction="lower"),
-                 lambda: ppw_test(sample, direction="upper"),
+                 lambda: score_test(sample, "pw", direction="upper"),
                  lambda: overall_test(sample, GRID, direction="lower"),
                  lambda: sensitivity_value(sample, tau=3.0, direction="lower")):
         with pytest.raises(ValueError, match="benefit"):
@@ -444,14 +445,13 @@ def test_search_ends_at_adjacent_floats():
     # a tolerance below one ulp of gamma: once lo and hi are adjacent floats
     # the midpoint is an endpoint, and the search must stop there
     sample = generate_pairs(300, ScenarioSpec("ph"), 1)
-    p_tau = _worst_case_p(sample, 3.0, None, "benefit", False, 0)
     calls = []
 
     def p_at(gamma, alpha=None):
         calls.append(gamma)
         if len(calls) > 200:
             raise AssertionError("the search did not end")
-        return p_tau(gamma, alpha)
+        return time_specific_test(sample, 3.0, gamma).p_value
 
     tight = _search(p_at, 0.05, 1e-20, 10.0)
     coarse = sensitivity_value(sample, tau=3.0)

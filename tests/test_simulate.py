@@ -17,7 +17,7 @@ from pairedsurv import (
     nonadmin_censoring_rate,
     overall_test,
     power_study,
-    ppw_test,
+    score_test,
     sample_censoring_time,
     sample_survival_time,
     sensitivity_value,
@@ -250,7 +250,7 @@ def test_power_study_matches_public_tests():
             for gamma in config.gammas:
                 p = {f"t_tau={tau:g}": time_specific_test(sample, tau, gamma).p_value
                      for tau in config.grid}
-                p["ppw"] = ppw_test(sample, gamma, direction="benefit").p_value
+                p["ppw"] = score_test(sample, "pw", gamma=gamma, direction="benefit").p_value
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DegenerateColumnWarning)
                     p["max"] = overall_test(sample, config.grid, gamma=gamma,
