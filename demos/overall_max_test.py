@@ -24,7 +24,7 @@ print(f"  PPW statistic      {ppw.statistic:.3f}  p = {ppw.p_value:.4f}")
 print()
 
 diff = diff_matrix(sample, GRID, include_ppw=True)
-combined = max_test(diff, sample.assignment, gamma=1.0)
+combined = max_test(diff, gamma=1.0)
 print(f"  max-type with a standardized PPW column appended: p = {combined.p_value:.4f}")
 print()
 print("The max-type test sees the early divergence even though the")

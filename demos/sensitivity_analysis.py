@@ -3,12 +3,14 @@
 For each gamma (the cap on the within-pair treatment-odds ratio an
 unmeasured confounder could produce), the worst-case p-value is the
 largest p over all confounder allocations consistent with that cap.  The
-sensitivity value is the gamma where it first clears alpha.
+sensitivity value is the gamma where it first clears alpha; its search
+runs on the one-column difference matrix at tau.
 """
 
 import numpy as np
 
-from pairedsurv import ScenarioSpec, generate_pairs, sensitivity_value, time_specific_test
+from pairedsurv import (ScenarioSpec, diff_matrix, generate_pairs, sensitivity_value,
+                        time_specific_test)
 
 sample = generate_pairs(500, ScenarioSpec("ph"), seed=11)
 TAU = 4.0
@@ -19,7 +21,7 @@ for gamma in np.arange(1.0, 1.7, 0.1):
     res = time_specific_test(sample, TAU, gamma=float(gamma))
     print(f"{gamma:5.2f}   {res.p_value:.4f}")
 
-sv = sensitivity_value(sample, tau=TAU, alpha=0.05, tol=1e-3)
+sv = sensitivity_value(diff_matrix(sample, [TAU]), alpha=0.05, tol=1e-3)
 print(f"\nsensitivity value at alpha = 0.05: gamma* = {sv.value:.3f}")
 print("Below gamma*, no allowed confounder allocation can explain the")
 print("association away; above it, some allocation can.")

@@ -14,13 +14,7 @@ from .data import PairedSample, build_sample, load_csv, write_csv
 from .design import DesignSensitivityResult, design_sensitivities
 from .km import SurvivalCurve, event_table, km_at, km_estimate
 from .mvnorm import mvn_cdf
-from .overall import (
-    DiffMatrix,
-    correlations,
-    diff_matrix,
-    max_test,
-    overall_test,
-)
+from .overall import DiffMatrix, diff_matrix, max_test, overall_test
 from .scores import (
     logrank_scores,
     pair_differences,
@@ -30,6 +24,7 @@ from .scores import (
 from .sensitivity import (
     SensitivityValue,
     TestResult,
+    correlations,
     null_moments,
     pvalue_exact,
     pvalue_montecarlo,

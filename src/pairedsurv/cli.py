@@ -32,9 +32,9 @@ from .closed import closed_test
 from .data import load_csv
 from .errors import AccuracyNotReached
 from .km import km_estimate
-from .overall import as_grid, correlations, diff_matrix, max_test
+from .overall import as_grid, diff_matrix, max_test
 from .scores import pair_differences
-from .sensitivity import score_test, sensitivity_value, time_specific_test
+from .sensitivity import correlations, score_test, sensitivity_value
 from .simulate import StudyConfig, design_sensitivity_study, power_study
 
 
@@ -88,6 +88,14 @@ def _grid(text):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return grid
+
+
+def _grid_time(text):
+    """argparse type: one time, checked as the one-point grid ``sens`` tests."""
+    grid = _grid(text)
+    if len(grid) != 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not one time")
+    return grid[0]
 
 
 def _gammas(text):
@@ -146,8 +154,7 @@ def cmd_test(sample, args) -> tuple:
 
 def cmd_overall(sample, args) -> tuple:
     diff = diff_matrix(sample, args.grid, args.include_ppw)
-    res = max_test(diff, sample.assignment, args.gamma, args.direction,
-                   args.tol, args.seed)
+    res = max_test(diff, args.gamma, args.direction, args.tol, args.seed)
     print(f"max-type overall test, gamma={args.gamma:g}, {args.direction}, "
           f"method={res.method}")
     print(f"  statistic {res.statistic:.3f}   p-value {res.p_value:.3f}")
@@ -167,15 +174,11 @@ def cmd_overall(sample, args) -> tuple:
 def cmd_sens(sample, args) -> tuple:
     if args.tau is not None and args.include_ppw:
         raise ConfigError("--include-ppw applies only to --grid")
+    diff = diff_matrix(sample, args.grid or (args.tau,), args.include_ppw)
     rows = []
     if args.gamma_grid:
-        if args.tau is not None:
-            results = [time_specific_test(sample, args.tau, g, direction=args.direction)
-                       for g in args.gamma_grid]
-        else:
-            diff = diff_matrix(sample, args.grid, args.include_ppw)
-            results = [max_test(diff, sample.assignment, g, args.direction, args.tol,
-                                args.seed) for g in args.gamma_grid]
+        results = [max_test(diff, g, args.direction, args.tol, args.seed)
+                   for g in args.gamma_grid]
         rows = [{"gamma": r.gamma, "p_value": r.p_value} for r in results]
         print("gamma   worst-case p")
         for row in rows:
@@ -183,9 +186,8 @@ def cmd_sens(sample, args) -> tuple:
 
     found = None
     if args.search or not args.gamma_grid:
-        sv = sensitivity_value(sample, args.tau, args.grid, args.alpha,
-                               args.sens_tol, args.gamma_max, args.direction,
-                               args.include_ppw, args.seed, mvn_tol=args.tol)
+        sv = sensitivity_value(diff, args.alpha, args.sens_tol, args.gamma_max,
+                               args.direction, args.seed, mvn_tol=args.tol)
         found = asdict(sv)
         found["gamma"] = found.pop("value")
         if sv.already_sensitive:
@@ -198,7 +200,7 @@ def cmd_sens(sample, args) -> tuple:
 
 
 def cmd_closed(sample, args) -> tuple:
-    report = closed_test(sample, args.grid, alpha=args.alpha,
+    report = closed_test(diff_matrix(sample, args.grid), alpha=args.alpha,
                          gamma=args.gamma, seed=args.seed, tol=args.tol)
     print(f"closed testing, gamma={args.gamma:g}, alpha={args.alpha:g}")
     print("  tau    adjusted p   rejected")
@@ -315,7 +317,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sens", help="sensitivity table or sensitivity value")
     add_common(p)
     target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--tau", type=_TAU, default=None)
+    target.add_argument("--tau", type=_grid_time, default=None)
     target.add_argument("--grid", type=_grid, default=None)
     p.add_argument("--alpha", type=_ALPHA, default=0.05)
     p.add_argument("--gamma-grid", type=_gammas, default=None,
@@ -370,7 +372,7 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             seed, result, table = args.func(source, args)
         unresolved = [w for w in caught if issubclass(w.category, AccuracyNotReached)]
-        # a matrix built twice (sens with a table and a search) warns twice
+        # each distinct warning once: design-sens builds a matrix, and may warn, per scenario
         for message in dict.fromkeys(str(w.message) for w in caught
                                      if not issubclass(w.category, AccuracyNotReached)):
             print(f"warning: {message}", file=sys.stderr)

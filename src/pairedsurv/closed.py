@@ -1,4 +1,4 @@
-"""Closed testing over the analysis-time grid.
+"""Closed testing over the analysis-time grid of a built ``DiffMatrix``.
 
 An elementary hypothesis at tau is rejected only when every intersected
 max-type test whose subset contains tau rejects, so the adjusted p-value
@@ -18,7 +18,8 @@ p = 1, the p-value of a test with no columns.
 Each S_m is integrated with a QMC seed derived from its bitmask over the
 grid, so its p-value is the one a full enumeration computes for that
 subset, whichever other subsets are visited.  A one-column subset gets
-the exact normal tail of its time-specific test.
+the exact normal tail of its time-specific test.  Every subset's p is
+``sensitivity._max_test_from_columns`` on columns of the caller's matrix.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .overall import _max_test_from_columns, diff_matrix
 from .scores import _sign
-from .sensitivity import check_gamma
+from .sensitivity import _max_test_from_columns, check_gamma
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,26 @@ def _subset_seed(seed, mask) -> int:
     return int(np.random.SeedSequence((int(seed), int(mask))).generate_state(1)[0])
 
 
-def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestReport:
-    """Closed testing procedure over the full grid, by the exact step-down.
+def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestReport:
+    """Closed testing over the grid of ``diff``, by the exact step-down.
 
     Visits the distinct benefit statistics from the largest down, tests
     the set of columns at or below each, and adjusts each tau's p-value to
-    the running maximum of those p-values.  Degenerate columns are dropped
-    with a warning and their taus get adjusted p = 1.
+    the running maximum of those p-values.  Degenerate columns (which
+    ``diff_matrix`` warns about) are dropped and their taus get adjusted
+    p = 1.  A matrix with a PPW column is refused: its hypotheses are the
+    grid times.
     """
     gamma = check_gamma(gamma)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    diff = diff_matrix(sample, grid)
+    if diff.has_ppw:
+        raise ValueError("closed testing runs over grid times only; build the matrix "
+                         "without a PPW column")
     taus = tuple(float(t) for t in diff.taus)
     live = np.flatnonzero(diff.sigma > 0.0)
     orient = _sign("pseudo", "benefit")
-    stats = orient * (diff.D[:, live].T @ sample.assignment) / diff.sigma[live]
+    stats = orient * (diff.D[:, live].T @ diff.assignment) / diff.sigma[live]
 
     adjusted = dict.fromkeys(taus, 1.0)
     subset_p = {}
@@ -80,7 +84,7 @@ def closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> Closed
         idx = live[stats <= m]
         mask = sum(1 << int(l) for l in idx)
         _, p = _max_test_from_columns(
-            diff.D[:, idx], diff.sigma[idx], sample.assignment, gamma,
+            diff.D[:, idx], diff.sigma[idx], diff.assignment, gamma,
             "normal", orient=orient, tol=tol, seed=_subset_seed(seed, mask))
         subset_p[tuple(taus[l] for l in idx)] = p
         running = max(running, p)

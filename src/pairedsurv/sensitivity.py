@@ -1,4 +1,4 @@
-"""Time-specific randomization tests and worst-case sensitivity bounds.
+"""Worst-case randomization tests: every tail the library computes.
 
 The paired statistic is ``T = sum_i d_i V_i``.  Under the bounded
 odds-ratio assignment model with parameter ``gamma >= 1``, the worst case
@@ -6,10 +6,13 @@ for the upper tail replaces each term by ``|d_i|`` times an independent
 sign that is positive with probability ``gamma / (1 + gamma)``; gamma = 1
 recovers the plain randomization distribution.  The p-value primitives
 compute only that upper tail; the other tail is the upper tail of ``-T``,
-with the sign from ``scores._sign``, and ``_column_tests`` gives the normal
-test of every column of a difference matrix in one call.  ``score_test``
-is the one test of a score vector (pseudo at tau, log-rank or PW), and
-``sensitivity_value`` bisects the worst-case p of a tau or a grid.
+with the sign from ``scores._sign``.  ``_column_tests`` gives the normal
+test of every column of a difference matrix in one call, and
+``_max_test_from_columns`` the worst-case tail of their max: the MVN with
+the ``correlations`` of the columns, clamped into the column-tail bounds.
+``score_test`` is the one test of a score vector (pseudo at tau, log-rank
+or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
+difference matrix; a one-column matrix gives the time-specific search.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._parallel import map_ranges
+from .mvnorm import _check_dim, mvn_cdf
 from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
@@ -273,6 +277,75 @@ def time_specific_test(sample, tau, gamma=1.0, method="normal",
     return score_test(sample, "pseudo", tau, gamma, method, direction, n_draws, seed)
 
 
+def correlations(D, gamma=1.0) -> np.ndarray:
+    """Correlation matrix of the max statistic's columns of an (I, L) ``D``.
+
+    At gamma = 1 the normalized Gram matrix of the columns, the score
+    correlation matrix; above 1 that of ``np.abs(D)``, its worst-case
+    (absolute-product) version.
+    """
+    D = np.asarray(D, dtype=float)
+    if check_gamma(gamma) != 1.0:
+        D = np.abs(D)
+    sigma2 = np.sum(D ** 2, axis=0)
+    if np.any(sigma2 == 0.0):
+        raise ValueError("every column needs positive score dispersion")
+    rho = (D.T @ D) / np.sqrt(np.outer(sigma2, sigma2))
+    np.fill_diagonal(rho, 1.0)
+    return rho
+
+
+def _normal_only(method):
+    if method != "normal":
+        raise ValueError(f"the max-type test has only the normal method, got {method!r}")
+
+
+def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
+                           tol=1e-4, seed=0, alpha=None):
+    """Worst-case p-value of the max statistic on already-built columns.
+
+    ``orient`` is +1 to test the upper tail of the stored columns and -1
+    for the lower tail (the benefit direction of pseudo columns).  Columns
+    with zero dispersion are dropped; with none left the result is
+    (nan, 1), and more than ``mvnorm.MAX_DIM`` left is refused before any
+    bound decides.  ``gamma`` must already be checked.  Returns (m, p).
+    ``method`` accepts only ``"normal"``, the one method of the max test;
+    it stays a parameter because the benchmark's reference recorder passes
+    it.
+
+    The p is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the column
+    tails ``p_l``, so a tiny p keeps its digits and one column gives its
+    normal tail.  With ``alpha`` the returned p only decides ``p <= alpha``:
+    when the largest column tail exceeds alpha, or the capped sum of the
+    column tails is at most alpha, that bound is returned without
+    integrating.  Only when the bounds straddle alpha is the MVN
+    integrated, and then only until its estimate lies more than two error
+    estimates from alpha (``mvn_cdf`` with ``level = 1 - alpha``); the
+    estimate is clipped into the same bounds, which keeps its side of
+    alpha.  Without ``alpha`` the MVN is integrated to ``tol``.
+    """
+    _normal_only(method)
+    keep = sigma > 0.0
+    if not np.any(keep):
+        return float("nan"), 1.0
+    if not keep.all():
+        D, sigma = D[:, keep], sigma[keep]
+    _check_dim(D.shape[1])
+    m = float((orient * (D.T @ assignment) / sigma).max())
+    # the oriented columns have the same |D|, hence the same moments
+    mean, variance = null_moments(D, gamma)
+    limits = (m * sigma - mean) / np.sqrt(variance)
+    # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
+    # the max's tail lies between the largest column tail and their sum
+    tails = ndtr(-limits)
+    low, high = float(tails.max()), min(1.0, float(tails.sum()))
+    if alpha is not None and not low <= alpha < high:
+        return m, low if low > alpha else high
+    cdf = mvn_cdf(limits, correlations(D, gamma), tol=tol, seed=seed,
+                  level=None if alpha is None else 1.0 - alpha)
+    return m, float(np.clip(1.0 - cdf, low, high))
+
+
 @dataclass(frozen=True)
 class SensitivityValue:
     """Smallest gamma at which the worst-case p-value crosses alpha."""
@@ -283,39 +356,26 @@ class SensitivityValue:
     alpha: float
 
 
-def sensitivity_value(sample, tau=None, grid=None, alpha=0.05, tol=1e-3,
-                      gamma_max=10.0, direction="benefit", include_ppw=False,
-                      seed=0, mvn_tol=1e-4) -> SensitivityValue:
-    """Bisect for the gamma where the worst-case p-value crosses ``alpha``.
+def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
+                      direction="benefit", seed=0, mvn_tol=1e-4) -> SensitivityValue:
+    """Bisect for the gamma where the worst-case max p of ``diff`` crosses ``alpha``.
 
-    Exactly one of ``tau`` (time-specific test) or ``grid`` (overall
-    max-type test) must be given; the scores or the difference matrix are
-    built once.  ``direction`` is ``"benefit"`` (a treated survival
-    advantage) or ``"harm"``.
-    Returns gamma = 1 flagged ``already_sensitive`` when even the
-    randomization p-value exceeds alpha, and ``gamma_max`` flagged
-    ``exceeded_max`` when the worst-case p-value stays below alpha on the
-    whole range.  With ``grid``, each step is decided from the column-tail
-    bounds of the max test when one of them settles ``p <= alpha``, and
-    otherwise from an MVN integration (error tolerance ``mvn_tol``, QMC
-    seed ``seed``) stopped once its error bar settles it; a step can go
-    the other way than with the fully integrated p only when that p lies
-    within a few error estimates of alpha.
+    ``diff`` is a built ``DiffMatrix``; ``diff_matrix(sample, [tau])``
+    gives the time-specific search, whose one-column max tail is that
+    column's normal tail.  ``direction`` is ``"benefit"`` (a treated
+    survival advantage) or ``"harm"``.  Returns gamma = 1 flagged
+    ``already_sensitive`` when even the randomization p-value exceeds
+    alpha, and ``gamma_max`` flagged ``exceeded_max`` when the worst-case
+    p-value stays below alpha on the whole range.  Each step is decided
+    from the column-tail bounds of the max test when one of them settles
+    ``p <= alpha``, and otherwise from an MVN integration (error tolerance
+    ``mvn_tol``, QMC seed ``seed``) stopped once its error bar settles it;
+    a step can go the other way than with the fully integrated p only
+    when that p lies within a few error estimates of alpha.
     """
-    if (tau is None) == (grid is None):
-        raise ValueError("give exactly one of tau or grid")
     sign = _sign("pseudo", direction)
-    if tau is not None:
-        if include_ppw:
-            raise ValueError("include_ppw applies only to a grid")
-        scores = pair_differences(sample, "pseudo", tau)
-        return _search(lambda g, alpha: _column_tests(
-            scores, sample.assignment, g, sign)[3], alpha, tol, gamma_max)
-    from .overall import _max_test_from_columns, diff_matrix
-
-    diff = diff_matrix(sample, grid, include_ppw)
     return _search(lambda g, alpha: _max_test_from_columns(
-        diff.D, diff.sigma, sample.assignment, check_gamma(g), "normal", sign,
+        diff.D, diff.sigma, diff.assignment, check_gamma(g), "normal", sign,
         tol=mvn_tol, seed=seed, alpha=alpha)[1], alpha, tol, gamma_max)
 
 
@@ -323,7 +383,7 @@ def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
     """Bisection behind ``sensitivity_value``; assumes p_at rises with gamma.
 
     ``p_at(gamma, alpha)`` need only fall on the same side of alpha as p
-    (see ``overall._max_test_from_columns``).
+    (see ``_max_test_from_columns``).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

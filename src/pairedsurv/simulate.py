@@ -20,9 +20,9 @@ import numpy as np
 
 from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
-from .overall import _max_test_from_columns, as_grid, diff_matrix
+from .overall import as_grid, diff_matrix
 from .scores import _sign
-from .sensitivity import _column_tests, _is_real, _whole, check_gamma
+from .sensitivity import _column_tests, _is_real, _max_test_from_columns, _whole, check_gamma
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate

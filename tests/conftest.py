@@ -10,11 +10,11 @@ from pairedsurv import (
     km_at,
     km_estimate,
 )
-from pairedsurv import _parallel, overall
+from pairedsurv import _parallel, sensitivity
 from pairedsurv.closed import _subset_seed
 from pairedsurv.mvnorm import _TINY
-from pairedsurv.overall import _max_test_from_columns, as_grid
-from pairedsurv.sensitivity import _tie_tol, check_gamma
+from pairedsurv.overall import as_grid
+from pairedsurv.sensitivity import _max_test_from_columns, _tie_tol, check_gamma
 
 # Worked five-pair dataset: observed times / event flags in (i1, i2) order,
 # all first positions treated.
@@ -207,13 +207,13 @@ def count_mvn_calls(monkeypatch) -> list:
     ``mvn_cdf``, with or without a decision level; returns the list that
     grows by one entry (the dimension) per call."""
     calls = []
-    real = overall.mvn_cdf
+    real = sensitivity.mvn_cdf
 
     def counted(upper, *args, **kwargs):
         calls.append(len(upper))
         return real(upper, *args, **kwargs)
 
-    monkeypatch.setattr(overall, "mvn_cdf", counted)
+    monkeypatch.setattr(sensitivity, "mvn_cdf", counted)
     return calls
 
 
@@ -222,11 +222,11 @@ def record_decision_integrations(monkeypatch) -> list:
     test makes through ``mvn_cdf``; ``level`` is ``1 - alpha`` for a test
     given alpha and None otherwise."""
     calls = []
-    real = overall.mvn_cdf
+    real = sensitivity.mvn_cdf
 
     def recorded(upper, corr, tol=1e-4, seed=0, level=None):
         calls.append((upper, corr, seed, level))
         return real(upper, corr, tol=tol, seed=seed, level=level)
 
-    monkeypatch.setattr(overall, "mvn_cdf", recorded)
+    monkeypatch.setattr(sensitivity, "mvn_cdf", recorded)
     return calls

@@ -22,6 +22,7 @@ from pairedsurv import (
     build_sample,
     closed_test,
     design_sensitivity_study,
+    diff_matrix,
     generate_pairs,
     mvn_cdf,
     mvnorm,
@@ -241,7 +242,7 @@ def test_criterion_7_closed_testing_fwer():
     any_rejection = 0
     for rep in range(reps):
         sample = generate_pairs(500, spec, np.random.SeedSequence((SEED, 70, rep)))
-        rpt = closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=rep, tol=5e-4)
+        rpt = closed_test(diff_matrix(sample, grid), alpha=0.05, gamma=1.0, seed=rep, tol=5e-4)
         any_rejection += any(rpt.rejected.values())
     fwer = any_rejection / reps
     se = math.sqrt(fwer * (1 - fwer) / reps) if 0 < fwer < 1 else math.sqrt(0.05 * 0.95 / reps)
@@ -265,7 +266,7 @@ def test_criterion_8_sensitivity_monotonicity():
             mono_ok = False
 
     sample = generate_pairs(400, ScenarioSpec("ph"), SEED)
-    sv = sensitivity_value(sample, tau=4.0, alpha=0.05, tol=1e-3)
+    sv = sensitivity_value(diff_matrix(sample, [4.0]), alpha=0.05, tol=1e-3)
     bracket_ok = (not sv.already_sensitive and not sv.exceeded_max)
     if bracket_ok:
         p_lo = time_specific_test(sample, 4.0, sv.value - 1e-3).p_value
@@ -284,7 +285,7 @@ def test_criterion_9_qualitative_patterns():
     sample = generate_pairs(1500, ScenarioSpec("early_div"), SEED + 9)
     grid = (1.0, 2.0, 3.0, 4.0, 5.0)
 
-    rpt = closed_test(sample, grid, alpha=0.05, gamma=1.0, seed=1)
+    rpt = closed_test(diff_matrix(sample, grid), alpha=0.05, gamma=1.0, seed=1)
     adjusted_ok = all(
         rpt.adjusted_p[tau] >= time_specific_test(sample, tau).p_value - 1e-12
         for tau in grid
@@ -296,8 +297,8 @@ def test_criterion_9_qualitative_patterns():
         if not (ps[0] <= ps[1] + 1e-12 and ps[1] <= ps[2] + 1e-12):
             growth_ok = False
 
-    sv_early = sensitivity_value(sample, tau=2.0, alpha=0.05, gamma_max=20.0)
-    sv_late = sensitivity_value(sample, tau=5.0, alpha=0.05, gamma_max=20.0)
+    sv_early = sensitivity_value(diff_matrix(sample, [2.0]), alpha=0.05, gamma_max=20.0)
+    sv_late = sensitivity_value(diff_matrix(sample, [5.0]), alpha=0.05, gamma_max=20.0)
     robust_ok = sv_early.value > sv_late.value
     ok = report(
         9, "qualitative sensitivity patterns on early-divergence data",

@@ -20,10 +20,9 @@ from pairedsurv import (
     power_study,
     score_test,
     sensitivity_value,
-    time_specific_test,
     write_csv,
 )
-from pairedsurv import cli
+from pairedsurv import cli, overall
 from pairedsurv.cli import build_parser, main
 
 from conftest import record_decision_integrations, simulated_sample
@@ -227,7 +226,7 @@ def test_cmd_sens_degenerate_warning_once(sim_csv, capsys):
 
 
 def test_cmd_sens_table_and_search_warn_once(sim_csv, capsys):
-    # the table and the search each build the matrix, and each build warns
+    # the table and the search share one matrix, which warns once
     code, _, err = run(["sens", sim_csv, "--grid", "0.0001,1,2,3",
                         "--gamma-grid", "1,1.2", "--search"], capsys)
     assert code == 0
@@ -242,6 +241,43 @@ def test_cmd_simulate_degenerate_warning_once(tmp_path, capsys):
     code, _, err = run(["simulate", str(cfg)], capsys)
     assert code == 0
     assert err == "warning: dropping degenerate grid columns [1e-06]\n"
+
+
+def test_cmd_sens_table_and_search_build_one_matrix(sim_csv, capsys, monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args[1])
+        return diff_matrix(*args, **kwargs)
+
+    for module in (cli, overall):
+        monkeypatch.setattr(module, "diff_matrix", counted)
+    code, _, _ = run(["sens", sim_csv, "--grid", "1,2,3", "--gamma-grid", "1,1.2",
+                      "--search"], capsys)
+    assert code == 0
+    assert builds == [(1.0, 2.0, 3.0)]
+
+
+def test_cmd_sens_tau_before_any_event_warns(sim_csv, tmp_path, capsys):
+    out_path = tmp_path / "sens.json"
+    code, out, err = run(["sens", sim_csv, "--tau", "0.0001", "--gamma-grid", "1,1.2",
+                          "--search", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert err == "warning: dropping degenerate grid columns [0.0001]\n"
+    assert "already sensitive" in out
+    result = json.loads(out_path.read_text())["result"]
+    assert [row["p_value"] for row in result["table"]] == [1.0, 1.0]
+
+
+def test_cmd_sens_tau_checked_as_one_point_grid(capsys):
+    # refused when parsed, before the data is read; test --tau 0 still runs
+    for value, why in (("0", "positive"), ("-0.5", "positive"), ("nan", "positive"),
+                       ("1,2", "is not one time")):
+        code, out, err = run(["sens", "/nonexistent.csv", "--tau", value, "--search"],
+                             capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(f"error: argument --tau: {value!r}")
+        assert why in err and "nonexistent" not in err
 
 
 def test_cmd_sens_requires_one_target(sim_csv, capsys):
@@ -675,7 +711,7 @@ def _closed_doc(report):
 
 def _max_rows(s, grid, gammas, **kwargs):
     diff = diff_matrix(s, grid)
-    return [max_test(diff, s.assignment, g, **kwargs) for g in gammas]
+    return [max_test(diff, g, **kwargs) for g in gammas]
 
 
 # name -> (argv after the data file, the result from public calls on the sample)
@@ -695,24 +731,24 @@ PUBLIC_CALLS = {
                            "grid": [1.0, 2.0, 3.0], "include_ppw": True}),
     "overall_max_test": (["overall", "--grid", "1,2,3", "--direction", "harm"],
                          lambda s: {**asdict(max_test(diff_matrix(s, (1, 2, 3)),
-                                                      s.assignment, direction="harm")),
+                                                      direction="harm")),
                                     "grid": [1.0, 2.0, 3.0], "include_ppw": False}),
     "sens_tau": (["sens", "--tau", "3", "--search", "--tol", "1e-3", "--sens-tol", "1e-4"],
-                 lambda s: _sens_doc(sensitivity_value(s, tau=3.0, tol=1e-4, mvn_tol=1e-3))),
+                 lambda s: _sens_doc(sensitivity_value(diff_matrix(s, [3.0]), tol=1e-4,
+                                                       mvn_tol=1e-3))),
     "sens_grid": (["sens", "--grid", "1,2,3", "--include-ppw", "--search", "--tol", "1e-3",
                    "--seed", "2"],
-                  lambda s: _sens_doc(sensitivity_value(s, grid=(1, 2, 3), include_ppw=True,
-                                                        seed=2, mvn_tol=1e-3))),
+                  lambda s: _sens_doc(sensitivity_value(
+                      diff_matrix(s, (1, 2, 3), include_ppw=True), seed=2, mvn_tol=1e-3))),
     "sens_table_tau": (["sens", "--tau", "3", "--gamma-grid", "1,1.2,1.5"],
-                       lambda s: _sens_doc(table=[time_specific_test(s, 3.0, g)
-                                                  for g in (1.0, 1.2, 1.5)])),
+                       lambda s: _sens_doc(table=_max_rows(s, (3.0,), (1.0, 1.2, 1.5)))),
     "sens_table_grid": (["sens", "--grid", "1,2,3", "--gamma-grid", "1,1.2", "--tol", "1e-3",
                          "--seed", "6", "--search"],
                         lambda s: _sens_doc(
-                            sensitivity_value(s, grid=(1, 2, 3), seed=6, mvn_tol=1e-3),
+                            sensitivity_value(diff_matrix(s, (1, 2, 3)), seed=6, mvn_tol=1e-3),
                             _max_rows(s, (1, 2, 3), (1.0, 1.2), tol=1e-3, seed=6))),
     "closed": (["closed", "--grid", "1,2,3", "--gamma", "1.1", "--seed", "4"],
-               lambda s: _closed_doc(closed_test(s, (1, 2, 3), gamma=1.1, seed=4))),
+               lambda s: _closed_doc(closed_test(diff_matrix(s, (1, 2, 3)), gamma=1.1, seed=4))),
 }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairedsurv import closed_test, overall_test, time_specific_test
+from pairedsurv import closed_test, diff_matrix, overall_test, time_specific_test
 from pairedsurv.errors import DegenerateColumnWarning
 
 from conftest import closed_test_brute_force, simulated_sample, subset_test
@@ -13,7 +13,13 @@ GRID = (1.0, 2.0, 3.0, 4.0)
 def test_alpha_outside_unit_interval_refused(alpha):
     sample = simulated_sample(30, "ph", seed=1)
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-        closed_test(sample, GRID, alpha=alpha)
+        closed_test(diff_matrix(sample, GRID), alpha=alpha)
+
+
+def test_ppw_column_refused():
+    sample = simulated_sample(30, "ph", seed=1)
+    with pytest.raises(ValueError, match="without a PPW column"):
+        closed_test(diff_matrix(sample, GRID, include_ppw=True))
 
 
 def test_singleton_subset_equals_time_specific():
@@ -33,7 +39,7 @@ def test_full_grid_subset_equals_overall():
 
 def test_single_tau_grid_adjusted_equals_unadjusted():
     sample = simulated_sample(100, "ph", seed=3)
-    report = closed_test(sample, (3.0,))
+    report = closed_test(diff_matrix(sample, (3.0,)))
     assert report.adjusted_p[3.0] == pytest.approx(
         time_specific_test(sample, 3.0, 1.0, "normal", "benefit").p_value, abs=1e-12
     )
@@ -42,7 +48,7 @@ def test_single_tau_grid_adjusted_equals_unadjusted():
 def test_adjusted_at_least_unadjusted():
     for seed in range(4):
         sample = simulated_sample(120, "crossing", seed=seed)
-        report = closed_test(sample, GRID, gamma=1.0)
+        report = closed_test(diff_matrix(sample, GRID), gamma=1.0)
         for tau in GRID:
             single = subset_test(sample, (tau,), gamma=1.0)
             assert report.adjusted_p[tau] >= single - 1e-12
@@ -52,7 +58,7 @@ def test_closure_coherence():
     # nothing can be rejected when the full-grid test is not
     for seed in range(6):
         sample = simulated_sample(80, "no_effect", seed=seed)
-        report = closed_test(sample, GRID, alpha=0.05)
+        report = closed_test(diff_matrix(sample, GRID), alpha=0.05)
         full = report.subset_p[GRID]
         if full > 0.05:
             assert not any(report.rejected.values())
@@ -60,15 +66,15 @@ def test_closure_coherence():
 
 def test_monotone_in_gamma():
     sample = simulated_sample(300, "ph", seed=5)
-    low = closed_test(sample, GRID, gamma=1.0)
-    high = closed_test(sample, GRID, gamma=1.2)
+    low = closed_test(diff_matrix(sample, GRID), gamma=1.0)
+    high = closed_test(diff_matrix(sample, GRID), gamma=1.2)
     for tau in GRID:
         assert high.adjusted_p[tau] >= low.adjusted_p[tau] - 1e-9
 
 
 def test_report_structure():
     sample = simulated_sample(100, "ph", seed=6)
-    report = closed_test(sample, GRID, alpha=0.1, gamma=1.0)
+    report = closed_test(diff_matrix(sample, GRID), alpha=0.1, gamma=1.0)
     assert report.taus == GRID
     assert len(report.subset_p) <= len(GRID)
     for tau in GRID:
@@ -77,8 +83,8 @@ def test_report_structure():
 
 def test_deterministic_reports():
     sample = simulated_sample(100, "late_div", seed=7)
-    a = closed_test(sample, GRID, seed=11)
-    b = closed_test(sample, GRID, seed=11)
+    a = closed_test(diff_matrix(sample, GRID), seed=11)
+    b = closed_test(diff_matrix(sample, GRID), seed=11)
     assert a.adjusted_p == b.adjusted_p
     assert a.subset_p == b.subset_p
 
@@ -86,7 +92,7 @@ def test_deterministic_reports():
 def test_long_grid_completes():
     sample = simulated_sample(200, "ph", seed=8)
     grid = tuple(np.linspace(0.5, 5.0, 20))
-    report = closed_test(sample, grid, tol=1e-3)
+    report = closed_test(diff_matrix(sample, grid), tol=1e-3)
     assert len(report.subset_p) <= 20
     assert set(report.adjusted_p) == set(report.taus)
 
@@ -95,7 +101,7 @@ def test_grid_cap():
     # the only limit left is the MVN dimension (25 columns)
     sample = simulated_sample(200, "ph", seed=8)
     with pytest.raises(ValueError, match="exceeds the supported 25"):
-        closed_test(sample, tuple(np.linspace(0.5, 5.0, 26)))
+        closed_test(diff_matrix(sample, tuple(np.linspace(0.5, 5.0, 26))))
 
 
 def test_degenerate_subset_gets_p_one():
@@ -127,13 +133,13 @@ def test_stepdown_matches_brute_force(scenario, seed, grid, gamma):
                                                                seed=5, tol=tol)
         assert len(caught) == 1
         with pytest.warns(DegenerateColumnWarning) as caught:
-            report = closed_test(sample, grid, gamma=gamma, seed=5, tol=tol)
+            report = closed_test(diff_matrix(sample, grid), gamma=gamma, seed=5, tol=tol)
         assert len(caught) == 1
         assert report.adjusted_p[1e-8] == brute_adj[1e-8] == 1.0
     else:
         brute_adj, brute_subsets = closed_test_brute_force(sample, grid, gamma,
                                                            seed=5, tol=tol)
-        report = closed_test(sample, grid, gamma=gamma, seed=5, tol=tol)
+        report = closed_test(diff_matrix(sample, grid), gamma=gamma, seed=5, tol=tol)
     assert 1 <= len(report.subset_p) <= len(grid)
     for key, p in report.subset_p.items():
         assert p == brute_subsets[key]

@@ -18,6 +18,7 @@ from pairedsurv import (
     diff_matrix,
     event_table,
     generate_pairs,
+    max_test,
     mvnorm,
     null_moments,
     overall_test,
@@ -27,7 +28,8 @@ from pairedsurv import (
     time_specific_test,
 )
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning
-from pairedsurv.overall import _max_test_from_columns, as_grid
+from pairedsurv.overall import as_grid
+from pairedsurv.sensitivity import _max_test_from_columns
 from pairedsurv.simulate import SCENARIO_IDS
 
 from conftest import count_mvn_calls, record_decision_integrations, simulated_sample
@@ -192,6 +194,38 @@ def test_worst_case_bound_ordering():
             assert overall_test(sample, (1.0, 3.0, 5.0), gamma=gamma).p_value >= base - 1e-9
 
 
+EFFECT_SAMPLES = [(scenario, seed) for scenario in ("ph", "early_div", "crossing", "late_div")
+                  for seed in range(5)]
+
+
+@pytest.mark.xfail(strict=True, reason="a known defect: above gamma = 1 the max test "
+                   "takes the absolute-product correlation, whose tail is smaller")
+def test_multi_column_worst_case_p_does_not_fall_above_gamma_one():
+    for scenario, seed in EFFECT_SAMPLES:
+        diff = diff_matrix(simulated_sample(300, scenario, seed=seed),
+                           (1.0, 2.0, 3.0, 4.0, 5.0))
+        assert max_test(diff, 1.0001).p_value >= max_test(diff, 1.0).p_value
+
+
+def test_one_column_worst_case_p_does_not_fall_above_gamma_one():
+    # the tau search's path: a one-column max tail is that column's normal tail
+    for scenario, seed in EFFECT_SAMPLES:
+        sample = simulated_sample(300, scenario, seed=seed)
+        for tau in (1.0, 2.0, 3.0, 4.0, 5.0):
+            diff = diff_matrix(sample, (tau,))
+            assert max_test(diff, 1.0001).p_value >= max_test(diff, 1.0).p_value
+
+
+def test_mvn_helpers_see_the_max_test_integration(monkeypatch):
+    # the helpers must patch the binding the max tail calls; a stale one
+    # would let the tests that count integrations pass on none
+    counted = count_mvn_calls(monkeypatch)
+    recorded = record_decision_integrations(monkeypatch)
+    max_test(diff_matrix(simulated_sample(200, "ph", seed=1), (1.0, 2.0, 3.0)), 1.0)
+    assert counted == [3]
+    assert len(recorded) == 1 and recorded[0][3] is None
+
+
 def test_bonferroni_sandwich():
     for seed in range(4):
         sample = simulated_sample(150, "late_div", seed=seed)
@@ -215,7 +249,7 @@ def test_tiny_max_tail_stays_inside_its_bound():
     one = overall_test(sample, (3.0,)).p_value
     assert one > 0.0
     assert one == pytest.approx(time_specific_test(sample, 3.0).p_value, rel=1e-12)
-    assert all(p > 0.0 for p in closed_test(sample, grid).adjusted_p.values())
+    assert all(p > 0.0 for p in closed_test(diff_matrix(sample, grid)).adjusted_p.values())
 
 
 def _column_tail_bounds(args):

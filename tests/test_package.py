@@ -1,3 +1,5 @@
+import ast
+from pathlib import Path
 from types import ModuleType
 
 import pairedsurv
@@ -15,3 +17,27 @@ def test_star_import_binds_no_module():
     for name in pairedsurv.__all__:
         names_of.setdefault(id(getattr(pairedsurv, name)), []).append(name)
     assert [names for names in names_of.values() if len(names) > 1] == []
+
+
+def test_no_import_inside_a_function_and_no_cycle_through_sensitivity():
+    src = Path(pairedsurv.__file__).parent
+    nested = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+    # sensitivity owns every worst-case tail; overall and closed import it
+    tree = ast.parse((src / "sensitivity.py").read_text(encoding="utf-8"))
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+            parts.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts.update(alias.name.split("."))
+    assert "scores" in parts
+    assert not parts & {"overall", "closed"}

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from pairedsurv import (
     ScenarioSpec,
     build_sample,
+    diff_matrix,
     generate_pairs,
     null_moments,
     overall_test,
@@ -301,9 +302,9 @@ ORIENTED = {
     "overall_normal_ppw": (60, _overall(True)),
     # alpha = 0.4 lets both searches bisect on this small sample
     "sensitivity_tau": (60, lambda s, d, _: sensitivity_value(
-        s, tau=3.0, alpha=0.4, direction=d)),
+        diff_matrix(s, [3.0]), alpha=0.4, direction=d)),
     "sensitivity_grid": (60, lambda s, d, _: sensitivity_value(
-        s, grid=GRID, alpha=0.4, direction=d)),
+        diff_matrix(s, GRID), alpha=0.4, direction=d)),
     "cli_pseudo": (60, _cli("pseudo")),
     "cli_logrank": (60, _cli("logrank")),
     "cli_pw": (60, _cli("pw")),
@@ -325,7 +326,7 @@ def test_tail_names_rejected():
     for call in (lambda: time_specific_test(sample, 3.0, direction="lower"),
                  lambda: score_test(sample, "pw", direction="upper"),
                  lambda: overall_test(sample, GRID, direction="lower"),
-                 lambda: sensitivity_value(sample, tau=3.0, direction="lower")):
+                 lambda: sensitivity_value(diff_matrix(sample, [3.0]), direction="lower")):
         with pytest.raises(ValueError, match="benefit"):
             call()
 
@@ -408,14 +409,14 @@ def test_normal_close_to_exact_in_clt_regime():
 @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
 def test_sensitivity_value_alpha_outside_unit_interval_refused(alpha):
     sample = simulated_sample(30, "ph", seed=1)
-    for target in ({"tau": 3.0}, {"grid": (2.0, 3.0)}):
+    for grid in ((3.0,), (2.0, 3.0)):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
-            sensitivity_value(sample, alpha=alpha, **target)
+            sensitivity_value(diff_matrix(sample, grid), alpha=alpha)
 
 
 def test_sensitivity_value_brackets_alpha():
     sample = simulated_sample(400, "ph", seed=9)
-    sv = sensitivity_value(sample, tau=4.0, alpha=0.05, tol=1e-3)
+    sv = sensitivity_value(diff_matrix(sample, [4.0]), alpha=0.05, tol=1e-3)
     assert not sv.already_sensitive and not sv.exceeded_max
     lo = time_specific_test(sample, 4.0, sv.value - 1e-3).p_value
     hi = time_specific_test(sample, 4.0, sv.value + 1e-3).p_value
@@ -424,13 +425,13 @@ def test_sensitivity_value_brackets_alpha():
 
 def test_sensitivity_value_already_sensitive():
     sample = simulated_sample(40, "no_effect", seed=13)
-    sv = sensitivity_value(sample, tau=3.0, alpha=0.001)
+    sv = sensitivity_value(diff_matrix(sample, [3.0]), alpha=0.001)
     assert sv.already_sensitive and sv.value == 1.0
 
 
 def test_sensitivity_value_exceeds_max():
     sample = simulated_sample(400, "ph", seed=9)
-    sv = sensitivity_value(sample, tau=4.0, alpha=0.05, gamma_max=1.0001)
+    sv = sensitivity_value(diff_matrix(sample, [4.0]), alpha=0.05, gamma_max=1.0001)
     assert sv.exceeded_max and sv.value == 1.0001
 
 
@@ -438,7 +439,7 @@ def test_sensitivity_value_exceeds_max():
 def test_sensitivity_value_rejects_bad_tol(tol):
     sample = simulated_sample(200, "ph", seed=3)
     with pytest.raises(ValueError, match="tol must be > 0"):
-        sensitivity_value(sample, tau=3.0, tol=tol)
+        sensitivity_value(diff_matrix(sample, [3.0]), tol=tol)
 
 
 def test_search_ends_at_adjacent_floats():
@@ -454,29 +455,15 @@ def test_search_ends_at_adjacent_floats():
         return time_specific_test(sample, 3.0, gamma).p_value
 
     tight = _search(p_at, 0.05, 1e-20, 10.0)
-    coarse = sensitivity_value(sample, tau=3.0)
+    coarse = sensitivity_value(diff_matrix(sample, [3.0]))
     assert round(coarse.value, 4) == 1.1733
     assert not (tight.already_sensitive or tight.exceeded_max)
     assert coarse.value - 0.5e-3 <= tight.value <= coarse.value + 0.5e-3
 
 
-def test_sensitivity_value_needs_exactly_one_target():
-    sample = simulated_sample(30, "ph", seed=1)
-    with pytest.raises(ValueError):
-        sensitivity_value(sample)
-    with pytest.raises(ValueError):
-        sensitivity_value(sample, tau=1.0, grid=(1.0, 2.0))
-
-
-def test_sensitivity_value_ppw_needs_grid():
-    sample = simulated_sample(30, "ph", seed=1)
-    with pytest.raises(ValueError, match="include_ppw applies only to a grid"):
-        sensitivity_value(sample, tau=1.0, include_ppw=True)
-
-
 def test_sensitivity_value_overall_grid_target():
     sample = simulated_sample(400, "early_div", seed=4)
-    sv = sensitivity_value(sample, grid=(1.0, 2.0, 3.0), alpha=0.05, tol=1e-3)
+    sv = sensitivity_value(diff_matrix(sample, (1.0, 2.0, 3.0)), alpha=0.05, tol=1e-3)
     if not (sv.already_sensitive or sv.exceeded_max):
         from pairedsurv import overall_test
 
@@ -505,5 +492,5 @@ def test_grid_sensitivity_value_equals_always_integrating_search(scenario, seed,
     def p_at(gamma, alpha=None):  # the integrated p, whatever alpha is
         return overall_test(sample, grid, gamma=gamma, include_ppw=True).p_value
 
-    assert (sensitivity_value(sample, grid=grid, include_ppw=True, gamma_max=gamma_max)
+    assert (sensitivity_value(diff_matrix(sample, grid, include_ppw=True), gamma_max=gamma_max)
             == _search(p_at, 0.05, 1e-3, gamma_max))

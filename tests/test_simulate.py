@@ -13,6 +13,7 @@ from pairedsurv import (
     StudyConfig,
     calibrate_b,
     design_sensitivity_study,
+    diff_matrix,
     generate_pairs,
     nonadmin_censoring_rate,
     overall_test,
@@ -292,7 +293,7 @@ def test_max_test_over_too_many_columns_refused_on_every_sample():
         power_study(config)
     sample = generate_pairs(200, ScenarioSpec("no_effect"), 0)
     with pytest.raises(ValueError, match="dimension 26 exceeds the supported 25"):
-        sensitivity_value(sample, grid=grid)
+        sensitivity_value(diff_matrix(sample, grid))
 
 
 def test_power_rows_monotone_in_gamma():
