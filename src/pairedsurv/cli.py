@@ -3,8 +3,9 @@
 Subcommands: ``test`` (time-specific), ``overall`` (max-type), ``sens``
 (sensitivity tables / sensitivity value), ``closed`` (closed testing),
 ``simulate`` / ``design-sens`` (study drivers from a JSON config), and
-``km`` (plot-ready survival-curve export).  Flags, ``--grid`` included,
-are checked when parsed; ``main`` then reads the one input (``load_csv``
+``km`` (plot-ready survival-curve export).  A numeric flag is parsed with
+the library's check of its value, and the rules between flags run right
+after parsing; ``main`` then reads the one input (``load_csv``
 or ``StudyConfig.from_json``) and passes it to the command, which prints
 a human table.  With ``--out``, ``km`` writes its curves as CSV and every
 other command a strict JSON document (null for non-finite numbers) with
@@ -32,9 +33,11 @@ from .closed import closed_test
 from .data import load_csv
 from .errors import AccuracyNotReached
 from .km import km_estimate
+from .mvnorm import check_tol
 from .overall import as_grid, diff_matrix, max_test
-from .scores import pair_differences
-from .sensitivity import correlations, score_test, sensitivity_value
+from .scores import check_tau, pair_differences
+from .sensitivity import (check_alpha, check_draws, check_gamma, check_seed, correlations,
+                          score_test, sensitivity_value)
 from .simulate import StudyConfig, design_sensitivity_study, power_study
 
 
@@ -57,49 +60,37 @@ def _manifest(command, args, seed) -> dict:
     }
 
 
-def _checked(convert, ok, what):
-    """argparse type: ``convert`` the flag's text, then require ``ok``."""
+def _checked(check, what):
+    """argparse type: the flag's text as a number the library's ``check`` accepts."""
     def parse(text):
-        try:
-            value = convert(text)
-            if ok(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        try:  # digits alone stay an exact int, so a long seed keeps every digit
+            return check(int(text) if text.isdigit() else float(text))
+        except (OverflowError, ValueError):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
     return parse
 
 
-_GAMMA = _checked(float, lambda g: 1.0 <= g < math.inf, "a finite gamma >= 1")
-_ALPHA = _checked(float, lambda a: 0.0 < a < 1.0, "an alpha in (0, 1)")
-_TOL = _checked(float, lambda t: 0.0 < t < math.inf, "a finite tolerance > 0")
-_DRAWS = _checked(int, lambda n: n >= 1, "a draw count >= 1")
-_SEED = _checked(int, lambda n: n >= 0, "a non-negative integer seed")
-_TAU = _checked(float, lambda t: t >= 0, "a time >= 0")
-_NUMBERS = _checked(lambda text: tuple(float(v) for v in text.split(",")),
-                    lambda values: True, "a comma-separated number list")
+_GAMMA = _checked(check_gamma, "a finite gamma >= 1")
+_ALPHA = _checked(check_alpha, "an alpha in (0, 1)")
+_TOL = _checked(lambda t: check_tol(t, "tol"), "a finite tolerance > 0")
+_DRAWS = _checked(check_draws, "a draw count >= 1")
+_SEED = _checked(check_seed, "a non-negative integer seed")
+_TAU = _checked(check_tau, "a time >= 0")
+_GRID_TIME = _checked(lambda t: float(as_grid([t])[0]), "a time > 0")
 
 
 def _grid(text):
     """argparse type: a comma-separated number list that ``as_grid`` accepts."""
-    grid = _NUMBERS(text)
+    try:
+        grid = tuple(map(float, text.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated number list") from None
     try:
         as_grid(grid)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return grid
-
-
-def _grid_time(text):
-    """argparse type: one time, checked as the one-point grid ``sens`` tests."""
-    grid = _grid(text)
-    if len(grid) != 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not one time")
-    return grid[0]
-
-
-def _gammas(text):
-    return tuple(map(_GAMMA, text.split(",")))
 
 
 def _json_ready(value):
@@ -129,10 +120,6 @@ def _write_csv(path, rows) -> None:
 # -- subcommand implementations -----------------------------------------
 
 def cmd_test(sample, args) -> tuple:
-    if args.score == "pseudo" and args.tau is None:
-        raise ConfigError("--tau is required for pseudo scores")
-    if args.score != "pseudo" and args.tau is not None:
-        raise ConfigError(f"--tau does not apply to {args.score} scores")
     res = score_test(sample, args.score, args.tau, args.gamma, args.method,
                      args.direction, args.draws, args.seed)
     label = f"tau={args.tau:g}" if args.tau is not None else "whole follow-up"
@@ -172,8 +159,6 @@ def cmd_overall(sample, args) -> tuple:
 
 
 def cmd_sens(sample, args) -> tuple:
-    if args.tau is not None and args.include_ppw:
-        raise ConfigError("--include-ppw applies only to --grid")
     diff = diff_matrix(sample, args.grid or (args.tau,), args.include_ppw)
     rows = []
     if args.gamma_grid:
@@ -277,6 +262,15 @@ def _load_config(args) -> StudyConfig:
         raise ConfigError(f"bad config {args.config}: {exc}") from exc
 
 
+def _check_flag_pairs(args) -> None:
+    """The rules between flags, checked before any input is read."""
+    if args.command == "test" and (args.tau is None) == (args.score == "pseudo"):
+        raise ConfigError("--tau is required for pseudo scores" if args.tau is None
+                          else f"--tau does not apply to {args.score} scores")
+    if args.command == "sens" and args.tau is not None and args.include_ppw:
+        raise ConfigError("--include-ppw applies only to --grid")
+
+
 # -- parser wiring -------------------------------------------------------
 
 def build_parser() -> _Parser:
@@ -317,11 +311,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sens", help="sensitivity table or sensitivity value")
     add_common(p)
     target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--tau", type=_grid_time, default=None)
+    target.add_argument("--tau", type=_GRID_TIME, default=None)
     target.add_argument("--grid", type=_grid, default=None)
     p.add_argument("--alpha", type=_ALPHA, default=0.05)
-    p.add_argument("--gamma-grid", type=_gammas, default=None,
-                   help="comma-separated gammas")
+    p.add_argument("--gamma-grid", type=lambda text: tuple(map(_GAMMA, text.split(","))),
+                   default=None, help="comma-separated gammas")
     p.add_argument("--search", action="store_true", help="bisect for the sensitivity value")
     p.add_argument("--sens-tol", type=_TOL, default=1e-3)
     p.add_argument("--gamma-max", type=_GAMMA, default=10.0)
@@ -363,10 +357,7 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    try:
+        _check_flag_pairs(args)
         source = load_csv(args.data) if "data" in args else _load_config(args)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -387,12 +378,9 @@ def main(argv=None) -> int:
         if result is not None and args.out:
             _write_out(args.out, _manifest(args.command, args, seed), result)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

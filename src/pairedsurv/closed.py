@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mvnorm import check_tol
 from .scores import _sign
-from .sensitivity import _max_test_from_columns, check_gamma
+from .sensitivity import _max_test_from_columns, check_alpha, check_gamma, check_seed
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class ClosedTestReport:
 
 
 def _subset_seed(seed, mask) -> int:
-    return int(np.random.SeedSequence((int(seed), int(mask))).generate_state(1)[0])
+    return int(np.random.SeedSequence((seed, mask)).generate_state(1)[0])
 
 
 def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestReport:
@@ -66,9 +67,8 @@ def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestRepo
     p = 1.  A matrix with a PPW column is refused: its hypotheses are the
     grid times.
     """
-    gamma = check_gamma(gamma)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha, gamma = check_alpha(alpha), check_gamma(gamma)
+    seed, tol = check_seed(seed), check_tol(tol, "tol")
     if diff.has_ppw:
         raise ValueError("closed testing runs over grid times only; build the matrix "
                          "without a PPW column")
@@ -90,10 +90,5 @@ def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestRepo
         running = max(running, p)
         for l in live[stats == m]:
             adjusted[taus[l]] = running
-    return ClosedTestReport(
-        taus=taus,
-        adjusted_p=adjusted,
-        alpha=alpha,
-        gamma=gamma,
-        subset_p=subset_p,
-    )
+    return ClosedTestReport(taus=taus, adjusted_p=adjusted, alpha=alpha, gamma=gamma,
+                            subset_p=subset_p)

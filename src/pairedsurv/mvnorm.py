@@ -19,7 +19,8 @@ bounds ``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
 ``1 - cdf`` always lies between the largest one-column tail and the
 Bonferroni sum.  A caller that only compares the CDF with a level may
 stop the doubling once the error bar puts the estimate on one side of it
-(``mvn_cdf``'s ``level``).  Results are deterministic for a given seed.
+(``mvn_cdf``'s ``level``).  Results are deterministic for a given seed
+(entropy, never a stream to draw on); ``check_tol`` is the tolerance rule.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ _PIVOT_FLOOR = 1e-10
 _TINY = 1e-15
 _PIECE = 1024  # lattice indices per piece of the integrand's reused buffers
 _SPLIT = 2048  # fewest lattice indices per thread in a split block
+
+
+def check_tol(value, name) -> float:
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value!r}")
+    return value
 
 
 def _check_dim(n):
@@ -166,10 +174,11 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, level=None):
     more than two error estimates from ``level``: the returned value is
     then on the same side of ``level`` as the CDF, which is all a caller
     comparing the two needs, and no AccuracyNotReached is emitted however
-    large the error estimate.
+    large the error estimate.  The tolerance, the seed, the limits and the
+    matrix are checked before any shortcut.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError("tol must be > 0 and finite")
+    tol = check_tol(tol, "tol")
+    rng = np.random.Generator(np.random.PCG64(seed))
     upper = np.asarray(upper, dtype=float).reshape(-1)
     if np.isnan(upper).any():
         raise ValueError("limits must not be NaN")
@@ -184,7 +193,7 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, level=None):
     low, limits = _priority_cholesky(corr, upper)
     dim = limits.shape[0]
     lattice = np.sqrt(_first_primes(dim - 1))
-    shifts = np.random.default_rng(seed).random((_N_SHIFTS, dim - 1))
+    shifts = rng.random((_N_SHIFTS, dim - 1))
 
     sums = np.zeros(_N_SHIFTS)
     n_done = 0

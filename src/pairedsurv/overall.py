@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateColumnWarning
+from .mvnorm import check_tol
 from .scores import _sign, pair_difference_matrix
 from .sensitivity import TestResult, _max_test_from_columns, _normal_only, check_gamma
 
@@ -97,7 +98,7 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     integration.  Columns with zero dispersion are dropped; when all
     columns are degenerate the p-value is 1.
     """
-    gamma = check_gamma(gamma)
+    gamma, tol = check_gamma(gamma), check_tol(tol, "tol")
     orient = _sign("pseudo", direction)
     m, p = _max_test_from_columns(diff.D, diff.sigma, diff.assignment, gamma,
                                   "normal", orient, tol=tol, seed=seed)
@@ -113,4 +114,6 @@ def overall_test(sample, grid, gamma=1.0, include_ppw=False, method="normal",
     ``method`` accepts only ``"normal"`` (see ``_max_test_from_columns``).
     """
     _normal_only(method)
+    check_gamma(gamma)
+    check_tol(tol, "tol")
     return max_test(diff_matrix(sample, grid, include_ppw), gamma, direction, tol, seed)

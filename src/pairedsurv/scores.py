@@ -56,6 +56,13 @@ def _pseudo_tables(e, index, taus):
     return cut + prefix.size * e, map(table, tk.searchsorted(taus, side="right"))
 
 
+def check_tau(tau) -> float:
+    tau = float(tau)
+    if not tau >= 0:
+        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    return tau
+
+
 def pseudo_observations(times, events, tau):
     """Leave-one-out pseudo-values of the Kaplan-Meier estimate at ``tau``.
 
@@ -86,11 +93,10 @@ def pseudo_observations(times, events, tau):
     -------
     (n,) array of pseudo-values, aligned with the input order.
     """
+    tau = check_tau(tau)
     t, e = _coerce_units(times, events)
     if t.size < 2:
         raise ValueError("pseudo-observations need at least two units")
-    if not tau >= 0:
-        raise ValueError("tau must be >= 0")
     code, tables = _pseudo_tables(e, _event_index(t, e), [tau])
     return next(tables)[code]
 

@@ -13,6 +13,9 @@ the ``correlations`` of the columns, clamped into the column-tail bounds.
 ``score_test`` is the one test of a score vector (pseudo at tau, log-rank
 or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
 difference matrix; a one-column matrix gives the time-specific search.
+Each input rule (``check_gamma``, ``check_alpha``, ``check_whole``,
+``mvnorm.check_tol``) is written once and run on entry to a public call,
+before any shortcut; the CLI parses its flags with the same checks.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ import copy
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
 
 from ._parallel import map_ranges
-from .mvnorm import _check_dim, mvn_cdf
+from .mvnorm import _check_dim, check_tol, mvn_cdf
 from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
@@ -40,15 +44,28 @@ def check_gamma(gamma) -> float:
     return gamma
 
 
+def check_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _whole(value):
-    """A number with no fractional part, as int; booleans are refused."""
-    if _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+def check_whole(value, least, name) -> int:
+    """``value`` as an int: a number (not a bool), whole and >= ``least``."""
+    if (_is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+            and value >= least):
         return int(value)
-    raise ValueError(f"must be a whole number, got {value!r}")
+    raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
+# the rules of a draw count and of a seed that streams are derived from
+check_draws = partial(check_whole, least=1, name="n_draws")
+check_seed = partial(check_whole, least=0, name="seed")
 
 
 def _tail_args(scores, t):
@@ -186,7 +203,7 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     as many bools (2.3 MiB for k <= 2**18), whatever ``n_draws``.
     """
     gamma = check_gamma(gamma)
-    n_draws = _draw_count(n_draws)
+    n_draws = check_draws(n_draws)
     d, t = _tail_args(scores, t)
     tol = _tie_tol(d)
     mags = np.abs(d[d != 0.0]).reshape(-1, 1)
@@ -199,16 +216,6 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
         np.random.Generator(copy.deepcopy(bits).advance(lo * rows)), hi - lo,
         mags, p_plus, t - tol), n_draws, max(1, _SIGN_BUFFER // rows)))
     return hits / n_draws
-
-
-def _draw_count(n_draws) -> int:
-    try:
-        n = _whole(n_draws)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"n_draws must be a whole number >= 1, got {n_draws!r}")
-    return n
 
 
 def _count_hits(rng, n, mags, p_plus, bound) -> int:
@@ -249,25 +256,19 @@ def score_test(sample, score="pseudo", tau=None, gamma=1.0, method="normal",
     they take the unsigned scores in either tail.
     """
     sign = _sign(score, direction)
+    gamma, n_draws = check_gamma(gamma), check_draws(n_draws)
+    if method not in ("normal", "exact", "montecarlo"):
+        raise ValueError(f"method must be normal, exact or montecarlo, got {method!r}")
     scores = pair_differences(sample, score, tau)
-    gamma = check_gamma(gamma)
     t, mu_plus, variance, p = _column_tests(scores, sample.assignment, gamma, sign)
     if method == "exact":
         p = pvalue_exact(scores, t, gamma)
     elif method == "montecarlo":
         p = pvalue_montecarlo(scores, t, gamma, n_draws, seed)
-    elif method != "normal":
-        raise ValueError(f"method must be normal, exact or montecarlo, got {method!r}")
-    return TestResult(
-        statistic=float(sign * t),
-        null_mean=sign * mu_plus + 0.0,  # + 0.0 turns -0.0 into 0.0
-        null_sd=math.sqrt(variance),
-        p_value=p,
-        gamma=gamma,
-        method=method,
-        direction="upper" if sign > 0 else "lower",
-        tau=tau,
-    )
+    # + 0.0 turns -0.0 into 0.0
+    return TestResult(statistic=float(sign * t), null_mean=sign * mu_plus + 0.0,
+                      null_sd=math.sqrt(variance), p_value=p, gamma=gamma, method=method,
+                      direction="upper" if sign > 0 else "lower", tau=tau)
 
 
 def time_specific_test(sample, tau, gamma=1.0, method="normal",
@@ -374,8 +375,10 @@ def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
     when that p lies within a few error estimates of alpha.
     """
     sign = _sign("pseudo", direction)
+    alpha, tol = check_alpha(alpha), check_tol(tol, "tol")
+    gamma_max, mvn_tol = check_gamma(gamma_max), check_tol(mvn_tol, "mvn_tol")
     return _search(lambda g, alpha: _max_test_from_columns(
-        diff.D, diff.sigma, diff.assignment, check_gamma(g), "normal", sign,
+        diff.D, diff.sigma, diff.assignment, g, "normal", sign,
         tol=mvn_tol, seed=seed, alpha=alpha)[1], alpha, tol, gamma_max)
 
 
@@ -383,12 +386,8 @@ def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
     """Bisection behind ``sensitivity_value``; assumes p_at rises with gamma.
 
     ``p_at(gamma, alpha)`` need only fall on the same side of alpha as p
-    (see ``_max_test_from_columns``).
+    (see ``_max_test_from_columns``).  Its caller checks the arguments.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be > 0 and finite")
     if p_at(1.0, alpha) > alpha:
         return SensitivityValue(1.0, True, False, alpha)
     if p_at(gamma_max, alpha) <= alpha:

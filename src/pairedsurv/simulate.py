@@ -15,14 +15,17 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
+from .mvnorm import check_tol
 from .overall import as_grid, diff_matrix
 from .scores import _sign
-from .sensitivity import _column_tests, _is_real, _max_test_from_columns, _whole, check_gamma
+from .sensitivity import (_column_tests, _is_real, _max_test_from_columns, check_alpha,
+                          check_gamma, check_seed, check_whole)
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate
@@ -122,15 +125,10 @@ def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
     Each unit draws one uniform that is inverted under both arms (the
     realized arm follows the random within-pair label) and one censoring
     uniform shared across arms; observed times are truncated at the
-    administrative cutoff.
+    administrative cutoff.  ``seed`` is SeedSequence entropy.
     """
-    try:
-        n_pairs = _whole(n_pairs)
-    except ValueError as exc:
-        raise ValueError(f"n_pairs {exc}") from None
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    rng = np.random.default_rng(seed)
+    n_pairs = check_whole(n_pairs, 1, "n_pairs")
+    rng = np.random.Generator(np.random.PCG64(seed))
     x = rng.standard_normal(n_pairs)[:, None]
     u_surv = 1.0 - rng.random((n_pairs, 2))
     u_cens = 1.0 - rng.random((n_pairs, 2))
@@ -164,6 +162,7 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError("target rate must lie strictly between 0 and 1")
+    tol = check_tol(tol, "tol")
 
     def rate(b):
         probe = generate_pairs(probe_i, replace(spec, b=b), seed)
@@ -187,20 +186,28 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
     return mid, r_mid
 
 
-def _real(value):
+def _real(value, name):
     if not _is_real(value):
-        raise ValueError(f"must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
-def _floats(values):
+def _floats(values, name):
     if not (isinstance(values, (list, tuple)) and all(map(_is_real, values))):
-        raise ValueError(f"must be a list of numbers, got {values!r}")
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
     return tuple(map(float, values))
 
 
-_FIELD_TYPES = {"pairs": _whole, "replications": _whole, "alpha": _real, "grid": _floats,
-                "seed": _whole, "gammas": _floats, "mvn_tol": _real}
+# each field's conversion and check, called with the value and name='<field>'
+_FIELD_TYPES = {
+    "pairs": partial(check_whole, least=2),
+    "replications": partial(check_whole, least=1),
+    "alpha": lambda v, name: check_alpha(_real(v, name)),
+    "grid": _floats,
+    "seed": check_seed,
+    "gammas": lambda v, name: tuple(map(check_gamma, _floats(v, name))),
+    "mvn_tol": lambda v, name: check_tol(_real(v, name), "mvn_tol"),
+}
 
 
 @dataclass(frozen=True)
@@ -224,26 +231,18 @@ class StudyConfig:
     def __post_init__(self):
         for key, convert in _FIELD_TYPES.items():
             try:
-                object.__setattr__(self, key, convert(getattr(self, key)))
-            except (OverflowError, ValueError) as exc:
+                object.__setattr__(self, key, convert(getattr(self, key), name=repr(key)))
+            except OverflowError as exc:  # an int too large for a float
                 raise ValueError(f"{key!r} {exc}") from None
         if not self.scenarios:
             raise ValueError("'scenarios' must list at least one scenario")
         if not self.gammas:
             raise ValueError("'gammas' must list at least one gamma")
-        if self.replications < 1 or self.pairs < 2 or self.seed < 0:
-            raise ValueError("need replications >= 1, pairs >= 2 and seed >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        for g in self.gammas:
-            check_gamma(g)
         for key, values in (("scenarios", [s.id for s in self.scenarios]),
                             ("gammas", self.gammas)):
             if len(set(values)) < len(values):
                 raise ValueError(f"{key!r} lists an entry more than once: {list(values)}")
         as_grid(self.grid)
-        if not 0.0 < self.mvn_tol < math.inf:
-            raise ValueError("mvn_tol must be > 0 and finite")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StudyConfig":

@@ -24,6 +24,10 @@ from pairedsurv import (
 )
 from pairedsurv import cli, overall
 from pairedsurv.cli import build_parser, main
+from pairedsurv.mvnorm import check_tol
+from pairedsurv.overall import as_grid
+from pairedsurv.scores import check_tau
+from pairedsurv.sensitivity import check_alpha, check_draws, check_gamma, check_seed
 
 from conftest import record_decision_integrations, simulated_sample
 
@@ -271,13 +275,52 @@ def test_cmd_sens_tau_before_any_event_warns(sim_csv, tmp_path, capsys):
 
 def test_cmd_sens_tau_checked_as_one_point_grid(capsys):
     # refused when parsed, before the data is read; test --tau 0 still runs
-    for value, why in (("0", "positive"), ("-0.5", "positive"), ("nan", "positive"),
-                       ("1,2", "is not one time")):
+    for value in ("0", "-0.5", "nan", "x", "1,2"):
         code, out, err = run(["sens", "/nonexistent.csv", "--tau", value, "--search"],
                              capsys)
         assert (code, out) == (4, "")
-        assert err.startswith(f"error: argument --tau: {value!r}")
-        assert why in err and "nonexistent" not in err
+        assert err == f"error: argument --tau: {value!r} is not a time > 0\n"
+
+
+FLAG_CHECKS = [
+    (["test", "--tau", "1"], "--gamma", check_gamma),
+    (["test", "--tau", "1"], "--draws", check_draws),
+    (["test", "--tau", "1"], "--seed", check_seed),
+    (["test"], "--tau", check_tau),
+    (["overall", "--grid", "1"], "--tol", lambda t: check_tol(t, "tol")),
+    (["sens", "--tau", "1"], "--alpha", check_alpha),
+    (["sens", "--tau", "1"], "--gamma-max", check_gamma),
+    (["sens", "--tau", "1"], "--gamma-grid", check_gamma),
+    (["sens", "--tau", "1"], "--sens-tol", lambda t: check_tol(t, "tol")),
+    (["sens"], "--tau", lambda t: as_grid([t])),
+    (["closed", "--grid", "1"], "--alpha", check_alpha),
+]
+
+
+@pytest.mark.parametrize("argv, flag, check", FLAG_CHECKS,
+                         ids=[f"{argv[0]} {flag}" for argv, flag, _ in FLAG_CHECKS])
+def test_flag_accepts_what_its_library_check_accepts(argv, flag, check, capsys):
+    # a flag the library's check accepts gets as far as the missing file
+    # (exit 2); any other is refused when parsed (exit 4)
+    for text in ("0", "1", "1.5", "-1", "nan", "inf", "1e400", "0.05", "x"):
+        try:
+            check(float(text))
+            accepted = True
+        except ValueError:
+            accepted = False
+        code, out, err = run([argv[0], "/nonexistent.csv", *argv[1:], flag, text], capsys)
+        assert (code, out) == (2 if accepted else 4, ""), (flag, text)
+        assert accepted or err.startswith(f"error: argument {flag}: {text!r} is not ")
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["test"], "--tau is required for pseudo scores"),
+    (["test", "--score", "logrank", "--tau", "3"], "--tau does not apply to logrank scores"),
+    (["sens", "--tau", "3", "--include-ppw"], "--include-ppw applies only to --grid"),
+], ids=["test pseudo without tau", "test logrank with tau", "sens tau with ppw"])
+def test_flag_pair_rules_checked_before_the_data_is_read(argv, why, capsys):
+    code, out, err = run([argv[0], "/nonexistent.csv", *argv[1:]], capsys)
+    assert (code, out, err) == (4, "", f"error: {why}\n")
 
 
 def test_cmd_sens_requires_one_target(sim_csv, capsys):

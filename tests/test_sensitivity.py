@@ -10,8 +10,11 @@ from scipy.special import ndtr
 from pairedsurv import (
     ScenarioSpec,
     build_sample,
+    closed_test,
     diff_matrix,
     generate_pairs,
+    max_test,
+    mvn_cdf,
     null_moments,
     overall_test,
     pair_differences,
@@ -25,6 +28,7 @@ from pairedsurv import (
 )
 from pairedsurv import sensitivity
 from pairedsurv.cli import main
+from pairedsurv.errors import DegenerateColumnWarning
 from pairedsurv.sensitivity import _column_tests, _search
 
 from conftest import fix_workers, montecarlo_one_shot, simulated_sample
@@ -213,9 +217,52 @@ def test_montecarlo_matches_one_shot_simulator(monkeypatch, workers):
     lambda: np.random.default_rng(12), lambda: np.random.PCG64(12),
 ], ids=["Generator", "BitGenerator"])
 def test_montecarlo_refuses_generator_seed(make_seed):
-    # the seed is SeedSequence entropy, never a stream to draw on
-    with pytest.raises(TypeError):
-        pvalue_montecarlo([0.3, -0.2, 0.5], 0.1, n_draws=100, seed=make_seed())
+    # the seed is SeedSequence entropy, never a stream to draw on: two
+    # max_test calls on one Generator used to give two p-values
+    sample = simulated_sample(50, "ph", seed=1)
+    for call in (
+        lambda seed: pvalue_montecarlo([0.3, -0.2, 0.5], 0.1, n_draws=100, seed=seed),
+        lambda seed: mvn_cdf([0.5, 0.5], [[1.0, 0.3], [0.3, 1.0]], seed=seed),
+        lambda seed: mvn_cdf([0.5], [[1.0]], seed=seed),
+        lambda seed: max_test(diff_matrix(sample, (1.0, 2.0, 3.0)), seed=seed),
+        lambda seed: generate_pairs(10, ScenarioSpec("ph"), seed),
+    ):
+        with pytest.raises(TypeError):
+            call(make_seed())
+
+
+def _all_degenerate(sample):
+    # a grid time before any event: every column has zero dispersion
+    with pytest.warns(DegenerateColumnWarning):
+        return diff_matrix(sample, [1e-6])
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda s: sensitivity_value(diff_matrix(s, [3.0]), alpha=0.001, mvn_tol=0),
+     "mvn_tol must be > 0 and finite"),
+    (lambda s: sensitivity_value(diff_matrix(s, [3.0]), alpha=0.001, gamma_max=0.5),
+     "gamma must be a finite real >= 1"),
+    (lambda s: sensitivity_value(diff_matrix(s, [3.0]), alpha=0.001, gamma_max=math.nan),
+     "gamma must be a finite real >= 1"),
+    (lambda s: max_test(_all_degenerate(s), tol=0), "tol must be > 0 and finite"),
+    (lambda s: closed_test(_all_degenerate(s), tol=0), "tol must be > 0 and finite"),
+    (lambda s: score_test(s, "pseudo", 3.0, method="normal", n_draws=0),
+     "n_draws must be a whole number >= 1"),
+    (lambda s: closed_test(diff_matrix(s, (1.0, 2.0)), seed=1.5),
+     "seed must be a whole number >= 0"),
+    (lambda s: closed_test(diff_matrix(s, (1.0, 2.0)), seed=True),
+     "seed must be a whole number >= 0"),
+], ids=["one-column mvn_tol", "already sensitive gamma_max below 1",
+        "already sensitive gamma_max nan", "degenerate max_test tol",
+        "degenerate closed_test tol", "normal-method n_draws", "fractional closed seed",
+        "bool closed seed"])
+def test_bad_argument_refused_whatever_the_path(call, why):
+    # each call took a path that skipped the check and returned a result:
+    # one column, a sample already sensitive at gamma = 1 (alpha = 0.001),
+    # all-degenerate columns, the normal method, the derived subset seeds
+    sample = simulated_sample(40, "no_effect", seed=13)
+    with pytest.raises(ValueError, match=why):
+        call(sample)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -140,7 +140,7 @@ def test_generate_deterministic():
     (2.5, "n_pairs must be a whole number"),
     (True, "n_pairs must be a whole number"),
     ("3", "n_pairs must be a whole number"),
-    (0, "n_pairs must be >= 1"),
+    (0, "n_pairs must be a whole number >= 1, got 0"),
 ])
 def test_generate_pairs_checks_n_pairs(n_pairs, match):
     with pytest.raises(ValueError, match=match):
