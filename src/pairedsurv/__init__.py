@@ -11,21 +11,15 @@ __version__ = "0.1.0"
 
 from .closed import ClosedTestReport, closed_test
 from .data import PairedSample, build_sample, load_csv, write_csv
-from .design import DesignSensitivityResult, design_sensitivities
-from .km import SurvivalCurve, event_table, km_at, km_estimate
+from .design import DesignSensitivityResult
+from .km import SurvivalCurve, km_estimate
 from .mvnorm import mvn_cdf
 from .overall import DiffMatrix, diff_matrix, max_test, overall_test
-from .scores import (
-    logrank_scores,
-    pair_differences,
-    pseudo_observations,
-    pw_scores,
-)
+from .scores import pair_differences
 from .sensitivity import (
     SensitivityValue,
     TestResult,
     correlations,
-    null_moments,
     pvalue_exact,
     pvalue_montecarlo,
     pvalue_normal,
@@ -36,13 +30,9 @@ from .sensitivity import (
 from .simulate import (
     ScenarioSpec,
     StudyConfig,
-    calibrate_b,
     design_sensitivity_study,
     generate_pairs,
-    nonadmin_censoring_rate,
     power_study,
-    sample_censoring_time,
-    sample_survival_time,
 )
 
 from types import ModuleType as _ModuleType

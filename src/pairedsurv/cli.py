@@ -25,6 +25,7 @@ import sys
 import warnings
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +37,10 @@ from .km import km_estimate
 from .mvnorm import check_tol
 from .overall import as_grid, diff_matrix, max_test
 from .scores import check_tau, pair_differences
-from .sensitivity import (check_alpha, check_draws, check_gamma, check_seed, correlations,
-                          score_test, sensitivity_value)
-from .simulate import StudyConfig, design_sensitivity_study, power_study
+from .sensitivity import (check_alpha, check_draws, check_gamma, check_seed, check_whole,
+                          correlations, score_test, sensitivity_value)
+from .simulate import (MIN_PAIRS, MIN_REPLICATIONS, StudyConfig, design_sensitivity_study,
+                       power_study)
 
 
 class ConfigError(Exception):
@@ -77,6 +79,10 @@ _DRAWS = _checked(check_draws, "a draw count >= 1")
 _SEED = _checked(check_seed, "a non-negative integer seed")
 _TAU = _checked(check_tau, "a time >= 0")
 _GRID_TIME = _checked(lambda t: float(as_grid([t])[0]), "a time > 0")
+_PAIRS = _checked(partial(check_whole, least=MIN_PAIRS, name="pairs"),
+                  f"a whole number >= {MIN_PAIRS}")
+_REPLICATIONS = _checked(partial(check_whole, least=MIN_REPLICATIONS, name="replications"),
+                         f"a whole number >= {MIN_REPLICATIONS}")
 
 
 def _grid(text):
@@ -340,15 +346,15 @@ def build_parser() -> _Parser:
     add_common(p, data=False)
     p.add_argument("config")
     p.add_argument("--csv", help="write rates as CSV here")
-    p.add_argument("--replications", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--replications", type=_REPLICATIONS, default=None)
+    p.add_argument("--pairs", type=_PAIRS, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("design-sens", help="design sensitivities from a JSON config")
     add_common(p, data=False)
     p.add_argument("config")
     p.add_argument("--csv")
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--pairs", type=_PAIRS, default=None)
     p.set_defaults(func=cmd_design_sens)
 
     return parser

@@ -20,14 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateColumnWarning
-from .mvnorm import check_tol
+from .mvnorm import _is_real, check_tol
 from .scores import _sign, pair_difference_matrix
-from .sensitivity import TestResult, _max_test_from_columns, _normal_only, check_gamma
+from .sensitivity import (TestResult, _max_test_from_columns, _normal_only, check_gamma,
+                          check_seed)
 
 
 def as_grid(grid) -> np.ndarray:
-    """Validated grid: strictly increasing positive analysis times."""
-    taus = np.asarray(grid, dtype=float).reshape(-1)
+    """Validated grid: strictly increasing positive real analysis times."""
+    taus = np.asarray(grid, dtype=object).reshape(-1)
+    if not all(map(_is_real, taus)):
+        raise ValueError(f"grid times must be real numbers, got {grid!r}")
+    taus = taus.astype(float)
     if taus.size < 1:
         raise ValueError("a time grid needs at least one tau")
     if not np.all(taus > 0) or np.any(np.diff(taus) <= 0):
@@ -73,9 +77,9 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     """Score-difference columns for every grid time (plus optional PPW).
 
     One call to ``scores.pair_difference_matrix``, which sorts the pooled
-    units once per grid.  Column l equals
-    ``pair_differences(sample, "pseudo", grid[l])`` bit for bit, and the PPW
-    column ``-pair_differences(sample, "pw")``.  A column with zero
+    units once per grid; ``pair_differences(sample, "pseudo", tau)`` is the
+    column of the one-time grid ``[tau]``, and the PPW column is
+    ``-pair_differences(sample, "pw")``.  A column with zero
     dispersion (a grid time before any event) carries no information; the
     max-type tests drop it, and a ``DegenerateColumnWarning`` names it here.
     """
@@ -94,11 +98,11 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
 
     ``direction="benefit"`` orients every column so a treated survival
     advantage increases the max statistic; ``"harm"`` tests the reverse.
-    The p-value is the normal one, and ``seed`` and ``tol`` drive the QMC
-    integration.  Columns with zero dispersion are dropped; when all
-    columns are degenerate the p-value is 1.
+    The p-value is the normal one, and ``seed`` (a whole number >= 0) and
+    ``tol`` drive the QMC integration.  Columns with zero dispersion are
+    dropped; when all columns are degenerate the p-value is 1.
     """
-    gamma, tol = check_gamma(gamma), check_tol(tol, "tol")
+    gamma, tol, seed = check_gamma(gamma), check_tol(tol, "tol"), check_seed(seed)
     orient = _sign("pseudo", direction)
     m, p = _max_test_from_columns(diff.D, diff.sigma, diff.assignment, gamma,
                                   "normal", orient, tol=tol, seed=seed)
@@ -116,4 +120,5 @@ def overall_test(sample, grid, gamma=1.0, include_ppw=False, method="normal",
     _normal_only(method)
     check_gamma(gamma)
     check_tol(tol, "tol")
+    check_seed(seed)
     return max_test(diff_matrix(sample, grid, include_ppw), gamma, direction, tol, seed)

@@ -1,21 +1,22 @@
 """Censored-data scores: pseudo-observations, log-rank, Prentice-Wilcoxon.
 
 All scores are computed on the pooled 2I units and then differenced within
-pairs: ``pair_differences`` returns the plain (I,) array of differences.
+pairs: ``pair_differences`` returns the plain (I,) array of differences,
+and every pseudo difference comes from ``pair_difference_matrix``.
 Orientation conventions:
 
 * ``pseudo_observations`` returns jackknife pseudo-values of the pooled
   Kaplan-Meier survival probability at ``tau`` (a unit surviving past tau
   scores high).
-* ``pair_differences(kind="pseudo")`` stores pseudo-values of the event
+* Pseudo pair differences are taken from pseudo-values of the event
   probability ``1 - K(tau)`` instead, so a pair whose first unit fails
   earlier gets a positive difference.  This is the orientation in which
   the library's worked examples and the max-type machinery are expressed;
   for these scores evidence of a treated survival advantage sits in the
   LOWER tail of ``sum_i d_i V_i``.
-* Log-rank and Prentice-Wilcoxon scores use their classical definitions,
-  where longer survival scores higher, so a treated advantage sits in the
-  UPPER tail.
+* Log-rank and Prentice-Wilcoxon scores (``_logrank``, ``_pw``) use their
+  classical definitions, where longer survival scores higher, so a treated
+  advantage sits in the UPPER tail.
 
 Tests take ``direction="benefit"|"harm"``; ``_sign(kind, direction)`` maps
 that onto the sign that puts the evidence in the upper tail.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .km import _coerce_units, _event_index
+from .mvnorm import _check_real
 
 
 def _pseudo_tables(e, index, taus):
@@ -57,10 +59,7 @@ def _pseudo_tables(e, index, taus):
 
 
 def check_tau(tau) -> float:
-    tau = float(tau)
-    if not tau >= 0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
-    return tau
+    return _check_real(tau, lambda t: t >= 0.0, "tau must be >= 0")
 
 
 def pseudo_observations(times, events, tau):
@@ -101,41 +100,37 @@ def pseudo_observations(times, events, tau):
     return next(tables)[code]
 
 
-def logrank_scores(times, events):
-    """Log-rank scores ``H(Y_u) - event_u`` from the pooled Nelson-Aalen hazard."""
-    t, e = _coerce_units(times, events)
-    _, mk, nk, cut = _event_index(t, e)
+def _logrank(e, index):
+    """Log-rank scores ``H(Y_u) - event_u`` of every unit from the pooled
+    Nelson-Aalen hazard, from ``index = _event_index(t, e)``."""
+    _, mk, nk, cut = index
     cumhaz = np.concatenate(([0.0], np.cumsum(mk / nk)))
     return cumhaz[cut] - e.astype(float)
 
 
 def _pw(e, index):
-    """Prentice-Wilcoxon scores of every unit from ``_event_index(t, e)``."""
-    _, mk, nk, cut = index
-    # J(Y_u) = j[cut_u]: J after each event time, 1 before the first
-    j = np.concatenate(([1.0], np.cumprod((nk - mk + 1.0) / (nk + 1.0))))
-    return 1.0 - (1.0 + e) * j[cut]
-
-
-def pw_scores(times, events):
-    """Prentice-Wilcoxon scores ``1 - (1 + event_u) J(Y_u)``.
+    """Prentice-Wilcoxon scores ``1 - (1 + event_u) J(Y_u)`` of every unit
+    from ``index = _event_index(t, e)``.
 
     ``J(a) = prod_{t_k <= a} (n_k - m_k + 1) / (n_k + 1)`` over pooled
     distinct event times; scores lie in [-1, 1].  Like log-rank scores, they
     are one per-event-time product read at each unit's position among the
     event times, so the whole vector takes one gather.
     """
-    t, e = _coerce_units(times, events)
-    return _pw(e, _event_index(t, e))
+    _, mk, nk, cut = index
+    # J(Y_u) = j[cut_u]: J after each event time, 1 before the first
+    j = np.concatenate(([1.0], np.cumprod((nk - mk + 1.0) / (nk + 1.0))))
+    return 1.0 - (1.0 + e) * j[cut]
 
 
 def pair_difference_matrix(sample, taus, include_pw=False) -> np.ndarray:
-    """Pair differences at every tau from one event table, as an (I, L) array.
+    """Pseudo pair differences at every tau from one event table, (I, L).
 
-    Column l equals ``pair_differences(sample, "pseudo", taus[l])`` bit for
-    bit; with ``include_pw`` a trailing column holds
-    ``-pair_differences(sample, "pw")``.  ``taus`` must be >= 0.  ``D`` is
-    column-major, so every column is written and read contiguously.
+    Column l differences the event-probability pseudo-values ``1 - q`` at
+    ``taus[l]`` (``pseudo_observations``); with ``include_pw`` a trailing
+    column holds ``-pair_differences(sample, "pw")``.  ``taus`` must be
+    >= 0.  ``D`` is column-major, so every column is written and read
+    contiguously.
     """
     t, e = _coerce_units(sample.unit_times, sample.unit_events)
     index = _event_index(t, e)
@@ -166,18 +161,15 @@ def pair_differences(sample, kind: str = "pseudo", tau=None) -> np.ndarray:
     """Pooled scores of the requested kind, differenced within pairs.
 
     Returns the (I,) array of first-unit minus second-unit scores.  Only
-    pseudo scores take ``tau``, and they require it.
+    pseudo scores take ``tau``, and they require it; their differences are
+    the one column of ``pair_difference_matrix(sample, [tau])``.
     """
     if kind not in SCORE_KINDS:
         raise ValueError(f"kind must be one of {SCORE_KINDS}")
     if (tau is None) == (kind == "pseudo"):
         raise ValueError(f"{kind} scores {'require' if tau is None else 'take no'} tau")
-    t = sample.unit_times
-    e = sample.unit_events
     if kind == "pseudo":
-        q = 1.0 - pseudo_observations(t, e, tau)
-    elif kind == "logrank":
-        q = logrank_scores(t, e)
-    else:
-        q = pw_scores(t, e)
+        return pair_difference_matrix(sample, [check_tau(tau)])[:, 0]
+    t, e = _coerce_units(sample.unit_times, sample.unit_events)
+    q = (_logrank if kind == "logrank" else _pw)(e, _event_index(t, e))
     return q[0::2] - q[1::2]

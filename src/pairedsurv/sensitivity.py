@@ -13,9 +13,10 @@ the ``correlations`` of the columns, clamped into the column-tail bounds.
 ``score_test`` is the one test of a score vector (pseudo at tau, log-rank
 or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
 difference matrix; a one-column matrix gives the time-specific search.
-Each input rule (``check_gamma``, ``check_alpha``, ``check_whole``,
-``mvnorm.check_tol``) is written once and run on entry to a public call,
-before any shortcut; the CLI parses its flags with the same checks.
+Each input rule (``check_gamma``, ``check_alpha``, ``check_whole`` with
+its ``check_draws`` and ``check_seed`` rules, ``mvnorm.check_tol``) is
+written once and run on entry to a public call, before any shortcut; the
+CLI parses its flags with the same checks.
 """
 
 from __future__ import annotations
@@ -30,29 +31,19 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._parallel import map_ranges
-from .mvnorm import _check_dim, check_tol, mvn_cdf
-from .scores import _sign, pair_differences
+from .mvnorm import _check_dim, _check_real, _is_real, check_tol, mvn_cdf
+from .scores import _sign, check_tau, pair_differences
 
 EXACT_PAIR_CAP = 20
 _SIGN_BUFFER = 1 << 18  # doubles in each Monte Carlo worker's reused sign buffer
 
 
 def check_gamma(gamma) -> float:
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 1.0:
-        raise ValueError(f"gamma must be a finite real >= 1, got {gamma!r}")
-    return gamma
+    return _check_real(gamma, lambda g: 1.0 <= g < math.inf, "gamma must be a finite real >= 1")
 
 
 def check_alpha(alpha) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return alpha
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return _check_real(alpha, lambda a: 0.0 < a < 1.0, "alpha must lie in (0, 1)")
 
 
 def check_whole(value, least, name) -> int:
@@ -63,7 +54,8 @@ def check_whole(value, least, name) -> int:
     raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
-# the rules of a draw count and of a seed that streams are derived from
+# the rules of a draw count and of a whole-number seed (every QMC seed a test,
+# a search or a study takes)
 check_draws = partial(check_whole, least=1, name="n_draws")
 check_seed = partial(check_whole, least=0, name="seed")
 
@@ -111,7 +103,7 @@ class TestResult:
             raise ValueError("null_sd must be >= 0")
 
 
-def null_moments(scores, gamma=1.0):
+def _null_moments(scores, gamma=1.0):
     """Worst-case mean and variance of the upper-tail bounding statistic.
 
     ``mean = [(gamma-1)/(1+gamma)] sum |d_i|`` and
@@ -153,7 +145,7 @@ def _column_tests(D, assignment, gamma, orient):
     score vector, in the upper tail (``orient`` +1) or the lower (-1):
     ``(t, mean, variance, p)`` with ``t = orient * (D.T @ assignment)``."""
     t = orient * (D.T @ assignment)
-    mean, variance = null_moments(D, gamma)
+    mean, variance = _null_moments(D, gamma)
     return t, mean, variance, pvalue_normal(t, mean, variance)
 
 
@@ -260,6 +252,7 @@ def score_test(sample, score="pseudo", tau=None, gamma=1.0, method="normal",
     if method not in ("normal", "exact", "montecarlo"):
         raise ValueError(f"method must be normal, exact or montecarlo, got {method!r}")
     scores = pair_differences(sample, score, tau)
+    tau = None if tau is None else check_tau(tau)
     t, mu_plus, variance, p = _column_tests(scores, sample.assignment, gamma, sign)
     if method == "exact":
         p = pvalue_exact(scores, t, gamma)
@@ -334,7 +327,7 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     _check_dim(D.shape[1])
     m = float((orient * (D.T @ assignment) / sigma).max())
     # the oriented columns have the same |D|, hence the same moments
-    mean, variance = null_moments(D, gamma)
+    mean, variance = _null_moments(D, gamma)
     limits = (m * sigma - mean) / np.sqrt(variance)
     # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
     # the max's tail lies between the largest column tail and their sum
@@ -370,12 +363,13 @@ def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
     p-value stays below alpha on the whole range.  Each step is decided
     from the column-tail bounds of the max test when one of them settles
     ``p <= alpha``, and otherwise from an MVN integration (error tolerance
-    ``mvn_tol``, QMC seed ``seed``) stopped once its error bar settles it;
-    a step can go the other way than with the fully integrated p only
-    when that p lies within a few error estimates of alpha.
+    ``mvn_tol``, QMC seed ``seed``, a whole number >= 0) stopped once its
+    error bar settles it; a step can go the other way than with the fully
+    integrated p only when that p lies within a few error estimates of
+    alpha.
     """
     sign = _sign("pseudo", direction)
-    alpha, tol = check_alpha(alpha), check_tol(tol, "tol")
+    alpha, tol, seed = check_alpha(alpha), check_tol(tol, "tol"), check_seed(seed)
     gamma_max, mvn_tol = check_gamma(gamma_max), check_tol(mvn_tol, "mvn_tol")
     return _search(lambda g, alpha: _max_test_from_columns(
         diff.D, diff.sigma, diff.assignment, g, "normal", sign,

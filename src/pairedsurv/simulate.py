@@ -21,11 +21,11 @@ import numpy as np
 
 from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
-from .mvnorm import check_tol
+from .mvnorm import _is_real, check_tol
 from .overall import as_grid, diff_matrix
 from .scores import _sign
-from .sensitivity import (_column_tests, _is_real, _max_test_from_columns, check_alpha,
-                          check_gamma, check_seed, check_whole)
+from .sensitivity import (_column_tests, _max_test_from_columns, check_alpha, check_gamma,
+                          check_seed, check_whole)
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate
@@ -40,6 +40,8 @@ ETA = {
     "late_div": (-0.14, 0.0, 0.15),
 }
 SCENARIO_IDS = tuple(ETA)
+# the fewest pairs and replications a study takes, from a config or a flag
+MIN_PAIRS, MIN_REPLICATIONS = 2, 1
 _SCENARIO_CODE = {sid: i for i, sid in enumerate(SCENARIO_IDS)}
 
 # Frozen calibrate_b output (target 0.25, tol 0.005, probe_i=200000,
@@ -85,7 +87,7 @@ class ScenarioSpec:
                              f"got {self.b!r}")
 
 
-def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
+def _sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
     """Invert the cumulative hazard at ``-log(u)``.
 
     With time slope k and base rate r = LAM * exp(x + intercept) the
@@ -93,30 +95,23 @@ def sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
     cumulative hazard never reaches -log(u) come back as +inf (they are
     administratively censored downstream).
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(uniform_draw, dtype=float)
-    target = -np.log(u)
+    target = -np.log(uniform_draw)
     slope_z, intercept_z, slope_common = ETA[spec.id]
     k = slope_z * z + slope_common
     r = LAM * np.exp(x + intercept_z * z)
     if k == 0.0:
-        out = target / r
-    else:
-        arg = 1.0 + k * target / r
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(arg > 0.0, np.log(np.maximum(arg, 1e-300)) / k, np.inf)
-    return float(out) if out.ndim == 0 else out
+        return target / r
+    arg = 1.0 + k * target / r
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(arg > 0.0, np.log(np.maximum(arg, 1e-300)) / k, np.inf)
 
 
-def sample_censoring_time(x, spec: ScenarioSpec, uniform_draw):
+def _sample_censoring_time(x, spec: ScenarioSpec, uniform_draw):
     """Exponential censoring draw at rate LAM/b (times exp(x) if covariate-dependent)."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(uniform_draw, dtype=float)
     rate = LAM / spec.b
     if spec.censoring_form == "covariate_dependent":
         rate = rate * np.exp(x)
-    out = -np.log(u) / rate
-    return float(out) if out.ndim == 0 else out
+    return -np.log(uniform_draw) / rate
 
 
 def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
@@ -134,9 +129,9 @@ def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
     u_cens = 1.0 - rng.random((n_pairs, 2))
     treat_first = rng.random(n_pairs) < 0.5
 
-    s1 = sample_survival_time(x, 1, spec, u_surv)
-    s0 = sample_survival_time(x, 0, spec, u_surv)
-    cens = sample_censoring_time(x, spec, u_cens)
+    s1 = _sample_survival_time(x, 1, spec, u_surv)
+    s0 = _sample_survival_time(x, 0, spec, u_surv)
+    cens = _sample_censoring_time(x, spec, u_cens)
 
     treated = np.column_stack((treat_first, ~treat_first))
     surv = np.where(treated, s1, s0)
@@ -147,7 +142,7 @@ def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
     return PairedSample(times, events, assignment)
 
 
-def nonadmin_censoring_rate(sample: PairedSample) -> float:
+def _nonadmin_censoring_rate(sample: PairedSample) -> float:
     """Fraction of units censored strictly before the administrative cutoff."""
     return float(np.mean(~sample.unit_events & (sample.unit_times < ADMIN_CUTOFF)))
 
@@ -166,7 +161,7 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
 
     def rate(b):
         probe = generate_pairs(probe_i, replace(spec, b=b), seed)
-        return nonadmin_censoring_rate(probe)
+        return _nonadmin_censoring_rate(probe)
 
     lo, hi = 1.01, 1e4
     r_lo, r_hi = rate(lo), rate(hi)
@@ -200,8 +195,8 @@ def _floats(values, name):
 
 # each field's conversion and check, called with the value and name='<field>'
 _FIELD_TYPES = {
-    "pairs": partial(check_whole, least=2),
-    "replications": partial(check_whole, least=1),
+    "pairs": partial(check_whole, least=MIN_PAIRS),
+    "replications": partial(check_whole, least=MIN_REPLICATIONS),
     "alpha": lambda v, name: check_alpha(_real(v, name)),
     "grid": _floats,
     "seed": check_seed,
@@ -356,7 +351,7 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     return PowerStudyResult(config=config, rows=rows)
 
 
-def design_sensitivity_study(config: StudyConfig):
+def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResult]:
     """Design sensitivities from one large sample per scenario.
 
     Moments are taken on benefit-oriented differences so a beneficial

@@ -7,11 +7,11 @@ from pairedsurv import (
     build_sample,
     diff_matrix,
     generate_pairs,
-    km_at,
     km_estimate,
 )
 from pairedsurv import _parallel, sensitivity
 from pairedsurv.closed import _subset_seed
+from pairedsurv.km import _coerce_units, _event_index, km_at
 from pairedsurv.mvnorm import _TINY
 from pairedsurv.overall import as_grid
 from pairedsurv.sensitivity import _max_test_from_columns, _tie_tol, check_gamma
@@ -86,6 +86,13 @@ def pseudo_blocks_oracle(t, e, index, taus, block=1 << 15):
 
 def simulated_sample(n_pairs=100, scenario="ph", seed=0, censoring_form="covariate_dependent"):
     return generate_pairs(n_pairs, ScenarioSpec(scenario, censoring_form=censoring_form), seed)
+
+
+def unit_scores(kernel, times, events):
+    """Scores of every unit from ``scores._logrank`` or ``scores._pw``, with the
+    input checks and the one sort ``pair_differences`` makes before it."""
+    t, e = _coerce_units(times, events)
+    return kernel(e, _event_index(t, e))
 
 
 def pseudo_observations_naive(times, events, tau):

@@ -28,12 +28,13 @@ from pairedsurv import (
     mvnorm,
     pair_differences,
     power_study,
-    pseudo_observations,
     pvalue_exact,
     pvalue_montecarlo,
     sensitivity_value,
     time_specific_test,
 )
+
+from pairedsurv.scores import pseudo_observations
 
 from conftest import five_pair_records, pseudo_observations_naive
 

@@ -515,6 +515,43 @@ def test_bad_config_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command, flag, text, least", [
+    ("simulate", "--pairs", "1", 2),
+    ("simulate", "--pairs", "2.5", 2),
+    ("simulate", "--replications", "0", 1),
+    ("simulate", "--replications", "x", 1),
+    ("design-sens", "--pairs", "-3", 2),
+    ("design-sens", "--pairs", "inf", 2),
+])
+def test_study_size_flags_checked_when_parsed(command, flag, text, least, tmp_path, capsys):
+    # a bad flag was reported as a bad config file: "bad config cfg.json:
+    # 'pairs' must be a whole number >= 2, got 1"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": ["ph"], "pairs": 40, "replications": 2}))
+    code, out, err = run([command, str(cfg), flag, text], capsys)
+    assert (code, out) == (4, "")
+    assert err == f"error: argument {flag}: '{text}' is not a whole number >= {least}\n"
+
+
+def test_study_size_flags_take_whole_floats(tmp_path, capsys):
+    # the config rule accepts 1000.0, so the flag does too (argparse's int refused it)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": ["ph"], "pairs": 40, "replications": 9,
+                               "grid": [2], "censoring_form": "covariate_free"}))
+    docs = {}
+    for command, flags in (("design-sens", ["--pairs", "1e3"]),
+                           ("simulate", ["--pairs", "50.0", "--replications", "2e0"])):
+        out_path = tmp_path / f"{command}.json"
+        code, _, _ = run([command, str(cfg), *flags, "--out", str(out_path)], capsys)
+        assert code == 0
+        docs[command] = json.loads(out_path.read_text())["result"]
+    assert docs["design-sens"]["results"][0]["sample_size"] == 1000
+    assert docs["design-sens"]["config"]["pairs"] == 1000
+    assert (docs["simulate"]["config"]["pairs"], docs["simulate"]["config"]["replications"]) \
+        == (50, 2)
+    assert {row["replications"] for row in docs["simulate"]["rows"]} == {2}
+
+
 @pytest.mark.parametrize("config, flags", [
     ({"scenarios": ["ph"], "replication": 2}, []),
     ({"scenarios": ["ph"], "pairs": 40, "replications": 0}, ["--replications", "2"]),

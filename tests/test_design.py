@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from pairedsurv import ScenarioSpec, design_sensitivities, diff_matrix, generate_pairs
+from pairedsurv import ScenarioSpec, diff_matrix, generate_pairs
+from pairedsurv.design import design_sensitivities
 
 # With both pairs treated first (V = 1), a column (d1, d2) has
 # E|d| = (|d1| + |d2|)/2, E(dV) = (d1 + d2)/2 and E d^2 = (d1^2 + d2^2)/2.

@@ -1,18 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from pairedsurv import (
-    event_table,
-    km_at,
-    km_estimate,
-    logrank_scores,
-    pseudo_observations,
-    pw_scores,
-)
-from pairedsurv.km import _event_index
+from pairedsurv import km_estimate
+from pairedsurv.km import _event_index, event_table, km_at
+from pairedsurv.scores import _logrank, _pw, pseudo_observations
 from pairedsurv.simulate import ADMIN_CUTOFF
 
-from conftest import event_index_oracle, random_units, simulated_sample
+from conftest import event_index_oracle, random_units, simulated_sample, unit_scores
+
+SCORES = [partial(unit_scores, _logrank), partial(unit_scores, _pw)]
 
 
 def test_two_events_half():
@@ -54,8 +52,8 @@ def test_pooled_tied_events_single_step():
     assert curve.values[0] == pytest.approx(1 / 3)
 
 
-@pytest.mark.parametrize("fn", [km_estimate, event_table, logrank_scores, pw_scores],
-                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [km_estimate, event_table, *SCORES],
+                         ids=["km_estimate", "event_table", "logrank_scores", "pw_scores"])
 def test_empty_raises(fn):
     # event_table makes both checks for every function built on it
     with pytest.raises(ValueError, match="no units supplied"):
@@ -64,7 +62,7 @@ def test_empty_raises(fn):
         fn([1.0, 2.0], [True])
 
 
-@pytest.mark.parametrize("fn", [km_estimate, event_table, logrank_scores, pw_scores,
+@pytest.mark.parametrize("fn", [km_estimate, event_table, *SCORES,
                                 lambda t, e: pseudo_observations(t, e, 1.0)],
                          ids=["km_estimate", "event_table", "logrank_scores", "pw_scores",
                               "pseudo_observations"])

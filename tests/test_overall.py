@@ -16,11 +16,9 @@ from pairedsurv import (
     closed_test,
     correlations,
     diff_matrix,
-    event_table,
     generate_pairs,
     max_test,
     mvnorm,
-    null_moments,
     overall_test,
     pair_differences,
     power_study,
@@ -28,8 +26,9 @@ from pairedsurv import (
     time_specific_test,
 )
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning
+from pairedsurv.km import event_table
 from pairedsurv.overall import as_grid
-from pairedsurv.sensitivity import _max_test_from_columns
+from pairedsurv.sensitivity import _max_test_from_columns, _null_moments
 from pairedsurv.simulate import SCENARIO_IDS
 
 from conftest import count_mvn_calls, record_decision_integrations, simulated_sample
@@ -243,7 +242,7 @@ def test_tiny_max_tail_stays_inside_its_bound():
     grid = (1.0, 2.0, 3.0, 4.0, 5.0)
     res = overall_test(sample, grid)
     diff = diff_matrix(sample, grid)
-    mean, variance = null_moments(diff.D, 1.0)
+    mean, variance = _null_moments(diff.D, 1.0)
     tails = ndtr(-(res.statistic * diff.sigma - mean) / np.sqrt(variance))
     assert 0.0 < tails.max() <= res.p_value <= tails.sum()
     one = overall_test(sample, (3.0,)).p_value
@@ -258,7 +257,7 @@ def _column_tail_bounds(args):
     D, sigma, assignment, gamma = args[:4]
     low = _max_test_from_columns(*args, alpha=0.0)[1]
     high = _max_test_from_columns(*args, alpha=1.0)[1]
-    mean, variance = null_moments(D, gamma)
+    mean, variance = _null_moments(D, gamma)
     m = np.max(args[5] * (D.T @ assignment) / sigma)
     tails = ndtr(-(m * sigma - mean) / np.sqrt(variance))
     assert low == pytest.approx(tails.max(), rel=1e-12)

@@ -1,4 +1,6 @@
 import ast
+import inspect
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -41,3 +43,46 @@ def test_no_import_inside_a_function_and_no_cycle_through_sensitivity():
                 parts.update(alias.name.split("."))
     assert "scores" in parts
     assert not parts & {"overall", "closed"}
+
+
+ROOT = Path(pairedsurv.__file__).resolve().parents[2]
+
+
+def _user_sources():
+    """The CLI, the demos, README and the benchmark: the code and text that
+    reach the library from outside it and its tests."""
+    paths = [ROOT / "src" / "pairedsurv" / "cli.py", ROOT / "README.md",
+             *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+    return {path.name: path.read_text(encoding="utf-8") for path in paths}
+
+
+def _python_blocks(markdown):
+    return re.findall(r"```python\n(.*?)```", markdown, flags=re.S)
+
+
+def test_public_surface_is_what_users_reach():
+    sources = _user_sources()
+    public = {name: getattr(pairedsurv, name) for name in pairedsurv.__all__}
+    functions = {name: obj for name, obj in public.items() if inspect.isfunction(obj)}
+    classes = {name for name, obj in public.items() if inspect.isclass(obj)}
+    assert set(functions) | classes == set(public)
+    # every function is named where users call the library
+    assert [name for name in functions
+            if not any(re.search(rf"\b{name}\b", text) for text in sources.values())] == []
+    # every class is a type those functions return or take (annotations are
+    # strings under ``from __future__ import annotations``)
+    typed = set()
+    for fn in functions.values():
+        for annotation in fn.__annotations__.values():
+            typed.update(re.findall(r"\w+", str(annotation)))
+    assert sorted(classes - typed) == []
+    # the demos and README's quick start import only public names
+    snippets = [text for name, text in sources.items()
+                if name.endswith(".py") and (ROOT / "demos" / name).is_file()]
+    snippets += _python_blocks(sources["README.md"])
+    imported = set()
+    for snippet in snippets:
+        for node in ast.walk(ast.parse(snippet)):
+            if isinstance(node, ast.ImportFrom) and node.module == "pairedsurv":
+                imported.update(alias.name for alias in node.names)
+    assert imported and sorted(imported - set(public)) == []

@@ -1,24 +1,17 @@
 import numpy as np
 import pytest
 
-from pairedsurv import (
-    PairedSample,
-    km_at,
-    km_estimate,
-    logrank_scores,
-    pair_differences,
-    pseudo_observations,
-    pw_scores,
-    time_specific_test,
-)
-from pairedsurv.km import _event_index
-from pairedsurv.scores import SCORE_KINDS, _pseudo_tables, _sign, pair_difference_matrix
+from pairedsurv import PairedSample, km_estimate, pair_differences, time_specific_test
+from pairedsurv.km import _event_index, km_at
+from pairedsurv.scores import (SCORE_KINDS, _logrank, _pseudo_tables, _pw, _sign,
+                               pair_difference_matrix, pseudo_observations)
 
 from conftest import (
     pseudo_blocks_oracle,
     pseudo_observations_naive,
     pw_scores_naive,
     random_units,
+    unit_scores,
 )
 
 
@@ -120,7 +113,7 @@ def test_tables_equal_block_oracle_bytes(times, events):
         pseudo.setdefault(l, []).append(q)
         q = 1.0 - q
         expected[units.start // 2:units.stop // 2, l] = q[0::2] - q[1::2]
-    q = pw_scores(t, e)
+    q = unit_scores(_pw, t, e)
     expected[:, -1] = -(q[0::2] - q[1::2])
     sample = PairedSample(t.reshape(-1, 2), e.reshape(-1, 2), np.ones(t.size // 2))
     for include_pw, want in ((False, expected[:, :-1]), (True, expected)):
@@ -186,11 +179,11 @@ def test_bad_tau_rejected(tau):
 # -- log-rank and Prentice-Wilcoxon scores --------------------------------
 
 def test_logrank_single_uncensored_zero():
-    assert logrank_scores([3.0], [True]).tolist() == [0.0]
+    assert unit_scores(_logrank, [3.0], [True]).tolist() == [0.0]
 
 
 def test_logrank_hand_example():
-    q = logrank_scores([1.0, 2.0], [True, False])
+    q = unit_scores(_logrank, [1.0, 2.0], [True, False])
     np.testing.assert_allclose(q, [-0.5, 0.5])
 
 
@@ -199,15 +192,15 @@ def test_logrank_zero_sum_all_events():
     for _ in range(20):
         n = int(rng.integers(1, 80))
         t = rng.exponential(2.0, n).round(int(rng.integers(0, 2)))
-        assert logrank_scores(t, np.ones(n, bool)).sum() == pytest.approx(0.0, abs=1e-10)
+        assert unit_scores(_logrank, t, np.ones(n, bool)).sum() == pytest.approx(0.0, abs=1e-10)
 
 
 def test_pw_single_uncensored_zero():
-    assert pw_scores([3.0], [True]).tolist() == [0.0]
+    assert unit_scores(_pw, [3.0], [True]).tolist() == [0.0]
 
 
 def test_pw_hand_example():
-    q = pw_scores([1.0, 2.0], [True, True])
+    q = unit_scores(_pw, [1.0, 2.0], [True, True])
     np.testing.assert_allclose(q, [-1 / 3, 1 / 3])
 
 
@@ -223,7 +216,7 @@ PW_CASES = {
 
 @pytest.mark.parametrize("times, events", PW_CASES.values(), ids=PW_CASES.keys())
 def test_pw_scores_match_naive(times, events):
-    np.testing.assert_allclose(pw_scores(times, events), pw_scores_naive(times, events),
+    np.testing.assert_allclose(unit_scores(_pw, times, events), pw_scores_naive(times, events),
                                rtol=0, atol=1e-12)
 
 
@@ -231,7 +224,7 @@ def test_pw_scores_bounded():
     rng = np.random.default_rng(17)
     for _ in range(30):
         t, e = random_units(rng)
-        q = pw_scores(t, e)
+        q = unit_scores(_pw, t, e)
         assert np.all(q >= -1.0) and np.all(q <= 1.0)
 
 
@@ -239,8 +232,8 @@ def test_scores_grow_with_survival_time():
     # uncensored: both classical scores order units by time
     t = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
     e = np.ones(5, bool)
-    assert np.all(np.diff(logrank_scores(t, e)) > 0)
-    assert np.all(np.diff(pw_scores(t, e)) > 0)
+    assert np.all(np.diff(unit_scores(_logrank, t, e)) > 0)
+    assert np.all(np.diff(unit_scores(_pw, t, e)) > 0)
 
 
 # -- pair differences ------------------------------------------------------
@@ -273,8 +266,8 @@ def test_identical_pair_difference_zero():
 def test_pair_differences_are_unit_score_differences(five_pairs):
     t, e = five_pairs.unit_times, five_pairs.unit_events
     for kind, tau, q in (("pseudo", 2.0, 1.0 - pseudo_observations(t, e, 2.0)),
-                         ("logrank", None, logrank_scores(t, e)),
-                         ("pw", None, pw_scores(t, e))):
+                         ("logrank", None, unit_scores(_logrank, t, e)),
+                         ("pw", None, unit_scores(_pw, t, e))):
         np.testing.assert_array_equal(pair_differences(five_pairs, kind, tau),
                                       q[0::2] - q[1::2])
 

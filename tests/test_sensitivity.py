@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from pairedsurv import (
     generate_pairs,
     max_test,
     mvn_cdf,
-    null_moments,
     overall_test,
     pair_differences,
     pvalue_exact,
@@ -29,7 +29,8 @@ from pairedsurv import (
 from pairedsurv import sensitivity
 from pairedsurv.cli import main
 from pairedsurv.errors import DegenerateColumnWarning
-from pairedsurv.sensitivity import _column_tests, _search
+from pairedsurv.overall import as_grid
+from pairedsurv.sensitivity import _column_tests, _null_moments, _search, check_alpha
 
 from conftest import fix_workers, montecarlo_one_shot, simulated_sample
 
@@ -74,27 +75,27 @@ def test_t_statistic_arithmetic():
 
 
 def test_null_moments_randomization_case():
-    mean, var = null_moments(np.array([1.0, -2.0, 0.5]), gamma=1.0)
+    mean, var = _null_moments(np.array([1.0, -2.0, 0.5]), gamma=1.0)
     assert mean == 0.0
     assert var == pytest.approx(1.0 + 4.0 + 0.25)
 
 
 def test_null_moments_hand_example():
-    mean, var = null_moments(np.array([1.0, 1.0]), gamma=3.0)
+    mean, var = _null_moments(np.array([1.0, 1.0]), gamma=3.0)
     assert mean == pytest.approx(1.0)
     assert var == pytest.approx(1.5)
 
 
 def test_null_moments_gamma_limit():
     d = np.array([0.3, -0.7, 1.1])
-    mean, var = null_moments(d, gamma=1e9)
+    mean, var = _null_moments(d, gamma=1e9)
     assert mean == pytest.approx(np.abs(d).sum(), rel=1e-6)
     assert var == pytest.approx(0.0, abs=1e-6)
 
 
 def test_gamma_below_one_rejected():
     with pytest.raises(ValueError):
-        null_moments(np.array([1.0]), gamma=0.9)
+        _null_moments(np.array([1.0]), gamma=0.9)
 
 
 # -- normal tail -----------------------------------------------------------
@@ -189,7 +190,7 @@ def _oracle_cases():
         d = rng.normal(size=size).round(digits)
         d[rng.random(size) < 0.2] = 0.0
         gamma = float(rng.choice([1.0, 1.25, 3.0]))
-        mean, variance = null_moments(d, gamma)
+        mean, variance = _null_moments(d, gamma)
         t = round(mean + rng.uniform(-2.0, 2.0) * math.sqrt(variance), digits)
         n_draws = int(rng.choice([1, 2, int(rng.integers(3, 20_000))]))
         yield d, t, gamma, n_draws, case
@@ -224,11 +225,13 @@ def test_montecarlo_refuses_generator_seed(make_seed):
         lambda seed: pvalue_montecarlo([0.3, -0.2, 0.5], 0.1, n_draws=100, seed=seed),
         lambda seed: mvn_cdf([0.5, 0.5], [[1.0, 0.3], [0.3, 1.0]], seed=seed),
         lambda seed: mvn_cdf([0.5], [[1.0]], seed=seed),
-        lambda seed: max_test(diff_matrix(sample, (1.0, 2.0, 3.0)), seed=seed),
         lambda seed: generate_pairs(10, ScenarioSpec("ph"), seed),
     ):
         with pytest.raises(TypeError):
             call(make_seed())
+    # a max test's QMC seed is a whole number, checked on entry
+    with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
+        max_test(diff_matrix(sample, (1.0, 2.0, 3.0)), seed=make_seed())
 
 
 def _all_degenerate(sample):
@@ -263,6 +266,57 @@ def test_bad_argument_refused_whatever_the_path(call, why):
     sample = simulated_sample(40, "no_effect", seed=13)
     with pytest.raises(ValueError, match=why):
         call(sample)
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda s: max_test(diff_matrix(s, (1.0, 2.0, 3.0)), gamma=True),
+     "gamma must be a finite real >= 1, got True"),
+    (lambda s: max_test(diff_matrix(s, (1.0, 2.0, 3.0)), gamma="1.5"),
+     "gamma must be a finite real >= 1, got '1.5'"),
+    (lambda s: check_alpha("0.05"), "alpha must lie in (0, 1), got '0.05'"),
+    (lambda s: closed_test(diff_matrix(s, (1.0, 2.0)), alpha=np.True_),
+     "alpha must lie in (0, 1), got np.True_"),
+    (lambda s: max_test(diff_matrix(s, (1.0, 2.0)), tol=True),
+     "tol must be > 0 and finite, got True"),
+    (lambda s: score_test(s, "pseudo", True), "tau must be >= 0, got True"),
+    (lambda s: score_test(s, "pseudo", "3"), "tau must be >= 0, got '3'"),
+    (lambda s: as_grid(["1", "2"]), "grid times must be real numbers, got ['1', '2']"),
+    (lambda s: diff_matrix(s, [True]), "grid times must be real numbers, got [True]"),
+    (lambda s: diff_matrix(s, np.array([1.0, 2.0]) > 0),
+     "grid times must be real numbers"),
+], ids=["bool gamma", "string gamma", "string alpha", "numpy bool alpha", "bool tol",
+        "bool tau", "string tau", "string grid", "bool grid", "numpy bool grid"])
+def test_real_valued_rules_refuse_bools_and_strings(call, why):
+    # float() turned each of these into a number: gamma=True ran at 1,
+    # gamma="1.5" at 1.5, and as_grid(["1", "2"]) gave (1.0, 2.0)
+    sample = simulated_sample(40, "ph", seed=13)
+    with pytest.raises(ValueError, match=re.escape(why)):
+        call(sample)
+
+
+def test_score_test_records_the_checked_tau():
+    sample = simulated_sample(40, "ph", seed=13)
+    for tau in (3, np.int64(3), 3.0):
+        res = score_test(sample, "pseudo", tau)
+        assert type(res.tau) is float and res.tau == 3.0
+        assert res == score_test(sample, "pseudo", 3.0)
+    assert score_test(sample, "pw").tau is None
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: max_test(_all_degenerate(s), seed=1.5),
+    lambda s: max_test(diff_matrix(s, (1.0, 2.0, 3.0)), seed=1.5),
+    lambda s: max_test(diff_matrix(s, [3.0]), seed=True),
+    lambda s: overall_test(s, (1.0, 2.0, 3.0), seed=-1),
+    lambda s: sensitivity_value(diff_matrix(s, [3.0]), seed=1.5),
+    lambda s: sensitivity_value(diff_matrix(s, (1.0, 2.0, 3.0)), seed=[1, 2]),
+], ids=["degenerate max_test", "three-column max_test", "bool seed", "overall_test",
+        "one-column sensitivity_value", "sequence seed"])
+def test_qmc_seed_checked_on_entry(call):
+    # a seed reached numpy only when the call integrated: p = 1 on degenerate
+    # columns and a value from one column, numpy's TypeError on three
+    with pytest.raises(ValueError, match="seed must be a whole number >= 0, got"):
+        call(simulated_sample(40, "ph", seed=13))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -418,7 +472,7 @@ def test_tied_pairs_inert():
     gamma = 1.4
     t = float(d @ sample.assignment)
     assert float(padded_d @ assignment) == pytest.approx(t, abs=1e-12)
-    assert null_moments(d, gamma) == pytest.approx(null_moments(padded_d, gamma),
+    assert _null_moments(d, gamma) == pytest.approx(_null_moments(padded_d, gamma),
                                                    rel=1e-14)
     assert pvalue_exact(d, t, gamma) == pytest.approx(
         pvalue_exact(padded_d, t, gamma), abs=1e-12

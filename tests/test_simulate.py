@@ -11,21 +11,18 @@ import pairedsurv
 from pairedsurv import (
     ScenarioSpec,
     StudyConfig,
-    calibrate_b,
     design_sensitivity_study,
     diff_matrix,
     generate_pairs,
-    nonadmin_censoring_rate,
     overall_test,
     power_study,
     score_test,
-    sample_censoring_time,
-    sample_survival_time,
     sensitivity_value,
     time_specific_test,
 )
 from pairedsurv.errors import DegenerateColumnWarning
-from pairedsurv.simulate import DEFAULT_B, ETA, LAM, _rep_seed
+from pairedsurv.simulate import (DEFAULT_B, ETA, LAM, _nonadmin_censoring_rate, _rep_seed,
+                                 _sample_censoring_time, _sample_survival_time, calibrate_b)
 
 from conftest import count_mvn_calls
 
@@ -58,7 +55,7 @@ def test_exponential_mean_no_effect():
     spec = ScenarioSpec("no_effect")
     rng = np.random.default_rng(0)
     u = 1.0 - rng.random(1_000_000)
-    s = sample_survival_time(0.0, 0, spec, u)
+    s = _sample_survival_time(0.0, 0, spec, u)
     assert s.mean() == pytest.approx(5.0, rel=0.01)
 
 
@@ -70,7 +67,7 @@ def test_inversion_matches_adaptive_quadrature():
             x = float(rng.normal())
             z = int(rng.integers(2))
             u = float(rng.uniform(0.02, 0.98))
-            s = sample_survival_time(x, z, spec, u)
+            s = _sample_survival_time(x, z, spec, u)
             cum, _ = quad(lambda v: hazard(spec, v, x, z), 0.0, s, limit=200)
             assert cum == pytest.approx(-np.log(u), abs=1e-8)
 
@@ -86,7 +83,7 @@ def test_inversion_matches_simpson_at_scale():
         z = rng.integers(2, size=n).astype(float)
         u = rng.uniform(0.02, 0.98, n)
         s = np.asarray([
-            sample_survival_time(x[i], int(z[i]), spec, u[i]) for i in range(n)
+            _sample_survival_time(x[i], int(z[i]), spec, u[i]) for i in range(n)
         ])
         ok = np.isfinite(s) & (s <= 10.0)
         xs, zs, ss = x[ok], z[ok], s[ok]
@@ -105,7 +102,7 @@ def test_censoring_exponential_mean():
     spec = ScenarioSpec("no_effect", b=2.0, censoring_form="covariate_free")
     rng = np.random.default_rng(2)
     u = 1.0 - rng.random(1_000_000)
-    c = sample_censoring_time(0.0, spec, u)
+    c = _sample_censoring_time(0.0, spec, u)
     assert c.mean() == pytest.approx(1.0 / 0.1, rel=0.01)
 
 
@@ -113,16 +110,16 @@ def test_censoring_forms_coincide_at_x_zero():
     dep = ScenarioSpec("ph", b=3.0)
     free = ScenarioSpec("ph", b=3.0, censoring_form="covariate_free")
     u = np.linspace(0.05, 0.95, 11)
-    np.testing.assert_allclose(sample_censoring_time(0.0, dep, u),
-                               sample_censoring_time(0.0, free, u))
+    np.testing.assert_allclose(_sample_censoring_time(0.0, dep, u),
+                               _sample_censoring_time(0.0, free, u))
 
 
 def test_censoring_stochastically_larger_with_b():
     spec_small = ScenarioSpec("ph", b=1.5)
     spec_big = ScenarioSpec("ph", b=5.0)
     u = np.linspace(0.05, 0.95, 19)
-    assert np.all(sample_censoring_time(0.3, spec_big, u)
-                  > sample_censoring_time(0.3, spec_small, u))
+    assert np.all(_sample_censoring_time(0.3, spec_big, u)
+                  > _sample_censoring_time(0.3, spec_small, u))
 
 
 def test_generate_deterministic():
@@ -168,8 +165,8 @@ def test_covariate_free_censoring_independent_of_survival():
     rng = np.random.default_rng(5)
     n = 100_000
     x = rng.standard_normal(n)
-    s = sample_survival_time(x, 0, spec, 1.0 - rng.random(n))
-    c = sample_censoring_time(x, spec, 1.0 - rng.random(n))
+    s = _sample_survival_time(x, 0, spec, 1.0 - rng.random(n))
+    c = _sample_censoring_time(x, spec, 1.0 - rng.random(n))
     r = np.corrcoef(s, c)[0, 1]
     assert abs(r) <= 3.0 / np.sqrt(n)
 
@@ -178,7 +175,7 @@ def test_calibrate_b_reprobe():
     spec = ScenarioSpec("crossing")
     b, rate = calibrate_b(spec, target_rate=0.25, tol=0.005, seed=10, probe_i=40_000)
     assert abs(rate - 0.25) <= 0.005
-    fresh = nonadmin_censoring_rate(
+    fresh = _nonadmin_censoring_rate(
         generate_pairs(40_000, ScenarioSpec("crossing", b=b), 999)
     )
     se = np.sqrt(0.25 * 0.75 / 80_000)
@@ -200,7 +197,7 @@ def test_calibrate_b_reproduces_default_b(key):
 def test_calibration_rate_monotone_in_b():
     spec = ScenarioSpec("ph")
     rates = [
-        nonadmin_censoring_rate(generate_pairs(30_000, ScenarioSpec("ph", b=b), 7))
+        _nonadmin_censoring_rate(generate_pairs(30_000, ScenarioSpec("ph", b=b), 7))
         for b in (1.2, 2.0, 4.0, 8.0)
     ]
     assert all(b < a for a, b in zip(rates, rates[1:]))
@@ -218,7 +215,7 @@ def test_frozen_default_b_reproduce_quarter():
     for sid in ETA:
         for form in ("covariate_dependent", "covariate_free"):
             spec = ScenarioSpec(sid, censoring_form=form)
-            rate = nonadmin_censoring_rate(generate_pairs(60_000, spec, 17))
+            rate = _nonadmin_censoring_rate(generate_pairs(60_000, spec, 17))
             assert rate == pytest.approx(0.25, abs=0.012)
 
 
