@@ -32,13 +32,12 @@ import numpy as np
 from . import __version__
 from .closed import closed_test
 from .data import load_csv
-from .errors import AccuracyNotReached
+from .errors import (AccuracyNotReached, as_grid, check_alpha, check_draws, check_gamma,
+                     check_seed, check_tau, check_tol, check_whole)
 from .km import km_estimate
-from .mvnorm import check_tol
-from .overall import as_grid, diff_matrix, max_test
-from .scores import check_tau, pair_differences
-from .sensitivity import (check_alpha, check_draws, check_gamma, check_seed, check_whole,
-                          correlations, score_test, sensitivity_value)
+from .overall import diff_matrix, max_test
+from .scores import pair_differences
+from .sensitivity import correlations, score_test, sensitivity_value
 from .simulate import (MIN_PAIRS, MIN_REPLICATIONS, StudyConfig, design_sensitivity_study,
                        power_study)
 
@@ -67,7 +66,7 @@ def _checked(check, what):
     def parse(text):
         try:  # digits alone stay an exact int, so a long seed keeps every digit
             return check(int(text) if text.isdigit() else float(text))
-        except (OverflowError, ValueError):
+        except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
     return parse
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mvnorm import check_tol
+from .errors import check_alpha, check_gamma, check_seed, check_tol
 from .scores import _sign
-from .sensitivity import _max_test_from_columns, check_alpha, check_gamma, check_seed
+from .sensitivity import _max_test_from_columns
 
 
 @dataclass(frozen=True)

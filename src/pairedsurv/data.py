@@ -13,6 +13,8 @@ import csv
 
 import numpy as np
 
+from .errors import check_times
+
 
 class PairedSample:
     """Array-backed container for ``I`` matched pairs.
@@ -26,7 +28,7 @@ class PairedSample:
     """
 
     def __init__(self, times, events, assignment, pair_ids=None):
-        times = np.asarray(times, dtype=float)
+        times = check_times(times)
         events = np.asarray(events, dtype=bool)
         assignment = np.asarray(assignment, dtype=np.int64)
         if times.ndim != 2 or times.shape[1] != 2:
@@ -37,8 +39,6 @@ class PairedSample:
             raise ValueError("assignment must have shape (I,)")
         if times.shape[0] < 1:
             raise ValueError("a sample needs at least one pair")
-        if not np.all(np.isfinite(times)) or np.any(times < 0):
-            raise ValueError("all observed times must be finite and >= 0")
         if not np.all(np.abs(assignment) == 1):
             raise ValueError("assignment entries must be +1 or -1")
         if pair_ids is not None:

@@ -1,10 +1,21 @@
-"""Warning categories issued by the library.
+"""Input rules and warning categories: the library's refusal policy.
 
-Bad input raises a plain ``ValueError`` with a message; these two
-warnings are classes of their own because callers select them by
-category: the CLI turns ``AccuracyNotReached`` into exit code 3, and
-``DegenerateColumnWarning`` can be filtered on its own.
+Bad input raises a plain ``ValueError`` with a message.  Each rule for a
+value a caller chooses is written once, here, and other modules import the
+rules they run.  Every real-valued rule runs ``_check_real`` (``check_reals``
+for an array), which refuses bools, strings and numbers too large for a
+float.  The two warnings are classes of their own because callers select
+them by category: the CLI turns ``AccuracyNotReached`` into exit code 3,
+and ``DegenerateColumnWarning`` can be filtered on its own.
 """
+
+from __future__ import annotations
+
+import math
+import numbers
+from functools import partial
+
+import numpy as np
 
 
 class AccuracyNotReached(UserWarning):
@@ -13,3 +24,80 @@ class AccuracyNotReached(UserWarning):
 
 class DegenerateColumnWarning(UserWarning):
     """A degenerate grid column was dropped from a max-type statistic."""
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_real(value, within, rule) -> float:
+    """``value`` as a float: a real number, not a bool, for which ``within``
+    holds; else a ``ValueError`` saying ``rule``."""
+    try:
+        if _is_real(value) and within(value := float(value)):
+            return value
+    except OverflowError:  # a number too large for a float
+        pass
+    raise ValueError(f"{rule}, got {value!r}")
+
+
+def check_reals(values, rule) -> np.ndarray:
+    """``values`` as a float array of their shape, every entry a real number
+    ``_check_real`` takes; else a ``ValueError`` saying ``rule``.  A list is
+    read entry by entry: numpy would turn ``[True, 2.0]`` into floats."""
+    if not isinstance(values, (list, tuple)) and np.asarray(values).dtype.kind in "iuf":
+        return np.array(values, dtype=float)  # no bool, string or object in it
+    entries = np.asarray(values, dtype=object)
+    try:
+        floats = [_check_real(v, lambda v: True, rule) for v in entries.flat]
+    except ValueError:
+        raise ValueError(f"{rule}, got {values!r}") from None
+    return np.array(floats, dtype=float).reshape(entries.shape)
+
+
+def check_tol(value, name) -> float:
+    return _check_real(value, lambda v: 0.0 < v < math.inf, f"{name} must be > 0 and finite")
+
+
+def check_gamma(gamma) -> float:
+    return _check_real(gamma, lambda g: 1.0 <= g < math.inf, "gamma must be a finite real >= 1")
+
+
+def check_alpha(alpha) -> float:
+    return _check_real(alpha, lambda a: 0.0 < a < 1.0, "alpha must lie in (0, 1)")
+
+
+def check_tau(tau) -> float:
+    return _check_real(tau, lambda t: t >= 0.0, "tau must be >= 0")
+
+
+def check_whole(value, least, name) -> int:
+    """``value`` as an int: a number (not a bool), whole and >= ``least``."""
+    if (_is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
+            and value >= least):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+
+
+# the rules of a draw count and of a whole-number seed (every QMC seed a test,
+# a search or a study takes)
+check_draws = partial(check_whole, least=1, name="n_draws")
+check_seed = partial(check_whole, least=0, name="seed")
+
+
+def as_grid(grid) -> np.ndarray:
+    """Validated grid: strictly increasing positive real analysis times."""
+    taus = check_reals(grid, "grid times must be real numbers").reshape(-1)
+    if taus.size < 1:
+        raise ValueError("a time grid needs at least one tau")
+    if not np.all(taus > 0) or np.any(np.diff(taus) <= 0):
+        raise ValueError("grid times must be positive and strictly increasing")
+    return taus
+
+
+def check_times(times) -> np.ndarray:
+    """Observed times as a float array of their shape, every one finite and >= 0."""
+    t = np.asarray(times, dtype=float)
+    if t.size and not (t.min() >= 0.0 and t.max() < np.inf):  # NaN fails too
+        raise ValueError("times must be finite and >= 0")
+    return t

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_times
+
 
 def _coerce_units(times, events):
     """Flat float times (finite, >= 0) and boolean event flags of equal length."""
@@ -18,9 +20,7 @@ def _coerce_units(times, events):
     e = np.asarray(events, dtype=bool).reshape(-1)
     if t.shape != e.shape:
         raise ValueError("times and events must have equal length")
-    if t.size and not (t.min() >= 0.0 and t.max() < np.inf):  # NaN fails too
-        raise ValueError("times must be finite and >= 0")
-    return t, e
+    return check_times(t), e
 
 
 def _event_index(t, e):

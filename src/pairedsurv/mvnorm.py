@@ -20,20 +20,19 @@ bounds ``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
 Bonferroni sum.  A caller that only compares the CDF with a level may
 stop the doubling once the error bar puts the estimate on one side of it
 (``mvn_cdf``'s ``level``).  Results are deterministic for a given seed
-(entropy, never a stream to draw on).  ``check_tol`` is the tolerance rule,
-and ``_check_real`` the real-number test every real-valued input rule runs.
+(entropy, never a stream to draw on).  The module holds the integrator
+only, with ``mvn_cdf`` its one public function.
 """
 
 from __future__ import annotations
 
-import numbers
 import warnings
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from ._parallel import map_ranges
-from .errors import AccuracyNotReached
+from .errors import AccuracyNotReached, check_tol
 
 MAX_DIM = 25
 _MAX_POINTS = 2 ** 16  # lattice points per shift before AccuracyNotReached
@@ -42,24 +41,6 @@ _PIVOT_FLOOR = 1e-10
 _TINY = 1e-15
 _PIECE = 1024  # lattice indices per piece of the integrand's reused buffers
 _SPLIT = 2048  # fewest lattice indices per thread in a split block
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_real(value, within, rule) -> float:
-    """``value`` as a float: a real number, not a bool, for which ``within``
-    holds; else a ``ValueError`` saying ``rule``."""
-    if _is_real(value):
-        value = float(value)
-        if within(value):
-            return value
-    raise ValueError(f"{rule}, got {value!r}")
-
-
-def check_tol(value, name) -> float:
-    return _check_real(value, lambda v: 0.0 < v < np.inf, f"{name} must be > 0 and finite")
 
 
 def _check_dim(n):

@@ -9,7 +9,7 @@ whole-period comparison.  ``diff_matrix`` builds the columns of one
 sample once, with the sample's assignment, and warns about the
 degenerate ones; ``max_test`` tests a built matrix, as ``closed_test``
 and ``sensitivity_value`` do, and ``overall_test`` builds one and tests
-it.
+it; ``errors.as_grid`` checks every grid.
 """
 
 from __future__ import annotations
@@ -19,24 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateColumnWarning
-from .mvnorm import _is_real, check_tol
+from .errors import DegenerateColumnWarning, as_grid, check_gamma, check_seed, check_tol
 from .scores import _sign, pair_difference_matrix
-from .sensitivity import (TestResult, _max_test_from_columns, _normal_only, check_gamma,
-                          check_seed)
-
-
-def as_grid(grid) -> np.ndarray:
-    """Validated grid: strictly increasing positive real analysis times."""
-    taus = np.asarray(grid, dtype=object).reshape(-1)
-    if not all(map(_is_real, taus)):
-        raise ValueError(f"grid times must be real numbers, got {grid!r}")
-    taus = taus.astype(float)
-    if taus.size < 1:
-        raise ValueError("a time grid needs at least one tau")
-    if not np.all(taus > 0) or np.any(np.diff(taus) <= 0):
-        raise ValueError("grid times must be positive and strictly increasing")
-    return taus
+from .sensitivity import TestResult, _max_test_from_columns, _normal_only
 
 
 @dataclass(frozen=True)

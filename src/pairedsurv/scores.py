@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_tau
 from .km import _coerce_units, _event_index
-from .mvnorm import _check_real
 
 
 def _pseudo_tables(e, index, taus):
@@ -56,10 +56,6 @@ def _pseudo_tables(e, index, taus):
         return np.subtract(n * suffix[0], q, out=q).reshape(-1)
 
     return cut + prefix.size * e, map(table, tk.searchsorted(taus, side="right"))
-
-
-def check_tau(tau) -> float:
-    return _check_real(tau, lambda t: t >= 0.0, "tau must be >= 0")
 
 
 def pseudo_observations(times, events, tau):

@@ -13,63 +13,37 @@ the ``correlations`` of the columns, clamped into the column-tail bounds.
 ``score_test`` is the one test of a score vector (pseudo at tau, log-rank
 or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
 difference matrix; a one-column matrix gives the time-specific search.
-Each input rule (``check_gamma``, ``check_alpha``, ``check_whole`` with
-its ``check_draws`` and ``check_seed`` rules, ``mvnorm.check_tol``) is
-written once and run on entry to a public call, before any shortcut; the
-CLI parses its flags with the same checks.
+Each public call runs its inputs' ``errors`` rules on entry, before any
+shortcut, and the CLI parses its flags with the same rules.
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
 
 from ._parallel import map_ranges
-from .mvnorm import _check_dim, _check_real, _is_real, check_tol, mvn_cdf
-from .scores import _sign, check_tau, pair_differences
+from .errors import (_check_real, check_alpha, check_draws, check_gamma, check_reals,
+                     check_seed, check_tau, check_tol)
+from .mvnorm import _check_dim, mvn_cdf
+from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
 _SIGN_BUFFER = 1 << 18  # doubles in each Monte Carlo worker's reused sign buffer
 
 
-def check_gamma(gamma) -> float:
-    return _check_real(gamma, lambda g: 1.0 <= g < math.inf, "gamma must be a finite real >= 1")
-
-
-def check_alpha(alpha) -> float:
-    return _check_real(alpha, lambda a: 0.0 < a < 1.0, "alpha must lie in (0, 1)")
-
-
-def check_whole(value, least, name) -> int:
-    """``value`` as an int: a number (not a bool), whole and >= ``least``."""
-    if (_is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
-            and value >= least):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
-
-
-# the rules of a draw count and of a whole-number seed (every QMC seed a test,
-# a search or a study takes)
-check_draws = partial(check_whole, least=1, name="n_draws")
-check_seed = partial(check_whole, least=0, name="seed")
-
-
 def _tail_args(scores, t):
-    """Scores as a float array and ``t`` as a float, both finite.
+    """Scores as a float array and ``t`` as a float, all real and finite.
 
     A NaN compares false with everything, so it would read as the most
     significant tail.
     """
-    d = np.asarray(scores, dtype=float)
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
+    d = check_reals(scores, "scores must be real numbers")
+    t = _check_real(t, math.isfinite, "t must be finite")
     if not np.isfinite(d).all():
         raise ValueError("scores must be finite")
     return d, t
@@ -125,10 +99,10 @@ def pvalue_normal(t, mean, variance):
     Zero variance returns 1 when the statistic does not exceed the mean,
     else 0 (no dispersion means no evidence).  Array arguments give one
     p-value per element; scalars give a float.  Every argument must be
-    finite, as in the other tails.
+    real and finite, as in the other tails.
     """
-    t, mean, variance = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (t, mean, variance)))
+    t, mean, variance = np.broadcast_arrays(*(
+        check_reals(x, "t, mean and variance must be real numbers") for x in (t, mean, variance)))
     if not all(np.isfinite(x).all() for x in (t, mean, variance)):
         raise ValueError("t, mean and variance must be finite")
     if np.any(variance < 0):

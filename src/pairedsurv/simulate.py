@@ -21,11 +21,11 @@ import numpy as np
 
 from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
-from .mvnorm import _is_real, check_tol
-from .overall import as_grid, diff_matrix
+from .errors import (_check_real, as_grid, check_alpha, check_gamma, check_reals, check_seed,
+                     check_tol, check_whole)
+from .overall import diff_matrix
 from .scores import _sign
-from .sensitivity import (_column_tests, _max_test_from_columns, check_alpha, check_gamma,
-                          check_seed, check_whole)
+from .sensitivity import _column_tests, _max_test_from_columns
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate
@@ -64,7 +64,7 @@ DEFAULT_B = {
 class ScenarioSpec:
     """One data-generating process: hazard ``ETA[id]`` plus censoring model.
 
-    Every check on a scenario lives here; ``b`` defaults to ``DEFAULT_B``.
+    Every rule on a scenario runs here; ``b`` defaults to ``DEFAULT_B``.
     """
 
     id: str
@@ -78,13 +78,8 @@ class ScenarioSpec:
             raise ValueError(f"censoring_form must be one of {CENSORING_FORMS}")
         if self.b is None:
             object.__setattr__(self, "b", DEFAULT_B[(self.id, self.censoring_form)])
-        try:
-            ok = _is_real(self.b) and 1.0 < float(self.b) < math.inf
-        except OverflowError:  # an int too large for a float
-            ok = False
-        if not ok:
-            raise ValueError(f"'b' of {self.id!r} must be a number > 1 and finite, "
-                             f"got {self.b!r}")
+        _check_real(self.b, lambda b: 1.0 < b < math.inf,
+                    f"'b' of {self.id!r} must be a number > 1 and finite")
 
 
 def _sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
@@ -155,8 +150,8 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
     b, so the rate is exactly non-increasing in b and bisection is clean.
     Returns ``(b, achieved_rate)``.
     """
-    if not 0.0 < target_rate < 1.0:
-        raise ValueError("target rate must lie strictly between 0 and 1")
+    target_rate = _check_real(target_rate, lambda r: 0.0 < r < 1.0,
+                              "target rate must lie strictly between 0 and 1")
     tol = check_tol(tol, "tol")
 
     def rate(b):
@@ -182,15 +177,14 @@ def calibrate_b(spec: ScenarioSpec, target_rate=0.25, tol=0.005, seed=0,
 
 
 def _real(value, name):
-    if not _is_real(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    return _check_real(value, lambda v: True, f"{name} must be a number")
 
 
 def _floats(values, name):
-    if not (isinstance(values, (list, tuple)) and all(map(_is_real, values))):
-        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
-    return tuple(map(float, values))
+    rule = f"{name} must be a list of numbers"
+    if isinstance(values, (list, tuple)) and np.asarray(values, dtype=object).ndim == 1:
+        return tuple(check_reals(values, rule).tolist())
+    raise ValueError(f"{rule}, got {values!r}")
 
 
 # each field's conversion and check, called with the value and name='<field>'
@@ -225,12 +219,12 @@ class StudyConfig:
 
     def __post_init__(self):
         for key, convert in _FIELD_TYPES.items():
-            try:
-                object.__setattr__(self, key, convert(getattr(self, key), name=repr(key)))
-            except OverflowError as exc:  # an int too large for a float
-                raise ValueError(f"{key!r} {exc}") from None
+            object.__setattr__(self, key, convert(getattr(self, key), name=repr(key)))
         if not self.scenarios:
             raise ValueError("'scenarios' must list at least one scenario")
+        if len({s.censoring_form for s in self.scenarios}) > 1:  # a document names one
+            raise ValueError("'scenarios' must share one censoring_form, got "
+                             f"{[s.censoring_form for s in self.scenarios]}")
         if not self.gammas:
             raise ValueError("'gammas' must list at least one gamma")
         for key, values in (("scenarios", [s.id for s in self.scenarios]),

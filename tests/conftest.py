@@ -13,8 +13,8 @@ from pairedsurv import _parallel, sensitivity
 from pairedsurv.closed import _subset_seed
 from pairedsurv.km import _coerce_units, _event_index, km_at
 from pairedsurv.mvnorm import _TINY
-from pairedsurv.overall import as_grid
-from pairedsurv.sensitivity import _max_test_from_columns, _tie_tol, check_gamma
+from pairedsurv.errors import as_grid, check_gamma
+from pairedsurv.sensitivity import _max_test_from_columns, _tie_tol
 
 # Worked five-pair dataset: observed times / event flags in (i1, i2) order,
 # all first positions treated.

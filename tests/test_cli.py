@@ -24,10 +24,8 @@ from pairedsurv import (
 )
 from pairedsurv import cli, overall
 from pairedsurv.cli import build_parser, main
-from pairedsurv.mvnorm import check_tol
-from pairedsurv.overall import as_grid
-from pairedsurv.scores import check_tau
-from pairedsurv.sensitivity import check_alpha, check_draws, check_gamma, check_seed
+from pairedsurv.errors import (as_grid, check_alpha, check_draws, check_gamma, check_seed,
+                               check_tau, check_tol)
 
 from conftest import record_decision_integrations, simulated_sample
 

@@ -25,9 +25,8 @@ from pairedsurv import (
     score_test,
     time_specific_test,
 )
-from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning
+from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
 from pairedsurv.km import event_table
-from pairedsurv.overall import as_grid
 from pairedsurv.sensitivity import _max_test_from_columns, _null_moments
 from pairedsurv.simulate import SCENARIO_IDS
 

@@ -86,3 +86,38 @@ def test_public_surface_is_what_users_reach():
             if isinstance(node, ast.ImportFrom) and node.module == "pairedsurv":
                 imported.update(alias.name for alias in node.names)
     assert imported and sorted(imported - set(public)) == []
+
+
+def _rule_sites(path):
+    """Where ``path`` defines a ``check_*`` or ``as_grid`` name, imports
+    ``numbers`` or catches ``OverflowError``."""
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        names = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        sites += [f"defines {name}" for name in names
+                  if name.startswith("check_") or name == "as_grid"]
+        if isinstance(node, ast.Import):
+            sites += ["imports numbers" for alias in node.names if alias.name == "numbers"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            sites.append("imports numbers")
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            sites += ["catches OverflowError" for name in ast.walk(node.type)
+                      if isinstance(name, ast.Name) and name.id == "OverflowError"]
+    return sites
+
+
+def test_only_errors_defines_an_input_rule():
+    src = Path(pairedsurv.__file__).parent
+    sites = {path.name: _rule_sites(path) for path in sorted(src.glob("*.py"))}
+    assert {name: found for name, found in sites.items()
+            if found and name != "errors.py"} == {}
+    assert "catches OverflowError" in sites["errors.py"]
+    assert "defines as_grid" in sites["errors.py"]
+    # the span recorder counts every public mvnorm function as an MVN integration
+    tree = ast.parse((src / "mvnorm.py").read_text(encoding="utf-8"))
+    assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")] == ["mvn_cdf"]

@@ -28,9 +28,8 @@ from pairedsurv import (
 )
 from pairedsurv import sensitivity
 from pairedsurv.cli import main
-from pairedsurv.errors import DegenerateColumnWarning
-from pairedsurv.overall import as_grid
-from pairedsurv.sensitivity import _column_tests, _null_moments, _search, check_alpha
+from pairedsurv.errors import DegenerateColumnWarning, as_grid, check_alpha, check_gamma
+from pairedsurv.sensitivity import _column_tests, _null_moments, _search
 
 from conftest import fix_workers, montecarlo_one_shot, simulated_sample
 
@@ -292,6 +291,46 @@ def test_real_valued_rules_refuse_bools_and_strings(call, why):
     sample = simulated_sample(40, "ph", seed=13)
     with pytest.raises(ValueError, match=re.escape(why)):
         call(sample)
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda: pvalue_normal("1.5", 0, 1), "t, mean and variance must be real numbers, got '1.5'"),
+    (lambda: pvalue_normal(True, 0, 1), "t, mean and variance must be real numbers, got True"),
+    (lambda: pvalue_normal(0.5, [0.0, False], 1),
+     "t, mean and variance must be real numbers, got [0.0, False]"),
+    (lambda: pvalue_normal(0.5, 0.0, np.array(["1"])), "t, mean and variance must be real numbers"),
+    (lambda: pvalue_exact([1, 2, 0.5], "1.5"), "t must be finite, got '1.5'"),
+    (lambda: pvalue_exact([True, 2.0], 1.0), "scores must be real numbers, got [True, 2.0]"),
+    (lambda: pvalue_exact(np.array([1.0, 2.0]) > 0, 1.0), "scores must be real numbers"),
+    (lambda: pvalue_montecarlo(["1", 2], 1.0), "scores must be real numbers, got ['1', 2]"),
+    (lambda: pvalue_montecarlo([1.0, 2.0], True), "t must be finite, got True"),
+], ids=["string t", "bool t", "bool in a mean list", "string variance array", "string exact t",
+        "bool in exact scores", "bool exact scores array", "string Monte Carlo scores",
+        "bool Monte Carlo t"])
+def test_tails_refuse_bools_and_strings(call, why):
+    # numpy turned each into a number: pvalue_normal("1.5", 0, 1) gave 0.0668,
+    # pvalue_normal(True, 0, 1) 0.159 and pvalue_exact([1, 2, 0.5], "1.5") 0.375
+    with pytest.raises(ValueError, match=re.escape(why)):
+        call()
+
+
+def test_tails_take_numpy_and_python_numbers_alike():
+    p = pvalue_normal(1.5, 0.0, 1.0)
+    assert pvalue_normal(np.float64(1.5), np.int64(0), 1) == p
+    assert pvalue_normal([1.5, 1.5], np.zeros(2), (1, 1)).tolist() == [p, p]
+    assert pvalue_exact(np.array([1, 2]), np.float32(1.0)) == pvalue_exact([1.0, 2.0], 1.0)
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda: check_gamma(10 ** 400), "gamma must be a finite real >= 1, got 1000"),
+    (lambda: as_grid([1, 10 ** 400]), "grid times must be real numbers, got [1, 1000"),
+    (lambda: pvalue_normal(10 ** 400, 0, 1), "t, mean and variance must be real numbers, got 1000"),
+    (lambda: pvalue_exact([1.0, 2.0], 10 ** 400), "t must be finite, got 1000"),
+], ids=["gamma", "grid", "normal t", "exact t"])
+def test_rules_refuse_an_int_too_large_for_a_float(call, why):
+    # each raised OverflowError from float()
+    with pytest.raises(ValueError, match=re.escape(why)):
+        call()
 
 
 def test_score_test_records_the_checked_tau():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 from pathlib import Path
 
@@ -380,6 +381,39 @@ def test_study_config_checks_built_and_replaced_alike(change, field):
         StudyConfig(**{"scenarios": base.scenarios, **change})
     with pytest.raises(ValueError, match=field):
         dataclasses.replace(base, **change)
+
+
+def test_study_config_refuses_mixed_censoring_forms():
+    # to_dict writes one censoring_form, the first scenario's, so a config
+    # whose scenarios differed came back changed from its own document
+    mixed = (ScenarioSpec("ph", censoring_form="covariate_free"), ScenarioSpec("crossing"))
+    with pytest.raises(ValueError, match="'scenarios' must share one censoring_form, got "
+                                         r"\['covariate_free', 'covariate_dependent'\]"):
+        StudyConfig(scenarios=mixed)
+    base = StudyConfig(scenarios=mixed[:1], pairs=20, replications=1)
+    with pytest.raises(ValueError, match="'scenarios' must share one censoring_form"):
+        dataclasses.replace(base, scenarios=mixed)
+    assert StudyConfig.from_dict(base.to_dict()) == base
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"alpha": 10 ** 400}, "'alpha' must be a number, got 1000"),
+    ({"mvn_tol": 10 ** 400}, "'mvn_tol' must be a number, got 1000"),
+    ({"grid": (1.0, 10 ** 400)}, "'grid' must be a list of numbers, got (1.0, 1000"),
+    ({"gammas": [10 ** 400]}, "'gammas' must be a list of numbers, got [1000"),
+], ids=["alpha", "mvn_tol", "grid", "gammas"])
+def test_study_config_refuses_an_int_too_large_for_a_float(change, message):
+    # the message was "'alpha' int too large to convert to float", from a
+    # handler of the OverflowError that _check_real now refuses itself
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StudyConfig(scenarios=(ScenarioSpec("ph"),), **change)
+
+
+def test_calibrate_b_refuses_a_string_target():
+    # a TypeError from comparing a float with a str, before
+    with pytest.raises(ValueError, match="target rate must lie strictly between 0 and 1, "
+                                         "got '0.25'"):
+        calibrate_b(ScenarioSpec("ph"), target_rate="0.25")
 
 
 def test_study_config_round_trip(tmp_path):
