@@ -72,11 +72,15 @@ def check_tau(tau) -> float:
 
 
 def check_whole(value, least, name) -> int:
-    """``value`` as an int: a number (not a bool), whole and >= ``least``."""
-    if (_is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
-            and value >= least):
+    """``value`` as an int: a number (not a bool), whole and >= ``least``.
+    An integer is taken exactly, however large; any other number must pass
+    ``_check_real`` as a whole float."""
+    rule = f"{name} must be a whole number >= {least}"
+    if not (_is_real(value) and isinstance(value, numbers.Integral)):
+        _check_real(value, float.is_integer, rule)
+    if value >= least:
         return int(value)
-    raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    raise ValueError(f"{rule}, got {value!r}")
 
 
 # the rules of a draw count and of a whole-number seed (every QMC seed a test,

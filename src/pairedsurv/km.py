@@ -23,21 +23,53 @@ def _coerce_units(times, events):
     return check_times(t), e
 
 
+def _flat(index, width):
+    """``index`` as positions in a flat stack of rows ``width`` long: as it
+    is for one row (n,), plus ``width`` times its row for each row of a
+    stack (R, n)."""
+    return index if index.ndim == 1 else index + width * np.arange(len(index))[:, None]
+
+
 def _event_index(t, e):
     """``event_table``'s ``(tk, mk, nk)`` and each unit's ``cut``, the number
-    of event times <= its time, from one sort.  It need not be stable: ``m``
+    of event times <= its time, from one sort along the units of one sample
+    (``t``, ``e`` of shape (n,)) or of each row of a stack of samples (R, n).
+
+    A stack's tables are (R, K), K the most event times of a row; a row with
+    fewer is padded at its end with tk = inf, mk = 0 and nk = 2, where every
+    factor the score kernels take over event times ((n - m) / n,
+    (n - 1 - m) / (n - 1), (n - m + 1) / (n + 1)) is exactly 1, so every
+    product over a row keeps its bits.  The sort need not be stable: ``m``
     sums a tie group and its risk set starts at the group's first index.
     """
-    if t.size == 0:
+    n = t.shape[-1]
+    if n == 0:
         raise ValueError("no units supplied")
-    order = np.argsort(t)
-    ts = t[order]
-    first = np.flatnonzero(np.concatenate(([True], ts[1:] != ts[:-1])))  # tie groups
-    m = np.add.reduceat(e[order], first, dtype=np.int64)
+    order = _flat(np.argsort(t, axis=-1), n).reshape(-1)
+    ts = t.reshape(-1)[order]
+    first = np.concatenate(([True], ts[1:] != ts[:-1]))
+    first[::n] = True  # each row starts a tie group
+    first = np.flatnonzero(first)
+    m = np.add.reduceat(e.reshape(-1)[order], first, dtype=np.int64)
     keep = m > 0
-    cut = np.empty(ts.size, dtype=np.intp)
-    cut[order] = np.repeat(np.cumsum(keep), np.diff(first, append=ts.size))
-    return ts[first[keep]], m[keep], ts.size - first[keep], cut
+    starts = first[keep]  # each event time's first unit, flat in sorted order
+    # in sorted order, a unit's cut counts the event times starting at or before it
+    counted = np.zeros(ts.size, dtype=bool)
+    counted[starts] = True
+    ranks = np.cumsum(counted.reshape(t.shape), axis=-1)
+    cut = np.empty_like(ranks)
+    cut.reshape(-1)[order] = ranks.reshape(-1)
+    tables = ts[starts], m[keep], n - (starts % n if t.ndim > 1 else starts)
+    width = ranks[..., -1].max()
+    if ranks[..., -1].min() == width:  # no row is short: the tables are already rows
+        return (*(a.reshape(t.shape[:-1] + (width,)) for a in tables), cut)
+    dest = starts // n * width + ranks.reshape(-1)[starts] - 1
+    padded = []
+    for a, fill in zip(tables, (np.inf, 0, 2)):
+        out = np.full(t.shape[:-1] + (width,), fill, dtype=a.dtype)
+        out.reshape(-1)[dest] = a
+        padded.append(out)
+    return (*padded, cut)
 
 
 def event_table(times, events):

@@ -35,7 +35,9 @@ class DiffMatrix:
     reduction reads contiguous memory.  ``sigma[l] = sqrt(sum_i D[i, l]^2)``
     is computed from ``D`` when the matrix is built.  ``assignment`` is the
     sample's +-1 treatment indicator per pair, which every test of the
-    matrix reads.
+    matrix reads.  ``power_study`` holds a block of samples as one stack:
+    ``D`` (R, I, L), each ``D[r]`` laid out as one sample's, with
+    ``assignment`` (R, I) and ``sigma`` (R, L).
     """
 
     taus: np.ndarray
@@ -44,11 +46,11 @@ class DiffMatrix:
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", np.sqrt(np.sum(self.D ** 2, axis=0)))
+        object.__setattr__(self, "sigma", np.sqrt(np.sum(self.D ** 2, axis=-2)))
 
     @property
     def has_ppw(self) -> bool:
-        return self.D.shape[1] > len(self.taus)
+        return self.D.shape[-1] > len(self.taus)
 
     @property
     def labels(self) -> list:
@@ -71,11 +73,23 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     taus = as_grid(grid)
     diff = DiffMatrix(taus, pair_difference_matrix(sample, taus, include_pw=include_ppw),
                       sample.assignment)
-    dropped = [lab for lab, s in zip(diff.labels, diff.sigma) if s == 0.0]
-    if dropped:
-        warnings.warn(f"dropping degenerate grid columns {dropped}",
-                      DegenerateColumnWarning, stacklevel=2)
+    _warn_degenerate(_degenerate(diff.labels, diff.sigma))
     return diff
+
+
+def _degenerate(labels, sigma) -> list:
+    """The labels of the columns with zero dispersion, which the max-type
+    tests drop."""
+    return [lab for lab, s in zip(labels, sigma) if s == 0.0]
+
+
+def _warn_degenerate(dropped, sample=""):
+    """One ``DegenerateColumnWarning`` for the ``dropped`` labels, if any,
+    naming ``sample`` (the studies name their scenario and replications),
+    at the caller of the function that calls this one."""
+    if dropped:
+        warnings.warn(f"{sample}dropping degenerate grid columns {dropped}",
+                      DegenerateColumnWarning, stacklevel=3)
 
 
 def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResult:

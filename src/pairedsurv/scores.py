@@ -27,35 +27,53 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import check_tau
-from .km import _coerce_units, _event_index
+from .km import _coerce_units, _event_index, _flat
 
 
 def _pseudo_tables(e, index, taus):
     """``(code, tables)`` from ``index = _event_index(t, e)``: ``tables``
-    yields one array ``Q`` per tau, and unit u's pseudo-value at that tau is
-    ``Q[code[u]]``.  See ``pseudo_observations``.
+    yields one flat array ``Q`` per tau, and unit u's pseudo-value at that
+    tau is ``Q[code[u]]``.  See ``pseudo_observations``.  For a stack of
+    samples (``e`` of shape (R, n)) each row has its own table of 2P values,
+    P the most event times of a row plus 1, and ``code`` reads that row's.
     """
     tk, mk, nk, cut = index
-    n = e.size
+    n = e.shape[-1]
     # factors with one unit removed from the risk set; n_k == 1 is reached
     # only as a unit's own event, whose factor is f_own
     removed = np.where(nk > 1, nk - 1 - mk, 1.0) / np.maximum(nk - 1, 1.0)
-    prefix = np.concatenate(([1.0], np.cumprod(removed)))
+    ones = np.ones(tk.shape[:-1] + (1,))
+    prefix = np.concatenate((ones, np.cumprod(removed, axis=-1)), axis=-1)
     f_own = np.where(nk > 1, nk - mk, 1.0) / np.maximum(nk - 1, 1.0)
     # head[0, j] = prefix[j]; head[1, j] = prefix[j - 1] * f_own of the j-th
     # event time, for a unit whose own event that is
-    head = np.concatenate((prefix, [1.0], prefix[:-1] * f_own)).reshape(2, -1)
-    full = (nk - mk) / nk
+    size = prefix.shape[-1]
+    head = np.concatenate((prefix, ones, prefix[..., :-1] * f_own), axis=-1).reshape(-1, 2, size)
+    rows = len(head)
+    full = ((nk - mk) / nk).reshape(rows, size - 1)
+    ks = np.array([row.searchsorted(taus, side="right") for row in tk.reshape(rows, -1)])
+    tops = ks.max(axis=0)
 
-    def table(k):
-        suffix = np.concatenate((np.cumprod(full[:k][::-1])[::-1], [1.0]))
+    def table(k, top, even):
+        # k[r] event times of row r are <= tau; the work spans top + 1
+        # columns, top the largest k, and a row with fewer stops at its own k
+        f = full[:, :top] if even else np.where(np.arange(top) < k[:, None], full[:, :top], 1.0)
+        suffix = np.ones((rows, top + 1))
+        np.cumprod(f[:, ::-1], axis=-1, out=suffix[:, :top][:, ::-1])
         q = np.empty_like(head)  # leave-one-out estimates, then pseudo-values
-        np.multiply(head[:, :k + 1], suffix, out=q[:, :k + 1])
-        q[:, k + 1:] = q[0, k]  # prefix stopped at tau, no own event in it
+        np.multiply(head[..., :top + 1], suffix[:, None], out=q[..., :top + 1])
+        # past k: the prefix stopped at tau, no own event in it
+        if even:
+            q[..., top + 1:] = q[:, :1, top:top + 1]
+        else:
+            stop = head[np.arange(rows), 0, k][:, None, None]
+            q[..., top + 1:] = stop
+            np.copyto(q[..., :top + 1], stop, where=np.arange(top + 1) > k[:, None, None])
         q *= n - 1
-        return np.subtract(n * suffix[0], q, out=q).reshape(-1)
+        return np.subtract(n * suffix[:, :1, None], q, out=q).reshape(-1)
 
-    return cut + prefix.size * e, map(table, tk.searchsorted(taus, side="right"))
+    evens = (ks.min(axis=0) == tops).tolist()
+    return _flat(cut + size * e, 2 * size), map(table, ks.T, tops.tolist(), evens)
 
 
 def pseudo_observations(times, events, tau):
@@ -115,8 +133,32 @@ def _pw(e, index):
     """
     _, mk, nk, cut = index
     # J(Y_u) = j[cut_u]: J after each event time, 1 before the first
-    j = np.concatenate(([1.0], np.cumprod((nk - mk + 1.0) / (nk + 1.0))))
-    return 1.0 - (1.0 + e) * j[cut]
+    j = np.concatenate((np.ones(mk.shape[:-1] + (1,)),
+                        np.cumprod((nk - mk + 1.0) / (nk + 1.0), axis=-1)), axis=-1)
+    return 1.0 - (1.0 + e) * j.reshape(-1)[_flat(cut, j.shape[-1])]
+
+
+def _difference_stack(t, e, taus, include_pw=False):
+    """Pseudo pair differences at every tau of one sample's pooled units
+    (``t``, ``e`` of shape (n,)), (I, L), or of each row of a stack of
+    samples (R, n), (R, I, L), from one sort along the units.
+
+    Column l differences the event-probability pseudo-values ``1 - q`` at
+    ``taus[l]``; with ``include_pw`` a trailing column holds the negated PW
+    differences.  Each sample's (I, L) matrix is column-major, so every
+    column is written and read contiguously.
+    """
+    index = _event_index(t, e)
+    columns = np.empty(t.shape[:-1] + (len(taus) + include_pw, t.shape[-1] // 2))
+    if include_pw:  # first, so its temporaries are freed before the tables exist
+        q = _pw(e, index)
+        np.negative(q[..., 0::2] - q[..., 1::2], out=columns[..., -1, :])
+    code, tables = _pseudo_tables(e, index, taus)
+    first, second = code[..., 0::2], code[..., 1::2]
+    for l, q in enumerate(tables):
+        np.subtract(1.0, q, out=q)
+        np.subtract(q[first], q[second], out=columns[..., l, :])
+    return np.swapaxes(columns, -1, -2)
 
 
 def pair_difference_matrix(sample, taus, include_pw=False) -> np.ndarray:
@@ -128,17 +170,8 @@ def pair_difference_matrix(sample, taus, include_pw=False) -> np.ndarray:
     >= 0.  ``D`` is column-major, so every column is written and read
     contiguously.
     """
-    t, e = _coerce_units(sample.unit_times, sample.unit_events)
-    index = _event_index(t, e)
-    D = np.empty((t.size // 2, len(taus) + include_pw), order="F")
-    if include_pw:  # first, so its temporaries are freed before the tables exist
-        q = _pw(e, index)
-        D[:, -1] = -(q[0::2] - q[1::2])
-    code, tables = _pseudo_tables(e, index, taus)
-    for l, q in enumerate(tables):
-        np.subtract(1.0, q, out=q)
-        np.subtract(q[code[0::2]], q[code[1::2]], out=D[:, l])
-    return D
+    return _difference_stack(*_coerce_units(sample.unit_times, sample.unit_events), taus,
+                             include_pw)
 
 
 SCORE_KINDS = ("pseudo", "logrank", "pw")

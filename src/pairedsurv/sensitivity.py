@@ -82,12 +82,14 @@ def _null_moments(scores, gamma=1.0):
 
     ``mean = [(gamma-1)/(1+gamma)] sum |d_i|`` and
     ``variance = [4 gamma/(1+gamma)^2] sum d_i^2``, as floats for one
-    score vector and column by column for an (I, L) matrix.
+    score vector and column by column for an (I, L) matrix or each matrix
+    of a stack (R, I, L).
     """
     gamma = check_gamma(gamma)
     d = np.asarray(scores, dtype=float)
-    mean = (gamma - 1.0) / (gamma + 1.0) * np.sum(np.abs(d), axis=0)
-    variance = 4.0 * gamma / (gamma + 1.0) ** 2 * np.sum(d * d, axis=0)
+    units = -min(d.ndim, 2)  # the pair axis of scores, a matrix or a stack
+    mean = (gamma - 1.0) / (gamma + 1.0) * np.sum(np.abs(d), axis=units)
+    variance = 4.0 * gamma / (gamma + 1.0) ** 2 * np.sum(d * d, axis=units)
     if d.ndim == 1:
         return float(mean), float(variance)
     return mean, variance
@@ -114,11 +116,20 @@ def pvalue_normal(t, mean, variance):
     return float(p) if p.ndim == 0 else p
 
 
+def _paired_sums(D, assignment):
+    """``D.T @ assignment``: for one (I,) score vector or (I, L) matrix, and
+    sample by sample for a stack of matrices (R, I, L) and assignments (R, I)."""
+    if D.ndim < 3:
+        return D.T @ assignment
+    return (np.swapaxes(D, 1, 2) @ assignment[..., None])[..., 0]
+
+
 def _column_tests(D, assignment, gamma, orient):
-    """Worst-case normal test of each column of an (I, L) ``D``, or of one (I,)
-    score vector, in the upper tail (``orient`` +1) or the lower (-1):
+    """Worst-case normal test of each column of an (I, L) ``D``, of one (I,)
+    score vector or of each matrix of a stack (R, I, L) with assignments
+    (R, I), in the upper tail (``orient`` +1) or the lower (-1):
     ``(t, mean, variance, p)`` with ``t = orient * (D.T @ assignment)``."""
-    t = orient * (D.T @ assignment)
+    t = orient * _paired_sums(D, assignment)
     mean, variance = _null_moments(D, gamma)
     return t, mean, variance, pvalue_normal(t, mean, variance)
 
@@ -279,7 +290,10 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     bound decides.  ``gamma`` must already be checked.  Returns (m, p).
     ``method`` accepts only ``"normal"``, the one method of the max test;
     it stays a parameter because the benchmark's reference recorder passes
-    it.
+    it.  ``D`` is one sample's (I, L) matrix, with ``sigma`` (L,) and
+    ``assignment`` (I,), or a stack of them, (R, I, L) with (R, L) and
+    (R, I), each ``D[r]`` laid out as one sample's; ``seed`` is then one
+    seed or one per sample, and ``m`` and ``p`` are (R,) arrays.
 
     The p is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the column
     tails ``p_l``, so a tiny p keeps its digits and one column gives its
@@ -293,25 +307,50 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     alpha.  Without ``alpha`` the MVN is integrated to ``tol``.
     """
     _normal_only(method)
+    if D.ndim == 2:
+        m, p = _max_test_from_columns(D[None], sigma[None], np.asarray(assignment)[None], gamma,
+                                      method, orient, tol, [seed], alpha)
+        return float(m[0]), float(p[0])
     keep = sigma > 0.0
-    if not np.any(keep):
-        return float("nan"), 1.0
-    if not keep.all():
-        D, sigma = D[:, keep], sigma[keep]
-    _check_dim(D.shape[1])
-    m = float((orient * (D.T @ assignment) / sigma).max())
+    live = keep.sum(axis=-1)
+    if live.any():
+        _check_dim(live.max())
+    m, p = np.full(len(D), np.nan), np.ones(len(D))
+    seeds = np.broadcast_to(np.asarray(seed, dtype=object), len(D))
+    whole = live == D.shape[-1]
+    for r in np.flatnonzero(~whole & (live > 0)):  # without its dropped columns
+        (m[r],), (p[r],) = _max_tests(D[r][:, keep[r]][None], sigma[r, keep[r]][None],
+                                      assignment[r][None], gamma, orient, tol, seeds[r:r + 1],
+                                      alpha)
+    if whole.any():
+        if not whole.all():
+            D, sigma, assignment, seeds = D[whole], sigma[whole], assignment[whole], seeds[whole]
+        m[whole], p[whole] = _max_tests(D, sigma, assignment, gamma, orient, tol, seeds, alpha)
+    return m, p
+
+
+def _max_tests(D, sigma, assignment, gamma, orient, tol, seeds, alpha):
+    """``_max_test_from_columns`` of a stack whose columns all have positive
+    dispersion: the bounds of every sample at once, then an MVN integration
+    for each sample they leave open."""
+    m = (orient * _paired_sums(D, assignment) / sigma).max(axis=-1)
     # the oriented columns have the same |D|, hence the same moments
     mean, variance = _null_moments(D, gamma)
-    limits = (m * sigma - mean) / np.sqrt(variance)
+    limits = (m[:, None] * sigma - mean) / np.sqrt(variance)
     # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
     # the max's tail lies between the largest column tail and their sum
     tails = ndtr(-limits)
-    low, high = float(tails.max()), min(1.0, float(tails.sum()))
-    if alpha is not None and not low <= alpha < high:
-        return m, low if low > alpha else high
-    cdf = mvn_cdf(limits, correlations(D, gamma), tol=tol, seed=seed,
-                  level=None if alpha is None else 1.0 - alpha)
-    return m, float(np.clip(1.0 - cdf, low, high))
+    low, high = tails.max(axis=-1), np.minimum(1.0, tails.sum(axis=-1))
+    if alpha is None:
+        p, level = high.copy(), None
+        open_ = np.ones(len(D), dtype=bool)
+    else:
+        p, level = np.where(low > alpha, low, high), 1.0 - alpha
+        open_ = (low <= alpha) & (alpha < high)
+    for r in np.flatnonzero(open_):
+        cdf = mvn_cdf(limits[r], correlations(D[r], gamma), tol=tol, seed=seeds[r], level=level)
+        p[r] = np.clip(1.0 - cdf, low[r], high[r])
+    return m, p
 
 
 @dataclass(frozen=True)

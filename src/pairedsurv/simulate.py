@@ -16,15 +16,17 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
 from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
 from .errors import (_check_real, as_grid, check_alpha, check_gamma, check_reals, check_seed,
-                     check_tol, check_whole)
-from .overall import diff_matrix
-from .scores import _sign
+                     check_times, check_tol, check_whole)
+from .overall import DiffMatrix, _degenerate, _warn_degenerate
+from .scores import _difference_stack, _sign, pair_difference_matrix
 from .sensitivity import _column_tests, _max_test_from_columns
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
@@ -42,6 +44,11 @@ ETA = {
 SCENARIO_IDS = tuple(ETA)
 # the fewest pairs and replications a study takes, from a config or a flag
 MIN_PAIRS, MIN_REPLICATIONS = 2, 1
+# The most units power_study stacks in one block of samples: 32 samples of
+# 500 pairs.  Measured on table1.cfg (single BLAS thread), blocks of 2^12 to
+# 2^17 units took 0.74, 0.61, 0.62, 0.59, 0.58 and 0.58 s, and traced a
+# peak of 0.5, 1.0, 1.8, 3.5, 6.7 and 13.5 MiB at 64 replications.
+_BLOCK_UNITS = 1 << 15
 _SCENARIO_CODE = {sid: i for i, sid in enumerate(SCENARIO_IDS)}
 
 # Frozen calibrate_b output (target 0.25, tol 0.005, probe_i=200000,
@@ -109,6 +116,37 @@ def _sample_censoring_time(x, spec: ScenarioSpec, uniform_draw):
     return -np.log(uniform_draw) / rate
 
 
+def _simulate(n_pairs, spec: ScenarioSpec, seeds):
+    """Observed times and event flags (R, I, 2) and assignments (R, I) of R
+    samples of one scenario, sample r drawn from ``seeds[r]`` (SeedSequence
+    entropy) exactly as ``generate_pairs`` draws one.
+
+    Each sample makes the same four draws, in the same order, from its own
+    stream; the survival, censoring and cap transforms then run once over
+    the stack.
+    """
+    shape = (len(seeds), n_pairs)
+    x = np.empty(shape + (1,))
+    u_surv, u_cens = np.empty(shape + (2,)), np.empty(shape + (2,))
+    treat_first = np.empty(shape, dtype=bool)
+    for r, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.standard_normal(out=x[r, :, 0])
+        rng.random(out=u_surv[r])
+        rng.random(out=u_cens[r])
+        np.less(rng.random(n_pairs), 0.5, out=treat_first[r])
+    u_surv, u_cens = 1.0 - u_surv, 1.0 - u_cens
+
+    s1 = _sample_survival_time(x, 1, spec, u_surv)
+    s0 = _sample_survival_time(x, 0, spec, u_surv)
+    cens = _sample_censoring_time(x, spec, u_cens)
+
+    treated = np.stack((treat_first, ~treat_first), axis=-1)
+    surv = np.where(treated, s1, s0)
+    cap = np.minimum(cens, ADMIN_CUTOFF)
+    return np.minimum(surv, cap), surv <= cap, np.where(treat_first, 1, -1)
+
+
 def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
     """Simulate a matched-pair sample, fully determined by the seed.
 
@@ -118,23 +156,8 @@ def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
     administrative cutoff.  ``seed`` is SeedSequence entropy.
     """
     n_pairs = check_whole(n_pairs, 1, "n_pairs")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = rng.standard_normal(n_pairs)[:, None]
-    u_surv = 1.0 - rng.random((n_pairs, 2))
-    u_cens = 1.0 - rng.random((n_pairs, 2))
-    treat_first = rng.random(n_pairs) < 0.5
-
-    s1 = _sample_survival_time(x, 1, spec, u_surv)
-    s0 = _sample_survival_time(x, 0, spec, u_surv)
-    cens = _sample_censoring_time(x, spec, u_cens)
-
-    treated = np.column_stack((treat_first, ~treat_first))
-    surv = np.where(treated, s1, s0)
-    cap = np.minimum(cens, ADMIN_CUTOFF)
-    times = np.minimum(surv, cap)
-    events = surv <= cap
-    assignment = np.where(treat_first, 1, -1)
-    return PairedSample(times, events, assignment)
+    times, events, assignment = _simulate(n_pairs, spec, [seed])
+    return PairedSample(times[0], events[0], assignment[0])
 
 
 def _nonadmin_censoring_rate(sample: PairedSample) -> float:
@@ -306,43 +329,72 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
 
     Every test is run in the benefit direction.  Replications use derived
     seeds keyed by (master seed, scenario, replication), so results do not
-    depend on evaluation order or worker count.  Rows follow the config:
-    scenario, then gamma, then the grid's tests, ppw and max.  A max test is
-    decided from its column-tail bounds when one of them settles
+    depend on evaluation order, block size or worker count.  Rows follow the
+    config: scenario, then gamma, then the grid's tests, ppw and max.  A max
+    test is decided from its column-tail bounds when one of them settles
     ``p <= alpha``, and otherwise integrated only until its error bar
     settles it (``mvn_tol`` bounds the integrations the bar leaves open);
     a count can differ from that of the fully integrated p only through a
-    p within a few error estimates of alpha.  Each sample's column-major
-    difference matrix is built once, and the max test reads its grid
-    columns in place; a degenerate column (a grid time before any event)
-    warns as in ``diff_matrix``.
+    p within a few error estimates of alpha.
+
+    The samples, taken scenario by scenario, run in blocks of at most
+    ``_BLOCK_UNITS`` units, so memory stays bounded whatever the number of
+    replications.  Each block is drawn as one stack (``_simulate``), sorted
+    once for all of its difference matrices, and tested for every gamma in
+    one call per test; every count equals that of the sample-by-sample
+    public tests.  A degenerate column (a grid time before any event) gives
+    one ``DegenerateColumnWarning`` per scenario, naming its replications.
     """
     grid = as_grid(config.grid)
-    n_taus = len(grid)
     names = [f"t_tau={tau:g}" for tau in grid] + ["ppw", "max"]
-    benefit = _sign("pseudo", "benefit")
-    counts = {}
-    for spec in config.scenarios:
-        for rep in range(config.replications):
-            sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, rep))
-            # every column, the negated PW one included, is pseudo-oriented
-            diff = diff_matrix(sample, grid, include_ppw=True)
-            mvn_seed = int(_rep_seed(config.seed, spec.id, rep, salt=7).generate_state(1)[0])
-            for gamma in config.gammas:
-                p_cols = _column_tests(diff.D, sample.assignment, gamma, benefit)[3]
-                _, p_max = _max_test_from_columns(
-                    diff.D[:, :n_taus], diff.sigma[:n_taus], sample.assignment,
-                    gamma, "normal", orient=benefit, tol=config.mvn_tol,
-                    seed=mvn_seed, alpha=config.alpha)
-                for name, p in zip(names, [*p_cols, p_max]):
-                    key = (spec.id, gamma, name)
-                    counts[key] = counts.get(key, 0) + (p <= config.alpha)
+    hits = np.zeros((len(config.scenarios), len(config.gammas), len(names)), dtype=np.int64)
+    dropped = {}  # (scenario, dropped labels) -> (count, its first five replications)
+    samples = ((s, rep) for s in range(len(config.scenarios))
+               for rep in range(config.replications))
+    per_block = max(1, _BLOCK_UNITS // (2 * config.pairs))
+    while block := list(islice(samples, per_block)):
+        rejected, labels = _test_block(config, grid, block)
+        np.add.at(hits, [s for s, _ in block], rejected)
+        for (s, rep), found in zip(block, labels):
+            if found:
+                count, reps = dropped.get((s, found), (0, ()))
+                dropped[s, found] = count + 1, reps if len(reps) == 5 else (*reps, rep)
+    for (s, found), (count, reps) in dropped.items():
+        shown = ", ".join(map(str, reps)) + (f" and {count - 5} more" if count > 5 else "")
+        _warn_degenerate(list(found), f"scenario {config.scenarios[s].id}, replications {shown}: ")
     rows = tuple(
-        PowerRow(scenario=sid, gamma=g, test=name, rejections=int(c),
+        PowerRow(scenario=spec.id, gamma=gamma, test=name, rejections=int(hits[s, g, k]),
                  replications=config.replications)
-        for (sid, g, name), c in counts.items()
+        for s, spec in enumerate(config.scenarios) for g, gamma in enumerate(config.gammas)
+        for k, name in enumerate(names)
     )
     return PowerStudyResult(config=config, rows=rows)
+
+
+def _test_block(config, grid, block):
+    """Every test of the samples ``block`` lists as (scenario index,
+    replication): ``p <= alpha`` as (R, gammas, tests), in ``power_study``'s
+    test order, and each sample's tuple of degenerate column labels."""
+    scenarios = config.scenarios
+    times, events, assignment = map(np.concatenate, zip(*(
+        _simulate(config.pairs, scenarios[s],
+                  [_rep_seed(config.seed, scenarios[s].id, rep) for _, rep in run])
+        for s, run in groupby(block, key=itemgetter(0)))))
+    # every column, the negated PW one included, is pseudo-oriented
+    diff = DiffMatrix(grid, _difference_stack(check_times(times.reshape(len(block), -1)),
+                                              events.reshape(len(block), -1), grid,
+                                              include_pw=True), assignment)
+    mvn_seeds = [int(_rep_seed(config.seed, scenarios[s].id, rep, salt=7).generate_state(1)[0])
+                 for s, rep in block]
+    benefit, n_taus = _sign("pseudo", "benefit"), len(grid)
+    rejected = np.empty((len(block), len(config.gammas), n_taus + 2), dtype=bool)
+    for g, gamma in enumerate(config.gammas):
+        rejected[:, g, :-1] = _column_tests(diff.D, assignment, gamma, benefit)[3] <= config.alpha
+        rejected[:, g, -1] = _max_test_from_columns(
+            diff.D[..., :n_taus], diff.sigma[..., :n_taus], assignment, gamma, "normal",
+            orient=benefit, tol=config.mvn_tol, seed=mvn_seeds, alpha=config.alpha)[1] \
+            <= config.alpha
+    return rejected, [tuple(_degenerate(diff.labels, sigma)) for sigma in diff.sigma]
 
 
 def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResult]:
@@ -366,7 +418,8 @@ def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResul
                 stacklevel=2,
             )
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
-        diff = diff_matrix(sample, grid)
+        diff = DiffMatrix(grid, pair_difference_matrix(sample, grid), sample.assignment)
+        _warn_degenerate(_degenerate(diff.labels, diff.sigma), f"scenario {spec.id}: ")
         per_column, overall = design_sensitivities(
             _sign("pseudo", "benefit") * diff.D, sample.assignment)
         results.append(

@@ -236,13 +236,15 @@ def test_cmd_sens_table_and_search_warn_once(sim_csv, capsys):
 
 
 def test_cmd_simulate_degenerate_warning_once(tmp_path, capsys):
-    # every replication's matrix has the column before any event
+    # every replication's matrix has the column before any event: one
+    # warning per scenario, naming its replications
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenarios": ["ph", "crossing"], "pairs": 40,
                                "replications": 3, "grid": [1e-6, 1, 2]}))
     code, _, err = run(["simulate", str(cfg)], capsys)
     assert code == 0
-    assert err == "warning: dropping degenerate grid columns [1e-06]\n"
+    assert err == "".join(f"warning: scenario {sid}, replications 0, 1, 2: dropping degenerate "
+                          "grid columns [1e-06]\n" for sid in ("ph", "crossing"))
 
 
 def test_cmd_sens_table_and_search_build_one_matrix(sim_csv, capsys, monkeypatch):
@@ -504,6 +506,16 @@ def test_cmd_design_sens_degenerate_tau_is_null(tmp_path, capsys):
         docs[len(grid)] = json.loads(out_path.read_text())["result"]["results"][0]
     assert docs[3]["per_tau"] == {"1e-06": None, **docs[2]["per_tau"]}
     assert docs[3]["overall"] == docs[2]["overall"] > 1.0
+
+
+def test_cmd_design_sens_names_the_scenario_of_each_degenerate_warning(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenarios": ["ph", "crossing"], "grid": [1e-6, 1, 2]}))
+    code, _, err = run(["design-sens", str(cfg)], capsys)
+    assert code == 0
+    assert [line for line in err.splitlines() if "degenerate" in line] == [
+        f"warning: scenario {sid}: dropping degenerate grid columns [1e-06]"
+        for sid in ("ph", "crossing")]
 
 
 def test_bad_config_exit_4(tmp_path, capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from pairedsurv import PairedSample, km_estimate, pair_differences, time_specific_test
 from pairedsurv.km import _event_index, km_at
-from pairedsurv.scores import (SCORE_KINDS, _logrank, _pseudo_tables, _pw, _sign,
-                               pair_difference_matrix, pseudo_observations)
+from pairedsurv.scores import (SCORE_KINDS, _difference_stack, _logrank, _pseudo_tables, _pw,
+                               _sign, pair_difference_matrix, pseudo_observations)
 
 from conftest import (
     pseudo_blocks_oracle,
@@ -123,6 +123,52 @@ def test_tables_equal_block_oracle_bytes(times, events):
     for l, tau in enumerate(taus):
         q = pseudo_observations(t, e, tau)
         assert q.tobytes() == np.concatenate(pseudo[l]).tobytes()
+
+
+def _stacked_rows():
+    """(R, 40) times and events whose rows differ in their event times."""
+    rng = np.random.default_rng(37)
+    base = rng.exponential(2.0, 40).round(1)
+    rows = [
+        (base, rng.random(40) < 0.7),                    # ties within the row
+        (rng.permutation(base), rng.random(40) < 0.3),  # the same times: ties across rows
+        (base, np.zeros(40, dtype=bool)),                # no events
+        (base + 1.0, rng.random(40) < 0.7),             # first event after tau = 0.5
+        (base, np.arange(40) < 3),                       # three events
+    ]
+    return tuple(np.array(a) for a in zip(*rows))
+
+
+def test_stack_equals_one_sample_matrices_bytes():
+    t, e = _stacked_rows()
+    taus = np.array([0.5, 1.0, 2.0, 3.0, 20.0])
+    counts = [_event_index(row_t, row_e)[0].size for row_t, row_e in zip(t, e)]
+    assert len(set(counts)) == len(counts) and counts[2] == 0
+    for include_pw in (False, True):
+        stack = _difference_stack(t, e, taus, include_pw)
+        assert stack.shape == (len(t), 20, taus.size + include_pw)
+        for r, (row_t, row_e) in enumerate(zip(t, e)):
+            one = pair_difference_matrix(
+                PairedSample(row_t.reshape(-1, 2), row_e.reshape(-1, 2), np.ones(20)), taus,
+                include_pw)
+            assert stack[r].strides == one.strides
+            assert stack[r].tobytes(order="F") == one.tobytes(order="F")
+        sigma = np.sqrt(np.sum(stack ** 2, axis=1))
+        # the tau = 0.5 column is degenerate in the late row (and the eventless one) only
+        assert np.flatnonzero(sigma[:, 0] == 0.0).tolist() == [2, 3]
+        assert (sigma[2] == 0.0).all()
+
+
+def test_stack_event_index_pads_short_rows_with_unit_factors():
+    t, e = _stacked_rows()
+    tk, mk, nk, cut = _event_index(t, e)
+    for r, (row_t, row_e) in enumerate(zip(t, e)):
+        want = _event_index(row_t, row_e)
+        k = want[0].size
+        for got, one, fill in zip((tk[r], mk[r], nk[r]), want, (np.inf, 0, 2)):
+            assert got.dtype == one.dtype and got[:k].tobytes() == one.tobytes()
+            assert (got[k:] == fill).all()
+        assert cut[r].tobytes() == want[3].tobytes()
 
 
 def test_naive_two_units():

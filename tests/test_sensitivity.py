@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from pairedsurv import (
 )
 from pairedsurv import sensitivity
 from pairedsurv.cli import main
-from pairedsurv.errors import DegenerateColumnWarning, as_grid, check_alpha, check_gamma
+from pairedsurv.errors import (DegenerateColumnWarning, as_grid, check_alpha, check_gamma,
+                               check_seed)
 from pairedsurv.sensitivity import _column_tests, _null_moments, _search
 
 from conftest import fix_workers, montecarlo_one_shot, simulated_sample
@@ -326,7 +328,9 @@ def test_tails_take_numpy_and_python_numbers_alike():
     (lambda: as_grid([1, 10 ** 400]), "grid times must be real numbers, got [1, 1000"),
     (lambda: pvalue_normal(10 ** 400, 0, 1), "t, mean and variance must be real numbers, got 1000"),
     (lambda: pvalue_exact([1.0, 2.0], 10 ** 400), "t must be finite, got 1000"),
-], ids=["gamma", "grid", "normal t", "exact t"])
+    (lambda: check_seed(Fraction(10 ** 400)),
+     "seed must be a whole number >= 0, got Fraction(1000"),
+], ids=["gamma", "grid", "normal t", "exact t", "fraction seed"])
 def test_rules_refuse_an_int_too_large_for_a_float(call, why):
     # each raised OverflowError from float()
     with pytest.raises(ValueError, match=re.escape(why)):
