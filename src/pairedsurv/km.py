@@ -59,15 +59,13 @@ def _event_index(t, e):
     ranks = np.cumsum(counted.reshape(t.shape), axis=-1)
     cut = np.empty_like(ranks)
     cut.reshape(-1)[order] = ranks.reshape(-1)
-    tables = ts[starts], m[keep], n - (starts % n if t.ndim > 1 else starts)
+    tables = ts[starts], m[keep], n - starts % n
     width = ranks[..., -1].max()
-    if ranks[..., -1].min() == width:  # no row is short: the tables are already rows
-        return (*(a.reshape(t.shape[:-1] + (width,)) for a in tables), cut)
-    dest = starts // n * width + ranks.reshape(-1)[starts] - 1
+    filled = np.arange(width) < ranks[..., -1:]  # each row's own event times
     padded = []
     for a, fill in zip(tables, (np.inf, 0, 2)):
-        out = np.full(t.shape[:-1] + (width,), fill, dtype=a.dtype)
-        out.reshape(-1)[dest] = a
+        out = np.full(filled.shape, fill, dtype=a.dtype)
+        out[filled] = a
         padded.append(out)
     return (*padded, cut)
 

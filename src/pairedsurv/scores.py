@@ -52,28 +52,26 @@ def _pseudo_tables(e, index, taus):
     rows = len(head)
     full = ((nk - mk) / nk).reshape(rows, size - 1)
     ks = np.array([row.searchsorted(taus, side="right") for row in tk.reshape(rows, -1)])
-    tops = ks.max(axis=0)
+    # k[r] event times of row r are <= tau; a tau's work spans top + 1
+    # columns, top the largest k, and a row with fewer stops at its own k:
+    # its factors from column k on are 1, and its values past k are its
+    # prefix stopped there.  Rows differ only past the smallest k, lo.
+    cols, stops = np.arange(size), prefix.reshape(-1)[_flat(ks, size)]
 
-    def table(k, top, even):
-        # k[r] event times of row r are <= tau; the work spans top + 1
-        # columns, top the largest k, and a row with fewer stops at its own k
-        f = full[:, :top] if even else np.where(np.arange(top) < k[:, None], full[:, :top], 1.0)
+    def table(k, stop, top, lo):
+        past = cols[lo + 1:] > k[:, None]
+        f = full[:, :top].copy()
+        np.copyto(f[:, lo:], 1.0, where=past[:, :top - lo])
         suffix = np.ones((rows, top + 1))
         np.cumprod(f[:, ::-1], axis=-1, out=suffix[:, :top][:, ::-1])
         q = np.empty_like(head)  # leave-one-out estimates, then pseudo-values
         np.multiply(head[..., :top + 1], suffix[:, None], out=q[..., :top + 1])
-        # past k: the prefix stopped at tau, no own event in it
-        if even:
-            q[..., top + 1:] = q[:, :1, top:top + 1]
-        else:
-            stop = head[np.arange(rows), 0, k][:, None, None]
-            q[..., top + 1:] = stop
-            np.copyto(q[..., :top + 1], stop, where=np.arange(top + 1) > k[:, None, None])
+        np.copyto(q[..., lo + 1:], stop[:, None, None], where=past[:, None])
         q *= n - 1
         return np.subtract(n * suffix[:, :1, None], q, out=q).reshape(-1)
 
-    evens = (ks.min(axis=0) == tops).tolist()
-    return _flat(cut + size * e, 2 * size), map(table, ks.T, tops.tolist(), evens)
+    return _flat(cut + size * e, 2 * size), map(table, ks.T, stops.T, ks.max(axis=0).tolist(),
+                                                 ks.min(axis=0).tolist())
 
 
 def pseudo_observations(times, events, tau):

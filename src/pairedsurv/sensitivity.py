@@ -292,8 +292,8 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     it stays a parameter because the benchmark's reference recorder passes
     it.  ``D`` is one sample's (I, L) matrix, with ``sigma`` (L,) and
     ``assignment`` (I,), or a stack of them, (R, I, L) with (R, L) and
-    (R, I), each ``D[r]`` laid out as one sample's; ``seed`` is then one
-    seed or one per sample, and ``m`` and ``p`` are (R,) arrays.
+    (R, I), each ``D[r]`` laid out as one sample's; ``seed`` is then a
+    sequence of one seed per sample, and ``m`` and ``p`` are (R,) arrays.
 
     The p is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the column
     tails ``p_l``, so a tiny p keeps its digits and one column gives its
@@ -316,7 +316,9 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     if live.any():
         _check_dim(live.max())
     m, p = np.full(len(D), np.nan), np.ones(len(D))
-    seeds = np.broadcast_to(np.asarray(seed, dtype=object), len(D))
+    seeds = np.asarray(seed, dtype=object)
+    if seeds.shape != (len(D),):
+        raise ValueError(f"a stack of {len(D)} samples needs one seed per sample")
     whole = live == D.shape[-1]
     for r in np.flatnonzero(~whole & (live > 0)):  # without its dropped columns
         (m[r],), (p[r],) = _max_tests(D[r][:, keep[r]][None], sigma[r, keep[r]][None],

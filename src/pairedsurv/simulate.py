@@ -337,9 +337,9 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     a count can differ from that of the fully integrated p only through a
     p within a few error estimates of alpha.
 
-    The samples, taken scenario by scenario, run in blocks of at most
-    ``_BLOCK_UNITS`` units, so memory stays bounded whatever the number of
-    replications.  Each block is drawn as one stack (``_simulate``), sorted
+    The samples, taken in scenario order and cut into blocks of at most
+    ``_BLOCK_UNITS`` units (a block may span scenarios), run block by
+    block, so memory stays bounded whatever the number of replications.  Each block is drawn as one stack (``_simulate``), sorted
     once for all of its difference matrices, and tested for every gamma in
     one call per test; every count equals that of the sample-by-sample
     public tests.  A degenerate column (a grid time before any event) gives

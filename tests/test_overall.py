@@ -250,6 +250,19 @@ def test_tiny_max_tail_stays_inside_its_bound():
     assert all(p > 0.0 for p in closed_test(diff_matrix(sample, grid)).adjusted_p.values())
 
 
+def test_stacked_max_test_takes_one_seed_per_sample():
+    diffs = [diff_matrix(generate_pairs(200, ScenarioSpec("ph"), seed), (1.0, 2.0, 3.0))
+             for seed in (1, 2)]
+    D, sigma = np.stack([d.D for d in diffs]), np.stack([d.sigma for d in diffs])
+    assignment = np.stack([d.assignment for d in diffs])
+    m, p = _max_test_from_columns(D, sigma, assignment, 1.0, "normal", 1.0, 1e-4, [3, 4])
+    for r, (d, seed) in enumerate(zip(diffs, (3, 4))):
+        assert (m[r], p[r]) == _max_test_from_columns(d.D, d.sigma, d.assignment, 1.0,
+                                                      "normal", 1.0, 1e-4, seed)
+    with pytest.raises(ValueError, match="one seed per sample"):
+        _max_test_from_columns(D, sigma, assignment, 1.0, "normal", 1.0, 1e-4, 3)
+
+
 def _column_tail_bounds(args):
     """[max_l p_l, min(1, sum_l p_l)] of a max test: the values it returns at
     alpha = 0 and alpha = 1, checked against the column tails recomputed."""

@@ -292,7 +292,7 @@ def test_power_study_blocks_match_public_tests(monkeypatch):
 
 def test_power_study_memory_is_one_block_whatever_the_replications():
     # a study holds no sample beyond its current block: measured, one block
-    # of 32 I=500 samples peaks at 3.19 MiB traced and eight blocks at 3.23
+    # of 32 I=500 samples peaks at 3.20 MiB traced and eight blocks at 3.23
     # MiB (the sample-by-sample loop before blocks: 0.13-0.55 MiB)
     config = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=500, seed=2)
     per_block = simulate._BLOCK_UNITS // (2 * config.pairs)
