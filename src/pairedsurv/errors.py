@@ -89,6 +89,12 @@ check_draws = partial(check_whole, least=1, name="n_draws")
 check_seed = partial(check_whole, least=0, name="seed")
 
 
+def check_one_sample(diff):
+    """``diff``, a ``DiffMatrix`` of one sample: the public tests take no stack."""
+    if diff.D.ndim != 2:
+        raise ValueError(f"a test takes one sample's matrix, got a stack of {len(diff.D)}")
+
+
 def as_grid(grid) -> np.ndarray:
     """Validated grid: strictly increasing positive real analysis times."""
     taus = check_reals(grid, "grid times must be real numbers").reshape(-1)

@@ -3,9 +3,9 @@
 The statistic is the maximum of the per-time standardized paired
 statistics, and its randomization p-value comes from the multivariate
 normal CDF of the columns (``sensitivity._max_test_from_columns`` holds
-that tail and its gamma -> correlation rule).  A standardized
-Prentice-Wilcoxon column can be appended so the max also covers a
-whole-period comparison.  ``diff_matrix`` builds the columns of one
+that tail, ``sensitivity.correlations`` its gamma -> correlation rule).
+A standardized Prentice-Wilcoxon column can be appended so the max also
+covers a whole-period comparison.  ``diff_matrix`` builds the columns of one
 sample once, with the sample's assignment, and warns about the
 degenerate ones; ``max_test`` tests a built matrix, as ``closed_test``
 and ``sensitivity_value`` do, and ``overall_test`` builds one and tests
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateColumnWarning, as_grid, check_gamma, check_seed, check_tol
+from .errors import (DegenerateColumnWarning, as_grid, check_gamma, check_one_sample,
+                     check_seed, check_tol)
 from .scores import _sign, pair_difference_matrix
 from .sensitivity import TestResult, _max_test_from_columns, _normal_only
 
@@ -46,6 +47,12 @@ class DiffMatrix:
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        shape, pairs = np.shape(self.D), np.shape(self.assignment)
+        if not (len(shape) in (2, 3) and shape[-1] - len(self.taus) in (0, 1)
+                and pairs == shape[:-1]):
+            raise ValueError(f"D needs one column per tau and at most one PPW column, and "
+                             f"assignment one entry per row of D; got {len(self.taus)} taus, "
+                             f"D of shape {shape} and assignment of shape {pairs}")
         object.__setattr__(self, "sigma", np.sqrt(np.sum(self.D ** 2, axis=-2)))
 
     @property
@@ -101,6 +108,7 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     ``tol`` drive the QMC integration.  Columns with zero dispersion are
     dropped; when all columns are degenerate the p-value is 1.
     """
+    check_one_sample(diff)
     gamma, tol, seed = check_gamma(gamma), check_tol(tol, "tol"), check_seed(seed)
     orient = _sign("pseudo", direction)
     m, p = _max_test_from_columns(diff.D, diff.sigma, diff.assignment, gamma,

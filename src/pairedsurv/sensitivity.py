@@ -8,8 +8,9 @@ recovers the plain randomization distribution.  The p-value primitives
 compute only that upper tail; the other tail is the upper tail of ``-T``,
 with the sign from ``scores._sign``.  ``_column_tests`` gives the normal
 test of every column of a difference matrix in one call, and
-``_max_test_from_columns`` the worst-case tail of their max: the MVN with
-the ``correlations`` of the columns, clamped into the column-tail bounds.
+``_max_test_from_columns`` the worst-case tail of their max over one sample
+or a stack: the MVN with the ``correlations`` of the live columns, clamped
+into the column-tail bounds, with degenerate columns masked, not split off.
 ``score_test`` is the one test of a score vector (pseudo at tau, log-rank
 or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
 difference matrix; a one-column matrix gives the time-specific search.
@@ -27,8 +28,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._parallel import map_ranges
-from .errors import (_check_real, check_alpha, check_draws, check_gamma, check_reals,
-                     check_seed, check_tau, check_tol)
+from .errors import (_check_real, check_alpha, check_draws, check_gamma, check_one_sample,
+                     check_reals, check_seed, check_tau, check_tol)
 from .mvnorm import _check_dim, mvn_cdf
 from .scores import _sign, pair_differences
 
@@ -284,16 +285,17 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     """Worst-case p-value of the max statistic on already-built columns.
 
     ``orient`` is +1 to test the upper tail of the stored columns and -1
-    for the lower tail (the benefit direction of pseudo columns).  Columns
-    with zero dispersion are dropped; with none left the result is
-    (nan, 1), and more than ``mvnorm.MAX_DIM`` left is refused before any
-    bound decides.  ``gamma`` must already be checked.  Returns (m, p).
+    for the lower tail (the benefit direction of pseudo columns).  ``D`` is
+    one sample's (I, L) matrix, with ``sigma`` (L,) and ``assignment``
+    (I,), or a stack of them, (R, I, L) with (R, L) and (R, I), each
+    ``D[r]`` laid out as one sample's; ``seed`` is then a sequence of one
+    seed per sample, and ``m`` and ``p`` are (R,) arrays.  A column with
+    zero dispersion is masked, so each sample gets the bits of the
+    one-sample call on its live columns; with none live it gets (nan, 1),
+    and more than ``mvnorm.MAX_DIM`` live is refused before any bound
+    decides.  ``gamma`` must already be checked.  Returns (m, p).
     ``method`` accepts only ``"normal"``, the one method of the max test;
-    it stays a parameter because the benchmark's reference recorder passes
-    it.  ``D`` is one sample's (I, L) matrix, with ``sigma`` (L,) and
-    ``assignment`` (I,), or a stack of them, (R, I, L) with (R, L) and
-    (R, I), each ``D[r]`` laid out as one sample's; ``seed`` is then a
-    sequence of one seed per sample, and ``m`` and ``p`` are (R,) arrays.
+    the benchmark's reference recorder passes it.
 
     The p is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the column
     tails ``p_l``, so a tiny p keeps its digits and one column gives its
@@ -313,46 +315,31 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
         return float(m[0]), float(p[0])
     keep = sigma > 0.0
     live = keep.sum(axis=-1)
-    if live.any():
-        _check_dim(live.max())
-    m, p = np.full(len(D), np.nan), np.ones(len(D))
-    seeds = np.asarray(seed, dtype=object)
-    if seeds.shape != (len(D),):
+    _check_dim(live.max(initial=0))
+    if np.shape(seed) != (len(D),):
         raise ValueError(f"a stack of {len(D)} samples needs one seed per sample")
-    whole = live == D.shape[-1]
-    for r in np.flatnonzero(~whole & (live > 0)):  # without its dropped columns
-        (m[r],), (p[r],) = _max_tests(D[r][:, keep[r]][None], sigma[r, keep[r]][None],
-                                      assignment[r][None], gamma, orient, tol, seeds[r:r + 1],
-                                      alpha)
-    if whole.any():
-        if not whole.all():
-            D, sigma, assignment, seeds = D[whole], sigma[whole], assignment[whole], seeds[whole]
-        m[whole], p[whole] = _max_tests(D, sigma, assignment, gamma, orient, tol, seeds, alpha)
-    return m, p
-
-
-def _max_tests(D, sigma, assignment, gamma, orient, tol, seeds, alpha):
-    """``_max_test_from_columns`` of a stack whose columns all have positive
-    dispersion: the bounds of every sample at once, then an MVN integration
-    for each sample they leave open."""
-    m = (orient * _paired_sums(D, assignment) / sigma).max(axis=-1)
-    # the oriented columns have the same |D|, hence the same moments
-    mean, variance = _null_moments(D, gamma)
-    limits = (m[:, None] * sigma - mean) / np.sqrt(variance)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
+        m = np.where(keep, orient * _paired_sums(D, assignment) / sigma, -np.inf).max(axis=-1)
+        # the oriented columns have the same |D|, hence the same moments
+        mean, variance = _null_moments(D, gamma)
+        limits = (m[:, None] * sigma - mean) / np.sqrt(variance)
     # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
     # the max's tail lies between the largest column tail and their sum
-    tails = ndtr(-limits)
-    low, high = tails.max(axis=-1), np.minimum(1.0, tails.sum(axis=-1))
-    if alpha is None:
-        p, level = high.copy(), None
-        open_ = np.ones(len(D), dtype=bool)
-    else:
+    tails = np.where(keep, ndtr(-limits), 0.0)
+    # each row sums a zero and then its live tails, as np.sum adds a row with
+    # no dropped column: a zero among them would regroup its pairwise sum
+    starts = np.cumsum(live) - live
+    sums = np.add.reduceat(np.insert(tails[keep], starts, 0.0), starts + np.arange(len(D)))
+    low, high = tails.max(axis=-1), np.minimum(1.0, sums)
+    p, level, open_ = high.copy(), None, live > 0
+    if alpha is not None:
         p, level = np.where(low > alpha, low, high), 1.0 - alpha
         open_ = (low <= alpha) & (alpha < high)
     for r in np.flatnonzero(open_):
-        cdf = mvn_cdf(limits[r], correlations(D[r], gamma), tol=tol, seed=seeds[r], level=level)
+        cdf = mvn_cdf(limits[r, keep[r]], correlations(D[r][:, keep[r]], gamma), tol=tol,
+                      seed=seed[r], level=level)
         p[r] = np.clip(1.0 - cdf, low[r], high[r])
-    return m, p
+    return np.where(live > 0, m, np.nan), np.where(live > 0, p, 1.0)
 
 
 @dataclass(frozen=True)
@@ -383,6 +370,7 @@ def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
     integrated p only when that p lies within a few error estimates of
     alpha.
     """
+    check_one_sample(diff)
     sign = _sign("pseudo", direction)
     alpha, tol, seed = check_alpha(alpha), check_tol(tol, "tol"), check_seed(seed)
     gamma_max, mvn_tol = check_gamma(gamma_max), check_tol(mvn_tol, "mvn_tol")

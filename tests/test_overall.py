@@ -9,6 +9,7 @@ import pytest
 from scipy.special import ndtr
 
 from pairedsurv import (
+    DiffMatrix,
     ScenarioSpec,
     PairedSample,
     StudyConfig,
@@ -23,6 +24,7 @@ from pairedsurv import (
     pair_differences,
     power_study,
     score_test,
+    sensitivity_value,
     time_specific_test,
 )
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
@@ -59,6 +61,28 @@ def test_diff_matrix_column_consistency(five_pairs):
             diff.D[:, l], pair_differences(five_pairs, "pseudo", tau))
     np.testing.assert_array_equal(diff.D[:, 3], -pair_differences(five_pairs, "pw"))
     np.testing.assert_array_equal(diff.sigma, np.sqrt(np.sum(diff.D ** 2, axis=0)))
+
+
+def test_diff_matrix_refuses_shapes_that_do_not_fit():
+    diff = diff_matrix(simulated_sample(40, "ph", seed=1), (1.0, 2.0))
+    assert DiffMatrix(np.array([1.0]), diff.D, diff.assignment).has_ppw  # one surplus column
+    for taus, D, assignment in (
+            ((1.0, 2.0, 3.0), diff.D, diff.assignment),  # a tau with no column
+            ((1.0,), np.hstack((diff.D, diff.D)), diff.assignment),  # three surplus columns
+            ((1.0, 2.0), diff.D, diff.assignment[:-1]),  # an assignment of other pairs
+            ((1.0, 2.0), diff.D, np.stack((diff.assignment, diff.assignment))),
+            ((1.0, 2.0), diff.D[:, 0], diff.assignment[0])):  # no column axis
+        with pytest.raises(ValueError, match="one column per tau"):
+            DiffMatrix(np.asarray(taus), D, assignment)
+
+
+def test_public_tests_refuse_a_stack():
+    diffs = [diff_matrix(simulated_sample(40, "ph", seed=seed), (1.0, 2.0)) for seed in (1, 2)]
+    stack = DiffMatrix(diffs[0].taus, np.stack([d.D for d in diffs]),
+                       np.stack([d.assignment for d in diffs]))
+    for test in (max_test, closed_test, sensitivity_value):
+        with pytest.raises(ValueError, match="one sample's matrix, got a stack of 2"):
+            test(stack)
 
 
 def test_diff_matrix_equals_per_tau_columns_across_blocks():
@@ -261,6 +285,33 @@ def test_stacked_max_test_takes_one_seed_per_sample():
                                                       "normal", 1.0, 1e-4, seed)
     with pytest.raises(ValueError, match="one seed per sample"):
         _max_test_from_columns(D, sigma, assignment, 1.0, "normal", 1.0, 1e-4, 3)
+
+
+@pytest.mark.parametrize("grid", [(1.0, 2.0, 3.0, 4.0, 5.0), tuple(np.arange(0.5, 5.5, 0.5))])
+def test_stacked_max_test_masks_dropped_columns(grid):
+    # a sample's dropped columns are masked in the stack, and it gets the bits
+    # of the one-sample call on its live columns: none dropped, a prefix (a
+    # grid time before the first event), a prefix and a middle column, all;
+    # on ten columns 8 and 7 live, where a zero in the tail sum would regroup
+    # numpy's pairwise sum (alpha = 1 returns that capped sum)
+    diffs = [diff_matrix(generate_pairs(300, ScenarioSpec(scenario), seed), grid)
+             for scenario, seed in (("ph", 1), ("late_div", 2), ("crossing", 3), ("ph", 4))]
+    D = np.stack([d.D for d in diffs])
+    for r, dropped in enumerate(([], [0, 1], [0, 1, 3], list(range(len(grid))))):
+        D[r][:, dropped] = 0.0
+    stack = DiffMatrix(np.asarray(grid), D, np.stack([d.assignment for d in diffs]))
+    sigma, seeds = stack.sigma, [11, 12, 13, 14]
+    for gamma in (1.0, 1.1, 1.5):
+        for alpha in (None, 0.05, 1.0):
+            args = (gamma, "normal", -1.0, 1e-4)
+            m, p = _max_test_from_columns(D, sigma, stack.assignment, *args, seeds, alpha)
+            for r, keep in enumerate(sigma > 0.0):
+                if keep.any():
+                    assert (m[r], p[r]) == _max_test_from_columns(
+                        D[r][:, keep], sigma[r][keep], stack.assignment[r], *args, seeds[r],
+                        alpha)
+                else:
+                    assert np.isnan(m[r]) and p[r] == 1.0
 
 
 def _column_tail_bounds(args):

@@ -121,3 +121,21 @@ def test_only_errors_defines_an_input_rule():
     tree = ast.parse((src / "mvnorm.py").read_text(encoding="utf-8"))
     assert [node.name for node in tree.body if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_")] == ["mvn_cdf"]
+
+
+def test_mvn_cdf_has_one_call_site():
+    # every integration runs through the one max test, so the span
+    # recorder's mvnorm.* metrics see it, and no second max path hides
+    src = Path(pairedsurv.__file__).parent
+    sites = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # each node's innermost function (ast.walk visits outer ones first)
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner.update((node, getattr(fn, "name", "<lambda>")) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "mvn_cdf" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                sites.append((path.name, owner.get(node)))
+    assert sites == [("sensitivity.py", "_max_test_from_columns")]

@@ -239,8 +239,9 @@ def test_power_study_deterministic_and_shaped():
 
 
 def _public_test_counts(config):
-    """The study's rejection counts from the public tests, sample by sample."""
-    counts = {}
+    """The study's rejection counts from the public tests, sample by sample,
+    and the replications of each scenario whose max test drops a column."""
+    counts, dropped = {}, {}
     for spec in config.scenarios:
         for rep in range(config.replications):
             sample = generate_pairs(config.pairs, spec,
@@ -251,23 +252,37 @@ def _public_test_counts(config):
                 p = {f"t_tau={tau:g}": time_specific_test(sample, tau, gamma).p_value
                      for tau in config.grid}
                 p["ppw"] = score_test(sample, "pw", gamma=gamma, direction="benefit").p_value
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DegenerateColumnWarning)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", DegenerateColumnWarning)
                     p["max"] = overall_test(sample, config.grid, gamma=gamma,
                                             tol=config.mvn_tol, seed=mvn_seed).p_value
+                if caught and gamma == config.gammas[0]:
+                    dropped.setdefault(spec.id, []).append(rep)
                 for name, value in p.items():
                     key = (spec.id, gamma, name)
                     counts[key] = counts.get(key, 0) + int(value <= config.alpha)
-    return counts
+    return counts, dropped
 
 
 def test_power_study_matches_public_tests():
-    config = StudyConfig(scenarios=tuple(ScenarioSpec(sid) for sid in ETA),
-                         pairs=60, replications=3, gammas=(1.0, 1.25, 1.5), seed=4)
-    counts = _public_test_counts(config)
-    rows = power_study(config).rows
-    assert {(r.scenario, r.gamma, r.test): r.rejections for r in rows} == counts
-    assert sum(counts.values()) > 0
+    # the second grid's first time precedes the first event in some
+    # replications of every scenario, not in all
+    for pairs, replications, grid in ((60, 3, (1.0, 2.0, 3.0, 4.0, 5.0)),
+                                      (20, 4, (0.05, 1.0, 2.0, 3.0))):
+        config = StudyConfig(scenarios=tuple(ScenarioSpec(sid) for sid in ETA), pairs=pairs,
+                             replications=replications, grid=grid, gammas=(1.0, 1.25, 1.5),
+                             seed=4)
+        counts, dropped = _public_test_counts(config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DegenerateColumnWarning)
+            rows = power_study(config).rows
+        assert {(r.scenario, r.gamma, r.test): r.rejections for r in rows} == counts
+        assert sum(counts.values()) > 0
+        assert [str(w.message) for w in caught] == [
+            f"scenario {sid}, replications {', '.join(map(str, reps))}: "
+            f"dropping degenerate grid columns [{grid[0]!r}]" for sid, reps in dropped.items()]
+        assert all(0 < len(reps) < replications for reps in dropped.values())
+        assert len(dropped) == (0 if grid[0] == 1.0 else len(ETA))
 
 
 def test_power_study_blocks_match_public_tests(monkeypatch):
@@ -287,7 +302,7 @@ def test_power_study_blocks_match_public_tests(monkeypatch):
     rows = power_study(config).rows
     assert blocks == [4, 4, 4, 3]
     assert {(r.scenario, r.gamma, r.test): r.rejections for r in rows} == \
-        _public_test_counts(config)
+        _public_test_counts(config)[0]
 
 
 def test_power_study_memory_is_one_block_whatever_the_replications():
