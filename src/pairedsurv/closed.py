@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_alpha, check_gamma, check_one_sample, check_seed, check_tol
+from .errors import check_alpha, check_gamma, check_seed, check_tol
 from .scores import _sign
 from .sensitivity import _max_test_from_columns
 
@@ -67,7 +67,6 @@ def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestRepo
     p = 1.  A matrix with a PPW column is refused: its hypotheses are the
     grid times.
     """
-    check_one_sample(diff)
     alpha, gamma = check_alpha(alpha), check_gamma(gamma)
     seed, tol = check_seed(seed), check_tol(tol, "tol")
     if diff.has_ppw:

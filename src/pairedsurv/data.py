@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 
-from .errors import check_times
+from .errors import check_assignment, check_times
 
 
 class PairedSample:
@@ -30,7 +30,7 @@ class PairedSample:
     def __init__(self, times, events, assignment, pair_ids=None):
         times = check_times(times)
         events = np.asarray(events, dtype=bool)
-        assignment = np.asarray(assignment, dtype=np.int64)
+        assignment = check_assignment(assignment)
         if times.ndim != 2 or times.shape[1] != 2:
             raise ValueError("times must have shape (I, 2)")
         if events.shape != times.shape:
@@ -39,8 +39,6 @@ class PairedSample:
             raise ValueError("assignment must have shape (I,)")
         if times.shape[0] < 1:
             raise ValueError("a sample needs at least one pair")
-        if not np.all(np.abs(assignment) == 1):
-            raise ValueError("assignment entries must be +1 or -1")
         if pair_ids is not None:
             pair_ids = list(pair_ids)
             if len(pair_ids) != times.shape[0]:

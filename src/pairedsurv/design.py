@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sensitivity import _column_sums
+
 
 def _threshold(a, b):
     """(a + b) / (a - b), and +inf where a <= b."""
@@ -40,9 +42,7 @@ def design_sensitivities(D, assignment):
     v = np.asarray(assignment, dtype=float).reshape(-1)
     if v.shape[0] != D.shape[0]:
         raise ValueError("assignment length must match the number of pairs")
-    e_abs = np.abs(D).mean(axis=0)
-    e_dv = (D * v[:, None]).mean(axis=0)
-    e_sq = (D ** 2).mean(axis=0)
+    e_dv, e_abs, e_sq = (s / len(v) for s in _column_sums(D, v))  # sample means
     live = e_sq > 0.0
     per_column = np.where(live, _threshold(e_abs, e_dv), np.nan)
     if not np.any(live):

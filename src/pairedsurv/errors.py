@@ -89,10 +89,12 @@ check_draws = partial(check_whole, least=1, name="n_draws")
 check_seed = partial(check_whole, least=0, name="seed")
 
 
-def check_one_sample(diff):
-    """``diff``, a ``DiffMatrix`` of one sample: the public tests take no stack."""
-    if diff.D.ndim != 2:
-        raise ValueError(f"a test takes one sample's matrix, got a stack of {len(diff.D)}")
+def check_assignment(assignment) -> np.ndarray:
+    """Treated-side signs as int64, every entry a real +1 or -1 (no bool)."""
+    signs = np.asarray(assignment)
+    if signs.dtype.kind not in "iuf" or not np.isin(signs, (1, -1)).all():
+        raise ValueError("assignment entries must be +1 or -1")
+    return signs.astype(np.int64, copy=False)
 
 
 def as_grid(grid) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateColumnWarning, as_grid, check_gamma, check_one_sample,
+from .errors import (DegenerateColumnWarning, as_grid, check_assignment, check_gamma,
                      check_seed, check_tol)
 from .scores import _sign, pair_difference_matrix
 from .sensitivity import TestResult, _max_test_from_columns, _normal_only
@@ -27,18 +27,17 @@ from .sensitivity import TestResult, _max_test_from_columns, _normal_only
 
 @dataclass(frozen=True)
 class DiffMatrix:
-    """Per-pair score differences, one column per analysis time.
+    """Per-pair score differences of one sample, one column per analysis time.
 
     Columns hold event-probability pseudo-differences; when present, the
     trailing PPW column is the Prentice-Wilcoxon difference negated to the
     same orientation, so every column signals a treated survival advantage
-    with negative values.  ``D`` is column-major, so every column
-    reduction reads contiguous memory.  ``sigma[l] = sqrt(sum_i D[i, l]^2)``
-    is computed from ``D`` when the matrix is built.  ``assignment`` is the
-    sample's +-1 treatment indicator per pair, which every test of the
-    matrix reads.  ``power_study`` holds a block of samples as one stack:
-    ``D`` (R, I, L), each ``D[r]`` laid out as one sample's, with
-    ``assignment`` (R, I) and ``sigma`` (R, L).
+    with negative values.  ``D`` is one sample's (I, L) matrix of finite
+    reals, column-major from ``diff_matrix``, so every column reduction
+    reads contiguous memory; ``taus`` is a grid (``errors.as_grid``).
+    ``sigma[l] = sqrt(sum_i D[i, l]^2)`` is computed from ``D`` when the
+    matrix is built.  ``assignment`` is the sample's +-1 treatment indicator
+    per pair, which every test of the matrix reads.
     """
 
     taus: np.ndarray
@@ -47,24 +46,27 @@ class DiffMatrix:
     sigma: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        shape, pairs = np.shape(self.D), np.shape(self.assignment)
-        if not (len(shape) in (2, 3) and shape[-1] - len(self.taus) in (0, 1)
-                and pairs == shape[:-1]):
+        taus, D = as_grid(self.taus), np.asarray(self.D)
+        shape, pairs = D.shape, np.shape(self.assignment)
+        if not (len(shape) == 2 and shape[1] - len(taus) in (0, 1) and pairs == shape[:1]):
             raise ValueError(f"D needs one column per tau and at most one PPW column, and "
-                             f"assignment one entry per row of D; got {len(self.taus)} taus, "
+                             f"assignment one entry per row of D; got {len(taus)} taus, "
                              f"D of shape {shape} and assignment of shape {pairs}")
-        object.__setattr__(self, "sigma", np.sqrt(np.sum(self.D ** 2, axis=-2)))
+        # checked in place: a copy of D would double a large matrix's memory
+        if D.dtype.kind not in "iuf" or not np.isfinite(D).all():
+            raise ValueError("D must hold real, finite numbers")
+        check_assignment(self.assignment)
+        object.__setattr__(self, "taus", taus)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "sigma", np.sqrt(np.sum(D ** 2, axis=0)))
 
     @property
     def has_ppw(self) -> bool:
-        return self.D.shape[-1] > len(self.taus)
+        return self.D.shape[1] > len(self.taus)
 
     @property
     def labels(self) -> list:
-        out = [float(t) for t in self.taus]
-        if self.has_ppw:
-            out.append("ppw")
-        return out
+        return self.taus.tolist() + ["ppw"] * self.has_ppw
 
 
 def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
@@ -106,9 +108,12 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     advantage increases the max statistic; ``"harm"`` tests the reverse.
     The p-value is the normal one, and ``seed`` (a whole number >= 0) and
     ``tol`` drive the QMC integration.  Columns with zero dispersion are
-    dropped; when all columns are degenerate the p-value is 1.
+    dropped; when all columns are degenerate the p-value is 1.  The p-value
+    is 0.0 when every column's normal tail underflows: ``ndtr`` returns 0
+    from a standardized limit of about 37.7 on.  Beyond about 38.6, 0.0 is
+    the nearest double both to that tail and to Hoeffding's bound
+    ``L exp(-z^2 / 2)`` on the randomization tail of the max.
     """
-    check_one_sample(diff)
     gamma, tol, seed = check_gamma(gamma), check_tol(tol, "tol"), check_seed(seed)
     orient = _sign("pseudo", direction)
     m, p = _max_test_from_columns(diff.D, diff.sigma, diff.assignment, gamma,

@@ -6,11 +6,13 @@ for the upper tail replaces each term by ``|d_i|`` times an independent
 sign that is positive with probability ``gamma / (1 + gamma)``; gamma = 1
 recovers the plain randomization distribution.  The p-value primitives
 compute only that upper tail; the other tail is the upper tail of ``-T``,
-with the sign from ``scores._sign``.  ``_column_tests`` gives the normal
-test of every column of a difference matrix in one call, and
-``_max_test_from_columns`` the worst-case tail of their max over one sample
-or a stack: the MVN with the ``correlations`` of the live columns, clamped
-into the column-tail bounds, with degenerate columns masked, not split off.
+with the sign from ``scores._sign``.  ``_column_sums`` reduces a score
+vector, a matrix or a stack over its pairs, column by column, to
+``sum d_i V_i``, ``sum |d_i|`` and ``sum d_i^2``; ``_null_moments`` and
+``_column_tests`` are arithmetic on those sums.  ``_max_test_from_columns``
+gives the worst-case tail of the max over one sample or a stack: the MVN of
+the live columns, clamped into the column-tail bounds, with degenerate
+columns masked.
 ``score_test`` is the one test of a score vector (pseudo at tau, log-rank
 or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
 difference matrix; a one-column matrix gives the time-specific search.
@@ -28,8 +30,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._parallel import map_ranges
-from .errors import (_check_real, check_alpha, check_draws, check_gamma, check_one_sample,
-                     check_reals, check_seed, check_tau, check_tol)
+from .errors import (_check_real, check_alpha, check_draws, check_gamma, check_reals,
+                     check_seed, check_tau, check_tol)
 from .mvnorm import _check_dim, mvn_cdf
 from .scores import _sign, pair_differences
 
@@ -78,22 +80,12 @@ class TestResult:
             raise ValueError("null_sd must be >= 0")
 
 
-def _null_moments(scores, gamma=1.0):
-    """Worst-case mean and variance of the upper-tail bounding statistic.
-
-    ``mean = [(gamma-1)/(1+gamma)] sum |d_i|`` and
-    ``variance = [4 gamma/(1+gamma)^2] sum d_i^2``, as floats for one
-    score vector and column by column for an (I, L) matrix or each matrix
-    of a stack (R, I, L).
-    """
+def _null_moments(abs_sum, sq_sum, gamma=1.0):
+    """Worst-case mean ``[(gamma-1)/(1+gamma)] sum |d_i|`` and variance
+    ``[4 gamma/(1+gamma)^2] sum d_i^2`` of the upper-tail bounding statistic,
+    from those sums of ``_column_sums``, in their shape."""
     gamma = check_gamma(gamma)
-    d = np.asarray(scores, dtype=float)
-    units = -min(d.ndim, 2)  # the pair axis of scores, a matrix or a stack
-    mean = (gamma - 1.0) / (gamma + 1.0) * np.sum(np.abs(d), axis=units)
-    variance = 4.0 * gamma / (gamma + 1.0) ** 2 * np.sum(d * d, axis=units)
-    if d.ndim == 1:
-        return float(mean), float(variance)
-    return mean, variance
+    return (gamma - 1.0) / (gamma + 1.0) * abs_sum, 4.0 * gamma / (gamma + 1.0) ** 2 * sq_sum
 
 
 def pvalue_normal(t, mean, variance):
@@ -117,21 +109,22 @@ def pvalue_normal(t, mean, variance):
     return float(p) if p.ndim == 0 else p
 
 
-def _paired_sums(D, assignment):
-    """``D.T @ assignment``: for one (I,) score vector or (I, L) matrix, and
-    sample by sample for a stack of matrices (R, I, L) and assignments (R, I)."""
-    if D.ndim < 3:
-        return D.T @ assignment
-    return (np.swapaxes(D, 1, 2) @ assignment[..., None])[..., 0]
+def _column_sums(D, assignment):
+    """``(paired, abs_sum, sq_sum)``: ``sum_i d_i V_i``, ``sum_i |d_i|`` and
+    ``sum_i d_i^2`` over the pairs of one (I,) score vector, of each column of
+    an (I, L) matrix, or of each matrix of a stack (R, I, L) with (R, I) V."""
+    paired = D.T @ assignment if D.ndim < 3 else (
+        np.swapaxes(D, 1, 2) @ assignment[..., None])[..., 0]
+    units = -min(D.ndim, 2)  # the pair axis of scores, a matrix or a stack
+    return paired, np.sum(np.abs(D), axis=units), np.sum(D * D, axis=units)
 
 
-def _column_tests(D, assignment, gamma, orient):
-    """Worst-case normal test of each column of an (I, L) ``D``, of one (I,)
-    score vector or of each matrix of a stack (R, I, L) with assignments
-    (R, I), in the upper tail (``orient`` +1) or the lower (-1):
-    ``(t, mean, variance, p)`` with ``t = orient * (D.T @ assignment)``."""
-    t = orient * _paired_sums(D, assignment)
-    mean, variance = _null_moments(D, gamma)
+def _column_tests(sums, gamma, orient):
+    """Worst-case normal test of each column of ``sums``, its ``_column_sums``
+    (which hold no gamma), in the upper tail (``orient`` +1) or the lower
+    (-1): ``(t, mean, variance, p)``, with ``t = orient * paired``."""
+    t = orient * sums[0]
+    mean, variance = _null_moments(*sums[1:], gamma)
     return t, mean, variance, pvalue_normal(t, mean, variance)
 
 
@@ -239,13 +232,13 @@ def score_test(sample, score="pseudo", tau=None, gamma=1.0, method="normal",
         raise ValueError(f"method must be normal, exact or montecarlo, got {method!r}")
     scores = pair_differences(sample, score, tau)
     tau = None if tau is None else check_tau(tau)
-    t, mu_plus, variance, p = _column_tests(scores, sample.assignment, gamma, sign)
+    t, mu_plus, variance, p = _column_tests(_column_sums(scores, sample.assignment), gamma, sign)
     if method == "exact":
         p = pvalue_exact(scores, t, gamma)
     elif method == "montecarlo":
         p = pvalue_montecarlo(scores, t, gamma, n_draws, seed)
     # + 0.0 turns -0.0 into 0.0
-    return TestResult(statistic=float(sign * t), null_mean=sign * mu_plus + 0.0,
+    return TestResult(statistic=float(sign * t), null_mean=float(sign * mu_plus + 0.0),
                       null_sd=math.sqrt(variance), p_value=p, gamma=gamma, method=method,
                       direction="upper" if sign > 0 else "lower", tau=tau)
 
@@ -295,7 +288,7 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     and more than ``mvnorm.MAX_DIM`` live is refused before any bound
     decides.  ``gamma`` must already be checked.  Returns (m, p).
     ``method`` accepts only ``"normal"``, the one method of the max test;
-    the benchmark's reference recorder passes it.
+    the benchmark's reference recorder passes it and pins this signature.
 
     The p is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the column
     tails ``p_l``, so a tiny p keeps its digits and one column gives its
@@ -318,10 +311,11 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     _check_dim(live.max(initial=0))
     if np.shape(seed) != (len(D),):
         raise ValueError(f"a stack of {len(D)} samples needs one seed per sample")
+    paired, abs_sum, sq_sum = _column_sums(D, assignment)
     with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
-        m = np.where(keep, orient * _paired_sums(D, assignment) / sigma, -np.inf).max(axis=-1)
+        m = np.where(keep, orient * paired / sigma, -np.inf).max(axis=-1)
         # the oriented columns have the same |D|, hence the same moments
-        mean, variance = _null_moments(D, gamma)
+        mean, variance = _null_moments(abs_sum, sq_sum, gamma)
         limits = (m[:, None] * sigma - mean) / np.sqrt(variance)
     # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
     # the max's tail lies between the largest column tail and their sum
@@ -370,7 +364,6 @@ def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
     integrated p only when that p lies within a few error estimates of
     alpha.
     """
-    check_one_sample(diff)
     sign = _sign("pseudo", direction)
     alpha, tol, seed = check_alpha(alpha), check_tol(tol, "tol"), check_seed(seed)
     gamma_max, mvn_tol = check_gamma(gamma_max), check_tol(mvn_tol, "mvn_tol")

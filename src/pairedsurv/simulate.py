@@ -25,9 +25,9 @@ from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
 from .errors import (_check_real, as_grid, check_alpha, check_gamma, check_reals, check_seed,
                      check_times, check_tol, check_whole)
-from .overall import DiffMatrix, _degenerate, _warn_degenerate
+from .overall import _degenerate, _warn_degenerate
 from .scores import _difference_stack, _sign, pair_difference_matrix
-from .sensitivity import _column_tests, _max_test_from_columns
+from .sensitivity import _column_sums, _column_tests, _max_test_from_columns
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate
@@ -381,20 +381,21 @@ def _test_block(config, grid, block):
                   [_rep_seed(config.seed, scenarios[s].id, rep) for _, rep in run])
         for s, run in groupby(block, key=itemgetter(0)))))
     # every column, the negated PW one included, is pseudo-oriented
-    diff = DiffMatrix(grid, _difference_stack(check_times(times.reshape(len(block), -1)),
-                                              events.reshape(len(block), -1), grid,
-                                              include_pw=True), assignment)
+    D = _difference_stack(check_times(times.reshape(len(block), -1)),
+                          events.reshape(len(block), -1), grid, include_pw=True)
+    sums = _column_sums(D, assignment)  # no gamma in them: one set serves every gamma
+    sigma = np.sqrt(sums[2])
     mvn_seeds = [int(_rep_seed(config.seed, scenarios[s].id, rep, salt=7).generate_state(1)[0])
                  for s, rep in block]
     benefit, n_taus = _sign("pseudo", "benefit"), len(grid)
     rejected = np.empty((len(block), len(config.gammas), n_taus + 2), dtype=bool)
     for g, gamma in enumerate(config.gammas):
-        rejected[:, g, :-1] = _column_tests(diff.D, assignment, gamma, benefit)[3] <= config.alpha
+        rejected[:, g, :-1] = _column_tests(sums, gamma, benefit)[3] <= config.alpha
         rejected[:, g, -1] = _max_test_from_columns(
-            diff.D[..., :n_taus], diff.sigma[..., :n_taus], assignment, gamma, "normal",
+            D[..., :n_taus], sigma[..., :n_taus], assignment, gamma, "normal",
             orient=benefit, tol=config.mvn_tol, seed=mvn_seeds, alpha=config.alpha)[1] \
             <= config.alpha
-    return rejected, [tuple(_degenerate(diff.labels, sigma)) for sigma in diff.sigma]
+    return rejected, [tuple(_degenerate(grid.tolist() + ["ppw"], s)) for s in sigma]
 
 
 def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResult]:
@@ -418,10 +419,9 @@ def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResul
                 stacklevel=2,
             )
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
-        diff = DiffMatrix(grid, pair_difference_matrix(sample, grid), sample.assignment)
-        _warn_degenerate(_degenerate(diff.labels, diff.sigma), f"scenario {spec.id}: ")
         per_column, overall = design_sensitivities(
-            _sign("pseudo", "benefit") * diff.D, sample.assignment)
+            _sign("pseudo", "benefit") * pair_difference_matrix(sample, grid), sample.assignment)
+        _warn_degenerate(grid[np.isnan(per_column)].tolist(), f"scenario {spec.id}: ")
         results.append(
             DesignSensitivityResult(
                 per_tau=dict(zip(grid.tolist(), per_column.tolist())),

@@ -163,3 +163,7 @@ def test_sample_arrays_read_only():
 def test_paired_sample_validates_assignment():
     with pytest.raises(ValueError):
         PairedSample([[1.0, 2.0]], [[True, True]], [2])
+    # a fraction is not truncated to a sign, and a bool is not a sign
+    for signs in ([1.5], [-0.5], [True], [np.nan], ["1"]):
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            PairedSample([[1.0, 2.0]], [[True, True]], signs)

@@ -24,12 +24,11 @@ from pairedsurv import (
     pair_differences,
     power_study,
     score_test,
-    sensitivity_value,
     time_specific_test,
 )
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
 from pairedsurv.km import event_table
-from pairedsurv.sensitivity import _max_test_from_columns, _null_moments
+from pairedsurv.sensitivity import _column_sums, _max_test_from_columns, _null_moments
 from pairedsurv.simulate import SCENARIO_IDS
 
 from conftest import count_mvn_calls, record_decision_integrations, simulated_sample
@@ -76,13 +75,41 @@ def test_diff_matrix_refuses_shapes_that_do_not_fit():
             DiffMatrix(np.asarray(taus), D, assignment)
 
 
+def test_diff_matrix_runs_the_input_rules():
+    # a hand-built matrix passes the rules diff_matrix's inputs pass: a grid,
+    # real and finite differences, +-1 signs; a NaN column would otherwise
+    # read as degenerate and be dropped without a warning
+    diff = diff_matrix(simulated_sample(200, "ph", seed=1), (1.0, 2.0, 3.0))
+    for taus in ((2.0, 2.0, 3.0), (3.0, 2.0, -1.0)):
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            DiffMatrix(np.asarray(taus), diff.D, diff.assignment)
+    for bad in (np.nan, np.inf, -np.inf):
+        D = diff.D.copy(order="F")
+        D[7, 1] = bad
+        with pytest.raises(ValueError, match="real, finite numbers"):
+            DiffMatrix(diff.taus, D, diff.assignment)
+    for D in (diff.D.astype(complex), diff.D != 0.0, diff.D.astype(str)):
+        with pytest.raises(ValueError, match="real, finite numbers"):
+            DiffMatrix(diff.taus, D, diff.assignment)
+    for entry in (0, 2, 0.5):
+        assignment = diff.assignment.astype(float)
+        assignment[3] = entry
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            DiffMatrix(diff.taus, diff.D, assignment)
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        DiffMatrix(diff.taus, diff.D, diff.assignment > 0)
+    # the checks read D in place: the matrix keeps the caller's array
+    kept = DiffMatrix(diff.taus, diff.D, diff.assignment)
+    assert kept.D is diff.D and kept.D.flags.f_contiguous
+
+
 def test_public_tests_refuse_a_stack():
+    # every public test takes a DiffMatrix, which holds one sample: a stack
+    # is refused when the matrix is built
     diffs = [diff_matrix(simulated_sample(40, "ph", seed=seed), (1.0, 2.0)) for seed in (1, 2)]
-    stack = DiffMatrix(diffs[0].taus, np.stack([d.D for d in diffs]),
-                       np.stack([d.assignment for d in diffs]))
-    for test in (max_test, closed_test, sensitivity_value):
-        with pytest.raises(ValueError, match="one sample's matrix, got a stack of 2"):
-            test(stack)
+    with pytest.raises(ValueError, match=re.escape("D of shape (2, 40, 2)")):
+        DiffMatrix(diffs[0].taus, np.stack([d.D for d in diffs]),
+                   np.stack([d.assignment for d in diffs]))
 
 
 def test_diff_matrix_equals_per_tau_columns_across_blocks():
@@ -265,7 +292,7 @@ def test_tiny_max_tail_stays_inside_its_bound():
     grid = (1.0, 2.0, 3.0, 4.0, 5.0)
     res = overall_test(sample, grid)
     diff = diff_matrix(sample, grid)
-    mean, variance = _null_moments(diff.D, 1.0)
+    mean, variance = _null_moments(*_column_sums(diff.D, diff.assignment)[1:], 1.0)
     tails = ndtr(-(res.statistic * diff.sigma - mean) / np.sqrt(variance))
     assert 0.0 < tails.max() <= res.p_value <= tails.sum()
     one = overall_test(sample, (3.0,)).p_value
@@ -299,16 +326,16 @@ def test_stacked_max_test_masks_dropped_columns(grid):
     D = np.stack([d.D for d in diffs])
     for r, dropped in enumerate(([], [0, 1], [0, 1, 3], list(range(len(grid))))):
         D[r][:, dropped] = 0.0
-    stack = DiffMatrix(np.asarray(grid), D, np.stack([d.assignment for d in diffs]))
-    sigma, seeds = stack.sigma, [11, 12, 13, 14]
+    assignment = np.stack([d.assignment for d in diffs])
+    sigma, seeds = np.sqrt(np.sum(D ** 2, axis=-2)), [11, 12, 13, 14]
     for gamma in (1.0, 1.1, 1.5):
         for alpha in (None, 0.05, 1.0):
             args = (gamma, "normal", -1.0, 1e-4)
-            m, p = _max_test_from_columns(D, sigma, stack.assignment, *args, seeds, alpha)
+            m, p = _max_test_from_columns(D, sigma, assignment, *args, seeds, alpha)
             for r, keep in enumerate(sigma > 0.0):
                 if keep.any():
                     assert (m[r], p[r]) == _max_test_from_columns(
-                        D[r][:, keep], sigma[r][keep], stack.assignment[r], *args, seeds[r],
+                        D[r][:, keep], sigma[r][keep], assignment[r], *args, seeds[r],
                         alpha)
                 else:
                     assert np.isnan(m[r]) and p[r] == 1.0
@@ -320,7 +347,7 @@ def _column_tail_bounds(args):
     D, sigma, assignment, gamma = args[:4]
     low = _max_test_from_columns(*args, alpha=0.0)[1]
     high = _max_test_from_columns(*args, alpha=1.0)[1]
-    mean, variance = _null_moments(D, gamma)
+    mean, variance = _null_moments(*_column_sums(D, assignment)[1:], gamma)
     m = np.max(args[5] * (D.T @ assignment) / sigma)
     tails = ndtr(-(m * sigma - mean) / np.sqrt(variance))
     assert low == pytest.approx(tails.max(), rel=1e-12)

@@ -31,7 +31,7 @@ from pairedsurv import sensitivity
 from pairedsurv.cli import main
 from pairedsurv.errors import (DegenerateColumnWarning, as_grid, check_alpha, check_gamma,
                                check_seed)
-from pairedsurv.sensitivity import _column_tests, _null_moments, _search
+from pairedsurv.sensitivity import _column_sums, _column_tests, _null_moments, _search
 
 from conftest import fix_workers, montecarlo_one_shot, simulated_sample
 
@@ -64,39 +64,60 @@ def test_t_statistic_arithmetic():
         ("b", 1, False, 3.0, True), ("b", 2, True, 4.0, True),
     ])
     d = np.array([1.0, -2.0])
-    assert _column_tests(d, sample.assignment, 1.0, 1.0)[0] == 3.0
-    assert _column_tests(d, sample.assignment, 1.0, -1.0)[0] == -3.0
+    assert _column_tests(_column_sums(d, sample.assignment), 1.0, 1.0)[0] == 3.0
+    assert _column_tests(_column_sums(d, sample.assignment), 1.0, -1.0)[0] == -3.0
     # columns of a matrix are tested one by one
     D = np.array([[1.0, 0.5], [-2.0, 0.5]])
-    t, mean, variance, p = _column_tests(D, sample.assignment, 2.0, 1.0)
+    t, mean, variance, p = _column_tests(_column_sums(D, sample.assignment), 2.0, 1.0)
     assert t.tolist() == [3.0, 0.0]
     for col in range(2):
-        one = _column_tests(D[:, col], sample.assignment, 2.0, 1.0)
+        one = _column_tests(_column_sums(D[:, col], sample.assignment), 2.0, 1.0)
         assert [one[1], one[2], one[3]] == [mean[col], variance[col], p[col]]
+    # each sample of a stack (R, I, L) is tested as on its own, bit for bit,
+    # which the power study's counts rely on
+    diffs = [diff_matrix(simulated_sample(300, scenario, seed=seed), (0.5, 1.0, 2.0, 3.0),
+                         include_ppw=True)
+             for scenario, seed in (("ph", 1), ("late_div", 2), ("crossing", 3))]
+    assignments = np.stack([diff.assignment for diff in diffs])
+    # row-major rows, and column-major ones as the power study's kernel lays out
+    for stack in (np.stack([diff.D for diff in diffs]),
+                  np.stack([diff.D.T for diff in diffs]).transpose(0, 2, 1)):
+        for gamma, orient in ((1.0, -1.0), (1.5, 1.0)):
+            stacked = _column_tests(_column_sums(stack, assignments), gamma, orient)
+            for r, diff in enumerate(diffs):
+                one = _column_tests(_column_sums(diff.D, diff.assignment), gamma, orient)
+                for got, want in zip(stacked, one):
+                    assert got[r].tobytes() == want.tobytes()
+
+
+def _moments(d, gamma):
+    """``_null_moments`` of one score vector, as floats, through ``_column_sums``."""
+    d = np.asarray(d, dtype=float)
+    return tuple(map(float, _null_moments(*_column_sums(d, np.ones(d.size))[1:], gamma)))
 
 
 def test_null_moments_randomization_case():
-    mean, var = _null_moments(np.array([1.0, -2.0, 0.5]), gamma=1.0)
+    mean, var = _moments(np.array([1.0, -2.0, 0.5]), gamma=1.0)
     assert mean == 0.0
     assert var == pytest.approx(1.0 + 4.0 + 0.25)
 
 
 def test_null_moments_hand_example():
-    mean, var = _null_moments(np.array([1.0, 1.0]), gamma=3.0)
+    mean, var = _moments(np.array([1.0, 1.0]), gamma=3.0)
     assert mean == pytest.approx(1.0)
     assert var == pytest.approx(1.5)
 
 
 def test_null_moments_gamma_limit():
     d = np.array([0.3, -0.7, 1.1])
-    mean, var = _null_moments(d, gamma=1e9)
+    mean, var = _moments(d, gamma=1e9)
     assert mean == pytest.approx(np.abs(d).sum(), rel=1e-6)
     assert var == pytest.approx(0.0, abs=1e-6)
 
 
 def test_gamma_below_one_rejected():
     with pytest.raises(ValueError):
-        _null_moments(np.array([1.0]), gamma=0.9)
+        _moments(np.array([1.0]), gamma=0.9)
 
 
 # -- normal tail -----------------------------------------------------------
@@ -191,7 +212,7 @@ def _oracle_cases():
         d = rng.normal(size=size).round(digits)
         d[rng.random(size) < 0.2] = 0.0
         gamma = float(rng.choice([1.0, 1.25, 3.0]))
-        mean, variance = _null_moments(d, gamma)
+        mean, variance = _moments(d, gamma)
         t = round(mean + rng.uniform(-2.0, 2.0) * math.sqrt(variance), digits)
         n_draws = int(rng.choice([1, 2, int(rng.integers(3, 20_000))]))
         yield d, t, gamma, n_draws, case
@@ -515,8 +536,7 @@ def test_tied_pairs_inert():
     gamma = 1.4
     t = float(d @ sample.assignment)
     assert float(padded_d @ assignment) == pytest.approx(t, abs=1e-12)
-    assert _null_moments(d, gamma) == pytest.approx(_null_moments(padded_d, gamma),
-                                                   rel=1e-14)
+    assert _moments(d, gamma) == pytest.approx(_moments(padded_d, gamma), rel=1e-14)
     assert pvalue_exact(d, t, gamma) == pytest.approx(
         pvalue_exact(padded_d, t, gamma), abs=1e-12
     )
