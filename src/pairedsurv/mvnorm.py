@@ -164,9 +164,12 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, level=None):
     Lattice points double until the error estimate (three standard errors
     of the mean over the random shifts) is at most ``tol`` or ``_MAX_POINTS``
     is reached; in the latter case an AccuracyNotReached warning is emitted.
+    Over 8 shifts the standardized mean is a t with 7 degrees of freedom,
+    so |error| exceeds the error estimate with probability 2.0% (2 t_7.sf(3)).
     With ``level``, the doubling also ends as soon as the estimate lies
-    more than two error estimates from ``level``: the returned value is
-    then on the same side of ``level`` as the CDF, which is all a caller
+    more than two error estimates (six standard errors) from ``level``:
+    the returned value is then on the CDF's side of ``level`` except with
+    probability at most 5.4e-4 (2 t_7.sf(6)), which is all a caller
     comparing the two needs, and no AccuracyNotReached is emitted however
     large the error estimate.  The tolerance, the seed, the limits and the
     matrix are checked before any shortcut.

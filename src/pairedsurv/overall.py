@@ -82,14 +82,8 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     taus = as_grid(grid)
     diff = DiffMatrix(taus, pair_difference_matrix(sample, taus, include_pw=include_ppw),
                       sample.assignment)
-    _warn_degenerate(_degenerate(diff.labels, diff.sigma))
+    _warn_degenerate([lab for lab, s in zip(diff.labels, diff.sigma) if s == 0.0])
     return diff
-
-
-def _degenerate(labels, sigma) -> list:
-    """The labels of the columns with zero dispersion, which the max-type
-    tests drop."""
-    return [lab for lab, s in zip(labels, sigma) if s == 0.0]
 
 
 def _warn_degenerate(dropped, sample=""):

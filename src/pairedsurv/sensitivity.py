@@ -286,7 +286,7 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     zero dispersion is masked, so each sample gets the bits of the
     one-sample call on its live columns; with none live it gets (nan, 1),
     and more than ``mvnorm.MAX_DIM`` live is refused before any bound
-    decides.  ``gamma`` must already be checked.  Returns (m, p).
+    decides.  ``gamma`` is checked by ``_null_moments``.  Returns (m, p).
     ``method`` accepts only ``"normal"``, the one method of the max test;
     the benchmark's reference recorder passes it and pins this signature.
 

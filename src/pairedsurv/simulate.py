@@ -16,8 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby, islice
-from operator import itemgetter
+from itertools import islice
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
 from .errors import (_check_real, as_grid, check_alpha, check_gamma, check_reals, check_seed,
                      check_times, check_tol, check_whole)
-from .overall import _degenerate, _warn_degenerate
+from .overall import _warn_degenerate
 from .scores import _difference_stack, _sign, pair_difference_matrix
 from .sensitivity import _column_sums, _column_tests, _max_test_from_columns
 
@@ -89,41 +88,43 @@ class ScenarioSpec:
                     f"'b' of {self.id!r} must be a number > 1 and finite")
 
 
-def _sample_survival_time(x, z, spec: ScenarioSpec, uniform_draw):
+def _sample_survival_time(x, z, eta, uniform_draw):
     """Invert the cumulative hazard at ``-log(u)``.
 
-    With time slope k and base rate r = LAM * exp(x + intercept) the
-    cumulative hazard is r (e^{kt} - 1)/k (or r t when k = 0); draws whose
-    cumulative hazard never reaches -log(u) come back as +inf (they are
+    ``eta`` is an ``ETA`` triple and ``z`` is 1 for a treated unit; both
+    and ``x`` broadcast against ``uniform_draw``, the result's shape.  With
+    time slope k and base rate r = LAM * exp(x + intercept) the cumulative
+    hazard is r (e^{kt} - 1)/k (or r t where k = 0); draws whose cumulative
+    hazard never reaches -log(u) come back as +inf (they are
     administratively censored downstream).
     """
     target = -np.log(uniform_draw)
-    slope_z, intercept_z, slope_common = ETA[spec.id]
+    slope_z, intercept_z, slope_common = eta
     k = slope_z * z + slope_common
     r = LAM * np.exp(x + intercept_z * z)
-    if k == 0.0:
-        return target / r
     arg = 1.0 + k * target / r
+    # in place, with r freed and arg rebound: a lower peak at large I
+    target /= r
+    del r
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(arg > 0.0, np.log(np.maximum(arg, 1e-300)) / k, np.inf)
+        arg = np.where(arg > 0.0, np.log(np.maximum(arg, 1e-300)) / k, np.inf)
+    return np.where(k == 0.0, target, arg)
 
 
-def _sample_censoring_time(x, spec: ScenarioSpec, uniform_draw):
-    """Exponential censoring draw at rate LAM/b (times exp(x) if covariate-dependent)."""
-    rate = LAM / spec.b
-    if spec.censoring_form == "covariate_dependent":
-        rate = rate * np.exp(x)
-    return -np.log(uniform_draw) / rate
+def _sample_censoring_time(x, b, covariate_dependent, uniform_draw):
+    """Exponential censoring draw at rate LAM/b, times exp(x) where covariate_dependent."""
+    rate = LAM / b
+    return -np.log(uniform_draw) / np.where(covariate_dependent, rate * np.exp(x), rate)
 
 
-def _simulate(n_pairs, spec: ScenarioSpec, seeds):
+def _simulate(n_pairs, specs, seeds):
     """Observed times and event flags (R, I, 2) and assignments (R, I) of R
-    samples of one scenario, sample r drawn from ``seeds[r]`` (SeedSequence
-    entropy) exactly as ``generate_pairs`` draws one.
+    samples, sample r drawn from scenario ``specs[r]`` and ``seeds[r]``
+    (SeedSequence entropy) exactly as ``generate_pairs`` draws one.
 
     Each sample makes the same four draws, in the same order, from its own
-    stream; the survival, censoring and cap transforms then run once over
-    the stack.
+    stream; its scenario enters as (R, 1, 1) arrays, so the survival,
+    censoring and cap transforms run once over the stack.
     """
     shape = (len(seeds), n_pairs)
     x = np.empty(shape + (1,))
@@ -135,14 +136,14 @@ def _simulate(n_pairs, spec: ScenarioSpec, seeds):
         rng.random(out=u_surv[r])
         rng.random(out=u_cens[r])
         np.less(rng.random(n_pairs), 0.5, out=treat_first[r])
-    u_surv, u_cens = 1.0 - u_surv, 1.0 - u_cens
+    np.subtract(1.0, u_surv, out=u_surv)
+    np.subtract(1.0, u_cens, out=u_cens)
 
-    s1 = _sample_survival_time(x, 1, spec, u_surv)
-    s0 = _sample_survival_time(x, 0, spec, u_surv)
-    cens = _sample_censoring_time(x, spec, u_cens)
-
+    per_sample = lambda values: np.array(values).T[..., None, None]  # each value as (R, 1, 1)
     treated = np.stack((treat_first, ~treat_first), axis=-1)
-    surv = np.where(treated, s1, s0)
+    surv = _sample_survival_time(x, treated, per_sample([ETA[s.id] for s in specs]), u_surv)
+    cens = _sample_censoring_time(x, per_sample([s.b for s in specs]), per_sample(
+        [s.censoring_form == "covariate_dependent" for s in specs]), u_cens)
     cap = np.minimum(cens, ADMIN_CUTOFF)
     return np.minimum(surv, cap), surv <= cap, np.where(treat_first, 1, -1)
 
@@ -150,13 +151,13 @@ def _simulate(n_pairs, spec: ScenarioSpec, seeds):
 def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
     """Simulate a matched-pair sample, fully determined by the seed.
 
-    Each unit draws one uniform that is inverted under both arms (the
-    realized arm follows the random within-pair label) and one censoring
-    uniform shared across arms; observed times are truncated at the
+    Each unit draws one survival uniform, shared by both potential outcomes
+    and inverted under the realized arm only (the random within-pair label),
+    and one censoring uniform; observed times are truncated at the
     administrative cutoff.  ``seed`` is SeedSequence entropy.
     """
     n_pairs = check_whole(n_pairs, 1, "n_pairs")
-    times, events, assignment = _simulate(n_pairs, spec, [seed])
+    times, events, assignment = _simulate(n_pairs, [spec], [seed])
     return PairedSample(times[0], events[0], assignment[0])
 
 
@@ -339,29 +340,31 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
 
     The samples, taken in scenario order and cut into blocks of at most
     ``_BLOCK_UNITS`` units (a block may span scenarios), run block by
-    block, so memory stays bounded whatever the number of replications.  Each block is drawn as one stack (``_simulate``), sorted
-    once for all of its difference matrices, and tested for every gamma in
-    one call per test; every count equals that of the sample-by-sample
-    public tests.  A degenerate column (a grid time before any event) gives
-    one ``DegenerateColumnWarning`` per scenario, naming its replications.
+    block, so memory stays bounded whatever the number of replications.
+    Each block is drawn in one ``_simulate`` call, sorted once for all of
+    its difference matrices, and tested for every gamma in one call per
+    test; every count equals that of the sample-by-sample public tests.  A
+    degenerate column (a grid time before any event) gives one
+    ``DegenerateColumnWarning`` per scenario, naming its replications.
     """
     grid = as_grid(config.grid)
+    labels = grid.tolist() + ["ppw"]
     names = [f"t_tau={tau:g}" for tau in grid] + ["ppw", "max"]
     hits = np.zeros((len(config.scenarios), len(config.gammas), len(names)), dtype=np.int64)
-    dropped = {}  # (scenario, dropped labels) -> (count, its first five replications)
+    dropped = {}  # (scenario, dropped column indices) -> its replications
     samples = ((s, rep) for s in range(len(config.scenarios))
                for rep in range(config.replications))
     per_block = max(1, _BLOCK_UNITS // (2 * config.pairs))
     while block := list(islice(samples, per_block)):
-        rejected, labels = _test_block(config, grid, block)
+        rejected, degenerate = _test_block(config, grid, block)
         np.add.at(hits, [s for s, _ in block], rejected)
-        for (s, rep), found in zip(block, labels):
-            if found:
-                count, reps = dropped.get((s, found), (0, ()))
-                dropped[s, found] = count + 1, reps if len(reps) == 5 else (*reps, rep)
-    for (s, found), (count, reps) in dropped.items():
-        shown = ", ".join(map(str, reps)) + (f" and {count - 5} more" if count > 5 else "")
-        _warn_degenerate(list(found), f"scenario {config.scenarios[s].id}, replications {shown}: ")
+        for (s, rep), mask in zip(block, degenerate):
+            if mask.any():
+                dropped.setdefault((s, tuple(np.flatnonzero(mask))), []).append(rep)
+    for (s, columns), reps in dropped.items():
+        shown = ", ".join(map(str, reps[:5])) + (f" and {len(reps) - 5} more" if reps[5:] else "")
+        _warn_degenerate([labels[j] for j in columns],
+                         f"scenario {config.scenarios[s].id}, replications {shown}: ")
     rows = tuple(
         PowerRow(scenario=spec.id, gamma=gamma, test=name, rejections=int(hits[s, g, k]),
                  replications=config.replications)
@@ -374,12 +377,11 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
 def _test_block(config, grid, block):
     """Every test of the samples ``block`` lists as (scenario index,
     replication): ``p <= alpha`` as (R, gammas, tests), in ``power_study``'s
-    test order, and each sample's tuple of degenerate column labels."""
+    test order, and the (R, L + 1) mask of each sample's degenerate columns."""
     scenarios = config.scenarios
-    times, events, assignment = map(np.concatenate, zip(*(
-        _simulate(config.pairs, scenarios[s],
-                  [_rep_seed(config.seed, scenarios[s].id, rep) for _, rep in run])
-        for s, run in groupby(block, key=itemgetter(0)))))
+    times, events, assignment = _simulate(
+        config.pairs, [scenarios[s] for s, _ in block],
+        [_rep_seed(config.seed, scenarios[s].id, rep) for s, rep in block])
     # every column, the negated PW one included, is pseudo-oriented
     D = _difference_stack(check_times(times.reshape(len(block), -1)),
                           events.reshape(len(block), -1), grid, include_pw=True)
@@ -395,7 +397,7 @@ def _test_block(config, grid, block):
             D[..., :n_taus], sigma[..., :n_taus], assignment, gamma, "normal",
             orient=benefit, tol=config.mvn_tol, seed=mvn_seeds, alpha=config.alpha)[1] \
             <= config.alpha
-    return rejected, [tuple(_degenerate(grid.tolist() + ["ppw"], s)) for s in sigma]
+    return rejected, sigma == 0.0
 
 
 def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResult]:

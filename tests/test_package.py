@@ -139,3 +139,14 @@ def test_mvn_cdf_has_one_call_site():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 sites.append((path.name, owner.get(node)))
     assert sites == [("sensitivity.py", "_max_test_from_columns")]
+
+
+def test_no_line_longer_than_100_characters():
+    root = Path(__file__).resolve().parents[1]
+    long = [f"{path.relative_to(root)}:{n}"
+            for folder in ("src", "tests", "demos")
+            for path in sorted((root / folder).rglob("*"))
+            if path.suffix in (".py", ".cfg")
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []

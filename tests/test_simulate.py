@@ -55,10 +55,9 @@ def test_eta_forms():
 
 
 def test_exponential_mean_no_effect():
-    spec = ScenarioSpec("no_effect")
     rng = np.random.default_rng(0)
     u = 1.0 - rng.random(1_000_000)
-    s = _sample_survival_time(0.0, 0, spec, u)
+    s = _sample_survival_time(0.0, 0, ETA["no_effect"], u)
     assert s.mean() == pytest.approx(5.0, rel=0.01)
 
 
@@ -70,13 +69,14 @@ def test_inversion_matches_adaptive_quadrature():
             x = float(rng.normal())
             z = int(rng.integers(2))
             u = float(rng.uniform(0.02, 0.98))
-            s = _sample_survival_time(x, z, spec, u)
+            s = _sample_survival_time(x, z, ETA[spec.id], u)
             cum, _ = quad(lambda v: hazard(spec, v, x, z), 0.0, s, limit=200)
             assert cum == pytest.approx(-np.log(u), abs=1e-8)
 
 
 def test_inversion_matches_simpson_at_scale():
-    # 1e4 random (x, z, u) per scenario against vectorized Simpson quadrature
+    # 1e4 random (x, z, u) per scenario, inverted in one call, against
+    # vectorized Simpson quadrature
     rng = np.random.default_rng(2)
     n = 10_000
     nodes = 800  # Simpson intervals; error way below 1e-8 for s <= 10
@@ -85,9 +85,7 @@ def test_inversion_matches_simpson_at_scale():
         x = rng.standard_normal(n)
         z = rng.integers(2, size=n).astype(float)
         u = rng.uniform(0.02, 0.98, n)
-        s = np.asarray([
-            _sample_survival_time(x[i], int(z[i]), spec, u[i]) for i in range(n)
-        ])
+        s = _sample_survival_time(x, z, ETA[sid], u)
         ok = np.isfinite(s) & (s <= 10.0)
         xs, zs, ss = x[ok], z[ok], s[ok]
         grid = np.linspace(0.0, 1.0, 2 * nodes + 1)[None, :] * ss[:, None]
@@ -105,7 +103,7 @@ def test_censoring_exponential_mean():
     spec = ScenarioSpec("no_effect", b=2.0, censoring_form="covariate_free")
     rng = np.random.default_rng(2)
     u = 1.0 - rng.random(1_000_000)
-    c = _sample_censoring_time(0.0, spec, u)
+    c = _sample_censoring_time(0.0, spec.b, spec.censoring_form == "covariate_dependent", u)
     assert c.mean() == pytest.approx(1.0 / 0.1, rel=0.01)
 
 
@@ -113,16 +111,18 @@ def test_censoring_forms_coincide_at_x_zero():
     dep = ScenarioSpec("ph", b=3.0)
     free = ScenarioSpec("ph", b=3.0, censoring_form="covariate_free")
     u = np.linspace(0.05, 0.95, 11)
-    np.testing.assert_allclose(_sample_censoring_time(0.0, dep, u),
-                               _sample_censoring_time(0.0, free, u))
+    dependent = lambda spec: spec.censoring_form == "covariate_dependent"
+    np.testing.assert_allclose(_sample_censoring_time(0.0, dep.b, dependent(dep), u),
+                               _sample_censoring_time(0.0, free.b, dependent(free), u))
 
 
 def test_censoring_stochastically_larger_with_b():
     spec_small = ScenarioSpec("ph", b=1.5)
     spec_big = ScenarioSpec("ph", b=5.0)
     u = np.linspace(0.05, 0.95, 19)
-    assert np.all(_sample_censoring_time(0.3, spec_big, u)
-                  > _sample_censoring_time(0.3, spec_small, u))
+    dependent = lambda spec: spec.censoring_form == "covariate_dependent"
+    assert np.all(_sample_censoring_time(0.3, spec_big.b, dependent(spec_big), u)
+                  > _sample_censoring_time(0.3, spec_small.b, dependent(spec_small), u))
 
 
 def test_generate_deterministic():
@@ -134,6 +134,21 @@ def test_generate_deterministic():
     np.testing.assert_array_equal(a.assignment, b.assignment)
     c = generate_pairs(500, spec, 43)
     assert not np.array_equal(a.times, c.times)
+
+
+def test_mixed_stack_matches_generate_pairs():
+    # one stack of every (scenario, censoring form), each scenario twice with
+    # its own seed, in an order that interleaves the forms
+    specs = [ScenarioSpec(sid, censoring_form=form)
+             for sid in ETA for form in simulate.CENSORING_FORMS] * 2
+    specs = specs[::3] + specs[1::3] + specs[2::3]
+    seeds = [[7, r] for r in range(len(specs))]
+    times, events, assignment = simulate._simulate(40, specs, seeds)
+    for r, (spec, seed) in enumerate(zip(specs, seeds)):
+        one = generate_pairs(40, spec, seed)
+        assert times[r].tobytes() == one.times.tobytes()
+        assert events[r].tobytes() == one.events.tobytes()
+        assert assignment[r].tobytes() == one.assignment.tobytes()
 
 
 @pytest.mark.parametrize("n_pairs, match", [
@@ -168,8 +183,9 @@ def test_covariate_free_censoring_independent_of_survival():
     rng = np.random.default_rng(5)
     n = 100_000
     x = rng.standard_normal(n)
-    s = _sample_survival_time(x, 0, spec, 1.0 - rng.random(n))
-    c = _sample_censoring_time(x, spec, 1.0 - rng.random(n))
+    s = _sample_survival_time(x, 0, ETA[spec.id], 1.0 - rng.random(n))
+    c = _sample_censoring_time(x, spec.b, spec.censoring_form == "covariate_dependent",
+                               1.0 - rng.random(n))
     r = np.corrcoef(s, c)[0, 1]
     assert abs(r) <= 3.0 / np.sqrt(n)
 
