@@ -9,8 +9,8 @@ runs on the one-column difference matrix at tau.
 
 import numpy as np
 
-from pairedsurv import (ScenarioSpec, diff_matrix, generate_pairs, sensitivity_value,
-                        time_specific_test)
+from pairedsurv import (ScenarioSpec, diff_matrix, generate_pairs, score_test,
+                        sensitivity_value)
 
 sample = generate_pairs(500, ScenarioSpec("ph"), seed=11)
 TAU = 4.0
@@ -18,7 +18,7 @@ TAU = 4.0
 print(f"proportional-hazards benefit sample, I = 500, tau = {TAU}\n")
 print("gamma   worst-case p")
 for gamma in np.arange(1.0, 1.7, 0.1):
-    res = time_specific_test(sample, TAU, gamma=float(gamma))
+    res = score_test(sample, "pseudo", TAU, gamma=float(gamma))
     print(f"{gamma:5.2f}   {res.p_value:.4f}")
 
 sv = sensitivity_value(diff_matrix(sample, [TAU]), alpha=0.05, tol=1e-3)

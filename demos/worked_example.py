@@ -9,7 +9,7 @@ max-type combined test earns its keep.
 
 import numpy as np
 
-from pairedsurv import build_sample, pair_differences, time_specific_test
+from pairedsurv import build_sample, pair_differences, score_test
 
 records = [
     ("p1", 1, 1, 8.3, 1), ("p1", 2, 0, 1.8, 1),
@@ -25,7 +25,7 @@ for tau in (1.3, 5.9):
     d = pair_differences(sample, "pseudo", tau)
     print(f"analysis time tau = {tau}")
     print("  pair differences d_i:", np.round(d, 3))
-    res = time_specific_test(sample, tau, gamma=1.0)
+    res = score_test(sample, "pseudo", tau, gamma=1.0)
     print(f"  statistic {res.statistic:+.3f}, p-value {res.p_value:.3f} "
           f"(benefit = {res.direction} tail)\n")
 

@@ -25,7 +25,6 @@ from .sensitivity import (
     pvalue_normal,
     score_test,
     sensitivity_value,
-    time_specific_test,
 )
 from .simulate import (
     ScenarioSpec,

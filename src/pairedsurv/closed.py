@@ -18,8 +18,9 @@ p = 1, the p-value of a test with no columns.
 Each S_m is integrated with a QMC seed derived from its bitmask over the
 grid, so its p-value is the one a full enumeration computes for that
 subset, whichever other subsets are visited.  A one-column subset gets
-the exact normal tail of its time-specific test.  Every subset's p is
-``sensitivity._max_test_from_columns`` on columns of the caller's matrix.
+the normal tail of its time-specific test bit for bit, without an
+integration.  Every subset's p is ``sensitivity._max_test_from_columns``
+on columns of the caller's matrix.
 """
 
 from __future__ import annotations

@@ -79,22 +79,18 @@ def build_sample(records) -> PairedSample:
     records = list(records)
     if not records:
         raise ValueError("no unit records supplied")
-    slots: dict = {}
-    order: list = []
+    slots: dict = {}  # keeps first-appearance order
     for rec in records:
         pair_id, position, treated, time, event = rec
         if position not in (1, 2):
             raise ValueError(f"position must be 1 or 2, got {position!r}")
-        if pair_id not in slots:
-            slots[pair_id] = {}
-            order.append(pair_id)
-        if position in slots[pair_id]:
+        got = slots.setdefault(pair_id, {})
+        if position in got:
             raise ValueError(f"pair {pair_id!r} position {position} supplied twice")
-        slots[pair_id][position] = (bool(treated), float(time), bool(event))
+        got[position] = (bool(treated), float(time), bool(event))
 
     times, events, assignment = [], [], []
-    for pair_id in order:
-        got = slots[pair_id]
+    for pair_id, got in slots.items():
         if set(got) != {1, 2}:
             missing = ({1, 2} - set(got)).pop()
             raise ValueError(f"pair {pair_id!r} is missing position {missing}")
@@ -106,7 +102,7 @@ def build_sample(records) -> PairedSample:
         times.append([y1, y2])
         events.append([e1, e2])
         assignment.append(1 if t1 else -1)
-    return PairedSample(times, events, assignment, pair_ids=order)
+    return PairedSample(times, events, assignment, pair_ids=list(slots))
 
 
 CSV_HEADER = ["pair_id", "position", "treated", "time", "event"]

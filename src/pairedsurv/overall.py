@@ -101,12 +101,16 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     ``direction="benefit"`` orients every column so a treated survival
     advantage increases the max statistic; ``"harm"`` tests the reverse.
     The p-value is the normal one, and ``seed`` (a whole number >= 0) and
-    ``tol`` drive the QMC integration.  Columns with zero dispersion are
-    dropped; when all columns are degenerate the p-value is 1.  The p-value
-    is 0.0 when every column's normal tail underflows: ``ndtr`` returns 0
-    from a standardized limit of about 37.7 on.  Beyond about 38.6, 0.0 is
-    the nearest double both to that tail and to Hoeffding's bound
-    ``L exp(-z^2 / 2)`` on the randomization tail of the max.
+    ``tol`` drive the QMC integration.  It lies between the largest column
+    tail and the sum of the column tails, and where those bounds meet they
+    decide it without integrating: one column gives the p of
+    ``score_test(sample, "pseudo", tau)`` bit for bit.  Columns with zero
+    dispersion are dropped; when all columns are degenerate the p-value is
+    1.  The p-value is 0.0 when every column's normal tail underflows:
+    ``ndtr`` returns 0 from a standardized limit of about 37.7 on.  Beyond
+    about 38.6, 0.0 is the nearest double both to that tail and to
+    Hoeffding's bound ``L exp(-z^2 / 2)`` on the randomization tail of the
+    max.
     """
     gamma, tol, seed = check_gamma(gamma), check_tol(tol, "tol"), check_seed(seed)
     orient = _sign("pseudo", direction)

@@ -243,13 +243,6 @@ def score_test(sample, score="pseudo", tau=None, gamma=1.0, method="normal",
                       direction="upper" if sign > 0 else "lower", tau=tau)
 
 
-def time_specific_test(sample, tau, gamma=1.0, method="normal",
-                       direction="benefit", n_draws=100_000, seed=0) -> TestResult:
-    """Test of no effect up to ``tau`` using pseudo-observation scores:
-    ``score_test`` with ``score="pseudo"``."""
-    return score_test(sample, "pseudo", tau, gamma, method, direction, n_draws, seed)
-
-
 def correlations(D, gamma=1.0) -> np.ndarray:
     """Correlation matrix of the max statistic's columns of an (I, L) ``D``.
 
@@ -290,12 +283,15 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     ``method`` accepts only ``"normal"``, the one method of the max test;
     the benchmark's reference recorder passes it and pins this signature.
 
+    A column whose statistic is the max takes its own oriented statistic as
+    its limit, so its tail is bit for bit its column test's normal tail.
     The p is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the column
-    tails ``p_l``, so a tiny p keeps its digits and one column gives its
-    normal tail.  With ``alpha`` the returned p only decides ``p <= alpha``:
-    when the largest column tail exceeds alpha, or the capped sum of the
-    column tails is at most alpha, that bound is returned without
-    integrating.  Only when the bounds straddle alpha is the MVN
+    tails ``p_l``, so a tiny p keeps its digits, and the bounds decide any
+    row where they meet (one live column, or other tails that underflow)
+    without integrating.  With ``alpha`` the returned p only decides
+    ``p <= alpha``: when the largest column tail exceeds alpha, or the
+    capped sum of the column tails is at most alpha, that bound is returned
+    without integrating.  Only when the bounds straddle alpha is the MVN
     integrated, and then only until its estimate lies more than two error
     estimates from alpha (``mvn_cdf`` with ``level = 1 - alpha``); the
     estimate is clipped into the same bounds, which keeps its side of
@@ -313,10 +309,12 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
         raise ValueError(f"a stack of {len(D)} samples needs one seed per sample")
     paired, abs_sum, sq_sum = _column_sums(D, assignment)
     with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
-        m = np.where(keep, orient * paired / sigma, -np.inf).max(axis=-1)
+        stats = np.where(keep, orient * paired / sigma, -np.inf)
+        m = stats.max(axis=-1)
         # the oriented columns have the same |D|, hence the same moments
         mean, variance = _null_moments(abs_sum, sq_sum, gamma)
-        limits = (m[:, None] * sigma - mean) / np.sqrt(variance)
+        t = np.where(stats == m[:, None], orient * paired, m[:, None] * sigma)
+        limits = (t - mean) / np.sqrt(variance)
     # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
     # the max's tail lies between the largest column tail and their sum
     tails = np.where(keep, ndtr(-limits), 0.0)
@@ -325,7 +323,7 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     starts = np.cumsum(live) - live
     sums = np.add.reduceat(np.insert(tails[keep], starts, 0.0), starts + np.arange(len(D)))
     low, high = tails.max(axis=-1), np.minimum(1.0, sums)
-    p, level, open_ = high.copy(), None, live > 0
+    p, level, open_ = high.copy(), None, low < high
     if alpha is not None:
         p, level = np.where(low > alpha, low, high), 1.0 - alpha
         open_ = (low <= alpha) & (alpha < high)
@@ -352,8 +350,8 @@ def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
 
     ``diff`` is a built ``DiffMatrix``; ``diff_matrix(sample, [tau])``
     gives the time-specific search, whose one-column max tail is that
-    column's normal tail.  ``direction`` is ``"benefit"`` (a treated
-    survival advantage) or ``"harm"``.  Returns gamma = 1 flagged
+    column's normal tail bit for bit.  ``direction`` is ``"benefit"`` (a
+    treated survival advantage) or ``"harm"``.  Returns gamma = 1 flagged
     ``already_sensitive`` when even the randomization p-value exceeds
     alpha, and ``gamma_max`` flagged ``exceeded_max`` when the worst-case
     p-value stays below alpha on the whole range.  Each step is decided

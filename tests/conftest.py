@@ -209,6 +209,24 @@ def closed_test_brute_force(sample, grid, gamma=1.0, seed=0, tol=1e-4):
     return adjusted, subset_p
 
 
+def max_pvalue_exact(diff) -> float:
+    """Randomization tail of the benefit max at gamma = 1 by enumerating all
+    2^I sign vectors: the share whose standardized max over the live
+    columns of ``diff`` reaches the observed one.  Column l counts a tie as
+    ``pvalue_exact`` does, within ``_tie_tol`` of that column, scaled by
+    its sigma.  With no live column the tail is 1, as ``max_test``'s."""
+    live = diff.sigma > 0.0
+    if not live.any():
+        return 1.0
+    D, sigma = -diff.D[:, live], diff.sigma[live]  # benefit lowers pseudo columns
+    tol = np.array([_tie_tol(column) for column in D.T]) / sigma
+    n = D.shape[0]
+    signs = 1.0 - 2.0 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+    stats = signs @ D / sigma
+    m = (diff.assignment @ D / sigma).max()
+    return float(np.mean((stats >= m - tol).any(axis=1)))
+
+
 def count_mvn_calls(monkeypatch) -> list:
     """Record every MVN integration the max-type tests make through
     ``mvn_cdf``, with or without a decision level; returns the list that

@@ -30,8 +30,8 @@ from pairedsurv import (
     power_study,
     pvalue_exact,
     pvalue_montecarlo,
+    score_test,
     sensitivity_value,
-    time_specific_test,
 )
 
 from pairedsurv.scores import pseudo_observations
@@ -262,7 +262,7 @@ def test_criterion_8_sensitivity_monotonicity():
         sample = generate_pairs(100, ScenarioSpec(scenario),
                                 np.random.SeedSequence((SEED, 80, rep)))
         tau = (2.0, 3.0, 4.0)[rep % 3]
-        pvals = [time_specific_test(sample, tau, g).p_value for g in gammas]
+        pvals = [score_test(sample, "pseudo", tau, g).p_value for g in gammas]
         if not all(b >= a - 1e-12 for a, b in zip(pvals, pvals[1:])):
             mono_ok = False
 
@@ -270,8 +270,8 @@ def test_criterion_8_sensitivity_monotonicity():
     sv = sensitivity_value(diff_matrix(sample, [4.0]), alpha=0.05, tol=1e-3)
     bracket_ok = (not sv.already_sensitive and not sv.exceeded_max)
     if bracket_ok:
-        p_lo = time_specific_test(sample, 4.0, sv.value - 1e-3).p_value
-        p_hi = time_specific_test(sample, 4.0, sv.value + 1e-3).p_value
+        p_lo = score_test(sample, "pseudo", 4.0, sv.value - 1e-3).p_value
+        p_hi = score_test(sample, "pseudo", 4.0, sv.value + 1e-3).p_value
         bracket_ok = p_lo <= 0.05 <= p_hi
     ok = report(8, "worst-case p monotone in gamma; sensitivity value brackets alpha",
                 mono_ok and bracket_ok,
@@ -288,13 +288,13 @@ def test_criterion_9_qualitative_patterns():
 
     rpt = closed_test(diff_matrix(sample, grid), alpha=0.05, gamma=1.0, seed=1)
     adjusted_ok = all(
-        rpt.adjusted_p[tau] >= time_specific_test(sample, tau).p_value - 1e-12
+        rpt.adjusted_p[tau] >= score_test(sample, "pseudo", tau).p_value - 1e-12
         for tau in grid
     )
 
     growth_ok = True
     for tau in grid:
-        ps = [time_specific_test(sample, tau, g).p_value for g in (1.0, 1.2, 1.5)]
+        ps = [score_test(sample, "pseudo", tau, g).p_value for g in (1.0, 1.2, 1.5)]
         if not (ps[0] <= ps[1] + 1e-12 and ps[1] <= ps[2] + 1e-12):
             growth_ok = False
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairedsurv import closed_test, diff_matrix, overall_test, time_specific_test
+from pairedsurv import closed_test, diff_matrix, overall_test, score_test
 from pairedsurv.errors import DegenerateColumnWarning
 
 from conftest import closed_test_brute_force, simulated_sample, subset_test
@@ -26,7 +26,7 @@ def test_singleton_subset_equals_time_specific():
     sample = simulated_sample(150, "ph", seed=1)
     for gamma in (1.0, 1.3):
         p = subset_test(sample, (3.0,), gamma=gamma)
-        ts = time_specific_test(sample, 3.0, gamma, "normal", "benefit")
+        ts = score_test(sample, "pseudo", 3.0, gamma, "normal", "benefit")
         assert p == pytest.approx(ts.p_value, abs=1e-12)
 
 
@@ -41,7 +41,7 @@ def test_single_tau_grid_adjusted_equals_unadjusted():
     sample = simulated_sample(100, "ph", seed=3)
     report = closed_test(diff_matrix(sample, (3.0,)))
     assert report.adjusted_p[3.0] == pytest.approx(
-        time_specific_test(sample, 3.0, 1.0, "normal", "benefit").p_value, abs=1e-12
+        score_test(sample, "pseudo", 3.0, 1.0, "normal", "benefit").p_value, abs=1e-12
     )
 
 

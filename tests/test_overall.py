@@ -23,15 +23,16 @@ from pairedsurv import (
     overall_test,
     pair_differences,
     power_study,
+    pvalue_exact,
     score_test,
-    time_specific_test,
 )
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
 from pairedsurv.km import event_table
 from pairedsurv.sensitivity import _column_sums, _max_test_from_columns, _null_moments
 from pairedsurv.simulate import SCENARIO_IDS
 
-from conftest import count_mvn_calls, record_decision_integrations, simulated_sample
+from conftest import (count_mvn_calls, max_pvalue_exact, record_decision_integrations,
+                      simulated_sample)
 
 
 def test_time_grid_validation():
@@ -213,8 +214,54 @@ def test_single_column_reduces_to_time_specific():
     sample = simulated_sample(150, "ph", seed=5)
     for gamma in (1.0, 1.5):
         ov = overall_test(sample, (3.0,), gamma=gamma)
-        ts = time_specific_test(sample, 3.0, gamma, "normal", "benefit")
-        assert ov.p_value == pytest.approx(ts.p_value, abs=1e-12)
+        ts = score_test(sample, "pseudo", 3.0, gamma, "normal", "benefit")
+        assert ov.p_value == ts.p_value
+
+
+def test_one_column_max_is_its_score_test_without_integration(monkeypatch):
+    # each sample has cases where the max once standardized through m * sigma
+    # and moved an ulp off the score test; its column-tail bounds now meet
+    counted = count_mvn_calls(monkeypatch)
+    grid = (1.0, 2.0, 3.0, 4.0, 5.0)
+    for scenario, seed in (("ph", 1), ("ph", 5), ("ph", 7), ("crossing", 15), ("late_div", 0)):
+        sample = simulated_sample(300, scenario, seed)
+        diff = diff_matrix(sample, grid)
+        for gamma in (1.0, 1.25, 2.0):
+            subset_p = closed_test(diff, gamma=gamma).subset_p
+            for tau in grid:
+                p = score_test(sample, "pseudo", tau, gamma).p_value
+                assert max_test(diff_matrix(sample, [tau]), gamma).p_value == p
+                assert subset_p.get((tau,), p) == p
+    assert counted and 1 not in counted
+
+
+@pytest.mark.parametrize("n_pairs, lowest, highest", [(10, -0.147, 0.010), (14, -0.030, 0.035)])
+def test_max_test_against_exact_enumeration(n_pairs, lowest, highest):
+    # gamma = 1, grid 1..5, 5 scenarios x seeds 100-101: the normal p minus
+    # the exact p measured [-0.142, +0.005] at I = 10 and [-0.025, +0.030]
+    # at I = 14, mostly liberal
+    grid = (1.0, 2.0, 3.0, 4.0, 5.0)
+    gaps = []
+    for scenario in SCENARIO_IDS:
+        for seed in (100, 101):
+            sample = generate_pairs(n_pairs, ScenarioSpec(scenario), seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateColumnWarning)
+                diff = diff_matrix(sample, grid)
+                columns = [diff_matrix(sample, [tau]) for tau in grid]
+            for one in columns:  # one column: the enumeration is pvalue_exact
+                d = one.D[:, 0]
+                p = pvalue_exact(d, -(d @ sample.assignment)) if one.sigma[0] > 0 else 1.0
+                assert max_pvalue_exact(one) == p
+            exact = max_pvalue_exact(diff)
+            # between the exact column tails at the observed max and their sum
+            live = diff.sigma > 0.0
+            D = -diff.D[:, live] / diff.sigma[live]
+            m = (sample.assignment @ D).max()
+            tails = [pvalue_exact(column, m) for column in D.T]
+            assert max(tails) <= exact <= min(1.0, sum(tails))
+            gaps.append(max_test(diff).p_value - exact)
+    assert lowest <= min(gaps) and max(gaps) <= highest
 
 
 def test_degenerate_columns_dropped_with_warning():
@@ -279,7 +326,7 @@ def test_bonferroni_sandwich():
     for seed in range(4):
         sample = simulated_sample(150, "late_div", seed=seed)
         grid = (1.0, 2.0, 3.0, 4.0)
-        single = [time_specific_test(sample, t, 1.0, "normal", "benefit").p_value
+        single = [score_test(sample, "pseudo", t, 1.0, "normal", "benefit").p_value
                   for t in grid]
         overall = overall_test(sample, grid, gamma=1.0, tol=1e-5).p_value
         assert overall >= min(single) - 2e-4
@@ -297,7 +344,7 @@ def test_tiny_max_tail_stays_inside_its_bound():
     assert 0.0 < tails.max() <= res.p_value <= tails.sum()
     one = overall_test(sample, (3.0,)).p_value
     assert one > 0.0
-    assert one == pytest.approx(time_specific_test(sample, 3.0).p_value, rel=1e-12)
+    assert one == pytest.approx(score_test(sample, "pseudo", 3.0).p_value, rel=1e-12)
     assert all(p > 0.0 for p in closed_test(diff_matrix(sample, grid)).adjusted_p.values())
 
 
@@ -442,7 +489,7 @@ def test_error_bar_stop_decides_as_full_integration(monkeypatch):
 def test_montecarlo_needs_draws():
     sample = simulated_sample(50, "ph", seed=1)
     with pytest.raises(ValueError, match="n_draws"):
-        time_specific_test(sample, 1.0, method="montecarlo", n_draws=0)
+        score_test(sample, "pseudo", 1.0, method="montecarlo", n_draws=0)
 
 
 def test_max_test_has_only_the_normal_method():

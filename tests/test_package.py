@@ -1,6 +1,7 @@
 import ast
 import inspect
 import re
+import warnings
 from pathlib import Path
 from types import ModuleType
 
@@ -86,6 +87,15 @@ def test_public_surface_is_what_users_reach():
             if isinstance(node, ast.ImportFrom) and node.module == "pairedsurv":
                 imported.update(alias.name for alias in node.names)
     assert imported and sorted(imported - set(public)) == []
+
+
+def test_readme_python_blocks_run_without_warning():
+    blocks = _python_blocks((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert blocks
+    for block in blocks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(block, "README.md", "exec"), {})
 
 
 def _rule_sites(path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairedsurv import PairedSample, km_estimate, pair_differences, time_specific_test
+from pairedsurv import PairedSample, km_estimate, pair_differences, score_test
 from pairedsurv.km import _event_index, km_at
 from pairedsurv.scores import (SCORE_KINDS, _difference_stack, _logrank, _pseudo_tables, _pw,
                                _sign, pair_difference_matrix, pseudo_observations)
@@ -322,7 +322,7 @@ def test_pseudo_requires_tau(five_pairs):
     with pytest.raises(ValueError, match="pseudo scores require tau"):
         pair_differences(five_pairs, "pseudo")
     with pytest.raises(ValueError, match="pseudo scores require tau"):
-        time_specific_test(five_pairs, None)
+        score_test(five_pairs, "pseudo", None)
 
 
 @pytest.mark.parametrize("kind, tau", [("pw", 3.0), ("logrank", -5), ("logrank", 0.0)])

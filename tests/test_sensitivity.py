@@ -24,7 +24,6 @@ from pairedsurv import (
     pvalue_normal,
     score_test,
     sensitivity_value,
-    time_specific_test,
     write_csv,
 )
 from pairedsurv import sensitivity
@@ -54,7 +53,7 @@ def enumerate_randomization_p(d, t):
 def test_t_statistic(five_pairs):
     # the result reports sum_i d_i V_i itself, whichever tail it tests
     for direction in ("benefit", "harm"):
-        res = time_specific_test(five_pairs, 1.3, direction=direction)
+        res = score_test(five_pairs, "pseudo", 1.3, direction=direction)
         assert res.statistic == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -455,12 +454,12 @@ def _cli(score):
 # name -> (pairs, run(sample, direction, tmp_path)); exact needs <= 20 pairs
 ORIENTED = {
     "time_specific_normal": (60, lambda s, d, _: [
-        time_specific_test(s, 3.0, g, "normal", d).p_value for g in GAMMAS]),
+        score_test(s, "pseudo", 3.0, g, "normal", d).p_value for g in GAMMAS]),
     "time_specific_exact": (20, lambda s, d, _: [
-        time_specific_test(s, 3.0, g, "exact", d).p_value for g in GAMMAS]),
+        score_test(s, "pseudo", 3.0, g, "exact", d).p_value for g in GAMMAS]),
     "time_specific_montecarlo": (60, lambda s, d, _: [
-        time_specific_test(s, 3.0, g, "montecarlo", d, n_draws=20_000,
-                           seed=4).p_value for g in GAMMAS]),
+        score_test(s, "pseudo", 3.0, g, "montecarlo", d, n_draws=20_000,
+                   seed=4).p_value for g in GAMMAS]),
     "ppw": (60, lambda s, d, _: [score_test(s, "pw", gamma=g, direction=d).p_value
                                   for g in GAMMAS]),
     "overall_normal": (60, _overall(False)),
@@ -488,7 +487,7 @@ def test_sign_flip_antisymmetry(n_pairs, run, tmp_path):
 
 def test_tail_names_rejected():
     sample = simulated_sample(30, "ph", seed=3)
-    for call in (lambda: time_specific_test(sample, 3.0, direction="lower"),
+    for call in (lambda: score_test(sample, "pseudo", 3.0, direction="lower"),
                  lambda: score_test(sample, "pw", direction="upper"),
                  lambda: overall_test(sample, GRID, direction="lower"),
                  lambda: sensitivity_value(diff_matrix(sample, [3.0]), direction="lower")):
@@ -500,14 +499,14 @@ def test_tail_names_rejected():
 
 def test_tau_zero_p_one():
     sample = simulated_sample(50, "ph", seed=1)
-    res = time_specific_test(sample, 0.0, 1.0)
+    res = score_test(sample, "pseudo", 0.0, 1.0)
     assert res.p_value == 1.0
 
 
 def test_tau_zero_p_one_montecarlo():
     # every difference is zero, so no pair draws a sign
     sample = simulated_sample(50, "ph", seed=1)
-    assert time_specific_test(sample, 0.0, method="montecarlo").p_value == 1.0
+    assert score_test(sample, "pseudo", 0.0, method="montecarlo").p_value == 1.0
 
 
 @pytest.mark.parametrize("t, p", [(0.0, 1.0), (1.0, 0.0)])
@@ -549,7 +548,7 @@ def test_worst_case_dominance_and_monotone_in_gamma():
     for seed in range(5):
         sample = simulated_sample(70, "early_div", seed=seed)
         gammas = np.arange(1.0, 2.01, 0.1)
-        pvals = [time_specific_test(sample, 3.0, g).p_value for g in gammas]
+        pvals = [score_test(sample, "pseudo", 3.0, g).p_value for g in gammas]
         assert all(b >= a - 1e-12 for a, b in zip(pvals, pvals[1:]))
 
 
@@ -559,10 +558,10 @@ def test_normal_close_to_exact_in_clt_regime():
     checked = 0
     for seed, gamma in ((3, 1.2), (3, 1.3), (4, 1.3), (6, 1.1), (7, 1.3), (8, 1.2)):
         sample = simulated_sample(500, "ph", seed=seed)
-        normal = time_specific_test(sample, 3.0, gamma, "normal", "benefit")
+        normal = score_test(sample, "pseudo", 3.0, gamma, "normal", "benefit")
         assert 0.01 <= normal.p_value <= 0.2
-        mc = time_specific_test(sample, 3.0, gamma, "montecarlo", "benefit",
-                                n_draws=400_000, seed=11)
+        mc = score_test(sample, "pseudo", 3.0, gamma, "montecarlo", "benefit",
+                        n_draws=400_000, seed=11)
         assert abs(normal.p_value - mc.p_value) <= 0.01
         checked += 1
     assert checked == 6
@@ -582,8 +581,8 @@ def test_sensitivity_value_brackets_alpha():
     sample = simulated_sample(400, "ph", seed=9)
     sv = sensitivity_value(diff_matrix(sample, [4.0]), alpha=0.05, tol=1e-3)
     assert not sv.already_sensitive and not sv.exceeded_max
-    lo = time_specific_test(sample, 4.0, sv.value - 1e-3).p_value
-    hi = time_specific_test(sample, 4.0, sv.value + 1e-3).p_value
+    lo = score_test(sample, "pseudo", 4.0, sv.value - 1e-3).p_value
+    hi = score_test(sample, "pseudo", 4.0, sv.value + 1e-3).p_value
     assert lo <= 0.05 <= hi
 
 
@@ -616,7 +615,7 @@ def test_search_ends_at_adjacent_floats():
         calls.append(gamma)
         if len(calls) > 200:
             raise AssertionError("the search did not end")
-        return time_specific_test(sample, 3.0, gamma).p_value
+        return score_test(sample, "pseudo", 3.0, gamma).p_value
 
     tight = _search(p_at, 0.05, 1e-20, 10.0)
     coarse = sensitivity_value(diff_matrix(sample, [3.0]))

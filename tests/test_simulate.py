@@ -20,7 +20,6 @@ from pairedsurv import (
     power_study,
     score_test,
     sensitivity_value,
-    time_specific_test,
 )
 from pairedsurv import simulate
 from pairedsurv.errors import DegenerateColumnWarning
@@ -265,7 +264,7 @@ def _public_test_counts(config):
             mvn_seed = int(_rep_seed(config.seed, spec.id, rep, salt=7)
                            .generate_state(1)[0])
             for gamma in config.gammas:
-                p = {f"t_tau={tau:g}": time_specific_test(sample, tau, gamma).p_value
+                p = {f"t_tau={tau:g}": score_test(sample, "pseudo", tau, gamma).p_value
                      for tau in config.grid}
                 p["ppw"] = score_test(sample, "pw", gamma=gamma, direction="benefit").p_value
                 with warnings.catch_warnings(record=True) as caught:
