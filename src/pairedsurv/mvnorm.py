@@ -17,11 +17,13 @@ range per available CPU, each in a thread; the sums are the same bit for
 bit whatever the core count.  The estimate is clamped into the Frechet
 bounds ``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
 ``1 - cdf`` always lies between the largest one-column tail and the
-Bonferroni sum.  A caller that only compares the CDF with a level may
-stop the doubling once the error bar puts the estimate on one side of it
-(``mvn_cdf``'s ``level``).  Results are deterministic for a given seed
-(entropy, never a stream to draw on).  The module holds the integrator
-only, with ``mvn_cdf`` its one public function.
+Bonferroni sum; the max test clips it further, into second-order bounds
+from the bivariate tails (``sensitivity._union_bounds``).  A caller that
+only compares the CDF with a level may stop the doubling once the error
+bar puts the estimate on one side of it (``mvn_cdf``'s ``level``).
+Results are deterministic for a given seed (entropy, never a stream to
+draw on).  The module holds the integrator only, with ``mvn_cdf`` its one
+public function.
 """
 
 from __future__ import annotations

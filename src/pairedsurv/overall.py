@@ -102,9 +102,12 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     advantage increases the max statistic; ``"harm"`` tests the reverse.
     The p-value is the normal one, and ``seed`` (a whole number >= 0) and
     ``tol`` drive the QMC integration.  It lies between the largest column
-    tail and the sum of the column tails, and where those bounds meet they
-    decide it without integrating: one column gives the p of
-    ``score_test(sample, "pseudo", tau)`` bit for bit.  Columns with zero
+    tail and the sum of the column tails, and within those between the
+    second-order bounds from the bivariate tails of each pair of columns
+    (Hunter's above; Dawson-Sankoff's or de Caen's below).  Where bounds
+    meet they decide it without integrating: one column gives the p of
+    ``score_test(sample, "pseudo", tau)`` bit for bit, and two give the
+    exact ``p_1 + p_2 - p_12`` from Owen's T.  Columns with zero
     dispersion are dropped; when all columns are degenerate the p-value is
     1.  The p-value is 0.0 when every column's normal tail underflows:
     ``ndtr`` returns 0 from a standardized limit of about 37.7 on.  Beyond

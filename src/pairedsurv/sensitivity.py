@@ -11,8 +11,9 @@ vector, a matrix or a stack over its pairs, column by column, to
 ``sum d_i V_i``, ``sum |d_i|`` and ``sum d_i^2``; ``_null_moments`` and
 ``_column_tests`` are arithmetic on those sums.  ``_max_test_from_columns``
 gives the worst-case tail of the max over one sample or a stack: the MVN of
-the live columns, clamped into the column-tail bounds, with degenerate
-columns masked.
+the live columns, clamped into the first- and second-order bounds on the
+union of the column tails (``_union_bounds``), with degenerate columns
+masked.
 ``score_test`` is the one test of a score vector (pseudo at tau, log-rank
 or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
 difference matrix; a one-column matrix gives the time-specific search.
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from ._parallel import map_ranges
 from .errors import (_check_real, check_alpha, check_draws, check_gamma, check_reals,
@@ -266,6 +267,87 @@ def _normal_only(method):
         raise ValueError(f"the max-type test has only the normal method, got {method!r}")
 
 
+def _owen_slope(a, b, rho, s):
+    """Owen's T slope ``(b - rho a) / (a s)`` of the ``a`` term of
+    ``_pair_tails``, with its limit at ``a = 0`` taken from the side that the
+    half-step of that formula assumes; nan where ``s = 0``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a != 0.0, (b - rho * a) / (a * s),
+                        np.where(b != 0.0, -np.sign(b) * np.inf, (1.0 - rho) / s))
+
+
+def _pair_tails(a, b, rho):
+    """``Pr(X > a, Y > b)`` of standard normals with correlation ``rho``,
+    elementwise over finite limits.
+
+    Owen (1956): ``(p_a + p_b) / 2 - T(a, .) - T(b, .)``, less 1/2 when the
+    limits have opposite signs or one is 0 and their sum positive, where
+    ``p_a = ndtr(-a)``.  ``rho`` beyond +-1 by rounding is clipped, and
+    ``rho = 1`` gives ``ndtr(-max(a, b))``, ``rho = -1`` gives
+    ``max(0, p_a - ndtr(b))``.  The result is clipped into the Frechet
+    bounds ``[max(0, p_a + p_b - 1), min(p_a, p_b)]``.
+    """
+    rho = np.clip(rho, -1.0, 1.0)
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
+    pa, pb = ndtr(-a), ndtr(-b)
+    signs = np.sign(a) * np.sign(b)
+    half = (signs < 0) | ((signs == 0) & (a + b > 0))
+    p = 0.5 * (pa + pb) - owens_t(a, _owen_slope(a, b, rho, s)) \
+        - owens_t(b, _owen_slope(b, a, rho, s)) - 0.5 * half
+    p = np.where(rho == 1.0, ndtr(-np.maximum(a, b)),
+                 np.where(rho == -1.0, np.maximum(0.0, pa - ndtr(b)), p))
+    return np.clip(p, np.maximum(0.0, pa + pb - 1.0), np.minimum(pa, pb))
+
+
+def _last(x):
+    """Left-to-right sums along the last axis: a zero among the terms leaves
+    the bits, so a dropped column's zeros change no sum."""
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _union_bounds(limits, rho, tails, s1, low, high):
+    """Second-order bounds on ``Pr(X_l > a_l for some l)``, one row each.
+
+    ``limits`` (R, L), ``rho`` (R, L, L) and ``tails`` (R, L) hold each row's
+    limits, correlations and column tails ``p_l``, with zero tails and zero
+    correlations in its dropped columns; ``s1`` is ``sum_l p_l`` and
+    ``[low, high]`` the first-order bounds.  From the pair tails ``p_ij``
+    (``_pair_tails``) and ``S2 = sum_{i<j} p_ij``: Hunter's (1976) upper
+    bound ``S1 - `` the heaviest spanning tree of the ``p_ij`` (Prim's, over
+    all rows at once), and the larger of Dawson and Sankoff's (1967)
+    ``2 S1 / (k + 1) - 2 S2 / (k (k + 1))`` with ``k = 1 + floor(2 S2 / S1)``
+    and de Caen's (1997) ``sum_l p_l^2 / sum_j p_lj`` (``p_ll = p_l``) below.
+    Both are intersected with ``[low, high]``, the upper bound first, and
+    the lower is capped by it.  With two live columns both bounds are
+    ``S1 - p_12`` in the same bits (Dawson-Sankoff at ``k = 1``), so they
+    meet.  Dropped columns are events of probability 0 and change no bit.
+    """
+    rows, width = limits.shape
+    i, j = np.triu_indices(width, 1)
+    both = (tails[:, i] > 0.0) & (tails[:, j] > 0.0)  # p_ij <= min(p_i, p_j)
+    pairs = np.where(both, _pair_tails(limits[:, i], limits[:, j], rho[:, i, j]), 0.0)
+    weight = np.zeros(rho.shape)
+    weight[:, i, j] = weight[:, j, i] = pairs
+    tree, best = np.zeros(rows), weight[:, 0].copy()
+    placed = np.zeros((rows, width), dtype=bool)
+    placed[:, 0] = True
+    at = np.arange(rows)
+    for _ in range(width - 1):
+        edge = np.where(placed, -np.inf, best)
+        v = edge.argmax(axis=-1)  # the heaviest edge into the tree
+        tree += edge[at, v]
+        placed[at, v] = True
+        np.maximum(best, weight[at, v], out=best)
+    high = np.clip(s1 - tree, low, high)
+    s2 = _last(pairs)
+    k = 1.0 + np.floor(2.0 * s2 / s1)
+    dawson = 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0))
+    weight[:, np.arange(width), np.arange(width)] = tails
+    with np.errstate(invalid="ignore"):  # an underflowed tail is 0 / 0
+        de_caen = _last(np.where(tails > 0.0, tails * tails / _last(weight), 0.0))
+    return np.minimum(np.maximum(np.maximum(low, dawson), de_caen), high), high
+
+
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
                            tol=1e-4, seed=0, alpha=None):
     """Worst-case p-value of the max statistic on already-built columns.
@@ -285,17 +367,21 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
 
     A column whose statistic is the max takes its own oriented statistic as
     its limit, so its tail is bit for bit its column test's normal tail.
-    The p is clamped into ``[max_l p_l, min(1, sum_l p_l)]`` of the column
-    tails ``p_l``, so a tiny p keeps its digits, and the bounds decide any
-    row where they meet (one live column, or other tails that underflow)
-    without integrating.  With ``alpha`` the returned p only decides
-    ``p <= alpha``: when the largest column tail exceeds alpha, or the
-    capped sum of the column tails is at most alpha, that bound is returned
-    without integrating.  Only when the bounds straddle alpha is the MVN
-    integrated, and then only until its estimate lies more than two error
-    estimates from alpha (``mvn_cdf`` with ``level = 1 - alpha``); the
-    estimate is clipped into the same bounds, which keeps its side of
-    alpha.  Without ``alpha`` the MVN is integrated to ``tol``.
+    The p is bounded in tail space, so a tiny p keeps its digits: first by
+    ``[max_l p_l, min(1, sum_l p_l)]`` of the column tails ``p_l``, then,
+    in a row those leave open, by the second-order bounds of
+    ``_union_bounds`` from the bivariate tails of its pairs of columns.  The
+    bounds decide any row where they meet (one or two live columns, or
+    other tails that underflow) without integrating.  With ``alpha`` the
+    returned p only decides ``p <= alpha``: a row gets its second-order
+    bounds only when its first-order bounds straddle alpha, and the first
+    bound that settles the row (a lower bound above alpha or an upper bound
+    at most alpha) is returned without integrating.  Only when the
+    second-order bounds straddle alpha too is the MVN integrated, and then
+    only until its estimate lies more than two error estimates from alpha
+    (``mvn_cdf`` with ``level = 1 - alpha``); the estimate is clipped into
+    those bounds, which keeps its side of alpha.  Without ``alpha`` the MVN
+    is integrated to ``tol`` and clipped into the second-order bounds.
     """
     _normal_only(method)
     if D.ndim == 2:
@@ -323,14 +409,26 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     starts = np.cumsum(live) - live
     sums = np.add.reduceat(np.insert(tails[keep], starts, 0.0), starts + np.arange(len(D)))
     low, high = tails.max(axis=-1), np.minimum(1.0, sums)
-    p, level, open_ = high.copy(), None, low < high
+
+    def straddled():
+        return low < high if alpha is None else (low <= alpha) & (alpha < high)
+
+    rows = np.flatnonzero(straddled())
+    corr = [correlations(D[r][:, keep[r]], gamma) for r in rows]
+    if rows.size:
+        rho = np.zeros((rows.size,) + keep.shape[-1:] * 2)
+        for c, k, r in zip(corr, keep[rows], rho):
+            r[np.ix_(k, k)] = c
+        low[rows], high[rows] = _union_bounds(limits[rows], rho, tails[rows], sums[rows],
+                                              low[rows], high[rows])
+    p, level = high.copy(), None
     if alpha is not None:
         p, level = np.where(low > alpha, low, high), 1.0 - alpha
-        open_ = (low <= alpha) & (alpha < high)
-    for r in np.flatnonzero(open_):
-        cdf = mvn_cdf(limits[r, keep[r]], correlations(D[r][:, keep[r]], gamma), tol=tol,
-                      seed=seed[r], level=level)
-        p[r] = np.clip(1.0 - cdf, low[r], high[r])
+    open_ = straddled()
+    for r, c in zip(rows, corr):
+        if open_[r]:
+            cdf = mvn_cdf(limits[r, keep[r]], c, tol=tol, seed=seed[r], level=level)
+            p[r] = np.clip(1.0 - cdf, low[r], high[r])
     return np.where(live > 0, m, np.nan), np.where(live > 0, p, 1.0)
 
 
@@ -355,12 +453,12 @@ def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
     ``already_sensitive`` when even the randomization p-value exceeds
     alpha, and ``gamma_max`` flagged ``exceeded_max`` when the worst-case
     p-value stays below alpha on the whole range.  Each step is decided
-    from the column-tail bounds of the max test when one of them settles
-    ``p <= alpha``, and otherwise from an MVN integration (error tolerance
-    ``mvn_tol``, QMC seed ``seed``, a whole number >= 0) stopped once its
-    error bar settles it; a step can go the other way than with the fully
-    integrated p only when that p lies within a few error estimates of
-    alpha.
+    from the first- or second-order bounds of the max test when one of them
+    settles ``p <= alpha`` (two columns always do), and otherwise from an
+    MVN integration (error tolerance ``mvn_tol``, QMC seed ``seed``, a whole
+    number >= 0) stopped once its error bar settles it; a step can go the
+    other way than with the fully integrated p only when that p lies within
+    a few error estimates of alpha.
     """
     sign = _sign("pseudo", direction)
     alpha, tol, seed = check_alpha(alpha), check_tol(tol, "tol"), check_seed(seed)

@@ -332,9 +332,10 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     seeds keyed by (master seed, scenario, replication), so results do not
     depend on evaluation order, block size or worker count.  Rows follow the
     config: scenario, then gamma, then the grid's tests, ppw and max.  A max
-    test is decided from its column-tail bounds when one of them settles
-    ``p <= alpha``, and otherwise integrated only until its error bar
-    settles it (``mvn_tol`` bounds the integrations the bar leaves open);
+    test is decided from its first-order (column-tail) or second-order
+    (pair-tail) bounds when one of them settles ``p <= alpha``, and
+    otherwise integrated only until its error bar settles it (``mvn_tol``
+    bounds the integrations the bar leaves open);
     a count can differ from that of the fully integrated p only through a
     p within a few error estimates of alpha.
 

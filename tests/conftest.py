@@ -255,3 +255,18 @@ def record_decision_integrations(monkeypatch) -> list:
 
     monkeypatch.setattr(sensitivity, "mvn_cdf", recorded)
     return calls
+
+
+def record_union_bounds(monkeypatch) -> list:
+    """Record the ``(low, high)`` arrays that ``sensitivity._union_bounds``
+    returns to a max test, one entry per call: the second-order bounds of
+    the rows whose first-order bounds leave the test open."""
+    bounds = []
+    real = sensitivity._union_bounds
+
+    def recorded(*args):
+        bounds.append(real(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(sensitivity, "_union_bounds", recorded)
+    return bounds

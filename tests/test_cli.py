@@ -1,7 +1,7 @@
 import ast
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from pairedsurv.cli import build_parser, main
 from pairedsurv.errors import (as_grid, check_alpha, check_draws, check_gamma, check_seed,
                                check_tau, check_tol)
 
-from conftest import record_decision_integrations, simulated_sample
+from conftest import record_decision_integrations, record_union_bounds, simulated_sample
 
 
 @pytest.fixture
@@ -372,13 +372,18 @@ def test_accuracy_miss_writes_no_out(sim_csv, tmp_path, capsys):
 
 
 def test_accuracy_miss_writes_no_csv(tmp_path, capsys, monkeypatch):
-    # a study integrates a max test only until its error bar settles p <= alpha,
-    # so alpha is put at the p of one test that straddles 0.05, and the
-    # lattice is capped at 256 points, short of a 1e-9 tolerance
+    # a study integrates a max test only when its bounds straddle alpha, and
+    # then only until its error bar settles p <= alpha; so alpha is put
+    # between the second-order bounds of one test whose first-order bounds
+    # straddle 0.05, then at that test's p, and the lattice is capped at 256
+    # points, short of a 1e-9 tolerance
     study = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=100, replications=2,
                         grid=(1.0, 2.0, 3.0))
-    calls = record_decision_integrations(monkeypatch)
+    bounds = record_union_bounds(monkeypatch)
     power_study(study)
+    low, high = bounds[0]
+    calls = record_decision_integrations(monkeypatch)
+    power_study(replace(study, alpha=0.5 * (low[0] + high[0])))
     upper, corr, seed, _ = calls[0]
     monkeypatch.undo()
     config = {"scenarios": ["ph"], "pairs": 100, "replications": 2,

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 from scipy.stats import multivariate_normal
 
 from pairedsurv import ScenarioSpec, correlations, diff_matrix, generate_pairs, mvn_cdf, mvnorm
 from pairedsurv.errors import AccuracyNotReached
+from pairedsurv.sensitivity import _pair_tails, _union_bounds
 from pairedsurv.simulate import SCENARIO_IDS
 
 from conftest import fix_workers, integrand_one_shot
@@ -80,23 +81,82 @@ def one_factor_cdf(limits, loadings):
     return quad(density, -np.inf, np.inf, epsabs=1e-13, limit=200)[0] / np.sqrt(2.0 * np.pi)
 
 
-def test_one_factor_problems_against_quadrature():
-    # The error estimate is 3 standard errors over 8 shifts, a t with 7
-    # degrees of freedom: |error| exceeds it with probability 2 t_7.sf(3) =
-    # 2.0%, so 6 or more misses of tol in 60 problems has probability 0.13%.
-    # Measured: 1 miss (1.6e-4), median |error| 1.8e-5.
+def one_factor_tail(limits, loadings):
+    """``1 - one_factor_cdf``, integrated as the tail so that it keeps the
+    digits of a small one: ``1 - prod_i Phi`` is ``-expm1(sum_i log Phi)``."""
+    scale = np.sqrt(1.0 - loadings ** 2)
+    density = lambda s: np.exp(-0.5 * s * s) * -np.expm1(
+        np.sum(log_ndtr((limits - loadings * s) / scale)))
+    return quad(density, -np.inf, np.inf, epsabs=1e-15, epsrel=1e-13,
+                limit=400)[0] / np.sqrt(2.0 * np.pi)
+
+
+def one_factor_problems():
+    """60 one-factor problems ``(limits, loadings, corr)``, of dimension 2-25,
+    a quarter of each one's loadings negative, limits in [0.5, 3.5]."""
     rng = np.random.default_rng(2024)
-    misses = 0
-    for i in range(60):
+    for _ in range(60):
         dim = int(rng.integers(2, 26))
         loadings = rng.uniform(0.2, 0.97, dim)
         loadings[: dim // 4] *= -1.0
         limits = rng.uniform(0.5, 3.5, dim)
         corr = np.outer(loadings, loadings)
         np.fill_diagonal(corr, 1.0)
+        yield limits, loadings, corr
+
+
+def test_one_factor_problems_against_quadrature():
+    # The error estimate is 3 standard errors over 8 shifts, a t with 7
+    # degrees of freedom: |error| exceeds it with probability 2 t_7.sf(3) =
+    # 2.0%, so 6 or more misses of tol in 60 problems has probability 0.13%.
+    # Measured: 1 miss (1.6e-4), median |error| 1.8e-5.
+    misses = 0
+    for i, (limits, loadings, corr) in enumerate(one_factor_problems()):
         error = mvn_cdf(limits, corr, tol=1e-4, seed=i) - one_factor_cdf(limits, loadings)
         misses += abs(error) > 1e-4
     assert misses <= 5
+
+
+def test_union_bounds_bracket_one_factor_tails():
+    # max_l p_l <= lower <= Pr(X_l > a_l for some l) <= upper <= min(1, S1),
+    # to rounding; two columns give both bounds as the one exact value
+    pairs = 0
+    for limits, loadings, corr in one_factor_problems():
+        tails = ndtr(-limits)
+        first = tails.max(), min(1.0, tails.sum())
+        (low,), (high,) = _union_bounds(limits[None], corr[None], tails[None],
+                                        np.array([tails.sum()]), *np.array([first]).T)
+        tail = one_factor_tail(limits, loadings)
+        assert first[0] <= low <= tail + 1e-15
+        assert tail - 1e-15 <= high <= first[1]
+        if len(limits) == 2:
+            pairs += 1
+            assert low == high
+            assert high == pytest.approx(tail, abs=1e-12)
+    assert pairs > 0
+
+
+def test_pair_tails_against_scipy():
+    # Pr(X > a, Y > b) is the 2-D CDF at (-a, -b); scipy's bivariate integral
+    # is accurate to about 1e-16 there
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-3.0, 4.0, (2, 300))
+    rho = rng.uniform(-1.0, 1.0, 300)
+    # a limit of 0, on one side and both; rho = +-1, and 1 exceeded by
+    # rounding; tails that underflow, alone and paired with a likely event
+    edge = np.array([(0.0, 1.2, 0.5), (0.0, -0.7, -0.3), (1.1, 0.0, 0.8), (-2.0, 0.0, 0.4),
+                     (0.0, 0.0, 0.3), (0.0, 0.0, -0.9), (1.5, 0.5, 1.0), (-0.5, 2.0, 1.0),
+                     (0.7, 0.7, 1.0 + 2.0 ** -52), (0.3, -1.0, -1.0), (1.0, -0.5, -1.0),
+                     (1.0, -1.0, -1.0), (-1.0, -1.0, -1.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                     (40.0, 40.0, 0.5), (40.0, -3.0, 0.3), (-3.0, 39.0, -0.6),
+                     (38.0, 38.5, 0.99)]).T
+    a, b, rho = (np.concatenate(x) for x in zip((a, b, rho), edge))
+    got = _pair_tails(a, b, rho)
+    for x, y, r, p in zip(a, b, np.clip(rho, -1.0, 1.0), got):
+        want = multivariate_normal.cdf([-x, -y], cov=[[1.0, r], [r, 1.0]], allow_singular=True)
+        assert p == pytest.approx(want, abs=1e-15)
+    np.testing.assert_allclose(got, _pair_tails(b, a, rho), rtol=0.0, atol=1e-15)
+    assert (0.0 <= got).all() and (got <= np.minimum(ndtr(-a), ndtr(-b))).all()
 
 
 def test_difference_matrix_problems_against_scipy():

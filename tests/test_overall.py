@@ -7,6 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
 from pairedsurv import (
     DiffMatrix,
@@ -29,10 +30,10 @@ from pairedsurv import (
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
 from pairedsurv.km import event_table
 from pairedsurv.sensitivity import _column_sums, _max_test_from_columns, _null_moments
-from pairedsurv.simulate import SCENARIO_IDS
+from pairedsurv.simulate import ADMIN_CUTOFF, SCENARIO_IDS
 
 from conftest import (count_mvn_calls, max_pvalue_exact, record_decision_integrations,
-                      simulated_sample)
+                      record_union_bounds, simulated_sample)
 
 
 def test_time_grid_validation():
@@ -348,6 +349,58 @@ def test_tiny_max_tail_stays_inside_its_bound():
     assert all(p > 0.0 for p in closed_test(diff_matrix(sample, grid)).adjusted_p.values())
 
 
+def test_two_column_max_test_is_exact(monkeypatch):
+    # both second-order bounds are p1 + p2 - p12, so two columns, and every
+    # two-column subset of a closed test, need no integration
+    calls, pairs = count_mvn_calls(monkeypatch), 0
+    for scenario, seed in (("ph", 1), ("late_div", 2), ("crossing", 3), ("no_effect", 4)):
+        sample = generate_pairs(300, ScenarioSpec(scenario), seed)
+        diff = diff_matrix(sample, (2.0, 4.0))
+        for gamma in (1.0, 1.25):
+            res = max_test(diff, gamma)
+            mean, variance = _null_moments(*_column_sums(diff.D, diff.assignment)[1:], gamma)
+            limits = (res.statistic * diff.sigma - mean) / np.sqrt(variance)
+            corr = correlations(diff.D, gamma)[0, 1]
+            both = multivariate_normal.cdf(-limits, cov=[[1.0, corr], [corr, 1.0]])
+            assert res.p_value == pytest.approx(ndtr(-limits).sum() - both, rel=1e-12)
+        assert calls == []
+        report = closed_test(diff_matrix(sample, (1.0, 2.0, 3.0)))
+        assert len(calls) <= sum(len(s) == 3 for s in report.subset_p)
+        pairs += sum(len(s) == 2 for s in report.subset_p)
+        calls.clear()
+    assert pairs > 0
+
+
+def test_copied_columns_past_the_cutoff_keep_their_bounds(monkeypatch):
+    # grid times at and past ADMIN_CUTOFF give one column three times, with
+    # correlations 1 up to rounding on either side: 1 + eps is clipped to the
+    # rho = 1 pair tail, 1 - eps takes Owen's T.  The copies add nothing to the
+    # union, so the bounds hold the max p of the grid without them.  Each p is
+    # within tol of the same truth as far as its error estimate holds (2.0%
+    # misses each), so they differ by at most 2 tol; a difference beyond tol
+    # has a chance of about 7% (measured: 1 of 20, 1.03e-4)
+    grid, tol = (1.0, 2.0, 3.0, 3.5, 5.0, 5.5, 6.0), 1e-4
+    assert grid[4] == ADMIN_CUTOFF
+    rounded, far = set(), 0
+    for scenario in SCENARIO_IDS:
+        for seed in (0, 1):
+            sample = generate_pairs(300, ScenarioSpec(scenario), seed)
+            copies, plain = diff_matrix(sample, grid), diff_matrix(sample, grid[:5])
+            assert (copies.D[:, 4:5] == copies.D[:, 5:]).all()
+            for gamma in (1.0, 1.25):
+                rounded.update(np.sign(correlations(copies.D, gamma)[4, 5:] - 1.0))
+                with monkeypatch.context() as patch:
+                    bounds = record_union_bounds(patch)
+                    p = max_test(copies, gamma, tol=tol).p_value
+                q = max_test(plain, gamma, tol=tol).p_value
+                ((low,), (high,)), = bounds
+                assert low - tol <= q <= high + tol
+                assert abs(p - q) <= 2.0 * tol
+                far += abs(p - q) > tol
+    assert -1.0 in rounded and rounded - {-1.0}  # both sides of 1 are met
+    assert far <= 4
+
+
 def test_stacked_max_test_takes_one_seed_per_sample():
     diffs = [diff_matrix(generate_pairs(200, ScenarioSpec("ph"), seed), (1.0, 2.0, 3.0))
              for seed in (1, 2)]
@@ -388,18 +441,62 @@ def test_stacked_max_test_masks_dropped_columns(grid):
                     assert np.isnan(m[r]) and p[r] == 1.0
 
 
-def _column_tail_bounds(args):
-    """[max_l p_l, min(1, sum_l p_l)] of a max test: the values it returns at
-    alpha = 0 and alpha = 1, checked against the column tails recomputed."""
+def _heaviest_tree(weight):
+    """Weight of the heaviest spanning tree of a complete graph, by Kruskal's
+    algorithm (``_union_bounds`` runs Prim's)."""
+    parent = list(range(len(weight)))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    total = 0.0
+    for w, i, j in sorted(((weight[i, j], i, j) for i, j in zip(*np.triu_indices(len(weight), 1))),
+                          reverse=True):
+        if root(i) != root(j):
+            parent[root(i)] = root(j)
+            total += w
+    return total
+
+
+def _tail_bounds(args, monkeypatch):
+    """The bounds a max test decides with, in the order it consults them,
+    each checked against the tails recomputed: ``[max_l p_l, min(1, sum_l
+    p_l)]`` of the column tails, which it returns at alpha = 0 and alpha = 1,
+    then, unless those meet, the second-order bounds that ``_union_bounds``
+    gives it on a call without alpha: Hunter's upper bound and the larger of
+    Dawson-Sankoff's and de Caen's lower bounds, from pair tails of scipy's
+    bivariate normal CDF."""
     D, sigma, assignment, gamma = args[:4]
     low = _max_test_from_columns(*args, alpha=0.0)[1]
     high = _max_test_from_columns(*args, alpha=1.0)[1]
     mean, variance = _null_moments(*_column_sums(D, assignment)[1:], gamma)
     m = np.max(args[5] * (D.T @ assignment) / sigma)
-    tails = ndtr(-(m * sigma - mean) / np.sqrt(variance))
+    limits = (m * sigma - mean) / np.sqrt(variance)
+    tails = ndtr(-limits)
     assert low == pytest.approx(tails.max(), rel=1e-12)
     assert high == pytest.approx(min(1.0, tails.sum()), rel=1e-12)
-    return low, high
+    with monkeypatch.context() as patch:
+        bounds = record_union_bounds(patch)
+        _max_test_from_columns(*args)
+    if low == high:
+        assert bounds == []
+        return [(low, high)]
+    ((second_low,), (second_high,)), = bounds
+    corr, width = correlations(D, gamma), len(tails)
+    pair = np.zeros((width, width))
+    for i, j in zip(*np.triu_indices(width, 1)):
+        pair[i, j] = pair[j, i] = multivariate_normal.cdf(
+            -limits[[i, j]], cov=[[1.0, corr[i, j]], [corr[i, j], 1.0]])
+    s1, s2 = tails.sum(), pair.sum() / 2.0
+    k = 1.0 + np.floor(2.0 * s2 / s1)
+    lower = max(2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0)),
+                np.sum(tails ** 2 / (tails + pair.sum(axis=1))))
+    upper = min(max(s1 - _heaviest_tree(pair), low), high)
+    assert second_high == pytest.approx(upper, rel=1e-12)
+    assert second_low == pytest.approx(min(max(lower, low), upper), rel=1e-12)
+    return [(low, high), (second_low, second_high)]
 
 
 @pytest.mark.parametrize("scenario", SCENARIO_IDS)
@@ -413,35 +510,41 @@ def test_alpha_bound_decides_as_integrated_p(scenario, monkeypatch):
         for gamma in (1.0, 1.25, 1.5):
             args = (diff.D, diff.sigma, sample.assignment, gamma, "normal", -1.0)
             _, p = _max_test_from_columns(*args, seed=seed)
-            low, high = _column_tail_bounds(args)
+            bounds = _tail_bounds(args, monkeypatch)
             for alpha in (0.01, 0.05, 0.1):
                 before = len(calls)
                 _, q = _max_test_from_columns(*args, seed=seed, alpha=alpha)
                 assert (q <= alpha) == (p <= alpha)
-                if low > alpha or high <= alpha:
+                decided = [(order, low, high) for order, (low, high) in enumerate(bounds)
+                           if low > alpha or high <= alpha]
+                if decided:
+                    # the first pair of bounds that settles alpha decides
+                    order, low, high = decided[0]
                     assert len(calls) == before
                     assert q == (low if low > alpha else high)
-                    outcomes.add("bound")
+                    outcomes.add(("first-order", "second-order")[order])
                 else:
                     # integrated until its error bar settles the side of
                     # alpha, which the first assertion compares with p's
+                    low, high = bounds[-1]
                     assert len(calls) == before + 1
                     assert low <= q <= high
                     outcomes.add("integrated")
-    assert "bound" in outcomes
+    assert {"first-order", "second-order"} <= outcomes
 
 
 def test_alpha_at_the_bounds(monkeypatch):
     sample = simulated_sample(200, "ph", seed=1)
     diff = diff_matrix(sample, (1.0, 2.0, 3.0))
     args = (diff.D, diff.sigma, sample.assignment, 1.0, "normal", -1.0)
-    low, high = _column_tail_bounds(args)
+    (first_low, _), (low, high) = _tail_bounds(args, monkeypatch)
+    assert first_low < low
     assert low < high < 1.0
     calls = count_mvn_calls(monkeypatch)
-    # alpha at the capped sum: rejected, without integrating
+    # alpha at the upper bound: rejected, without integrating
     assert _max_test_from_columns(*args, alpha=high)[1] == high
     assert calls == []
-    # alpha at the largest column tail decides nothing: integrated
+    # alpha at the lower bound decides nothing: integrated
     _, q = _max_test_from_columns(*args, alpha=low)
     assert calls == [3]
     p = _max_test_from_columns(*args)[1]
@@ -451,10 +554,11 @@ def test_alpha_at_the_bounds(monkeypatch):
 
 def test_error_bar_stop_decides_as_full_integration(monkeypatch):
     # the max tests that straddle alpha in the power_i500 benchmark's
-    # studies: table1 scenarios, 500 pairs, 4 replications, gamma 1 and 1.25
+    # studies: table1 scenarios, 500 pairs, 4 replications, gamma 1 and 1.25;
+    # the second-order bounds settle most, so 32 masters give 44 of them
     table1 = StudyConfig.from_json(resources.files("pairedsurv.configs") / "table1.cfg")
     calls = record_decision_integrations(monkeypatch)
-    for master in range(8):
+    for master in range(32):
         power_study(dataclasses.replace(table1, pairs=500, replications=4,
                                         seed=master, gammas=(1.0, 1.25)))
     monkeypatch.undo()
