@@ -9,12 +9,16 @@ variables already placed, which lowers the integrand's variance even when
 every limit is the same.  A pivot at or below ``_PIVOT_FLOOR`` gets a zero
 column, so semidefinite input (duplicated columns) needs no separate path:
 that variable is an indicator of its precursors.  The cube is sampled with
-a Richtmyer lattice passed through the tent transform, under
-``_N_SHIFTS`` independent random shifts; the spread of the per-shift means
-gives the error estimate.  The integrand is evaluated ``_PIECE`` lattice
-indices at a time in reused buffers, and a large block is cut into one
-range per available CPU, each in a thread; the sums are the same bit for
-bit whatever the core count.  The estimate is clamped into the Frechet
+an embedded rank-1 lattice sequence (Cools, Kuo & Nuyens 2006, SIAM J.
+Sci. Comput. 28:2162): point k is ``frac(phi(k) z / 2^20)``, phi the
+20-bit radical inverse and ``z`` a CBC generator (``_GENERATOR``; Nuyens
+& Cools 2006, Math. Comp. 75:903), so each doubling of the points
+completes the lattice ``{i z / 2^m}``.  They pass through the tent
+transform, under ``_N_SHIFTS`` independent random shifts; the spread of
+the per-shift means gives the error estimate.  The integrand is evaluated
+``_PIECE`` lattice indices at a time in reused buffers, and a large block
+is cut into one range per available CPU, each in a thread; the sums are
+the same bit for bit whatever the core count.  The estimate is clamped into the Frechet
 bounds ``[max(0, 1 - sum_l Phi(-a_l)), min_l Phi(a_l)]``, so the upper tail
 ``1 - cdf`` always lies between the largest one-column tail and the
 Bonferroni sum; the max test clips it further, into second-order bounds
@@ -38,6 +42,18 @@ from .errors import AccuracyNotReached, check_tol
 
 MAX_DIM = 25
 _MAX_POINTS = 2 ** 16  # lattice points per shift before AccuracyNotReached
+# Generator of the 2^20-point lattice sequence, one odd z_j < 2^20 per
+# coordinate.  Bits 0-15 come from random-candidate CBC: for each j in turn,
+# the best of 1,024 random odd candidates by the Korobov alpha = 2 criterion
+# (product weights 0.9 / (j + 1)^2, j = 1..24), summed over the lattices of
+# 2^7..2^16 points, which fix every level users and the benchmark reach.
+# Bits 16-19, for levels 2^17..2^20, were chosen the same way with the low
+# bits held, over all 16 candidates and summed over 2^17..2^20; they lower
+# that sum from 1.23e-6 (bits 16-19 zero) to 8.9e-7.
+_GENERATOR = np.array([1, 477763, 61193, 398571, 249179, 810373, 465835, 989275, 444617,
+                       49373, 89107, 996233, 179461, 749591, 846871, 284801, 771527, 482513,
+                       246039, 21577, 672229, 394177, 902881, 612729], dtype=float)
+_REVERSED_BYTE = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)])
 _N_SHIFTS = 8
 _PIVOT_FLOOR = 1e-10
 _TINY = 1e-15
@@ -93,19 +109,17 @@ def _priority_cholesky(corr, limits):
     return low, b
 
 
-def _first_primes(count):
-    primes, candidate = [], 2
-    while len(primes) < count:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    return np.array(primes, dtype=float)
+def _radical_inverse(start, count):
+    """``phi(k)`` for ``k`` in ``[start, start + count)``: the 20 bits of k
+    in reverse order, from a byte table, as floats."""
+    k, r = np.arange(start, start + count), _REVERSED_BYTE
+    return ((r[k & 255] << 16 | r[k >> 8 & 255] << 8 | r[k >> 16]) >> 4).astype(float)
 
 
 def _integrand_means(low, limits, k_values, shifts, lattice):
     """Per-shift sums of the sequential-conditioning integrand.
 
-    ``k_values`` are lattice indices, ``shifts`` has shape (R, dim-1).
+    ``k_values`` are radical inverses phi(k), ``shifts`` has shape (R, dim-1).
     Returns an (R,) array of integrand sums over the given indices.  The
     block is cut into one contiguous range per available CPU, none shorter
     than ``_SPLIT`` indices, each filled in a thread (``map_ranges``).
@@ -166,14 +180,17 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, level=None):
     Lattice points double until the error estimate (three standard errors
     of the mean over the random shifts) is at most ``tol`` or ``_MAX_POINTS``
     is reached; in the latter case an AccuracyNotReached warning is emitted.
-    Over 8 shifts the standardized mean is a t with 7 degrees of freedom,
-    so |error| exceeds the error estimate with probability 2.0% (2 t_7.sf(3)).
-    With ``level``, the doubling also ends as soon as the estimate lies
-    more than two error estimates (six standard errors) from ``level``:
-    the returned value is then on the CDF's side of ``level`` except with
-    probability at most 5.4e-4 (2 t_7.sf(6)), which is all a caller
-    comparing the two needs, and no AccuracyNotReached is emitted however
-    large the error estimate.  The tolerance, the seed, the limits and the
+    Were the 8 shift means normal, |error| would exceed the estimate with
+    probability 2.0% (2 t_7.sf(3)); measured, it did in 21 of 400 one-factor
+    problems of dimension 2-25 and 50 of the benchmark's 800 CLI
+    integrations (17 and 19 on the Richtmyer points used before), mostly
+    where the first 128 points met ``tol``.  With ``level``, the doubling
+    also ends as soon as the estimate lies more than two error estimates
+    (six standard errors) from ``level``: the returned value is then on the
+    CDF's side of ``level`` except with probability at most 5.4e-4 (2
+    t_7.sf(6), the same normal model), which is all a caller comparing the
+    two needs, and no AccuracyNotReached is emitted however large the error
+    estimate.  The tolerance, the seed, the limits and the
     matrix are checked before any shortcut.
     """
     tol = check_tol(tol, "tol")
@@ -190,23 +207,21 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, level=None):
         return 0.0
 
     low, limits = _priority_cholesky(corr, upper)
-    dim = limits.shape[0]
-    lattice = np.sqrt(_first_primes(dim - 1))
-    shifts = rng.random((_N_SHIFTS, dim - 1))
+    if _MAX_POINTS > 2 ** 20:
+        raise ValueError(f"the lattice sequence has 2**20 points, not {_MAX_POINTS}")
+    lattice = _GENERATOR[:len(limits) - 1] / 2 ** 20  # phi(k) z < 2^40: every point is exact
+    shifts = rng.random((_N_SHIFTS, len(limits) - 1))
 
-    sums = np.zeros(_N_SHIFTS)
-    n_done = 0
-    block = 128
+    sums, n_done = np.zeros(_N_SHIFTS), 0
     while True:
-        k_values = np.arange(n_done + 1, n_done + block + 1, dtype=float)
-        sums += _integrand_means(low, limits, k_values, shifts, lattice)
+        block = max(n_done, 128)  # a first block of 128, then double the total
+        sums += _integrand_means(low, limits, _radical_inverse(n_done, block), shifts, lattice)
         n_done += block
         means = sums / n_done
         err = 3.0 * means.std(ddof=1) / np.sqrt(_N_SHIFTS)
         settled = level is not None and abs(means.mean() - level) > 2.0 * err
         if err <= tol or settled or n_done >= _MAX_POINTS:
             break
-        block = n_done  # double the total each round
     if err > tol and not settled:
         warnings.warn(
             f"MVN CDF error estimate {err:.2e} above tolerance {tol:.2e}",

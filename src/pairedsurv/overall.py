@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (DegenerateColumnWarning, as_grid, check_assignment, check_gamma,
                      check_seed, check_tol)
 from .scores import _sign, pair_difference_matrix
-from .sensitivity import TestResult, _max_test_from_columns, _normal_only
+from .sensitivity import TestResult, _copies, _max_test_from_columns, _normal_only
 
 
 @dataclass(frozen=True)
@@ -75,23 +75,27 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     One call to ``scores.pair_difference_matrix``, which sorts the pooled
     units once per grid; ``pair_differences(sample, "pseudo", tau)`` is the
     column of the one-time grid ``[tau]``, and the PPW column is
-    ``-pair_differences(sample, "pw")``.  A column with zero
-    dispersion (a grid time before any event) carries no information; the
-    max-type tests drop it, and a ``DegenerateColumnWarning`` names it here.
+    ``-pair_differences(sample, "pw")``.  A column with zero dispersion (a
+    grid time before any event) or copying an earlier one (no event between)
+    carries no information; the max-type tests drop it, and a
+    ``DegenerateColumnWarning`` names it here.
     """
     taus = as_grid(grid)
     diff = DiffMatrix(taus, pair_difference_matrix(sample, taus, include_pw=include_ppw),
                       sample.assignment)
+    copies = _copies(diff.D[None], diff.sigma[None], (diff.D.T @ diff.assignment)[None])[0]
     _warn_degenerate([lab for lab, s in zip(diff.labels, diff.sigma) if s == 0.0])
+    _warn_degenerate([lab for lab, c in zip(diff.labels, copies) if c],
+                     what="grid columns {}, copies of earlier ones")
     return diff
 
 
-def _warn_degenerate(dropped, sample=""):
+def _warn_degenerate(dropped, sample="", what="degenerate grid columns {}"):
     """One ``DegenerateColumnWarning`` for the ``dropped`` labels, if any,
     naming ``sample`` (the studies name their scenario and replications),
     at the caller of the function that calls this one."""
     if dropped:
-        warnings.warn(f"{sample}dropping degenerate grid columns {dropped}",
+        warnings.warn(f"{sample}dropping " + what.format(dropped),
                       DegenerateColumnWarning, stacklevel=3)
 
 

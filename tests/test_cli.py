@@ -362,6 +362,13 @@ def test_cmd_closed_long_grid_default_tol(sim_csv, capsys):
     assert code == 0
 
 
+def test_cmd_overall_twenty_point_grid_meets_default_tol(sim_csv, capsys):
+    # a Richtmyer sequence stopped at an error estimate of 1.12e-4 here
+    grid = ",".join(str(v) for v in np.linspace(0.5, 5.0, 20))
+    code, _, err = run(["overall", sim_csv, "--grid", grid, "--gamma", "1.25"], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_accuracy_miss_writes_no_out(sim_csv, tmp_path, capsys):
     out_path = tmp_path / "f.json"
     code, _, err = run(["overall", sim_csv, "--grid", "1,2,3,4,5", "--tol", "1e-9",

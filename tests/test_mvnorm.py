@@ -105,16 +105,24 @@ def one_factor_problems():
         yield limits, loadings, corr
 
 
-def test_one_factor_problems_against_quadrature():
-    # The error estimate is 3 standard errors over 8 shifts, a t with 7
-    # degrees of freedom: |error| exceeds it with probability 2 t_7.sf(3) =
-    # 2.0%, so 6 or more misses of tol in 60 problems has probability 0.13%.
-    # Measured: 1 miss (1.6e-4), median |error| 1.8e-5.
-    misses = 0
+def test_one_factor_problems_against_quadrature(monkeypatch):
+    # The error estimate is 3 standard errors over 8 shifts: were the shift
+    # means normal, |error| would exceed it with probability 2 t_7.sf(3) =
+    # 2.0%.  Measured on 400 problems drawn like these, |error| exceeded
+    # the estimate in 5.2% of them and tol in 1.75%, at which 6 or more
+    # misses of tol in 60 problems have probability 0.06%.  Measured here:
+    # 1 miss (1.8e-4), median |error| 1.3e-5.  The lattice points per shift
+    # guard against a weak generator: 104,704 in all (a Richtmyer sequence
+    # took 217,984).
+    misses, points = 0, []
+    radical_inverse = mvnorm._radical_inverse
+    monkeypatch.setattr(mvnorm, "_radical_inverse",
+                        lambda start, count: points.append(count) or radical_inverse(start, count))
     for i, (limits, loadings, corr) in enumerate(one_factor_problems()):
         error = mvn_cdf(limits, corr, tol=1e-4, seed=i) - one_factor_cdf(limits, loadings)
         misses += abs(error) > 1e-4
     assert misses <= 5
+    assert sum(points) <= 130_000
 
 
 def test_union_bounds_bracket_one_factor_tails():
@@ -165,8 +173,8 @@ def test_difference_matrix_problems_against_scipy():
     # absolute-product (gamma 1.25) rule, limits in [0.5, 3].  scipy's Genz
     # integrator is run to 1e-5, so a miss is |diff| > 1e-4 + 1e-5; at the
     # 2.0% coverage of the error estimate, 4 or more misses in 20 problems
-    # have probability 0.06%.  Measured: 1 miss (1.9e-4, mvn_cdf's: scipy at
-    # 1e-7 agrees with scipy at 1e-5 to 6e-7), median |diff| 1.6e-5.
+    # have probability 0.06%.  Measured: no miss, largest |diff| 7.3e-5,
+    # median 9.1e-6.
     rng = np.random.default_rng(19)
     misses = 0
     for k in range(20):
@@ -296,13 +304,13 @@ def _integrand_args(limits, corr, seed=0):
     low, limits = mvnorm._priority_cholesky(corr, np.asarray(limits, dtype=float))
     dim = limits.shape[0]
     shifts = np.random.default_rng(seed).random((mvnorm._N_SHIFTS, dim - 1))
-    return low, limits, shifts, np.sqrt(mvnorm._first_primes(dim - 1))
+    return low, limits, shifts, mvnorm._GENERATOR[:dim - 1] / 2 ** 20
 
 
 def _integrand_cases():
     # every dimension; index counts of one point, below one piece, on either
     # side of the piece size and of the split threshold, and the largest
-    # doubling block; blocks that start past 1, as a doubling block does
+    # doubling block; blocks that start past 0, as a doubling block does
     rng = np.random.default_rng(23)
     piece, split = mvnorm._PIECE, mvnorm._SPLIT
     counts = [1, 127, piece - 1, piece + 1, 2 * split - 1, 2 * split + 1]
@@ -326,11 +334,38 @@ def test_integrand_matches_one_shot(monkeypatch, workers):
     for corr, limits, start, n in _integrand_cases():
         low, limits, shifts, lattice = _integrand_args(limits, corr, seed=n)
         indicator |= bool(np.any(np.diag(low) == 0.0))
-        k_values = np.arange(start + 1, start + n + 1, dtype=float)
+        k_values = mvnorm._radical_inverse(start, n)
         got = mvnorm._integrand_means(low, limits, k_values, shifts, lattice)
         assert got.tobytes() == integrand_one_shot(
             low, limits, k_values, shifts, lattice).tobytes()
     assert indicator
+
+
+def test_generator_components_are_odd_and_below_2_to_the_20():
+    z = mvnorm._GENERATOR
+    assert z.shape == (mvnorm.MAX_DIM - 1,)
+    assert (z == np.round(z)).all() and (z % 2 == 1).all() and (z < 2 ** 20).all()
+
+
+def test_first_points_of_the_sequence_are_a_lattice():
+    # the first 2^m radical inverses are i 2^(20 - m) for i = 0..2^m - 1, so
+    # the unshifted points are the rank-1 lattice {i z / 2^m}, exactly
+    z = mvnorm._GENERATOR.astype(np.int64)
+    phi = mvnorm._radical_inverse(0, 2 ** 20)
+    for m in range(7, 21):
+        n = 2 ** m
+        i = phi[:n].astype(np.int64) >> (20 - m)
+        assert (phi[:n] == i << (20 - m)).all()
+        assert (np.sort(i) == np.arange(n)).all()
+        for j, lattice in enumerate(mvnorm._GENERATOR / 2 ** 20):
+            x = phi[:n] * lattice
+            assert (x - np.floor(x) == (i * z[j] % n) / n).all()
+
+
+def test_max_points_beyond_the_sequence_refused(monkeypatch):
+    monkeypatch.setattr(mvnorm, "_MAX_POINTS", 2 ** 20 + 1)
+    with pytest.raises(ValueError, match="2\\*\\*20 points"):
+        mvn_cdf([0.5, 0.5], [[1.0, 0.3], [0.3, 1.0]])
 
 
 def _mvn_problems(dims=(2, 5, 12)):
