@@ -12,8 +12,10 @@ depends on S only through its observed max m_S.  Adding columns whose
 statistic is at most m_S keeps every limit and can only raise p, so among
 the subsets containing tau with max m the largest p is that of
 S_m = {l : stat_l <= m}.  The adjusted p of tau is the running maximum of
-p(S_m) over m >= stat_tau.  A degenerate column is in no S_m; its tau gets
-p = 1, the p-value of a test with no columns.
+p(S_m) over m >= stat_tau.  Only a zero column (zero dispersion) is
+dropped: it is in no S_m, and its tau gets p = 1, the p-value of a test with
+no columns.  A copy of an earlier column has that column's statistic, so it
+joins the same S_m (whose max test masks it) and shares its adjusted p.
 
 Each S_m is integrated with a QMC seed derived from its bitmask over the
 grid, so its p-value is the one a full enumeration computes for that
@@ -64,10 +66,10 @@ def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestRepo
 
     Visits the distinct benefit statistics from the largest down, tests
     the set of columns at or below each, and adjusts each tau's p-value to
-    the running maximum of those p-values.  Degenerate columns (which
-    ``diff_matrix`` warns about) are dropped and their taus get adjusted
-    p = 1.  A matrix with a PPW column is refused: its hypotheses are the
-    grid times.
+    the running maximum of those p-values.  Only zero columns are dropped,
+    their taus at adjusted p = 1; a copy of an earlier column shares the
+    adjusted p of the column it copies.  A matrix with a PPW column is
+    refused: its hypotheses are the grid times.
     """
     alpha, gamma = check_alpha(alpha), check_gamma(gamma)
     seed, tol = check_seed(seed), check_tol(tol, "tol")

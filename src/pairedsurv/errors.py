@@ -23,7 +23,9 @@ class AccuracyNotReached(UserWarning):
 
 
 class DegenerateColumnWarning(UserWarning):
-    """A degenerate grid column was dropped from a max-type statistic."""
+    """A degenerate grid column, one with zero dispersion (a grid time before
+    any event) or equal to an earlier column (no event between), was
+    dropped from a max-type statistic."""
 
 
 def _is_real(value) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (DegenerateColumnWarning, as_grid, check_assignment, check_gamma,
                      check_seed, check_tol)
 from .scores import _sign, pair_difference_matrix
-from .sensitivity import TestResult, _copies, _max_test_from_columns, _normal_only
+from .sensitivity import TestResult, _dropped, _max_test_from_columns, _normal_only
 
 
 @dataclass(frozen=True)
@@ -77,25 +77,23 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     column of the one-time grid ``[tau]``, and the PPW column is
     ``-pair_differences(sample, "pw")``.  A column with zero dispersion (a
     grid time before any event) or copying an earlier one (no event between)
-    carries no information; the max-type tests drop it, and a
-    ``DegenerateColumnWarning`` names it here.
+    carries no information; the max-type tests drop it (``_dropped``), and
+    one ``DegenerateColumnWarning`` names all such columns here.
     """
     taus = as_grid(grid)
     diff = DiffMatrix(taus, pair_difference_matrix(sample, taus, include_pw=include_ppw),
                       sample.assignment)
-    copies = _copies(diff.D[None], diff.sigma[None], (diff.D.T @ diff.assignment)[None])[0]
-    _warn_degenerate([lab for lab, s in zip(diff.labels, diff.sigma) if s == 0.0])
-    _warn_degenerate([lab for lab, c in zip(diff.labels, copies) if c],
-                     what="grid columns {}, copies of earlier ones")
+    dropped = _dropped(diff.D[None], diff.sigma[None], (diff.D.T @ diff.assignment)[None])[0]
+    _warn_degenerate([lab for lab, d in zip(diff.labels, dropped) if d])
     return diff
 
 
-def _warn_degenerate(dropped, sample="", what="degenerate grid columns {}"):
+def _warn_degenerate(dropped, sample=""):
     """One ``DegenerateColumnWarning`` for the ``dropped`` labels, if any,
     naming ``sample`` (the studies name their scenario and replications),
     at the caller of the function that calls this one."""
     if dropped:
-        warnings.warn(f"{sample}dropping " + what.format(dropped),
+        warnings.warn(f"{sample}dropping degenerate grid columns {dropped}",
                       DegenerateColumnWarning, stacklevel=3)
 
 
@@ -112,12 +110,12 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     meet they decide it without integrating: one column gives the p of
     ``score_test(sample, "pseudo", tau)`` bit for bit, and two give the
     exact ``p_1 + p_2 - p_12`` from Owen's T.  Columns with zero
-    dispersion are dropped; when all columns are degenerate the p-value is
-    1.  The p-value is 0.0 when every column's normal tail underflows:
-    ``ndtr`` returns 0 from a standardized limit of about 37.7 on.  Beyond
-    about 38.6, 0.0 is the nearest double both to that tail and to
-    Hoeffding's bound ``L exp(-z^2 / 2)`` on the randomization tail of the
-    max.
+    dispersion or copying an earlier one are dropped; when every column
+    has zero dispersion the p-value is 1.  It is 0.0 when every column's
+    normal tail underflows: ``ndtr`` returns 0 from a standardized limit of
+    about 37.7 on.  Beyond about 38.6, 0.0 is the nearest double both to
+    that tail and to Hoeffding's bound ``L exp(-z^2 / 2)`` on the
+    randomization tail of the max.
     """
     gamma, tol, seed = check_gamma(gamma), check_tol(tol, "tol"), check_seed(seed)
     orient = _sign("pseudo", direction)

@@ -348,14 +348,15 @@ def _union_bounds(limits, rho, tails, s1, low, high):
     return np.minimum(np.maximum(np.maximum(low, dawson), de_caen), high), high
 
 
-def _copies(D, sigma, paired):
-    """(R, L) mask of the live columns of a stack (R, I, L) equal to an earlier
-    column of their sample: equal ``sigma`` and ``paired`` sums, then D."""
+def _dropped(D, sigma, paired):
+    """(R, L) mask of the columns a max test leaves out of a stack (R, I, L):
+    zero dispersion, or equal to an earlier column of their sample (equal
+    ``sigma`` and ``paired`` sums, then D)."""
     same = np.tril((sigma[:, :, None] == sigma[:, None, :]) & (sigma[:, :, None] > 0.0)
                    & (paired[:, :, None] == paired[:, None, :]), -1)
     for r, l, j in zip(*np.nonzero(same)):
         same[r, l, j] = np.array_equal(D[r, :, l], D[r, :, j])
-    return same.any(axis=-1)
+    return (sigma == 0.0) | same.any(axis=-1)
 
 
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
@@ -368,7 +369,7 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     (I,), or a stack of them, (R, I, L) with (R, L) and (R, I), each
     ``D[r]`` laid out as one sample's; ``seed`` is then a sequence of one
     seed per sample, and ``m`` and ``p`` are (R,) arrays.  A column with
-    zero dispersion or copying an earlier one (``_copies``) is masked, so
+    zero dispersion or copying an earlier one (``_dropped``) is masked, so
     each sample gets the bits of the one-sample call on its other columns;
     with none live it gets (nan, 1), and more than ``mvnorm.MAX_DIM`` of
     nonzero dispersion are refused before any bound decides.  ``gamma`` is
@@ -399,13 +400,11 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
         m, p = _max_test_from_columns(D[None], sigma[None], np.asarray(assignment)[None], gamma,
                                       method, orient, tol, [seed], alpha)
         return float(m[0]), float(p[0])
-    keep = sigma > 0.0
-    _check_dim(keep.sum(axis=-1).max(initial=0))
+    _check_dim((sigma > 0.0).sum(axis=-1).max(initial=0))
     if np.shape(seed) != (len(D),):
         raise ValueError(f"a stack of {len(D)} samples needs one seed per sample")
     paired, abs_sum, sq_sum = _column_sums(D, assignment)
-    keep &= ~_copies(D, sigma, paired)
-    live = keep.sum(axis=-1)
+    keep = ~_dropped(D, sigma, paired)
     with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
         stats = np.where(keep, orient * paired / sigma, -np.inf)
         m = stats.max(axis=-1)
@@ -416,10 +415,7 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
     # the max's tail lies between the largest column tail and their sum
     tails = np.where(keep, ndtr(-limits), 0.0)
-    # each row sums a zero and then its live tails, as np.sum adds a row with
-    # no dropped column: a zero among them would regroup its pairwise sum
-    starts = np.cumsum(live) - live
-    sums = np.add.reduceat(np.insert(tails[keep], starts, 0.0), starts + np.arange(len(D)))
+    sums = _last(tails)
     low, high = tails.max(axis=-1), np.minimum(1.0, sums)
 
     def straddled():
@@ -441,7 +437,8 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
         if open_[r]:
             cdf = mvn_cdf(limits[r, keep[r]], c, tol=tol, seed=seed[r], level=level)
             p[r] = np.clip(1.0 - cdf, low[r], high[r])
-    return np.where(live > 0, m, np.nan), np.where(live > 0, p, 1.0)
+    live = keep.any(axis=-1)
+    return np.where(live, m, np.nan), np.where(live, p, 1.0)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (_check_real, as_grid, check_alpha, check_gamma, check_reals
                      check_times, check_tol, check_whole)
 from .overall import _warn_degenerate
 from .scores import _difference_stack, _sign, pair_difference_matrix
-from .sensitivity import _column_sums, _column_tests, _max_test_from_columns
+from .sensitivity import _column_sums, _column_tests, _dropped, _max_test_from_columns
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate
@@ -344,15 +344,15 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
     block, so memory stays bounded whatever the number of replications.
     Each block is drawn in one ``_simulate`` call, sorted once for all of
     its difference matrices, and tested for every gamma in one call per
-    test; every count equals that of the sample-by-sample public tests.  A
-    degenerate column (a grid time before any event) gives one
-    ``DegenerateColumnWarning`` per scenario, naming its replications.
+    test; every count equals that of the sample-by-sample public tests.  The
+    columns a block's max tests drop (``sensitivity._dropped``) give one
+    ``DegenerateColumnWarning`` per scenario and set of columns, naming its
+    replications, as ``overall_test`` names them sample by sample.
     """
     grid = as_grid(config.grid)
-    labels = grid.tolist() + ["ppw"]
     names = [f"t_tau={tau:g}" for tau in grid] + ["ppw", "max"]
     hits = np.zeros((len(config.scenarios), len(config.gammas), len(names)), dtype=np.int64)
-    dropped = {}  # (scenario, dropped column indices) -> its replications
+    dropped = {}  # (scenario, dropped grid times) -> its replications
     samples = ((s, rep) for s in range(len(config.scenarios))
                for rep in range(config.replications))
     per_block = max(1, _BLOCK_UNITS // (2 * config.pairs))
@@ -361,10 +361,10 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
         np.add.at(hits, [s for s, _ in block], rejected)
         for (s, rep), mask in zip(block, degenerate):
             if mask.any():
-                dropped.setdefault((s, tuple(np.flatnonzero(mask))), []).append(rep)
-    for (s, columns), reps in dropped.items():
+                dropped.setdefault((s, tuple(grid[mask].tolist())), []).append(rep)
+    for (s, times), reps in dropped.items():
         shown = ", ".join(map(str, reps[:5])) + (f" and {len(reps) - 5} more" if reps[5:] else "")
-        _warn_degenerate([labels[j] for j in columns],
+        _warn_degenerate(list(times),
                          f"scenario {config.scenarios[s].id}, replications {shown}: ")
     rows = tuple(
         PowerRow(scenario=spec.id, gamma=gamma, test=name, rejections=int(hits[s, g, k]),
@@ -378,7 +378,7 @@ def power_study(config: StudyConfig) -> PowerStudyResult:
 def _test_block(config, grid, block):
     """Every test of the samples ``block`` lists as (scenario index,
     replication): ``p <= alpha`` as (R, gammas, tests), in ``power_study``'s
-    test order, and the (R, L + 1) mask of each sample's degenerate columns."""
+    test order, and the (R, L) mask of the grid columns each max test drops."""
     scenarios = config.scenarios
     times, events, assignment = _simulate(
         config.pairs, [scenarios[s] for s, _ in block],
@@ -398,7 +398,7 @@ def _test_block(config, grid, block):
             D[..., :n_taus], sigma[..., :n_taus], assignment, gamma, "normal",
             orient=benefit, tol=config.mvn_tol, seed=mvn_seeds, alpha=config.alpha)[1] \
             <= config.alpha
-    return rejected, sigma == 0.0
+    return rejected, _dropped(D[..., :n_taus], sigma[..., :n_taus], sums[0][..., :n_taus])
 
 
 def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResult]:

@@ -57,7 +57,7 @@ def test_diff_matrix_worked_example(five_pairs):
 
 def test_diff_matrix_column_consistency(five_pairs):
     # no event falls between 2 and 4, so the column at 4 copies the one at 2
-    with pytest.warns(DegenerateColumnWarning, match=re.escape("columns [4.0], copies")):
+    with pytest.warns(DegenerateColumnWarning, match=re.escape("degenerate grid columns [4.0]")):
         diff = diff_matrix(five_pairs, (2.0, 4.0, 6.0), include_ppw=True)
     for l, tau in enumerate((2.0, 4.0, 6.0)):
         np.testing.assert_array_equal(
@@ -242,9 +242,23 @@ def test_one_column_max_is_its_score_test_without_integration(monkeypatch):
 def test_max_test_against_exact_enumeration(n_pairs, lowest, highest):
     # gamma = 1, grid 1..5, 5 scenarios x seeds 100-101: the normal p minus
     # the exact p measured [-0.142, +0.005] at I = 10 and [-0.025, +0.030]
-    # at I = 14, mostly liberal
+    # at I = 14, mostly liberal; over the closed test's step-down subsets
+    # [-0.162, +0.099] (35 subsets) at I = 10 and [-0.096, +0.030] (29) at
+    # I = 14
     grid = (1.0, 2.0, 3.0, 4.0, 5.0)
-    gaps = []
+    subset_lowest, subset_highest = {10: (-0.167, 0.104), 14: (-0.101, 0.035)}[n_pairs]
+    gaps, subset_gaps = [], []
+
+    def exact_within_column_tails(diff):
+        # between the exact column tails at the observed max and their sum
+        exact = max_pvalue_exact(diff)
+        live = diff.sigma > 0.0
+        D = -diff.D[:, live] / diff.sigma[live]
+        m = (diff.assignment @ D).max()
+        tails = [pvalue_exact(column, m) for column in D.T]
+        assert max(tails) <= exact <= min(1.0, sum(tails))
+        return exact
+
     for scenario in SCENARIO_IDS:
         for seed in (100, 101):
             sample = generate_pairs(n_pairs, ScenarioSpec(scenario), seed)
@@ -256,15 +270,13 @@ def test_max_test_against_exact_enumeration(n_pairs, lowest, highest):
                 d = one.D[:, 0]
                 p = pvalue_exact(d, -(d @ sample.assignment)) if one.sigma[0] > 0 else 1.0
                 assert max_pvalue_exact(one) == p
-            exact = max_pvalue_exact(diff)
-            # between the exact column tails at the observed max and their sum
-            live = diff.sigma > 0.0
-            D = -diff.D[:, live] / diff.sigma[live]
-            m = (sample.assignment @ D).max()
-            tails = [pvalue_exact(column, m) for column in D.T]
-            assert max(tails) <= exact <= min(1.0, sum(tails))
-            gaps.append(max_test(diff).p_value - exact)
+            gaps.append(max_test(diff).p_value - exact_within_column_tails(diff))
+            for taus, p in closed_test(diff).subset_p.items():
+                idx = [grid.index(tau) for tau in taus]
+                subset = DiffMatrix(np.array(taus), diff.D[:, idx], diff.assignment)
+                subset_gaps.append(p - exact_within_column_tails(subset))
     assert lowest <= min(gaps) and max(gaps) <= highest
+    assert subset_lowest <= min(subset_gaps) and max(subset_gaps) <= subset_highest
 
 
 def test_degenerate_columns_dropped_with_warning():
@@ -386,7 +398,7 @@ def test_copied_columns_past_the_cutoff_keep_their_bounds(monkeypatch):
         for seed in (0, 1):
             sample = generate_pairs(300, ScenarioSpec(scenario), seed)
             with pytest.warns(DegenerateColumnWarning,
-                              match=re.escape("grid columns [5.5, 6.0], copies of earlier")):
+                              match=re.escape("degenerate grid columns [5.5, 6.0]")):
                 copies = diff_matrix(sample, grid)
             plain = diff_matrix(sample, grid[:5])
             assert (copies.D[:, 4:5] == copies.D[:, 5:]).all()
@@ -400,6 +412,10 @@ def test_copied_columns_past_the_cutoff_keep_their_bounds(monkeypatch):
                 assert (low, high) == (plain_bounds[0][0], plain_bounds[1][0])
                 assert low <= q <= high
                 assert p == q
+                # closed testing keeps a copy's hypothesis: it shares the
+                # adjusted p of the column it copies
+                adjusted = closed_test(copies, gamma=gamma).adjusted_p
+                assert adjusted[5.0] == adjusted[5.5] == adjusted[6.0]
     assert -1.0 in rounded and rounded - {-1.0}  # both sides of 1 are met
 
 

@@ -133,9 +133,9 @@ def test_only_errors_defines_an_input_rule():
             and not node.name.startswith("_")] == ["mvn_cdf"]
 
 
-def test_mvn_cdf_has_one_call_site():
-    # every integration runs through the one max test, so the span
-    # recorder's mvnorm.* metrics see it, and no second max path hides
+def _call_sites(is_site):
+    """(file, innermost function) of every call in the package for which
+    ``is_site(call)`` holds, in file order."""
     src = Path(pairedsurv.__file__).parent
     sites = []
     for path in sorted(src.rglob("*.py")):
@@ -144,11 +144,28 @@ def test_mvn_cdf_has_one_call_site():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 owner.update((node, getattr(fn, "name", "<lambda>")) for node in ast.walk(fn))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "mvn_cdf" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                sites.append((path.name, owner.get(node)))
-    assert sites == [("sensitivity.py", "_max_test_from_columns")]
+        sites += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and is_site(node)]
+    return sites
+
+
+def _calls(node, name) -> bool:
+    return name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_mvn_cdf_has_one_call_site():
+    # every integration runs through the one max test, so the span
+    # recorder's mvnorm.* metrics see it, and no second max path hides
+    assert _call_sites(lambda call: _calls(call, "mvn_cdf")) == \
+        [("sensitivity.py", "_max_test_from_columns")]
+
+
+def test_degenerate_column_warning_has_one_call_site():
+    # every dropped-column report, of a matrix, a study or a design
+    # sensitivity, goes through one helper and so keeps one wording
+    assert _call_sites(lambda call: _calls(call, "warn") and any(
+        getattr(node, "id", None) == "DegenerateColumnWarning" for node in ast.walk(call))) == \
+        [("overall.py", "_warn_degenerate")]
 
 
 def test_no_line_longer_than_100_characters():

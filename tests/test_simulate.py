@@ -255,9 +255,9 @@ def test_power_study_deterministic_and_shaped():
 
 def _public_test_counts(config):
     """The study's rejection counts from the public tests, sample by sample,
-    and the replications of each scenario whose max test drops a degenerate
-    column."""
-    counts, dropped = {}, {}
+    and the replications of each scenario keyed by the warnings of their
+    public ``overall_test`` call, joined by "; " (those with none left out)."""
+    counts, warned = {}, {}
     for spec in config.scenarios:
         for rep in range(config.replications):
             sample = generate_pairs(config.pairs, spec,
@@ -269,37 +269,43 @@ def _public_test_counts(config):
                      for tau in config.grid}
                 p["ppw"] = score_test(sample, "pw", gamma=gamma, direction="benefit").p_value
                 with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always", DegenerateColumnWarning)
+                    warnings.simplefilter("always")
                     p["max"] = overall_test(sample, config.grid, gamma=gamma,
                                             tol=config.mvn_tol, seed=mvn_seed).p_value
-                if any("degenerate" in str(w.message) for w in caught) \
-                        and gamma == config.gammas[0]:
-                    dropped.setdefault(spec.id, []).append(rep)
+                if caught and gamma == config.gammas[0]:
+                    message = "; ".join(str(w.message) for w in caught)
+                    warned.setdefault((spec.id, message), []).append(rep)
                 for name, value in p.items():
                     key = (spec.id, gamma, name)
                     counts[key] = counts.get(key, 0) + int(value <= config.alpha)
-    return counts, dropped
+    return counts, warned
 
 
 def test_power_study_matches_public_tests():
     # the second grid's first time precedes the first event in some
-    # replications of every scenario, not in all
+    # replications of every scenario, not in all, and some replications
+    # have no event between two later grid times: the study names those
+    # copies as the public test does
     for pairs, replications, grid in ((60, 3, (1.0, 2.0, 3.0, 4.0, 5.0)),
                                       (20, 4, (0.05, 1.0, 2.0, 3.0))):
         config = StudyConfig(scenarios=tuple(ScenarioSpec(sid) for sid in ETA), pairs=pairs,
                              replications=replications, grid=grid, gammas=(1.0, 1.25, 1.5),
                              seed=4)
-        counts, dropped = _public_test_counts(config)
+        counts, warned = _public_test_counts(config)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", DegenerateColumnWarning)
             rows = power_study(config).rows
         assert {(r.scenario, r.gamma, r.test): r.rejections for r in rows} == counts
         assert sum(counts.values()) > 0
         assert [str(w.message) for w in caught] == [
-            f"scenario {sid}, replications {', '.join(map(str, reps))}: "
-            f"dropping degenerate grid columns [{grid[0]!r}]" for sid, reps in dropped.items()]
-        assert all(0 < len(reps) < replications for reps in dropped.values())
-        assert len(dropped) == (0 if grid[0] == 1.0 else len(ETA))
+            f"scenario {sid}, replications {', '.join(map(str, reps))}: {message}"
+            for (sid, message), reps in warned.items()]
+        first = {}  # scenario -> the replications that drop the grid's first time
+        for (sid, message), reps in warned.items():
+            if f"columns [{grid[0]!r}" in message:
+                first.setdefault(sid, []).extend(reps)
+        assert all(0 < len(reps) < replications for reps in first.values())
+        assert len(first) == (0 if grid[0] == 1.0 else len(ETA))
 
 
 def test_power_study_blocks_match_public_tests(monkeypatch):
@@ -368,7 +374,7 @@ def test_max_test_over_too_many_columns_refused_on_every_sample():
     with pytest.raises(ValueError, match="dimension 26 exceeds the supported 25"):
         power_study(config)
     sample = generate_pairs(200, ScenarioSpec("no_effect"), 0)
-    with pytest.warns(DegenerateColumnWarning, match=re.escape("columns [4.64], copies")):
+    with pytest.warns(DegenerateColumnWarning, match=re.escape("degenerate grid columns [4.64]")):
         diff = diff_matrix(sample, grid)  # no event falls between 4.46 and 4.64
     with pytest.raises(ValueError, match="dimension 26 exceeds the supported 25"):
         sensitivity_value(diff)
