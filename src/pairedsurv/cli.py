@@ -5,9 +5,11 @@ Subcommands: ``test`` (time-specific), ``overall`` (max-type), ``sens``
 ``simulate`` / ``design-sens`` (study drivers from a JSON config), and
 ``km`` (plot-ready survival-curve export).  A numeric flag is parsed with
 the library's check of its value, and the rules between flags run right
-after parsing; ``main`` then reads the one input (``load_csv``
-or ``StudyConfig.from_json``) and passes it to the command, which prints
-a human table.  With ``--out``, ``km`` writes its curves as CSV and every
+after parsing; ``main`` then reads the one input (``load_csv``, which
+reads the CSV by columns, or ``StudyConfig.from_json``) and passes it to
+the command, which prints a human table.  The parser is built once per
+process, so a script, notebook or test that calls ``main`` many times
+pays for it once.  With ``--out``, ``km`` writes its curves as CSV and every
 other command a strict JSON document (null for non-finite numbers) with
 its run manifest.  These files and the ``--csv`` tables of ``simulate``/
 ``design-sens`` are written only after a successful run, never on exit
@@ -25,7 +27,7 @@ import sys
 import warnings
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -278,7 +280,11 @@ def _check_flag_pairs(args) -> None:
 
 # -- parser wiring -------------------------------------------------------
 
+@cache
 def build_parser() -> _Parser:
+    """The one parser of this process.  ``parse_args`` keeps no state between
+    calls (every default is immutable), so repeated ``main`` calls share it;
+    callers must not change it."""
     parser = _Parser(prog="pairedsurv",
                      description="Randomization tests for matched-pair censored outcomes")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import partial
+from itertools import filterfalse
 
 import numpy as np
 
@@ -51,10 +52,36 @@ def check_reals(values, rule) -> np.ndarray:
         return np.array(values, dtype=float)  # no bool, string or object in it
     entries = np.asarray(values, dtype=object)
     try:
-        floats = [_check_real(v, lambda v: True, rule) for v in entries.flat]
+        return check_each_real(entries.flat, rule).reshape(entries.shape)
     except ValueError:
         raise ValueError(f"{rule}, got {values!r}") from None
-    return np.array(floats, dtype=float).reshape(entries.shape)
+
+
+def check_each_real(values, rule) -> np.ndarray:
+    """``values`` as a float vector, every entry a real number ``_check_real``
+    takes; else a ``ValueError`` saying ``rule`` about the first it refuses."""
+    return np.array([_check_real(v, lambda v: True, rule) for v in values], dtype=float)
+
+
+def _each(values, ok, rule) -> list:
+    """``values`` as a list, if ``ok`` holds for every entry; else a
+    ``ValueError`` saying ``rule`` about the first entry it refuses."""
+    values = list(values)
+    for value in filterfalse(ok, values):
+        raise ValueError(f"{rule}, got {value!r}")
+    return values
+
+
+def check_positions(positions) -> np.ndarray:
+    """Positions within a pair as int64, every entry an integer 1 or 2, not a bool."""
+    return np.array(_each(positions, lambda p: _is_real(p) and isinstance(p, numbers.Integral)
+                          and p in (1, 2), "position must be 1 or 2"), dtype=np.int64)
+
+
+def check_flags(flags, name) -> np.ndarray:
+    """0/1 flags as bools, every entry a bool or a real number equal to 0 or 1."""
+    return np.array(_each(flags, lambda f: (isinstance(f, (bool, np.bool_)) or _is_real(f))
+                          and f in (0, 1), f"{name} must be 0 or 1"), dtype=bool)
 
 
 def check_tol(value, name) -> float:

@@ -721,6 +721,34 @@ def test_manifest_records_parsed_grid(sim_csv, tmp_path, capsys):
     assert json.loads(out_path.read_text())["manifest"]["options"]["grid"] == [2.0, 4.0]
 
 
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_forgets_a_refused_command(five_csv, tmp_path, capsys):
+    out_path = tmp_path / "s.json"
+    code, out, err = run(["sens", five_csv, "--tau", "3", "--grid", "1,2"], capsys)
+    assert (code, out) == (4, "") and "not allowed with argument" in err
+    code, _, _ = run(["sens", five_csv, "--grid", "1,2", "--out", str(out_path)], capsys)
+    assert code == 0
+    options = json.loads(out_path.read_text())["manifest"]["options"]
+    assert options["tau"] is None and options["grid"] == [1.0, 2.0]
+
+
+def test_cached_parser_writes_each_run_only_its_own_options(five_csv, tmp_path, capsys):
+    runs = [["test", five_csv, "--tau", "2", "--gamma", "1.5", "--method", "exact"],
+            ["test", five_csv, "--score", "logrank", "--direction", "harm", "--seed", "3"]]
+    for k, argv in enumerate(runs):
+        code, _, _ = run([*argv, "--out", str(tmp_path / f"{k}.json")], capsys)
+        assert code == 0
+    for k, argv in enumerate(runs):
+        fresh = vars(build_parser.__wrapped__().parse_args(argv))  # a parser of its own
+        fresh.pop("func")
+        options = json.loads((tmp_path / f"{k}.json").read_text())["manifest"]["options"]
+        assert options == {**fresh, "out": str(tmp_path / f"{k}.json")}
+    assert options["tau"] is None and options["gamma"] == 1.0 and options["method"] == "normal"
+
+
 @pytest.mark.parametrize("command", ["test", "simulate", "design-sens"])
 def test_seed_error_names_only_the_flag(command, tmp_path, capsys):
     # the flag is rejected when parsed, so the input is never opened; the
