@@ -112,10 +112,12 @@ def _json_ready(value):
 
 
 def _write_out(path, manifest, result) -> None:
-    doc = _json_ready({"manifest": manifest, "result": result})
+    # encoded before the file is opened, so a failed encoding writes nothing,
+    # and written in one call rather than one per encoder chunk
+    text = json.dumps(_json_ready({"manifest": manifest, "result": result}),
+                      indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(path, rows) -> None:
@@ -152,7 +154,7 @@ def cmd_overall(sample, args) -> tuple:
     print(f"max-type overall test, gamma={args.gamma:g}, {args.direction}, "
           f"method={res.method}")
     print(f"  statistic {res.statistic:.3f}   p-value {res.p_value:.3f}")
-    live = diff.sigma > 0
+    live = ~diff.dropped
     if np.any(live):
         mat = correlations(diff.D[:, live], res.gamma)
         labels = [str(l) for l, ok in zip(diff.labels, live) if ok]

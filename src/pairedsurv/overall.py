@@ -35,7 +35,9 @@ class DiffMatrix:
     with negative values.  ``D`` is one sample's (I, L) matrix of finite
     reals, column-major from ``diff_matrix``, so every column reduction
     reads contiguous memory; ``taus`` is a grid (``errors.as_grid``).
-    ``sigma[l] = sqrt(sum_i D[i, l]^2)`` is computed from ``D`` when the
+    ``sigma[l] = sqrt(sum_i D[i, l]^2)`` and ``dropped``, the mask of the
+    columns the max-type tests leave out (``sensitivity._dropped``: zero
+    dispersion or a copy of an earlier column), are computed when the
     matrix is built.  ``assignment`` is the sample's +-1 treatment indicator
     per pair, which every test of the matrix reads.
     """
@@ -44,6 +46,7 @@ class DiffMatrix:
     D: np.ndarray
     assignment: np.ndarray
     sigma: np.ndarray = field(init=False)
+    dropped: np.ndarray = field(init=False)
 
     def __post_init__(self):
         taus, D = as_grid(self.taus), np.asarray(self.D)
@@ -59,6 +62,8 @@ class DiffMatrix:
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "D", D)
         object.__setattr__(self, "sigma", np.sqrt(np.sum(D ** 2, axis=0)))
+        object.__setattr__(self, "dropped", _dropped(
+            D[None], self.sigma[None], (D.T @ self.assignment)[None])[0])
 
     @property
     def has_ppw(self) -> bool:
@@ -83,8 +88,7 @@ def diff_matrix(sample, grid, include_ppw=False) -> DiffMatrix:
     taus = as_grid(grid)
     diff = DiffMatrix(taus, pair_difference_matrix(sample, taus, include_pw=include_ppw),
                       sample.assignment)
-    dropped = _dropped(diff.D[None], diff.sigma[None], (diff.D.T @ diff.assignment)[None])[0]
-    _warn_degenerate([lab for lab, d in zip(diff.labels, dropped) if d])
+    _warn_degenerate([lab for lab, d in zip(diff.labels, diff.dropped) if d])
     return diff
 
 

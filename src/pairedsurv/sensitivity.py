@@ -37,7 +37,7 @@ from .mvnorm import _check_dim, mvn_cdf
 from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
-_SIGN_BUFFER = 1 << 18  # doubles in each Monte Carlo worker's reused sign buffer
+_SIGN_BUFFER = 1 << 17  # signs in each Monte Carlo worker's reused float buffer
 
 
 def _tail_args(scores, t):
@@ -157,59 +157,73 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     """Worst-case upper tail ``Pr(T >= t)`` by simulation; deterministic given seed.
 
     Each pair with a nonzero difference draws one sign, positive with
-    probability gamma/(1+gamma), times ``|d_i|``; zero pairs contribute
-    nothing and draw no sign.  Ties at ``t`` count.  Only ``|d_i|`` is
-    read, so ``-d`` gives the same p; the lower tail is this tail at
-    ``-t``.  This is the one simulator: it serves one-column tests only,
-    and the max-type test has only its normal method.
+    probability gamma/(1+gamma) rounded up to a multiple of 2^-32 (above
+    it by less than 2^-32, so the tail is conservative; exactly 1/2 at
+    gamma = 1), times ``|d_i|``; zero pairs contribute nothing and draw no
+    sign.  Ties at ``t`` count.  Only ``|d_i|`` is read, so ``-d`` gives
+    the same p; the lower tail is this tail at ``-t``.  This is the one
+    simulator: it serves one-column tests only, and the max-type test has
+    only its normal method.
 
     ``seed`` is SeedSequence entropy (an int, a sequence of ints, a
     ``SeedSequence`` or ``None``); a ``Generator`` or ``BitGenerator`` is
-    refused with numpy's ``TypeError``.  Draw ``j`` uses row ``j`` of
-    ``default_rng(seed).random((n_draws, k))`` over the k nonzero pairs:
-    ``[0, n_draws)`` is cut into one contiguous range per available CPU
-    (fewer when a range would not fill one buffer; ``map_ranges``), and
-    each range runs on a copy of the one ``PCG64(seed)`` stream advanced to
-    its first draw, so the p-value is the same whatever the core count.
-    Each thread reuses one buffer of at most ``max(2**18, k)`` doubles and
-    as many bools (2.3 MiB for k <= 2**18), whatever ``n_draws``.
+    refused with numpy's ``TypeError``.  Each 64-bit word of
+    ``PCG64(seed).random_raw()`` gives two 32-bit uniforms, its low half
+    first, and a sign is positive when its uniform is below
+    ``ceil(2**32 * gamma / (1 + gamma))`` (``_plus_threshold``).  Over the
+    k nonzero pairs, draw ``j`` reads words ``[j w, (j + 1) w)`` with
+    ``w = ceil(k / 2)``; an odd k leaves the last half of each draw
+    unused.  ``[0, n_draws)`` is cut into one contiguous range per
+    available CPU (fewer when a range would not fill one buffer;
+    ``map_ranges``), and each range runs on a copy of the one stream
+    advanced to its first draw, so the p-value is the same whatever the
+    core count.  Each thread holds 1.5 MiB of signs and raw words at a
+    time for k <= 2**17 (``_count_hits``), whatever ``n_draws``.
     """
     gamma = check_gamma(gamma)
     n_draws = check_draws(n_draws)
     d, t = _tail_args(scores, t)
     tol = _tie_tol(d)
-    mags = np.abs(d[d != 0.0]).reshape(-1, 1)
-    rows = mags.shape[0]
-    if rows == 0:
+    mags = np.abs(d[d != 0.0])
+    if mags.size == 0:
         return 1.0 if 0.0 >= t - tol else 0.0
-    p_plus = gamma / (1.0 + gamma)
-    bits = np.random.PCG64(seed)
+    words = (mags.size + 1) // 2
+    mags = np.append(mags, np.zeros(2 * words - mags.size))  # one zero for odd k
+    # T = 2 (plus @ mags) - sum |d|, with plus the 0/1 indicators of + signs
+    bound = (t - tol + mags.sum()) / 2.0
+    threshold, bits = _plus_threshold(gamma), np.random.PCG64(seed)
     hits = sum(map_ranges(lambda lo, hi: _count_hits(
-        np.random.Generator(copy.deepcopy(bits).advance(lo * rows)), hi - lo,
-        mags, p_plus, t - tol), n_draws, max(1, _SIGN_BUFFER // rows)))
+        copy.deepcopy(bits).advance(lo * words), hi - lo, mags, threshold, bound),
+        n_draws, max(1, _SIGN_BUFFER // mags.size)))
     return hits / n_draws
 
 
-def _count_hits(rng, n, mags, p_plus, bound) -> int:
-    """How many of the next ``n`` draws of ``rng`` give ``signs @ mags >= bound``.
+def _plus_threshold(gamma) -> int:
+    """``ceil(2**32 * gamma / (1 + gamma))`` in exact integer arithmetic: a
+    32-bit uniform below it gives a positive sign."""
+    num, den = gamma.as_integer_ratio()
+    return -(-(num << 32) // (num + den))
 
-    The signs of up to ``_SIGN_BUFFER // len(mags)`` draws at a time are
-    made in one reused buffer: uniforms, then ``u < p_plus``, then exact
-    ``+1.0``/``-1.0`` written back over the uniforms.
+
+def _count_hits(bits, n, mags, threshold, bound) -> int:
+    """How many of the next ``n`` draws of the bit generator ``bits`` give
+    ``plus @ mags >= bound``, ``mags`` of even length.
+
+    Up to ``_SIGN_BUFFER // len(mags)`` draws at a time: their raw words,
+    half as many as signs, are read as 32-bit uniforms, and ``u <
+    threshold`` is written as 0.0/1.0 into one reused float buffer (1.5
+    MiB in all for ``len(mags) <= 2**17``, whatever ``n``).
     """
-    rows = mags.shape[0]
-    per_fill = min(n, max(1, _SIGN_BUFFER // rows))
-    u = np.empty(per_fill * rows)
-    plus = np.empty(u.size, dtype=bool)
+    width = mags.size
+    per_fill = min(n, max(1, _SIGN_BUFFER // width))
+    plus = np.empty((per_fill, width))
     hits = 0
     for lo in range(0, n, per_fill):
-        size = min(per_fill, n - lo) * rows
-        signs = u[:size]
-        rng.random(out=signs)
-        np.less(signs, p_plus, out=plus[:size])
-        np.multiply(plus[:size], 2.0, out=signs)
-        signs -= 1.0
-        hits += int(np.count_nonzero(signs.reshape(-1, rows) @ mags >= bound))
+        rows = min(per_fill, n - lo)
+        u = bits.random_raw(rows * width // 2).astype("<u8", copy=False).view("<u4")
+        np.less(u, threshold, out=plus[:rows].reshape(-1))
+        del u  # so the next fill's words replace these rather than join them
+        hits += int(np.count_nonzero(plus[:rows] @ mags >= bound))
     return hits
 
 

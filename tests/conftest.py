@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
@@ -135,14 +138,21 @@ def pw_scores_naive(times, events):
 
 
 def montecarlo_one_shot(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
-    """Reference Monte Carlo tail: every sign of every draw in one array."""
+    """Reference Monte Carlo tail: every sign of every draw in one array.
+
+    Draw j reads raw PCG64 words ``[j w, (j + 1) w)``, ``w = ceil(k / 2)``,
+    as 2w 32-bit uniforms, low half first, of which the first k give its
+    signs: +1 below ``ceil(2**32 gamma / (1 + gamma))``, else -1.
+    """
     d = np.asarray(scores, dtype=float)
-    mags = np.abs(d[d != 0.0]).reshape(-1, 1)
+    mags = np.abs(d[d != 0.0])
     if mags.size == 0:
         return 1.0 if 0.0 >= t - _tie_tol(d) else 0.0
-    p_plus = gamma / (1.0 + gamma)
-    signs = np.where(np.random.default_rng(seed).random((n_draws, mags.size)) < p_plus,
-                     1.0, -1.0)
+    words = (mags.size + 1) // 2
+    raw = np.random.PCG64(seed).random_raw(n_draws * words)
+    u = raw.astype("<u8").view("<u4").reshape(n_draws, 2 * words)[:, :mags.size]
+    threshold = math.ceil(2 ** 32 * Fraction(gamma) / (1 + Fraction(gamma)))
+    signs = np.where(u < threshold, 1.0, -1.0)
     return int(np.count_nonzero(signs @ mags >= t - _tie_tol(d))) / n_draws
 
 

@@ -133,6 +133,23 @@ def test_cmd_overall_single_grid_matches_test(five_csv, tmp_path, capsys):
     assert pa == pytest.approx(pb, abs=1e-12)
 
 
+def test_out_encoding_error_leaves_the_file_alone(tmp_path):
+    # the document is encoded before the file is opened, so a value that
+    # JSON cannot hold neither creates nor truncates the file
+    path = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        cli._write_out(path, {"command": "test"}, {"p_value": object()})
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(TypeError):
+        cli._write_out(path, {"command": "test"}, {"p_value": object()})
+    assert path.read_text() == "kept\n"
+    cli._write_out(path, {"command": "test"}, {"p_value": 0.5, "tau": math.inf})
+    assert path.read_text() == json.dumps(
+        {"manifest": {"command": "test"}, "result": {"p_value": 0.5, "tau": None}},
+        indent=2, sort_keys=True) + "\n"
+
+
 def test_out_writes_non_finite_as_null(sim_csv, tmp_path, capsys):
     out_path = tmp_path / "nan.json"
     code, out, _ = run(["overall", sim_csv, "--grid", "0.00001", "--out",
@@ -153,6 +170,18 @@ def test_out_writes_non_finite_as_null(sim_csv, tmp_path, capsys):
     assert "correlation matrix (2 columns: 1.0, 2.0):" in out
     _, clean, _ = run(["overall", sim_csv, "--grid", "1,2"], capsys)
     assert out.splitlines()[2:] == clean.splitlines()[2:]
+
+
+def test_cmd_overall_prints_the_columns_the_max_test_keeps(tmp_path, capsys):
+    # follow-up ends at 5, so the 6.0 column copies the 5.0 one: the max test
+    # drops it, and its correlation matrix leaves it out as well
+    path = tmp_path / "c.csv"
+    write_csv(path, simulated_sample(100, "early_div", seed=3))
+    code, out, err = run(["overall", str(path), "--grid", "1,2,5,6"], capsys)
+    assert code == 0 and "dropping degenerate grid columns [6.0]" in err
+    assert "correlation matrix (3 columns: 1.0, 2.0, 5.0):" in out
+    _, clean, _ = run(["overall", str(path), "--grid", "1,2,5"], capsys)
+    assert out == clean
 
 
 def test_cmd_overall_include_ppw_adds_column(sim_csv, capsys):

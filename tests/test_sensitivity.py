@@ -235,6 +235,46 @@ def test_montecarlo_matches_one_shot_simulator(monkeypatch, workers):
             d[:size], 1.0, 1.25, 501, 3)
 
 
+def test_montecarlo_monotone_in_gamma_and_t():
+    # one seed gives the same uniforms at every gamma, and a larger
+    # threshold only turns signs from - to +, so p never falls as gamma
+    # rises or as t falls
+    rng = np.random.default_rng(23)
+    for size in (1, 7, 40, 301):
+        d = rng.normal(size=size).round(1)
+        ts = np.sort(rng.normal(0.0, 2.0 * math.sqrt(size), 8))
+        p = np.array([[pvalue_montecarlo(d, t, g, n_draws=2_000, seed=size) for t in ts]
+                      for g in (1.0, 1.01, 1.25, 2.0, 3.0, 50.0)])
+        assert (np.diff(p, axis=0) >= 0.0).all()
+        assert (np.diff(p, axis=1) <= 0.0).all()
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1.25, 3.0])
+def test_montecarlo_one_pair_is_the_share_below_threshold(gamma):
+    # with one pair, draw j is the low half of raw word j: T = +1 exactly
+    # when that uniform lies below ceil(2**32 gamma / (1 + gamma))
+    n = 30_001
+    u = np.random.PCG64(6).random_raw(n) & 0xFFFFFFFF
+    threshold = math.ceil(2 ** 32 * Fraction(gamma) / (1 + Fraction(gamma)))
+    assert pvalue_montecarlo([1.0], 1.0, gamma, n_draws=n, seed=6) == np.mean(u < threshold)
+    assert pvalue_montecarlo([1.0], -1.0, gamma, n_draws=n, seed=6) == 1.0
+
+
+def test_montecarlo_sign_probability_rounds_up():
+    # the + probability is gamma/(1+gamma) rounded up to a multiple of
+    # 2**-32, so the simulated tail is conservative; the grid holds gammas
+    # whose rounded double gamma/(1+gamma) is a multiple of 2**-32 below
+    # the exact ratio, e.g. 1.048
+    grid = np.concatenate([np.linspace(1.0, 10.0, 9_001), np.geomspace(10.0, 1e12, 201),
+                           [1.048, 1.56, 2.2, 1e300]])
+    for gamma in map(float, grid):
+        exact = Fraction(gamma) / (1 + Fraction(gamma))
+        q = Fraction(sensitivity._plus_threshold(gamma), 2 ** 32)
+        assert exact <= q < exact + Fraction(1, 2 ** 32)
+        assert q >= gamma / (1.0 + gamma)
+    assert sensitivity._plus_threshold(1.0) == 2 ** 31
+
+
 @pytest.mark.parametrize("make_seed", [
     lambda: np.random.default_rng(12), lambda: np.random.PCG64(12),
 ], ids=["Generator", "BitGenerator"])
@@ -384,8 +424,8 @@ def test_qmc_seed_checked_on_entry(call):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_montecarlo_transient_memory(monkeypatch, workers):
-    # each worker reuses one 2**18-double sign buffer; the one-shot chunks
-    # held 68 MiB at I=300
+    # each worker reuses one float buffer of 2**17 signs and reads 2**16 raw
+    # words per fill; the one-shot chunks held 68 MiB at I=300
     fix_workers(monkeypatch, workers)
     d = np.random.default_rng(7).normal(size=300)
     tracemalloc.start()
