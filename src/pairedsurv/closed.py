@@ -17,13 +17,13 @@ dropped: it is in no S_m, and its tau gets p = 1, the p-value of a test with
 no columns.  A copy of an earlier column has that column's statistic, so it
 joins the same S_m (whose max test masks it) and shares its adjusted p.
 
-Each S_m is integrated with a QMC seed derived from its bitmask over the
-grid, so its p-value is the one a full enumeration computes for that
-subset, whichever other subsets are visited.  A one-column subset gets
-the normal tail of its time-specific test bit for bit, and a two-column
-subset the exact union of its two column tails, both without an
-integration.  Every subset's p is ``sensitivity._max_test_from_columns``
-on columns of the caller's matrix.
+All the S_m are tested in one ``sensitivity._max_test_from_columns``
+pass over the caller's matrix, one row of an (R, L) mask each, with the
+sigma outside the row zeroed, so no column is copied.  Row S_m has a QMC
+seed derived from its bitmask over the grid, so its p-value is the one a
+full enumeration computes for that subset, the bits of the one-row call
+on its columns: for one column the normal tail of its time-specific
+test, for two the exact union of their tails, both without integrating.
 """
 
 from __future__ import annotations
@@ -64,12 +64,12 @@ def _subset_seed(seed, mask) -> int:
 def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestReport:
     """Closed testing over the grid of ``diff``, by the exact step-down.
 
-    Visits the distinct benefit statistics from the largest down, tests
-    the set of columns at or below each, and adjusts each tau's p-value to
-    the running maximum of those p-values.  Only zero columns are dropped,
-    their taus at adjusted p = 1; a copy of an earlier column shares the
-    adjusted p of the column it copies.  A matrix with a PPW column is
-    refused: its hypotheses are the grid times.
+    Row r of a mask holds the columns whose benefit statistic is at most
+    the r-th largest distinct one, all rows tested in one masked max-test
+    pass; each tau's adjusted p is the running maximum of the rows' p-values
+    down to its own.  Only zero columns are dropped, their taus at adjusted
+    p = 1; a copy of an earlier column shares its original's adjusted p.  A
+    matrix with a PPW column is refused: its hypotheses are the grid times.
     """
     alpha, gamma = check_alpha(alpha), check_gamma(gamma)
     seed, tol = check_seed(seed), check_tol(tol, "tol")
@@ -77,22 +77,18 @@ def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestRepo
         raise ValueError("closed testing runs over grid times only; build the matrix "
                          "without a PPW column")
     taus = tuple(float(t) for t in diff.taus)
-    live = np.flatnonzero(diff.sigma > 0.0)
-    orient = _sign("pseudo", "benefit")
-    stats = orient * (diff.D[:, live].T @ diff.assignment) / diff.sigma[live]
-
-    adjusted = dict.fromkeys(taus, 1.0)
-    subset_p = {}
-    running = 0.0
-    for m in np.unique(stats)[::-1]:
-        idx = live[stats <= m]
-        mask = sum(1 << int(l) for l in idx)
-        _, p = _max_test_from_columns(
-            diff.D[:, idx], diff.sigma[idx], diff.assignment, gamma,
-            "normal", orient=orient, tol=tol, seed=_subset_seed(seed, mask))
-        subset_p[tuple(taus[l] for l in idx)] = p
-        running = max(running, p)
-        for l in live[stats == m]:
-            adjusted[taus[l]] = running
+    live, orient = diff.sigma > 0.0, _sign("pseudo", "benefit")
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero column is 0 / 0
+        stats = orient * (diff.D.T @ diff.assignment) / diff.sigma
+    mask = live & (stats <= np.unique(stats[live])[::-1, None])  # S_m, largest m first
+    subsets = [np.flatnonzero(row) for row in mask]
+    seeds = [_subset_seed(seed, sum(1 << int(l) for l in idx)) for idx in subsets]
+    _, p = _max_test_from_columns(diff.D, np.where(mask, diff.sigma, 0.0), diff.assignment,
+                                  gamma, "normal", orient=orient, tol=tol, seed=seeds)
+    running = np.maximum.accumulate(p)
+    # a live column's last row is the S_m at its own statistic; a zero column is in none
+    adjusted = {tau: float(running[r]) if r >= 0 else 1.0
+                for tau, r in zip(taus, mask.sum(axis=0) - 1)}
+    subset_p = {tuple(taus[l] for l in idx): float(q) for idx, q in zip(subsets, p)}
     return ClosedTestReport(taus=taus, adjusted_p=adjusted, alpha=alpha, gamma=gamma,
                             subset_p=subset_p)

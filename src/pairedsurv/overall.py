@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (DegenerateColumnWarning, as_grid, check_assignment, check_gamma,
                      check_seed, check_tol)
 from .scores import _sign, pair_difference_matrix
-from .sensitivity import TestResult, _dropped, _max_test_from_columns, _normal_only
+from .sensitivity import TestResult, _column_sums, _dropped, _max_test_from_columns, _normal_only
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class DiffMatrix:
         check_assignment(self.assignment)
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "sigma", np.sqrt(np.sum(D ** 2, axis=0)))
-        object.__setattr__(self, "dropped", _dropped(
-            D[None], self.sigma[None], (D.T @ self.assignment)[None])[0])
+        paired, _, sq_sum = _column_sums(D, self.assignment)
+        object.__setattr__(self, "sigma", np.sqrt(sq_sum))
+        object.__setattr__(self, "dropped", _dropped(D, self.sigma, paired))
 
     @property
     def has_ppw(self) -> bool:

@@ -10,10 +10,10 @@ with the sign from ``scores._sign``.  ``_column_sums`` reduces a score
 vector, a matrix or a stack over its pairs, column by column, to
 ``sum d_i V_i``, ``sum |d_i|`` and ``sum d_i^2``; ``_null_moments`` and
 ``_column_tests`` are arithmetic on those sums.  ``_max_test_from_columns``
-gives the worst-case tail of the max over one sample or a stack: the MVN of
-the live columns, clamped into the first- and second-order bounds on the
-union of the column tails (``_union_bounds``), with degenerate columns
-masked.
+gives the worst-case tail of the max for each row of ``sigma``, over one
+sample shared by the rows or a stack: the MVN of the row's live columns,
+clamped into the first- and second-order bounds on the union of the column
+tails (``_union_bounds``), with zeroed and degenerate columns masked.
 ``score_test`` is the one test of a score vector (pseudo at tau, log-rank
 or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
 difference matrix; a one-column matrix gives the time-specific search.
@@ -363,13 +363,15 @@ def _union_bounds(limits, rho, tails, s1, low, high):
 
 
 def _dropped(D, sigma, paired):
-    """(R, L) mask of the columns a max test leaves out of a stack (R, I, L):
-    zero dispersion, or equal to an earlier column of their sample (equal
-    ``sigma`` and ``paired`` sums, then D)."""
-    same = np.tril((sigma[:, :, None] == sigma[:, None, :]) & (sigma[:, :, None] > 0.0)
-                   & (paired[:, :, None] == paired[:, None, :]), -1)
-    for r, l, j in zip(*np.nonzero(same)):
-        same[r, l, j] = np.array_equal(D[r, :, l], D[r, :, j])
+    """Mask, in ``sigma``'s shape ((L,) or (R, L)), of the columns a max test
+    leaves out: zero dispersion, or equal to an earlier column of their row
+    (equal ``sigma`` and ``paired`` sums, then D).  ``D`` is (I, L), shared
+    by every row, or (R, I, L), one per row."""
+    D = np.broadcast_to(D, sigma.shape[:-1] + D.shape[-2:])  # a view: no copy
+    same = np.tril((sigma[..., :, None] == sigma[..., None, :]) & (sigma[..., :, None] > 0.0)
+                   & (paired[..., :, None] == paired[..., None, :]), -1)
+    for *r, l, j in zip(*np.nonzero(same)):
+        same[(*r, l, j)] = np.array_equal(D[(*r, slice(None), l)], D[(*r, slice(None), j)])
     return (sigma == 0.0) | same.any(axis=-1)
 
 
@@ -378,16 +380,17 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     """Worst-case p-value of the max statistic on already-built columns.
 
     ``orient`` is +1 to test the upper tail of the stored columns and -1
-    for the lower tail (the benefit direction of pseudo columns).  ``D`` is
-    one sample's (I, L) matrix, with ``sigma`` (L,) and ``assignment``
-    (I,), or a stack of them, (R, I, L) with (R, L) and (R, I), each
-    ``D[r]`` laid out as one sample's; ``seed`` is then a sequence of one
-    seed per sample, and ``m`` and ``p`` are (R,) arrays.  A column with
-    zero dispersion or copying an earlier one (``_dropped``) is masked, so
-    each sample gets the bits of the one-sample call on its other columns;
-    with none live it gets (nan, 1), and more than ``mvnorm.MAX_DIM`` of
-    nonzero dispersion are refused before any bound decides.  ``gamma`` is
-    checked by ``_null_moments``.  Returns (m, p).
+    for the lower tail (the benefit direction of pseudo columns).  Rows
+    come from ``sigma``: (L,) is one test, returning floats, and (R, L) R
+    tests, with ``seed`` one seed per row and ``m``, ``p`` (R,) arrays.
+    ``D`` and ``assignment`` are one sample's (I, L) and (I,), shared by
+    every row and summed over its pairs once (a row sees a read-only view),
+    or a stack (R, I, L) and (R, I), each ``D[r]`` laid out as one
+    sample's.  A column of zero ``sigma`` or copying an earlier one
+    (``_dropped``) is masked, so each row gets the bits of the one-row call
+    on its other columns; with none live it gets (nan, 1), and more than
+    ``mvnorm.MAX_DIM`` of nonzero ``sigma`` are refused before any bound
+    decides.  ``gamma`` is checked by ``_null_moments``.  Returns (m, p).
     ``method`` accepts only ``"normal"``, the one method of the max test;
     the benchmark's reference recorder passes it and pins this signature.
 
@@ -410,13 +413,13 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     is integrated to ``tol`` and clipped into the second-order bounds.
     """
     _normal_only(method)
-    if D.ndim == 2:
-        m, p = _max_test_from_columns(D[None], sigma[None], np.asarray(assignment)[None], gamma,
-                                      method, orient, tol, [seed], alpha)
+    if sigma.ndim == 1:
+        m, p = _max_test_from_columns(D, sigma[None], assignment, gamma, method, orient, tol,
+                                      [seed], alpha)
         return float(m[0]), float(p[0])
     _check_dim((sigma > 0.0).sum(axis=-1).max(initial=0))
-    if np.shape(seed) != (len(D),):
-        raise ValueError(f"a stack of {len(D)} samples needs one seed per sample")
+    if np.shape(seed) != (len(sigma),):
+        raise ValueError(f"a stack of {len(sigma)} samples needs one seed per sample")
     paired, abs_sum, sq_sum = _column_sums(D, assignment)
     keep = ~_dropped(D, sigma, paired)
     with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
@@ -436,6 +439,7 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
         return low < high if alpha is None else (low <= alpha) & (alpha < high)
 
     rows = np.flatnonzero(straddled())
+    D = np.broadcast_to(D, keep.shape[:1] + D.shape[-2:])  # a shared D's rows: a view
     corr = [correlations(D[r][:, keep[r]], gamma) for r in rows]
     if rows.size:
         rho = np.zeros((rows.size,) + keep.shape[-1:] * 2)

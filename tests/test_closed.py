@@ -1,10 +1,16 @@
+import tracemalloc
+import warnings
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from pairedsurv import closed_test, diff_matrix, overall_test, score_test
+from pairedsurv import (StudyConfig, closed, closed_test, diff_matrix, generate_pairs,
+                        overall_test, score_test)
 from pairedsurv.errors import DegenerateColumnWarning
+from pairedsurv.simulate import ADMIN_CUTOFF
 
-from conftest import closed_test_brute_force, simulated_sample, subset_test
+from conftest import closed_test_brute_force, count_mvn_calls, simulated_sample, subset_test
 
 GRID = (1.0, 2.0, 3.0, 4.0)
 
@@ -97,11 +103,57 @@ def test_long_grid_completes():
     assert set(report.adjusted_p) == set(report.taus)
 
 
-def test_grid_cap():
-    # the only limit left is the MVN dimension (25 columns)
+def test_grid_cap(monkeypatch):
+    # the only limit left is the MVN dimension (25 columns), refused before
+    # any subset is integrated
     sample = simulated_sample(200, "ph", seed=8)
+    diff = diff_matrix(sample, tuple(np.linspace(0.5, 5.0, 26)))
+    calls = count_mvn_calls(monkeypatch)
     with pytest.raises(ValueError, match="exceeds the supported 25"):
-        closed_test(diff_matrix(sample, tuple(np.linspace(0.5, 5.0, 26))))
+        closed_test(diff)
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid", [GRID, (1.0, 2.0, 3.0, ADMIN_CUTOFF, ADMIN_CUTOFF + 0.5),
+                                  (1e-9, 1e-8)])
+def test_one_max_test_pass(monkeypatch, grid):
+    # every step-down subset is one row of a single masked max test: on an
+    # ordinary grid, with a copy past the cutoff, and with no live column
+    sample = simulated_sample(150, "ph", seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateColumnWarning)
+        diff = diff_matrix(sample, grid)
+    rows, real = [], closed._max_test_from_columns
+
+    def counted(D, sigma, *args, **kwargs):
+        rows.append(len(sigma))
+        return real(D, sigma, *args, **kwargs)
+
+    monkeypatch.setattr(closed, "_max_test_from_columns", counted)
+    report = closed_test(diff)
+    assert rows == [len(report.subset_p)]
+    if grid[-1] > ADMIN_CUTOFF:
+        assert diff.dropped.tolist() == [False] * 4 + [True]
+        assert report.adjusted_p[ADMIN_CUTOFF] == report.adjusted_p[grid[-1]]
+    if not (diff.sigma > 0.0).any():
+        assert report.subset_p == {}
+        assert set(report.adjusted_p.values()) == {1.0}
+
+
+def test_transient_memory():
+    # the subsets mask sigma over the one matrix, whose sums over the pairs
+    # are taken once: no subset copies D's columns (18.3 MiB when each did)
+    table2 = StudyConfig.from_json(resources.files("pairedsurv.configs") / "table2.cfg")
+    sample = generate_pairs(table2.pairs, table2.scenarios[0], seed=1)
+    diff = diff_matrix(sample, tuple(np.linspace(5.0 / 12, 5.0, 12)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        closed_test(diff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 14 * 2 ** 20
 
 
 def test_degenerate_subset_gets_p_one():

@@ -430,6 +430,18 @@ def test_stacked_max_test_takes_one_seed_per_sample():
                                                       "normal", 1.0, 1e-4, seed)
     with pytest.raises(ValueError, match="one seed per sample"):
         _max_test_from_columns(D, sigma, assignment, 1.0, "normal", 1.0, 1e-4, 3)
+    # one sample's matrix shared by every row of an (R, L) sigma mask: each
+    # row gets the bits of the one-sample call on its compacted columns
+    d = diffs[0]
+    mask = np.array([[True, True, True], [True, False, True], [False, True, False]])
+    m, p = _max_test_from_columns(d.D, np.where(mask, d.sigma, 0.0), d.assignment, 1.0,
+                                  "normal", 1.0, 1e-4, [5, 6, 7])
+    for r, (keep, seed) in enumerate(zip(mask, (5, 6, 7))):
+        assert (m[r], p[r]) == _max_test_from_columns(
+            d.D[:, keep], d.sigma[keep], d.assignment, 1.0, "normal", 1.0, 1e-4, seed)
+    with pytest.raises(ValueError, match="one seed per sample"):
+        _max_test_from_columns(d.D, np.where(mask, d.sigma, 0.0), d.assignment, 1.0,
+                               "normal", 1.0, 1e-4, [5, 6])
 
 
 @pytest.mark.parametrize("grid", [(1.0, 2.0, 3.0, 4.0, 5.0), tuple(np.arange(0.5, 5.5, 0.5))])

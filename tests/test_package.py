@@ -160,6 +160,19 @@ def test_mvn_cdf_has_one_call_site():
         [("sensitivity.py", "_max_test_from_columns")]
 
 
+def test_closed_test_makes_one_max_test_call():
+    # the step-down subsets are the rows of one masked max test, so no call
+    # sits in a loop or a comprehension
+    tree = ast.parse((Path(pairedsurv.__file__).parent / "closed.py").read_text(encoding="utf-8"))
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    looped = {node for loop in ast.walk(tree) if isinstance(loop, loops)
+              for node in ast.walk(loop)}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _calls(node, "_max_test_from_columns")]
+    assert len(calls) == 1 and calls[0] not in looped
+
+
 def test_degenerate_column_warning_has_one_call_site():
     # every dropped-column report, of a matrix, a study or a design
     # sensitivity, goes through one helper and so keeps one wording
