@@ -207,8 +207,6 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, level=None):
         return 0.0
 
     low, limits = _priority_cholesky(corr, upper)
-    if _MAX_POINTS > 2 ** 20:
-        raise ValueError(f"the lattice sequence has 2**20 points, not {_MAX_POINTS}")
     lattice = _GENERATOR[:len(limits) - 1] / 2 ** 20  # phi(k) z < 2^40: every point is exact
     shifts = rng.random((_N_SHIFTS, len(limits) - 1))
 

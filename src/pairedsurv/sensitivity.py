@@ -11,9 +11,10 @@ vector, a matrix or a stack over its pairs, column by column, to
 ``sum d_i V_i``, ``sum |d_i|`` and ``sum d_i^2``; ``_null_moments`` and
 ``_column_tests`` are arithmetic on those sums.  ``_max_test_from_columns``
 gives the worst-case tail of the max for each row of ``sigma``, over one
-sample shared by the rows or a stack: the MVN of the row's live columns,
-clamped into the first- and second-order bounds on the union of the column
-tails (``_union_bounds``), with zeroed and degenerate columns masked.
+sample shared by the rows or a stack: the MVN of the live columns
+(``_correlation_rows``), clamped into the first- and second-order bounds
+on the union of the column tails (``_union_bounds``), with zeroed and
+degenerate columns masked.
 ``score_test`` is the one test of a score vector (pseudo at tau, log-rank
 or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
 difference matrix; a one-column matrix gives the time-specific search.
@@ -263,16 +264,27 @@ def correlations(D, gamma=1.0) -> np.ndarray:
 
     At gamma = 1 the normalized Gram matrix of the columns, the score
     correlation matrix; above 1 that of ``np.abs(D)``, its worst-case
-    (absolute-product) version.
+    (absolute-product) version.  The one-row case of ``_correlation_rows``,
+    so a subset of the columns, laid out alike, gets the same bits.
     """
-    D = np.asarray(D, dtype=float)
-    if check_gamma(gamma) != 1.0:
-        D = np.abs(D)
-    sigma2 = np.sum(D ** 2, axis=0)
-    if np.any(sigma2 == 0.0):
+    D, gamma = np.asarray(D, dtype=float), check_gamma(gamma)
+    sq = np.sum(D ** 2, axis=0)
+    if np.any(sq == 0.0):
         raise ValueError("every column needs positive score dispersion")
-    rho = (D.T @ D) / np.sqrt(np.outer(sigma2, sigma2))
-    np.fill_diagonal(rho, 1.0)
+    return _correlation_rows(D, np.ones((1, D.shape[-1]), dtype=bool), gamma, sq)[0]
+
+
+def _correlation_rows(D, keep, gamma, sq):
+    """(R, L, L) correlations of the columns each row of ``keep`` (R, L) holds,
+    0 elsewhere, over the square sums ``sq``, of ``|D|`` above gamma = 1.  One
+    einsum per matrix, shared (I, L) or stacked (R, I, L), sums each entry on
+    its own, so only the layout sets its bits (a stacked einsum regroups)."""
+    X = np.abs(D) if gamma != 1.0 else D
+    gram = np.array([np.einsum("il,ik->lk", x, x) for x in X.reshape((-1,) + X.shape[-2:])])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
+        rho = np.where(keep[:, :, None] & keep[:, None, :],
+                       gram / np.sqrt(sq[..., :, None] * sq[..., None, :]), 0.0)
+    np.einsum("rll->rl", rho)[...] = keep  # a view of the diagonals
     return rho
 
 
@@ -384,33 +396,32 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     come from ``sigma``: (L,) is one test, returning floats, and (R, L) R
     tests, with ``seed`` one seed per row and ``m``, ``p`` (R,) arrays.
     ``D`` and ``assignment`` are one sample's (I, L) and (I,), shared by
-    every row and summed over its pairs once (a row sees a read-only view),
-    or a stack (R, I, L) and (R, I), each ``D[r]`` laid out as one
-    sample's.  A column of zero ``sigma`` or copying an earlier one
-    (``_dropped``) is masked, so each row gets the bits of the one-row call
-    on its other columns; with none live it gets (nan, 1), and more than
-    ``mvnorm.MAX_DIM`` of nonzero ``sigma`` are refused before any bound
-    decides.  ``gamma`` is checked by ``_null_moments``.  Returns (m, p).
-    ``method`` accepts only ``"normal"``, the one method of the max test;
-    the benchmark's reference recorder passes it and pins this signature.
+    every row, or a stack (R, I, L) and (R, I), each ``D[r]`` laid out as
+    one sample's; the pair sums and the correlations (``_correlation_rows``)
+    take one pass over each matrix.  A column of zero ``sigma`` or copying
+    an earlier one (``_dropped``) is masked, so each row gets the bits of
+    the one-row call on its other columns (no correlation's bits depend on
+    the columns a row keeps); with none live it gets (nan, 1), and more
+    than ``mvnorm.MAX_DIM`` of nonzero ``sigma`` are refused before any
+    bound decides.  ``gamma`` is checked by ``_null_moments``.  ``method``
+    accepts only ``"normal"``, the one method of the max test; the
+    benchmark's reference recorder passes it and pins this signature.
+    Returns (m, p).
 
     A column whose statistic is the max takes its own oriented statistic as
-    its limit, so its tail is bit for bit its column test's normal tail.
-    The p is bounded in tail space, so a tiny p keeps its digits: first by
-    ``[max_l p_l, min(1, sum_l p_l)]`` of the column tails ``p_l``, then,
-    in a row those leave open, by the second-order bounds of
-    ``_union_bounds`` from the bivariate tails of its pairs of columns.  The
-    bounds decide any row where they meet (one or two live columns, or
-    other tails that underflow) without integrating.  With ``alpha`` the
-    returned p only decides ``p <= alpha``: a row gets its second-order
-    bounds only when its first-order bounds straddle alpha, and the first
-    bound that settles the row (a lower bound above alpha or an upper bound
-    at most alpha) is returned without integrating.  Only when the
-    second-order bounds straddle alpha too is the MVN integrated, and then
-    only until its estimate lies more than two error estimates from alpha
-    (``mvn_cdf`` with ``level = 1 - alpha``); the estimate is clipped into
-    those bounds, which keeps its side of alpha.  Without ``alpha`` the MVN
-    is integrated to ``tol`` and clipped into the second-order bounds.
+    its limit, so its tail is bit for bit its column test's normal tail.  The
+    p is bounded in tail space, so a tiny p keeps its digits: first by
+    ``[max_l p_l, min(1, sum_l p_l)]`` of the column tails ``p_l``, then, in a
+    row those leave open, by the second-order bounds of ``_union_bounds``,
+    which decide any row where they meet (one or two live columns, or other
+    tails that underflow).  With ``alpha`` the p only decides ``p <= alpha``:
+    a row gets second-order bounds only when its first-order bounds straddle
+    alpha, a bound that settles it (a lower bound above alpha or an upper one
+    at most alpha) is returned, and only when the second-order bounds straddle
+    alpha too is the MVN integrated, until its estimate lies more than two
+    error estimates from alpha (``mvn_cdf`` with ``level = 1 - alpha``).
+    Without ``alpha`` it is integrated to ``tol``.  The estimate is clipped
+    into the second-order bounds, which keeps its side of alpha.
     """
     _normal_only(method)
     if sigma.ndim == 1:
@@ -439,22 +450,18 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
         return low < high if alpha is None else (low <= alpha) & (alpha < high)
 
     rows = np.flatnonzero(straddled())
-    D = np.broadcast_to(D, keep.shape[:1] + D.shape[-2:])  # a shared D's rows: a view
-    corr = [correlations(D[r][:, keep[r]], gamma) for r in rows]
     if rows.size:
-        rho = np.zeros((rows.size,) + keep.shape[-1:] * 2)
-        for c, k, r in zip(corr, keep[rows], rho):
-            r[np.ix_(k, k)] = c
+        X, sq = (D, sq_sum) if D.ndim < 3 else (D[rows], sq_sum[rows])
+        rho = _correlation_rows(X, keep[rows], gamma, sq)
         low[rows], high[rows] = _union_bounds(limits[rows], rho, tails[rows], sums[rows],
                                               low[rows], high[rows])
     p, level = high.copy(), None
     if alpha is not None:
         p, level = np.where(low > alpha, low, high), 1.0 - alpha
-    open_ = straddled()
-    for r, c in zip(rows, corr):
-        if open_[r]:
-            cdf = mvn_cdf(limits[r, keep[r]], c, tol=tol, seed=seed[r], level=level)
-            p[r] = np.clip(1.0 - cdf, low[r], high[r])
+    for i in np.flatnonzero(straddled()[rows]):
+        r, k = rows[i], keep[rows[i]]
+        cdf = mvn_cdf(limits[r, k], rho[i][np.ix_(k, k)], tol=tol, seed=seed[r], level=level)
+        p[r] = np.clip(1.0 - cdf, low[r], high[r])
     live = keep.any(axis=-1)
     return np.where(live, m, np.nan), np.where(live, p, 1.0)
 

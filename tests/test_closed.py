@@ -142,18 +142,21 @@ def test_one_max_test_pass(monkeypatch, grid):
 
 def test_transient_memory():
     # the subsets mask sigma over the one matrix, whose sums over the pairs
-    # are taken once: no subset copies D's columns (18.3 MiB when each did)
+    # are taken once and whose correlations take one product pass: no
+    # subset copies D's columns (18.3 MiB at gamma = 1 when each did) or, at
+    # gamma > 1, their absolute values (18.3 MiB at gamma = 1.2 when each did)
     table2 = StudyConfig.from_json(resources.files("pairedsurv.configs") / "table2.cfg")
     sample = generate_pairs(table2.pairs, table2.scenarios[0], seed=1)
     diff = diff_matrix(sample, tuple(np.linspace(5.0 / 12, 5.0, 12)))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        closed_test(diff)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 14 * 2 ** 20
+    for gamma in (1.0, 1.2):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            closed_test(diff, gamma=gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 14 * 2 ** 20, gamma
 
 
 def test_degenerate_subset_gets_p_one():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pairedsurv import ScenarioSpec, diff_matrix, generate_pairs
+from pairedsurv import ScenarioSpec, diff_matrix, generate_pairs, sensitivity_value
 from pairedsurv.design import design_sensitivities
 
 # With both pairs treated first (V = 1), a column (d1, d2) has
@@ -87,3 +87,31 @@ def test_gamma_one_exactly_when_edv_zero_and_increasing():
     values = per_column(*[(0.5 + x, x - 0.5) for x in xs])
     assert values[0] == 1.0
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+def test_sensitivity_values_converge_to_the_design_sensitivity():
+    # the design sensitivity of the max test, max_l T_l / sigma_l with one
+    # threshold, is the limit of its sensitivity value as I grows (grid
+    # 1..5, no PPW, covariate-free censoring; about 3 s).  A sample's value
+    # lies below the design sensitivity of its own moments by a gap that
+    # falls as 1 / sqrt(I): 0.16, 0.05, 0.016 at 2e3, 2e4, 2e5 pairs, each
+    # step a ratio of 0.29-0.32 against 1 / sqrt(10) = 0.32.  The median of
+    # three values rises from 2e3 pairs and at 2e5 ends 0.013-0.027 below
+    # the design sensitivity of one 4e5-pair sample.  From 2e4 to 2e5 the
+    # ph median rises by about 0.007 while three values spread by 0.02, so
+    # that step is held by the gaps, which cancel each sample's own noise
+    grid = (1.0, 2.0, 3.0, 4.0, 5.0)
+    for scenario in ("ph", "early_div", "crossing", "late_div"):
+        spec = ScenarioSpec(scenario, censoring_form="covariate_free")
+        big = generate_pairs(400_000, spec, 99)
+        _, limit = design_sensitivities(-diff_matrix(big, grid).D, big.assignment)
+        medians, gaps = [], []
+        for pairs in (2_000, 20_000, 200_000):
+            diffs = [diff_matrix(generate_pairs(pairs, spec, seed), grid) for seed in (1, 2, 3)]
+            values = [sensitivity_value(d).value for d in diffs]
+            own = [design_sensitivities(-d.D, d.assignment)[1] for d in diffs]
+            medians.append(np.median(values))
+            gaps.append(np.median(np.subtract(own, values)))
+        assert medians[0] < min(medians[1:]), scenario
+        assert all(0.25 < b / a < 0.4 for a, b in zip(gaps, gaps[1:])), (scenario, gaps)
+        assert 0.0 < limit - medians[-1] < 0.04, (scenario, limit, medians)

@@ -29,7 +29,8 @@ from pairedsurv import (
 )
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
 from pairedsurv.km import event_table
-from pairedsurv.sensitivity import _column_sums, _max_test_from_columns, _null_moments
+from pairedsurv.sensitivity import (_column_sums, _correlation_rows, _max_test_from_columns,
+                                    _null_moments)
 from pairedsurv.simulate import ADMIN_CUTOFF, SCENARIO_IDS
 
 from conftest import (count_mvn_calls, max_pvalue_exact, record_decision_integrations,
@@ -211,6 +212,33 @@ def test_correlation_matrices_well_formed():
     # both are normalized Gram matrices, hence PSD
     assert np.linalg.eigvalsh(rho).min() >= -1e-10
     assert np.linalg.eigvalsh(rho_plus).min() >= -1e-10
+
+
+@pytest.mark.parametrize("pairs", (150, 300, 10 ** 4, 10 ** 5))
+def test_correlations_of_a_column_subset_keep_their_bits(pairs):
+    # einsum sums each entry's products on its own, so a subset of the
+    # columns gets the whole matrix's entries bit for bit (BLAS's D.T @ D
+    # regroups them): the exact equalities of closed testing with its
+    # brute-force oracle and of stacked max tests rest on this.  The bits
+    # depend on the layout, so the column-major D and a C-ordered copy are
+    # each checked against their own subsets laid out alike, and the rows of
+    # a stack laid out as power_study's against each sample's matrix
+    grid, rng = tuple(np.linspace(5.0 / 12, 5.0, 12)), np.random.default_rng(pairs)
+    diffs = [diff_matrix(generate_pairs(pairs, ScenarioSpec("ph"), seed), grid)
+             for seed in (3, 4)]
+    stack = np.swapaxes(np.stack([d.D.T for d in diffs]), -1, -2)
+    for gamma in (1.0, 1.25):
+        for order in "FC":
+            D = np.asarray(diffs[0].D, order=order)
+            whole = correlations(D, gamma).view(np.int64)
+            for _ in range(20):
+                k = np.sort(rng.choice(len(grid), rng.integers(1, len(grid) + 1), replace=False))
+                subset = correlations(np.asarray(D[:, k], order=order), gamma)
+                assert (subset.view(np.int64) == whole[np.ix_(k, k)]).all()
+        sq = _column_sums(stack, np.stack([d.assignment for d in diffs]))[2]
+        rows = _correlation_rows(stack, np.ones((2, len(grid)), dtype=bool), gamma, sq)
+        for row, d in zip(rows, diffs):
+            assert (row.view(np.int64) == correlations(d.D, gamma).view(np.int64)).all()
 
 
 def test_single_column_reduces_to_time_specific():

@@ -160,17 +160,32 @@ def test_mvn_cdf_has_one_call_site():
         [("sensitivity.py", "_max_test_from_columns")]
 
 
-def test_closed_test_makes_one_max_test_call():
-    # the step-down subsets are the rows of one masked max test, so no call
-    # sits in a loop or a comprehension
-    tree = ast.parse((Path(pairedsurv.__file__).parent / "closed.py").read_text(encoding="utf-8"))
+def _looped_calls(module, name) -> list:
+    """Whether each call of ``name`` in a package module sits in a loop or
+    a comprehension."""
+    tree = ast.parse((Path(pairedsurv.__file__).parent / module).read_text(encoding="utf-8"))
     loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)
     looped = {node for loop in ast.walk(tree) if isinstance(loop, loops)
               for node in ast.walk(loop)}
-    calls = [node for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and _calls(node, "_max_test_from_columns")]
-    assert len(calls) == 1 and calls[0] not in looped
+    return [node in looped for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _calls(node, name)]
+
+
+def test_closed_test_makes_one_max_test_call():
+    # the step-down subsets are the rows of one masked max test, so no call
+    # sits in a loop or a comprehension
+    assert _looped_calls("closed.py", "_max_test_from_columns") == [False]
+
+
+def test_max_test_takes_its_correlations_in_one_pass():
+    # every straddled row's correlations come from one product pass over D,
+    # which public correlations shares, not from a per-row copy of columns
+    assert sorted(_call_sites(lambda call: _calls(call, "_correlation_rows"))) == \
+        [("sensitivity.py", "_max_test_from_columns"), ("sensitivity.py", "correlations")]
+    assert _looped_calls("sensitivity.py", "_correlation_rows") == [False, False]
+    assert ("sensitivity.py", "_max_test_from_columns") not in \
+        _call_sites(lambda call: _calls(call, "correlations"))
 
 
 def test_degenerate_column_warning_has_one_call_site():
