@@ -17,13 +17,14 @@ dropped: it is in no S_m, and its tau gets p = 1, the p-value of a test with
 no columns.  A copy of an earlier column has that column's statistic, so it
 joins the same S_m (whose max test masks it) and shares its adjusted p.
 
-All the S_m are tested in one ``sensitivity._max_test_from_columns``
-pass over the caller's matrix, one row of an (R, L) mask each, with the
-sigma outside the row zeroed, so no column is copied.  Row S_m has a QMC
-seed derived from its bitmask over the grid, so its p-value is the one a
-full enumeration computes for that subset, the bits of the one-row call
-on its columns: for one column the normal tail of its time-specific
-test, for two the exact union of their tails, both without integrating.
+All the S_m are tested in one ``sensitivity._max_test_rows`` pass over
+the caller's matrix and its pair sums, one row of an (R, L) mask each,
+with the sigma outside the row zeroed, so no column is copied.  Row S_m
+has a QMC seed derived from its bitmask over the grid, so its p-value is
+the one a full enumeration computes for that subset, the bits of the
+one-row call on its columns: for one column the normal tail of its
+time-specific test, for two the exact union of their tails, both without
+integrating.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import check_alpha, check_gamma, check_seed, check_tol
 from .scores import _sign
-from .sensitivity import _max_test_from_columns
+from .sensitivity import _max_test_rows
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,12 @@ def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestRepo
     taus = tuple(float(t) for t in diff.taus)
     live, orient = diff.sigma > 0.0, _sign("pseudo", "benefit")
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero column is 0 / 0
-        stats = orient * (diff.D.T @ diff.assignment) / diff.sigma
+        stats = orient * diff.sums[0] / diff.sigma
     mask = live & (stats <= np.unique(stats[live])[::-1, None])  # S_m, largest m first
     subsets = [np.flatnonzero(row) for row in mask]
     seeds = [_subset_seed(seed, sum(1 << int(l) for l in idx)) for idx in subsets]
-    _, p = _max_test_from_columns(diff.D, np.where(mask, diff.sigma, 0.0), diff.assignment,
-                                  gamma, "normal", orient=orient, tol=tol, seed=seeds)
+    _, p = _max_test_rows(diff.D, np.where(mask, diff.sigma, 0.0), diff.sums, gamma, orient,
+                          tol, seeds)
     running = np.maximum.accumulate(p)
     # a live column's last row is the S_m at its own statistic; a zero column is in none
     adjusted = {tau: float(running[r]) if r >= 0 else 1.0

@@ -121,7 +121,7 @@ check_seed = partial(check_whole, least=0, name="seed")
 def check_assignment(assignment) -> np.ndarray:
     """Treated-side signs as int64, every entry a real +1 or -1 (no bool)."""
     signs = np.asarray(assignment)
-    if signs.dtype.kind not in "iuf" or not np.isin(signs, (1, -1)).all():
+    if signs.dtype.kind not in "iuf" or not ((signs == 1) | (signs == -1)).all():
         raise ValueError("assignment entries must be +1 or -1")
     return signs.astype(np.int64, copy=False)
 

@@ -183,8 +183,7 @@ def mvn_cdf(upper, corr, tol=1e-4, seed=0, level=None):
     Were the 8 shift means normal, |error| would exceed the estimate with
     probability 2.0% (2 t_7.sf(3)); measured, it did in 21 of 400 one-factor
     problems of dimension 2-25 and 50 of the benchmark's 800 CLI
-    integrations (17 and 19 on the Richtmyer points used before), mostly
-    where the first 128 points met ``tol``.  With ``level``, the doubling
+    integrations, mostly where the first 128 points met ``tol``.  With ``level``, the doubling
     also ends as soon as the estimate lies more than two error estimates
     (six standard errors) from ``level``: the returned value is then on the
     CDF's side of ``level`` except with probability at most 5.4e-4 (2

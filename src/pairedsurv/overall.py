@@ -2,14 +2,14 @@
 
 The statistic is the maximum of the per-time standardized paired
 statistics, and its randomization p-value comes from the multivariate
-normal CDF of the columns (``sensitivity._max_test_from_columns`` holds
-that tail, ``sensitivity.correlations`` its gamma -> correlation rule).
+normal CDF of the columns (``sensitivity._max_test_rows`` holds that
+tail, ``sensitivity.correlations`` its gamma -> correlation rule).
 A standardized Prentice-Wilcoxon column can be appended so the max also
 covers a whole-period comparison.  ``diff_matrix`` builds the columns of one
-sample once, with the sample's assignment, and warns about the
-degenerate ones; ``max_test`` tests a built matrix, as ``closed_test``
-and ``sensitivity_value`` do, and ``overall_test`` builds one and tests
-it; ``errors.as_grid`` checks every grid.
+sample once, with its assignment and the pair sums every test reads, and
+warns about the degenerate ones; ``max_test`` tests a built matrix, as
+``closed_test`` and ``sensitivity_value`` do, and ``overall_test`` builds
+one and tests it; ``errors.as_grid`` checks every grid.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 from .errors import (DegenerateColumnWarning, as_grid, check_assignment, check_gamma,
                      check_seed, check_tol)
 from .scores import _sign, pair_difference_matrix
-from .sensitivity import TestResult, _column_sums, _dropped, _max_test_from_columns, _normal_only
+from .sensitivity import (TestResult, _column_sums, _dropped, _max_test_rows, _normal_only,
+                          _max_test_from_columns)  # noqa: F401, the benchmark recorder's import
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,18 @@ class DiffMatrix:
     with negative values.  ``D`` is one sample's (I, L) matrix of finite
     reals, column-major from ``diff_matrix``, so every column reduction
     reads contiguous memory; ``taus`` is a grid (``errors.as_grid``).
-    ``sigma[l] = sqrt(sum_i D[i, l]^2)`` and ``dropped``, the mask of the
-    columns the max-type tests leave out (``sensitivity._dropped``: zero
-    dispersion or a copy of an earlier column), are computed when the
-    matrix is built.  ``assignment`` is the sample's +-1 treatment indicator
-    per pair, which every test of the matrix reads.
+    ``assignment`` is the sample's +-1 treatment indicator per pair.  The
+    build reduces ``D`` over its pairs once, to the ``sums`` every test of
+    the matrix reads (``sensitivity._column_sums``: ``sum d V``, ``sum |d|``
+    and ``sum d^2`` per column), whence ``sigma = sqrt(sum d^2)`` and
+    ``dropped``, the columns the max-type tests leave out (``_dropped``:
+    zero dispersion or a copy of an earlier column).
     """
 
     taus: np.ndarray
     D: np.ndarray
     assignment: np.ndarray
+    sums: tuple = field(init=False)
     sigma: np.ndarray = field(init=False)
     dropped: np.ndarray = field(init=False)
 
@@ -61,9 +64,9 @@ class DiffMatrix:
         check_assignment(self.assignment)
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "D", D)
-        paired, _, sq_sum = _column_sums(D, self.assignment)
-        object.__setattr__(self, "sigma", np.sqrt(sq_sum))
-        object.__setattr__(self, "dropped", _dropped(D, self.sigma, paired))
+        object.__setattr__(self, "sums", _column_sums(D, self.assignment))
+        object.__setattr__(self, "sigma", np.sqrt(self.sums[2]))
+        object.__setattr__(self, "dropped", _dropped(D, self.sigma, self.sums[0]))
 
     @property
     def has_ppw(self) -> bool:
@@ -123,9 +126,8 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     """
     gamma, tol, seed = check_gamma(gamma), check_tol(tol, "tol"), check_seed(seed)
     orient = _sign("pseudo", direction)
-    m, p = _max_test_from_columns(diff.D, diff.sigma, diff.assignment, gamma,
-                                  "normal", orient, tol=tol, seed=seed)
-    return TestResult(statistic=m, null_mean=0.0, null_sd=1.0, p_value=p,
+    m, p = _max_test_rows(diff.D, diff.sigma[None], diff.sums, gamma, orient, tol, [seed])
+    return TestResult(statistic=float(m[0]), null_mean=0.0, null_sd=1.0, p_value=float(p[0]),
                       gamma=gamma, method="normal", direction=direction,
                       tau="overall")
 
@@ -134,7 +136,7 @@ def overall_test(sample, grid, gamma=1.0, include_ppw=False, method="normal",
                  direction="benefit", tol=1e-4, seed=0) -> TestResult:
     """``max_test`` of ``diff_matrix(sample, grid, include_ppw)``.
 
-    ``method`` accepts only ``"normal"`` (see ``_max_test_from_columns``).
+    ``method`` accepts only ``"normal"``, the one method of the max test.
     """
     _normal_only(method)
     check_gamma(gamma)

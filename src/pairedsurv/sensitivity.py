@@ -9,9 +9,9 @@ compute only that upper tail; the other tail is the upper tail of ``-T``,
 with the sign from ``scores._sign``.  ``_column_sums`` reduces a score
 vector, a matrix or a stack over its pairs, column by column, to
 ``sum d_i V_i``, ``sum |d_i|`` and ``sum d_i^2``; ``_null_moments`` and
-``_column_tests`` are arithmetic on those sums.  ``_max_test_from_columns``
-gives the worst-case tail of the max for each row of ``sigma``, over one
-sample shared by the rows or a stack: the MVN of the live columns
+``_column_tests`` are arithmetic on those sums.  ``_max_test_rows`` gives
+the worst-case tail of the max for each row of ``sigma``, from the sums
+of one sample shared by the rows or of a stack: the MVN of the live columns
 (``_correlation_rows``), clamped into the first- and second-order bounds
 on the union of the column tails (``_union_bounds``), with zeroed and
 degenerate columns masked.
@@ -389,24 +389,34 @@ def _dropped(D, sigma, paired):
 
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
                            tol=1e-4, seed=0, alpha=None):
+    """``_max_test_rows`` on raw arrays, taking the pair sums of ``D`` and
+    ``assignment`` here; an (L,) ``sigma`` is one test, with floats out.
+    ``method`` accepts only ``"normal"``: the benchmark's reference recorder
+    passes it and pins this signature.  Library code passes its own sums."""
+    _normal_only(method)
+    sums = _column_sums(D, assignment)
+    if sigma.ndim > 1:
+        return _max_test_rows(D, sigma, sums, gamma, orient, tol, seed, alpha)
+    m, p = _max_test_rows(D, sigma[None], sums, gamma, orient, tol, [seed], alpha)
+    return float(m[0]), float(p[0])
+
+
+def _max_test_rows(D, sigma, sums, gamma, orient, tol, seed, alpha=None):
     """Worst-case p-value of the max statistic on already-built columns.
 
     ``orient`` is +1 to test the upper tail of the stored columns and -1
-    for the lower tail (the benefit direction of pseudo columns).  Rows
-    come from ``sigma``: (L,) is one test, returning floats, and (R, L) R
-    tests, with ``seed`` one seed per row and ``m``, ``p`` (R,) arrays.
-    ``D`` and ``assignment`` are one sample's (I, L) and (I,), shared by
-    every row, or a stack (R, I, L) and (R, I), each ``D[r]`` laid out as
-    one sample's; the pair sums and the correlations (``_correlation_rows``)
-    take one pass over each matrix.  A column of zero ``sigma`` or copying
-    an earlier one (``_dropped``) is masked, so each row gets the bits of
-    the one-row call on its other columns (no correlation's bits depend on
-    the columns a row keeps); with none live it gets (nan, 1), and more
-    than ``mvnorm.MAX_DIM`` of nonzero ``sigma`` are refused before any
-    bound decides.  ``gamma`` is checked by ``_null_moments``.  ``method``
-    accepts only ``"normal"``, the one method of the max test; the
-    benchmark's reference recorder passes it and pins this signature.
-    Returns (m, p).
+    for the lower tail (the benefit direction of pseudo columns).  Each row
+    of ``sigma`` (R, L) is one test, with ``seed`` one seed per row and
+    ``m``, ``p`` (R,) arrays.  ``D`` is one sample's (I, L), shared by
+    every row, or a stack (R, I, L), each ``D[r]`` laid out as one sample's,
+    and ``sums`` its ``_column_sums`` with the assignment, which hold no
+    gamma; the correlations (``_correlation_rows``) take one pass over each
+    matrix.  A column of zero ``sigma`` or copying an earlier one
+    (``_dropped``) is masked, so each row gets the bits of the one-row call
+    on its other columns (no correlation's bits depend on the columns a row
+    keeps); with none live it gets (nan, 1), and more than
+    ``mvnorm.MAX_DIM`` of nonzero ``sigma`` are refused before any bound
+    decides.  ``gamma`` is checked by ``_null_moments``.  Returns (m, p).
 
     A column whose statistic is the max takes its own oriented statistic as
     its limit, so its tail is bit for bit its column test's normal tail.  The
@@ -423,15 +433,10 @@ def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
     Without ``alpha`` it is integrated to ``tol``.  The estimate is clipped
     into the second-order bounds, which keeps its side of alpha.
     """
-    _normal_only(method)
-    if sigma.ndim == 1:
-        m, p = _max_test_from_columns(D, sigma[None], assignment, gamma, method, orient, tol,
-                                      [seed], alpha)
-        return float(m[0]), float(p[0])
     _check_dim((sigma > 0.0).sum(axis=-1).max(initial=0))
     if np.shape(seed) != (len(sigma),):
         raise ValueError(f"a stack of {len(sigma)} samples needs one seed per sample")
-    paired, abs_sum, sq_sum = _column_sums(D, assignment)
+    paired, abs_sum, sq_sum = sums
     keep = ~_dropped(D, sigma, paired)
     with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
         stats = np.where(keep, orient * paired / sigma, -np.inf)
@@ -497,16 +502,16 @@ def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
     sign = _sign("pseudo", direction)
     alpha, tol, seed = check_alpha(alpha), check_tol(tol, "tol"), check_seed(seed)
     gamma_max, mvn_tol = check_gamma(gamma_max), check_tol(mvn_tol, "mvn_tol")
-    return _search(lambda g, alpha: _max_test_from_columns(
-        diff.D, diff.sigma, diff.assignment, g, "normal", sign,
-        tol=mvn_tol, seed=seed, alpha=alpha)[1], alpha, tol, gamma_max)
+    return _search(lambda g, alpha: _max_test_rows(
+        diff.D, diff.sigma[None], diff.sums, g, sign, mvn_tol, [seed], alpha)[1][0],
+        alpha, tol, gamma_max)
 
 
 def _search(p_at, alpha, tol, gamma_max) -> SensitivityValue:
     """Bisection behind ``sensitivity_value``; assumes p_at rises with gamma.
 
     ``p_at(gamma, alpha)`` need only fall on the same side of alpha as p
-    (see ``_max_test_from_columns``).  Its caller checks the arguments.
+    (see ``_max_test_rows``).  Its caller checks the arguments.
     """
     if p_at(1.0, alpha) > alpha:
         return SensitivityValue(1.0, True, False, alpha)

@@ -26,7 +26,7 @@ from .errors import (_check_real, as_grid, check_alpha, check_gamma, check_reals
                      check_times, check_tol, check_whole)
 from .overall import _warn_degenerate
 from .scores import _difference_stack, _sign, pair_difference_matrix
-from .sensitivity import _column_sums, _column_tests, _dropped, _max_test_from_columns
+from .sensitivity import _column_sums, _column_tests, _dropped, _max_test_rows
 
 CENSORING_FORMS = ("covariate_dependent", "covariate_free")
 LAM = 0.2  # baseline hazard rate
@@ -386,18 +386,18 @@ def _test_block(config, grid, block):
     # every column, the negated PW one included, is pseudo-oriented
     D = _difference_stack(check_times(times.reshape(len(block), -1)),
                           events.reshape(len(block), -1), grid, include_pw=True)
-    sums = _column_sums(D, assignment)  # no gamma in them: one set serves every gamma
+    benefit, n_taus = _sign("pseudo", "benefit"), len(grid)
+    # no gamma in them: the sums of all columns and of the grid's serve every gamma
+    sums, grid_sums = _column_sums(D, assignment), _column_sums(D[..., :n_taus], assignment)
     sigma = np.sqrt(sums[2])
     mvn_seeds = [int(_rep_seed(config.seed, scenarios[s].id, rep, salt=7).generate_state(1)[0])
                  for s, rep in block]
-    benefit, n_taus = _sign("pseudo", "benefit"), len(grid)
     rejected = np.empty((len(block), len(config.gammas), n_taus + 2), dtype=bool)
     for g, gamma in enumerate(config.gammas):
         rejected[:, g, :-1] = _column_tests(sums, gamma, benefit)[3] <= config.alpha
-        rejected[:, g, -1] = _max_test_from_columns(
-            D[..., :n_taus], sigma[..., :n_taus], assignment, gamma, "normal",
-            orient=benefit, tol=config.mvn_tol, seed=mvn_seeds, alpha=config.alpha)[1] \
-            <= config.alpha
+        rejected[:, g, -1] = _max_test_rows(
+            D[..., :n_taus], sigma[..., :n_taus], grid_sums, gamma, benefit, config.mvn_tol,
+            mvn_seeds, config.alpha)[1] <= config.alpha
     return rejected, _dropped(D[..., :n_taus], sigma[..., :n_taus], sums[0][..., :n_taus])
 
 

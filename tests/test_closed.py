@@ -123,13 +123,13 @@ def test_one_max_test_pass(monkeypatch, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateColumnWarning)
         diff = diff_matrix(sample, grid)
-    rows, real = [], closed._max_test_from_columns
+    rows, real = [], closed._max_test_rows
 
     def counted(D, sigma, *args, **kwargs):
         rows.append(len(sigma))
         return real(D, sigma, *args, **kwargs)
 
-    monkeypatch.setattr(closed, "_max_test_from_columns", counted)
+    monkeypatch.setattr(closed, "_max_test_rows", counted)
     report = closed_test(diff)
     assert rows == [len(report.subset_p)]
     if grid[-1] > ADMIN_CUTOFF:

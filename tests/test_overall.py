@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import pkgutil
 import re
 import tracemalloc
 import warnings
@@ -9,6 +11,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
+import pairedsurv
 from pairedsurv import (
     DiffMatrix,
     ScenarioSpec,
@@ -26,6 +29,9 @@ from pairedsurv import (
     power_study,
     pvalue_exact,
     score_test,
+    sensitivity,
+    sensitivity_value,
+    simulate,
 )
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
 from pairedsurv.km import event_table
@@ -661,6 +667,37 @@ def test_max_test_has_only_the_normal_method():
     res = overall_test(sample, (1.0, 2.0), method="normal")
     assert res.method == "normal"
     assert res.p_value == overall_test(sample, (1.0, 2.0)).p_value
+
+
+def test_one_reduction_per_matrix(monkeypatch):
+    # a matrix is reduced over its pairs once, when it is built, and every
+    # test of it reads those sums; a power-study block reduces all of its
+    # columns once and its grid columns once, whatever the number of gammas
+    calls, real = [], sensitivity._column_sums
+
+    def counted(D, assignment):
+        calls.append(D.shape)
+        return real(D, assignment)
+
+    for info in pkgutil.iter_modules(pairedsurv.__path__):
+        module = importlib.import_module(f"pairedsurv.{info.name}")
+        if getattr(module, "_column_sums", None) is real:
+            monkeypatch.setattr(module, "_column_sums", counted)
+    diff = diff_matrix(simulated_sample(300, "ph", seed=1), (1.0, 2.0, 3.0, 4.0, 5.0))
+    assert len(calls) == 1, calls
+    max_test(diff)
+    max_test(diff, gamma=1.5)
+    closed_test(diff, gamma=1.2)
+    sv = sensitivity_value(diff)
+    assert not (sv.already_sensitive or sv.exceeded_max)  # the search bisects
+    assert len(calls) == 1, calls
+    for gammas in ((1.0,), (1.0, 1.25, 1.5)):
+        config = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=500, replications=40,
+                             grid=(1.0, 2.0, 3.0), seed=3, gammas=gammas)
+        blocks = -(-config.replications // (simulate._BLOCK_UNITS // (2 * config.pairs)))
+        del calls[:]
+        power_study(config)
+        assert blocks == 2 and len(calls) == 2 * blocks, (gammas, calls)
 
 
 def test_ppw_all_tied_p_one():

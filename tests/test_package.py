@@ -157,7 +157,7 @@ def test_mvn_cdf_has_one_call_site():
     # every integration runs through the one max test, so the span
     # recorder's mvnorm.* metrics see it, and no second max path hides
     assert _call_sites(lambda call: _calls(call, "mvn_cdf")) == \
-        [("sensitivity.py", "_max_test_from_columns")]
+        [("sensitivity.py", "_max_test_rows")]
 
 
 def _looped_calls(module, name) -> list:
@@ -175,17 +175,23 @@ def _looped_calls(module, name) -> list:
 def test_closed_test_makes_one_max_test_call():
     # the step-down subsets are the rows of one masked max test, so no call
     # sits in a loop or a comprehension
-    assert _looped_calls("closed.py", "_max_test_from_columns") == [False]
+    assert _looped_calls("closed.py", "_max_test_rows") == [False]
 
 
 def test_max_test_takes_its_correlations_in_one_pass():
     # every straddled row's correlations come from one product pass over D,
     # which public correlations shares, not from a per-row copy of columns
     assert sorted(_call_sites(lambda call: _calls(call, "_correlation_rows"))) == \
-        [("sensitivity.py", "_max_test_from_columns"), ("sensitivity.py", "correlations")]
+        [("sensitivity.py", "_max_test_rows"), ("sensitivity.py", "correlations")]
     assert _looped_calls("sensitivity.py", "_correlation_rows") == [False, False]
-    assert ("sensitivity.py", "_max_test_from_columns") not in \
+    assert ("sensitivity.py", "_max_test_rows") not in \
         _call_sites(lambda call: _calls(call, "correlations"))
+
+
+def test_no_library_max_test_reduces_its_matrix_again():
+    # the raw-array entry point takes the pair sums again; every library max
+    # test reads the sums its matrix or block already holds
+    assert _call_sites(lambda call: _calls(call, "_max_test_from_columns")) == []
 
 
 def test_degenerate_column_warning_has_one_call_site():
