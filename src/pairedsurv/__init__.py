@@ -20,9 +20,7 @@ from .sensitivity import (
     SensitivityValue,
     TestResult,
     correlations,
-    pvalue_exact,
     pvalue_montecarlo,
-    pvalue_normal,
     score_test,
     sensitivity_value,
 )

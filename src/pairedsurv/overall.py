@@ -115,8 +115,9 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     second-order bounds from the bivariate tails of each pair of columns
     (Hunter's above; Dawson-Sankoff's or de Caen's below).  Where bounds
     meet they decide it without integrating: one column gives the p of
-    ``score_test(sample, "pseudo", tau)`` bit for bit, and two give the
-    exact ``p_1 + p_2 - p_12`` from Owen's T.  Columns with zero
+    ``score_test(sample, "pseudo", tau)`` bit for bit by construction (both
+    take the one normal tail, ``sensitivity._normal_tails``), and two give
+    the exact ``p_1 + p_2 - p_12`` from Owen's T.  Columns with zero
     dispersion or copying an earlier one are dropped; when every column
     has zero dispersion the p-value is 1.  It is 0.0 when every column's
     normal tail underflows: ``ndtr`` returns 0 from a standardized limit of

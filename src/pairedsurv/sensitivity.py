@@ -4,20 +4,20 @@ The paired statistic is ``T = sum_i d_i V_i``.  Under the bounded
 odds-ratio assignment model with parameter ``gamma >= 1``, the worst case
 for the upper tail replaces each term by ``|d_i|`` times an independent
 sign that is positive with probability ``gamma / (1 + gamma)``; gamma = 1
-recovers the plain randomization distribution.  The p-value primitives
-compute only that upper tail; the other tail is the upper tail of ``-T``,
-with the sign from ``scores._sign``.  ``_column_sums`` reduces a score
-vector, a matrix or a stack over its pairs, column by column, to
-``sum d_i V_i``, ``sum |d_i|`` and ``sum d_i^2``; ``_null_moments`` and
-``_column_tests`` are arithmetic on those sums.  ``_max_test_rows`` gives
+recovers the plain randomization distribution.  Every tail here is that
+upper tail; the other tail is the upper tail of ``-T``, with the sign from
+``scores._sign``.  ``_column_sums`` reduces a score vector, a matrix or a
+stack over its pairs, column by column, to ``sum d_i V_i``, ``sum |d_i|``
+and ``sum d_i^2``; ``_null_moments`` and ``_normal_tails``, each column's
+one normal tail, are arithmetic on those sums.  ``_max_test_rows`` gives
 the worst-case tail of the max for each row of ``sigma``, from the sums
 of one sample shared by the rows or of a stack: the MVN of the live columns
 (``_correlation_rows``), clamped into the first- and second-order bounds
 on the union of the column tails (``_union_bounds``), with zeroed and
-degenerate columns masked.
-``score_test`` is the one test of a score vector (pseudo at tau, log-rank
-or PW), and ``sensitivity_value`` bisects the worst-case max p of a built
-difference matrix; a one-column matrix gives the time-specific search.
+degenerate columns masked.  ``score_test`` is the one test of a score
+vector (pseudo at tau, log-rank or PW), by its normal tail, ``_pvalue_exact``
+or ``pvalue_montecarlo``, and ``sensitivity_value`` bisects the worst-case
+max p of a built difference matrix (one column: the time-specific search).
 Each public call runs its inputs' ``errors`` rules on entry, before any
 shortcut, and the CLI parses its flags with the same rules.
 """
@@ -39,19 +39,6 @@ from .scores import _sign, pair_differences
 
 EXACT_PAIR_CAP = 20
 _SIGN_BUFFER = 1 << 17  # signs in each Monte Carlo worker's reused float buffer
-
-
-def _tail_args(scores, t):
-    """Scores as a float array and ``t`` as a float, all real and finite.
-
-    A NaN compares false with everything, so it would read as the most
-    significant tail.
-    """
-    d = check_reals(scores, "scores must be real numbers")
-    t = _check_real(t, math.isfinite, "t must be finite")
-    if not np.isfinite(d).all():
-        raise ValueError("scores must be finite")
-    return d, t
 
 
 def _tie_tol(d) -> float:
@@ -87,28 +74,22 @@ def _null_moments(abs_sum, sq_sum, gamma=1.0):
     ``[4 gamma/(1+gamma)^2] sum d_i^2`` of the upper-tail bounding statistic,
     from those sums of ``_column_sums``, in their shape."""
     gamma = check_gamma(gamma)
-    return (gamma - 1.0) / (gamma + 1.0) * abs_sum, 4.0 * gamma / (gamma + 1.0) ** 2 * sq_sum
+    # numpy's scalar ** is Python's pow but gives inf, not OverflowError, past
+    # gamma = 1.34e154 (variance 0); multiplying by 4 last changes no bit
+    with np.errstate(over="ignore"):
+        spread = 4.0 * (gamma / np.float64(gamma + 1.0) ** 2)
+    return (gamma - 1.0) / (gamma + 1.0) * abs_sum, spread * sq_sum
 
 
-def pvalue_normal(t, mean, variance):
-    """Normal upper tail ``Pr(T >= t)`` with the degenerate-variance convention.
-
-    Zero variance returns 1 when the statistic does not exceed the mean,
-    else 0 (no dispersion means no evidence).  Array arguments give one
-    p-value per element; scalars give a float.  Every argument must be
-    real and finite, as in the other tails.
-    """
-    t, mean, variance = np.broadcast_arrays(*(
-        check_reals(x, "t, mean and variance must be real numbers") for x in (t, mean, variance)))
-    if not all(np.isfinite(x).all() for x in (t, mean, variance)):
-        raise ValueError("t, mean and variance must be finite")
-    if np.any(variance < 0):
-        raise ValueError("variance must be >= 0")
+def _normal_tails(t, mean, variance):
+    """``(limits, tails)``: the standardized limits ``(t - mean) / sqrt(variance)``
+    and their normal upper tails ``Pr(Z >= limit)``, elementwise over sums
+    the library built.  Zero variance gives the tail 1 when ``t`` does not
+    exceed the mean, else 0 (no dispersion means no evidence)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = (t - mean) / np.sqrt(variance)
+        limits = (t - mean) / np.sqrt(variance)
     # ndtr(-z), not 1 - ndtr(z), which rounds to 0 from z = 9 on
-    p = np.where(variance == 0.0, t <= mean, ndtr(-z))
-    return float(p) if p.ndim == 0 else p
+    return limits, np.where(variance == 0.0, t <= mean, ndtr(-limits))
 
 
 def _column_sums(D, assignment):
@@ -127,19 +108,19 @@ def _column_tests(sums, gamma, orient):
     (-1): ``(t, mean, variance, p)``, with ``t = orient * paired``."""
     t = orient * sums[0]
     mean, variance = _null_moments(*sums[1:], gamma)
-    return t, mean, variance, pvalue_normal(t, mean, variance)
+    return t, mean, variance, _normal_tails(t, mean, variance)[1]
 
 
-def pvalue_exact(scores, t, gamma=1.0) -> float:
-    """Worst-case upper tail ``Pr(T >= t)`` by exact enumeration.
+def _pvalue_exact(d, t, gamma) -> float:
+    """Worst-case upper tail ``Pr(T >= t)`` of the float scores ``d`` by exact
+    enumeration: the kernel of ``score_test(method="exact")``, which checks
+    its arguments on entry.
 
     Enumerates the 2^k sign patterns over the k pairs with nonzero
     differences (tied pairs contribute exactly zero).  Ties at the observed
     value are included in the tail.  Only ``|d_i|`` is read, so ``-d`` gives
     the same p; the lower tail of ``T`` is this tail at ``-t``.
     """
-    gamma = check_gamma(gamma)
-    d, t = _tail_args(scores, t)
     mags = np.abs(d[d != 0.0])
     if mags.size > EXACT_PAIR_CAP:
         raise ValueError(
@@ -183,7 +164,10 @@ def pvalue_montecarlo(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
     """
     gamma = check_gamma(gamma)
     n_draws = check_draws(n_draws)
-    d, t = _tail_args(scores, t)
+    d = check_reals(scores, "scores must be real numbers")
+    t = _check_real(t, math.isfinite, "t must be finite")
+    if not np.isfinite(d).all():  # a NaN compares false, so reads as the most significant tail
+        raise ValueError("scores must be finite")
     tol = _tie_tol(d)
     mags = np.abs(d[d != 0.0])
     if mags.size == 0:
@@ -250,12 +234,12 @@ def score_test(sample, score="pseudo", tau=None, gamma=1.0, method="normal",
     tau = None if tau is None else check_tau(tau)
     t, mu_plus, variance, p = _column_tests(_column_sums(scores, sample.assignment), gamma, sign)
     if method == "exact":
-        p = pvalue_exact(scores, t, gamma)
+        p = _pvalue_exact(scores, t, gamma)
     elif method == "montecarlo":
         p = pvalue_montecarlo(scores, t, gamma, n_draws, seed)
     # + 0.0 turns -0.0 into 0.0
     return TestResult(statistic=float(sign * t), null_mean=float(sign * mu_plus + 0.0),
-                      null_sd=math.sqrt(variance), p_value=p, gamma=gamma, method=method,
+                      null_sd=math.sqrt(variance), p_value=float(p), gamma=gamma, method=method,
                       direction="upper" if sign > 0 else "lower", tau=tau)
 
 
@@ -389,15 +373,14 @@ def _dropped(D, sigma, paired):
 
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
                            tol=1e-4, seed=0, alpha=None):
-    """``_max_test_rows`` on raw arrays, taking the pair sums of ``D`` and
-    ``assignment`` here; an (L,) ``sigma`` is one test, with floats out.
-    ``method`` accepts only ``"normal"``: the benchmark's reference recorder
-    passes it and pins this signature.  Library code passes its own sums."""
+    """``_max_test_rows`` of one sample's (I, L) ``D`` and (L,) ``sigma`` on
+    raw arrays, taking the pair sums of ``D`` and ``assignment`` here, with
+    floats out.  ``method`` accepts only ``"normal"``: the benchmark's
+    reference recorder passes it and pins this signature.  Library code
+    passes its own sums."""
     _normal_only(method)
-    sums = _column_sums(D, assignment)
-    if sigma.ndim > 1:
-        return _max_test_rows(D, sigma, sums, gamma, orient, tol, seed, alpha)
-    m, p = _max_test_rows(D, sigma[None], sums, gamma, orient, tol, [seed], alpha)
+    m, p = _max_test_rows(D, sigma[None], _column_sums(D, assignment), gamma, orient, tol,
+                          [seed], alpha)
     return float(m[0]), float(p[0])
 
 
@@ -419,10 +402,12 @@ def _max_test_rows(D, sigma, sums, gamma, orient, tol, seed, alpha=None):
     decides.  ``gamma`` is checked by ``_null_moments``.  Returns (m, p).
 
     A column whose statistic is the max takes its own oriented statistic as
-    its limit, so its tail is bit for bit its column test's normal tail.  The
-    p is bounded in tail space, so a tiny p keeps its digits: first by
-    ``[max_l p_l, min(1, sum_l p_l)]`` of the column tails ``p_l``, then, in a
-    row those leave open, by the second-order bounds of ``_union_bounds``,
+    its limit, and every column tail is ``_normal_tails`` of the moments
+    ``_column_tests`` takes, so a one-column max test is its column test's
+    normal tail by construction, bit for bit.  The p is bounded in tail
+    space, so a tiny p keeps its digits: first by ``[max_l p_l, min(1,
+    sum_l p_l)]`` of the column tails ``p_l``, then, in a row those leave
+    open, by the second-order bounds of ``_union_bounds``,
     which decide any row where they meet (one or two live columns, or other
     tails that underflow).  With ``alpha`` the p only decides ``p <= alpha``:
     a row gets second-order bounds only when its first-order bounds straddle
@@ -441,13 +426,12 @@ def _max_test_rows(D, sigma, sums, gamma, orient, tol, seed, alpha=None):
     with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
         stats = np.where(keep, orient * paired / sigma, -np.inf)
         m = stats.max(axis=-1)
-        # the oriented columns have the same |D|, hence the same moments
-        mean, variance = _null_moments(abs_sum, sq_sum, gamma)
         t = np.where(stats == m[:, None], orient * paired, m[:, None] * sigma)
-        limits = (t - mean) / np.sqrt(variance)
+    # the oriented columns have the same |D|, hence the same moments
+    limits, tails = _normal_tails(t, *_null_moments(abs_sum, sq_sum, gamma))
     # clamp in tail space, where 1 - cdf has lost the digits of a tiny tail:
     # the max's tail lies between the largest column tail and their sum
-    tails = np.where(keep, ndtr(-limits), 0.0)
+    tails = np.where(keep, tails, 0.0)
     sums = _last(tails)
     low, high = tails.max(axis=-1), np.minimum(1.0, sums)
 

@@ -387,18 +387,19 @@ def _test_block(config, grid, block):
     D = _difference_stack(check_times(times.reshape(len(block), -1)),
                           events.reshape(len(block), -1), grid, include_pw=True)
     benefit, n_taus = _sign("pseudo", "benefit"), len(grid)
-    # no gamma in them: the sums of all columns and of the grid's serve every gamma
-    sums, grid_sums = _column_sums(D, assignment), _column_sums(D[..., :n_taus], assignment)
-    sigma = np.sqrt(sums[2])
+    # no gamma in them: the sums of all columns, the grid's among them, serve every gamma
+    sums = _column_sums(D, assignment)
+    grid_D, grid_sums = D[..., :n_taus], tuple(x[..., :n_taus] for x in sums)
+    sigma = np.sqrt(grid_sums[2])
     mvn_seeds = [int(_rep_seed(config.seed, scenarios[s].id, rep, salt=7).generate_state(1)[0])
                  for s, rep in block]
     rejected = np.empty((len(block), len(config.gammas), n_taus + 2), dtype=bool)
     for g, gamma in enumerate(config.gammas):
         rejected[:, g, :-1] = _column_tests(sums, gamma, benefit)[3] <= config.alpha
-        rejected[:, g, -1] = _max_test_rows(
-            D[..., :n_taus], sigma[..., :n_taus], grid_sums, gamma, benefit, config.mvn_tol,
-            mvn_seeds, config.alpha)[1] <= config.alpha
-    return rejected, _dropped(D[..., :n_taus], sigma[..., :n_taus], sums[0][..., :n_taus])
+        _, p = _max_test_rows(grid_D, sigma, grid_sums, gamma, benefit, config.mvn_tol,
+                              mvn_seeds, config.alpha)
+        rejected[:, g, -1] = p <= config.alpha
+    return rejected, _dropped(grid_D, sigma, grid_sums[0])
 
 
 def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResult]:

@@ -223,7 +223,7 @@ def max_pvalue_exact(diff) -> float:
     """Randomization tail of the benefit max at gamma = 1 by enumerating all
     2^I sign vectors: the share whose standardized max over the live
     columns of ``diff`` reaches the observed one.  Column l counts a tie as
-    ``pvalue_exact`` does, within ``_tie_tol`` of that column, scaled by
+    ``_pvalue_exact`` does, within ``_tie_tol`` of that column, scaled by
     its sigma.  With no live column the tail is 1, as ``max_test``'s."""
     live = diff.sigma > 0.0
     if not live.any():

@@ -28,13 +28,13 @@ from pairedsurv import (
     mvnorm,
     pair_differences,
     power_study,
-    pvalue_exact,
     pvalue_montecarlo,
     score_test,
     sensitivity_value,
 )
 
 from pairedsurv.scores import pseudo_observations
+from pairedsurv.sensitivity import _pvalue_exact
 
 from conftest import five_pair_records, pseudo_observations_naive
 
@@ -172,7 +172,7 @@ def test_criterion_5_exact_vs_montecarlo():
             size = int(rng.integers(6, 13))
             d = rng.normal(size=size)
             t = float(rng.uniform(0.0, 0.6) * np.abs(d).sum())
-            exact = pvalue_exact(d, t, gamma)
+            exact = _pvalue_exact(d, t, gamma)
             mc = pvalue_montecarlo(d, t, gamma, n_draws=n_draws,
                                    seed=SEED + trial)
             se = math.sqrt(max(exact * (1 - exact), 1e-12) / n_draws)

@@ -27,7 +27,6 @@ from pairedsurv import (
     overall_test,
     pair_differences,
     power_study,
-    pvalue_exact,
     score_test,
     sensitivity,
     sensitivity_value,
@@ -36,7 +35,7 @@ from pairedsurv import (
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
 from pairedsurv.km import event_table
 from pairedsurv.sensitivity import (_column_sums, _correlation_rows, _max_test_from_columns,
-                                    _null_moments)
+                                    _max_test_rows, _null_moments, _pvalue_exact)
 from pairedsurv.simulate import ADMIN_CUTOFF, SCENARIO_IDS
 
 from conftest import (count_mvn_calls, max_pvalue_exact, record_decision_integrations,
@@ -289,7 +288,7 @@ def test_max_test_against_exact_enumeration(n_pairs, lowest, highest):
         live = diff.sigma > 0.0
         D = -diff.D[:, live] / diff.sigma[live]
         m = (diff.assignment @ D).max()
-        tails = [pvalue_exact(column, m) for column in D.T]
+        tails = [_pvalue_exact(column, m, 1.0) for column in D.T]
         assert max(tails) <= exact <= min(1.0, sum(tails))
         return exact
 
@@ -300,9 +299,9 @@ def test_max_test_against_exact_enumeration(n_pairs, lowest, highest):
                 warnings.simplefilter("ignore", DegenerateColumnWarning)
                 diff = diff_matrix(sample, grid)
                 columns = [diff_matrix(sample, [tau]) for tau in grid]
-            for one in columns:  # one column: the enumeration is pvalue_exact
+            for one in columns:  # one column: the enumeration is _pvalue_exact
                 d = one.D[:, 0]
-                p = pvalue_exact(d, -(d @ sample.assignment)) if one.sigma[0] > 0 else 1.0
+                p = _pvalue_exact(d, -(d @ sample.assignment), 1.0) if one.sigma[0] > 0 else 1.0
                 assert max_pvalue_exact(one) == p
             gaps.append(max_test(diff).p_value - exact_within_column_tails(diff))
             for taus, p in closed_test(diff).subset_p.items():
@@ -457,25 +456,24 @@ def test_stacked_max_test_takes_one_seed_per_sample():
     diffs = [diff_matrix(generate_pairs(200, ScenarioSpec("ph"), seed), (1.0, 2.0, 3.0))
              for seed in (1, 2)]
     D, sigma = np.stack([d.D for d in diffs]), np.stack([d.sigma for d in diffs])
-    assignment = np.stack([d.assignment for d in diffs])
-    m, p = _max_test_from_columns(D, sigma, assignment, 1.0, "normal", 1.0, 1e-4, [3, 4])
+    sums = _column_sums(D, np.stack([d.assignment for d in diffs]))
+    m, p = _max_test_rows(D, sigma, sums, 1.0, 1.0, 1e-4, [3, 4])
     for r, (d, seed) in enumerate(zip(diffs, (3, 4))):
         assert (m[r], p[r]) == _max_test_from_columns(d.D, d.sigma, d.assignment, 1.0,
                                                       "normal", 1.0, 1e-4, seed)
     with pytest.raises(ValueError, match="one seed per sample"):
-        _max_test_from_columns(D, sigma, assignment, 1.0, "normal", 1.0, 1e-4, 3)
+        _max_test_rows(D, sigma, sums, 1.0, 1.0, 1e-4, 3)
     # one sample's matrix shared by every row of an (R, L) sigma mask: each
     # row gets the bits of the one-sample call on its compacted columns
     d = diffs[0]
     mask = np.array([[True, True, True], [True, False, True], [False, True, False]])
-    m, p = _max_test_from_columns(d.D, np.where(mask, d.sigma, 0.0), d.assignment, 1.0,
-                                  "normal", 1.0, 1e-4, [5, 6, 7])
+    sums = _column_sums(d.D, d.assignment)
+    m, p = _max_test_rows(d.D, np.where(mask, d.sigma, 0.0), sums, 1.0, 1.0, 1e-4, [5, 6, 7])
     for r, (keep, seed) in enumerate(zip(mask, (5, 6, 7))):
         assert (m[r], p[r]) == _max_test_from_columns(
             d.D[:, keep], d.sigma[keep], d.assignment, 1.0, "normal", 1.0, 1e-4, seed)
     with pytest.raises(ValueError, match="one seed per sample"):
-        _max_test_from_columns(d.D, np.where(mask, d.sigma, 0.0), d.assignment, 1.0,
-                               "normal", 1.0, 1e-4, [5, 6])
+        _max_test_rows(d.D, np.where(mask, d.sigma, 0.0), sums, 1.0, 1.0, 1e-4, [5, 6])
 
 
 @pytest.mark.parametrize("grid", [(1.0, 2.0, 3.0, 4.0, 5.0), tuple(np.arange(0.5, 5.5, 0.5))])
@@ -492,15 +490,15 @@ def test_stacked_max_test_masks_dropped_columns(grid):
         D[r][:, dropped] = 0.0
     assignment = np.stack([d.assignment for d in diffs])
     sigma, seeds = np.sqrt(np.sum(D ** 2, axis=-2)), [11, 12, 13, 14]
+    sums = _column_sums(D, assignment)
     for gamma in (1.0, 1.1, 1.5):
         for alpha in (None, 0.05, 1.0):
-            args = (gamma, "normal", -1.0, 1e-4)
-            m, p = _max_test_from_columns(D, sigma, assignment, *args, seeds, alpha)
+            m, p = _max_test_rows(D, sigma, sums, gamma, -1.0, 1e-4, seeds, alpha)
             for r, keep in enumerate(sigma > 0.0):
                 if keep.any():
                     assert (m[r], p[r]) == _max_test_from_columns(
-                        D[r][:, keep], sigma[r][keep], assignment[r], *args, seeds[r],
-                        alpha)
+                        D[r][:, keep], sigma[r][keep], assignment[r], gamma, "normal", -1.0,
+                        1e-4, seeds[r], alpha)
                 else:
                     assert np.isnan(m[r]) and p[r] == 1.0
 
@@ -672,7 +670,7 @@ def test_max_test_has_only_the_normal_method():
 def test_one_reduction_per_matrix(monkeypatch):
     # a matrix is reduced over its pairs once, when it is built, and every
     # test of it reads those sums; a power-study block reduces all of its
-    # columns once and its grid columns once, whatever the number of gammas
+    # columns once, the grid's among them, whatever the number of gammas
     calls, real = [], sensitivity._column_sums
 
     def counted(D, assignment):
@@ -697,7 +695,7 @@ def test_one_reduction_per_matrix(monkeypatch):
         blocks = -(-config.replications // (simulate._BLOCK_UNITS // (2 * config.pairs)))
         del calls[:]
         power_study(config)
-        assert blocks == 2 and len(calls) == 2 * blocks, (gammas, calls)
+        assert blocks == 2 and len(calls) == blocks, (gammas, calls)
 
 
 def test_ppw_all_tied_p_one():

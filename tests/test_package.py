@@ -49,16 +49,19 @@ def test_no_import_inside_a_function_and_no_cycle_through_sensitivity():
 ROOT = Path(pairedsurv.__file__).resolve().parents[2]
 
 
-def _user_sources():
-    """The CLI, the demos, README and the benchmark: the code and text that
-    reach the library from outside it and its tests."""
-    paths = [ROOT / "src" / "pairedsurv" / "cli.py", ROOT / "README.md",
-             *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
-    return {path.name: path.read_text(encoding="utf-8") for path in paths}
-
-
 def _python_blocks(markdown):
     return re.findall(r"```python\n(.*?)```", markdown, flags=re.S)
+
+
+def _user_sources():
+    """The CLI, the demos, README's python blocks and the benchmark: the code
+    that reaches the library from outside it and its tests.  README's prose
+    names what it documents, which is not a use."""
+    paths = [ROOT / "src" / "pairedsurv" / "cli.py",
+             *sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+    sources = {path.name: path.read_text(encoding="utf-8") for path in paths}
+    sources["README.md"] = "".join(_python_blocks((ROOT / "README.md").read_text(encoding="utf-8")))
+    return sources
 
 
 def test_public_surface_is_what_users_reach():
@@ -80,7 +83,7 @@ def test_public_surface_is_what_users_reach():
     # the demos and README's quick start import only public names
     snippets = [text for name, text in sources.items()
                 if name.endswith(".py") and (ROOT / "demos" / name).is_file()]
-    snippets += _python_blocks(sources["README.md"])
+    snippets.append(sources["README.md"])
     imported = set()
     for snippet in snippets:
         for node in ast.walk(ast.parse(snippet)):
@@ -151,6 +154,13 @@ def _call_sites(is_site):
 
 def _calls(node, name) -> bool:
     return name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_one_normal_tail_in_sensitivity():
+    # every column tail, of a score test or of a max test's columns, is the
+    # one helper's, so a one-column max test is its score test by construction
+    assert {owner for path, owner in _call_sites(lambda call: _calls(call, "ndtr"))
+            if path == "sensitivity.py"} == {"_normal_tails", "_pair_tails"}
 
 
 def test_mvn_cdf_has_one_call_site():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,10 @@ import pytest
 from scipy.special import ndtr
 
 from pairedsurv import (
+    DiffMatrix,
+    PairedSample,
     ScenarioSpec,
+    StudyConfig,
     build_sample,
     closed_test,
     diff_matrix,
@@ -19,9 +23,8 @@ from pairedsurv import (
     mvn_cdf,
     overall_test,
     pair_differences,
-    pvalue_exact,
+    power_study,
     pvalue_montecarlo,
-    pvalue_normal,
     score_test,
     sensitivity_value,
     write_csv,
@@ -30,7 +33,8 @@ from pairedsurv import sensitivity
 from pairedsurv.cli import main
 from pairedsurv.errors import (DegenerateColumnWarning, as_grid, check_alpha, check_gamma,
                                check_seed)
-from pairedsurv.sensitivity import _column_sums, _column_tests, _null_moments, _search
+from pairedsurv.sensitivity import (_column_sums, _column_tests, _normal_tails, _null_moments,
+                                    _pvalue_exact, _search)
 
 from conftest import fix_workers, montecarlo_one_shot, simulated_sample
 
@@ -121,13 +125,18 @@ def test_gamma_below_one_rejected():
 
 # -- normal tail -----------------------------------------------------------
 
+def _normal_p(t, mean, variance):
+    """The tail of ``_normal_tails`` at one (t, mean, variance), as a float."""
+    return float(_normal_tails(t, mean, variance)[1])
+
+
 def test_pvalue_normal_center():
-    assert pvalue_normal(2.0, 2.0, 4.0) == pytest.approx(0.5)
-    assert pvalue_normal(-2.0, -2.0, 4.0) == pytest.approx(0.5)
+    assert _normal_p(2.0, 2.0, 4.0) == pytest.approx(0.5)
+    assert _normal_p(-2.0, -2.0, 4.0) == pytest.approx(0.5)
 
 
 def test_pvalue_normal_quantile():
-    p = pvalue_normal(1.645, 0.0, 1.0)
+    p = _normal_p(1.645, 0.0, 1.0)
     assert p == pytest.approx(0.05, abs=1e-4)
 
 
@@ -136,24 +145,24 @@ def test_pvalue_normal_upper_tail_mirrors_lower():
     # to 1 - ndtr(z) = 0 (from z = 9 on); Phi(-37) = 5.7e-300 is still a
     # normal double, Phi(-40) underflows to 0 in any formula
     for z in (0.5, 6.0, 9.0, 37.0):
-        upper = pvalue_normal(2.0 * z + 1.0, 1.0, 4.0)
+        upper = _normal_p(2.0 * z + 1.0, 1.0, 4.0)
         assert upper == ndtr(-z) > 0.0
 
 
 def test_pvalue_normal_degenerate_convention():
-    assert pvalue_normal(-1.0, 0.0, 0.0) == 1.0
-    assert pvalue_normal(1.0, 0.0, 0.0) == 0.0
-    assert pvalue_normal(0.0, 0.0, 0.0) == 1.0
+    assert _normal_p(-1.0, 0.0, 0.0) == 1.0
+    assert _normal_p(1.0, 0.0, 0.0) == 0.0
+    assert _normal_p(0.0, 0.0, 0.0) == 1.0
 
 
 # -- exact enumeration -------------------------------------------------------
 
 def test_exact_single_pair():
-    assert pvalue_exact(np.array([1.0]), 1.0, 1.0) == 0.5
+    assert _pvalue_exact(np.array([1.0]), 1.0, 1.0) == 0.5
 
 
 def test_exact_two_pairs():
-    assert pvalue_exact(np.array([1.0, 1.0]), 2.0, 1.0) == 0.25
+    assert _pvalue_exact(np.array([1.0, 1.0]), 2.0, 1.0) == 0.25
 
 
 def test_exact_matches_full_enumeration_at_gamma_one():
@@ -162,14 +171,14 @@ def test_exact_matches_full_enumeration_at_gamma_one():
         d = rng.normal(size=8)
         d[rng.random(8) < 0.3] = 0.0
         t = float(rng.normal())
-        assert pvalue_exact(d, t, 1.0) == pytest.approx(
+        assert _pvalue_exact(d, t, 1.0) == pytest.approx(
             enumerate_randomization_p(d, t), abs=1e-12
         )
 
 
 def test_exact_cap():
     with pytest.raises(ValueError, match="exceed the exact cap of 20"):
-        pvalue_exact(np.ones(21), 0.0, 1.0)
+        _pvalue_exact(np.ones(21), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0])
@@ -177,7 +186,7 @@ def test_exact_vs_montecarlo(gamma):
     rng = np.random.default_rng(2)
     d = rng.normal(size=12)
     t = float(np.abs(d).sum() * 0.25)
-    exact = pvalue_exact(d, t, gamma)
+    exact = _pvalue_exact(d, t, gamma)
     n = 10 ** 6
     mc = pvalue_montecarlo(d, t, gamma, n_draws=n, seed=5)
     se = math.sqrt(exact * (1 - exact) / n)
@@ -195,7 +204,7 @@ def test_montecarlo_deterministic():
 
 def test_montecarlo_symmetric_center():
     d = np.array([1.0, -1.0, 2.0, -2.0])
-    exact = pvalue_exact(d, 0.0, 1.0)
+    exact = _pvalue_exact(d, 0.0, 1.0)
     mc = pvalue_montecarlo(d, 0.0, 1.0, n_draws=200_000, seed=4)
     assert exact > 0.5  # tie mass included
     assert mc == pytest.approx(exact, abs=0.01)
@@ -356,41 +365,37 @@ def test_real_valued_rules_refuse_bools_and_strings(call, why):
 
 
 @pytest.mark.parametrize("call, why", [
-    (lambda: pvalue_normal("1.5", 0, 1), "t, mean and variance must be real numbers, got '1.5'"),
-    (lambda: pvalue_normal(True, 0, 1), "t, mean and variance must be real numbers, got True"),
-    (lambda: pvalue_normal(0.5, [0.0, False], 1),
-     "t, mean and variance must be real numbers, got [0.0, False]"),
-    (lambda: pvalue_normal(0.5, 0.0, np.array(["1"])), "t, mean and variance must be real numbers"),
-    (lambda: pvalue_exact([1, 2, 0.5], "1.5"), "t must be finite, got '1.5'"),
-    (lambda: pvalue_exact([True, 2.0], 1.0), "scores must be real numbers, got [True, 2.0]"),
-    (lambda: pvalue_exact(np.array([1.0, 2.0]) > 0, 1.0), "scores must be real numbers"),
+    (lambda: pvalue_montecarlo([1.0, 2.0], "1.5"), "t must be finite, got '1.5'"),
+    (lambda: pvalue_montecarlo([1.0, 2.0], np.True_), "t must be finite, got np.True_"),
+    (lambda: pvalue_montecarlo([True, 2.0], 1.0), "scores must be real numbers, got [True, 2.0]"),
+    (lambda: pvalue_montecarlo(np.array([1.0, 2.0]) > 0, 1.0), "scores must be real numbers"),
     (lambda: pvalue_montecarlo(["1", 2], 1.0), "scores must be real numbers, got ['1', 2]"),
     (lambda: pvalue_montecarlo([1.0, 2.0], True), "t must be finite, got True"),
-], ids=["string t", "bool t", "bool in a mean list", "string variance array", "string exact t",
-        "bool in exact scores", "bool exact scores array", "string Monte Carlo scores",
-        "bool Monte Carlo t"])
+], ids=["string t", "bool t", "bool in Monte Carlo scores", "bool Monte Carlo scores array",
+        "string Monte Carlo scores", "bool Monte Carlo t"])
 def test_tails_refuse_bools_and_strings(call, why):
-    # numpy turned each into a number: pvalue_normal("1.5", 0, 1) gave 0.0668,
-    # pvalue_normal(True, 0, 1) 0.159 and pvalue_exact([1, 2, 0.5], "1.5") 0.375
+    # numpy would turn each into a number: "1.5" into 1.5, [True, 2.0] into
+    # [1.0, 2.0]
     with pytest.raises(ValueError, match=re.escape(why)):
         call()
 
 
 def test_tails_take_numpy_and_python_numbers_alike():
-    p = pvalue_normal(1.5, 0.0, 1.0)
-    assert pvalue_normal(np.float64(1.5), np.int64(0), 1) == p
-    assert pvalue_normal([1.5, 1.5], np.zeros(2), (1, 1)).tolist() == [p, p]
-    assert pvalue_exact(np.array([1, 2]), np.float32(1.0)) == pvalue_exact([1.0, 2.0], 1.0)
+    p = _normal_p(1.5, 0.0, 1.0)
+    assert _normal_p(np.float64(1.5), np.int64(0), 1) == p
+    assert _normal_tails(np.array([1.5, 1.5]), np.zeros(2), np.ones(2))[1].tolist() == [p, p]
+    p = pvalue_montecarlo([1.0, 2.0], 1.0, n_draws=1_000)
+    assert pvalue_montecarlo(np.array([1, 2]), np.float32(1.0), n_draws=1_000) == p
+    assert pvalue_montecarlo((1, np.int64(2)), np.int64(1), n_draws=1_000) == p
 
 
 @pytest.mark.parametrize("call, why", [
     (lambda: check_gamma(10 ** 400), "gamma must be a finite real >= 1, got 1000"),
     (lambda: as_grid([1, 10 ** 400]), "grid times must be real numbers, got [1, 1000"),
-    (lambda: pvalue_normal(10 ** 400, 0, 1), "t, mean and variance must be real numbers, got 1000"),
-    (lambda: pvalue_exact([1.0, 2.0], 10 ** 400), "t must be finite, got 1000"),
+    (lambda: pvalue_montecarlo([1.0, 2.0], 10 ** 400), "t must be finite, got 1000"),
     (lambda: check_seed(Fraction(10 ** 400)),
      "seed must be a whole number >= 0, got Fraction(1000"),
-], ids=["gamma", "grid", "normal t", "exact t", "fraction seed"])
+], ids=["gamma", "grid", "Monte Carlo t", "fraction seed"])
 def test_rules_refuse_an_int_too_large_for_a_float(call, why):
     # each raised OverflowError from float()
     with pytest.raises(ValueError, match=re.escape(why)):
@@ -442,16 +447,17 @@ def test_montecarlo_transient_memory(monkeypatch, workers):
     lambda: pvalue_montecarlo([0.3, -0.2, 0.5, 0.1], math.nan),
     lambda: pvalue_montecarlo([0.3, -0.2, 0.5, 0.1], math.inf),
     lambda: pvalue_montecarlo([0.3, math.nan], 0.1),
-    lambda: pvalue_exact([0.3, math.nan], 0.1),
-    lambda: pvalue_exact([0.3, -0.2], math.nan),
-    lambda: pvalue_exact([0.3, -math.inf], 0.1),
-    lambda: pvalue_normal(math.nan, 0.0, 1.0),
-    lambda: pvalue_normal(1.0, math.nan, 1.0),
-    lambda: pvalue_normal(1.0, 0.0, math.nan),
+    lambda: pvalue_montecarlo([0.3, -math.inf], 0.1),
+    lambda: pvalue_montecarlo([0.3, -0.2], -math.inf),
+    lambda: pvalue_montecarlo(np.array([math.inf, 0.3]), 0.1),
+    lambda: pvalue_montecarlo([math.inf, 0.3], 0.1),
+    lambda: pvalue_montecarlo(np.array([0.3, math.nan]), 0.1),
+    lambda: pvalue_montecarlo(np.array([0.3, -math.inf]), 0.1),
 ])
 def test_tails_reject_non_finite_input(call):
-    # a NaN compares false everywhere and used to read as p = 0 (p = nan in
-    # the normal tail)
+    # t, a list of scores and an array of scores (two paths through
+    # errors.check_reals), each nan, inf and -inf: a NaN compares false
+    # everywhere and used to read as p = 0
     with pytest.raises(ValueError, match="must be finite"):
         call()
 
@@ -560,7 +566,7 @@ def test_tails_ignore_the_sign_of_the_scores():
     d[[2, 5]] = 0.0
     for t in (-1.0, 0.3, 2.0):
         for g in (1.0, 1.7):
-            assert pvalue_exact(-d, t, g) == pvalue_exact(d, t, g)
+            assert _pvalue_exact(-d, t, g) == _pvalue_exact(d, t, g)
             assert (pvalue_montecarlo(-d, t, g, n_draws=5_000, seed=3)
                     == pvalue_montecarlo(d, t, g, n_draws=5_000, seed=3))
 
@@ -576,8 +582,8 @@ def test_tied_pairs_inert():
     t = float(d @ sample.assignment)
     assert float(padded_d @ assignment) == pytest.approx(t, abs=1e-12)
     assert _moments(d, gamma) == pytest.approx(_moments(padded_d, gamma), rel=1e-14)
-    assert pvalue_exact(d, t, gamma) == pytest.approx(
-        pvalue_exact(padded_d, t, gamma), abs=1e-12
+    assert _pvalue_exact(d, t, gamma) == pytest.approx(
+        _pvalue_exact(padded_d, t, gamma), abs=1e-12
     )
     assert pvalue_montecarlo(d, t, gamma, 5000, seed=3) == pvalue_montecarlo(
         padded_d, t, gamma, 5000, seed=3
@@ -590,6 +596,36 @@ def test_worst_case_dominance_and_monotone_in_gamma():
         gammas = np.arange(1.0, 2.01, 0.1)
         pvals = [score_test(sample, "pseudo", 3.0, g).p_value for g in gammas]
         assert all(b >= a - 1e-12 for a, b in zip(pvals, pvals[1:]))
+
+
+@pytest.mark.parametrize("gamma", [1.4e154, 1e300, sys.float_info.max])
+def test_gamma_too_large_to_square_gives_p_one(gamma, tmp_path):
+    # (1 + gamma)^2 overflowed a Python float from gamma = 1.34e154 on, and
+    # every worst-case test raised OverflowError; p rises with gamma and is
+    # 1.0 at 1e150 already, where the benefit statistic is below sum |d|
+    small, sample = simulated_sample(20, "ph", seed=3), simulated_sample(300, "ph", seed=1)
+    for s, methods in ((small, ("normal", "exact", "montecarlo")), (sample, ("normal",))):
+        d = pair_differences(s, "pseudo", 3.0)
+        assert -(d @ s.assignment) < np.abs(d).sum()
+        for g, method in itertools.product((1e150, gamma), methods):
+            assert score_test(s, "pseudo", 3.0, g, method, n_draws=1_000).p_value == 1.0
+    diff = diff_matrix(sample, (1.0, 2.0, 3.0, 4.0, 5.0))
+    assert max_test(diff, gamma).p_value == 1.0
+    assert set(closed_test(diff, gamma=gamma).adjusted_p.values()) == {1.0}
+    # a search that evaluates gamma_max finds the crossing of the default range
+    found, wide = sensitivity_value(diff), sensitivity_value(diff, gamma_max=gamma)
+    assert not (found.already_sensitive or found.exceeded_max or wide.exceeded_max)
+    assert abs(wide.value - found.value) <= 1e-3
+    config = StudyConfig(scenarios=(ScenarioSpec("ph"),), pairs=100, replications=4,
+                         grid=(1.0, 2.0, 3.0), seed=1, gammas=(gamma,))
+    assert {row.rejections for row in power_study(config).rows} == {0}
+    data = tmp_path / "sample.csv"
+    write_csv(data, sample)
+    for command in (["test", "--tau", "3"], ["overall", "--grid", "1,2,3"],
+                    ["closed", "--grid", "1,2,3"]):
+        assert main([command[0], str(data), *command[1:], "--gamma", repr(gamma)]) == 0
+    assert main(["sens", str(data), "--grid", "1,2,3", "--search", "--gamma-max", repr(gamma),
+                 "--gamma-grid", f"1,{gamma!r}"]) == 0
 
 
 def test_normal_close_to_exact_in_clt_regime():
@@ -697,3 +733,47 @@ def test_grid_sensitivity_value_equals_always_integrating_search(scenario, seed,
 
     assert (sensitivity_value(diff_matrix(sample, grid, include_ppw=True), gamma_max=gamma_max)
             == _search(p_at, 0.05, 1e-3, gamma_max))
+
+
+# -- level under a biased assignment -------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::pairedsurv.errors.DegenerateColumnWarning")
+def test_every_gamma_decision_holds_its_level_under_a_biased_assignment():
+    # Under the sharp null the outcomes do not depend on the assignment, so a
+    # no_effect sample can be given any within-pair treatment law.  In each
+    # pair the unit a rule favours is treated with probability
+    # gamma / (1 + gamma), a tie at 1/2: the sensitivity model at its bound,
+    # by four fixed rules (the longer observed time, the sign of -D at
+    # tau = 1 or at tau = 5, and at a random column per pair).  Every
+    # decision at gamma must then reject at most alpha of the time; each
+    # count is checked against alpha + 3 SE.  160 samples of 60 pairs
+    # (generate_pairs seeds 2400-2559, rule draws from default_rng(24)) give
+    # SE 0.017 and a bound of 16 rejections; about 6 s on 2 cores.
+    grid, alpha, reps, pairs = (1.0, 2.0, 3.0, 4.0, 5.0), 0.05, 160, 60
+    names = ("score tau=1", "score tau=5", "max", "closed", "sensitivity value tau=1")
+    rng, counts = np.random.default_rng(24), {}
+    for seed in range(2400, 2400 + reps):
+        sample = generate_pairs(pairs, ScenarioSpec("no_effect"), seed)
+        diff = diff_matrix(sample, grid)
+        D = diff.D  # a difference of positions: no assignment in it
+        column = rng.integers(0, len(grid), pairs)
+        rules = {"longer time": np.sign(sample.times[:, 0] - sample.times[:, 1]),
+                 "tau=1": np.sign(-D[:, 0]), "tau=5": np.sign(-D[:, 4]),
+                 "random column": np.sign(-D[np.arange(pairs), column])}
+        for (rule, favoured), u in zip(rules.items(), rng.random((len(rules), pairs))):
+            for gamma in (1.25, 2.0):
+                kept = u < np.where(favoured != 0, gamma / (1.0 + gamma), 0.5)
+                V = np.where(favoured != 0, favoured, 1.0) * np.where(kept, 1.0, -1.0)
+                biased = PairedSample(sample.times, sample.events, V)
+                built = DiffMatrix(diff.taus, D, V)
+                rejected = [
+                    score_test(biased, "pseudo", 1.0, gamma).p_value <= alpha,
+                    score_test(biased, "pseudo", 5.0, gamma).p_value <= alpha,
+                    max_test(built, gamma, tol=1e-3).p_value <= alpha,
+                    any(closed_test(built, alpha, gamma, tol=1e-3).rejected.values()),
+                    sensitivity_value(DiffMatrix(diff.taus[:1], D[:, :1], V), alpha).value
+                    > gamma]
+                counts[rule, gamma] = counts.get((rule, gamma), 0) + np.array(rejected)
+    bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / reps)
+    assert {(rule, gamma, name): int(count) for (rule, gamma), row in counts.items()
+            for name, count in zip(names, row) if count > bound * reps} == {}
