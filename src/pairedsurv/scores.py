@@ -20,22 +20,28 @@ Orientation conventions:
 
 Tests take ``direction="benefit"|"harm"``; ``_sign(kind, direction)`` maps
 that onto the sign that puts the evidence in the upper tail.
+
+A sample as large as the one that ``km`` cuts into parts also has its
+pseudo-value tables built on several threads, each filling its own columns
+of the difference matrix, which is the same whatever the thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._parallel import map_ranges
 from .errors import check_tau
-from .km import _coerce_units, _event_index, _flat
+from .km import _SPLIT, _coerce_units, _event_index, _flat
 
 
 def _pseudo_tables(e, index, taus):
-    """``(code, tables)`` from ``index = _event_index(t, e)``: ``tables``
-    yields one flat array ``Q`` per tau, and unit u's pseudo-value at that
+    """``(code, table)`` from ``index = _event_index(t, e)``: ``table(l)`` is
+    one flat array ``Q`` for ``taus[l]``, and unit u's pseudo-value at that
     tau is ``Q[code[u]]``.  See ``pseudo_observations``.  For a stack of
     samples (``e`` of shape (R, n)) each row has its own table of 2P values,
     P the most event times of a row plus 1, and ``code`` reads that row's.
+    ``table`` reads only arrays made here, so threads may call it at once.
     """
     tk, mk, nk, cut = index
     n = e.shape[-1]
@@ -57,21 +63,23 @@ def _pseudo_tables(e, index, taus):
     # its factors from column k on are 1, and its values past k are its
     # prefix stopped there.  Rows differ only past the smallest k, lo.
     cols, stops = np.arange(size), prefix.reshape(-1)[_flat(ks, size)]
+    tops, los = ks.max(axis=0).tolist(), ks.min(axis=0).tolist()
 
-    def table(k, stop, top, lo):
+    def table(l):
+        k, stop, top, lo = ks[:, l], stops[:, l], tops[l], los[l]
         past = cols[lo + 1:] > k[:, None]
         f = full[:, :top].copy()
         np.copyto(f[:, lo:], 1.0, where=past[:, :top - lo])
         suffix = np.ones((rows, top + 1))
         np.cumprod(f[:, ::-1], axis=-1, out=suffix[:, :top][:, ::-1])
+        del f  # freed before q: with every worker building a table, peaks add up
         q = np.empty_like(head)  # leave-one-out estimates, then pseudo-values
         np.multiply(head[..., :top + 1], suffix[:, None], out=q[..., :top + 1])
         np.copyto(q[..., lo + 1:], stop[:, None, None], where=past[:, None])
         q *= n - 1
         return np.subtract(n * suffix[:, :1, None], q, out=q).reshape(-1)
 
-    return _flat(cut + size * e, 2 * size), map(table, ks.T, stops.T, ks.max(axis=0).tolist(),
-                                                 ks.min(axis=0).tolist())
+    return _flat(cut + size * e, 2 * size), table
 
 
 def pseudo_observations(times, events, tau):
@@ -108,8 +116,8 @@ def pseudo_observations(times, events, tau):
     t, e = _coerce_units(times, events)
     if t.size < 2:
         raise ValueError("pseudo-observations need at least two units")
-    code, tables = _pseudo_tables(e, _event_index(t, e), [tau])
-    return next(tables)[code]
+    code, table = _pseudo_tables(e, _event_index(t, e), [tau])
+    return table(0)[code]
 
 
 def _logrank(e, index):
@@ -144,18 +152,33 @@ def _difference_stack(t, e, taus, include_pw=False):
     Column l differences the event-probability pseudo-values ``1 - q`` at
     ``taus[l]``; with ``include_pw`` a trailing column holds the negated PW
     differences.  Each sample's (I, L) matrix is column-major, so every
-    column is written and read contiguously.
+    column is written and read contiguously.  The event index is dropped
+    once the unit codes and the PW column exist, and the taus, largest
+    first, are cut into one range per worker as the event table is (none
+    under ``_SPLIT`` units; ``map_ranges``): each worker builds its taus'
+    tables and gathers them into their own columns.
     """
     index = _event_index(t, e)
     columns = np.empty(t.shape[:-1] + (len(taus) + include_pw, t.shape[-1] // 2))
     if include_pw:  # first, so its temporaries are freed before the tables exist
         q = _pw(e, index)
         np.negative(q[..., 0::2] - q[..., 1::2], out=columns[..., -1, :])
-    code, tables = _pseudo_tables(e, index, taus)
+        del q
+    code, table = _pseudo_tables(e, index, taus)
+    del index
     first, second = code[..., 0::2], code[..., 1::2]
-    for l, q in enumerate(tables):
+
+    def fill(l):  # a function, so each table is freed before the next is built
+        q, column = table(l), columns[..., l, :]
         np.subtract(1.0, q, out=q)
-        np.subtract(q[first], q[second], out=columns[..., l, :])
+        # codes are in range; "clip" lets take write into D without a buffer
+        q.take(first, out=column, mode="clip")
+        column -= q[second]
+
+    # the units [lo, hi) of a range give it the taus [L lo / n, L hi / n), largest first
+    n, count = t.shape[-1], len(taus)
+    map_ranges(lambda lo, hi: [fill(count - 1 - j)
+                               for j in range(count * lo // n, count * hi // n)], n, _SPLIT)
     return np.swapaxes(columns, -1, -2)
 
 

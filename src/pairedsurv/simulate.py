@@ -6,7 +6,9 @@ time so cumulative hazards invert in closed form (Gompertz-type draws).
 Censoring is exponential with rate ``LAM / b``, optionally multiplied by
 ``exp(x)``; everything is administratively truncated at ``ADMIN_CUTOFF``.
 ``b`` is calibrated per scenario so that about 25% of units are censored
-before the cutoff.
+before the cutoff.  Each sample's draws come from its own stream, in order;
+a large sample's transforms then run over one range of pairs per thread,
+and every value is the same whatever the thread count.
 """
 
 from __future__ import annotations
@@ -20,10 +22,12 @@ from itertools import islice
 
 import numpy as np
 
+from ._parallel import map_ranges
 from .data import PairedSample
 from .design import DesignSensitivityResult, design_sensitivities
 from .errors import (_check_real, as_grid, check_alpha, check_gamma, check_reals, check_seed,
                      check_times, check_tol, check_whole)
+from .km import _SPLIT
 from .overall import _warn_degenerate
 from .scores import _difference_stack, _sign, pair_difference_matrix
 from .sensitivity import _column_sums, _column_tests, _dropped, _max_test_rows
@@ -124,7 +128,10 @@ def _simulate(n_pairs, specs, seeds):
 
     Each sample makes the same four draws, in the same order, from its own
     stream; its scenario enters as (R, 1, 1) arrays, so the survival,
-    censoring and cap transforms run once over the stack.
+    censoring and cap transforms run once over the stack.  They are
+    elementwise, so the pairs are cut into one range per worker, none under
+    ``_SPLIT`` units (``map_ranges``), and every value is the same whatever
+    the worker count.
     """
     shape = (len(seeds), n_pairs)
     x = np.empty(shape + (1,))
@@ -136,16 +143,26 @@ def _simulate(n_pairs, specs, seeds):
         rng.random(out=u_surv[r])
         rng.random(out=u_cens[r])
         np.less(rng.random(n_pairs), 0.5, out=treat_first[r])
-    np.subtract(1.0, u_surv, out=u_surv)
-    np.subtract(1.0, u_cens, out=u_cens)
 
     per_sample = lambda values: np.array(values).T[..., None, None]  # each value as (R, 1, 1)
-    treated = np.stack((treat_first, ~treat_first), axis=-1)
-    surv = _sample_survival_time(x, treated, per_sample([ETA[s.id] for s in specs]), u_surv)
-    cens = _sample_censoring_time(x, per_sample([s.b for s in specs]), per_sample(
-        [s.censoring_form == "covariate_dependent" for s in specs]), u_cens)
-    cap = np.minimum(cens, ADMIN_CUTOFF)
-    return np.minimum(surv, cap), surv <= cap, np.where(treat_first, 1, -1)
+    eta = per_sample([ETA[s.id] for s in specs])
+    b = per_sample([s.b for s in specs])
+    dependent = per_sample([s.censoring_form == "covariate_dependent" for s in specs])
+    times, events = np.empty(u_surv.shape), np.empty(u_surv.shape, dtype=bool)
+
+    def transform(lo, hi):
+        pairs = np.s_[:, lo:hi]
+        first = treat_first[pairs]
+        surv = _sample_survival_time(x[pairs], np.stack((first, ~first), axis=-1), eta,
+                                     np.subtract(1.0, u_surv[pairs], out=u_surv[pairs]))
+        cap = np.minimum(_sample_censoring_time(
+            x[pairs], b, dependent, np.subtract(1.0, u_cens[pairs], out=u_cens[pairs])),
+            ADMIN_CUTOFF)
+        np.minimum(surv, cap, out=times[pairs])
+        np.less_equal(surv, cap, out=events[pairs])
+
+    map_ranges(transform, n_pairs, _SPLIT // 2)
+    return times, events, np.where(treat_first, 1, -1)
 
 
 def generate_pairs(n_pairs: int, spec: ScenarioSpec, seed) -> PairedSample:
@@ -423,8 +440,9 @@ def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResul
                 stacklevel=2,
             )
         sample = generate_pairs(config.pairs, spec, _rep_seed(config.seed, spec.id, 0))
-        per_column, overall = design_sensitivities(
-            _sign("pseudo", "benefit") * pair_difference_matrix(sample, grid), sample.assignment)
+        # pseudo columns are benefit-oriented through the negated assignment
+        per_column, overall = design_sensitivities(pair_difference_matrix(sample, grid),
+                                                   -sample.assignment)
         _warn_degenerate(grid[np.isnan(per_column)].tolist(), f"scenario {spec.id}: ")
         results.append(
             DesignSensitivityResult(

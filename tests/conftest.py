@@ -1,4 +1,6 @@
 import math
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -159,6 +161,21 @@ def montecarlo_one_shot(scores, t, gamma=1.0, n_draws=100_000, seed=0) -> float:
 def fix_workers(monkeypatch, workers):
     """Make every threaded kernel cut its work into ``workers`` ranges."""
     monkeypatch.setattr(_parallel, "_worker_count", lambda n, per_worker: workers)
+
+
+def on_threads(fn, calls, warn=False):
+    """``fn`` appending each call's thread and numpy ``divide`` error mode to
+    ``calls``; with ``warn``, a call off the thread that wrapped it first
+    raises a ``RuntimeWarning`` through ``warnings.warn``."""
+    main = threading.get_ident()
+
+    def recorded(*args, **kwargs):
+        calls.append((threading.get_ident(), np.geterr()["divide"]))
+        if warn and threading.get_ident() != main:
+            warnings.warn("raised in a worker", RuntimeWarning)
+        return fn(*args, **kwargs)
+
+    return recorded
 
 
 def integrand_one_shot(low, limits, k_values, shifts, lattice):

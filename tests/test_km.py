@@ -3,12 +3,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pairedsurv import km_estimate
+from pairedsurv import km, km_estimate
 from pairedsurv.km import _event_index, event_table, km_at
 from pairedsurv.scores import _logrank, _pw, pseudo_observations
 from pairedsurv.simulate import ADMIN_CUTOFF
 
-from conftest import event_index_oracle, random_units, simulated_sample, unit_scores
+from conftest import (event_index_oracle, fix_workers, random_units, simulated_sample,
+                      unit_scores)
 
 SCORES = [partial(unit_scores, _logrank), partial(unit_scores, _pw)]
 
@@ -96,6 +97,14 @@ def _event_index_cases():
     yield "admin_cutoff", sample.unit_times, sample.unit_events
     shuffle = rng.permutation(sample.unit_times.size)
     yield "admin_cutoff_shuffled", sample.unit_times[shuffle], sample.unit_events[shuffle]
+    yield "all_equal", np.full(30, 2.5), rng.random(30) < 0.5
+    sample = simulated_sample(2000, "ph", seed=6, censoring_form="covariate_free")  # table2's
+    assert np.mean(sample.unit_times == ADMIN_CUTOFF) > 0.2
+    yield "admin_cutoff_covariate_free", sample.unit_times, sample.unit_events
+    # 40 of 60 units tied at 2.0: every pivot at 2 and 3 workers lands on the group
+    t = rng.permutation(np.repeat([1.0, 2.0, 3.0], [10, 40, 10]))
+    assert {*km._bounds(t, 20, 40), km._bounds(t, 30, 60)[0]} == {2.0}
+    yield "pivot_on_tie_group", t, rng.random(60) < 0.5
 
 
 @pytest.mark.parametrize("case", list(_event_index_cases()), ids=lambda case: case[0])
@@ -106,6 +115,33 @@ def test_event_index_matches_oracle(case):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     if not e.any():
         assert got[0].size == 0 and not got[3].any()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", list(_event_index_cases()), ids=lambda case: case[0])
+def test_event_index_same_bits_at_any_worker_count(monkeypatch, case, workers):
+    # each worker sorts the units between two time pivots; a part may be empty
+    _, t, e = case
+    fix_workers(monkeypatch, workers)
+    for a, b in zip(_event_index(t, e), event_index_oracle(t, e)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_stack_event_index_same_bits_at_any_worker_count(monkeypatch, workers):
+    # a stack is sorted in one part whatever the worker count
+    fix_workers(monkeypatch, workers)
+    rows = [simulated_sample(50, sid, seed=r) for r, sid in enumerate(["ph", "late_div", "ph"])]
+    t = np.stack([row.unit_times for row in rows])
+    e = np.stack([row.unit_events for row in rows])
+    tk, mk, nk, cut = _event_index(t, e)
+    for r in range(len(rows)):
+        want = event_index_oracle(t[r], e[r])
+        k = want[0].size
+        for got, one, fill in zip((tk[r], mk[r], nk[r]), want, (np.inf, 0, 2)):
+            assert got.dtype == one.dtype and got[:k].tobytes() == one.tobytes()
+            assert (got[k:] == fill).all()
+        assert cut[r].tobytes() == want[3].tobytes()
 
 
 def test_monotone_and_bounded_on_random_samples():

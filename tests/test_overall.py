@@ -38,8 +38,8 @@ from pairedsurv.sensitivity import (_column_sums, _correlation_rows, _max_test_f
                                     _max_test_rows, _null_moments, _pvalue_exact)
 from pairedsurv.simulate import ADMIN_CUTOFF, SCENARIO_IDS
 
-from conftest import (count_mvn_calls, max_pvalue_exact, record_decision_integrations,
-                      record_union_bounds, simulated_sample)
+from conftest import (count_mvn_calls, fix_workers, max_pvalue_exact,
+                      record_decision_integrations, record_union_bounds, simulated_sample)
 
 
 def test_time_grid_validation():
@@ -142,10 +142,16 @@ def test_diff_matrix_equals_per_tau_columns_across_blocks():
     np.testing.assert_array_equal(D.view(np.int64), expected.view(np.int64))
 
 
-def test_diff_matrix_transient_memory():
-    # the grid kernel holds one pseudo-value table per tau and the unit
-    # codes besides D: its traced peak stays within about 1.25x that of
-    # building each column on its own (14.5 MiB)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_diff_matrix_transient_memory(monkeypatch, workers):
+    # the grid kernel holds the unit codes and D besides the tables being
+    # built, each worker one tau's at a time: its traced peak stays within
+    # about 1.25x that of building each column on its own (14.5 MiB).  At
+    # one worker it is 15.0 MiB, reached while the tables are set up; each
+    # worker building a table at the same time can add about 2.3 MiB, its
+    # table and one gathered column (traced 15.0-15.7 MiB at 2 and 3
+    # workers, up to 17.6 MiB at 4)
+    fix_workers(monkeypatch, workers)
     table2 = StudyConfig.from_json(resources.files("pairedsurv.configs") / "table2.cfg")
     sample = generate_pairs(table2.pairs, table2.scenarios[0], seed=1)
     tracemalloc.start()
@@ -156,6 +162,18 @@ def test_diff_matrix_transient_memory():
     finally:
         tracemalloc.stop()
     assert peak - before < 18 * 2 ** 20
+
+
+def test_diff_matrix_same_bits_at_any_worker_count(monkeypatch):
+    # the event table is cut at time pivots and the taus' tables are spread
+    # over the workers
+    sample = generate_pairs(100_000, ScenarioSpec("ph", censoring_form="covariate_free"), 3)
+    built = []
+    for workers in (1, 2, 3):
+        fix_workers(monkeypatch, workers)
+        built.append(diff_matrix(sample, (1.0, 2.0, 3.0, 4.0, 5.0), include_ppw=True).D)
+    assert built[0].flags.f_contiguous
+    assert [D.tobytes(order="F") == built[0].tobytes(order="F") for D in built[1:]] == [True] * 2
 
 
 def test_ppw_column_concordant_on_uncensored_pairs():

@@ -46,6 +46,24 @@ def test_no_import_inside_a_function_and_no_cycle_through_sensitivity():
     assert not parts & {"overall", "closed"}
 
 
+def test_only_parallel_starts_threads():
+    # one module holds the CPU-count rule and the rule that every thread
+    # ends with the call that started it
+    src = Path(pairedsurv.__file__).parent
+    importers = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "concurrent") for name in names):
+                importers.add(path.name)
+    assert importers == {"_parallel.py"}
+
+
 ROOT = Path(pairedsurv.__file__).resolve().parents[2]
 
 

@@ -26,7 +26,7 @@ from pairedsurv.errors import DegenerateColumnWarning
 from pairedsurv.simulate import (DEFAULT_B, ETA, LAM, _nonadmin_censoring_rate, _rep_seed,
                                  _sample_censoring_time, _sample_survival_time, calibrate_b)
 
-from conftest import count_mvn_calls
+from conftest import count_mvn_calls, fix_workers
 
 
 def hazard(spec, t, x, z):
@@ -148,6 +148,20 @@ def test_mixed_stack_matches_generate_pairs():
         assert times[r].tobytes() == one.times.tobytes()
         assert events[r].tobytes() == one.events.tobytes()
         assert assignment[r].tobytes() == one.assignment.tobytes()
+
+
+def test_generate_pairs_same_bits_at_any_worker_count(monkeypatch):
+    # the transforms run over one range of pairs per worker
+    specs = [ScenarioSpec(sid, censoring_form=form)
+             for sid in ETA for form in simulate.CENSORING_FORMS]
+    drawn = {}
+    for workers in (1, 2, 3):
+        fix_workers(monkeypatch, workers)
+        for k, spec in enumerate(specs):
+            sample = generate_pairs(100_000, spec, [11, k])
+            drawn.setdefault(k, []).append(
+                b"".join(a.tobytes() for a in (sample.times, sample.events, sample.assignment)))
+    assert len(drawn) == 10 and all(len(set(runs)) == 1 for runs in drawn.values())
 
 
 @pytest.mark.parametrize("n_pairs, match", [
