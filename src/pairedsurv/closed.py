@@ -12,19 +12,19 @@ depends on S only through its observed max m_S.  Adding columns whose
 statistic is at most m_S keeps every limit and can only raise p, so among
 the subsets containing tau with max m the largest p is that of
 S_m = {l : stat_l <= m}.  The adjusted p of tau is the running maximum of
-p(S_m) over m >= stat_tau.  Only a zero column (zero dispersion) is
-dropped: it is in no S_m, and its tau gets p = 1, the p-value of a test with
-no columns.  A copy of an earlier column has that column's statistic, so it
-joins the same S_m (whose max test masks it) and shares its adjusted p.
+p(S_m) over m >= stat_tau.  A zero column (zero dispersion) is in no S_m,
+and its tau gets p = 1, the p-value of a test with no columns.  A copy of
+an earlier column has that column's statistic, so it joins the same S_m and
+shares its adjusted p, and the matrix's ``dropped`` mask leaves it out of
+the max test of each S_m, which holds its original too.
 
 All the S_m are tested in one ``sensitivity._max_test_rows`` pass over
-the caller's matrix and its pair sums, one row of an (R, L) mask each,
-with the sigma outside the row zeroed, so no column is copied.  Row S_m
-has a QMC seed derived from its bitmask over the grid, so its p-value is
-the one a full enumeration computes for that subset, the bits of the
-one-row call on its columns: for one column the normal tail of its
-time-specific test, for two the exact union of their tails, both without
-integrating.
+the caller's matrix and its pair sums, one row of an (R, L) column mask
+each, so no column is copied.  Row S_m has a QMC seed derived from its
+bitmask over the grid, so its p-value is the one a full enumeration
+computes for that subset, the bits of the one-row call on its columns:
+for one column the normal tail of its time-specific test, for two the
+exact union of their tails, both without integrating.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestRepo
     Row r of a mask holds the columns whose benefit statistic is at most
     the r-th largest distinct one, all rows tested in one masked max-test
     pass; each tau's adjusted p is the running maximum of the rows' p-values
-    down to its own.  Only zero columns are dropped, their taus at adjusted
-    p = 1; a copy of an earlier column shares its original's adjusted p.  A
-    matrix with a PPW column is refused: its hypotheses are the grid times.
+    down to its own.  A zero column's tau gets adjusted p = 1, and a copy of
+    an earlier column, which each row's max test leaves out, shares its
+    original's adjusted p.  A matrix with a PPW column is refused: its
+    hypotheses are the grid times.
     """
     alpha, gamma = check_alpha(alpha), check_gamma(gamma)
     seed, tol = check_seed(seed), check_tol(tol, "tol")
@@ -84,8 +85,7 @@ def closed_test(diff, alpha=0.05, gamma=1.0, seed=0, tol=1e-4) -> ClosedTestRepo
     mask = live & (stats <= np.unique(stats[live])[::-1, None])  # S_m, largest m first
     subsets = [np.flatnonzero(row) for row in mask]
     seeds = [_subset_seed(seed, sum(1 << int(l) for l in idx)) for idx in subsets]
-    _, p = _max_test_rows(diff.D, np.where(mask, diff.sigma, 0.0), diff.sums, gamma, orient,
-                          tol, seeds)
+    _, p = _max_test_rows(diff.D, mask & ~diff.dropped, diff.sums, gamma, orient, tol, seeds)
     running = np.maximum.accumulate(p)
     # a live column's last row is the S_m at its own statistic; a zero column is in none
     adjusted = {tau: float(running[r]) if r >= 0 else 1.0

@@ -5,14 +5,14 @@ same timestamp (a unit censored at t is still at risk for events at t),
 and simultaneous events are pooled into a single risk-set step.
 
 A sample of at least ``2 * _SPLIT`` units is sorted and tabulated in
-parts cut at time pivots, one per thread (``_parallel.map_ranges``); the
+parts cut at time pivots, one per thread (``_parallel.map_ranges``), and
+every sample's parts, one or more, are joined on the calling thread; the
 joined tables are those of one sort, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -60,23 +60,18 @@ def _event_index(t, e):
     ``_SPLIT`` units (``map_ranges``): a part holds the units with
     ``low <= t < high`` (``_bounds``), so each tie group lies in one part,
     and each part is sorted and tabulated in its own thread.  ``_join``
-    concatenates the parts' tables, so every value is the same whatever the
-    worker count.  A stack is one part.
+    concatenates the parts' tables on the calling thread, so every value is the same whatever the
+    worker count.  A stack is one sort, padded here.
     """
     n = t.shape[-1]
     if n == 0:
         raise ValueError("no units supplied")
-    if t.ndim > 1:
-        parts = [_sorted_part(t, e)]
-    else:
-        parts = map_ranges(lambda lo, hi: _sorted_part(t, e, *_bounds(t, lo, hi)), n, _SPLIT)
-    if len(parts) > 1:
-        return _join(parts, n)
-    order, *tables, ranks = parts[0]
+    if t.ndim == 1:
+        return _join(map_ranges(lambda lo, hi: _sorted_part(t, e, *_bounds(t, lo, hi)),
+                                n, _SPLIT), n)
+    order, *tables, ranks = _sorted_part(t, e)
     cut = np.empty(t.shape, dtype=np.int64)
     cut.reshape(-1)[order] = ranks.reshape(-1)
-    if t.ndim == 1:
-        return (*tables, cut)
     filled = np.arange(ranks[:, -1].max()) < ranks[:, -1:]  # each row's own event times
     padded = []
     for a, fill in zip(tables, (np.inf, 0, 2)):
@@ -88,23 +83,18 @@ def _event_index(t, e):
 
 def _join(parts, n):
     """``_event_index`` of a sample of ``n`` units from its parts in time
-    order (``_sorted_part``): their tables concatenated, each risk set raised
-    by the units above its part and each ``cut`` by the event times below
-    it, one part per thread."""
-    first = list(accumulate((tk.size for _, tk, *_ in parts), initial=0))  # event times below
-    above = [n - k for k in accumulate(order.size for order, *_ in parts)]  # units above
-    tables = [np.empty(first[-1], dtype=dtype) for dtype in (float, np.int64, np.int64)]
+    order (``_sorted_part``), one or more: their tables concatenated, each
+    risk set raised by the units above its part and each ``cut`` by the
+    event times below it."""
+    tk, mk, nk = (np.concatenate(a) for a in list(zip(*parts))[1:4])
     cut = np.empty(n, dtype=np.int64)
-
-    def place(lo, hi):
-        for (order, tk, mk, nk, ranks), k, units in zip(parts[lo:hi], first[lo:hi], above[lo:hi]):
-            events = slice(k, k + tk.size)
-            tables[0][events], tables[1][events] = tk, mk
-            np.add(nk, units, out=tables[2][events])
-            cut[order] = np.add(ranks, k, out=ranks)
-
-    map_ranges(place, len(parts), 1)
-    return (*tables, cut)
+    above, events = n, 0  # the units above the part and the event times below it
+    for order, times, _, _, ranks in parts:
+        above -= order.size
+        nk[events:events + times.size] += above
+        cut[order] = np.add(ranks, events, out=ranks)
+        events += times.size
+    return tk, mk, nk, cut
 
 
 def _bounds(t, lo, hi):

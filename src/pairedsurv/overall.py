@@ -40,8 +40,8 @@ class DiffMatrix:
     build reduces ``D`` over its pairs once, to the ``sums`` every test of
     the matrix reads (``sensitivity._column_sums``: ``sum d V``, ``sum |d|``
     and ``sum d^2`` per column), whence ``sigma = sqrt(sum d^2)`` and
-    ``dropped``, the columns the max-type tests leave out (``_dropped``:
-    zero dispersion or a copy of an earlier column).
+    ``dropped``, the columns every max-type test of it leaves out, found
+    once (``_dropped``: zero dispersion or a copy of an earlier column).
     """
 
     taus: np.ndarray
@@ -127,7 +127,7 @@ def max_test(diff, gamma=1.0, direction="benefit", tol=1e-4, seed=0) -> TestResu
     """
     gamma, tol, seed = check_gamma(gamma), check_tol(tol, "tol"), check_seed(seed)
     orient = _sign("pseudo", direction)
-    m, p = _max_test_rows(diff.D, diff.sigma[None], diff.sums, gamma, orient, tol, [seed])
+    m, p = _max_test_rows(diff.D, ~diff.dropped[None], diff.sums, gamma, orient, tol, [seed])
     return TestResult(statistic=float(m[0]), null_mean=0.0, null_sd=1.0, p_value=float(p[0]),
                       gamma=gamma, method="normal", direction=direction,
                       tau="overall")

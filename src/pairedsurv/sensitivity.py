@@ -10,14 +10,15 @@ upper tail; the other tail is the upper tail of ``-T``, with the sign from
 stack over its pairs, column by column, to ``sum d_i V_i``, ``sum |d_i|``
 and ``sum d_i^2``; ``_null_moments`` and ``_normal_tails``, each column's
 one normal tail, are arithmetic on those sums.  ``_max_test_rows`` gives
-the worst-case tail of the max for each row of ``sigma``, from the sums
-of one sample shared by the rows or of a stack: the MVN of the live columns
-(``_correlation_rows``), clamped into the first- and second-order bounds
-on the union of the column tails (``_union_bounds``), with zeroed and
-degenerate columns masked.  ``score_test`` is the one test of a score
-vector (pseudo at tau, log-rank or PW), by its normal tail, ``_pvalue_exact``
-or ``pvalue_montecarlo``, and ``sensitivity_value`` bisects the worst-case
-max p of a built difference matrix (one column: the time-specific search).
+the worst-case tail of the max for each row of a column mask, from the
+sums of one sample shared by the rows or of a stack: the MVN of the row's
+columns (``_correlation_rows``), clamped into the first- and second-order
+bounds on the union of the column tails (``_union_bounds``); the masks
+leave out the columns ``_dropped`` finds once per matrix or study block.
+``score_test`` is the one test of a score vector (pseudo at tau, log-rank
+or PW), by its normal tail, ``_pvalue_exact`` or ``pvalue_montecarlo``, and
+``sensitivity_value`` bisects the worst-case max p of a built difference
+matrix (one column: the time-specific search).
 Each public call runs its inputs' ``errors`` rules on entry, before any
 shortcut, and the CLI parses its flags with the same rules.
 """
@@ -359,11 +360,10 @@ def _union_bounds(limits, rho, tails, s1, low, high):
 
 
 def _dropped(D, sigma, paired):
-    """Mask, in ``sigma``'s shape ((L,) or (R, L)), of the columns a max test
-    leaves out: zero dispersion, or equal to an earlier column of their row
-    (equal ``sigma`` and ``paired`` sums, then D).  ``D`` is (I, L), shared
-    by every row, or (R, I, L), one per row."""
-    D = np.broadcast_to(D, sigma.shape[:-1] + D.shape[-2:])  # a view: no copy
+    """Mask, in ``sigma``'s shape, of the columns a max test leaves out: zero
+    dispersion, or equal to an earlier column (equal ``sigma`` and ``paired``
+    sums, then D), of one matrix (I, L) with (L,) sums or of each matrix of
+    a stack (R, I, L) with (R, L) sums.  Taken once per matrix or block."""
     same = np.tril((sigma[..., :, None] == sigma[..., None, :]) & (sigma[..., :, None] > 0.0)
                    & (paired[..., :, None] == paired[..., None, :]), -1)
     for *r, l, j in zip(*np.nonzero(same)):
@@ -374,32 +374,34 @@ def _dropped(D, sigma, paired):
 def _max_test_from_columns(D, sigma, assignment, gamma, method, orient,
                            tol=1e-4, seed=0, alpha=None):
     """``_max_test_rows`` of one sample's (I, L) ``D`` and (L,) ``sigma`` on
-    raw arrays, taking the pair sums of ``D`` and ``assignment`` here, with
-    floats out.  ``method`` accepts only ``"normal"``: the benchmark's
-    reference recorder passes it and pins this signature.  Library code
-    passes its own sums."""
+    raw arrays, taking the pair sums of ``D`` and ``assignment`` and its
+    dropped columns (``_dropped``) here, with floats out.  ``method`` accepts
+    only ``"normal"``: the benchmark's reference recorder passes it and pins
+    this signature.  Library code passes its own sums and masks."""
     _normal_only(method)
-    m, p = _max_test_rows(D, sigma[None], _column_sums(D, assignment), gamma, orient, tol,
-                          [seed], alpha)
+    sums = _column_sums(D, assignment)
+    keep = ~_dropped(D, sigma, sums[0])
+    m, p = _max_test_rows(D, keep[None], sums, gamma, orient, tol, [seed], alpha)
     return float(m[0]), float(p[0])
 
 
-def _max_test_rows(D, sigma, sums, gamma, orient, tol, seed, alpha=None):
+def _max_test_rows(D, keep, sums, gamma, orient, tol, seed, alpha=None):
     """Worst-case p-value of the max statistic on already-built columns.
 
     ``orient`` is +1 to test the upper tail of the stored columns and -1
     for the lower tail (the benefit direction of pseudo columns).  Each row
-    of ``sigma`` (R, L) is one test, with ``seed`` one seed per row and
-    ``m``, ``p`` (R,) arrays.  ``D`` is one sample's (I, L), shared by
-    every row, or a stack (R, I, L), each ``D[r]`` laid out as one sample's,
-    and ``sums`` its ``_column_sums`` with the assignment, which hold no
-    gamma; the correlations (``_correlation_rows``) take one pass over each
-    matrix.  A column of zero ``sigma`` or copying an earlier one
-    (``_dropped``) is masked, so each row gets the bits of the one-row call
-    on its other columns (no correlation's bits depend on the columns a row
-    keeps); with none live it gets (nan, 1), and more than
-    ``mvnorm.MAX_DIM`` of nonzero ``sigma`` are refused before any bound
-    decides.  ``gamma`` is checked by ``_null_moments``.  Returns (m, p).
+    of ``keep`` (R, L) is one test of the columns it holds, with ``seed``
+    one seed per row and ``m``, ``p`` (R,) arrays.  ``D`` is one sample's
+    (I, L), shared by every row, or a stack (R, I, L), each ``D[r]`` laid
+    out as one sample's, and ``sums`` its ``_column_sums`` with the
+    assignment, which hold no gamma and give ``sigma = sqrt(sum d^2)``; the
+    correlations (``_correlation_rows``) take one pass over each matrix.
+    ``keep`` leaves out the ``_dropped`` columns, which the caller finds
+    once, and each row gets the bits of the one-row call on its columns (no
+    correlation's bits depend on the columns a row keeps); with none it gets
+    (nan, 1).  More than ``mvnorm.MAX_DIM`` columns of nonzero dispersion in
+    a matrix are refused before any bound decides, and ``_null_moments``
+    checks ``gamma``.  Returns (m, p).
 
     A column whose statistic is the max takes its own oriented statistic as
     its limit, and every column tail is ``_normal_tails`` of the moments
@@ -418,11 +420,11 @@ def _max_test_rows(D, sigma, sums, gamma, orient, tol, seed, alpha=None):
     Without ``alpha`` it is integrated to ``tol``.  The estimate is clipped
     into the second-order bounds, which keeps its side of alpha.
     """
-    _check_dim((sigma > 0.0).sum(axis=-1).max(initial=0))
-    if np.shape(seed) != (len(sigma),):
-        raise ValueError(f"a stack of {len(sigma)} samples needs one seed per sample")
     paired, abs_sum, sq_sum = sums
-    keep = ~_dropped(D, sigma, paired)
+    _check_dim((sq_sum > 0.0).sum(axis=-1).max(initial=0))
+    if np.shape(seed) != (len(keep),):
+        raise ValueError(f"a stack of {len(keep)} samples needs one seed per sample")
+    sigma = np.sqrt(sq_sum)
     with np.errstate(divide="ignore", invalid="ignore"):  # a dropped column is 0 / 0
         stats = np.where(keep, orient * paired / sigma, -np.inf)
         m = stats.max(axis=-1)
@@ -487,7 +489,7 @@ def sensitivity_value(diff, alpha=0.05, tol=1e-3, gamma_max=10.0,
     alpha, tol, seed = check_alpha(alpha), check_tol(tol, "tol"), check_seed(seed)
     gamma_max, mvn_tol = check_gamma(gamma_max), check_tol(mvn_tol, "mvn_tol")
     return _search(lambda g, alpha: _max_test_rows(
-        diff.D, diff.sigma[None], diff.sums, g, sign, mvn_tol, [seed], alpha)[1][0],
+        diff.D, ~diff.dropped[None], diff.sums, g, sign, mvn_tol, [seed], alpha)[1][0],
         alpha, tol, gamma_max)
 
 

@@ -407,16 +407,16 @@ def _test_block(config, grid, block):
     # no gamma in them: the sums of all columns, the grid's among them, serve every gamma
     sums = _column_sums(D, assignment)
     grid_D, grid_sums = D[..., :n_taus], tuple(x[..., :n_taus] for x in sums)
-    sigma = np.sqrt(grid_sums[2])
+    dropped = _dropped(grid_D, np.sqrt(grid_sums[2]), grid_sums[0])
     mvn_seeds = [int(_rep_seed(config.seed, scenarios[s].id, rep, salt=7).generate_state(1)[0])
                  for s, rep in block]
     rejected = np.empty((len(block), len(config.gammas), n_taus + 2), dtype=bool)
     for g, gamma in enumerate(config.gammas):
         rejected[:, g, :-1] = _column_tests(sums, gamma, benefit)[3] <= config.alpha
-        _, p = _max_test_rows(grid_D, sigma, grid_sums, gamma, benefit, config.mvn_tol,
+        _, p = _max_test_rows(grid_D, ~dropped, grid_sums, gamma, benefit, config.mvn_tol,
                               mvn_seeds, config.alpha)
         rejected[:, g, -1] = p <= config.alpha
-    return rejected, _dropped(grid_D, sigma, grid_sums[0])
+    return rejected, dropped
 
 
 def design_sensitivity_study(config: StudyConfig) -> list[DesignSensitivityResult]:

@@ -125,9 +125,9 @@ def test_one_max_test_pass(monkeypatch, grid):
         diff = diff_matrix(sample, grid)
     rows, real = [], closed._max_test_rows
 
-    def counted(D, sigma, *args, **kwargs):
-        rows.append(len(sigma))
-        return real(D, sigma, *args, **kwargs)
+    def counted(D, keep, *args, **kwargs):
+        rows.append(len(keep))
+        return real(D, keep, *args, **kwargs)
 
     monkeypatch.setattr(closed, "_max_test_rows", counted)
     report = closed_test(diff)
@@ -141,7 +141,7 @@ def test_one_max_test_pass(monkeypatch, grid):
 
 
 def test_transient_memory():
-    # the subsets mask sigma over the one matrix, whose sums over the pairs
+    # the subsets are column masks over the one matrix, whose sums over the pairs
     # are taken once and whose correlations take one product pass: no
     # subset copies D's columns (18.3 MiB at gamma = 1 when each did) or, at
     # gamma > 1, their absolute values (18.3 MiB at gamma = 1.2 when each did)
@@ -172,6 +172,9 @@ ORACLE_CASES = [
     ("crossing", 12, (1e-8, 1.0, 2.0, 3.0, 4.0)),
     ("late_div", 13, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0)),
     ("no_effect", 14, (1e-8, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0, 5.0)),
+    # copies of the 5.0 column past the administrative cutoff: each subset's
+    # max test holds a copy only with its original, whose statistic it has
+    ("ph", 15, (1.0, 3.0, ADMIN_CUTOFF, ADMIN_CUTOFF + 0.5, ADMIN_CUTOFF + 1.0)),
 ]
 
 
@@ -180,9 +183,10 @@ ORACLE_CASES = [
 def test_stepdown_matches_brute_force(scenario, seed, grid, gamma):
     sample = simulated_sample(150, scenario, seed=seed)
     tol = 1e-4
-    if grid[0] == 1e-8:
-        # tau = 1e-8 precedes every event: the oracle's matrix and the
-        # step-down's each warn once, and its adjusted p is 1
+    if grid[0] == 1e-8 or grid[-1] > ADMIN_CUTOFF:
+        # tau = 1e-8 precedes every event, and a tau past the cutoff copies
+        # the cutoff's column: the oracle's matrix and the step-down's each
+        # warn once
         with pytest.warns(DegenerateColumnWarning) as caught:
             brute_adj, brute_subsets = closed_test_brute_force(sample, grid, gamma,
                                                                seed=5, tol=tol)
@@ -190,7 +194,8 @@ def test_stepdown_matches_brute_force(scenario, seed, grid, gamma):
         with pytest.warns(DegenerateColumnWarning) as caught:
             report = closed_test(diff_matrix(sample, grid), gamma=gamma, seed=5, tol=tol)
         assert len(caught) == 1
-        assert report.adjusted_p[1e-8] == brute_adj[1e-8] == 1.0
+        if grid[0] == 1e-8:  # its adjusted p is 1
+            assert report.adjusted_p[1e-8] == brute_adj[1e-8] == 1.0
     else:
         brute_adj, brute_subsets = closed_test_brute_force(sample, grid, gamma,
                                                            seed=5, tol=tol)

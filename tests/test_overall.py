@@ -34,8 +34,9 @@ from pairedsurv import (
 )
 from pairedsurv.errors import AccuracyNotReached, DegenerateColumnWarning, as_grid
 from pairedsurv.km import event_table
-from pairedsurv.sensitivity import (_column_sums, _correlation_rows, _max_test_from_columns,
-                                    _max_test_rows, _null_moments, _pvalue_exact)
+from pairedsurv.sensitivity import (_column_sums, _correlation_rows, _dropped,
+                                    _max_test_from_columns, _max_test_rows, _null_moments,
+                                    _pvalue_exact)
 from pairedsurv.simulate import ADMIN_CUTOFF, SCENARIO_IDS
 
 from conftest import (count_mvn_calls, fix_workers, max_pvalue_exact,
@@ -473,25 +474,25 @@ def test_copied_columns_past_the_cutoff_keep_their_bounds(monkeypatch):
 def test_stacked_max_test_takes_one_seed_per_sample():
     diffs = [diff_matrix(generate_pairs(200, ScenarioSpec("ph"), seed), (1.0, 2.0, 3.0))
              for seed in (1, 2)]
-    D, sigma = np.stack([d.D for d in diffs]), np.stack([d.sigma for d in diffs])
+    D, keep = np.stack([d.D for d in diffs]), ~np.stack([d.dropped for d in diffs])
     sums = _column_sums(D, np.stack([d.assignment for d in diffs]))
-    m, p = _max_test_rows(D, sigma, sums, 1.0, 1.0, 1e-4, [3, 4])
+    m, p = _max_test_rows(D, keep, sums, 1.0, 1.0, 1e-4, [3, 4])
     for r, (d, seed) in enumerate(zip(diffs, (3, 4))):
         assert (m[r], p[r]) == _max_test_from_columns(d.D, d.sigma, d.assignment, 1.0,
                                                       "normal", 1.0, 1e-4, seed)
     with pytest.raises(ValueError, match="one seed per sample"):
-        _max_test_rows(D, sigma, sums, 1.0, 1.0, 1e-4, 3)
-    # one sample's matrix shared by every row of an (R, L) sigma mask: each
+        _max_test_rows(D, keep, sums, 1.0, 1.0, 1e-4, 3)
+    # one sample's matrix shared by every row of an (R, L) column mask: each
     # row gets the bits of the one-sample call on its compacted columns
     d = diffs[0]
     mask = np.array([[True, True, True], [True, False, True], [False, True, False]])
     sums = _column_sums(d.D, d.assignment)
-    m, p = _max_test_rows(d.D, np.where(mask, d.sigma, 0.0), sums, 1.0, 1.0, 1e-4, [5, 6, 7])
+    m, p = _max_test_rows(d.D, mask & ~d.dropped, sums, 1.0, 1.0, 1e-4, [5, 6, 7])
     for r, (keep, seed) in enumerate(zip(mask, (5, 6, 7))):
         assert (m[r], p[r]) == _max_test_from_columns(
             d.D[:, keep], d.sigma[keep], d.assignment, 1.0, "normal", 1.0, 1e-4, seed)
     with pytest.raises(ValueError, match="one seed per sample"):
-        _max_test_rows(d.D, np.where(mask, d.sigma, 0.0), sums, 1.0, 1.0, 1e-4, [5, 6])
+        _max_test_rows(d.D, mask & ~d.dropped, sums, 1.0, 1.0, 1e-4, [5, 6])
 
 
 @pytest.mark.parametrize("grid", [(1.0, 2.0, 3.0, 4.0, 5.0), tuple(np.arange(0.5, 5.5, 0.5))])
@@ -509,9 +510,10 @@ def test_stacked_max_test_masks_dropped_columns(grid):
     assignment = np.stack([d.assignment for d in diffs])
     sigma, seeds = np.sqrt(np.sum(D ** 2, axis=-2)), [11, 12, 13, 14]
     sums = _column_sums(D, assignment)
+    live = ~_dropped(D, sigma, sums[0])  # once for the stack, as a study block takes it
     for gamma in (1.0, 1.1, 1.5):
         for alpha in (None, 0.05, 1.0):
-            m, p = _max_test_rows(D, sigma, sums, gamma, -1.0, 1e-4, seeds, alpha)
+            m, p = _max_test_rows(D, live, sums, gamma, -1.0, 1e-4, seeds, alpha)
             for r, keep in enumerate(sigma > 0.0):
                 if keep.any():
                     assert (m[r], p[r]) == _max_test_from_columns(
@@ -685,20 +687,20 @@ def test_max_test_has_only_the_normal_method():
     assert res.p_value == overall_test(sample, (1.0, 2.0)).p_value
 
 
-def test_one_reduction_per_matrix(monkeypatch):
-    # a matrix is reduced over its pairs once, when it is built, and every
-    # test of it reads those sums; a power-study block reduces all of its
-    # columns once, the grid's among them, whatever the number of gammas
-    calls, real = [], sensitivity._column_sums
+def _count_per_matrix(monkeypatch, name):
+    """Assert that every module's binding of the sensitivity helper ``name``
+    runs once per ``diff_matrix`` build, never in a test of a built matrix,
+    and once per power-study block, whatever the number of gammas."""
+    calls, real = [], getattr(sensitivity, name)
 
-    def counted(D, assignment):
+    def counted(D, *args):
         calls.append(D.shape)
-        return real(D, assignment)
+        return real(D, *args)
 
     for info in pkgutil.iter_modules(pairedsurv.__path__):
         module = importlib.import_module(f"pairedsurv.{info.name}")
-        if getattr(module, "_column_sums", None) is real:
-            monkeypatch.setattr(module, "_column_sums", counted)
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     diff = diff_matrix(simulated_sample(300, "ph", seed=1), (1.0, 2.0, 3.0, 4.0, 5.0))
     assert len(calls) == 1, calls
     max_test(diff)
@@ -714,6 +716,20 @@ def test_one_reduction_per_matrix(monkeypatch):
         del calls[:]
         power_study(config)
         assert blocks == 2 and len(calls) == blocks, (gammas, calls)
+
+
+def test_one_reduction_per_matrix(monkeypatch):
+    # a matrix is reduced over its pairs once, when it is built, and every
+    # test of it reads those sums; a power-study block reduces all of its
+    # columns once, the grid's among them, whatever the number of gammas
+    _count_per_matrix(monkeypatch, "_column_sums")
+
+
+def test_one_drop_per_matrix(monkeypatch):
+    # a matrix's degenerate columns are found once, when it is built, and
+    # every test of it passes that mask; a power-study block finds its grid
+    # columns' once for every gamma
+    _count_per_matrix(monkeypatch, "_dropped")
 
 
 def test_ppw_all_tied_p_one():

@@ -222,6 +222,15 @@ def test_no_library_max_test_reduces_its_matrix_again():
     assert _call_sites(lambda call: _calls(call, "_max_test_from_columns")) == []
 
 
+def test_thread_sites():
+    # each call site of map_ranges, the one place threads start, came with a
+    # measured gain on two cores (recorded in _parallel's docstring)
+    assert sorted(_call_sites(lambda call: _calls(call, "map_ranges"))) == [
+        ("km.py", "_event_index"), ("mvnorm.py", "_integrand_means"),
+        ("scores.py", "_difference_stack"), ("sensitivity.py", "pvalue_montecarlo"),
+        ("simulate.py", "_simulate")]
+
+
 def test_degenerate_column_warning_has_one_call_site():
     # every dropped-column report, of a matrix, a study or a design
     # sensitivity, goes through one helper and so keeps one wording
